@@ -1,5 +1,7 @@
 //! Client side of the staging wire: a pooled, retrying [`RemoteClient`]
-//! and the [`RemoteStager`] drop-in for `AsyncStager`.
+//! for one service. Workflows reach it through
+//! [`crate::cluster::ShardedClient`], which is also the asynchronous
+//! transport's backend.
 //!
 //! Retry policy, in one sentence: transient transport faults (refused or
 //! reset connections, timeouts, short reads, corrupted frames, `Busy`
@@ -12,17 +14,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use xlayer_amr::boxes::IBox;
-use xlayer_staging::{
-    BatchClosed, DataObject, DrainError, ObjectDesc, ObjectKey, StageTask, TransportClosed,
-    TransportStats,
-};
+use xlayer_staging::{DataObject, ObjectDesc};
 
 use crate::hist::{LatencyHistogram, LatencySnapshot};
 use crate::iovec::write_vectored_all;
@@ -715,185 +712,5 @@ impl RemoteClient {
                 other.opcode()
             ))),
         }
-    }
-}
-
-/// Asynchronous puts into a *remote* staging service: the same put/drain
-/// surface as [`xlayer_staging::AsyncStager`], but the transfer threads
-/// speak the wire protocol instead of calling `DataSpace::put`. Counting
-/// is identical — delivered/rejected/bytes plus the per-key rendezvous —
-/// so `workflow::native` can swap one for the other without changing its
-/// synchronisation.
-pub struct RemoteStager {
-    tx: Option<Sender<StageTask>>,
-    workers: Vec<JoinHandle<()>>,
-    stats: Arc<TransportStats>,
-    client: RemoteClient,
-}
-
-impl RemoteStager {
-    /// Start `nthreads` transfer threads sending over `client`, with a
-    /// queue depth of `queue_depth` tasks.
-    ///
-    /// Unlike [`xlayer_staging::AsyncStager`], the queue carries tasks
-    /// singly: a batch fans out across the worker pool so a step's wire
-    /// puts go down `nthreads` connections concurrently instead of
-    /// serializing on whichever worker drew the batch.
-    pub fn new(client: RemoteClient, nthreads: usize, queue_depth: usize) -> Self {
-        let (tx, rx) = bounded::<StageTask>(queue_depth.max(1));
-        let stats = Arc::new(TransportStats::default());
-        let workers = (0..nthreads.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let client = client.clone();
-                let stats = Arc::clone(&stats);
-                std::thread::spawn(move || {
-                    // Greedy drain: a step's batch lands on the queue in
-                    // one go, so after the blocking recv pull whatever
-                    // else is already queued and answer the rendezvous
-                    // once per run — one waiter wake-up per drained run
-                    // instead of one per object. The run is capped so a
-                    // producer that outpaces the wire still sees
-                    // back-pressure from the bounded queue.
-                    let mut run: Vec<StageTask> = Vec::new();
-                    while let Ok(task) = rx.recv() {
-                        run.push(task);
-                        while run.len() < 64 {
-                            match rx.try_recv() {
-                                Ok(t) => run.push(t),
-                                Err(_) => break,
-                            }
-                        }
-                        // Per-key processed tally for this run; a run
-                        // rarely spans more than one key, so a flat Vec
-                        // beats a map.
-                        let mut notes: Vec<(ObjectKey, u64)> = Vec::new();
-                        for task in run.drain(..) {
-                            let obj = task.materialize();
-                            let bytes = obj.desc.bytes;
-                            let key = obj.desc.key.clone();
-                            match client.put(&obj) {
-                                Ok(_) => {
-                                    stats.delivered.fetch_add(1, Ordering::Relaxed);
-                                    stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-                                }
-                                Err(RemoteError::OutOfMemory { .. }) => {
-                                    stats.rejected.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    stats.failed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            match notes.iter_mut().find(|(k, _)| *k == key) {
-                                Some((_, n)) => *n += 1,
-                                None => notes.push((key, 1)),
-                            }
-                        }
-                        for (key, n) in notes {
-                            stats.note_processed_n(&key, n);
-                        }
-                    }
-                })
-            })
-            .collect();
-        RemoteStager {
-            tx: Some(tx),
-            workers,
-            stats,
-            client,
-        }
-    }
-
-    /// Enqueue an object for transfer; blocks only on a full queue
-    /// (back-pressure). After shutdown the object comes back in the error
-    /// so the caller can handle it synchronously — same contract as
-    /// `AsyncStager::put`.
-    #[allow(clippy::result_large_err)]
-    pub fn put(&self, obj: DataObject) -> Result<(), TransportClosed> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(TransportClosed(obj));
-        };
-        tx.send(StageTask::Ready(obj))
-            .map_err(|e| TransportClosed(e.0.materialize()))
-    }
-
-    /// Enqueue a batch of tasks, fanning them out across the worker pool.
-    /// On a closed transport the unsent remainder comes back in the error
-    /// (tasks already accepted stay in flight and are counted by the
-    /// workers) — same contract as `AsyncStager::put_batch`.
-    pub fn put_batch(&self, tasks: Vec<StageTask>) -> Result<(), BatchClosed> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(BatchClosed {
-                enqueued: 0,
-                rest: tasks,
-            });
-        };
-        let mut enqueued = 0u64;
-        let mut it = tasks.into_iter();
-        while let Some(task) = it.next() {
-            match tx.send(task) {
-                Ok(()) => enqueued += 1,
-                Err(e) => {
-                    let mut rest = vec![e.0];
-                    rest.extend(it);
-                    return Err(BatchClosed { enqueued, rest });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The client the transfer threads send through.
-    pub fn client(&self) -> &RemoteClient {
-        &self.client
-    }
-
-    /// Shared statistics handle (same type as `AsyncStager`'s, so
-    /// consumers can `wait_processed` on either transport).
-    pub fn stats(&self) -> Arc<TransportStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Objects delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.stats.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Puts rejected by the remote space's memory cap.
-    pub fn rejected(&self) -> u64 {
-        self.stats.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Close the queue and wait until every enqueued object has been sent
-    /// (or rejected/failed). Returns (delivered, rejected), like
-    /// `AsyncStager::drain`.
-    pub fn drain(mut self) -> Result<(u64, u64), DrainError> {
-        drop(self.tx.take());
-        let mut panicked = 0;
-        for w in self.workers.drain(..) {
-            if w.join().is_err() {
-                panicked += 1;
-            }
-        }
-        let delivered = self.stats.delivered.load(Ordering::Relaxed);
-        let rejected = self.stats.rejected.load(Ordering::Relaxed);
-        if panicked > 0 {
-            return Err(DrainError {
-                panicked,
-                delivered,
-                rejected,
-            });
-        }
-        Ok((delivered, rejected))
-    }
-}
-
-impl Drop for RemoteStager {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.stats.close();
     }
 }

@@ -12,10 +12,12 @@
 //! * [`ShardedClient`] — one pooled [`RemoteClient`] per shard, routing
 //!   puts by the object's region through a [`ShardMap`] and serving
 //!   region queries by concurrent scatter/gather over the shards the
-//!   query box can intersect, merged deterministically;
-//! * [`ShardedStager`] — the asynchronous put pipeline over a
-//!   `ShardedClient`, accounting-compatible with `AsyncStager` and
-//!   `RemoteStager`, with per-shard rejection counters.
+//!   query box can intersect, merged deterministically. It implements
+//!   [`Staging`], so `AsyncStager` and `workflow::native` drive a cluster
+//!   through the same handle as an in-process `DataSpace`. One address is
+//!   a one-shard cluster: home is always shard 0, there are no siblings to
+//!   spill to, and scatter short-circuits its single target — there is no
+//!   separate single-service path above [`RemoteClient`].
 //!
 //! Degradation contract: a full shard answers a put with the typed
 //! `OutOfMemory` policy signal. The client first *spills* the object to
@@ -30,19 +32,14 @@
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Sender};
 use xlayer_amr::boxes::IBox;
-use xlayer_staging::{
-    BatchClosed, DataObject, DrainError, ObjectDesc, ObjectKey, ShardMap, StageTask,
-    TransportClosed, TransportStats,
-};
+use xlayer_staging::{DataObject, ObjectDesc, PutVerdict, ShardMap, Staging};
 
 use crate::client::{elapsed_ns, ClientConfig, RemoteClient, RemoteError};
 use crate::hist::{LatencyHistogram, LatencySnapshot};
 use crate::service::{ServiceConfig, StagingService};
-use crate::wire::ServiceSnapshot;
+use crate::wire::{ErrorFrame, ServiceSnapshot};
 
 /// A remote operation failed on a specific shard.
 #[derive(Debug)]
@@ -81,6 +78,12 @@ struct ShardedInner {
     /// (the *owner* after any sibling spill), in shard order — so a shard
     /// whose puts run slow because they keep spilling shows up by name.
     put_ns_by_owner: Vec<LatencyHistogram>,
+    /// Puts the whole cluster turned down for lack of memory, by the
+    /// object's *home* shard — where in space the pressure is.
+    rejected_by_home: Vec<AtomicU64>,
+    /// Puts that landed on a sibling because their *home* shard (memory
+    /// and disk tier both) had no room, by home shard.
+    spill_redirects_by_home: Vec<AtomicU64>,
 }
 
 /// A client of a sharded staging cluster. Cheap to clone (clones share
@@ -111,6 +114,8 @@ impl ShardedClient {
             .map(|a| RemoteClient::connect(a.as_ref(), cfg.clone()))
             .collect::<std::io::Result<Vec<_>>>()?;
         let put_ns_by_owner = (0..shards.len()).map(|_| LatencyHistogram::new()).collect();
+        let zeros = || (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
+        let (rejected_by_home, spill_redirects_by_home) = (zeros(), zeros());
         Ok(ShardedClient {
             inner: Arc::new(ShardedInner {
                 map: ShardMap::new(shards.len(), span),
@@ -119,6 +124,8 @@ impl ShardedClient {
                 put_ns: LatencyHistogram::new(),
                 get_ns: LatencyHistogram::new(),
                 put_ns_by_owner,
+                rejected_by_home,
+                spill_redirects_by_home,
             }),
         })
     }
@@ -194,6 +201,7 @@ impl ShardedClient {
                 Ok(_) => {
                     self.inner.broaden.store(true, Ordering::Relaxed);
                     self.record_put(i, elapsed_ns(t0));
+                    bump(&self.inner.spill_redirects_by_home, home);
                     return Ok(i);
                 }
                 Err(RemoteError::OutOfMemory { .. }) => continue,
@@ -202,6 +210,7 @@ impl ShardedClient {
                 Err(_) => continue,
             }
         }
+        bump(&self.inner.rejected_by_home, home);
         Err(self.err_on(home, first))
     }
 
@@ -340,14 +349,39 @@ impl ShardedClient {
             .collect()
     }
 
-    /// Total free bytes across reachable shards — what the resource
-    /// policy (Eq. 9–10) sizes against. Unreachable shards count zero.
+    /// Free bytes across reachable shards as `(memory, disk tier)`, both
+    /// from the one `Stats` snapshot per shard — what the resource policy
+    /// (Eq. 9–10) and the pressure policy size against. Unreachable shards
+    /// count zero; the sums saturate (an unbounded disk budget reports
+    /// `u64::MAX`).
+    pub fn headroom(&self) -> (u64, u64) {
+        self.shard_stats().into_iter().filter_map(|r| r.ok()).fold(
+            (0u64, 0u64),
+            |(mem, disk), s| {
+                (
+                    mem.saturating_add(s.capacity.saturating_sub(s.used)),
+                    disk.saturating_add(s.tier_disk_headroom),
+                )
+            },
+        )
+    }
+
+    /// The memory half of [`Self::headroom`].
     pub fn total_headroom(&self) -> u64 {
-        self.shard_stats()
-            .into_iter()
-            .filter_map(|r| r.ok())
-            .map(|s| s.capacity.saturating_sub(s.used))
-            .sum()
+        self.headroom().0
+    }
+
+    /// Cluster-wide memory rejections attributed to each object's *home*
+    /// shard, in shard order.
+    pub fn rejected_by_shard(&self) -> Vec<u64> {
+        load_all(&self.inner.rejected_by_home)
+    }
+
+    /// Deliveries that left each *home* shard for a sibling, in shard
+    /// order. Non-zero entries mean that shard exhausted both its memory
+    /// cap and its disk tier — the cluster-level relief valve engaged.
+    pub fn spill_redirects_by_shard(&self) -> Vec<u64> {
+        load_all(&self.inner.spill_redirects_by_home)
     }
 
     /// Record a completed put against both the aggregate histogram and
@@ -457,213 +491,42 @@ fn desc_order(a: &ObjectDesc, b: &ObjectDesc) -> std::cmp::Ordering {
         ))
 }
 
-/// Asynchronous puts into a sharded cluster: the same put/drain surface
-/// and `TransportStats` accounting as `AsyncStager`/`RemoteStager`, so
-/// `workflow::native` swaps it in without changing its synchronisation.
-/// Adds per-shard rejection counters: when the cluster is full, the
-/// policy layer can see *which* shard's region of space is hot.
-pub struct ShardedStager {
-    tx: Option<Sender<StageTask>>,
-    workers: Vec<JoinHandle<()>>,
-    stats: Arc<TransportStats>,
-    rejected_by_shard: Arc<Vec<AtomicU64>>,
-    /// Per *home* shard: deliveries that landed on a sibling because the
-    /// home shard (memory and disk tier both) had no room.
-    spill_redirects: Arc<Vec<AtomicU64>>,
-    client: ShardedClient,
+fn bump(counters: &[AtomicU64], shard: usize) {
+    if let Some(n) = counters.get(shard) {
+        n.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-impl ShardedStager {
-    /// Start `nthreads` transfer threads sending over `client`, with a
-    /// queue depth of `queue_depth` tasks.
-    pub fn new(client: ShardedClient, nthreads: usize, queue_depth: usize) -> Self {
-        let (tx, rx) = bounded::<StageTask>(queue_depth.max(1));
-        let stats = Arc::new(TransportStats::default());
-        let rejected_by_shard: Arc<Vec<AtomicU64>> = Arc::new(
-            (0..client.num_shards())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        );
-        let spill_redirects: Arc<Vec<AtomicU64>> = Arc::new(
-            (0..client.num_shards())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        );
-        let workers = (0..nthreads.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let client = client.clone();
-                let stats = Arc::clone(&stats);
-                let by_shard = Arc::clone(&rejected_by_shard);
-                let redirects = Arc::clone(&spill_redirects);
-                std::thread::spawn(move || {
-                    // Greedy drain, same shape as RemoteStager: answer the
-                    // rendezvous once per drained run.
-                    let mut run: Vec<StageTask> = Vec::new();
-                    while let Ok(task) = rx.recv() {
-                        run.push(task);
-                        while run.len() < 64 {
-                            match rx.try_recv() {
-                                Ok(t) => run.push(t),
-                                Err(_) => break,
-                            }
-                        }
-                        let mut notes: Vec<(ObjectKey, u64)> = Vec::new();
-                        for task in run.drain(..) {
-                            let obj = task.materialize();
-                            let bytes = obj.desc.bytes;
-                            let key = obj.desc.key.clone();
-                            let home = client.map().shard_of(&obj.desc.bbox);
-                            match client.put(&obj) {
-                                Ok(owner) => {
-                                    stats.delivered.fetch_add(1, Ordering::Relaxed);
-                                    stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-                                    if owner != home {
-                                        if let Some(n) = redirects.get(home) {
-                                            n.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                }
-                                Err(ShardedError {
-                                    shard,
-                                    source: RemoteError::OutOfMemory { .. },
-                                    ..
-                                }) => {
-                                    stats.rejected.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(n) = by_shard.get(shard) {
-                                        n.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                Err(_) => {
-                                    stats.failed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            match notes.iter_mut().find(|(k, _)| *k == key) {
-                                Some((_, n)) => *n += 1,
-                                None => notes.push((key, 1)),
-                            }
-                        }
-                        for (key, n) in notes {
-                            stats.note_processed_n(&key, n);
-                        }
-                    }
-                })
-            })
-            .collect();
-        ShardedStager {
-            tx: Some(tx),
-            workers,
-            stats,
-            rejected_by_shard,
-            spill_redirects,
-            client,
-        }
-    }
+fn load_all(counters: &[AtomicU64]) -> Vec<u64> {
+    counters.iter().map(|n| n.load(Ordering::Relaxed)).collect()
+}
 
-    /// Enqueue an object for transfer; blocks only on a full queue. Same
-    /// contract as `AsyncStager::put`.
-    #[allow(clippy::result_large_err)]
-    pub fn put(&self, obj: DataObject) -> Result<(), TransportClosed> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(TransportClosed(obj));
-        };
-        tx.send(StageTask::Ready(obj))
-            .map_err(|e| TransportClosed(e.0.materialize()))
-    }
-
-    /// Enqueue a batch of tasks. Same contract as `AsyncStager::put_batch`.
-    pub fn put_batch(&self, tasks: Vec<StageTask>) -> Result<(), BatchClosed> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(BatchClosed {
-                enqueued: 0,
-                rest: tasks,
-            });
-        };
-        let mut enqueued = 0u64;
-        let mut it = tasks.into_iter();
-        while let Some(task) = it.next() {
-            match tx.send(task) {
-                Ok(()) => enqueued += 1,
-                Err(e) => {
-                    let mut rest = vec![e.0];
-                    rest.extend(it);
-                    return Err(BatchClosed { enqueued, rest });
+impl Staging for ShardedClient {
+    fn put(&self, obj: Arc<DataObject>) -> PutVerdict {
+        match ShardedClient::put(self, &obj) {
+            Ok(_) => PutVerdict::Stored,
+            Err(e) => match e.source {
+                RemoteError::OutOfMemory { .. } => PutVerdict::Rejected,
+                RemoteError::Refused(ErrorFrame::NeedsReduction { factor }) => {
+                    PutVerdict::NeedsReduction { factor }
                 }
-            }
+                _ => PutVerdict::Failed,
+            },
         }
-        Ok(())
     }
 
-    /// The sharded client the transfer threads send through.
-    pub fn client(&self) -> &ShardedClient {
-        &self.client
+    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>> {
+        ShardedClient::get(self, name, version, query.copied())
+            .map(|objs| objs.into_iter().map(Arc::new).collect())
+            .unwrap_or_default()
     }
 
-    /// Shared statistics handle (rendezvous-compatible with the other
-    /// stagers).
-    pub fn stats(&self) -> Arc<TransportStats> {
-        Arc::clone(&self.stats)
+    fn evict_before(&self, name: &str, min_version: u64) -> u64 {
+        ShardedClient::evict_before(self, name, min_version).unwrap_or(0)
     }
 
-    /// Objects delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.stats.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Puts rejected by cluster-wide memory exhaustion.
-    pub fn rejected(&self) -> u64 {
-        self.stats.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Rejections attributed to each object's *home* shard, in shard
-    /// order — where in space the pressure is.
-    pub fn rejected_by_shard(&self) -> Vec<u64> {
-        self.rejected_by_shard
-            .iter()
-            .map(|n| n.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Deliveries that left each *home* shard for a sibling, in shard
-    /// order. Non-zero entries mean that shard exhausted both its memory
-    /// cap and its disk tier — the cluster-level relief valve engaged.
-    pub fn spill_redirects_by_shard(&self) -> Vec<u64> {
-        self.spill_redirects
-            .iter()
-            .map(|n| n.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Close the queue and wait until every enqueued object is resolved.
-    /// Returns (delivered, rejected), like `AsyncStager::drain`.
-    pub fn drain(mut self) -> Result<(u64, u64), DrainError> {
-        drop(self.tx.take());
-        let mut panicked = 0;
-        for w in self.workers.drain(..) {
-            if w.join().is_err() {
-                panicked += 1;
-            }
-        }
-        let delivered = self.stats.delivered.load(Ordering::Relaxed);
-        let rejected = self.stats.rejected.load(Ordering::Relaxed);
-        if panicked > 0 {
-            return Err(DrainError {
-                panicked,
-                delivered,
-                rejected,
-            });
-        }
-        Ok((delivered, rejected))
-    }
-}
-
-impl Drop for ShardedStager {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.stats.close();
+    fn headroom(&self) -> (u64, u64) {
+        ShardedClient::headroom(self)
     }
 }
 

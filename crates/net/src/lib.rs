@@ -3,7 +3,9 @@
 //! The in-process reproduction models staging as a function call —
 //! [`xlayer_staging::AsyncStager`] drains a channel into a
 //! [`xlayer_staging::DataSpace`] in the same address space. This crate puts
-//! the space behind a socket, the way DART puts it behind the interconnect:
+//! the space behind a socket, the way DART puts it behind the interconnect,
+//! and hands the same stager the same [`xlayer_staging::Staging`] interface
+//! to drive it through:
 //!
 //! - [`wire`] — a versioned, length-prefixed binary protocol (magic,
 //!   version, opcode, request id, payload length, FNV-1a checksum) with
@@ -13,17 +15,18 @@
 //!   pool, read/write timeouts, graceful shutdown, and per-op counters
 //!   surfaced through the `Stats` opcode. Memory-cap rejections travel as
 //!   typed `OutOfMemory` error frames — the policy signal stays visible.
-//! - [`client`] — [`RemoteClient`], a pooled connection client with bounded
-//!   exponential-backoff retry on transient I/O errors (never on
-//!   `OutOfMemory`), and [`RemoteStager`], which implements the same
-//!   put/drain surface as `AsyncStager` so `workflow::native` can run
-//!   in-transit analysis against a remote service unchanged.
+//! - [`client`] — [`RemoteClient`], a pooled connection client for one
+//!   service with bounded exponential-backoff retry on transient I/O
+//!   errors (never on `OutOfMemory`).
 //! - [`cluster`] — the sharded staging cluster: [`StagingCluster`] spawns
 //!   N services (one listener + `DataSpace` + memory cap each), and
 //!   [`ShardedClient`] routes puts by object region through a
 //!   `ShardMap` and serves region queries by concurrent scatter/gather
 //!   with a deterministic merge order, so aggregate staging capacity
-//!   scales in servers (paper Eq. 9–10) with per-shard accounting.
+//!   scales in servers (paper Eq. 9–10) with per-shard accounting. It is
+//!   the crate's `Staging` implementation — one address is a one-shard
+//!   cluster — so `workflow::native` runs in-transit analysis against a
+//!   remote service or a shard list through the handle it uses in process.
 //! - [`hist`] — [`hist::LatencyHistogram`], fixed-bucket lock-free
 //!   latency percentiles (p50/p95/p99/max) recorded on every client op,
 //!   and [`hist::Hist`], its owned mergeable form that load-generation
@@ -58,8 +61,8 @@ pub use xlayer_staging::pool;
 pub mod service;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientStats, RemoteClient, RemoteError, RemoteStager};
-pub use cluster::{ShardedClient, ShardedError, ShardedStager, StagingCluster};
+pub use client::{ClientConfig, ClientStats, RemoteClient, RemoteError};
+pub use cluster::{ShardedClient, ShardedError, StagingCluster};
 pub use hist::{Hist, LatencyHistogram, LatencySnapshot};
 pub use pool::{BufferPool, PooledBuf};
 pub use service::{ServiceConfig, ServiceStats, StagingService};

@@ -9,9 +9,9 @@ use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 use xlayer_amr::intvect::IntVect;
 use xlayer_net::client::{ClientConfig, RemoteError};
-use xlayer_net::cluster::{ShardedClient, ShardedStager, StagingCluster};
+use xlayer_net::cluster::{ShardedClient, StagingCluster};
 use xlayer_net::service::ServiceConfig;
-use xlayer_staging::{DataObject, Sharding, StageTask};
+use xlayer_staging::{AsyncStager, DataObject, Sharding, StageTask};
 
 fn service_cfg(memory_per_server: u64) -> ServiceConfig {
     ServiceConfig {
@@ -312,11 +312,11 @@ fn full_cluster_spills_then_reports_owning_shard() {
 }
 
 #[test]
-fn sharded_stager_counts_per_shard_rejections() {
+fn stager_over_a_cluster_counts_per_shard_rejections() {
     let cluster = StagingCluster::start(2, &service_cfg(2048)).expect("start cluster");
     let client =
         ShardedClient::connect(&cluster.addrs(), 8, ClientConfig::default()).expect("client");
-    let stager = ShardedStager::new(client, 1, 64);
+    let stager = AsyncStager::new(std::sync::Arc::new(client.clone()), 1, 64);
 
     // 10 × 512 B into 2 × 2 KiB: 8 delivered (4 + 4 via spill), 2
     // rejected — all owned by the same home shard.
@@ -335,15 +335,57 @@ fn sharded_stager_counts_per_shard_rejections() {
         assert!(std::time::Instant::now() < deadline, "stager stalled");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let by_shard = stager.rejected_by_shard();
-    let client = stager.client().clone();
+    let by_shard = client.rejected_by_shard();
     let home = client.map().shard_of(&IBox::cube(4));
     let (delivered, rejected) = stager.drain().expect("drain");
     assert_eq!((delivered, rejected), (8, 2));
     assert_eq!(stats.failed.load(Relaxed), 0);
     assert_eq!(by_shard.iter().sum::<u64>(), 2);
     assert_eq!(by_shard[home], 2, "rejections attributed to the home shard");
+    // The four deliveries that did not fit the home shard went to its
+    // sibling, and the client says so.
+    assert_eq!(client.spill_redirects_by_shard()[home], 4);
 
     client.shutdown_all().expect("shutdown");
     cluster.wait();
+}
+
+#[test]
+fn headroom_reports_memory_and_disk_tier_from_one_snapshot_per_shard() {
+    use xlayer_staging::Staging;
+    let dir = std::env::temp_dir().join(format!("xlayer-tier-headroom-{}", std::process::id()));
+    const BUDGET: u64 = 1 << 20;
+    let cfg = ServiceConfig {
+        disk_dir: Some(dir.clone()),
+        disk_budget: BUDGET,
+        ..service_cfg(2048)
+    };
+    let cluster = StagingCluster::start(2, &cfg).expect("start tiered cluster");
+    let client =
+        ShardedClient::connect(&cluster.addrs(), 8, ClientConfig::default()).expect("client");
+    assert_eq!(client.headroom(), (2 * 2048, 2 * BUDGET));
+
+    // 8 × 512 B onto one 2 KiB home shard: half of them spill to its disk
+    // log, nothing is rejected and nothing leaves the shard.
+    for v in 1..=8 {
+        client
+            .put(&obj_at("rho", v, IntVect::ZERO, 4))
+            .expect("tiered put");
+    }
+    assert_eq!(client.spill_redirects_by_shard(), vec![0, 0]);
+    let (want_mem, want_disk) = client
+        .shard_stats()
+        .into_iter()
+        .map(|s| s.expect("shard stats"))
+        .fold((0, 0), |(m, d), s| {
+            (m + (s.capacity - s.used), d + s.tier_disk_headroom)
+        });
+    assert!(want_disk < 2 * BUDGET, "nothing spilled to the disk tier");
+    let (mem, disk) = Staging::headroom(&client);
+    assert_eq!((mem, disk), (want_mem, want_disk));
+    assert_eq!(client.total_headroom(), want_mem);
+
+    client.shutdown_all().expect("shutdown");
+    cluster.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }

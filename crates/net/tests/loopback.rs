@@ -1,6 +1,6 @@
 //! Integration tests: a real `StagingService` on a loopback socket, driven
-//! by `RemoteClient`/`RemoteStager` and, for the malformed-frame cases, by
-//! a raw TCP stream.
+//! by `RemoteClient`, by `AsyncStager` over a one-shard `ShardedClient`
+//! and, for the malformed-frame cases, by a raw TCP stream.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,13 +9,14 @@ use std::time::Duration;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 use xlayer_amr::intvect::IntVect;
-use xlayer_net::client::{ClientConfig, RemoteClient, RemoteError, RemoteStager};
+use xlayer_net::client::{ClientConfig, RemoteClient, RemoteError};
+use xlayer_net::cluster::ShardedClient;
 use xlayer_net::service::{ServiceConfig, StagingService};
 use xlayer_net::wire::{
     decode_header, encode_frame, verify_payload, ErrorFrame, Frame, Opcode, Request, Response,
     HEADER_LEN, MAGIC,
 };
-use xlayer_staging::{DataObject, Sharding};
+use xlayer_staging::{AsyncStager, DataObject, Sharding};
 
 fn obj(name: &str, version: u64, lo: i64, fill: f64) -> DataObject {
     let b = IBox::cube(4).shift(IntVect::splat(lo));
@@ -23,20 +24,25 @@ fn obj(name: &str, version: u64, lo: i64, fill: f64) -> DataObject {
     DataObject::from_fab(name, version, &fab, 0, &b, 0).with_dx(0.25)
 }
 
+fn quick_cfg() -> ClientConfig {
+    ClientConfig {
+        connect_timeout: Duration::from_secs(2),
+        io_timeout: Duration::from_secs(5),
+        pool_size: 2,
+        max_retries: 2,
+        backoff_base: Duration::from_millis(5),
+        backoff_cap: Duration::from_millis(20),
+        ..ClientConfig::default()
+    }
+}
+
 fn quick_client(addr: &str) -> RemoteClient {
-    RemoteClient::connect(
-        addr,
-        ClientConfig {
-            connect_timeout: Duration::from_secs(2),
-            io_timeout: Duration::from_secs(5),
-            pool_size: 2,
-            max_retries: 2,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(20),
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap()
+    RemoteClient::connect(addr, quick_cfg()).unwrap()
+}
+
+/// The service at `addr` as the stager's backend: a one-shard cluster.
+fn one_shard(addr: &str) -> std::sync::Arc<ShardedClient> {
+    std::sync::Arc::new(ShardedClient::connect(&[addr], 64, quick_cfg()).unwrap())
 }
 
 fn start_service(memory_per_server: u64) -> StagingService {
@@ -252,10 +258,10 @@ fn unreachable_service_is_an_io_error_after_retries() {
 }
 
 #[test]
-fn remote_stager_matches_async_stager_contract() {
+fn stager_over_one_shard_keeps_the_in_process_contract() {
     let service = start_service(16 << 20);
     let client = quick_client(&service.local_addr().to_string());
-    let stager = RemoteStager::new(client.clone(), 3, 8);
+    let stager = AsyncStager::new(one_shard(&service.local_addr().to_string()), 3, 8);
     let stats = stager.stats();
 
     for v in 0..4u64 {
@@ -270,7 +276,7 @@ fn remote_stager_matches_async_stager_contract() {
     let (delivered, rejected) = stager.drain().unwrap();
     assert_eq!((delivered, rejected), (12, 0));
     assert_eq!(stats.failed.load(std::sync::atomic::Ordering::Relaxed), 0);
-    // Rendezvous map pruned on drain, same as AsyncStager.
+    // Rendezvous map pruned on drain, same as over an in-process space.
     assert_eq!(stats.tracked_keys(), 0);
 
     for v in 0..4u64 {
@@ -280,15 +286,14 @@ fn remote_stager_matches_async_stager_contract() {
 }
 
 #[test]
-fn remote_stager_counts_oom_and_terminal_failures_separately() {
+fn stager_over_one_shard_counts_oom_and_terminal_failures_separately() {
     let service = StagingService::start(ServiceConfig {
         servers: 1,
         memory_per_server: 600,
         ..ServiceConfig::default()
     })
     .unwrap();
-    let client = quick_client(&service.local_addr().to_string());
-    let stager = RemoteStager::new(client, 1, 4);
+    let stager = AsyncStager::new(one_shard(&service.local_addr().to_string()), 1, 4);
     let stats = stager.stats();
     stager.put(obj("rho", 0, 0, 1.0)).unwrap();
     stager.put(obj("rho", 1, 0, 2.0)).unwrap(); // rejected: space is full
@@ -303,8 +308,7 @@ fn remote_stager_counts_oom_and_terminal_failures_separately() {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().port()
     };
-    let dead = quick_client(&format!("127.0.0.1:{dead_port}"));
-    let stager = RemoteStager::new(dead, 1, 4);
+    let stager = AsyncStager::new(one_shard(&format!("127.0.0.1:{dead_port}")), 1, 4);
     let stats = stager.stats();
     stager.put(obj("rho", 0, 0, 1.0)).unwrap();
     let (delivered, rejected) = stager.drain().unwrap();

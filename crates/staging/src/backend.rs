@@ -1,0 +1,88 @@
+//! The one staging interface.
+//!
+//! The paper's middleware sees a single DataSpaces put/get/evict surface
+//! wherever the staging area physically sits. [`Staging`] is that surface:
+//! the in-process [`DataSpace`] implements it here, the networked
+//! `ShardedClient` (one shard or many) implements it in `xlayer-net`, and
+//! everything above — the asynchronous transport, the native workflow's
+//! producers and analysis workers — holds an `Arc<dyn Staging>` and never
+//! asks which one it got.
+
+use crate::object::DataObject;
+use crate::server::StagingError;
+use crate::space::DataSpace;
+use std::sync::Arc;
+use xlayer_amr::boxes::IBox;
+
+/// How a backend answered one put. The four outcomes every backend can
+/// produce, so accounting (delivered / rejected / failed) and the
+/// producer's coarsen-and-retry are each written once against this enum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[must_use = "a put that was not `Stored` dropped the object"]
+pub enum PutVerdict {
+    /// The object is resident (in memory or on the disk tier).
+    Stored,
+    /// Staging memory — and the disk tier behind it, if any — is
+    /// exhausted: the paper's memory-pressure policy signal (Eq. 10).
+    Rejected,
+    /// The tier policy asks the producer to coarsen the object by `factor`
+    /// per axis and retry; nothing was stored.
+    NeedsReduction {
+        /// Per-axis coarsening factor to apply before retrying.
+        factor: u32,
+    },
+    /// The backend could not be reached or answered unintelligibly after
+    /// its own retries. Never produced by an in-process space.
+    Failed,
+}
+
+/// A staging area addressed by `(variable, version, box)`.
+///
+/// Only the calls the workflow makes: anything backend-specific (tier
+/// hints, per-shard histograms, connection counters) stays on the concrete
+/// type.
+pub trait Staging: Send + Sync {
+    /// Store one object.
+    fn put(&self, obj: Arc<DataObject>) -> PutVerdict;
+
+    /// All objects under `(name, version)` intersecting `query` (every
+    /// object of the version if `None`). Part order within a version is
+    /// backend-defined. A backend that cannot answer yields an empty read;
+    /// its typed error stays on the concrete client.
+    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>>;
+
+    /// Evict versions of `name` older than `min_version`; returns bytes
+    /// freed (zero from a backend that cannot answer).
+    fn evict_before(&self, name: &str, min_version: u64) -> u64;
+
+    /// Bytes the backend can still accept, as `(memory, disk tier)` — the
+    /// engine's pressure inputs. A backend that cannot be asked reports
+    /// zero, so the policy treats unreachable staging as full, never as
+    /// infinite.
+    fn headroom(&self) -> (u64, u64);
+}
+
+impl Staging for DataSpace {
+    fn put(&self, obj: Arc<DataObject>) -> PutVerdict {
+        match DataSpace::put(self, obj) {
+            Ok(_) => PutVerdict::Stored,
+            Err(StagingError::OutOfMemory { .. }) => PutVerdict::Rejected,
+            Err(StagingError::NeedsReduction { factor }) => PutVerdict::NeedsReduction { factor },
+        }
+    }
+
+    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>> {
+        DataSpace::get(self, name, version, query)
+    }
+
+    fn evict_before(&self, name: &str, min_version: u64) -> u64 {
+        DataSpace::evict_before(self, name, min_version)
+    }
+
+    fn headroom(&self) -> (u64, u64) {
+        (
+            self.capacity().saturating_sub(self.used()),
+            self.disk_headroom(),
+        )
+    }
+}

@@ -5,6 +5,9 @@
 //! framework" the paper's adaptation runtime is built on (§5.1,
 //! DataSpaces [Docan et al., HPDC'10]).
 //!
+//! * [`backend`] — the one [`Staging`] put/get/evict/headroom interface
+//!   every backend (this crate's [`DataSpace`], `xlayer-net`'s sharded
+//!   client) implements,
 //! * [`object`] — `(variable, version, bbox)`-addressed data objects,
 //! * [`server`] — staging servers with memory caps (paper Eq. 10),
 //! * [`shard`] — deterministic box-hash placement of regions onto shards,
@@ -12,7 +15,8 @@
 //! * [`tier`] / [`disklog`] — the disk spill tier: policy-driven demotion
 //!   of cold versions to a checksummed on-disk object log, with
 //!   promote-on-access back into memory,
-//! * [`transport`] — asynchronous transfers with back-pressure,
+//! * [`transport`] — asynchronous transfers with back-pressure into any
+//!   [`Staging`] backend,
 //! * [`lock`] — version gates for coupled producer/consumer coordination,
 //! * [`sum`] / [`pool`] — FNV-1a-32 checksums and the size-classed buffer
 //!   pool, shared with the wire layer (`xlayer-net`).
@@ -20,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod disklog;
 pub mod index;
 pub mod lock;
@@ -33,6 +38,7 @@ pub mod sum;
 pub mod tier;
 pub mod transport;
 
+pub use backend::{PutVerdict, Staging};
 pub use disklog::{DiskLog, TierError};
 pub use index::BucketIndex;
 pub use lock::VersionGate;

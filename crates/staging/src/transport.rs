@@ -4,7 +4,10 @@
 //! "the data will be asynchronously transferred to staging nodes
 //! immediately, and get processed as soon as in-transit cores become
 //! available" (§4.2). [`AsyncStager`] reproduces that behaviour with a
-//! bounded queue drained by transfer threads.
+//! bounded queue drained by transfer threads — the only asynchronous put
+//! pipeline in the workspace: it drives an `Arc<dyn Staging>`, so the same
+//! threads, queue discipline and accounting serve the in-process space and
+//! a staging cluster across a socket.
 //!
 //! Consumers that must observe a *specific* version's objects (an
 //! in-transit analysis worker picking up step `i` while the producer is
@@ -13,9 +16,8 @@
 //! global tally, because with multiple transfer threads later-version
 //! objects can complete while an earlier one is still in flight.
 
+use crate::backend::{PutVerdict, Staging};
 use crate::object::{DataObject, ObjectKey};
-use crate::server::StagingError;
-use crate::space::DataSpace;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -40,12 +42,14 @@ pub struct TransportStats {
     pub delivered: AtomicU64,
     /// Bytes successfully staged.
     pub bytes: AtomicU64,
-    /// Puts rejected by the space (staging memory exhausted).
+    /// Puts the backend turned down on policy: staging memory exhausted
+    /// ([`PutVerdict::Rejected`]) or a downsample verdict
+    /// ([`PutVerdict::NeedsReduction`]) — an async pipeline has no
+    /// producer on the line to coarsen and retry.
     pub rejected: AtomicU64,
-    /// Objects lost to terminal transport failure (e.g. a remote staging
-    /// service unreachable after retries). Always zero for the in-process
-    /// [`AsyncStager`]; remote transports count here so delivered +
-    /// rejected + failed covers every enqueued object.
+    /// Objects lost to terminal transport failure ([`PutVerdict::Failed`]:
+    /// e.g. a staging service unreachable after retries), so delivered +
+    /// rejected + failed covers every enqueued object on every backend.
     pub failed: AtomicU64,
     /// Per-key processed counts (delivered + rejected + failed), for
     /// consumers that wait on a specific version's transfers.
@@ -170,7 +174,8 @@ impl std::fmt::Debug for StageTask {
 #[derive(Debug)]
 pub struct BatchClosed {
     /// Tasks from the front of the batch that the queue accepted before
-    /// closing (always 0 for the all-or-nothing [`AsyncStager`]).
+    /// closing; they stay in flight and are counted by the transfer
+    /// threads.
     pub enqueued: u64,
     /// The tasks handed back, in their original order.
     pub rest: Vec<StageTask>,
@@ -215,7 +220,7 @@ pub struct DrainError {
     pub panicked: usize,
     /// Objects delivered by the workers that did.
     pub delivered: u64,
-    /// Puts rejected by the space.
+    /// Puts rejected by the backend.
     pub rejected: u64,
 }
 
@@ -231,56 +236,69 @@ impl std::fmt::Display for DrainError {
 
 impl std::error::Error for DrainError {}
 
+/// Longest run a transfer thread drains before answering the rendezvous:
+/// capped so a producer that outpaces the backend still sees back-pressure
+/// from the bounded queue.
+const MAX_RUN: usize = 64;
+
 /// An asynchronous put pipeline: `put` enqueues and returns immediately;
-/// transfer threads drain the queue into the [`DataSpace`].
+/// transfer threads drain the queue into the [`Staging`] backend.
 ///
-/// The queue carries *batches* of [`StageTask`]s: a producer hands off a
-/// whole step's objects in one channel send, and the transfer thread
-/// answers with one rendezvous notification per key — not one wake-up per
-/// object ping-ponging the stats lock between the transfer thread and a
-/// waiting consumer.
+/// The queue carries [`StageTask`]s singly, so a step's batch fans out
+/// across the transfer threads (over the wire: down that many connections
+/// at once). Each thread greedy-drains whatever is already queued after
+/// its blocking receive and answers the rendezvous once per key per run —
+/// not one wake-up per object ping-ponging the stats lock between the
+/// transfer thread and a waiting consumer.
 pub struct AsyncStager {
-    tx: Option<Sender<Vec<StageTask>>>,
+    tx: Option<Sender<StageTask>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<TransportStats>,
-    space: Arc<DataSpace>,
 }
 
 impl AsyncStager {
-    /// Start `nthreads` transfer threads over `space` with a queue depth of
-    /// `queue_depth` batches.
-    pub fn new(space: Arc<DataSpace>, nthreads: usize, queue_depth: usize) -> Self {
+    /// Start `nthreads` transfer threads over `backend` with a queue depth
+    /// of `queue_depth` tasks. Generic only so that an `Arc::clone` of a
+    /// concrete backend infers at the call site; the stager itself holds
+    /// an `Arc<dyn Staging>`.
+    pub fn new(backend: Arc<impl Staging + 'static>, nthreads: usize, queue_depth: usize) -> Self {
         assert!(nthreads > 0);
-        let (tx, rx) = bounded::<Vec<StageTask>>(queue_depth.max(1));
+        let backend: Arc<dyn Staging> = backend;
+        let (tx, rx) = bounded::<StageTask>(queue_depth.max(1));
         let stats = Arc::new(TransportStats::default());
         let workers = (0..nthreads)
             .map(|_| {
                 let rx = rx.clone();
-                let space = Arc::clone(&space);
+                let backend = Arc::clone(&backend);
                 let stats = Arc::clone(&stats);
                 std::thread::spawn(move || {
-                    while let Ok(batch) = rx.recv() {
-                        // Per-key processed tally for this batch; a batch
+                    let mut run: Vec<StageTask> = Vec::new();
+                    while let Ok(task) = rx.recv() {
+                        run.push(task);
+                        while run.len() < MAX_RUN {
+                            match rx.try_recv() {
+                                Ok(t) => run.push(t),
+                                Err(_) => break,
+                            }
+                        }
+                        // Per-key processed tally for this run; a run
                         // rarely spans more than one key, so a flat Vec
                         // beats a map.
                         let mut notes: Vec<(ObjectKey, u64)> = Vec::new();
-                        for task in batch {
+                        for task in run.drain(..) {
                             let obj = task.materialize();
                             let bytes = obj.desc.bytes;
                             let key = obj.desc.key.clone();
-                            match space.put(obj) {
-                                Ok(_) => {
+                            match backend.put(Arc::new(obj)) {
+                                PutVerdict::Stored => {
                                     stats.delivered.fetch_add(1, Ordering::Relaxed);
                                     stats.bytes.fetch_add(bytes, Ordering::Relaxed);
                                 }
-                                // NeedsReduction counts as rejected too: an
-                                // async pipeline has no producer on the line
-                                // to coarsen and retry.
-                                Err(
-                                    StagingError::OutOfMemory { .. }
-                                    | StagingError::NeedsReduction { .. },
-                                ) => {
+                                PutVerdict::Rejected | PutVerdict::NeedsReduction { .. } => {
                                     stats.rejected.fetch_add(1, Ordering::Relaxed);
+                                }
+                                PutVerdict::Failed => {
+                                    stats.failed.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                             match notes.iter_mut().find(|(k, _)| *k == key) {
@@ -299,7 +317,6 @@ impl AsyncStager {
             tx: Some(tx),
             workers,
             stats,
-            space,
         }
     }
 
@@ -312,39 +329,36 @@ impl AsyncStager {
     // exists to prevent, and the hot path (Ok) moves nothing.
     #[allow(clippy::result_large_err)]
     pub fn put(&self, obj: DataObject) -> Result<(), TransportClosed> {
-        match self.put_batch(vec![StageTask::Ready(obj)]) {
-            Ok(()) => Ok(()),
-            Err(closed) => match closed.rest.into_iter().next() {
-                Some(task) => Err(TransportClosed(task.materialize())),
-                // The batch held exactly one task, so an empty remainder
-                // means it was enqueued after all.
-                None => Ok(()),
-            },
-        }
+        let Some(tx) = self.tx.as_ref() else {
+            return Err(TransportClosed(obj));
+        };
+        tx.send(StageTask::Ready(obj))
+            .map_err(|e| TransportClosed(e.0.materialize()))
     }
 
-    /// Enqueue a whole batch of tasks in one channel send — all or
-    /// nothing. On a closed transport every task comes back in the error
-    /// so the caller can materialize and store them synchronously.
+    /// Enqueue a batch of tasks in order. On a closed transport the unsent
+    /// remainder comes back in the error so the caller can materialize and
+    /// store it synchronously; tasks already accepted stay in flight.
     pub fn put_batch(&self, tasks: Vec<StageTask>) -> Result<(), BatchClosed> {
-        if tasks.is_empty() {
-            return Ok(());
-        }
         let Some(tx) = self.tx.as_ref() else {
             return Err(BatchClosed {
                 enqueued: 0,
                 rest: tasks,
             });
         };
-        tx.send(tasks).map_err(|e| BatchClosed {
-            enqueued: 0,
-            rest: e.0,
-        })
-    }
-
-    /// The staging space being written.
-    pub fn space(&self) -> &Arc<DataSpace> {
-        &self.space
+        let mut enqueued = 0u64;
+        let mut it = tasks.into_iter();
+        while let Some(task) = it.next() {
+            match tx.send(task) {
+                Ok(()) => enqueued += 1,
+                Err(e) => {
+                    let mut rest = vec![e.0];
+                    rest.extend(it);
+                    return Err(BatchClosed { enqueued, rest });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Shared statistics handle — clone to let a consumer thread call
@@ -363,7 +377,7 @@ impl AsyncStager {
         self.stats.bytes.load(Ordering::Relaxed)
     }
 
-    /// Puts rejected because staging memory was exhausted.
+    /// Puts the backend turned down (see [`TransportStats::rejected`]).
     pub fn rejected(&self) -> u64 {
         self.stats.rejected.load(Ordering::Relaxed)
     }
@@ -408,7 +422,7 @@ impl Drop for AsyncStager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Sharding;
+    use crate::space::{DataSpace, Sharding};
     use xlayer_amr::boxes::IBox;
     use xlayer_amr::fab::Fab;
     use xlayer_amr::intvect::IntVect;
@@ -593,7 +607,6 @@ mod tests {
             tx: None,
             workers: Vec::new(),
             stats: Arc::clone(&stats),
-            space: Arc::clone(&space),
         };
         let err = dead
             .put_batch(vec![
@@ -612,18 +625,62 @@ mod tests {
     }
 
     #[test]
-    fn single_put_round_trips_through_the_batch_channel() {
-        // `put` is now a one-task batch; the closed-transport error must
-        // still hand the object itself back.
-        let space = Arc::new(DataSpace::new(1, 1 << 20, Sharding::RoundRobin));
+    fn single_put_on_a_closed_transport_returns_the_object() {
         let dead = AsyncStager {
             tx: None,
             workers: Vec::new(),
             stats: Arc::new(TransportStats::default()),
-            space: Arc::clone(&space),
         };
         let TransportClosed(back) = dead.put(obj(3, 0)).unwrap_err();
         assert_eq!(back.desc.key, crate::object::ObjectKey::new("rho", 3));
+    }
+
+    /// A backend that answers puts with each verdict in turn and stores
+    /// nothing.
+    struct Scripted(AtomicU64);
+
+    impl Staging for Scripted {
+        fn put(&self, _obj: Arc<DataObject>) -> PutVerdict {
+            match self.0.fetch_add(1, Ordering::Relaxed) % 4 {
+                0 => PutVerdict::Stored,
+                1 => PutVerdict::Rejected,
+                2 => PutVerdict::NeedsReduction { factor: 2 },
+                _ => PutVerdict::Failed,
+            }
+        }
+        fn get(&self, _: &str, _: u64, _: Option<&IBox>) -> Vec<Arc<DataObject>> {
+            Vec::new()
+        }
+        fn evict_before(&self, _: &str, _: u64) -> u64 {
+            0
+        }
+        fn headroom(&self) -> (u64, u64) {
+            (0, 0)
+        }
+    }
+
+    #[test]
+    fn every_verdict_is_counted_once_and_answers_the_rendezvous() {
+        // One transfer thread, so the verdicts land in enqueue order:
+        // version v gets verdict v % 4, twice over.
+        let stager = AsyncStager::new(Arc::new(Scripted(AtomicU64::new(0))), 1, 4);
+        let stats = stager.stats();
+        let enqueued = 8u64;
+        stager
+            .put_batch((0..enqueued).map(|v| StageTask::Ready(obj(v, 0))).collect())
+            .unwrap();
+        // Stored, rejected, needs-reduction and failed puts all finish the
+        // transfer: a waiter on any version is released.
+        for v in 0..enqueued {
+            stats.wait_processed("rho", v, 1);
+            assert_eq!(stats.processed("rho", v), 1, "version {v}");
+        }
+        let (delivered, rejected) = stager.drain().unwrap();
+        let failed = stats.failed.load(Ordering::Relaxed);
+        // NeedsReduction is a policy refusal, not a transport failure.
+        assert_eq!((delivered, rejected, failed), (2, 4, 2));
+        assert_eq!(delivered + rejected + failed, enqueued);
+        assert_eq!(stats.bytes.load(Ordering::Relaxed), 2 * 512);
     }
 
     #[test]

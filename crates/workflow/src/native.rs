@@ -8,7 +8,12 @@
 //! In-transit steps pack one [`DataObject`] per grid per level — in
 //! parallel across grids, reading straight from the level fab's component
 //! (the application-layer reduction down-samples from the source fab with
-//! no tight intermediate copy). With `overlap_staging` on (the default),
+//! no tight intermediate copy). Where the staged data lives — the
+//! in-process [`DataSpace`], or a staging service / sharded cluster named
+//! by [`NativeConfig::remote`] — is decided once, in
+//! [`NativeWorkflow::new`]; from there on producers, the transport and
+//! the analysis workers all talk to one `Arc<dyn Staging>`. With
+//! `overlap_staging` on (the default),
 //! the puts go through [`AsyncStager`]'s bounded queue, so serialization
 //! and server ingest of step *i* overlap the solve of step *i+1*; an
 //! analysis worker picking up step *i* first blocks on
@@ -28,14 +33,13 @@ use xlayer_core::{
     AdaptationEngine, Calibrator, EngineConfig, Estimator, OperationalState, Placement,
     PressureAction, UserHints, UserPreferences,
 };
-use xlayer_net::client::{ClientConfig, RemoteClient, RemoteError, RemoteStager};
-use xlayer_net::cluster::{ShardedClient, ShardedError, ShardedStager};
-use xlayer_net::wire::ErrorFrame;
+use xlayer_net::client::ClientConfig;
+use xlayer_net::cluster::ShardedClient;
 use xlayer_platform::{CostModel, MachineSpec};
 use xlayer_solvers::{AmrSimulation, LevelSolver};
 use xlayer_staging::{
-    AsyncStager, BatchClosed, BufferPool, DataObject, DataSpace, Sharding, SpillAction, StageTask,
-    StagingError, TierConfig, TransportStats,
+    AsyncStager, BatchClosed, BufferPool, DataObject, DataSpace, PutVerdict, Sharding, SpillAction,
+    StageTask, Staging, TierConfig, TransportStats,
 };
 use xlayer_viz::{extract_level, merge_surfaces, TriMesh};
 
@@ -63,13 +67,11 @@ pub struct NativeConfig {
     /// Address of a remote staging service (e.g. `"127.0.0.1:7001"`), or a
     /// comma-separated shard list (e.g. `"127.0.0.1:7001,127.0.0.1:7002"`)
     /// naming a sharded staging cluster. When set, staging puts/gets go
-    /// over the wire — through [`RemoteClient`]/[`RemoteStager`] for one
-    /// address, or region-routed through
-    /// [`ShardedClient`]/[`ShardedStager`] for several — instead of an
-    /// in-process [`DataSpace`]: the paper's dedicated-staging-nodes
-    /// deployment. When the service (any shard of it) is unreachable at
-    /// construction the workflow degrades to the in-process space rather
-    /// than dying.
+    /// over the wire, region-routed through a [`ShardedClient`] (one
+    /// address is a one-shard cluster), instead of an in-process
+    /// [`DataSpace`]: the paper's dedicated-staging-nodes deployment. When
+    /// the address (any shard of it) does not resolve at construction the
+    /// workflow degrades to the in-process space rather than dying.
     pub remote: Option<String>,
     /// Placement-bucket side, in cells, for the sharded remote backend
     /// (see [`xlayer_staging::ShardMap`]). Every client of a cluster must
@@ -80,8 +82,8 @@ pub struct NativeConfig {
     /// object logs there instead of being rejected, and hot gets promote
     /// them back — the working set can exceed `staging_memory` without
     /// dropping data. `None` (the default) keeps the memory-only
-    /// behaviour. Ignored by the remote backends (the service attaches
-    /// its own tier via its `--disk-dir`).
+    /// behaviour. Ignored with `remote` set (the service attaches its own
+    /// tier via its `--disk-dir`).
     pub disk_dir: Option<std::path::PathBuf>,
     /// Cap on live spilled bytes per staging server (only meaningful with
     /// `disk_dir` set; unbounded by default).
@@ -174,172 +176,47 @@ pub fn pack_level_objects(
         .collect()
 }
 
-/// Where staged data lives: the in-process space, or a staging service
-/// across a socket. Both carry an optional asynchronous stager with the
-/// same put/drain/stats surface, so `step()` and `finish()` treat the two
-/// uniformly.
-enum Backend {
-    Local {
-        space: Arc<DataSpace>,
-        stager: Option<AsyncStager>,
-    },
-    Remote {
-        client: RemoteClient,
-        stager: Option<RemoteStager>,
-        /// Cached service headroom: `(calls_since_probe, bytes)`. The
-        /// stats round-trip is a policy input, not a correctness input,
-        /// and staging occupancy moves slowly — so the probe runs every
-        /// [`HEADROOM_STRIDE`]-th step instead of serializing an extra
-        /// RTT into every step of both the sync and overlapped paths.
-        headroom: std::cell::Cell<(u32, u64)>,
-    },
-    Sharded {
-        client: ShardedClient,
-        stager: Option<ShardedStager>,
-        /// Cached cluster headroom, same stride policy as `Remote` (the
-        /// probe here is one stats RTT *per shard*, so caching matters
-        /// more). Summed across reachable shards: the Eq. 9–10 policy
-        /// sizes against aggregate cluster capacity in servers.
-        headroom: std::cell::Cell<(u32, u64)>,
-    },
-}
-
-/// Steps between remote headroom probes (see [`Backend::mem_available`]).
+/// Steps between headroom probes when staging is across the wire: the
+/// probe is one `Stats` round trip per shard, a policy input that moves
+/// slowly, so it is not serialized into every step. In-process headroom is
+/// a few atomic loads and is read fresh every step.
 const HEADROOM_STRIDE: u32 = 8;
 
-impl Backend {
-    /// Synchronous put, used by the non-overlapped baseline and as the
-    /// fallback when the asynchronous transport has shut down. Rejections
-    /// (memory cap, unreachable service) drop the object — same policy on
-    /// both sides of the wire.
-    fn put_sync(&self, obj: DataObject) {
-        // A `NeedsReduction` answer is the tier's downsample verdict: the
-        // producer is on the line here (unlike the async transport), so
-        // coarsen by the requested factor and retry once.
-        match self {
-            Backend::Local { space, .. } => {
-                if let Err(StagingError::NeedsReduction { factor }) = space.put(obj.clone()) {
-                    if let Some(reduced) = reduce_object(&obj, factor) {
-                        let _ = space.put(reduced);
-                    }
-                }
-            }
-            Backend::Remote { client, .. } => {
-                if let Err(RemoteError::Refused(ErrorFrame::NeedsReduction { factor })) =
-                    client.put(&obj)
-                {
-                    if let Some(reduced) = reduce_object(&obj, factor) {
-                        let _ = client.put(&reduced);
-                    }
-                }
-            }
-            Backend::Sharded { client, .. } => {
-                // Per-object fallback is inside the client: a full home
-                // shard spills to siblings, and only a cluster-wide
-                // rejection drops the object.
-                if let Err(ShardedError {
-                    source: RemoteError::Refused(ErrorFrame::NeedsReduction { factor }),
-                    ..
-                }) = client.put(&obj)
-                {
-                    if let Some(reduced) = reduce_object(&obj, factor) {
-                        let _ = client.put(&reduced);
-                    }
-                }
-            }
-        }
-    }
+/// `cfg.remote` as a cluster client — a single address is a one-shard
+/// cluster. `None` when unset, empty, or any address fails to resolve: the
+/// workflow then stages in process.
+fn connect_remote(cfg: &NativeConfig) -> Option<ShardedClient> {
+    let addrs: Vec<&str> = cfg
+        .remote
+        .as_deref()?
+        .split(',')
+        .map(str::trim)
+        .filter(|a| !a.is_empty())
+        .collect();
+    ShardedClient::connect(&addrs, cfg.shard_span, ClientConfig::default()).ok()
+}
 
-    /// Whether an asynchronous transport is running.
-    fn overlapped(&self) -> bool {
-        match self {
-            Backend::Local { stager, .. } => stager.is_some(),
-            Backend::Remote { stager, .. } => stager.is_some(),
-            Backend::Sharded { stager, .. } => stager.is_some(),
-        }
-    }
-
-    /// Hand a step's batch to the asynchronous transport. Returns how many
-    /// tasks entered the queue plus any refused remainder, which the
-    /// caller materializes and stores synchronously — the step degrades,
-    /// it does not die.
-    fn send_batch(&self, tasks: Vec<StageTask>) -> (u64, Vec<StageTask>) {
-        let total = tasks.len() as u64;
-        let result = match self {
-            Backend::Local {
-                stager: Some(stager),
-                ..
-            } => stager.put_batch(tasks),
-            Backend::Remote {
-                stager: Some(stager),
-                ..
-            } => stager.put_batch(tasks),
-            Backend::Sharded {
-                stager: Some(stager),
-                ..
-            } => stager.put_batch(tasks),
-            Backend::Local { stager: None, .. }
-            | Backend::Remote { stager: None, .. }
-            | Backend::Sharded { stager: None, .. } => Err(BatchClosed {
-                enqueued: 0,
-                rest: tasks,
-            }),
-        };
-        match result {
-            Ok(()) => (total, Vec::new()),
-            Err(BatchClosed { enqueued, rest }) => (enqueued, rest),
-        }
-    }
-
-    /// Bytes the staging side can still accept, for the engine's
-    /// memory-pressure input. The remote probe costs one RTT; if the
-    /// service cannot answer, report zero headroom so the policy treats an
-    /// unreachable service as full rather than infinite.
-    fn mem_available(&self) -> u64 {
-        match self {
-            Backend::Local { space, .. } => space.capacity().saturating_sub(space.used()),
-            Backend::Remote {
-                client, headroom, ..
-            } => {
-                let (calls, cached) = headroom.get();
-                if calls == 0 {
-                    let fresh = client
-                        .service_stats()
-                        .map(|s| s.capacity.saturating_sub(s.used))
-                        .unwrap_or(0);
-                    headroom.set((HEADROOM_STRIDE - 1, fresh));
-                    fresh
-                } else {
-                    headroom.set((calls - 1, cached));
-                    cached
-                }
-            }
-            Backend::Sharded {
-                client, headroom, ..
-            } => {
-                let (calls, cached) = headroom.get();
-                if calls == 0 {
-                    let fresh = client.total_headroom();
-                    headroom.set((HEADROOM_STRIDE - 1, fresh));
-                    fresh
-                } else {
-                    headroom.set((calls - 1, cached));
-                    cached
-                }
-            }
-        }
-    }
-
-    /// Free bytes under the disk tier's budget, for the pressure policy.
-    /// The remote backends report zero: the wire snapshot carries the
-    /// tier's usage counters but not its budget, and the service applies
-    /// its own spill policy autonomously anyway.
-    fn disk_available(&self) -> u64 {
-        match self {
-            Backend::Local { space, .. } => space.disk_headroom(),
-            Backend::Remote { .. } | Backend::Sharded { .. } => 0,
-        }
-    }
+/// The in-process staging space `cfg` describes. With a `disk_dir` the
+/// space gets a spill tier; a tier that fails to open (unwritable
+/// directory, corrupt log beyond recovery) degrades to the memory-only
+/// space, mirroring the unresolvable-remote fallback.
+fn local_space(cfg: &NativeConfig) -> DataSpace {
+    cfg.disk_dir
+        .as_ref()
+        .and_then(|dir| {
+            let tier = TierConfig::new(dir.clone()).with_budget(cfg.disk_budget);
+            DataSpace::new_tiered(
+                cfg.staging_servers,
+                cfg.staging_memory,
+                Sharding::BboxHash,
+                &tier,
+                Arc::new(BufferPool::new()),
+            )
+            .ok()
+        })
+        .unwrap_or_else(|| {
+            DataSpace::new(cfg.staging_servers, cfg.staging_memory, Sharding::BboxHash)
+        })
 }
 
 /// Producer-side response to a `NeedsReduction` verdict: the same object
@@ -364,55 +241,24 @@ fn reduce_object(obj: &DataObject, factor: u32) -> Option<DataObject> {
     )
 }
 
-/// The analysis workers' read handle onto staged data — the consumer-side
-/// mirror of [`Backend`].
-enum Reader {
-    Local(Arc<DataSpace>),
-    Remote(RemoteClient),
-    Sharded(ShardedClient),
-}
-
-impl Reader {
-    /// All objects under `(name, version)`. A remote fetch that fails
-    /// (service gone mid-run) yields an empty read: the analysis reports a
-    /// zero-triangle outcome instead of crashing the worker.
-    fn fetch(&self, name: &str, version: u64) -> Vec<Arc<DataObject>> {
-        match self {
-            Reader::Local(space) => space.get(name, version, None),
-            Reader::Remote(client) => client
-                .get(name, version, None)
-                .map(|objs| objs.into_iter().map(Arc::new).collect())
-                .unwrap_or_default(),
-            // Scatter/gather across the shards; the merge order is the
-            // cluster's canonical one, so analysis over the fetched list
-            // is deterministic regardless of placement.
-            Reader::Sharded(client) => client
-                .get(name, version, None)
-                .map(|objs| objs.into_iter().map(Arc::new).collect())
-                .unwrap_or_default(),
-        }
-    }
-
-    fn evict_before(&self, name: &str, min_version: u64) {
-        match self {
-            Reader::Local(space) => {
-                space.evict_before(name, min_version);
-            }
-            Reader::Remote(client) => {
-                let _ = client.evict_before(name, min_version);
-            }
-            Reader::Sharded(client) => {
-                let _ = client.evict_before(name, min_version);
-            }
-        }
-    }
-}
-
 /// A fully-native coupled workflow: simulation + visualization + staging.
 pub struct NativeWorkflow<S: LevelSolver> {
     sim: AmrSimulation<S>,
     cfg: NativeConfig,
-    backend: Backend,
+    /// Where staged data lives. Everything below talks to this handle;
+    /// `space` / `cluster` only keep the concrete type reachable for the
+    /// hooks that exist on one kind of backend alone.
+    staging: Arc<dyn Staging>,
+    /// The asynchronous put pipeline into `staging`.
+    stager: AsyncStager,
+    /// `staging` as the in-process space, when it is one (tier hints and
+    /// the engine's forced pressure verdict).
+    space: Option<Arc<DataSpace>>,
+    /// `staging` as the cluster client, when it is one (per-shard
+    /// counters and latency histograms).
+    cluster: Option<ShardedClient>,
+    /// Cached `staging.headroom()`: (steps until the next probe, value).
+    headroom: (u32, (u64, u64)),
     engine: AdaptationEngine,
     job_tx: Option<Sender<Job>>,
     result_rx: Receiver<AnalysisOutcome>,
@@ -435,104 +281,24 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         // step() are enqueued and ingested by transfer threads while the
         // next solve runs. Queue depth sized to hold a full step's objects
         // (every grid of every level) so an in-transit step never blocks on
-        // back-pressure unless the transport is a full step behind.
-        // With cfg.remote set, the transfer threads speak the wire protocol
-        // to a staging service — or, for a comma-separated shard list, to a
-        // sharded cluster with region routing. A remote address that fails
-        // to resolve (any shard of it) degrades to the in-process space
-        // instead of failing construction.
-        enum Target {
-            InProcess,
-            Single(RemoteClient),
-            Cluster(ShardedClient),
-        }
-        let target = {
-            let addrs: Vec<&str> = cfg
-                .remote
-                .as_deref()
-                .map(|s| {
-                    s.split(',')
-                        .map(str::trim)
-                        .filter(|a| !a.is_empty())
-                        .collect()
-                })
-                .unwrap_or_default();
-            if addrs.len() > 1 {
-                ShardedClient::connect(&addrs, cfg.shard_span, ClientConfig::default())
-                    .map(Target::Cluster)
-                    .unwrap_or(Target::InProcess)
-            } else if let Some(addr) = addrs.first() {
-                RemoteClient::connect(addr, ClientConfig::default())
-                    .map(Target::Single)
-                    .unwrap_or(Target::InProcess)
-            } else {
-                Target::InProcess
+        // back-pressure unless the transport is a full step behind. With
+        // cfg.remote set the same threads speak the wire protocol to the
+        // staging service or cluster.
+        let threads = cfg.staging_servers.max(1);
+        let cluster = connect_remote(&cfg);
+        let (staging, stager, space): (Arc<dyn Staging>, _, _) = match &cluster {
+            Some(client) => {
+                let client = Arc::new(client.clone());
+                let stager = AsyncStager::new(Arc::clone(&client), threads, 256);
+                (client, stager, None)
+            }
+            None => {
+                let space = Arc::new(local_space(&cfg));
+                let stager = AsyncStager::new(Arc::clone(&space), threads, 256);
+                (space.clone(), stager, Some(space))
             }
         };
-        let (backend, reader, transport): (Backend, Reader, Arc<TransportStats>) = match target {
-            Target::Single(client) => {
-                let stager = RemoteStager::new(client.clone(), cfg.staging_servers.max(1), 256);
-                let transport = stager.stats();
-                (
-                    Backend::Remote {
-                        client: client.clone(),
-                        stager: Some(stager),
-                        headroom: std::cell::Cell::new((0, 0)),
-                    },
-                    Reader::Remote(client),
-                    transport,
-                )
-            }
-            Target::Cluster(client) => {
-                let stager = ShardedStager::new(client.clone(), cfg.staging_servers.max(1), 256);
-                let transport = stager.stats();
-                (
-                    Backend::Sharded {
-                        client: client.clone(),
-                        stager: Some(stager),
-                        headroom: std::cell::Cell::new((0, 0)),
-                    },
-                    Reader::Sharded(client),
-                    transport,
-                )
-            }
-            Target::InProcess => {
-                // With a disk_dir the space gets a spill tier; a tier that
-                // fails to open (unwritable directory, corrupt log beyond
-                // recovery) degrades to the memory-only space, mirroring
-                // the unreachable-remote fallback above.
-                let space = Arc::new(
-                    match &cfg.disk_dir {
-                        Some(dir) => {
-                            let tier = TierConfig::new(dir.clone()).with_budget(cfg.disk_budget);
-                            DataSpace::new_tiered(
-                                cfg.staging_servers,
-                                cfg.staging_memory,
-                                Sharding::BboxHash,
-                                &tier,
-                                Arc::new(BufferPool::new()),
-                            )
-                            .ok()
-                        }
-                        None => None,
-                    }
-                    .unwrap_or_else(|| {
-                        DataSpace::new(cfg.staging_servers, cfg.staging_memory, Sharding::BboxHash)
-                    }),
-                );
-                let stager = AsyncStager::new(Arc::clone(&space), cfg.staging_servers.max(1), 256);
-                let transport = stager.stats();
-                (
-                    Backend::Local {
-                        space: Arc::clone(&space),
-                        stager: Some(stager),
-                    },
-                    Reader::Local(space),
-                    transport,
-                )
-            }
-        };
-        let reader = Arc::new(reader);
+        let transport = stager.stats();
         // A rough local-machine model so the middleware policy has cost
         // estimates; decisions also use live measurements via the state.
         let machine = MachineSpec {
@@ -555,7 +321,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             .map(|_| {
                 let job_rx = job_rx.clone();
                 let result_tx = result_tx.clone();
-                let reader = Arc::clone(&reader);
+                let staging = Arc::clone(&staging);
                 let transport = Arc::clone(&transport);
                 std::thread::spawn(move || {
                     while let Ok(job) = job_rx.recv() {
@@ -564,7 +330,10 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         // version's objects must have been ingested (or
                         // rejected) before the read.
                         transport.wait_processed("field", job.version, job.expected);
-                        let objects = reader.fetch("field", job.version);
+                        // A fetch that fails (service gone mid-run) is an
+                        // empty read: the analysis reports a zero-triangle
+                        // outcome instead of crashing the worker.
+                        let objects = staging.get("field", job.version, None);
                         let parts: Vec<TriMesh> = objects
                             .iter()
                             .map(|obj| {
@@ -584,7 +353,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                             .collect();
                         let refs: Vec<&TriMesh> = parts.iter().collect();
                         let mesh = TriMesh::concat(&refs);
-                        reader.evict_before("field", job.version + 1);
+                        staging.evict_before("field", job.version + 1);
                         let secs = t0.elapsed().as_secs_f64();
                         let _ = result_tx.send(AnalysisOutcome {
                             version: job.version,
@@ -600,7 +369,11 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         NativeWorkflow {
             sim,
             cfg,
-            backend,
+            staging,
+            stager,
+            space,
+            cluster,
+            headroom: (0, (0, 0)),
             engine,
             job_tx: Some(job_tx),
             result_rx,
@@ -618,40 +391,55 @@ impl<S: LevelSolver> NativeWorkflow<S> {
     /// The in-process staging space, when there is one (None when staging
     /// goes to a remote service).
     pub fn space(&self) -> Option<&Arc<DataSpace>> {
-        match &self.backend {
-            Backend::Local { space, .. } => Some(space),
-            Backend::Remote { .. } | Backend::Sharded { .. } => None,
-        }
+        self.space.as_ref()
     }
 
-    /// The remote staging client, when staging goes over the wire to a
-    /// single service.
-    pub fn remote_client(&self) -> Option<&RemoteClient> {
-        match &self.backend {
-            Backend::Local { .. } | Backend::Sharded { .. } => None,
-            Backend::Remote { client, .. } => Some(client),
-        }
-    }
-
-    /// The sharded cluster client, when staging goes over the wire to a
-    /// shard list.
+    /// The cluster client, when staging goes over the wire — to one
+    /// service (a one-shard cluster) or to a shard list.
     pub fn sharded_client(&self) -> Option<&ShardedClient> {
-        match &self.backend {
-            Backend::Local { .. } | Backend::Remote { .. } => None,
-            Backend::Sharded { client, .. } => Some(client),
-        }
+        self.cluster.as_ref()
     }
 
     /// The asynchronous transport's statistics (delivered/rejected/failed
-    /// accounting plus the per-version rendezvous), identical in shape for
-    /// the local and the remote transport. None once the workflow has
-    /// finished, or when `overlap_staging` never started a transport.
+    /// accounting plus the per-version rendezvous), the same on every
+    /// backend. Always `Some` on a live workflow.
     pub fn transport_stats(&self) -> Option<Arc<TransportStats>> {
-        match &self.backend {
-            Backend::Local { stager, .. } => stager.as_ref().map(AsyncStager::stats),
-            Backend::Remote { stager, .. } => stager.as_ref().map(RemoteStager::stats),
-            Backend::Sharded { stager, .. } => stager.as_ref().map(ShardedStager::stats),
+        Some(self.stager.stats())
+    }
+
+    /// Synchronous put, used by the non-overlapped baseline and as the
+    /// fallback when the asynchronous transport has shut down. Rejections
+    /// (memory cap, unreachable service) drop the object — same policy on
+    /// both sides of the wire.
+    fn put_sync(&self, obj: DataObject) {
+        // `NeedsReduction` is the tier's downsample verdict: the producer
+        // is on the line here (unlike the async transport), so coarsen by
+        // the requested factor and retry once.
+        let obj = Arc::new(obj);
+        if let PutVerdict::NeedsReduction { factor } = self.staging.put(Arc::clone(&obj)) {
+            if let Some(reduced) = reduce_object(&obj, factor) {
+                let _ = self.staging.put(Arc::new(reduced));
+            }
         }
+    }
+
+    /// Bytes the staging side can still accept, `(memory, disk tier)`, for
+    /// the engine's pressure inputs — probed every step in process, every
+    /// [`HEADROOM_STRIDE`]-th step over the wire.
+    fn headroom(&mut self) -> (u64, u64) {
+        let (wait, cached) = self.headroom;
+        if wait > 0 {
+            self.headroom.0 = wait - 1;
+            return cached;
+        }
+        let stride = if self.cluster.is_some() {
+            HEADROOM_STRIDE
+        } else {
+            1
+        };
+        let fresh = self.staging.headroom();
+        self.headroom = (stride - 1, fresh);
+        fresh
     }
 
     /// The underlying simulation.
@@ -704,6 +492,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         self.drain_results();
 
         // Observe.
+        let (mem_available_intransit, disk_available_intransit) = self.headroom();
         let state = OperationalState {
             step: stats.step,
             now: 0.0,
@@ -718,15 +507,15 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             staging_cores: self.cfg.workers,
             staging_cores_max: self.cfg.workers,
             mem_available_insitu: u64::MAX / 2,
-            mem_available_intransit: self.backend.mem_available(),
-            disk_available_intransit: self.backend.disk_available(),
+            mem_available_intransit,
+            disk_available_intransit,
         };
         let adaptations = self.engine.adapt(&state);
         // Forward the pressure verdict to the local tier: the engine's
         // cross-layer choice overrides the servers' hint-driven default
         // until the next sampling point (None restores it).
         if self.cfg.engine.enable_pressure {
-            if let Backend::Local { space, .. } = &self.backend {
+            if let Some(space) = &self.space {
                 space.set_pressure_action(adaptations.pressure.map(|p| match p.action {
                     PressureAction::Spill => SpillAction::Spill,
                     PressureAction::Downsample { factor } => SpillAction::Downsample { factor },
@@ -786,7 +575,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 // analysis job. (Native mode treats hybrid like in-transit:
                 // the split is a modeled-scale mechanism.)
                 let mut staged = 0u64;
-                let overlap = self.cfg.overlap_staging && self.backend.overlapped();
+                let overlap = self.cfg.overlap_staging;
                 let mut tasks: Vec<StageTask> = Vec::new();
                 for l in 0..self.sim.hierarchy.num_levels() {
                     let dx = 1.0 / self.sim.hierarchy.ref_ratio().pow(l as u32) as f64;
@@ -798,21 +587,21 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         if overlap {
                             tasks.push(StageTask::Ready(obj));
                         } else {
-                            self.backend.put_sync(obj);
+                            self.put_sync(obj);
                         }
                     }
                 }
-                // One hand-off for the whole step: a single channel send
-                // and a single rendezvous notification per key, instead of
-                // a lock ping-pong per object between the transfer thread
-                // and the waiting analysis worker. Only tasks the transport
+                // One hand-off for the whole step. Only tasks the transport
                 // accepted count toward the worker's rendezvous; a refused
-                // remainder is stored synchronously.
+                // remainder (transport shut down) is stored synchronously —
+                // the step degrades, it does not die.
                 if overlap {
-                    let (enqueued, rest) = self.backend.send_batch(tasks);
-                    staged = enqueued;
-                    for task in rest {
-                        self.backend.put_sync(task.materialize());
+                    staged = tasks.len() as u64;
+                    if let Err(BatchClosed { enqueued, rest }) = self.stager.put_batch(tasks) {
+                        staged = enqueued;
+                        for task in rest {
+                            self.put_sync(task.materialize());
+                        }
                     }
                 }
                 self.moved_bytes += moved;
@@ -876,23 +665,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         // A DrainError only means a transfer thread panicked; the
         // surviving counts are already in the shared stats, so the
         // run-down continues either way.
-        match &mut self.backend {
-            Backend::Local { stager, .. } => {
-                if let Some(stager) = stager.take() {
-                    let _ = stager.drain();
-                }
-            }
-            Backend::Remote { stager, .. } => {
-                if let Some(stager) = stager.take() {
-                    let _ = stager.drain();
-                }
-            }
-            Backend::Sharded { stager, .. } => {
-                if let Some(stager) = stager.take() {
-                    let _ = stager.drain();
-                }
-            }
-        }
+        let _ = self.stager.drain();
         drop(self.job_tx.take());
         for w in self.workers.drain(..) {
             // A panicked analysis worker forfeits its outcomes; the other

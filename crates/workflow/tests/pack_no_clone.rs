@@ -10,7 +10,9 @@
 //!
 //! This lives in its own integration-test binary on purpose: the
 //! allocation counters are process-global, and concurrently running tests
-//! in the same binary would perturb the peak.
+//! in the same binary would perturb the peak. The two tests here take
+//! [`COUNTERS`] for the same reason — the harness runs them on parallel
+//! threads, and one's level allocation lands inside the other's window.
 
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::domain::ProblemDomain;
@@ -18,6 +20,9 @@ use xlayer_amr::fab;
 use xlayer_amr::layout::BoxLayout;
 use xlayer_amr::level_data::LevelData;
 use xlayer_workflow::pack_level_objects;
+
+/// Serializes the tests over the process-global fab allocation counters.
+static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn multi_grid_level() -> LevelData {
     let domain = ProblemDomain::periodic(IBox::cube(32));
@@ -36,6 +41,7 @@ fn multi_grid_level() -> LevelData {
 
 #[test]
 fn reduction_pack_allocates_exactly_one_reduced_fab_per_grid() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let ld = multi_grid_level();
     assert!(ld.len() > 1, "want a multi-grid level");
     let factor = 2u32;
@@ -64,6 +70,7 @@ fn reduction_pack_allocates_exactly_one_reduced_fab_per_grid() {
 
 #[test]
 fn full_resolution_pack_allocates_no_fabs() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let ld = multi_grid_level();
     let live = fab::allocated_bytes();
     fab::reset_peak_allocated();

@@ -3,10 +3,11 @@
 //! An agent binds one control listener and waits for a controller. Each
 //! `Run` command spawns one worker thread per spec'd connection — the
 //! thread-per-connection shape of the staging service mirrored on the
-//! client side — and every worker owns its own [`RemoteClient`] (one
-//! target) or [`ShardedClient`] (a `remote:`-style shard list), so its
-//! connection pools, retry counters, and latency histograms are private
-//! to that connection and sum cleanly into the phase's [`AgentReport`].
+//! client side — and every worker owns its own [`ShardedClient`] over the
+//! spec's `remote:`-style target list (one target is a one-shard cluster),
+//! so its connection pools, retry counters, and latency histograms are
+//! private to that connection and sum cleanly into the phase's
+//! [`AgentReport`].
 //!
 //! Workers replay the deterministic per-connection op stream from
 //! [`crate::spec`]: puts build AMR-shaped cube objects (chunked or whole
@@ -25,7 +26,7 @@ use xlayer_amr::boxes::IBox;
 use xlayer_amr::intvect::IntVect;
 use xlayer_net::client::ClientStats;
 use xlayer_net::hist::Hist;
-use xlayer_net::{ClientConfig, RemoteClient, RemoteError, ShardedClient};
+use xlayer_net::{ClientConfig, RemoteError, ShardedClient, ShardedError};
 use xlayer_staging::{DataObject, ObjectDesc, ObjectKey};
 
 use crate::proto::{
@@ -39,84 +40,14 @@ fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// One staging client for a load worker: single service or shard list.
-enum LoadClient {
-    Single(RemoteClient),
-    Sharded(ShardedClient),
-}
-
-/// How a load op failed, reduced to what the report distinguishes.
-enum OpFail {
-    /// The staging memory cap rejected the op (policy signal).
-    Oom,
-    /// Anything else that outlasted the retries.
-    Other,
-}
-
-fn classify(e: &RemoteError) -> OpFail {
-    match e {
-        RemoteError::OutOfMemory { .. } => OpFail::Oom,
-        _ => OpFail::Other,
-    }
-}
-
-impl LoadClient {
-    fn connect(spec: &WorkloadSpec) -> std::io::Result<LoadClient> {
-        let cfg = ClientConfig {
-            max_retries: spec.max_retries,
-            chunk_threshold: spec.chunk_threshold,
-            ..ClientConfig::default()
-        };
-        match spec.targets.as_slice() {
-            [] => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "spec has no targets",
-            )),
-            [one] => RemoteClient::connect(one, cfg).map(LoadClient::Single),
-            many => ShardedClient::connect(many, spec.span, cfg).map(LoadClient::Sharded),
-        }
-    }
-
-    fn put(&self, obj: &DataObject) -> Result<(), OpFail> {
-        match self {
-            LoadClient::Single(c) => c.put(obj).map(|_| ()).map_err(|e| classify(&e)),
-            LoadClient::Sharded(c) => c.put(obj).map(|_| ()).map_err(|e| classify(&e.source)),
-        }
-    }
-
-    /// Fetch `(name, version)` clipped to `query`; returns payload bytes
-    /// received.
-    fn get(&self, name: &str, version: u64, query: IBox) -> Result<u64, OpFail> {
-        let objs = match self {
-            LoadClient::Single(c) => c
-                .get(name, version, Some(query))
-                .map_err(|e| classify(&e))?,
-            LoadClient::Sharded(c) => c
-                .get(name, version, Some(query))
-                .map_err(|e| classify(&e.source))?,
-        };
-        Ok(objs.iter().map(|o| o.desc.bytes).sum())
-    }
-
-    fn evict_before(&self, name: &str, before_version: u64) -> Result<(), OpFail> {
-        match self {
-            LoadClient::Single(c) => c
-                .evict_before(name, before_version)
-                .map(|_| ())
-                .map_err(|e| classify(&e)),
-            LoadClient::Sharded(c) => c
-                .evict_before(name, before_version)
-                .map(|_| ())
-                .map_err(|e| classify(&e.source)),
-        }
-    }
-
-    fn stats(&self) -> ClientStats {
-        match self {
-            LoadClient::Single(c) => c.client_stats(),
-            LoadClient::Sharded(c) => c.client_stats_total(),
-        }
-    }
+/// One staging client for a load worker, configured from the spec.
+fn connect(spec: &WorkloadSpec) -> std::io::Result<ShardedClient> {
+    let cfg = ClientConfig {
+        max_retries: spec.max_retries,
+        chunk_threshold: spec.chunk_threshold,
+        ..ClientConfig::default()
+    };
+    ShardedClient::connect(&spec.targets, spec.span, cfg)
 }
 
 /// The shared object names the workload cycles through.
@@ -170,6 +101,18 @@ struct WorkerOut {
     stats: ClientStats,
 }
 
+impl WorkerOut {
+    /// Book a failed op under what the report distinguishes: the staging
+    /// memory cap rejecting it (a policy signal) or anything else that
+    /// outlasted the retries.
+    fn fail(&mut self, e: &ShardedError) {
+        match e.source {
+            RemoteError::OutOfMemory { .. } => self.rejected_oom += 1,
+            _ => self.failed += 1,
+        }
+    }
+}
+
 /// Replay one connection's op stream against the cluster.
 fn run_worker(
     spec: &WorkloadSpec,
@@ -180,7 +123,7 @@ fn run_worker(
     rate_bytes_per_sec: u64,
 ) -> WorkerOut {
     let mut out = WorkerOut::default();
-    let client = match LoadClient::connect(spec) {
+    let client = match connect(spec) {
         Ok(c) => c,
         Err(_) => {
             out.failed = ops;
@@ -220,7 +163,7 @@ fn run_worker(
                 }
                 let t = Instant::now();
                 match client.put(&obj) {
-                    Ok(()) => {
+                    Ok(_) => {
                         out.put_ns.record(elapsed_ns(t));
                         out.puts += 1;
                         out.put_bytes += bytes;
@@ -229,8 +172,7 @@ fn run_worker(
                         }
                         last_put = Some((name_idx, version, obj.desc.bbox));
                     }
-                    Err(OpFail::Oom) => out.rejected_oom += 1,
-                    Err(OpFail::Other) => out.failed += 1,
+                    Err(e) => out.fail(&e),
                 }
             }
             PlannedOp::Get => {
@@ -240,14 +182,13 @@ fn run_worker(
                     continue;
                 };
                 let t = Instant::now();
-                match client.get(&object_name(name_idx), version, bbox) {
-                    Ok(bytes) => {
+                match client.get(&object_name(name_idx), version, Some(bbox)) {
+                    Ok(objs) => {
                         out.get_ns.record(elapsed_ns(t));
                         out.gets += 1;
-                        out.get_bytes += bytes;
+                        out.get_bytes += objs.iter().map(|o| o.desc.bytes).sum::<u64>();
                     }
-                    Err(OpFail::Oom) => out.rejected_oom += 1,
-                    Err(OpFail::Other) => out.failed += 1,
+                    Err(e) => out.fail(&e),
                 }
             }
             PlannedOp::Drain => {
@@ -274,7 +215,7 @@ fn run_worker(
             }
         }
     }
-    out.stats = client.stats();
+    out.stats = client.client_stats_total();
     out
 }
 
@@ -286,16 +227,17 @@ fn run_phase(cmd: &RunCmd) -> Result<AgentReport, CtlError> {
     match cmd.phase {
         Phase::Drain => {
             // One client, evict every workload name wholesale.
-            let client = LoadClient::connect(&spec).map_err(CtlError::from)?;
+            let client = connect(&spec).map_err(CtlError::from)?;
             for ni in 0..spec.names {
                 match client.evict_before(&object_name(ni), u64::MAX) {
-                    Ok(()) => report.drains += 1,
+                    Ok(_) => report.drains += 1,
                     Err(_) => report.failed += 1,
                 }
             }
-            report.retries_busy = client.stats().retries_busy;
-            report.retries_io = client.stats().retries_io;
-            report.retries_wire = client.stats().retries_wire;
+            let stats = client.client_stats_total();
+            report.retries_busy = stats.retries_busy;
+            report.retries_io = stats.retries_io;
+            report.retries_wire = stats.retries_wire;
         }
         Phase::Warmup | Phase::Measure => {
             let ops = match cmd.phase {

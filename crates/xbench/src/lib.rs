@@ -6,8 +6,8 @@
 //! measurement planes do:
 //!
 //! - [`agent`] — `xbench-agent`, a process that opens many concurrent
-//!   connections (thread-per-connection over the existing
-//!   [`xlayer_net::RemoteClient`] / [`xlayer_net::ShardedClient`]) and
+//!   connections (thread-per-connection, each over its own
+//!   [`xlayer_net::ShardedClient`]) and
 //!   replays an AMR-realistic workload mix: put/get/drain ratios and
 //!   object-size distributions drawn from a seeded LCG, whole-object and
 //!   chunked transfer paths, and tier pressure via oversized working

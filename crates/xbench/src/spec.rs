@@ -99,9 +99,9 @@ pub struct WorkloadSpec {
     /// oversized working set (large sides, rare drains) is the tier
     /// pressure knob.
     pub retain_versions: u64,
-    /// Staging service addresses. One address → [`xlayer_net::RemoteClient`];
-    /// several → [`xlayer_net::ShardedClient`] over the list (a `remote:`
-    /// shard list in workflow terms).
+    /// Staging service addresses, driven through one
+    /// [`xlayer_net::ShardedClient`] over the list (a `remote:` shard list
+    /// in workflow terms; a single address is a one-shard cluster).
     pub targets: Vec<String>,
     /// Shard-map span (cells per placement bucket) for sharded targets.
     pub span: i64,

@@ -25,41 +25,26 @@ echo "==> cargo build --release"
 cargo build --locked --release
 
 echo "==> cargo test (workspace)"
-cargo test --locked -q --workspace
-
-echo "==> net loopback tests (wire protocol, staging service, remote stager)"
-# Already covered by the workspace run above; re-run as a named step so a
-# networking regression is visible at a glance, same pattern as xlint.
-cargo test --locked -q -p xlayer-net
-cargo test --locked -q --test remote_staging
-
-echo "==> multi-shard loopback cluster (routing, scatter/gather, shard faults)"
-# Also inside the -p xlayer-net run above; named so a sharding regression
-# is distinguishable from a single-server transport one.
-cargo test --locked -q -p xlayer-net --test cluster
-
-echo "==> disk tier tests (extent log, spill policy, tiered workflows)"
-# Also inside the workspace run above; named so a tier regression is
-# visible at a glance. Tier tests create their scratch directories under
-# $TMPDIR (unique per process + sequence number) and remove them on
-# success; sweep any leftovers from earlier failed runs first so disk
-# usage cannot accumulate across CI attempts.
+# Tier tests create their scratch directories under $TMPDIR (unique per
+# process + sequence number) and remove them on success; sweep leftovers
+# from earlier failed runs first so disk usage cannot accumulate across CI
+# attempts.
 rm -rf "${TMPDIR:-/tmp}"/xlayer-tierprop-* "${TMPDIR:-/tmp}"/xlayer-native-* \
        "${TMPDIR:-/tmp}"/xlayer-tier-* "${TMPDIR:-/tmp}"/xlayer-disklog-* \
        "${TMPDIR:-/tmp}"/xlayer-tiered-server-*
-cargo test --locked -q -p xlayer-staging
-cargo test --locked -q -p xlayer-workflow --lib tiered
-
-echo "==> xbench load-generation tests (spec parser, control protocol, e2e loopback)"
-# Also inside the workspace run above; named so a load-harness regression
-# is distinguishable from a transport one.
-cargo test --locked -q -p xlayer-xbench
+cargo test --locked -q --workspace
 
 echo "==> xbench smoke (2-shard cluster + 2 agents on loopback, 2-step sweep)"
 # In-process end to end: validates the saturation sweep's invariants
 # (monotone offered load, positive knee and goodput) and prints the
 # bench-style JSON. Seconds of wall time, ephemeral ports only.
 cargo run --locked --release -q -p xlayer-xbench --bin xbench-ctl -- --smoke
+
+echo "==> xmark smoke (benchmark/ builds against the crates' frozen surface; four workloads self-check)"
+# benchmark/ is a package of its own with path dependencies on crates/*:
+# a change that breaks what it calls fails here, before the benchmark
+# pipeline finds out. No --locked: its lock file is its own.
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 
 echo "==> bench targets compile"
 cargo build --locked --release -p xlayer-bench --benches --bins

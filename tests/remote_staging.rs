@@ -1,7 +1,8 @@
 //! End-to-end remote staging: the native workflow run once with the
-//! in-process staging space and once through `StagingService` +
-//! `RemoteStager` on a loopback socket, asserting bit-identical analysis
-//! results and matching transport accounting. This is the paper's
+//! in-process staging space and once through `StagingService` behind a
+//! `ShardedClient` on a loopback socket (the same `AsyncStager` drives
+//! both), asserting bit-identical analysis results and matching transport
+//! accounting. This is the paper's
 //! deployment claim in test form — moving the staging area onto dedicated
 //! nodes must change *where* the data sits, never *what* the in-transit
 //! analysis computes.
