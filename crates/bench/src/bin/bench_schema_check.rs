@@ -2,31 +2,12 @@
 //!
 //! CI and `scripts/check.sh` run this over the committed
 //! `BENCH_native_hotpath.json` (and over freshly generated summaries) so a
-//! renamed, dropped, or non-finite hot-path measurement fails loudly. The
-//! workspace has no JSON dependency, so the check is a deliberately simple
-//! scan: every expected key must appear exactly once as a quoted name
-//! followed by a finite positive number.
+//! renamed, dropped, extra, or non-finite kernel measurement fails loudly.
+//! The check itself is [`xlayer_bench::check_summary`].
 //!
 //! Usage: `cargo run -p xlayer-bench --bin bench_schema_check [summary.json]`
 
-use xlayer_bench::{EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS};
-
-/// Extract the number following `"key":`, requiring exactly one occurrence.
-fn value_of(text: &str, key: &str) -> Result<f64, String> {
-    let needle = format!("\"{key}\":");
-    let mut hits = text.match_indices(&needle);
-    let (at, _) = hits.next().ok_or_else(|| format!("missing key {key:?}"))?;
-    if hits.next().is_some() {
-        return Err(format!("key {key:?} appears more than once"));
-    }
-    let rest = text[at + needle.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("key {key:?}: unparsable value {:?}: {e}", &rest[..end]))
-}
+use xlayer_bench::{check_summary, EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS};
 
 fn main() {
     let path = std::env::args()
@@ -40,25 +21,7 @@ fn main() {
         }
     };
 
-    let mut errors: Vec<String> = Vec::new();
-    if !text.contains("\"unit\": \"ns_per_iter\"") {
-        errors.push("missing or wrong \"unit\" (want ns_per_iter)".to_string());
-    }
-    for key in EXPECTED_BENCH_KEYS {
-        match value_of(&text, key) {
-            Ok(v) if v.is_finite() && v > 0.0 => {}
-            Ok(v) => errors.push(format!("bench {key:?}: non-positive value {v}")),
-            Err(e) => errors.push(e),
-        }
-    }
-    for key in EXPECTED_DERIVED_KEYS {
-        match value_of(&text, key) {
-            Ok(v) if v.is_finite() && v > 0.0 => {}
-            Ok(v) => errors.push(format!("derived {key:?}: non-positive value {v}")),
-            Err(e) => errors.push(e),
-        }
-    }
-
+    let errors = check_summary(&text);
     if errors.is_empty() {
         println!(
             "bench_schema_check: {path} OK ({} benches, {} derived)",

@@ -1,41 +1,36 @@
-//! Machine-readable summary of the native hot-path micro-benchmarks.
+//! Machine-readable summary of the native kernel micro-benchmarks.
 //!
 //! Re-times the headline cases of `benches/ghost_exchange.rs`,
-//! `benches/solver_kernels.rs`, `benches/staging_ops.rs`,
-//! `benches/entropy_downsample.rs`, `benches/marching_cubes.rs`, and
-//! `benches/native_pipeline.rs` with a plain `std::time::Instant` harness
+//! `benches/solver_kernels.rs`, `benches/entropy_downsample.rs` and
+//! `benches/marching_cubes.rs` with a plain `std::time::Instant` harness
 //! (Criterion is a dev-dependency, not available to binaries) and writes
 //! `BENCH_native_hotpath.json` — one ns/iter figure per bench plus derived
-//! speedups — so CI and later sessions can diff hot-path performance
-//! without parsing bench output. The key set is pinned by
-//! [`xlayer_bench::EXPECTED_BENCH_KEYS`] and validated by the
-//! `bench_schema_check` binary.
+//! speedups — so CI and later sessions can diff kernel performance
+//! without parsing bench output. Only kernels are timed here: each pair
+//! isolates one restructuring (cached exchange plan, sweep-structured
+//! Euler, flat viz kernels, parallel concat) against its retained
+//! reference. Everything a staged byte passes through — pack, transport,
+//! wire, service, disk tier, the coupled pipeline's overlap — is measured
+//! end to end and per layer by `xmark` (`benchmark/`, `BENCHMARK.json`).
+//! The key set is pinned by [`xlayer_bench::EXPECTED_BENCH_KEYS`] and
+//! validated by the `bench_schema_check` binary.
 //!
 //! Usage: `cargo run --release -p xlayer-bench --bin bench_summary [out.json]`
 
 use std::time::Instant;
 use xlayer_amr::domain::ProblemDomain;
-use xlayer_amr::hierarchy::HierarchyConfig;
 use xlayer_amr::layout::BoxLayout;
 use xlayer_amr::level_data::LevelData;
 use xlayer_amr::{Fab, IBox, IntVect};
-use xlayer_bench::{EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS};
-use xlayer_core::Placement;
-use xlayer_net::client::{ClientConfig, RemoteClient};
-use xlayer_net::cluster::{ShardedClient, StagingCluster};
-use xlayer_net::service::{ServiceConfig, StagingService};
+use xlayer_bench::{render_summary, EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS};
 use xlayer_solvers::euler::{EulerSolver, Primitive};
-use xlayer_solvers::{
-    AdvectDiffuseSolver, AmrSimulation, DriverConfig, LevelSolver, ScalarProblem, VelocityField,
-};
-use xlayer_staging::{DataObject, DataSpace, Sharding};
+use xlayer_solvers::{AdvectDiffuseSolver, LevelSolver, VelocityField};
 use xlayer_viz::downsample::{
     downsample_region, downsample_region_reference, reconstruction_mse,
     reconstruction_mse_reference,
 };
 use xlayer_viz::entropy::{block_entropy, block_entropy_reference, level_entropies};
 use xlayer_viz::TriMesh;
-use xlayer_workflow::{NativeConfig, NativeWorkflow};
 
 /// Best-batch ns/iter of `f`: one calibration call sizes batches to
 /// ~25 ms, then the minimum over seven batches is reported. Timing noise
@@ -89,12 +84,6 @@ fn euler_level(n: i64, max_box: i64) -> (EulerSolver, LevelData) {
     (solver, ld)
 }
 
-fn staging_obj(version: u64, lo: i64, n: i64) -> DataObject {
-    let b = IBox::cube(n).shift(IntVect::splat(lo));
-    let fab = Fab::filled(b, 1, 1.0);
-    DataObject::from_fab("rho", version, &fab, 0, &b, 0)
-}
-
 fn noisy_fab(n: i64) -> Fab {
     let b = IBox::cube(n);
     let mut f = Fab::new(b, 1);
@@ -108,79 +97,16 @@ fn noisy_fab(n: i64) -> Fab {
     f
 }
 
-fn blob_sim(n: i64) -> AmrSimulation<AdvectDiffuseSolver> {
-    let domain = ProblemDomain::periodic(IBox::cube(n));
-    let solver = AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.0, 0.0]), 0.0, n);
-    let mut sim = AmrSimulation::new(
-        domain,
-        HierarchyConfig {
-            max_levels: 2,
-            base_max_box: 8,
-            ..Default::default()
-        },
-        solver,
-        DriverConfig {
-            tag_threshold: 0.02,
-            regrid_interval: 3,
-            ..Default::default()
-        },
-    );
-    ScalarProblem::Gaussian {
-        center: [n as f64 / 2.0; 3],
-        sigma: 2.5,
-    }
-    .init_hierarchy(&mut sim.hierarchy);
-    sim.regrid_now();
-    sim
-}
-
-/// Producer-blocking time for `steps` coupled steps against a live staging
-/// service: the wall time for the *simulation* to get through its step
-/// loop, construction and the trailing consumer drain excluded.
-///
-/// This is the quantity staging overlap optimizes — how long the solve is
-/// held up by data movement — and the paper's own claim (§5.2: hide the
-/// staging I/O behind computation). End-to-end wall time is the wrong
-/// meter on a single-core host: the hidden transfers still timeshare the
-/// one CPU, so totals are work-conserving there and only the producer's
-/// critical path shows the overlap. `finish()` still runs (untimed) and
-/// every step's analysis outcome is asserted, so both variants complete
-/// the identical pipeline.
-fn run_pipeline(overlap: bool, steps: usize, remote: &str) -> std::time::Duration {
-    let mut wf = NativeWorkflow::new(
-        blob_sim(16),
-        NativeConfig {
-            iso_value: 0.4,
-            overlap_staging: overlap,
-            placement_override: Some(Placement::InTransit),
-            staging_servers: 1,
-            workers: 1,
-            remote: Some(remote.to_string()),
-            ..Default::default()
-        },
-    );
-    let t0 = Instant::now();
-    for _ in 0..steps {
-        wf.step();
-    }
-    let stepped = t0.elapsed();
-    let (_, outcomes, _) = wf.finish();
-    assert_eq!(outcomes.len(), steps);
-    stepped
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_native_hotpath.json".to_string());
 
-    // RefCell so `run` and the interleaved pipeline block below can both
-    // record results without fighting over a mutable capture.
-    let results: std::cell::RefCell<Vec<(&str, f64)>> = std::cell::RefCell::new(Vec::new());
-    let run = |name: &'static str, f: &mut dyn FnMut()| {
+    let mut results: Vec<(&str, f64)> = Vec::new();
+    let mut run = |name: &'static str, f: &mut dyn FnMut()| {
         let ns = time_ns(f);
         println!("{name:<44} {ns:>14.1} ns/iter");
-        results.borrow_mut().push((name, ns));
+        results.push((name, ns));
     };
 
     // Ghost exchange over a 64-grid periodic level (32³ in 8³ boxes): the
@@ -262,21 +188,6 @@ fn main() {
         });
     }
 
-    // Staging substrate: shared-handle reads over a populated space.
-    {
-        let space = DataSpace::new(8, u64::MAX / 16, Sharding::BboxHash);
-        for i in 0..64i64 {
-            space.put(staging_obj(1, i * 8, 8)).expect("put");
-        }
-        let query = IBox::new(IntVect::splat(100), IntVect::splat(180));
-        run("staging_get_region_64obj", &mut || {
-            let _ = space.get_region("rho", 1, &query);
-        });
-        run("staging_get_handles_64obj", &mut || {
-            let _ = space.get("rho", 1, None);
-        });
-    }
-
     // Flat viz kernels vs their per-cell references at 64³ — the
     // acceptance measurement for the allocation-free analysis data path.
     {
@@ -352,399 +263,6 @@ fn main() {
         });
     }
 
-    // Native pipeline (solve + pack + stage over the wire + in-transit
-    // extraction) against a loopback staging service: synchronous blocking
-    // puts vs the overlapped transport, measured as producer-blocking time
-    // (see `run_pipeline`). The two variants are sampled interleaved
-    // (sync, overlapped, sync, …) so slow drift — allocator state,
-    // frequency scaling — cancels between them instead of biasing
-    // whichever ran second, and the best sample of each is reported (noise
-    // is additive, as in `time_ns`).
-    {
-        let service = StagingService::start(ServiceConfig {
-            servers: 1,
-            memory_per_server: 1 << 30,
-            ..ServiceConfig::default()
-        })
-        .expect("bind loopback staging service");
-        let addr = service.local_addr().to_string();
-        let mut sync_ns = f64::INFINITY;
-        let mut over_ns = f64::INFINITY;
-        for _ in 0..7 {
-            sync_ns = sync_ns.min(run_pipeline(false, 4, &addr).as_nanos() as f64);
-            over_ns = over_ns.min(run_pipeline(true, 4, &addr).as_nanos() as f64);
-        }
-        service.shutdown();
-        for (name, ns) in [
-            ("native_pipeline_sync_16c_4steps", sync_ns),
-            ("native_pipeline_overlapped_16c_4steps", over_ns),
-        ] {
-            println!("{name:<44} {ns:>14.1} ns/iter");
-            results.borrow_mut().push((name, ns));
-        }
-    }
-
-    // Loopback staging service: full-protocol put and get round trips for
-    // one 8³ object (512 B payload + descriptor) against a live
-    // `StagingService`, warm client pool. This is the wire overhead a
-    // remote placement pays per object over the in-process path.
-    {
-        let service = StagingService::start(ServiceConfig {
-            servers: 2,
-            memory_per_server: 1 << 30,
-            ..ServiceConfig::default()
-        })
-        .expect("bind loopback staging service");
-        let client =
-            RemoteClient::connect(&service.local_addr().to_string(), ClientConfig::default())
-                .expect("loopback client");
-        let template = staging_obj(0, 0, 8);
-        let mut version = 0u64;
-        run("net_put_throughput", &mut || {
-            version += 1;
-            let mut obj = template.clone();
-            obj.desc.key.version = version;
-            client.put(&obj).expect("remote put");
-        });
-        client.evict_before("rho", u64::MAX).expect("evict");
-        client.put(&staging_obj(1, 0, 8)).expect("seed get bench");
-        run("net_get_throughput", &mut || {
-            let got = client.get("rho", 1, None).expect("remote get");
-            assert_eq!(got.len(), 1);
-        });
-
-        // Large-object transfers: one 64 MiB object (256×256×128 cells of
-        // f64) moved as a single frame vs the chunked sub-frame stream.
-        // The whole-frame path allocates and checksums the full payload in
-        // one go; the chunked path streams fixed sub-frames through the
-        // recycled buffer pool with vectored writes. Same service, same
-        // client pool — only the framing differs. Each put evicts its
-        // object before the next iteration so the service's memory stays
-        // flat (puts append, they do not overwrite); both variants pay the
-        // identical evict round-trip. The get benches read one seeded
-        // object repeatedly — gets are read-only, so no re-seed per
-        // iteration.
-        {
-            let b = IBox::new(IntVect::new(0, 0, 0), IntVect::new(255, 255, 127));
-            let fab = Fab::filled(b, 1, 1.0);
-            let big = DataObject::from_fab("big", 1, &fab, 0, &b, 0);
-            assert_eq!(big.desc.bytes, 64 << 20, "bench object is 64 MiB");
-            let whole_client = RemoteClient::connect(
-                &service.local_addr().to_string(),
-                ClientConfig {
-                    chunk_threshold: u64::MAX,
-                    ..ClientConfig::default()
-                },
-            )
-            .expect("whole-frame client");
-            // The default threshold (8 MiB) sends a 64 MiB object chunked.
-            let chunked_client =
-                RemoteClient::connect(&service.local_addr().to_string(), ClientConfig::default())
-                    .expect("chunked client");
-            run("net_put_whole_64mib", &mut || {
-                whole_client.put(&big).expect("whole put");
-                whole_client.evict_before("big", u64::MAX).expect("evict");
-            });
-            whole_client.put(&big).expect("seed whole get");
-            run("net_get_whole_64mib", &mut || {
-                let got = whole_client.get_whole("big", 1, None).expect("whole get");
-                assert_eq!(got.len(), 1);
-            });
-            whole_client.evict_before("big", u64::MAX).expect("evict");
-            run("net_put_chunked_throughput", &mut || {
-                chunked_client.put(&big).expect("chunked put");
-                chunked_client.evict_before("big", u64::MAX).expect("evict");
-            });
-            chunked_client.put(&big).expect("seed chunked get");
-            run("net_get_chunked_throughput", &mut || {
-                let got = chunked_client
-                    .get_chunked("big", 1, None)
-                    .expect("chunked get");
-                assert_eq!(got.len(), 1);
-            });
-            chunked_client.evict_before("big", u64::MAX).expect("evict");
-        }
-
-        // Per-op wire latency percentiles, read back from the small-object
-        // client's lock-free histograms: every successful put/get of the
-        // `net_put_throughput` / `net_get_throughput` loops above recorded
-        // its round trip into log-spaced buckets (~25 % resolution), so
-        // these are real percentiles over thousands of ops, not re-timed
-        // single shots. Percentiles report the covering bucket's floor
-        // (never overstating), max is exact.
-        {
-            let put = client.put_latency();
-            let get = client.get_latency();
-            assert!(put.count > 0 && get.count > 0, "latency histograms empty");
-            for (name, ns) in [
-                ("net_put_latency_p50", put.p50_ns),
-                ("net_put_latency_p95", put.p95_ns),
-                ("net_put_latency_p99", put.p99_ns),
-                ("net_put_latency_max", put.max_ns),
-                ("net_get_latency_p50", get.p50_ns),
-                ("net_get_latency_p95", get.p95_ns),
-                ("net_get_latency_p99", get.p99_ns),
-                ("net_get_latency_max", get.max_ns),
-            ] {
-                println!("{name:<44} {ns:>14} ns");
-                results.borrow_mut().push((name, ns as f64));
-            }
-        }
-
-        // Cache effectiveness on the service side, read from the same
-        // snapshot the Stats opcode serves: the fraction of wire-buffer
-        // acquisitions the recycling pool satisfied without allocating,
-        // and the fraction of chunked-get streams whose per-chunk sums
-        // came from the chunk-sum cache (the repeated 64 MiB gets above
-        // recompute once, then hit).
-        {
-            let snap = client.service_stats().expect("service stats");
-            let rate = |hits: u64, misses: u64| -> f64 {
-                let total = hits + misses;
-                if total == 0 {
-                    0.0
-                } else {
-                    hits as f64 / total as f64
-                }
-            };
-            let pool_rate = rate(snap.pool_hits, snap.pool_misses);
-            let sum_rate = rate(snap.chunksum_hits, snap.chunksum_misses);
-            assert!(
-                snap.chunksum_hits > 0,
-                "chunked gets never hit the chunk-sum cache"
-            );
-            for (name, v) in [
-                ("net_pool_hit_rate", pool_rate),
-                ("net_chunksum_hit_rate", sum_rate),
-            ] {
-                println!("{name:<44} {v:>14.3} ratio");
-                results.borrow_mut().push((name, v));
-            }
-        }
-        service.shutdown();
-    }
-
-    // Sharded staging cluster: aggregate-capacity throughput, the paper's
-    // multi-node staging claim scaled onto loopback. A 16 MiB working set
-    // (64 objects × 256 KiB, region-routed by box hash) is staged against
-    // 5 MiB of memory per shard: one shard delivers at most 5 MiB of each
-    // batch (the remainder are typed OutOfMemory rejects that still paid
-    // the wire transfer), four shards absorb the entire set. Values are
-    // ns per *delivered* MiB — the keys measure what the cluster actually
-    // staged, not how long it took to refuse work. On this single-core
-    // host the four shards timeshare one CPU, so per-byte wire cost is
-    // flat and the derived speedup isolates delivered-capacity scaling —
-    // exactly the axis the paper scales by adding staging nodes.
-    {
-        let cluster_cfg = ServiceConfig {
-            servers: 1,
-            memory_per_server: 5 << 20,
-            sharding: Sharding::RoundRobin,
-            ..ServiceConfig::default()
-        };
-        // 64 cubes of 32³ f64 cells (256 KiB each) on a 64-aligned lattice:
-        // each fits one placement bucket, and the lattice spreads buckets
-        // across every shard of a 4-way map.
-        let objects: Vec<DataObject> = (0..64i64)
-            .map(|i| {
-                let lo = IntVect::new((i % 8) * 64, (i / 8) * 64, 0);
-                let b = IBox::cube(32).shift(lo);
-                let fab = Fab::filled(b, 1, 1.0);
-                DataObject::from_fab("shard", 1, &fab, 0, &b, i as usize)
-            })
-            .collect();
-        let total: u64 = objects.iter().map(|o| o.desc.bytes).sum();
-        assert_eq!(total, 16 << 20, "working set is 16 MiB");
-
-        // (put ns/batch, get ns/batch, delivered bytes/batch) for a
-        // cluster of `nshards` loopback shards.
-        let cluster_bench = |nshards: usize| -> (f64, f64, u64) {
-            let cluster = StagingCluster::start(nshards, &cluster_cfg).expect("start cluster");
-            let client = ShardedClient::connect(
-                &cluster.addrs(),
-                xlayer_staging::shard::DEFAULT_SPAN,
-                ClientConfig::default(),
-            )
-            .expect("cluster client");
-            let deliver = |version: u64| -> u64 {
-                let mut bytes = 0u64;
-                for obj in &objects {
-                    let mut o = obj.clone();
-                    o.desc.key.version = version;
-                    if client.put(&o).is_ok() {
-                        bytes += o.desc.bytes;
-                    }
-                }
-                bytes
-            };
-            let delivered = deliver(1);
-            client.evict_before("shard", u64::MAX).expect("evict");
-            let mut version = 1u64;
-            let put_ns = time_ns(|| {
-                version += 1;
-                let got = deliver(version);
-                client.evict_before("shard", u64::MAX).expect("evict");
-                assert_eq!(got, delivered, "placement drifted between batches");
-            });
-            version += 1;
-            let seeded = deliver(version);
-            assert_eq!(seeded, delivered, "get seed drifted");
-            let get_ns = time_ns(|| {
-                let objs = client.get("shard", version, None).expect("cluster get");
-                let bytes: u64 = objs.iter().map(|o| o.desc.bytes).sum();
-                assert_eq!(bytes, delivered, "get returned a different set");
-            });
-            cluster.shutdown();
-            (put_ns, get_ns, delivered)
-        };
-
-        let (single_put, single_get, single_bytes) = cluster_bench(1);
-        assert!(
-            single_bytes > 0 && single_bytes < total,
-            "single shard should hold part of the working set, delivered {single_bytes}"
-        );
-        let (shard_put, shard_get, shard_bytes) = cluster_bench(4);
-        assert_eq!(
-            shard_bytes, total,
-            "4-shard cluster failed to absorb the working set"
-        );
-        let mib = |b: u64| b as f64 / (1u64 << 20) as f64;
-        for (name, ns, bytes) in [
-            ("net_single_put_throughput", single_put, single_bytes),
-            ("net_single_get_throughput", single_get, single_bytes),
-            ("net_sharded_put_throughput", shard_put, shard_bytes),
-            ("net_sharded_get_throughput", shard_get, shard_bytes),
-        ] {
-            let per_mib = ns / mib(bytes);
-            println!("{name:<44} {per_mib:>14.1} ns/MiB delivered");
-            results.borrow_mut().push((name, per_mib));
-        }
-    }
-
-    // Disk spill tier: the demote and promote directions of the tier pipe
-    // in ns per MiB (2 MiB object, chunked + checksummed extents through
-    // the shared buffer pool), and the disk-hit rate of a working set held
-    // at 4x the staging memory — every get past the resident quarter is
-    // answered by the tier instead of a rejection. The capacity gain that
-    // buys is the derived `staging_tier_capacity_gain`.
-    let tier_capacity_gain;
-    {
-        use std::sync::Arc;
-        use xlayer_staging::{BufferPool, DiskTier, ObjectKey, StagingServer, TierConfig};
-
-        let dir = std::env::temp_dir().join(format!("xlayer-tier-bench-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("tier scratch dir");
-        let b = IBox::cube(64);
-        let fab = Fab::filled(b, 1, 1.0);
-        let obj = DataObject::from_fab("spill", 1, &fab, 0, &b, 0);
-        let mib = obj.desc.bytes as f64 / (1u64 << 20) as f64;
-        assert_eq!(obj.desc.bytes, 2 << 20, "bench object is 2 MiB");
-        let key = ObjectKey::new("spill", 1);
-        // Compact eagerly so the log's on-disk footprint stays bounded by
-        // the batch loop instead of growing with every timed iteration.
-        let cfg = TierConfig::new(&dir).with_compact_min_dead(32 << 20);
-        let tier =
-            DiskTier::open(dir.join("bench.log"), &cfg, Arc::new(BufferPool::new())).expect("tier");
-        let spill_ns = time_ns(|| {
-            tier.spill(&obj).expect("spill");
-            tier.remove(&key).expect("remove");
-        });
-        tier.spill(&obj).expect("seed promote bench");
-        let promote_ns = time_ns(|| {
-            let got = tier.fetch(&key, None).expect("fetch");
-            assert_eq!(got.len(), 1, "promote read lost the object");
-        });
-
-        // Hit rate: 8 x 2 MiB versions against 4 MiB of memory (4x the
-        // cap). Walking every version front to back promotes each cold
-        // version and demotes a resident one, so most gets touch disk.
-        let hit_cfg = TierConfig::new(&dir).with_compact_min_dead(32 << 20);
-        let hit_tier = Arc::new(
-            DiskTier::open(dir.join("hit.log"), &hit_cfg, Arc::new(BufferPool::new()))
-                .expect("hit tier"),
-        );
-        let cap = 2 * obj.desc.bytes;
-        let server = StagingServer::with_tier(0, cap, Arc::clone(&hit_tier));
-        for v in 1..=8u64 {
-            let mut o = obj.clone();
-            o.desc.key.version = v;
-            server.put(o).expect("tiered put");
-        }
-        let mut served = 0u64;
-        for v in 1..=8u64 {
-            let got = server.get(&ObjectKey::new("spill", v), None);
-            assert_eq!(got.len(), 1, "4x working set lost version {v}");
-            served += 1;
-        }
-        let snap = hit_tier.snapshot();
-        let hit_rate = snap.disk_hits as f64 / served as f64;
-        tier_capacity_gain = (server.used() + hit_tier.disk_used()) as f64 / cap as f64;
-        assert!(snap.disk_hits > 0, "4x working set never touched the tier");
-
-        for (name, v, unit) in [
-            ("staging_spill_throughput", spill_ns / mib, "ns/MiB"),
-            ("staging_promote_throughput", promote_ns / mib, "ns/MiB"),
-            ("staging_tier_hit_rate", hit_rate, "ratio"),
-        ] {
-            println!("{name:<44} {v:>14.3} {unit}");
-            results.borrow_mut().push((name, v));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // xbench: a short loopback saturation sweep — 2 staging shards and 2
-    // in-process load agents on ephemeral ports, offered load doubled
-    // once. The goodput at the knee, the knee's offered load, and the
-    // fleet-wide retry amplification (wire attempts per completed op,
-    // exactly 1.0 when no retry fired) land in the summary so regressions
-    // in the distributed path are caught by the same schema gate as the
-    // kernel numbers.
-    {
-        use xlayer_xbench::ctl::{run_loopback_sweep, SweepOptions};
-        use xlayer_xbench::WorkloadSpec;
-
-        let spec = WorkloadSpec {
-            seed: 7,
-            agents: 2,
-            connections: 2,
-            ops_per_conn: 30,
-            warmup_ops: 5,
-            side_min: 4,
-            side_max: 8,
-            names: 3,
-            spread: 2,
-            ..WorkloadSpec::default()
-        };
-        let opts = SweepOptions {
-            start_rate_bytes_per_sec: 4 << 20,
-            max_steps: 2,
-            improve_frac: 0.05,
-        };
-        let sweep = run_loopback_sweep(2, 2, &spec, &opts).expect("xbench loopback sweep");
-        assert!(
-            !sweep.rows.is_empty() && sweep.saturation_goodput_mibps > 0.0,
-            "xbench sweep measured nothing"
-        );
-        for (name, v, unit) in [
-            (
-                "xbench_saturation_goodput_mibps",
-                sweep.saturation_goodput_mibps,
-                "MiB/s",
-            ),
-            (
-                "xbench_knee_offered_load",
-                sweep.knee_offered_mibps,
-                "MiB/s",
-            ),
-            ("xbench_retry_amplification", sweep.retry_amplification, "x"),
-        ] {
-            println!("{name:<44} {v:>14.3} {unit}");
-            results.borrow_mut().push((name, v));
-        }
-    }
-
-    let results = results.into_inner();
     let produced: Vec<&str> = results.iter().map(|(n, _)| *n).collect();
     assert_eq!(
         produced, EXPECTED_BENCH_KEYS,
@@ -788,23 +306,6 @@ fn main() {
             "mesh_concat_speedup",
             ns_of("mesh_append_64parts") / ns_of("mesh_concat_64parts"),
         ),
-        (
-            "staging_overlap_speedup",
-            ns_of("native_pipeline_sync_16c_4steps")
-                / ns_of("native_pipeline_overlapped_16c_4steps"),
-        ),
-        (
-            "net_chunked_speedup_large",
-            (ns_of("net_put_whole_64mib") + ns_of("net_get_whole_64mib"))
-                / (ns_of("net_put_chunked_throughput") + ns_of("net_get_chunked_throughput")),
-        ),
-        (
-            "net_sharded_speedup",
-            (ns_of("net_single_put_throughput") / ns_of("net_sharded_put_throughput")
-                + ns_of("net_single_get_throughput") / ns_of("net_sharded_get_throughput"))
-                / 2.0,
-        ),
-        ("staging_tier_capacity_gain", tier_capacity_gain),
     ];
     let derived_names: Vec<&str> = derived.iter().map(|(n, _)| *n).collect();
     assert_eq!(
@@ -816,17 +317,7 @@ fn main() {
         println!("{name:<44} {v:>13.2}x");
     }
 
-    let mut json = String::from("{\n  \"unit\": \"ns_per_iter\",\n  \"benches\": {\n");
-    for (i, (name, ns)) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.1}{sep}\n"));
-    }
-    json.push_str("  },\n  \"derived\": {\n");
-    for (i, (name, v)) in derived.iter().enumerate() {
-        let sep = if i + 1 < derived.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {v:.2}{sep}\n"));
-    }
-    json.push_str("  }\n}\n");
+    let json = render_summary(&results, &derived);
     std::fs::write(&out_path, json).expect("write summary");
     println!("wrote {out_path}");
 }

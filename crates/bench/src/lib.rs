@@ -22,8 +22,10 @@ use xlayer_workflow::{AmrDriver, DrivePoint, WorkloadDriver};
 /// The bench names `bench_summary` writes into `BENCH_native_hotpath.json`
 /// under `"benches"`. `bench_summary` asserts it produced exactly these
 /// (in order) and `bench_schema_check` validates a summary file against
-/// them, so a renamed or dropped hot-path measurement fails loudly instead
-/// of silently vanishing from the regression record.
+/// them, so a renamed or dropped kernel measurement fails loudly instead
+/// of silently vanishing from the regression record. Kernels only: the
+/// staged-byte path (pack, transport, wire, service, tier, overlap) is
+/// `xmark`'s, whose per-layer metric names live in `BENCHMARK.json`.
 pub const EXPECTED_BENCH_KEYS: &[&str] = &[
     "exchange_plan_32c_64box_periodic",
     "exchange_32c_64box_periodic_cached",
@@ -34,8 +36,6 @@ pub const EXPECTED_BENCH_KEYS: &[&str] = &[
     "euler_reference_kernel_32c_64box",
     "euler_capture_level_step_32c_64box_periodic",
     "euler_max_wave_speed_32c_64box_periodic",
-    "staging_get_region_64obj",
-    "staging_get_handles_64obj",
     "downsample_flat_64c_x4",
     "downsample_reference_64c_x4",
     "mse_flat_64c_x4",
@@ -46,34 +46,6 @@ pub const EXPECTED_BENCH_KEYS: &[&str] = &[
     "level_entropy_scan_64c_reference",
     "mesh_concat_64parts",
     "mesh_append_64parts",
-    "native_pipeline_sync_16c_4steps",
-    "native_pipeline_overlapped_16c_4steps",
-    "net_put_throughput",
-    "net_get_throughput",
-    "net_put_whole_64mib",
-    "net_get_whole_64mib",
-    "net_put_chunked_throughput",
-    "net_get_chunked_throughput",
-    "net_put_latency_p50",
-    "net_put_latency_p95",
-    "net_put_latency_p99",
-    "net_put_latency_max",
-    "net_get_latency_p50",
-    "net_get_latency_p95",
-    "net_get_latency_p99",
-    "net_get_latency_max",
-    "net_pool_hit_rate",
-    "net_chunksum_hit_rate",
-    "net_single_put_throughput",
-    "net_single_get_throughput",
-    "net_sharded_put_throughput",
-    "net_sharded_get_throughput",
-    "staging_spill_throughput",
-    "staging_promote_throughput",
-    "staging_tier_hit_rate",
-    "xbench_saturation_goodput_mibps",
-    "xbench_knee_offered_load",
-    "xbench_retry_amplification",
 ];
 
 /// The derived ratios `bench_summary` writes under `"derived"`.
@@ -85,11 +57,76 @@ pub const EXPECTED_DERIVED_KEYS: &[&str] = &[
     "entropy_flat_speedup",
     "level_entropy_scan_speedup",
     "mesh_concat_speedup",
-    "staging_overlap_speedup",
-    "net_chunked_speedup_large",
-    "net_sharded_speedup",
-    "staging_tier_capacity_gain",
 ];
+
+/// The summary file `bench_summary` writes: `(name, value)` rows under
+/// `"benches"` (ns/iter, one decimal) and `"derived"` (ratios, two).
+pub fn render_summary(benches: &[(&str, f64)], derived: &[(&str, f64)]) -> String {
+    let rows = |rows: &[(&str, f64)], decimals: usize| {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(name, v)| format!("    \"{name}\": {v:.decimals$}"))
+            .collect();
+        rows.join(",\n")
+    };
+    format!(
+        "{{\n  \"unit\": \"ns_per_iter\",\n  \"benches\": {{\n{}\n  }},\n  \"derived\": {{\n{}\n  }}\n}}\n",
+        rows(benches, 1),
+        rows(derived, 2)
+    )
+}
+
+/// Check `bench_summary` output text against the pinned schema: the unit
+/// line, then exactly [`EXPECTED_BENCH_KEYS`] and [`EXPECTED_DERIVED_KEYS`]
+/// — each once, each a finite positive number, and no key besides them (a
+/// summary written to an older, wider schema is rejected, not read as a
+/// superset). Returns one message per defect; empty means valid. The
+/// workspace has no JSON dependency, so this is a deliberately simple scan
+/// for quoted names followed by a colon.
+pub fn check_summary(text: &str) -> Vec<String> {
+    let mut errors = Vec::new();
+    if !text.contains("\"unit\": \"ns_per_iter\"") {
+        errors.push("missing or wrong \"unit\" (want ns_per_iter)".to_string());
+    }
+    // Every `"name":` in the file, with the text that follows it.
+    let mut found: Vec<(&str, &str)> = Vec::new();
+    let mut rest = text;
+    while let Some((_, after_quote)) = rest.split_once('"') {
+        let Some((name, after_name)) = after_quote.split_once('"') else {
+            break;
+        };
+        rest = after_name;
+        if let Some(value) = after_name.strip_prefix(':') {
+            found.push((name, value.trim_start()));
+        }
+    }
+    let expected = || EXPECTED_BENCH_KEYS.iter().chain(EXPECTED_DERIVED_KEYS);
+    for key in expected() {
+        let mut hits = found.iter().filter(|(name, _)| name == key);
+        let Some((_, value)) = hits.next() else {
+            errors.push(format!("missing key {key:?}"));
+            continue;
+        };
+        if hits.next().is_some() {
+            errors.push(format!("key {key:?} appears more than once"));
+        }
+        let end = value
+            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E')))
+            .unwrap_or(value.len());
+        match value[..end].parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => {}
+            Ok(v) => errors.push(format!("key {key:?}: non-positive value {v}")),
+            Err(e) => errors.push(format!("key {key:?}: unparsable value: {e}")),
+        }
+    }
+    for (name, _) in &found {
+        let structural = matches!(*name, "unit" | "benches" | "derived");
+        if !structural && !expected().any(|k| k == name) {
+            errors.push(format!("key {name:?} is not in the schema"));
+        }
+    }
+    errors
+}
 
 /// A recorded workload trace plus the real run's base-grid size, used to
 /// compute virtual-scale factors.
@@ -279,6 +316,52 @@ mod tests {
         let first = t.points.first().unwrap().bytes;
         let max = t.points.iter().map(|p| p.bytes).max().unwrap();
         assert!(max >= first);
+    }
+
+    /// What `bench_summary` would write for these keys, every value 1.5.
+    fn summary_of(benches: &[&str], derived: &[&str]) -> String {
+        fn rows<'a>(keys: &[&'a str]) -> Vec<(&'a str, f64)> {
+            keys.iter().map(|k| (*k, 1.5)).collect()
+        }
+        render_summary(&rows(benches), &rows(derived))
+    }
+
+    #[test]
+    fn schema_is_kernels_only() {
+        assert_eq!(EXPECTED_BENCH_KEYS.len(), 19);
+        assert_eq!(EXPECTED_DERIVED_KEYS.len(), 7);
+        for key in EXPECTED_BENCH_KEYS.iter().chain(EXPECTED_DERIVED_KEYS) {
+            for layer in ["net_", "staging_", "xbench_", "native_pipeline"] {
+                assert!(!key.starts_with(layer), "{key} belongs to xmark");
+            }
+        }
+    }
+
+    #[test]
+    fn check_summary_is_an_equality_check() {
+        let good = summary_of(EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS);
+        assert_eq!(check_summary(&good), Vec::<String>::new());
+
+        let missing = summary_of(&EXPECTED_BENCH_KEYS[1..], EXPECTED_DERIVED_KEYS);
+        assert!(check_summary(&missing)
+            .iter()
+            .any(|e| e.contains("missing key") && e.contains(EXPECTED_BENCH_KEYS[0])));
+
+        let zero = good.replacen("1.5", "0.0", 1);
+        assert!(check_summary(&zero)
+            .iter()
+            .any(|e| e.contains("non-positive")));
+
+        // A summary to the wider schema this file had before the
+        // staged-byte keys moved to xmark: today's keys are all in it, and
+        // it must still fail, once per key that no longer belongs.
+        let mut benches = EXPECTED_BENCH_KEYS.to_vec();
+        benches.extend(["net_put_throughput", "xbench_knee_offered_load"]);
+        let mut derived = EXPECTED_DERIVED_KEYS.to_vec();
+        derived.push("staging_tier_capacity_gain");
+        let errors = check_summary(&summary_of(&benches, &derived));
+        assert_eq!(errors.len(), 3, "{errors:#?}");
+        assert!(errors.iter().all(|e| e.contains("not in the schema")));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! Retry policy, in one sentence: transient transport faults (refused or
 //! reset connections, timeouts, short reads, corrupted frames, `Busy`
 //! refusals) are retried with bounded exponential backoff on a fresh
-//! connection; **`OutOfMemory` is never retried** — it is the paper's
-//! memory-pressure policy signal (Eq. 10), and hiding it behind retries
-//! would blind the adaptation engine that must react to it.
+//! connection; **`OutOfMemory` and `NeedsReduction` are never retried** —
+//! they are the paper's memory-pressure policy signals (Eq. 10 and the
+//! tier's downsample verdict), and hiding them behind retries would blind
+//! the adaptation engine that must react to them. Both arrive on a healthy,
+//! in-step connection, which goes back to the pool.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -21,7 +23,6 @@ use parking_lot::Mutex;
 use xlayer_amr::boxes::IBox;
 use xlayer_staging::{DataObject, ObjectDesc};
 
-use crate::hist::{LatencyHistogram, LatencySnapshot};
 use crate::iovec::write_vectored_all;
 use crate::pool::BufferPool;
 use crate::wire::{
@@ -185,14 +186,7 @@ struct ClientInner {
     pool: Mutex<Vec<TcpStream>>,
     bufs: Arc<BufferPool>,
     next_id: AtomicU64,
-    put_ns: LatencyHistogram,
-    get_ns: LatencyHistogram,
     retries: RetryCounters,
-}
-
-/// Nanoseconds since `t0`, saturating.
-pub(crate) fn elapsed_ns(t0: std::time::Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// A client of a [`crate::service::StagingService`]. Cheap to clone (all
@@ -219,8 +213,6 @@ impl RemoteClient {
                 pool: Mutex::new(Vec::new()),
                 bufs: Arc::new(BufferPool::new()),
                 next_id: AtomicU64::new(1),
-                put_ns: LatencyHistogram::new(),
-                get_ns: LatencyHistogram::new(),
                 retries: RetryCounters::default(),
             }),
         })
@@ -306,9 +298,9 @@ impl RemoteClient {
 
     /// Run one-attempt exchanges under the retry policy: transient
     /// transport failures retry with bounded exponential backoff on a
-    /// fresh connection; `OutOfMemory`, `BadRequest` and `ShuttingDown`
-    /// responses return immediately — only the transport is retried,
-    /// never policy.
+    /// fresh connection; `OutOfMemory`, `NeedsReduction`, `BadRequest` and
+    /// `ShuttingDown` responses return immediately — only the transport
+    /// is retried, never policy.
     fn call_with(
         &self,
         attempt_once: impl Fn(&Self, &mut TcpStream) -> Result<Response, RemoteError>,
@@ -349,6 +341,13 @@ impl RemoteClient {
                     self.inner.retries.busy.fetch_add(1, Ordering::Relaxed);
                     last_err = Some(RemoteError::Refused(busy));
                 }
+                Ok(Response::Error(reduce @ ErrorFrame::NeedsReduction { .. })) => {
+                    // The other policy signal: same healthy connection.
+                    self.checkin(stream);
+                    return Err(RemoteError::Refused(reduce));
+                }
+                // `BadRequest` / `ShuttingDown`: the stream may be out of
+                // step, so the connection is dropped.
                 Ok(Response::Error(e)) => return Err(RemoteError::Refused(e)),
                 Ok(resp) => {
                     self.checkin(stream);
@@ -385,16 +384,11 @@ impl RemoteClient {
     /// [`ClientConfig::chunk_threshold`] stream as chunks, smaller ones go
     /// as a single frame.
     pub fn put(&self, obj: &DataObject) -> Result<u32, RemoteError> {
-        let t0 = std::time::Instant::now();
-        let res = if obj.desc.bytes >= self.inner.cfg.chunk_threshold {
+        if obj.desc.bytes >= self.inner.cfg.chunk_threshold {
             self.put_chunked(obj)
         } else {
             self.put_whole(obj)
-        };
-        if res.is_ok() {
-            self.inner.put_ns.record(elapsed_ns(t0));
         }
-        res
     }
 
     /// Store one object as a single `Put` frame, regardless of size (fails
@@ -467,12 +461,7 @@ impl RemoteClient {
         version: u64,
         query: Option<IBox>,
     ) -> Result<Vec<DataObject>, RemoteError> {
-        let t0 = std::time::Instant::now();
-        let res = self.get_chunked(name, version, query);
-        if res.is_ok() {
-            self.inner.get_ns.record(elapsed_ns(t0));
-        }
-        res
+        self.get_chunked(name, version, query)
     }
 
     /// Fetch objects as a single `GetOk` frame (fails when the result
@@ -655,27 +644,6 @@ impl RemoteClient {
                 other.opcode()
             ))),
         }
-    }
-
-    /// Percentile summary of successful [`Self::put`] wall times (includes
-    /// retries and backoff — the latency the producer actually saw).
-    pub fn put_latency(&self) -> LatencySnapshot {
-        self.inner.put_ns.snapshot()
-    }
-
-    /// Percentile summary of successful [`Self::get`] wall times.
-    pub fn get_latency(&self) -> LatencySnapshot {
-        self.inner.get_ns.snapshot()
-    }
-
-    /// The put-latency histogram itself (for cluster-wide aggregation).
-    pub(crate) fn put_hist(&self) -> &LatencyHistogram {
-        &self.inner.put_ns
-    }
-
-    /// The get-latency histogram itself (for cluster-wide aggregation).
-    pub(crate) fn get_hist(&self) -> &LatencyHistogram {
-        &self.inner.get_ns
     }
 
     /// Point-in-time copy of the retry counters, by cause (shared by all

@@ -36,8 +36,7 @@ use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 use xlayer_staging::{DataObject, ObjectDesc, PutVerdict, ShardMap, Staging};
 
-use crate::client::{elapsed_ns, ClientConfig, RemoteClient, RemoteError};
-use crate::hist::{LatencyHistogram, LatencySnapshot};
+use crate::client::{ClientConfig, RemoteClient, RemoteError};
 use crate::service::{ServiceConfig, StagingService};
 use crate::wire::{ErrorFrame, ServiceSnapshot};
 
@@ -72,12 +71,6 @@ struct ShardedInner {
     /// placement span (oversized): region queries then broaden to every
     /// shard, trading fan-out for guaranteed coverage.
     broaden: AtomicBool,
-    put_ns: LatencyHistogram,
-    get_ns: LatencyHistogram,
-    /// Put wall times bucketed by the shard the object actually landed on
-    /// (the *owner* after any sibling spill), in shard order — so a shard
-    /// whose puts run slow because they keep spilling shows up by name.
-    put_ns_by_owner: Vec<LatencyHistogram>,
     /// Puts the whole cluster turned down for lack of memory, by the
     /// object's *home* shard — where in space the pressure is.
     rejected_by_home: Vec<AtomicU64>,
@@ -113,7 +106,6 @@ impl ShardedClient {
             .iter()
             .map(|a| RemoteClient::connect(a.as_ref(), cfg.clone()))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let put_ns_by_owner = (0..shards.len()).map(|_| LatencyHistogram::new()).collect();
         let zeros = || (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         let (rejected_by_home, spill_redirects_by_home) = (zeros(), zeros());
         Ok(ShardedClient {
@@ -121,9 +113,6 @@ impl ShardedClient {
                 map: ShardMap::new(shards.len(), span),
                 shards,
                 broaden: AtomicBool::new(false),
-                put_ns: LatencyHistogram::new(),
-                get_ns: LatencyHistogram::new(),
-                put_ns_by_owner,
                 rejected_by_home,
                 spill_redirects_by_home,
             }),
@@ -172,7 +161,6 @@ impl ShardedClient {
     /// the whole cluster is full. Transport failures never spill: a dead
     /// shard must be visible, not silently remapped.
     pub fn put(&self, obj: &DataObject) -> Result<usize, ShardedError> {
-        let t0 = std::time::Instant::now();
         let home = self.inner.map.shard_of(&obj.desc.bbox);
         if !self.inner.map.fits(&obj.desc.bbox) {
             // Oversized for the span: placement still lands it on exactly
@@ -186,10 +174,7 @@ impl ShardedClient {
             ));
         };
         let first = match home_client.put(obj) {
-            Ok(_) => {
-                self.record_put(home, elapsed_ns(t0));
-                return Ok(home);
-            }
+            Ok(_) => return Ok(home),
             Err(e @ RemoteError::OutOfMemory { .. }) => e,
             Err(e) => return Err(self.err_on(home, e)),
         };
@@ -200,7 +185,6 @@ impl ShardedClient {
             match sibling.put(obj) {
                 Ok(_) => {
                     self.inner.broaden.store(true, Ordering::Relaxed);
-                    self.record_put(i, elapsed_ns(t0));
                     bump(&self.inner.spill_redirects_by_home, home);
                     return Ok(i);
                 }
@@ -247,12 +231,10 @@ impl ShardedClient {
         version: u64,
         query: Option<IBox>,
     ) -> Result<Vec<DataObject>, ShardedError> {
-        let t0 = std::time::Instant::now();
         let targets = self.fetch_targets(&query);
         let fetched = self.scatter(&targets, |c| c.get(name, version, query))?;
         let mut out: Vec<DataObject> = fetched.into_iter().flatten().collect();
         sort_objects(&mut out);
-        self.inner.get_ns.record(elapsed_ns(t0));
         Ok(out)
     }
 
@@ -382,55 +364,6 @@ impl ShardedClient {
     /// cap and its disk tier — the cluster-level relief valve engaged.
     pub fn spill_redirects_by_shard(&self) -> Vec<u64> {
         load_all(&self.inner.spill_redirects_by_home)
-    }
-
-    /// Record a completed put against both the aggregate histogram and
-    /// the owning shard's.
-    fn record_put(&self, owner: usize, ns: u64) {
-        self.inner.put_ns.record(ns);
-        if let Some(h) = self.inner.put_ns_by_owner.get(owner) {
-            h.record(ns);
-        }
-    }
-
-    /// Percentile summary of successful sharded put wall times (includes
-    /// any spill attempts).
-    pub fn put_latency(&self) -> LatencySnapshot {
-        self.inner.put_ns.snapshot()
-    }
-
-    /// Put latency percentiles bucketed by the shard each object actually
-    /// landed on (its post-spill owner), in shard order.
-    pub fn put_latency_by_owner(&self) -> Vec<LatencySnapshot> {
-        self.inner
-            .put_ns_by_owner
-            .iter()
-            .map(|h| h.snapshot())
-            .collect()
-    }
-
-    /// Percentile summary of successful scatter/gather get wall times.
-    pub fn get_latency(&self) -> LatencySnapshot {
-        self.inner.get_ns.snapshot()
-    }
-
-    /// Cluster-wide per-link put latency: every shard client's histogram
-    /// folded together.
-    pub fn link_put_latency(&self) -> LatencySnapshot {
-        let all = LatencyHistogram::new();
-        for c in &self.inner.shards {
-            all.absorb(c.put_hist());
-        }
-        all.snapshot()
-    }
-
-    /// Cluster-wide per-link get latency.
-    pub fn link_get_latency(&self) -> LatencySnapshot {
-        let all = LatencyHistogram::new();
-        for c in &self.inner.shards {
-            all.absorb(c.get_hist());
-        }
-        all.snapshot()
     }
 
     /// Cluster-wide retry counters: every shard client's [`ClientStats`]

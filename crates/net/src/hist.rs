@@ -1,18 +1,16 @@
 //! Fixed-bucket latency histograms for per-op wire timing.
 //!
 //! The staging wire needs percentiles, not means: one slow put behind a
-//! retry loop hides in an average but shows in p99. A
-//! [`LatencyHistogram`] records nanosecond samples into 256 fixed
-//! log-spaced buckets (power-of-two decades, four sub-buckets each, ~25 %
-//! resolution) with lock-free atomic counters — recording is a couple of
-//! shifts and one `fetch_add`, cheap enough to sit on every client op.
-//! Quantiles are read back as the lower bound of the covering bucket, so
-//! reported values never overstate the observed latency.
+//! retry loop hides in an average but shows in p99. A [`Hist`] records
+//! nanosecond samples into 252 fixed log-spaced buckets (power-of-two
+//! decades, four sub-buckets each, ~25 % resolution). Quantiles are read
+//! back as the lower bound of the covering bucket, so reported values
+//! never overstate the observed latency.
 //!
-//! Timing sources live in the *callers* (this crate only — kernel crates
-//! stay wall-clock-free); the histogram itself never reads a clock.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Timing sources live in the *callers* — a load generator times its own
+//! ops into its own `Hist` (`xbench::agent`), a benchmark times from
+//! outside (`xmark`); the clients themselves carry no clock reads, and the
+//! histogram never reads one.
 
 /// Number of buckets: 8 exact low buckets + 4 sub-buckets for each of
 /// the 61 remaining power-of-two decades of a u64 (8 + 61*4); every
@@ -39,131 +37,12 @@ fn bucket_floor(idx: usize) -> u64 {
     (1u64 << e) + (sub << (e - 2))
 }
 
-/// A lock-free, fixed-memory latency histogram (nanoseconds).
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; NBUCKETS],
-    count: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.snapshot();
-        f.debug_struct("LatencyHistogram")
-            .field("count", &s.count)
-            .field("p50_ns", &s.p50_ns)
-            .field("p99_ns", &s.p99_ns)
-            .field("max_ns", &s.max_ns)
-            .finish()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&self, ns: u64) {
-        if let Some(b) = self.buckets.get(bucket_of(ns)) {
-            b.fetch_add(1, Ordering::Relaxed);
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.max.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Largest sample recorded (exact, not bucketed). 0 when empty.
-    pub fn max_ns(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) as the lower bound of the covering
-    /// bucket; 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            cum += b.load(Ordering::Relaxed);
-            if cum >= target {
-                return bucket_floor(idx);
-            }
-        }
-        self.max_ns()
-    }
-
-    /// A consistent-enough point-in-time read of the percentiles. Readers
-    /// racing writers may see a sample in `count` before its bucket — fine
-    /// for metrics, which is all this is for.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        LatencySnapshot {
-            count: self.count(),
-            p50_ns: self.quantile_ns(0.50),
-            p95_ns: self.quantile_ns(0.95),
-            p99_ns: self.quantile_ns(0.99),
-            max_ns: self.max_ns(),
-        }
-    }
-
-    /// Fold another histogram's buckets into this one (cluster-wide views).
-    pub fn absorb(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// An owned copy of the current bucket contents, suitable for
-    /// shipping across a control wire and merging offline. Racing
-    /// writers may leave the copied `count` slightly ahead of the bucket
-    /// sum; the owned copy recomputes its count from the buckets so it
-    /// is internally consistent.
-    pub fn to_hist(&self) -> Hist {
-        let mut h = Hist::new();
-        for (idx, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                h.add_bucket(idx as u16, n);
-            }
-        }
-        h.raise_max(self.max_ns());
-        h
-    }
-}
-
-/// An owned, mergeable latency histogram with the same bucket layout as
-/// [`LatencyHistogram`], but plain `u64` counters instead of atomics.
+/// An owned, mergeable, fixed-memory latency histogram (nanoseconds).
 ///
-/// This is the transport/aggregation form: a load-generation agent
+/// Also the transport/aggregation form: a load-generation agent
 /// serialises its per-op histograms as sparse `(bucket, count)` pairs, a
 /// controller rebuilds them with [`Hist::add_bucket`] and folds many
-/// agents together with [`Hist::merge`]. Quantile semantics are
-/// identical to the atomic histogram (bucket floors, never overstated).
+/// agents together with [`Hist::merge`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct Hist {
     buckets: [u64; NBUCKETS],
@@ -245,7 +124,7 @@ impl Hist {
         self.max
     }
 
-    /// Percentile summary, same shape as the atomic histogram's.
+    /// Percentile summary.
     pub fn snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
             count: self.count,
@@ -287,7 +166,7 @@ impl Hist {
     }
 }
 
-/// Point-in-time percentile summary of a [`LatencyHistogram`].
+/// Point-in-time percentile summary of a [`Hist`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencySnapshot {
     /// Samples recorded.
@@ -332,7 +211,7 @@ mod tests {
 
     #[test]
     fn quantiles_of_uniform_ramp() {
-        let h = LatencyHistogram::new();
+        let mut h = Hist::new();
         for ns in 1..=1000u64 {
             h.record(ns * 1000); // 1 µs .. 1 ms
         }
@@ -347,21 +226,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zero() {
-        let h = LatencyHistogram::new();
-        let s = h.snapshot();
-        assert_eq!(s, LatencySnapshot::default());
-    }
-
-    #[test]
-    fn absorb_merges_counts_and_max() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        a.record(100);
-        b.record(1_000_000);
-        b.record(200);
-        a.absorb(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max_ns(), 1_000_000);
+        assert_eq!(Hist::new().snapshot(), LatencySnapshot::default());
     }
 
     #[test]
@@ -422,15 +287,5 @@ mod tests {
         let before = rebuilt.count();
         assert!(!rebuilt.add_bucket(NBUCKETS as u16, 5));
         assert_eq!(rebuilt.count(), before);
-    }
-
-    #[test]
-    fn to_hist_matches_atomic_snapshot() {
-        let h = LatencyHistogram::new();
-        for ns in [12u64, 90, 5_000, 123_456_789] {
-            h.record(ns);
-        }
-        let owned = h.to_hist();
-        assert_eq!(owned.snapshot(), h.snapshot());
     }
 }

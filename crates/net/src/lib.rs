@@ -7,9 +7,13 @@
 //! and hands the same stager the same [`xlayer_staging::Staging`] interface
 //! to drive it through:
 //!
-//! - [`wire`] — a versioned, length-prefixed binary protocol (magic,
-//!   version, opcode, request id, payload length, FNV-1a checksum) with
-//!   total, panic-free codecs for every request/response frame.
+//! - [`frame`] — the 24-byte frame header (magic, version, opcode,
+//!   request id, payload length, FNV-1a checksum) and the bounds-checked
+//!   little-endian cursors, parameterised by magic / version / payload
+//!   cap: the one header codec under both this crate's wire and xbench's
+//!   control protocol.
+//! - [`wire`] — the staging protocol on those frames: versioned opcodes
+//!   and bodies with total, panic-free codecs for every request/response.
 //! - [`service`] — [`StagingService`], a multi-threaded TCP server wrapping
 //!   a `DataSpace`: one worker thread per connection under a bounded accept
 //!   pool, read/write timeouts, graceful shutdown, and per-op counters
@@ -17,7 +21,7 @@
 //!   typed `OutOfMemory` error frames — the policy signal stays visible.
 //! - [`client`] — [`RemoteClient`], a pooled connection client for one
 //!   service with bounded exponential-backoff retry on transient I/O
-//!   errors (never on `OutOfMemory`).
+//!   errors (never on the `OutOfMemory` / `NeedsReduction` policy signals).
 //! - [`cluster`] — the sharded staging cluster: [`StagingCluster`] spawns
 //!   N services (one listener + `DataSpace` + memory cap each), and
 //!   [`ShardedClient`] routes puts by object region through a
@@ -27,10 +31,9 @@
 //!   the crate's `Staging` implementation — one address is a one-shard
 //!   cluster — so `workflow::native` runs in-transit analysis against a
 //!   remote service or a shard list through the handle it uses in process.
-//! - [`hist`] — [`hist::LatencyHistogram`], fixed-bucket lock-free
-//!   latency percentiles (p50/p95/p99/max) recorded on every client op,
-//!   and [`hist::Hist`], its owned mergeable form that load-generation
-//!   agents ship to a controller for cross-agent aggregation.
+//! - [`hist`] — [`hist::Hist`], a fixed-bucket mergeable latency
+//!   histogram (p50/p95/p99/max) that load-generation agents time their
+//!   own ops into and ship to a controller for cross-agent aggregation.
 //! - [`pool`] — [`BufferPool`], a bounded size-classed buffer recycler
 //!   shared by service workers and clients so steady-state put/get traffic
 //!   allocates nothing per op (hit/miss counters travel in `Stats`). The
@@ -55,6 +58,7 @@
 
 pub mod client;
 pub mod cluster;
+pub mod frame;
 pub mod hist;
 pub mod iovec;
 pub use xlayer_staging::pool;
@@ -63,7 +67,7 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientStats, RemoteClient, RemoteError};
 pub use cluster::{ShardedClient, ShardedError, StagingCluster};
-pub use hist::{Hist, LatencyHistogram, LatencySnapshot};
+pub use hist::{Hist, LatencySnapshot};
 pub use pool::{BufferPool, PooledBuf};
 pub use service::{ServiceConfig, ServiceStats, StagingService};
 pub use wire::{ErrorFrame, Opcode, Request, Response, ServiceSnapshot, WireError};

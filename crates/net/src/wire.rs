@@ -1,6 +1,8 @@
 //! The staging wire protocol: versioned, length-prefixed binary frames.
 //!
-//! Every message — request or response — is one frame:
+//! Every message — request or response — is one frame, laid out by the
+//! shared header codec in [`crate::frame`] under this protocol's magic,
+//! version and payload cap:
 //!
 //! ```text
 //! offset  size  field
@@ -22,6 +24,7 @@
 //! decode error is a typed [`WireError`] — the codec never panics on
 //! malformed bytes (xlint rule P covers this module).
 
+use crate::frame::{self, FrameSpec, Rd, Wr};
 use bytes::Bytes;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::intvect::IntVect;
@@ -43,7 +46,7 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 pub const VERSION: u16 = 4;
 
 /// Header size in bytes.
-pub const HEADER_LEN: usize = 24;
+pub const HEADER_LEN: usize = frame::HEADER_LEN;
 
 /// Largest accepted payload (256 MiB). Decoders reject longer frames
 /// before allocating. Objects above this limit must travel chunked
@@ -51,6 +54,13 @@ pub const HEADER_LEN: usize = 24;
 /// bounded per-frame by [`MAX_CHUNK_SIZE`] and in total by
 /// [`MAX_CHUNKED_OBJECT`].
 pub const MAX_PAYLOAD: u32 = 256 << 20;
+
+/// This protocol's parameters for the shared header codec.
+const SPEC: FrameSpec = FrameSpec {
+    magic: MAGIC,
+    version: VERSION,
+    max_payload: MAX_PAYLOAD,
+};
 
 /// Default sub-frame size of a chunked stream (1 MiB).
 pub const DEFAULT_CHUNK_SIZE: u32 = 1 << 20;
@@ -230,41 +240,11 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// Primitive writer/reader
+// Staging types on the shared cursors
 // ---------------------------------------------------------------------------
 
-/// Append-only encoder over a byte vector.
-#[derive(Default)]
-struct Wr {
-    buf: Vec<u8>,
-}
-
+/// The staging wire's compound fields, written with [`Wr`]'s primitives.
 impl Wr {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
     fn ivect(&mut self, v: IntVect) {
         let IntVect([x, y, z]) = v;
         self.i64(x);
@@ -299,69 +279,8 @@ impl Wr {
     }
 }
 
-/// Cursor-style decoder over a byte slice; every read is bounds-checked.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        self.take(1)?.first().copied().ok_or(WireError::Truncated)
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let mut b = [0u8; 2];
-        b.copy_from_slice(self.take(2)?);
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        std::str::from_utf8(self.bytes()?)
-            .map(str::to_string)
-            .map_err(|_| WireError::BadUtf8)
-    }
-
+/// The staging wire's compound fields, read with [`Rd`]'s primitives.
+impl Rd<'_> {
     fn ivect(&mut self) -> Result<IntVect, WireError> {
         Ok(IntVect::new(self.i64()?, self.i64()?, self.i64()?))
     }
@@ -401,13 +320,6 @@ impl<'a> Rd<'a> {
         let payload = Bytes::copy_from_slice(self.bytes()?);
         DataObject::from_wire(desc, payload).ok_or(WireError::InconsistentObject)
     }
-
-    fn done(&self) -> Result<(), WireError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(WireError::TrailingBytes(n)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -428,18 +340,7 @@ pub struct Frame {
 
 /// Encode a complete frame (header + payload) into one buffer.
 pub fn encode_frame(opcode: Opcode, request_id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut w = Wr {
-        buf: Vec::with_capacity(HEADER_LEN + payload.len()),
-    };
-    w.buf.extend_from_slice(&MAGIC);
-    w.u16(VERSION);
-    w.u8(opcode as u8);
-    w.u8(0); // flags, reserved
-    w.u64(request_id);
-    w.u32(payload.len() as u32);
-    w.u32(checksum(payload));
-    w.buf.extend_from_slice(payload);
-    w.buf
+    SPEC.encode(opcode as u8, request_id, payload)
 }
 
 /// Parsed header fields, prior to payload arrival.
@@ -457,47 +358,22 @@ pub struct Header {
 
 /// Decode and validate a 24-byte header.
 pub fn decode_header(buf: &[u8; HEADER_LEN]) -> Result<Header, WireError> {
-    let mut r = Rd::new(buf);
-    let magic = r.take(4)?;
-    if magic != MAGIC {
-        let mut m = [0u8; 4];
-        m.copy_from_slice(magic);
-        return Err(WireError::BadMagic(m));
+    let raw = SPEC.decode_header(buf)?;
+    let opcode = Opcode::from_u8(raw.opcode).ok_or(WireError::BadOpcode(raw.opcode))?;
+    if raw.flags != 0 {
+        return Err(WireError::BadFlags(raw.flags));
     }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let op = r.u8()?;
-    let opcode = Opcode::from_u8(op).ok_or(WireError::BadOpcode(op))?;
-    let flags = r.u8()?;
-    if flags != 0 {
-        return Err(WireError::BadFlags(flags));
-    }
-    let request_id = r.u64()?;
-    let payload_len = r.u32()?;
-    if payload_len > MAX_PAYLOAD {
-        return Err(WireError::Oversize(payload_len));
-    }
-    let cks = r.u32()?;
     Ok(Header {
         opcode,
-        request_id,
-        payload_len,
-        checksum: cks,
+        request_id: raw.request_id,
+        payload_len: raw.payload_len,
+        checksum: raw.checksum,
     })
 }
 
 /// Verify a received payload against its header's checksum.
 pub fn verify_payload(header: &Header, payload: &[u8]) -> Result<(), WireError> {
-    let computed = checksum(payload);
-    if computed != header.checksum {
-        return Err(WireError::ChecksumMismatch {
-            header: header.checksum,
-            computed,
-        });
-    }
-    Ok(())
+    frame::verify(header.checksum, payload)
 }
 
 /// Build a 24-byte frame header for a payload whose bytes are sent
@@ -510,14 +386,7 @@ pub fn frame_header(
     payload_len: u32,
     cks: u32,
 ) -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[..4].copy_from_slice(&MAGIC);
-    h[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    h[6..8].copy_from_slice(&[opcode as u8, 0]); // opcode, reserved flags
-    h[8..16].copy_from_slice(&request_id.to_le_bytes());
-    h[16..20].copy_from_slice(&payload_len.to_le_bytes());
-    h[20..24].copy_from_slice(&cks.to_le_bytes());
-    h
+    SPEC.header(opcode as u8, request_id, payload_len, cks)
 }
 
 /// Encode a single-frame `Put` as vectored parts: fills `scratch` with the

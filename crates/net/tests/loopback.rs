@@ -138,6 +138,45 @@ fn oom_is_typed_and_never_retried() {
 }
 
 #[test]
+fn needs_reduction_keeps_the_pooled_connection() {
+    use xlayer_staging::{ObjectHints, Persistence};
+    // A tiered service whose hints answer every over-cap put with the
+    // downsample verdict. Like OutOfMemory it is a policy signal on a
+    // healthy, in-step connection: never retried, and the socket goes back
+    // to the pool instead of each refusal costing a reconnect.
+    let dir = std::env::temp_dir().join(format!("xlayer-tier-reduce-{}", std::process::id()));
+    let service = StagingService::start(ServiceConfig {
+        servers: 1,
+        memory_per_server: 600,
+        disk_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    service.space().set_hints(
+        "rho",
+        ObjectHints {
+            persistence: Persistence::Reducible { factor: 2 },
+            deadline: None,
+        },
+    );
+    let client = quick_client(&service.local_addr().to_string());
+
+    client.put(&obj("rho", 0, 0, 1.0)).unwrap();
+    for version in 1..=8 {
+        match client.put(&obj("rho", version, 0, 2.0)) {
+            Err(RemoteError::Refused(ErrorFrame::NeedsReduction { factor: 2 })) => {}
+            other => panic!("expected NeedsReduction, got {other:?}"),
+        }
+    }
+
+    let snap = client.service_stats().unwrap();
+    assert_eq!(snap.puts, 9, "a refused put was re-sent");
+    assert_eq!(snap.conns_accepted, 1, "refusals dropped the connection");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn full_pool_refuses_with_busy() {
     // max_connections = 0: every connection is refused with a typed Busy
     // frame, and the client reports it once retries are exhausted.

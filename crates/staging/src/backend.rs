@@ -16,7 +16,7 @@ use xlayer_amr::boxes::IBox;
 
 /// How a backend answered one put. The four outcomes every backend can
 /// produce, so accounting (delivered / rejected / failed) and the
-/// producer's coarsen-and-retry are each written once against this enum.
+/// workflow's coarsen-and-retry are each written once against this enum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[must_use = "a put that was not `Stored` dropped the object"]
 pub enum PutVerdict {
@@ -39,7 +39,7 @@ pub enum PutVerdict {
 /// A staging area addressed by `(variable, version, box)`.
 ///
 /// Only the calls the workflow makes: anything backend-specific (tier
-/// hints, per-shard histograms, connection counters) stays on the concrete
+/// hints, per-shard pressure counters, retry counters) stays on the concrete
 /// type.
 pub trait Staging: Send + Sync {
     /// Store one object.

@@ -44,8 +44,9 @@ pub struct TransportStats {
     pub bytes: AtomicU64,
     /// Puts the backend turned down on policy: staging memory exhausted
     /// ([`PutVerdict::Rejected`]) or a downsample verdict
-    /// ([`PutVerdict::NeedsReduction`]) — an async pipeline has no
-    /// producer on the line to coarsen and retry.
+    /// ([`PutVerdict::NeedsReduction`]) — the stager itself never
+    /// coarsens; a backend that should (the native workflow's) wraps its
+    /// `Staging` handle, and then this counts refused retries.
     pub rejected: AtomicU64,
     /// Objects lost to terminal transport failure ([`PutVerdict::Failed`]:
     /// e.g. a staging service unreachable after retries), so delivered +

@@ -12,10 +12,11 @@
 //! in-process [`DataSpace`], or a staging service / sharded cluster named
 //! by [`NativeConfig::remote`] — is decided once, in
 //! [`NativeWorkflow::new`]; from there on producers, the transport and
-//! the analysis workers all talk to one `Arc<dyn Staging>`. With
-//! `overlap_staging` on (the default),
-//! the puts go through [`AsyncStager`]'s bounded queue, so serialization
-//! and server ingest of step *i* overlap the solve of step *i+1*; an
+//! the analysis workers all talk to one `Arc<dyn Staging>`. Every step's
+//! puts go through [`AsyncStager`]'s bounded queue, so serialization
+//! and server ingest of step *i* overlap the solve of step *i+1* (what
+//! that hides is `xmark`'s `workflow.producer_stall_ms_p50` and
+//! `workflow.overlap_ratio`); an
 //! analysis worker picking up step *i* first blocks on
 //! [`TransportStats::wait_processed`] until all of that version's objects
 //! have landed (per-version counts — later versions finishing early cannot
@@ -29,6 +30,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use xlayer_amr::level_data::LevelData;
+use xlayer_amr::IBox;
 use xlayer_core::{
     AdaptationEngine, Calibrator, EngineConfig, Estimator, OperationalState, Placement,
     PressureAction, UserHints, UserPreferences,
@@ -56,11 +58,6 @@ pub struct NativeConfig {
     pub staging_memory: u64,
     /// In-transit analysis worker threads.
     pub workers: usize,
-    /// Route staging puts through the asynchronous back-pressured
-    /// transport so ingest overlaps the next step's solve. When false,
-    /// every put completes synchronously inside `step()` (the
-    /// pre-overlap baseline, kept for benchmarking).
-    pub overlap_staging: bool,
     /// Force every step's placement, bypassing the engine's decision.
     /// Used by tests and benches that need a deterministic placement.
     pub placement_override: Option<Placement>,
@@ -102,7 +99,6 @@ impl Default for NativeConfig {
             staging_servers: 2,
             staging_memory: 256 << 20,
             workers: 2,
-            overlap_staging: true,
             placement_override: None,
             remote: None,
             shard_span: xlayer_staging::shard::DEFAULT_SPAN,
@@ -133,8 +129,9 @@ struct Job {
     version: u64,
     iso: f64,
     /// Objects the producer enqueued for this version; the worker waits
-    /// until the transport has processed that many before reading. 0 when
-    /// the puts were synchronous (nothing to wait for).
+    /// until the transport has processed that many before reading. Short
+    /// of the step's object count only when the transport had shut down
+    /// and the remainder was stored synchronously.
     expected: u64,
 }
 
@@ -241,6 +238,38 @@ fn reduce_object(obj: &DataObject, factor: u32) -> Option<DataObject> {
     )
 }
 
+/// The staging handle the workflow hands to the transport and the workers:
+/// forwards to the backend, and honours a `NeedsReduction` verdict where it
+/// arrives — coarsen by the requested factor, put once more, and answer
+/// with that second verdict. The retry runs on whichever thread called
+/// `put` (a transfer thread, in a running workflow), so the pressure
+/// policy's downsample action costs the producer nothing.
+struct CoarsenOnDemand(Arc<dyn Staging>);
+
+impl Staging for CoarsenOnDemand {
+    fn put(&self, obj: Arc<DataObject>) -> PutVerdict {
+        match self.0.put(Arc::clone(&obj)) {
+            PutVerdict::NeedsReduction { factor } => match reduce_object(&obj, factor) {
+                Some(reduced) => self.0.put(Arc::new(reduced)),
+                None => PutVerdict::NeedsReduction { factor },
+            },
+            verdict => verdict,
+        }
+    }
+
+    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>> {
+        self.0.get(name, version, query)
+    }
+
+    fn evict_before(&self, name: &str, min_version: u64) -> u64 {
+        self.0.evict_before(name, min_version)
+    }
+
+    fn headroom(&self) -> (u64, u64) {
+        self.0.headroom()
+    }
+}
+
 /// A fully-native coupled workflow: simulation + visualization + staging.
 pub struct NativeWorkflow<S: LevelSolver> {
     sim: AmrSimulation<S>,
@@ -255,7 +284,7 @@ pub struct NativeWorkflow<S: LevelSolver> {
     /// the engine's forced pressure verdict).
     space: Option<Arc<DataSpace>>,
     /// `staging` as the cluster client, when it is one (per-shard
-    /// counters and latency histograms).
+    /// pressure and retry counters).
     cluster: Option<ShardedClient>,
     /// Cached `staging.headroom()`: (steps until the next probe, value).
     headroom: (u32, (u64, u64)),
@@ -286,18 +315,16 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         // staging service or cluster.
         let threads = cfg.staging_servers.max(1);
         let cluster = connect_remote(&cfg);
-        let (staging, stager, space): (Arc<dyn Staging>, _, _) = match &cluster {
-            Some(client) => {
-                let client = Arc::new(client.clone());
-                let stager = AsyncStager::new(Arc::clone(&client), threads, 256);
-                (client, stager, None)
-            }
+        let (backend, space): (Arc<dyn Staging>, _) = match &cluster {
+            Some(client) => (Arc::new(client.clone()), None),
             None => {
                 let space = Arc::new(local_space(&cfg));
-                let stager = AsyncStager::new(Arc::clone(&space), threads, 256);
-                (space.clone(), stager, Some(space))
+                (space.clone(), Some(space))
             }
         };
+        let staging = Arc::new(CoarsenOnDemand(backend));
+        let stager = AsyncStager::new(Arc::clone(&staging), threads, 256);
+        let staging: Arc<dyn Staging> = staging;
         let transport = stager.stats();
         // A rough local-machine model so the middleware policy has cost
         // estimates; decisions also use live measurements via the state.
@@ -407,20 +434,12 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         Some(self.stager.stats())
     }
 
-    /// Synchronous put, used by the non-overlapped baseline and as the
-    /// fallback when the asynchronous transport has shut down. Rejections
-    /// (memory cap, unreachable service) drop the object — same policy on
-    /// both sides of the wire.
+    /// Synchronous put: the fallback for tasks the asynchronous transport
+    /// handed back because it had shut down. Rejections (memory cap,
+    /// unreachable service) drop the object — same policy on both sides of
+    /// the wire.
     fn put_sync(&self, obj: DataObject) {
-        // `NeedsReduction` is the tier's downsample verdict: the producer
-        // is on the line here (unlike the async transport), so coarsen by
-        // the requested factor and retry once.
-        let obj = Arc::new(obj);
-        if let PutVerdict::NeedsReduction { factor } = self.staging.put(Arc::clone(&obj)) {
-            if let Some(reduced) = reduce_object(&obj, factor) {
-                let _ = self.staging.put(Arc::new(reduced));
-            }
-        }
+        let _ = self.staging.put(Arc::new(obj));
     }
 
     /// Bytes the staging side can still accept, `(memory, disk tier)`, for
@@ -574,8 +593,6 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 // Stage every grid of every level as objects, then queue the
                 // analysis job. (Native mode treats hybrid like in-transit:
                 // the split is a modeled-scale mechanism.)
-                let mut staged = 0u64;
-                let overlap = self.cfg.overlap_staging;
                 let mut tasks: Vec<StageTask> = Vec::new();
                 for l in 0..self.sim.hierarchy.num_levels() {
                     let dx = 1.0 / self.sim.hierarchy.ref_ratio().pow(l as u32) as f64;
@@ -584,24 +601,18 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         pack_level_objects(level, self.cfg.comp, "field", stats.step, factor, dx);
                     for obj in objects {
                         moved += obj.desc.bytes;
-                        if overlap {
-                            tasks.push(StageTask::Ready(obj));
-                        } else {
-                            self.put_sync(obj);
-                        }
+                        tasks.push(StageTask::Ready(obj));
                     }
                 }
                 // One hand-off for the whole step. Only tasks the transport
                 // accepted count toward the worker's rendezvous; a refused
                 // remainder (transport shut down) is stored synchronously —
                 // the step degrades, it does not die.
-                if overlap {
-                    staged = tasks.len() as u64;
-                    if let Err(BatchClosed { enqueued, rest }) = self.stager.put_batch(tasks) {
-                        staged = enqueued;
-                        for task in rest {
-                            self.put_sync(task.materialize());
-                        }
+                let mut staged = tasks.len() as u64;
+                if let Err(BatchClosed { enqueued, rest }) = self.stager.put_batch(tasks) {
+                    staged = enqueued;
+                    for task in rest {
+                        self.put_sync(task.materialize());
                     }
                 }
                 self.moved_bytes += moved;
@@ -736,33 +747,6 @@ mod tests {
         // At least one step went through staging (the default engine places
         // in-transit when workers are idle).
         assert!(moved > 0 || steps.iter().any(|s| s.placement == Placement::InSitu));
-    }
-
-    #[test]
-    fn sync_staging_matches_overlapped() {
-        // The overlap is a scheduling change, not a results change.
-        let run = |overlap: bool| {
-            let sim = blob_sim(16);
-            let cfg = NativeConfig {
-                iso_value: 0.4,
-                overlap_staging: overlap,
-                placement_override: Some(Placement::InTransit),
-                ..Default::default()
-            };
-            let mut wf = NativeWorkflow::new(sim, cfg);
-            for _ in 0..3 {
-                wf.step();
-            }
-            let (steps, outcomes, moved) = wf.finish();
-            let tris: Vec<usize> = outcomes.iter().map(|o| o.triangles).collect();
-            let bytes: Vec<u64> = steps.iter().map(|s| s.moved_bytes).collect();
-            (tris, bytes, moved)
-        };
-        let (tris_sync, bytes_sync, moved_sync) = run(false);
-        let (tris_ovl, bytes_ovl, moved_ovl) = run(true);
-        assert_eq!(tris_sync, tris_ovl);
-        assert_eq!(bytes_sync, bytes_ovl);
-        assert_eq!(moved_sync, moved_ovl);
     }
 
     #[test]
@@ -928,35 +912,62 @@ mod tests {
     }
 
     #[test]
-    fn needs_reduction_coarsens_and_retries_in_sync_mode() {
+    fn needs_reduction_coarsens_and_retries() {
+        use std::sync::atomic::Ordering;
+        use xlayer_net::service::{ServiceConfig, StagingService};
         use xlayer_staging::{ObjectHints, Persistence};
-        // Reducible hints force the tier's downsample verdict; the sync
-        // producer must coarsen and land the retry instead of dropping.
-        let sim = blob_sim(16);
+        // Reducible hints force the tier's downsample verdict on a space far
+        // too small for one full-resolution object; the coarsened retry
+        // must land instead of the step's objects being dropped. Same
+        // contract in process and across the wire.
+        let reducible = ObjectHints {
+            persistence: Persistence::Reducible { factor: 2 },
+            deadline: None,
+        };
+        let memory = 4 << 10;
+        let run = |disk_dir: Option<std::path::PathBuf>, remote: Option<String>| {
+            let cfg = NativeConfig {
+                iso_value: 0.4,
+                staging_servers: 1,
+                staging_memory: memory,
+                placement_override: Some(Placement::InTransit),
+                disk_dir,
+                remote,
+                ..Default::default()
+            };
+            let mut wf = NativeWorkflow::new(blob_sim(16), cfg);
+            if let Some(space) = wf.space() {
+                space.set_hints("field", reducible);
+            }
+            wf.step();
+            let transport = wf.transport_stats().expect("transport running");
+            let (_, outcomes, _) = wf.finish();
+            assert!(
+                transport.delivered.load(Ordering::Relaxed) > 0,
+                "no coarsened retry was stored"
+            );
+            assert!(
+                outcomes.iter().any(|o| o.triangles > 0),
+                "coarsened objects produced no surface"
+            );
+        };
+
         let dir = scratch_dir("reduce");
-        let cfg = NativeConfig {
-            iso_value: 0.4,
-            staging_servers: 1,
-            staging_memory: 4 << 10, // far below one step's objects
-            overlap_staging: false,
-            placement_override: Some(Placement::InTransit),
+        run(Some(dir.clone()), None);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = scratch_dir("reduce-remote");
+        let svc = StagingService::start(ServiceConfig {
+            servers: 1,
+            memory_per_server: memory,
             disk_dir: Some(dir.clone()),
             ..Default::default()
-        };
-        let mut wf = NativeWorkflow::new(sim, cfg);
-        let space = Arc::clone(wf.space().expect("local backend"));
-        space.set_hints(
-            "field",
-            ObjectHints {
-                persistence: Persistence::Reducible { factor: 2 },
-                deadline: None,
-            },
-        );
-        wf.step();
-        let (_, outcomes, _) = wf.finish();
+        })
+        .expect("tiered service starts");
+        svc.space().set_hints("field", reducible);
+        run(None, Some(svc.local_addr().to_string()));
+        svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
-        // The coarsened retries still produce an analyzable surface.
-        assert!(outcomes.iter().any(|o| o.triangles > 0));
     }
 
     #[test]

@@ -432,7 +432,7 @@ pub fn summary_json(result: &SweepResult) -> String {
 ///
 /// This is what `xbench-ctl --smoke` runs in CI: no external processes,
 /// ephemeral ports only, a couple of seconds of wall time.
-pub fn run_loopback_sweep(
+fn run_loopback_sweep(
     shards: usize,
     n_agents: usize,
     spec_base: &WorkloadSpec,

@@ -1,11 +1,10 @@
 //! The xbench control protocol: how a controller drives agents.
 //!
-//! Frames reuse the staging wire's conventions — the same 24-byte header
-//! layout (magic, version u16, opcode u8, flags u8, request id u64,
-//! payload length u32, FNV-1a-32 payload checksum u32, all LE) and the
-//! same total, panic-free decoding discipline — but under a distinct
-//! magic (`XBCH`) and version counter, so a control frame aimed at a
-//! staging service (or vice versa) is rejected at the first four bytes.
+//! Frames are the staging wire's — the 24-byte header codec and the
+//! bounds-checked little-endian cursors of [`xlayer_net::frame`], with the
+//! same total, panic-free decoding discipline — under a distinct magic
+//! (`XBCH`), version counter and payload cap, so a control frame aimed at
+//! a staging service (or vice versa) is rejected at the first four bytes.
 //!
 //! The protocol is a sequential RPC per agent: `Hello` handshakes,
 //! `Run` carries one phase of one workload (the spec travels as its
@@ -15,8 +14,9 @@
 //! latency histograms sparsely: exact max, then `(bucket, count)` pairs
 //! — merged controller-side with [`Hist::merge`].
 
+use xlayer_net::frame::{self, FrameSpec, Rd, Wr};
 use xlayer_net::hist::Hist;
-use xlayer_net::wire::checksum;
+use xlayer_net::wire::WireError;
 
 use crate::spec::{SpecError, WorkloadSpec};
 
@@ -27,11 +27,18 @@ pub const MAGIC: [u8; 4] = *b"XBCH";
 pub const VERSION: u16 = 1;
 
 /// Header size in bytes (same layout as the staging wire header).
-pub const HEADER_LEN: usize = 24;
+pub const HEADER_LEN: usize = frame::HEADER_LEN;
 
 /// Largest accepted control payload (16 MiB — reports are small; this
 /// bounds a hostile header's allocation).
 pub const MAX_PAYLOAD: u32 = 16 << 20;
+
+/// This protocol's parameters for the shared header codec.
+const SPEC: FrameSpec = FrameSpec {
+    magic: MAGIC,
+    version: VERSION,
+    max_payload: MAX_PAYLOAD,
+};
 
 /// Control-frame opcodes. Requests are low, responses have the top bit
 /// set, errors share `0x7F` with the staging wire's convention.
@@ -137,6 +144,29 @@ impl From<std::io::Error> for CtlError {
     fn from(e: std::io::Error) -> Self {
         CtlError::Io {
             detail: e.to_string(),
+        }
+    }
+}
+
+/// The shared frame layer's failures in this protocol's taxonomy.
+impl From<WireError> for CtlError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::BadMagic(_) => CtlError::BadMagic,
+            WireError::BadVersion(got) => CtlError::BadVersion { got },
+            WireError::Oversize(len) => CtlError::Oversized { len },
+            WireError::ChecksumMismatch { .. } => CtlError::ChecksumMismatch,
+            WireError::Truncated => CtlError::Truncated,
+            WireError::BadUtf8 => CtlError::Malformed {
+                detail: "string is not UTF-8".to_string(),
+            },
+            WireError::TrailingBytes(_) => CtlError::Malformed {
+                detail: "trailing bytes after body".to_string(),
+            },
+            // Staging-body variants; the shared frame layer raises none.
+            other => CtlError::Malformed {
+                detail: other.to_string(),
+            },
         }
     }
 }
@@ -277,109 +307,32 @@ impl AgentReport {
 // Codec
 // ---------------------------------------------------------------------------
 
-struct Wr {
-    buf: Vec<u8>,
-}
-
-impl Wr {
-    fn new() -> Self {
-        Wr { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn hist(&mut self, h: &Hist) {
-        self.u64(h.max_ns());
-        let pairs: Vec<(u16, u64)> = h.nonzero_buckets().collect();
-        self.u32(pairs.len() as u32);
-        for (idx, n) in pairs {
-            self.u16(idx);
-            self.u64(n);
-        }
+/// Sparse histogram body: exact max, then `(bucket, count)` pairs.
+fn encode_hist(w: &mut Wr, h: &Hist) {
+    w.u64(h.max_ns());
+    let pairs: Vec<(u16, u64)> = h.nonzero_buckets().collect();
+    w.u32(pairs.len() as u32);
+    for (idx, n) in pairs {
+        w.u16(idx);
+        w.u64(n);
     }
 }
 
-struct Rd<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, at: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CtlError> {
-        let end = self.at.checked_add(n).ok_or(CtlError::Truncated)?;
-        let s = self.buf.get(self.at..end).ok_or(CtlError::Truncated)?;
-        self.at = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CtlError> {
-        Ok(self.take(1)?.first().copied().unwrap_or(0))
-    }
-    fn u16(&mut self) -> Result<u16, CtlError> {
-        let s = self.take(2)?;
-        let mut b = [0u8; 2];
-        b.copy_from_slice(s);
-        Ok(u16::from_le_bytes(b))
-    }
-    fn u32(&mut self) -> Result<u32, CtlError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-    fn u64(&mut self) -> Result<u64, CtlError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-    fn string(&mut self) -> Result<String, CtlError> {
-        let n = self.u32()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| CtlError::Malformed {
-            detail: "string is not UTF-8".to_string(),
-        })
-    }
-    fn hist(&mut self) -> Result<Hist, CtlError> {
-        let max = self.u64()?;
-        let npairs = self.u32()? as usize;
-        let mut h = Hist::new();
-        for _ in 0..npairs {
-            let idx = self.u16()?;
-            let count = self.u64()?;
-            if !h.add_bucket(idx, count) {
-                return Err(CtlError::Malformed {
-                    detail: format!("histogram bucket {idx} out of range"),
-                });
-            }
-        }
-        h.raise_max(max);
-        Ok(h)
-    }
-    fn done(&self) -> Result<(), CtlError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CtlError::Malformed {
-                detail: "trailing bytes after body".to_string(),
-            })
+fn decode_hist(r: &mut Rd<'_>) -> Result<Hist, CtlError> {
+    let max = r.u64()?;
+    let npairs = r.u32()? as usize;
+    let mut h = Hist::new();
+    for _ in 0..npairs {
+        let idx = r.u16()?;
+        let count = r.u64()?;
+        if !h.add_bucket(idx, count) {
+            return Err(CtlError::Malformed {
+                detail: format!("histogram bucket {idx} out of range"),
+            });
         }
     }
+    h.raise_max(max);
+    Ok(h)
 }
 
 fn encode_report(w: &mut Wr, r: &AgentReport) {
@@ -398,8 +351,8 @@ fn encode_report(w: &mut Wr, r: &AgentReport) {
     ] {
         w.u64(v);
     }
-    w.hist(&r.put_ns);
-    w.hist(&r.get_ns);
+    encode_hist(w, &r.put_ns);
+    encode_hist(w, &r.get_ns);
 }
 
 fn decode_report(r: &mut Rd<'_>) -> Result<AgentReport, CtlError> {
@@ -415,8 +368,8 @@ fn decode_report(r: &mut Rd<'_>) -> Result<AgentReport, CtlError> {
         retries_busy: r.u64()?,
         retries_io: r.u64()?,
         retries_wire: r.u64()?,
-        put_ns: r.hist()?,
-        get_ns: r.hist()?,
+        put_ns: decode_hist(r)?,
+        get_ns: decode_hist(r)?,
     })
 }
 
@@ -435,41 +388,18 @@ pub struct CtlHeader {
 
 /// Build a complete frame for `body` under `opcode`/`request_id`.
 pub fn encode_ctl_frame(opcode: CtlOpcode, request_id: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(opcode as u8);
-    out.push(0);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    SPEC.encode(opcode as u8, request_id, body)
 }
 
 /// Decode and validate a 24-byte control header.
 pub fn decode_ctl_header(h: &[u8; HEADER_LEN]) -> Result<CtlHeader, CtlError> {
-    let mut r = Rd::new(h);
-    if r.take(4)? != MAGIC {
-        return Err(CtlError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(CtlError::BadVersion { got: version });
-    }
-    let op = r.u8()?;
-    let opcode = CtlOpcode::from_u8(op).ok_or(CtlError::BadOpcode { got: op })?;
-    let _flags = r.u8()?;
-    let request_id = r.u64()?;
-    let payload_len = r.u32()?;
-    if payload_len > MAX_PAYLOAD {
-        return Err(CtlError::Oversized { len: payload_len });
-    }
+    let raw = SPEC.decode_header(h)?;
+    let opcode = CtlOpcode::from_u8(raw.opcode).ok_or(CtlError::BadOpcode { got: raw.opcode })?;
     Ok(CtlHeader {
         opcode,
-        request_id,
-        payload_len,
-        checksum: r.u32()?,
+        request_id: raw.request_id,
+        payload_len: raw.payload_len,
+        checksum: raw.checksum,
     })
 }
 
@@ -478,10 +408,7 @@ pub fn verify_ctl_payload(header: &CtlHeader, payload: &[u8]) -> Result<(), CtlE
     if payload.len() as u64 != u64::from(header.payload_len) {
         return Err(CtlError::Truncated);
     }
-    if checksum(payload) != header.checksum {
-        return Err(CtlError::ChecksumMismatch);
-    }
-    Ok(())
+    Ok(frame::verify(header.checksum, payload)?)
 }
 
 impl CtlRequest {
@@ -496,7 +423,7 @@ impl CtlRequest {
 
     /// Encode into a complete frame.
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
-        let mut w = Wr::new();
+        let mut w = Wr::default();
         if let CtlRequest::Run(cmd) = self {
             w.u8(cmd.phase as u8);
             w.u32(cmd.agent_index);
@@ -550,7 +477,7 @@ impl CtlResponse {
 
     /// Encode into a complete frame echoing `request_id`.
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
-        let mut w = Wr::new();
+        let mut w = Wr::default();
         match self {
             CtlResponse::HelloOk { agent } => w.string(agent),
             CtlResponse::RunOk(report) => encode_report(&mut w, report),

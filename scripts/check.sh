@@ -49,7 +49,9 @@ cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke
 echo "==> bench targets compile"
 cargo build --locked --release -p xlayer-bench --benches --bins
 
-echo "==> bench summary schema (BENCH_native_hotpath.json)"
+echo "==> kernel bench summary schema (BENCH_native_hotpath.json: exactly 19 keys + 7 ratios)"
+# An equality check: a summary carrying keys outside the schema (the
+# staged-byte keys that moved to xmark, say) fails like a missing one.
 cargo run --locked --release -q -p xlayer-bench --bin bench_schema_check -- BENCH_native_hotpath.json
 
 echo "All checks passed."
