@@ -1,6 +1,7 @@
-//! Standalone sharded staging cluster: N staging services, one listener
-//! and memory cap each, the way DataSpaces deploys a set of dedicated
-//! staging nodes.
+//! Standalone staging: N staging services, one listener and memory cap
+//! each, the way DataSpaces deploys a set of dedicated staging nodes.
+//! `--shards 1` is the single standalone service — one address is a
+//! one-shard cluster on both sides of the wire.
 //!
 //! ```text
 //! staging_cluster [--shards N] [--addr HOST:PORT] [--servers S]
@@ -85,7 +86,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: staging_cluster [--shards N] [--addr HOST:PORT] \
                      [--servers S] [--memory-mib M] [--max-conns C] [--chunk-kib K] \
-                     [--disk-dir PATH] [--disk-budget-mib D]"
+                     [--disk-dir PATH] [--disk-budget-mib D]\n\
+                     --shards 1 runs a single standalone staging service"
                     .to_string());
             }
             other => return Err(format!("unknown flag {other}")),

@@ -1,7 +1,11 @@
 //! Client side of the staging wire: a pooled, retrying [`RemoteClient`]
 //! for one service. Workflows reach it through
 //! [`crate::cluster::ShardedClient`], which is also the asynchronous
-//! transport's backend.
+//! transport's backend. Frames come off the socket through
+//! [`crate::frame`]'s reader and chunked objects move through
+//! `crate::stream`; this module adds the exchange shapes and the policy:
+//! any fault mid-exchange drops the socket and the retry loop classifies
+//! it.
 //!
 //! Retry policy, in one sentence: transient transport faults (refused or
 //! reset connections, timeouts, short reads, corrupted frames, `Busy`
@@ -12,24 +16,22 @@
 //! the adaptation engine that must react to them. Both arrive on a healthy,
 //! in-step connection, which goes back to the pool.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use xlayer_amr::boxes::IBox;
 use xlayer_staging::{DataObject, ObjectDesc};
 
+use crate::frame::RecvError;
 use crate::iovec::write_vectored_all;
 use crate::pool::BufferPool;
+use crate::stream::{recv_header, recv_payload, send_stream, Assembler, Fault, Step};
 use crate::wire::{
-    checksum, chunk_data_parts, clamp_chunk_size, decode_chunk_end, decode_chunk_prefix,
-    decode_header, encode_chunk_end, frame_header, put_frame_parts, verify_payload, ChunkEnd,
-    ErrorFrame, Opcode, Request, Response, ServiceSnapshot, WireError, CHUNK_PREFIX_LEN,
-    DEFAULT_CHUNK_SIZE, HEADER_LEN,
+    checksum, clamp_chunk_size, frame_header, put_frame_parts, ErrorFrame, Request, Response,
+    ServiceSnapshot, WireError, DEFAULT_CHUNK_SIZE,
 };
 
 /// Configuration of a [`RemoteClient`].
@@ -121,6 +123,27 @@ impl std::fmt::Display for RemoteError {
 }
 
 impl std::error::Error for RemoteError {}
+
+impl From<RecvError> for RemoteError {
+    fn from(e: RecvError) -> Self {
+        match e {
+            RecvError::Io(e) => RemoteError::Io(e),
+            RecvError::Wire(e) => RemoteError::Wire(e),
+        }
+    }
+}
+
+/// A get stream's fault in the retry loop's terms: corrupted or short
+/// bytes may be connection-local and are retried as wire errors; a peer
+/// that breaks the stream's sequencing is a protocol violation.
+impl From<Fault> for RemoteError {
+    fn from(fault: Fault) -> Self {
+        match fault.wire {
+            Some(e) => RemoteError::Wire(e),
+            None => RemoteError::Protocol(fault.detail),
+        }
+    }
+}
 
 /// Is this I/O failure worth a fresh connection and another attempt?
 fn transient(kind: std::io::ErrorKind) -> bool {
@@ -271,14 +294,8 @@ impl RemoteClient {
 
     /// Read one response frame into pooled scratch and decode it.
     fn read_response(&self, stream: &mut TcpStream, id: u64) -> Result<Response, RemoteError> {
-        let mut header_buf = [0u8; HEADER_LEN];
-        stream
-            .read_exact(&mut header_buf)
-            .map_err(RemoteError::Io)?;
-        let header = decode_header(&header_buf).map_err(RemoteError::Wire)?;
-        let mut payload = self.inner.bufs.acquire(header.payload_len as usize);
-        stream.read_exact(&mut payload).map_err(RemoteError::Io)?;
-        verify_payload(&header, &payload).map_err(RemoteError::Wire)?;
+        let header = recv_header(stream)?;
+        let payload = recv_payload(stream, &self.inner.bufs, &header)?;
         if header.request_id != id && header.request_id != 0 {
             return Err(RemoteError::Protocol(format!(
                 "response id {} for request id {id}",
@@ -424,29 +441,14 @@ impl RemoteClient {
         obj: &DataObject,
     ) -> Result<Response, RemoteError> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let chunk = clamp_chunk_size(self.inner.cfg.chunk_size) as usize;
+        let chunk = clamp_chunk_size(self.inner.cfg.chunk_size);
         let head = Request::PutChunked {
             desc: obj.desc.clone(),
-            chunk_size: chunk as u32,
+            chunk_size: chunk,
         };
         self.send_request(stream, &head, id)?;
-        let payload: &[u8] = obj.payload.as_ref();
-        let mut off = 0usize;
-        while off < payload.len() {
-            let n = chunk.min(payload.len() - off);
-            let data = &payload[off..off + n];
-            let (header, prefix) = chunk_data_parts(id, 0, off as u64, data);
-            write_vectored_all(stream, &[&header, &prefix, data]).map_err(RemoteError::Io)?;
-            off += n;
-        }
-        let end = encode_chunk_end(
-            id,
-            ChunkEnd {
-                objects: 1,
-                total_bytes: payload.len() as u64,
-            },
-        );
-        stream.write_all(&end).map_err(RemoteError::Io)?;
+        send_stream(stream, id, chunk as usize, [(obj.payload.as_ref(), None)])
+            .map_err(RemoteError::Io)?;
         self.read_response(stream, id)
     }
 
@@ -531,88 +533,17 @@ impl RemoteClient {
                 )))
             }
         };
-        let chunk = chunk_size as u64;
-        // Destination allocations double as the final object payloads.
-        let mut bufs: Vec<Vec<u8>> = descs.iter().map(|d| vec![0u8; d.bytes as usize]).collect();
-        let mut next: Vec<u64> = vec![0; descs.len()];
+        let mut assembler = Assembler::new(descs, chunk_size);
+        // Abort on the first fault: the socket is dropped with the stream
+        // half-read and `call_with` classifies what went wrong.
         let end = loop {
-            let mut header_buf = [0u8; HEADER_LEN];
-            stream
-                .read_exact(&mut header_buf)
-                .map_err(RemoteError::Io)?;
-            let header = decode_header(&header_buf).map_err(RemoteError::Wire)?;
-            if header.request_id != id {
-                return Err(RemoteError::Protocol(format!(
-                    "frame for request {} interleaved into stream {id}",
-                    header.request_id
-                )));
-            }
-            match header.opcode {
-                Opcode::ChunkData if header.payload_len as usize >= CHUNK_PREFIX_LEN => {
-                    let mut prefix = [0u8; CHUNK_PREFIX_LEN];
-                    stream.read_exact(&mut prefix).map_err(RemoteError::Io)?;
-                    let (index, offset) = decode_chunk_prefix(&prefix);
-                    let data_len = (header.payload_len as usize - CHUNK_PREFIX_LEN) as u64;
-                    let dst = next
-                        .get(index as usize)
-                        .copied()
-                        .filter(|&expected| {
-                            let total = descs[index as usize].bytes;
-                            match offset.checked_add(data_len) {
-                                Some(end_off) => {
-                                    offset == expected
-                                        && end_off <= total
-                                        && (data_len == chunk || end_off == total)
-                                }
-                                None => false,
-                            }
-                        })
-                        .map(|_| offset as usize);
-                    let Some(at) = dst else {
-                        return Err(RemoteError::Protocol(format!(
-                            "chunk (object {index}, offset {offset}) out of sequence"
-                        )));
-                    };
-                    let buf = &mut bufs[index as usize][at..at + data_len as usize];
-                    stream.read_exact(buf).map_err(RemoteError::Io)?;
-                    let cks = checksum(&prefix) ^ checksum(buf);
-                    if cks != header.checksum {
-                        return Err(RemoteError::Wire(WireError::ChecksumMismatch {
-                            header: header.checksum,
-                            computed: cks,
-                        }));
-                    }
-                    next[index as usize] = offset + data_len;
-                }
-                Opcode::ChunkEnd => {
-                    let mut payload = self.inner.bufs.acquire(header.payload_len as usize);
-                    stream.read_exact(&mut payload).map_err(RemoteError::Io)?;
-                    verify_payload(&header, &payload).map_err(RemoteError::Wire)?;
-                    break decode_chunk_end(&payload).map_err(RemoteError::Wire)?;
-                }
-                other => {
-                    return Err(RemoteError::Protocol(format!(
-                        "opcode {:#04x} inside a chunk stream",
-                        other as u8
-                    )))
-                }
+            match assembler.recv(stream, &self.inner.bufs, id)? {
+                Step::Chunk(_) => {}
+                Step::End(end) => break end,
+                Step::Fault(fault) => return Err(fault.into()),
             }
         };
-        let received: u64 = next.iter().sum();
-        if end.objects as usize != descs.len()
-            || end.total_bytes != received
-            || next.iter().zip(&descs).any(|(&got, d)| got != d.bytes)
-        {
-            return Err(RemoteError::Wire(WireError::Truncated));
-        }
-        let mut objs = Vec::with_capacity(descs.len());
-        for (desc, buf) in descs.into_iter().zip(bufs) {
-            match DataObject::from_wire(desc, Bytes::from(buf)) {
-                Some(o) => objs.push(o),
-                None => return Err(RemoteError::Wire(WireError::InconsistentObject)),
-            }
-        }
-        Ok(Response::GetOk(objs))
+        Ok(Response::GetOk(assembler.finish(end)?))
     }
 
     /// Fetch descriptors under `(name, version)` — metadata only.

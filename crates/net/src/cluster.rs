@@ -256,79 +256,60 @@ impl ShardedClient {
         targets: &[usize],
         op: impl Fn(&RemoteClient) -> Result<T, RemoteError> + Sync,
     ) -> Result<Vec<T>, ShardedError> {
+        self.scatter_each(targets, op).into_iter().collect()
+    }
+
+    /// [`Self::scatter`] with every target's outcome kept in its own slot,
+    /// in target order: every target runs whether or not a sibling fails.
+    fn scatter_each<T: Send>(
+        &self,
+        targets: &[usize],
+        op: impl Fn(&RemoteClient) -> Result<T, RemoteError> + Sync,
+    ) -> Vec<Result<T, ShardedError>> {
+        let shards = &self.inner.shards;
+        let live = targets.iter().filter_map(|&i| Some((i, shards.get(i)?)));
         // One target: skip the thread machinery (the common case for
         // span-local queries).
         if targets.len() <= 1 {
-            let mut out = Vec::new();
-            for &i in targets {
-                let Some(client) = self.inner.shards.get(i) else {
-                    continue;
-                };
-                out.push(op(client).map_err(|e| self.err_on(i, e))?);
-            }
-            return Ok(out);
+            return live
+                .map(|(i, client)| op(client).map_err(|e| self.err_on(i, e)))
+                .collect();
         }
         let op = &op;
-        let results: Vec<(usize, Result<T, RemoteError>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = targets
-                .iter()
-                .filter_map(|&i| {
-                    self.inner
-                        .shards
-                        .get(i)
-                        .map(|client| (i, s.spawn(move || op(client))))
-                })
+        std::thread::scope(|s| {
+            let handles: Vec<_> = live
+                .map(|(i, client)| (i, s.spawn(move || op(client))))
                 .collect();
             handles
                 .into_iter()
                 .map(|(i, h)| {
-                    let r = h.join().unwrap_or_else(|_| {
-                        Err(RemoteError::Protocol(
-                            "shard fetch worker panicked".to_string(),
-                        ))
-                    });
-                    (i, r)
+                    h.join()
+                        .unwrap_or_else(|_| {
+                            Err(RemoteError::Protocol(
+                                "shard fetch worker panicked".to_string(),
+                            ))
+                        })
+                        .map_err(|e| self.err_on(i, e))
                 })
                 .collect()
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for (i, r) in results {
-            out.push(r.map_err(|e| self.err_on(i, e))?);
-        }
-        Ok(out)
+        })
     }
 
     /// Evict versions of `name` older than `before_version` on every
     /// shard; returns total bytes freed. Visits every shard even when one
     /// fails, then reports the failure on the lowest shard id.
     pub fn evict_before(&self, name: &str, before_version: u64) -> Result<u64, ShardedError> {
-        let mut freed = 0u64;
-        let mut first_err = None;
-        for (i, c) in self.inner.shards.iter().enumerate() {
-            match c.evict_before(name, before_version) {
-                Ok(b) => freed += b,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(self.err_on(i, e));
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(freed),
-        }
+        let all = self.inner.map.all_shards();
+        let freed = self.scatter(&all, |c| c.evict_before(name, before_version))?;
+        Ok(freed.into_iter().sum())
     }
 
     /// Per-shard service snapshots, in shard order — the cluster's Eq. 10
-    /// accounting view (per-shard `used`/`capacity`, op counters).
+    /// accounting view (per-shard `used`/`capacity`, op counters). One
+    /// concurrent `Stats` round trip per shard; a shard's failure stays in
+    /// its own slot.
     pub fn shard_stats(&self) -> Vec<Result<ServiceSnapshot, ShardedError>> {
-        self.inner
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.service_stats().map_err(|e| self.err_on(i, e)))
-            .collect()
+        self.scatter_each(&self.inner.map.all_shards(), |c| c.service_stats())
     }
 
     /// Free bytes across reachable shards as `(memory, disk tier)`, both
@@ -379,18 +360,8 @@ impl ShardedClient {
     /// Ask every shard to shut down. Visits all shards; reports the first
     /// failure (lowest shard id).
     pub fn shutdown_all(&self) -> Result<(), ShardedError> {
-        let mut first_err = None;
-        for (i, c) in self.inner.shards.iter().enumerate() {
-            if let Err(e) = c.shutdown() {
-                if first_err.is_none() {
-                    first_err = Some(self.err_on(i, e));
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let all = self.inner.map.all_shards();
+        self.scatter(&all, |c| c.shutdown()).map(drop)
     }
 }
 

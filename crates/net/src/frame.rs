@@ -1,14 +1,23 @@
-//! The frame header and little-endian cursors shared by every protocol
-//! in the workspace.
+//! The frame header, the little-endian cursors and the frame reader shared
+//! by every protocol in the workspace.
 //!
 //! The staging wire ([`crate::wire`], whose module doc draws the 24-byte
 //! layout) and the xbench control protocol frame their messages
 //! identically — only the magic, the version counter and the payload cap
 //! differ, and those are a [`FrameSpec`]. A protocol owns its opcode
 //! table and its body layouts; the header codec and the bounds-checked
-//! primitive reader/writer live here once. Failures are [`WireError`]s (a
-//! protocol with its own taxonomy converts); decoding is total over
-//! arbitrary bytes.
+//! primitive reader/writer live here once. Decoding failures are
+//! [`WireError`]s (a protocol with its own taxonomy converts); decoding is
+//! total over arbitrary bytes.
+//!
+//! The I/O half is [`read_header`] + [`read_payload`]: the only code that
+//! takes a frame off a reader. Every socket reader in the workspace — the
+//! staging client and service, the chunk-stream assembler, xbench's
+//! controller and agent — is these two calls plus its own policy for what
+//! a failure means; they fail with [`RecvError`], the transport's
+//! `io::Error` or the codec's `WireError` and nothing else.
+
+use std::io::Read;
 
 use crate::wire::WireError;
 use xlayer_staging::sum::checksum;
@@ -113,6 +122,57 @@ pub fn verify(header_checksum: u32, payload: &[u8]) -> Result<(), WireError> {
         });
     }
     Ok(())
+}
+
+/// Why a frame could not be taken off a reader: the transport failed, or
+/// the bytes it delivered are not a valid frame.
+#[derive(Debug)]
+pub enum RecvError {
+    /// The reader failed (EOF mid-frame is `UnexpectedEof`).
+    Io(std::io::Error),
+    /// The header or the payload checksum did not decode.
+    Wire(WireError),
+}
+
+impl From<std::io::Error> for RecvError {
+    fn from(e: std::io::Error) -> Self {
+        RecvError::Io(e)
+    }
+}
+
+impl From<WireError> for RecvError {
+    fn from(e: WireError) -> Self {
+        RecvError::Wire(e)
+    }
+}
+
+/// Take one header off `r`: exactly [`HEADER_LEN`] bytes, handed to the
+/// protocol's header decoder ([`FrameSpec::decode_header`] plus its opcode
+/// table). Nothing is allocated, so a hostile header — wrong magic, a
+/// payload length past the cap — fails here before any buffer is sized
+/// from it.
+pub fn read_header<H, E: From<std::io::Error>>(
+    r: &mut impl Read,
+    decode: impl FnOnce(&[u8; HEADER_LEN]) -> Result<H, E>,
+) -> Result<H, E> {
+    let mut buf = [0u8; HEADER_LEN];
+    r.read_exact(&mut buf)?;
+    decode(&buf)
+}
+
+/// Fill `buf` with the payload a decoded header announced and verify it
+/// against the header's checksum. The caller sizes `buf` (pooled on the
+/// staging wire, a plain `Vec` for xbench's rare control frames) from a
+/// header that passed [`FrameSpec::decode_header`] — that is what bounds
+/// the allocation. A checksum failure leaves the reader positioned after
+/// the frame, so the caller may keep the connection.
+pub fn read_payload(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    header_checksum: u32,
+) -> Result<(), RecvError> {
+    r.read_exact(buf)?;
+    Ok(verify(header_checksum, buf)?)
 }
 
 /// Append-only little-endian encoder over a byte vector. Floats travel as
@@ -221,5 +281,92 @@ impl<'a> Rd<'a> {
             0 => Ok(()),
             n => Err(WireError::TrailingBytes(n)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::{BufferPool, PooledBuf};
+    use std::sync::Arc;
+
+    const SPEC: FrameSpec = FrameSpec {
+        magic: *b"TEST",
+        version: 7,
+        max_payload: 1 << 10,
+    };
+
+    /// A reader that hands out at most one byte per call — every
+    /// `read_exact` inside the frame reader sees short reads.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            let (head, tail) = self.0.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.0 = tail;
+            Ok(n)
+        }
+    }
+
+    fn read_one(
+        r: &mut impl Read,
+        pool: &Arc<BufferPool>,
+    ) -> Result<(RawHeader, PooledBuf), RecvError> {
+        let header = read_header(r, |b| SPEC.decode_header(b).map_err(RecvError::Wire))?;
+        let mut payload = pool.acquire(header.payload_len as usize);
+        read_payload(r, &mut payload, header.checksum)?;
+        Ok((header, payload))
+    }
+
+    #[test]
+    fn frames_survive_one_byte_reads() {
+        let pool = Arc::new(BufferPool::new());
+        let body: Vec<u8> = (0..=200u8).collect();
+        let mut bytes = SPEC.encode(0x11, 42, &body);
+        bytes.extend(SPEC.encode(0x12, 43, &[]));
+        let mut r = Trickle(&bytes);
+        let (header, payload) = read_one(&mut r, &pool).unwrap();
+        assert_eq!((header.opcode, header.request_id), (0x11, 42));
+        assert_eq!(payload.as_slice(), body.as_slice());
+        let (header, payload) = read_one(&mut r, &pool).unwrap();
+        assert_eq!((header.opcode, header.request_id), (0x12, 43));
+        assert!(payload.is_empty());
+        // A clean end of stream is the transport's error, not the codec's.
+        match read_one(&mut r, &pool) {
+            Err(RecvError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected EOF, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversize_header_fails_before_any_buffer_is_sized() {
+        let pool = Arc::new(BufferPool::new());
+        let header = SPEC.header(0x11, 1, SPEC.max_payload + 1, 0);
+        match read_one(&mut header.as_slice(), &pool) {
+            Err(RecvError::Wire(WireError::Oversize(n))) => assert_eq!(n, SPEC.max_payload + 1),
+            other => panic!("expected Oversize, got {other:?}"),
+        }
+        assert_eq!((pool.hits(), pool.misses(), pool.outstanding()), (0, 0, 0));
+    }
+
+    #[test]
+    fn corrupt_payload_is_consumed_whole_and_its_buffer_returned() {
+        let pool = Arc::new(BufferPool::new());
+        let mut bytes = SPEC.encode(0x11, 1, b"payload bytes");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        bytes.extend(SPEC.encode(0x12, 2, b"next"));
+        let mut r = bytes.as_slice();
+        match read_one(&mut r, &pool) {
+            Err(RecvError::Wire(WireError::ChecksumMismatch { .. })) => {}
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
+        }
+        assert_eq!(pool.outstanding(), 0);
+        // The reader stands at the next frame: the caller may keep going.
+        let (header, payload) = read_one(&mut r, &pool).unwrap();
+        assert_eq!(header.request_id, 2);
+        assert_eq!(payload.as_slice(), b"next");
     }
 }

@@ -11,9 +11,16 @@
 //!   request id, payload length, FNV-1a checksum) and the bounds-checked
 //!   little-endian cursors, parameterised by magic / version / payload
 //!   cap: the one header codec under both this crate's wire and xbench's
-//!   control protocol.
+//!   control protocol — and the one frame reader (header, then a pooled,
+//!   checksum-verified payload, off any `Read`) under every socket loop in
+//!   the workspace.
 //! - [`wire`] — the staging protocol on those frames: versioned opcodes
 //!   and bodies with total, panic-free codecs for every request/response.
+//! - `stream` (crate-private) — the chunk stream, once: the sender that
+//!   slices a payload into `ChunkData` frames and the assembler that lands
+//!   them in place, shared by the client's and the service's put and get
+//!   directions. It reports what is wrong with a stream; client and
+//!   service each keep their own policy for what to do about it.
 //! - [`service`] — [`StagingService`], a multi-threaded TCP server wrapping
 //!   a `DataSpace`: one worker thread per connection under a bounded accept
 //!   pool, read/write timeouts, graceful shutdown, and per-op counters
@@ -44,10 +51,10 @@
 //!   the wire in one syscall without concatenating them.
 //!
 //! Large objects stream as chunked sub-frames (`PutChunked`/`GetChunked`,
-//! default 1 MiB chunks): the service assembles puts directly into the
-//! destination buffer and serves gets straight out of the `Arc`-held
-//! payload, so the chunked path has no whole-object copies and no 256 MiB
-//! frame ceiling.
+//! default 1 MiB chunks): receivers assemble directly into the buffer
+//! that becomes the payload and senders write straight out of the
+//! `Arc`-held payload, so the chunked path has no whole-object copies and
+//! no 256 MiB frame ceiling.
 //!
 //! Everything is `std::net` — the build is offline and the workspace has no
 //! async runtime; blocking sockets plus threads match the paper's
@@ -63,6 +70,7 @@ pub mod hist;
 pub mod iovec;
 pub use xlayer_staging::pool;
 pub mod service;
+mod stream;
 pub mod wire;
 
 pub use client::{ClientConfig, ClientStats, RemoteClient, RemoteError};

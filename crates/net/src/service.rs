@@ -8,6 +8,14 @@
 //! graceful shutdown is: set the flag, poke the listener with a loopback
 //! connect to unblock `accept`, join everything.
 //!
+//! A worker reads its socket through `Conn`, a `Read`/`Write` adapter that
+//! owns that tick (and the byte counters); everything above it is
+//! [`crate::frame`]'s reader and `crate::stream`'s sender and assembler.
+//! What stays here is the service's failure policy: a frame whose header
+//! does not decode ends the connection after one `BadRequest`; anything
+//! wrong *inside* a framed request or chunk stream is drained to its end
+//! and answered with one typed error on a connection that keeps serving.
+//!
 //! Memory-cap rejections from the space ([`StagingError::OutOfMemory`])
 //! are answered with `OutOfMemory` error frames carrying cap/used/requested
 //! — the paper's Eq. 10 pressure signal crosses the wire intact instead of
@@ -20,16 +28,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
 use xlayer_staging::{DataObject, DataSpace, ObjectDesc, Sharding, StagingError};
 
+use crate::frame::RecvError;
 use crate::iovec::write_vectored_all;
 use crate::pool::{BufferPool, PooledBuf};
+use crate::stream::{recv_header, recv_payload, send_stream, Assembler, Step};
 use crate::wire::{
-    checksum, chunk_data_parts, chunk_data_parts_cached, clamp_chunk_size, decode_chunk_end,
-    decode_chunk_prefix, decode_header, encode_chunk_end, frame_header, verify_payload, ChunkEnd,
-    ErrorFrame, Opcode, Request, Response, ServiceSnapshot, CHUNK_PREFIX_LEN, HEADER_LEN,
-    MAX_CHUNKED_OBJECT,
+    checksum, clamp_chunk_size, frame_header, ErrorFrame, Header, Request, Response,
+    ServiceSnapshot, MAX_CHUNKED_OBJECT,
 };
 
 /// Configuration for a [`StagingService`].
@@ -107,9 +114,11 @@ pub struct ServiceStats {
     pub conns_accepted: AtomicU64,
     /// Connections refused with `Busy` because the pool was full.
     pub conns_refused: AtomicU64,
-    /// Frame bytes received (headers + payloads).
+    /// Bytes read off served connections (headers + payloads), counted at
+    /// the socket.
     pub bytes_in: AtomicU64,
-    /// Frame bytes sent (headers + payloads).
+    /// Bytes written to served connections (headers + payloads), counted
+    /// at the socket.
     pub bytes_out: AtomicU64,
     /// Chunked-get streams whose per-chunk sums came from the cache.
     pub chunksum_hits: AtomicU64,
@@ -436,105 +445,92 @@ fn refuse(inner: &Inner, mut stream: TcpStream, err: ErrorFrame) {
     }
 }
 
-/// Outcome of one attempt to pull a frame off a worker's socket.
+/// A worker's socket. Reads treat the socket's read timeout as an idle tick
+/// at which to re-check the stop flag — the timeout error only surfaces once
+/// the service is stopping, which ends the connection wherever it stood —
+/// and both directions are counted into the service's byte counters.
+struct Conn<'a> {
+    stream: TcpStream,
+    inner: &'a Inner,
+}
+
+impl Read for Conn<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    self.inner
+                        .stats
+                        .bytes_in
+                        .fetch_add(n as u64, Ordering::Relaxed);
+                    return Ok(n);
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) && !self.inner.stop.load(Ordering::Acquire) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Write for Conn<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[std::io::IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        let n = self.stream.write_vectored(bufs)?;
+        self.inner
+            .stats
+            .bytes_out
+            .fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Outcome of one attempt to pull a request frame off a worker's socket.
 enum Recv {
     /// A checksum-verified frame, its payload in a pooled buffer.
-    Frame {
-        /// Frame opcode.
-        opcode: Opcode,
-        /// Frame request id.
-        request_id: u64,
-        /// Verified payload bytes (returned to the pool on drop).
-        payload: PooledBuf,
-    },
-    /// Clean EOF or fatal I/O: drop the connection quietly.
+    Frame(Header, PooledBuf),
+    /// EOF, fatal I/O, lost framing or a stop tick: drop the connection.
     Closed,
-    /// Stop flag observed while idle.
-    Stopping,
     /// The header was framed correctly but the body failed verification;
     /// stream sync is intact, answer `BadRequest` and keep serving.
     Malformed(String),
 }
 
-/// Read exactly `buf.len()` bytes, treating read timeouts as idle ticks at
-/// which to re-check the stop flag. Returns `None` on clean EOF before the
-/// first byte, on fatal I/O, or when stopping mid-read.
-fn read_full(inner: &Inner, stream: &mut TcpStream, buf: &mut [u8], idle_ok: bool) -> Option<bool> {
-    let mut off = 0usize;
-    while off < buf.len() {
-        match stream.read(&mut buf[off..]) {
-            Ok(0) => return None,
-            Ok(n) => off += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if inner.stop.load(Ordering::Acquire) {
-                    return if off == 0 && idle_ok {
-                        Some(false)
-                    } else {
-                        None
-                    };
-                }
-            }
-            Err(_) => return None,
-        }
-    }
-    Some(true)
-}
-
-fn recv_frame(inner: &Inner, stream: &mut TcpStream) -> Recv {
-    let mut header_buf = [0u8; HEADER_LEN];
-    match read_full(inner, stream, &mut header_buf, true) {
-        None => return Recv::Closed,
-        Some(false) => return Recv::Stopping,
-        Some(true) => {}
-    }
-    let header = match decode_header(&header_buf) {
+fn recv_frame(conn: &mut Conn) -> Recv {
+    let header = match recv_header(conn) {
         Ok(h) => h,
-        Err(e) => {
+        Err(RecvError::Io(_)) => return Recv::Closed,
+        Err(RecvError::Wire(e)) => {
             // Framing is lost; answer once and drop the connection.
-            inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.write_all(
-                &Response::Error(ErrorFrame::BadRequest {
-                    detail: e.to_string(),
-                })
-                .encode(0),
-            );
+            conn.inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
+            let refusal = Response::Error(ErrorFrame::BadRequest {
+                detail: e.to_string(),
+            });
+            let _ = send_response(conn, 0, &refusal);
             return Recv::Closed;
         }
     };
-    let mut payload = inner.pool.acquire(header.payload_len as usize);
-    match read_full(inner, stream, &mut payload, false) {
-        Some(true) => {}
-        _ => return Recv::Closed,
-    }
-    inner
-        .stats
-        .bytes_in
-        .fetch_add((HEADER_LEN + payload.len()) as u64, Ordering::Relaxed);
-    if let Err(e) = verify_payload(&header, &payload) {
-        return Recv::Malformed(e.to_string());
-    }
-    Recv::Frame {
-        opcode: header.opcode,
-        request_id: header.request_id,
-        payload,
+    let pool = &conn.inner.pool;
+    match recv_payload(conn, pool, &header) {
+        Ok(payload) => Recv::Frame(header, payload),
+        Err(RecvError::Wire(e)) => Recv::Malformed(e.to_string()),
+        Err(RecvError::Io(_)) => Recv::Closed,
     }
 }
 
 /// Encode `response` into pooled scratch and send it header+body vectored.
-fn send_response(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    request_id: u64,
-    response: &Response,
-) -> std::io::Result<()> {
-    let mut scratch = inner.pool.acquire(0);
+fn send_response(conn: &mut Conn, request_id: u64, response: &Response) -> std::io::Result<()> {
+    let mut scratch = conn.inner.pool.acquire(0);
     response.encode_body(&mut scratch);
     let header = frame_header(
         response.opcode(),
@@ -542,32 +538,24 @@ fn send_response(
         scratch.len() as u32,
         checksum(&scratch),
     );
-    write_vectored_all(stream, &[&header, &scratch])?;
-    inner
-        .stats
-        .bytes_out
-        .fetch_add((HEADER_LEN + scratch.len()) as u64, Ordering::Relaxed);
-    Ok(())
+    write_vectored_all(conn, &[&header, &scratch])
 }
 
-fn serve_connection(inner: &Inner, mut stream: TcpStream) {
+fn serve_connection(inner: &Inner, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
+    let conn = &mut Conn { stream, inner };
     loop {
-        let (request_id, response, shutdown) = match recv_frame(inner, &mut stream) {
+        let (request_id, response, shutdown) = match recv_frame(conn) {
             Recv::Closed => return,
-            Recv::Stopping => return,
             Recv::Malformed(detail) => {
                 inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
                 (0, Response::Error(ErrorFrame::BadRequest { detail }), false)
             }
-            Recv::Frame {
-                opcode,
-                request_id,
-                payload,
-            } => {
-                let decoded = Request::decode_body(opcode, &payload);
+            Recv::Frame(header, payload) => {
+                let request_id = header.request_id;
+                let decoded = Request::decode_body(header.opcode, &payload);
                 drop(payload); // back to the pool before serving
                 match decoded {
                     Err(e) => {
@@ -581,7 +569,7 @@ fn serve_connection(inner: &Inner, mut stream: TcpStream) {
                         )
                     }
                     Ok(Request::PutChunked { desc, chunk_size }) => {
-                        if serve_put_chunked(inner, &mut stream, request_id, desc, chunk_size) {
+                        if serve_put_chunked(conn, request_id, desc, chunk_size) {
                             continue;
                         }
                         return;
@@ -592,15 +580,7 @@ fn serve_connection(inner: &Inner, mut stream: TcpStream) {
                         query,
                         chunk_size,
                     }) => {
-                        if serve_get_chunked(
-                            inner,
-                            &mut stream,
-                            request_id,
-                            &name,
-                            version,
-                            query,
-                            chunk_size,
-                        ) {
+                        if serve_get_chunked(conn, request_id, &name, version, query, chunk_size) {
                             continue;
                         }
                         return;
@@ -612,7 +592,7 @@ fn serve_connection(inner: &Inner, mut stream: TcpStream) {
                 }
             }
         };
-        if send_response(inner, &mut stream, request_id, &response).is_err() {
+        if send_response(conn, request_id, &response).is_err() {
             return;
         }
         if shutdown {
@@ -623,166 +603,21 @@ fn serve_connection(inner: &Inner, mut stream: TcpStream) {
     }
 }
 
-/// One received chunk-stream frame, already length-read off the socket.
-enum StreamFrame {
-    /// A `ChunkData` frame: decoded prefix plus where its data landed.
-    Data {
-        /// Object index from the 12-byte prefix.
-        index: u32,
-        /// Byte offset from the 12-byte prefix.
-        offset: u64,
-        /// Length of the data bytes that followed the prefix.
-        data_len: usize,
-        /// `checksum(data)` over the data bytes as received — the cacheable
-        /// half of the frame checksum.
-        data_sum: u32,
-        /// Whether the frame checksum (`checksum(prefix) ^ checksum(data)`)
-        /// verified.
-        checksum_ok: bool,
-    },
-    /// The stream's `ChunkEnd` terminal frame.
-    End(ChunkEnd),
-}
-
-/// Read one frame of an inbound chunk stream. `ChunkData` data bytes land
-/// in `dst` when the prefix passes `place` (which maps a decoded
-/// `(index, offset, data_len)` to a destination range), otherwise in a
-/// pooled discard buffer so the stream stays framed.
+/// Serve one inbound `PutChunked` stream: the assembler lands chunks
+/// directly in the destination payload buffer, then the object is
+/// committed to the space. Returns `false` when the connection must close.
 ///
-/// Returns `Ok(None)` when the connection died or the header desynced
-/// (caller drops the connection); `Err(detail)` for in-stream protocol
-/// violations where framing survives (caller keeps draining).
-fn recv_stream_frame(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    request_id: u64,
-    dst: &mut [u8],
-    place: impl Fn(u32, u64, usize) -> Option<usize>,
-) -> Option<Result<StreamFrame, String>> {
-    let mut header_buf = [0u8; HEADER_LEN];
-    match read_full(inner, stream, &mut header_buf, false) {
-        Some(true) => {}
-        _ => return None,
-    }
-    let header = match decode_header(&header_buf) {
-        Ok(h) => h,
-        Err(_) => {
-            inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-    };
-    let frame_bytes = (HEADER_LEN + header.payload_len as usize) as u64;
-    // Any in-stream violation still has to consume the frame's payload to
-    // keep the connection framed; collect the verdict, then read.
-    let verdict: Result<(), String> = if header.request_id != request_id {
-        Err(format!(
-            "frame for request {} interleaved into stream {request_id}",
-            header.request_id
-        ))
-    } else {
-        Ok(())
-    };
-    match header.opcode {
-        Opcode::ChunkData if header.payload_len as usize >= CHUNK_PREFIX_LEN => {
-            let mut prefix = [0u8; CHUNK_PREFIX_LEN];
-            match read_full(inner, stream, &mut prefix, false) {
-                Some(true) => {}
-                _ => return None,
-            }
-            let (index, offset) = decode_chunk_prefix(&prefix);
-            let data_len = header.payload_len as usize - CHUNK_PREFIX_LEN;
-            let mut data_sum = checksum(&[]);
-            let placed = if verdict.is_ok() {
-                place(index, offset, data_len)
-            } else {
-                None
-            };
-            let read_ok = match placed {
-                Some(at) => read_full(inner, stream, &mut dst[at..at + data_len], false)
-                    .map(|_| {
-                        data_sum = checksum(&dst[at..at + data_len]);
-                    })
-                    .is_some(),
-                None => {
-                    let mut discard = inner.pool.acquire(data_len);
-                    read_full(inner, stream, &mut discard, false)
-                        .map(|_| {
-                            data_sum = checksum(&discard);
-                        })
-                        .is_some()
-                }
-            };
-            if !read_ok {
-                return None;
-            }
-            inner
-                .stats
-                .bytes_in
-                .fetch_add(frame_bytes, Ordering::Relaxed);
-            if let Err(detail) = verdict {
-                return Some(Err(detail));
-            }
-            if placed.is_none() {
-                return Some(Err(format!(
-                    "chunk (object {index}, offset {offset}, {data_len} B) out of sequence"
-                )));
-            }
-            Some(Ok(StreamFrame::Data {
-                index,
-                offset,
-                data_len,
-                data_sum,
-                checksum_ok: checksum(&prefix) ^ data_sum == header.checksum,
-            }))
-        }
-        _ => {
-            // ChunkEnd, an undersized ChunkData, or a foreign opcode: small
-            // payload, read it whole.
-            let mut payload = inner.pool.acquire(header.payload_len as usize);
-            match read_full(inner, stream, &mut payload, false) {
-                Some(true) => {}
-                _ => return None,
-            }
-            inner
-                .stats
-                .bytes_in
-                .fetch_add(frame_bytes, Ordering::Relaxed);
-            if let Err(detail) = verdict {
-                return Some(Err(detail));
-            }
-            if verify_payload(&header, &payload).is_err() {
-                return Some(Err("chunk stream frame checksum mismatch".to_string()));
-            }
-            match header.opcode {
-                Opcode::ChunkEnd => match decode_chunk_end(&payload) {
-                    Ok(end) => Some(Ok(StreamFrame::End(end))),
-                    Err(e) => Some(Err(e.to_string())),
-                },
-                other => Some(Err(format!(
-                    "opcode {:#04x} inside a chunk stream",
-                    other as u8
-                ))),
-            }
-        }
-    }
-}
-
-/// Serve one inbound `PutChunked` stream: assemble chunks directly into
-/// the destination payload buffer, then commit it to the space. Returns
-/// `false` when the connection must close.
-fn serve_put_chunked(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    request_id: u64,
-    desc: ObjectDesc,
-    chunk_size: u32,
-) -> bool {
+/// The failure policy is the service's own: whatever goes wrong inside
+/// the stream, keep draining to its `ChunkEnd` — the client is already
+/// committed to sending all of it — so the connection stays framed, then
+/// answer one typed error and keep serving.
+fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc, chunk_size: u32) -> bool {
+    let inner = conn.inner;
     inner.stats.puts.fetch_add(1, Ordering::Relaxed);
-    let chunk = clamp_chunk_size(chunk_size) as u64;
-    // Head-of-stream rejections: the client is already committed to
-    // sending the whole stream (blocking sockets both sides), so drain to
-    // its ChunkEnd before answering, and keep the connection.
-    let early = if !desc.is_consistent() || desc.bytes > MAX_CHUNKED_OBJECT {
+    let chunk = clamp_chunk_size(chunk_size);
+    // Head-of-stream rejections refuse before the declared size is
+    // allocated: a hostile descriptor must not size the allocation.
+    let refused = if !desc.is_consistent() || desc.bytes > MAX_CHUNKED_OBJECT {
         Some(ErrorFrame::BadRequest {
             detail: "inconsistent chunked object descriptor".to_string(),
         })
@@ -794,11 +629,9 @@ fn serve_put_chunked(
     {
         // With a disk tier attached, an object larger than RAM can still
         // land on the spill log, so the bound is memory capacity plus the
-        // tier's remaining disk budget (headroom is 0 without a tier). An
-        // object that cannot fit in either tier is rejected here, before
-        // its declared size is allocated for chunk assembly — a hostile
-        // descriptor must not size the allocation; MAX_CHUNKED_OBJECT
-        // stays the absolute ceiling when the disk budget is unbounded.
+        // tier's remaining disk budget (headroom is 0 without a tier);
+        // MAX_CHUNKED_OBJECT stays the absolute ceiling when the disk
+        // budget is unbounded.
         inner.stats.rejected_oom.fetch_add(1, Ordering::Relaxed);
         Some(ErrorFrame::OutOfMemory {
             cap: inner.space.capacity(),
@@ -808,113 +641,61 @@ fn serve_put_chunked(
     } else {
         None
     };
-    let total = desc.bytes as usize;
-    // The destination allocation IS the stored object's payload — chunks
-    // assemble into it in place; there is no whole-payload staging copy.
-    let mut buf = if early.is_none() {
-        vec![0u8; total]
-    } else {
-        Vec::new()
-    };
-    let mut failed: Option<String> = early.as_ref().map(|e| e.to_string());
-    let mut next_offset = 0u64;
     // Per-chunk data checksums, learned for free from the stream's own
     // verification — cached with the committed object so later chunked
-    // gets never re-hash the payload.
-    let mut sums: Vec<u32> = Vec::with_capacity((total / chunk.max(1) as usize) + 1);
-    let end = loop {
-        let expected = next_offset;
-        let dead = failed.is_some();
-        let frame = recv_stream_frame(inner, stream, request_id, &mut buf, |index, offset, len| {
-            // Single-object put stream: index 0, strictly sequential
-            // offsets, full chunks except the last. Once the stream has
-            // failed, everything drains to discard.
-            let len = len as u64;
-            let end_off = offset.checked_add(len)?;
-            let sequential = !dead && index == 0 && offset == expected && end_off <= desc.bytes;
-            let full_or_last = len == chunk || end_off == desc.bytes;
-            if sequential && full_or_last {
-                Some(offset as usize)
-            } else {
-                None
-            }
-        });
-        match frame {
-            None => return false,
-            Some(Ok(StreamFrame::Data {
-                index,
-                offset,
-                data_len,
-                data_sum,
-                checksum_ok,
-            })) => {
-                if !checksum_ok {
-                    failed.get_or_insert_with(|| {
-                        format!("chunk (object {index}, offset {offset}) failed its checksum")
-                    });
-                } else if failed.is_none() {
-                    next_offset = offset + data_len as u64;
-                    sums.push(data_sum);
-                }
-            }
-            Some(Ok(StreamFrame::End(end))) => break end,
-            Some(Err(detail)) => {
-                failed.get_or_insert(detail);
-            }
-        }
-    };
-    if failed.is_none() && (next_offset != desc.bytes || end.objects != 1) {
-        failed = Some(format!(
-            "chunk stream ended after {next_offset} of {} bytes",
-            desc.bytes
-        ));
-    }
-    if failed.is_none() && end.total_bytes != desc.bytes {
-        failed = Some(format!(
-            "chunk stream total {} does not match descriptor {}",
-            end.total_bytes, desc.bytes
-        ));
-    }
-    let response = if let Some(err) = early {
-        Response::Error(err)
-    } else if let Some(detail) = failed {
-        inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-        Response::Error(ErrorFrame::BadRequest { detail })
+    // gets never re-hash the payload. (Grown as chunks verify, never sized
+    // from the descriptor.)
+    let mut sums: Vec<u32> = Vec::new();
+    // A refused stream drains through an assembler that expects nothing.
+    let expected = if refused.is_none() {
+        vec![desc]
     } else {
-        match DataObject::from_wire(desc, Bytes::from(buf)) {
-            None => Response::Error(ErrorFrame::BadRequest {
-                detail: "assembled object is inconsistent".to_string(),
-            }),
-            Some(obj) => {
-                let obj = Arc::new(obj);
-                match inner.space.put(Arc::clone(&obj)) {
-                    Ok(shard) => {
-                        inner.chunk_sums.insert(&obj, chunk as u32, Arc::new(sums));
-                        Response::PutChunkedOk {
-                            shard: shard as u32,
-                        }
-                    }
-                    Err(StagingError::OutOfMemory {
-                        cap,
-                        used,
-                        requested,
-                    }) => {
-                        inner.stats.rejected_oom.fetch_add(1, Ordering::Relaxed);
-                        Response::Error(ErrorFrame::OutOfMemory {
-                            cap,
-                            used,
-                            requested,
-                        })
-                    }
-                    Err(StagingError::NeedsReduction { factor }) => {
-                        inner.stats.rejected_oom.fetch_add(1, Ordering::Relaxed);
-                        Response::Error(ErrorFrame::NeedsReduction { factor })
-                    }
+        vec![]
+    };
+    let mut assembler = Assembler::new(expected, chunk);
+    let mut failed: Option<String> = None;
+    let end = loop {
+        match assembler.recv(conn, &inner.pool, request_id) {
+            Ok(Step::Chunk(data_sum)) => sums.push(data_sum),
+            Ok(Step::End(end)) => break end,
+            Ok(Step::Fault(fault)) => {
+                if failed.is_none() {
+                    failed = Some(fault.detail);
+                    assembler.abandon();
                 }
             }
+            Err(RecvError::Wire(_)) => {
+                inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+            Err(RecvError::Io(_)) => return false,
         }
     };
-    send_response(inner, stream, request_id, &response).is_ok()
+    let assembled = match failed {
+        Some(detail) => Err(detail),
+        None => match assembler.finish(end) {
+            Ok(mut objs) => objs.pop().ok_or_else(|| "empty chunk stream".to_string()),
+            Err(fault) => Err(fault.detail),
+        },
+    };
+    let response = match (refused, assembled) {
+        (Some(refusal), _) => Response::Error(refusal),
+        (None, Ok(obj)) => {
+            let obj = Arc::new(obj);
+            match commit_put(inner, Arc::clone(&obj)) {
+                Ok(shard) => {
+                    inner.chunk_sums.insert(&obj, chunk, Arc::new(sums));
+                    Response::PutChunkedOk { shard }
+                }
+                Err(rejection) => Response::Error(rejection),
+            }
+        }
+        (None, Err(detail)) => {
+            inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
+            Response::Error(ErrorFrame::BadRequest { detail })
+        }
+    };
+    send_response(conn, request_id, &response).is_ok()
 }
 
 /// Serve one `GetChunked`: answer with the matching descriptors, then
@@ -922,83 +703,68 @@ fn serve_put_chunked(
 /// the `Arc`-held objects — no payload copy. Returns `false` when the
 /// connection must close.
 fn serve_get_chunked(
-    inner: &Inner,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     request_id: u64,
     name: &str,
     version: u64,
     query: Option<xlayer_amr::boxes::IBox>,
     chunk_size: u32,
 ) -> bool {
+    let inner = conn.inner;
     inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-    let chunk = clamp_chunk_size(chunk_size.min(inner.cfg.chunk_size)) as usize;
+    let chunk = clamp_chunk_size(chunk_size.min(inner.cfg.chunk_size));
     let objs = inner.space.get(name, version, query.as_ref());
-    let descs: Vec<ObjectDesc> = objs.iter().map(|o| o.desc.clone()).collect();
     let head = Response::GetChunkedOk {
-        descs,
-        chunk_size: chunk as u32,
+        descs: objs.iter().map(|o| o.desc.clone()).collect(),
+        chunk_size: chunk,
     };
-    if send_response(inner, stream, request_id, &head).is_err() {
+    if send_response(conn, request_id, &head).is_err() {
         return false;
     }
-    let mut total = 0u64;
-    for (i, obj) in objs.iter().enumerate() {
+    // One hash pass per (object, chunk size) for the object's lifetime:
+    // learned at put time or computed on the first get, then every frame's
+    // checksum comes from the cache and the payload bytes are only touched
+    // by the socket write.
+    let with_sums = objs.iter().map(|obj| {
         let payload: &[u8] = obj.payload.as_ref();
-        // One hash pass per (object, chunk size) for the object's lifetime:
-        // learned at put time or computed on the first get, then every
-        // frame's checksum comes from the cache and the payload bytes are
-        // only touched by the socket write.
-        let sums = match inner.chunk_sums.lookup(obj, chunk as u32) {
+        let sums = match inner.chunk_sums.lookup(obj, chunk) {
             Some(sums) => {
                 inner.stats.chunksum_hits.fetch_add(1, Ordering::Relaxed);
                 sums
             }
             None => {
                 inner.stats.chunksum_misses.fetch_add(1, Ordering::Relaxed);
-                let fresh: Vec<u32> = payload.chunks(chunk.max(1)).map(checksum).collect();
+                let fresh: Vec<u32> = payload.chunks(chunk as usize).map(checksum).collect();
                 let fresh = Arc::new(fresh);
-                inner
-                    .chunk_sums
-                    .insert(obj, chunk as u32, Arc::clone(&fresh));
+                inner.chunk_sums.insert(obj, chunk, Arc::clone(&fresh));
                 fresh
             }
         };
-        let mut off = 0usize;
-        let mut k = 0usize;
-        while off < payload.len() {
-            let n = chunk.min(payload.len() - off);
-            let data = &payload[off..off + n];
-            let (header, prefix) = match sums.get(k) {
-                Some(&s) => chunk_data_parts_cached(request_id, i as u32, off as u64, s, n),
-                None => chunk_data_parts(request_id, i as u32, off as u64, data),
-            };
-            if write_vectored_all(stream, &[&header, &prefix, data]).is_err() {
-                return false;
-            }
-            inner.stats.bytes_out.fetch_add(
-                (HEADER_LEN + CHUNK_PREFIX_LEN + n) as u64,
-                Ordering::Relaxed,
-            );
-            off += n;
-            k += 1;
-            total += n as u64;
-        }
-    }
-    let end = encode_chunk_end(
-        request_id,
-        ChunkEnd {
-            objects: objs.len() as u32,
-            total_bytes: total,
+        (payload, Some(sums))
+    });
+    send_stream(conn, request_id, chunk as usize, with_sums).is_ok()
+}
+
+/// Store `obj`; a rejection comes back as the typed error frame that
+/// carries the space's pressure signal across the wire.
+fn commit_put(inner: &Inner, obj: Arc<DataObject>) -> Result<u32, ErrorFrame> {
+    let rejection = match inner.space.put(obj) {
+        Ok(shard) => return Ok(shard as u32),
+        Err(rejection) => rejection,
+    };
+    inner.stats.rejected_oom.fetch_add(1, Ordering::Relaxed);
+    Err(match rejection {
+        StagingError::OutOfMemory {
+            cap,
+            used,
+            requested,
+        } => ErrorFrame::OutOfMemory {
+            cap,
+            used,
+            requested,
         },
-    );
-    if stream.write_all(&end).is_err() {
-        return false;
-    }
-    inner
-        .stats
-        .bytes_out
-        .fetch_add(end.len() as u64, Ordering::Relaxed);
-    true
+        StagingError::NeedsReduction { factor } => ErrorFrame::NeedsReduction { factor },
+    })
 }
 
 fn handle_request(inner: &Inner, req: Request) -> Response {
@@ -1006,26 +772,9 @@ fn handle_request(inner: &Inner, req: Request) -> Response {
     match req {
         Request::Put(obj) => {
             stats.puts.fetch_add(1, Ordering::Relaxed);
-            match inner.space.put(obj) {
-                Ok(shard) => Response::PutOk {
-                    shard: shard as u32,
-                },
-                Err(StagingError::OutOfMemory {
-                    cap,
-                    used,
-                    requested,
-                }) => {
-                    stats.rejected_oom.fetch_add(1, Ordering::Relaxed);
-                    Response::Error(ErrorFrame::OutOfMemory {
-                        cap,
-                        used,
-                        requested,
-                    })
-                }
-                Err(StagingError::NeedsReduction { factor }) => {
-                    stats.rejected_oom.fetch_add(1, Ordering::Relaxed);
-                    Response::Error(ErrorFrame::NeedsReduction { factor })
-                }
+            match commit_put(inner, Arc::new(obj)) {
+                Ok(shard) => Response::PutOk { shard },
+                Err(rejection) => Response::Error(rejection),
             }
         }
         Request::Get {

@@ -415,23 +415,21 @@ pub fn put_frame_parts(
 // Chunked stream sub-frames
 // ---------------------------------------------------------------------------
 //
-// A chunked stream is opened by a `PutChunked` request (client → service)
-// or a `GetChunkedOk` response (service → client), and then consists of
-// zero or more `ChunkData` frames followed by exactly one `ChunkEnd`, all
-// carrying the stream's request id. Each `ChunkData` body is a fixed
-// 12-byte prefix — `u32` object index + `u64` stream offset — followed by
-// the chunk's data bytes; the frame header's checksum is
-// `checksum(prefix) XOR checksum(data)` — two independent FNV-1a-32
-// passes combined by XOR rather than one streaming pass over the
-// concatenation. The XOR split keeps per-chunk integrity (either half
-// flipping flips the result) while making the data component independent
-// of the prefix, i.e. of the chunk's object index and stream offset in
-// *this* response — so a service can compute each stored object's chunk
-// sums once and reuse them across every later get stream
-// ([`chunk_data_parts_cached`]). Offsets must
-// be strictly sequential per object and every chunk except an object's
-// last must be exactly the negotiated chunk size, so a receiver can
-// assemble directly into a pre-sized destination buffer.
+// The byte encoders of a chunked stream's sub-frames. A stream is opened
+// by a `PutChunked` request (client → service) or a `GetChunkedOk` response
+// (service → client), and then consists of zero or more `ChunkData` frames
+// followed by exactly one `ChunkEnd`, all carrying the stream's request id.
+// Each `ChunkData` body is a fixed 12-byte prefix — `u32` object index +
+// `u64` stream offset — followed by the chunk's data bytes; the frame
+// header's checksum is `checksum(prefix) XOR checksum(data)` — two
+// independent FNV-1a-32 passes combined by XOR rather than one streaming
+// pass over the concatenation. The XOR split keeps per-chunk integrity
+// (either half flipping flips the result) while making the data component
+// independent of the prefix, i.e. of the chunk's object index and stream
+// offset in *this* response — so a service can compute each stored
+// object's chunk sums once and reuse them across every later get stream
+// ([`chunk_data_parts_cached`]). Which chunks a receiver accepts — the
+// sequencing rule that lets it assemble in place — is `crate::stream`'s.
 
 /// A decoded [`Opcode::ChunkData`] body, borrowing the chunk's data bytes
 /// so the caller decides whether (and where) to copy them.

@@ -30,12 +30,13 @@ fn lcg(state: &mut u64) -> u64 {
 /// An object over `bx` whose payload is LCG noise — every byte matters for
 /// the bit-identity checks, unlike a constant fill.
 fn noisy_obj(name: &str, version: u64, bx: IBox, seed: u64) -> DataObject {
-    let cells = bx.num_cells() as usize;
+    // (Not `Fab::with_storage`: that recycles a buffer's capacity and
+    // zero-fills it, which silently made every payload here all zeros.)
+    let mut fab = Fab::new(bx, 1);
     let mut s = seed;
-    let data: Vec<f64> = (0..cells)
-        .map(|_| (lcg(&mut s) >> 11) as f64 * 1e-9)
-        .collect();
-    let fab = Fab::with_storage(bx, 1, data);
+    for v in fab.as_mut_slice() {
+        *v = (lcg(&mut s) >> 11) as f64 * 1e-9;
+    }
     DataObject::from_fab(name, version, &fab, 0, &bx, 0)
 }
 
@@ -388,9 +389,13 @@ fn buffer_pools_return_on_error_paths_and_stay_bounded() {
     drop(raw);
 
     // Churn: repeated puts and gets of the same shapes. Every pooled
-    // buffer acquired along the way must be parked again afterwards.
+    // buffer acquired along the way must be parked again afterwards. (A
+    // fresh payload each round: a byte-identical re-put would be a no-op,
+    // and the get stream has to keep growing.)
     for round in 0..8u64 {
-        client.put(&obj).unwrap();
+        client
+            .put(&noisy_obj("rho", 5, IBox::cube(16), 23 + round))
+            .unwrap();
         let got = client.get("rho", 5, None).unwrap();
         assert_eq!(got.len(), 1 + round as usize);
         let _ = client.service_stats().unwrap();

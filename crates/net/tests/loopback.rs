@@ -13,8 +13,8 @@ use xlayer_net::client::{ClientConfig, RemoteClient, RemoteError};
 use xlayer_net::cluster::ShardedClient;
 use xlayer_net::service::{ServiceConfig, StagingService};
 use xlayer_net::wire::{
-    decode_header, encode_frame, verify_payload, ErrorFrame, Frame, Opcode, Request, Response,
-    HEADER_LEN, MAGIC,
+    decode_header, encode_chunk_end, encode_frame, verify_payload, ChunkEnd, ErrorFrame, Frame,
+    Opcode, Request, Response, HEADER_LEN, MAGIC, MIN_CHUNK_SIZE,
 };
 use xlayer_staging::{AsyncStager, DataObject, Sharding};
 
@@ -266,6 +266,70 @@ fn read_response(stream: &mut TcpStream) -> Response {
         payload,
     })
     .unwrap()
+}
+
+#[test]
+fn resent_put_frame_is_acknowledged_but_stored_once() {
+    // A default-config service: two round-robin staging servers.
+    let service = StagingService::start(ServiceConfig::default()).unwrap();
+    let mut raw = TcpStream::connect(service.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    // What `RemoteClient::call_with` does when a put's reply is lost: the
+    // same object goes out again. Round-robin routes the repeat to the
+    // *other* staging server.
+    let a = obj("rho", 1, 0, 1.5);
+    for id in [71, 72] {
+        raw.write_all(&Request::Put(a.clone()).encode(id)).unwrap();
+        match read_response(&mut raw) {
+            Response::PutOk { .. } => {}
+            other => panic!("expected PutOk, got {other:?}"),
+        }
+    }
+    assert_eq!(service.space().get("rho", 1, None).len(), 1);
+    assert_eq!(service.space().describe("rho", 1), vec![a.desc.clone()]);
+    assert_eq!(service.space().used(), a.desc.bytes);
+
+    service.shutdown();
+}
+
+#[test]
+fn hostile_chunked_descriptor_sizes_no_allocation() {
+    let service = start_service(1 << 20);
+    let mut raw = TcpStream::connect(service.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    // A descriptor declaring an absurd payload: refused at the head of
+    // the stream, before anything is sized from `bytes`.
+    let mut desc = obj("rho", 1, 0, 0.0).desc;
+    desc.bytes = u64::MAX;
+    raw.write_all(
+        &Request::PutChunked {
+            desc,
+            chunk_size: MIN_CHUNK_SIZE,
+        }
+        .encode(81),
+    )
+    .unwrap();
+    raw.write_all(&encode_chunk_end(
+        81,
+        ChunkEnd {
+            objects: 1,
+            total_bytes: 0,
+        },
+    ))
+    .unwrap();
+    match read_response(&mut raw) {
+        Response::Error(ErrorFrame::BadRequest { .. }) => {}
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    raw.write_all(&Request::Stats.encode(82)).unwrap();
+    match read_response(&mut raw) {
+        Response::StatsOk(_) => {}
+        other => panic!("expected StatsOk, got {other:?}"),
+    }
+
+    service.shutdown();
 }
 
 #[test]

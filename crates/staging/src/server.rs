@@ -164,9 +164,19 @@ impl StagingServer {
     /// [`StagingError::NeedsReduction`] instead. The shared handle the
     /// caller kept — if any — stays usable for retrying elsewhere, so a
     /// rejected put costs no payload copy.
+    ///
+    /// A put is idempotent for a byte-identical object: when memory already
+    /// holds one with an equal descriptor *and* an equal payload (see
+    /// [`Self::holds`]) the put answers `Ok` and stores nothing, so a
+    /// client that re-sends a put whose reply it lost does not double the
+    /// object. Known limit: a first copy that has since been demoted to
+    /// the disk tier is not recognised.
     pub fn put(&self, obj: impl Into<Arc<DataObject>>) -> Result<(), StagingError> {
         let obj = obj.into();
         let mut s = self.inner.write();
+        if Self::resident_twin(&s, &obj) {
+            return Ok(());
+        }
         let bytes = obj.desc.bytes;
         if s.used + bytes > self.memory_cap {
             let oom = StagingError::OutOfMemory {
@@ -215,6 +225,31 @@ impl StagingServer {
         entry.1.insert(obj.desc.bbox);
         entry.0.push(obj);
         Ok(())
+    }
+
+    /// Whether memory already holds a byte-identical twin of `obj`: equal
+    /// descriptor (key, bbox, core, dx, bytes, origin rank) and equal
+    /// payload. Descriptor equality alone is not enough — two AMR levels
+    /// stage grids with the same index-space box and rank at different
+    /// `dx` — and the payload is only compared once the descriptor matched.
+    pub(crate) fn holds(&self, obj: &DataObject) -> bool {
+        Self::resident_twin(&self.inner.read(), obj)
+    }
+
+    /// [`Self::holds`] under an already-held store lock. Candidates come
+    /// from the key's bucket index, asked only for the box's low corner: a
+    /// twin has the same box, so it covers that cell, and one cell touches
+    /// one bucket instead of every bucket the box spans.
+    fn resident_twin(s: &Store, obj: &DataObject) -> bool {
+        let Some((objs, index)) = s.objects.get(&obj.desc.key) else {
+            return false;
+        };
+        let corner = obj.desc.bbox.lo();
+        index
+            .query(&xlayer_amr::boxes::IBox::new(corner, corner))
+            .into_iter()
+            .filter_map(|id| objs.get(id))
+            .any(|held| held.desc == obj.desc && held.payload == obj.payload)
     }
 
     /// Demote whole resident keys to `tier` until `need` more bytes fit
@@ -492,10 +527,11 @@ mod tests {
 
     #[test]
     fn memory_cap_enforced() {
-        let one = obj("rho", 1, 0, 4); // 64 cells * 8 B = 512 B
+        // 64 cells * 8 B = 512 B each. Two different boxes: an identical
+        // second put would be recognised as a repeat, not held to the cap.
         let s = StagingServer::new(0, 1000);
-        s.put(one.clone()).unwrap();
-        let err = s.put(one).unwrap_err();
+        s.put(obj("rho", 1, 0, 4)).unwrap();
+        let err = s.put(obj("rho", 1, 8, 4)).unwrap_err();
         assert_eq!(
             err,
             StagingError::OutOfMemory {

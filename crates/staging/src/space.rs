@@ -204,9 +204,23 @@ impl DataSpace {
     /// The object is wrapped in an `Arc` once on entry; a rejected put hands
     /// the same handle to the next candidate server, so spilling across N
     /// full servers copies no payload at all.
+    ///
+    /// Re-putting a byte-identical object is a no-op that answers with the
+    /// server already holding it (see [`StagingServer::put`]). The bbox
+    /// hash sends a repeat to the server that has the first copy;
+    /// round-robin sends it to the *next* one, so under `RoundRobin` the
+    /// other servers are asked first. Not covered: a first copy that was
+    /// demoted to disk or overflowed to a sibling server under `BboxHash`,
+    /// and a repeat that races its own first copy onto another server.
     pub fn put(&self, obj: impl Into<Arc<DataObject>>) -> Result<usize, StagingError> {
         let obj: Arc<DataObject> = obj.into();
         let target = self.shard(&obj);
+        if self.sharding == Sharding::RoundRobin {
+            let elsewhere = |&i: &usize| i != target && self.servers[i].holds(&obj);
+            if let Some(holder) = (0..self.servers.len()).find(elsewhere) {
+                return Ok(holder);
+            }
+        }
         match self.servers[target].put(Arc::clone(&obj)) {
             Ok(()) => Ok(target),
             Err(reduce @ StagingError::NeedsReduction { .. }) => Err(reduce),
@@ -317,6 +331,34 @@ mod tests {
             .map(|i| space.put(obj("rho", 1, i * 8, 4)).unwrap())
             .collect();
         assert_eq!(shards, vec![0, 1, 2, 0, 1, 2]);
+    }
+
+    #[test]
+    fn byte_identical_reput_stores_nothing_under_either_sharding() {
+        for sharding in [Sharding::BboxHash, Sharding::RoundRobin] {
+            let space = DataSpace::new(3, 1 << 20, sharding);
+            let first = obj("rho", 1, 0, 4);
+            let home = space.put(first.clone()).unwrap();
+            let (used, descs) = (space.used(), space.describe("rho", 1));
+
+            // The retry a lost reply causes: same descriptor, same bytes.
+            // Round-robin would have placed it on the next server.
+            assert_eq!(space.put(first.clone()).unwrap(), home, "{sharding:?}");
+            assert_eq!(space.used(), used, "{sharding:?}");
+            assert_eq!(space.get("rho", 1, None).len(), 1, "{sharding:?}");
+            assert_eq!(space.describe("rho", 1), descs, "{sharding:?}");
+
+            // Same key, box and rank is not enough: another AMR level's
+            // grid at a different dx, or different bytes, is a new object.
+            space.put(first.clone().with_dx(0.5)).unwrap();
+            let mut fab = first.to_fab();
+            fab.set(first.desc.bbox.lo(), 0, -1.0);
+            let other_bytes = DataObject::from_fab("rho", 1, &fab, 0, &first.desc.bbox, 0);
+            assert_eq!(other_bytes.desc, first.desc);
+            space.put(other_bytes).unwrap();
+            assert_eq!(space.get("rho", 1, None).len(), 3, "{sharding:?}");
+            assert_eq!(space.used(), 3 * used, "{sharding:?}");
+        }
     }
 
     fn slab(name: &str, version: u64, xlo: i64, xhi: i64) -> DataObject {

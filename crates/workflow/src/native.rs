@@ -173,12 +173,6 @@ pub fn pack_level_objects(
         .collect()
 }
 
-/// Steps between headroom probes when staging is across the wire: the
-/// probe is one `Stats` round trip per shard, a policy input that moves
-/// slowly, so it is not serialized into every step. In-process headroom is
-/// a few atomic loads and is read fresh every step.
-const HEADROOM_STRIDE: u32 = 8;
-
 /// `cfg.remote` as a cluster client — a single address is a one-shard
 /// cluster. `None` when unset, empty, or any address fails to resolve: the
 /// workflow then stages in process.
@@ -286,8 +280,6 @@ pub struct NativeWorkflow<S: LevelSolver> {
     /// `staging` as the cluster client, when it is one (per-shard
     /// pressure and retry counters).
     cluster: Option<ShardedClient>,
-    /// Cached `staging.headroom()`: (steps until the next probe, value).
-    headroom: (u32, (u64, u64)),
     engine: AdaptationEngine,
     job_tx: Option<Sender<Job>>,
     result_rx: Receiver<AnalysisOutcome>,
@@ -400,7 +392,6 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             stager,
             space,
             cluster,
-            headroom: (0, (0, 0)),
             engine,
             job_tx: Some(job_tx),
             result_rx,
@@ -440,25 +431,6 @@ impl<S: LevelSolver> NativeWorkflow<S> {
     /// the wire.
     fn put_sync(&self, obj: DataObject) {
         let _ = self.staging.put(Arc::new(obj));
-    }
-
-    /// Bytes the staging side can still accept, `(memory, disk tier)`, for
-    /// the engine's pressure inputs — probed every step in process, every
-    /// [`HEADROOM_STRIDE`]-th step over the wire.
-    fn headroom(&mut self) -> (u64, u64) {
-        let (wait, cached) = self.headroom;
-        if wait > 0 {
-            self.headroom.0 = wait - 1;
-            return cached;
-        }
-        let stride = if self.cluster.is_some() {
-            HEADROOM_STRIDE
-        } else {
-            1
-        };
-        let fresh = self.staging.headroom();
-        self.headroom = (stride - 1, fresh);
-        fresh
     }
 
     /// The underlying simulation.
@@ -510,8 +482,10 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         self.sim.hierarchy.fill_ghosts();
         self.drain_results();
 
-        // Observe.
-        let (mem_available_intransit, disk_available_intransit) = self.headroom();
+        // Observe. Headroom is probed fresh every step — over the wire that
+        // is one concurrent `Stats` round trip per shard — so the placement
+        // and pressure policies never plan on a stale reading.
+        let (mem_available_intransit, disk_available_intransit) = self.staging.headroom();
         let state = OperationalState {
             step: stats.step,
             now: 0.0,

@@ -17,7 +17,7 @@
 //! Offered load is paced by sleeping whenever delivered put bytes run
 //! ahead of the commanded rate.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -30,8 +30,8 @@ use xlayer_net::{ClientConfig, RemoteError, ShardedClient, ShardedError};
 use xlayer_staging::{DataObject, ObjectDesc, ObjectKey};
 
 use crate::proto::{
-    decode_ctl_header, verify_ctl_payload, AgentReport, CtlError, CtlRequest, CtlResponse, Phase,
-    RunCmd, HEADER_LEN,
+    read_ctl_header, read_ctl_payload, AgentReport, CtlError, CtlRequest, CtlResponse, Phase,
+    RunCmd,
 };
 use crate::spec::{PlannedOp, WorkloadSpec};
 
@@ -327,12 +327,10 @@ impl AgentServer {
     fn serve_controller(&self, mut stream: TcpStream) -> bool {
         let _ = stream.set_nodelay(true);
         loop {
-            let mut header_buf = [0u8; HEADER_LEN];
-            if stream.read_exact(&mut header_buf).is_err() {
-                return false; // controller went away; await the next one
-            }
-            let header = match decode_ctl_header(&header_buf) {
+            let header = match read_ctl_header(&mut stream) {
                 Ok(h) => h,
+                // The controller went away; await the next one.
+                Err(CtlError::Io { .. }) => return false,
                 Err(e) => {
                     // Framing is unrecoverable; answer once and drop.
                     let _ = stream.write_all(
@@ -344,12 +342,11 @@ impl AgentServer {
                     return false;
                 }
             };
-            let mut payload = vec![0u8; header.payload_len as usize];
-            if stream.read_exact(&mut payload).is_err() {
-                return false;
-            }
-            let request = verify_ctl_payload(&header, &payload)
-                .and_then(|()| CtlRequest::decode_body(header.opcode, &payload));
+            let request = match read_ctl_payload(&mut stream, &header) {
+                Err(CtlError::Io { .. }) => return false,
+                Err(e) => Err(e),
+                Ok(payload) => CtlRequest::decode_body(header.opcode, &payload),
+            };
             let (response, stop) = match request {
                 Err(e) => (
                     CtlResponse::Error {

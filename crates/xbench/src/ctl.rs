@@ -16,7 +16,7 @@
 //! goodput increase — is the headline number, alongside saturated
 //! goodput and retry amplification (wire ops per completed op).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -24,8 +24,8 @@ use xlayer_net::hist::LatencySnapshot;
 use xlayer_net::{ClientConfig, Hist, RemoteClient};
 
 use crate::proto::{
-    decode_ctl_header, verify_ctl_payload, AgentReport, CtlError, CtlRequest, CtlResponse, Phase,
-    RunCmd, HEADER_LEN,
+    read_ctl_header, read_ctl_payload, AgentReport, CtlError, CtlRequest, CtlResponse, Phase,
+    RunCmd,
 };
 use crate::spec::WorkloadSpec;
 
@@ -73,17 +73,13 @@ impl AgentConn {
         let id = self.next_id;
         self.next_id += 1;
         self.stream.write_all(&req.encode(id))?;
-        let mut header_buf = [0u8; HEADER_LEN];
-        self.stream.read_exact(&mut header_buf)?;
-        let header = decode_ctl_header(&header_buf)?;
+        let header = read_ctl_header(&mut self.stream)?;
         if header.request_id != id {
             return Err(CtlError::Malformed {
                 detail: format!("response id {} for request {id}", header.request_id),
             });
         }
-        let mut payload = vec![0u8; header.payload_len as usize];
-        self.stream.read_exact(&mut payload)?;
-        verify_ctl_payload(&header, &payload)?;
+        let payload = read_ctl_payload(&mut self.stream, &header)?;
         CtlResponse::decode_body(header.opcode, &payload)
     }
 

@@ -1,10 +1,13 @@
 //! The xbench control protocol: how a controller drives agents.
 //!
-//! Frames are the staging wire's — the 24-byte header codec and the
-//! bounds-checked little-endian cursors of [`xlayer_net::frame`], with the
-//! same total, panic-free decoding discipline — under a distinct magic
-//! (`XBCH`), version counter and payload cap, so a control frame aimed at
-//! a staging service (or vice versa) is rejected at the first four bytes.
+//! Frames are the staging wire's — the 24-byte header codec, the
+//! bounds-checked little-endian cursors and the frame reader of
+//! [`xlayer_net::frame`], with the same total, panic-free decoding
+//! discipline — under a distinct magic (`XBCH`), version counter and
+//! payload cap, so a control frame aimed at a staging service (or vice
+//! versa) is rejected at the first four bytes. Controller and agent both
+//! take frames off their sockets with [`read_ctl_header`] +
+//! [`read_ctl_payload`]; what a failure means stays with each of them.
 //!
 //! The protocol is a sequential RPC per agent: `Hello` handshakes,
 //! `Run` carries one phase of one workload (the spec travels as its
@@ -403,12 +406,23 @@ pub fn decode_ctl_header(h: &[u8; HEADER_LEN]) -> Result<CtlHeader, CtlError> {
     })
 }
 
-/// Verify a payload against its header's checksum.
-pub fn verify_ctl_payload(header: &CtlHeader, payload: &[u8]) -> Result<(), CtlError> {
-    if payload.len() as u64 != u64::from(header.payload_len) {
-        return Err(CtlError::Truncated);
+/// Take one control header off `r` (the shared frame reader under this
+/// protocol's header decoder).
+pub fn read_ctl_header(r: &mut impl std::io::Read) -> Result<CtlHeader, CtlError> {
+    frame::read_header(r, decode_ctl_header)
+}
+
+/// Read and verify the payload `header` announced.
+pub fn read_ctl_payload(
+    r: &mut impl std::io::Read,
+    header: &CtlHeader,
+) -> Result<Vec<u8>, CtlError> {
+    let mut payload = vec![0u8; header.payload_len as usize];
+    match frame::read_payload(r, &mut payload, header.checksum) {
+        Ok(()) => Ok(payload),
+        Err(frame::RecvError::Io(e)) => Err(e.into()),
+        Err(frame::RecvError::Wire(e)) => Err(e.into()),
     }
-    Ok(frame::verify(header.checksum, payload)?)
 }
 
 impl CtlRequest {
@@ -512,22 +526,22 @@ impl CtlResponse {
 mod tests {
     use super::*;
 
+    /// One whole frame through the readers the controller and agent use.
+    fn read_whole(mut frame: &[u8]) -> Result<(CtlHeader, Vec<u8>), CtlError> {
+        let header = read_ctl_header(&mut frame)?;
+        let payload = read_ctl_payload(&mut frame, &header)?;
+        assert!(frame.is_empty(), "frame longer than its header declared");
+        Ok((header, payload))
+    }
+
     fn decode_request_whole(frame: &[u8]) -> Result<CtlRequest, CtlError> {
-        let mut h = [0u8; HEADER_LEN];
-        h.copy_from_slice(&frame[..HEADER_LEN]);
-        let header = decode_ctl_header(&h)?;
-        let payload = &frame[HEADER_LEN..];
-        verify_ctl_payload(&header, payload)?;
-        CtlRequest::decode_body(header.opcode, payload)
+        let (header, payload) = read_whole(frame)?;
+        CtlRequest::decode_body(header.opcode, &payload)
     }
 
     fn decode_response_whole(frame: &[u8]) -> Result<CtlResponse, CtlError> {
-        let mut h = [0u8; HEADER_LEN];
-        h.copy_from_slice(&frame[..HEADER_LEN]);
-        let header = decode_ctl_header(&h)?;
-        let payload = &frame[HEADER_LEN..];
-        verify_ctl_payload(&header, payload)?;
-        CtlResponse::decode_body(header.opcode, payload)
+        let (header, payload) = read_whole(frame)?;
+        CtlResponse::decode_body(header.opcode, &payload)
     }
 
     #[test]

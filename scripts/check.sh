@@ -45,6 +45,11 @@ echo "==> xmark smoke (benchmark/ builds against the crates' frozen surface; fou
 # a change that breaks what it calls fails here, before the benchmark
 # pipeline finds out. No --locked: its lock file is its own.
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+# That build resolves benchmark/'s own lock against the crates' manifests:
+# a dependency edit anywhere under crates/ makes cargo rewrite it. The lock
+# is frozen with the rest of benchmark/, so a rewrite fails here rather
+# than in the benchmark pipeline.
+git diff --exit-code -- benchmark/Cargo.lock
 
 echo "==> bench targets compile"
 cargo build --locked --release -p xlayer-bench --benches --bins
