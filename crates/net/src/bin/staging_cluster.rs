@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! staging_cluster [--shards N] [--addr HOST:PORT] [--servers S]
-//!                 [--memory-mib M] [--max-conns C] [--chunk-kib K]
+//!                 [--memory-mib M] [--max-conns C]
 //!                 [--disk-dir PATH] [--disk-budget-mib D]
 //! ```
 //!
@@ -68,12 +68,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--max-conns: {e}"))?;
             }
-            "--chunk-kib" => {
-                let kib: u32 = value("--chunk-kib")?
-                    .parse()
-                    .map_err(|e| format!("--chunk-kib: {e}"))?;
-                cfg.chunk_size = kib.saturating_mul(1024);
-            }
             "--disk-dir" => {
                 cfg.disk_dir = Some(std::path::PathBuf::from(value("--disk-dir")?));
             }
@@ -85,7 +79,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: staging_cluster [--shards N] [--addr HOST:PORT] \
-                     [--servers S] [--memory-mib M] [--max-conns C] [--chunk-kib K] \
+                     [--servers S] [--memory-mib M] [--max-conns C] \
                      [--disk-dir PATH] [--disk-budget-mib D]\n\
                      --shards 1 runs a single standalone staging service"
                     .to_string());

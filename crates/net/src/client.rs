@@ -27,11 +27,11 @@ use xlayer_staging::{DataObject, ObjectDesc};
 
 use crate::frame::RecvError;
 use crate::iovec::write_vectored_all;
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, MAX_CLASS_BYTES};
 use crate::stream::{recv_header, recv_payload, send_stream, Assembler, Fault, Step};
 use crate::wire::{
-    checksum, clamp_chunk_size, frame_header, put_frame_parts, ErrorFrame, Request, Response,
-    ServiceSnapshot, WireError, DEFAULT_CHUNK_SIZE,
+    checksum, frame_header, put_frame_parts, ErrorFrame, Request, Response, ServiceSnapshot,
+    WireError, CHUNK,
 };
 
 /// Configuration of a [`RemoteClient`].
@@ -51,15 +51,6 @@ pub struct ClientConfig {
     pub backoff_base: Duration,
     /// Upper bound on a single backoff sleep.
     pub backoff_cap: Duration,
-    /// Chunk size proposed for chunked streams (the service clamps it to
-    /// the protocol's bounds).
-    pub chunk_size: u32,
-    /// Objects at least this many bytes are put with the chunked stream
-    /// protocol instead of a single frame. The default is the largest
-    /// buffer-pool size class: below it a whole frame recycles through the
-    /// pool, above it single-frame transfers would allocate transiently
-    /// per op (and past `MAX_PAYLOAD` they cannot be framed at all).
-    pub chunk_threshold: u64,
 }
 
 impl Default for ClientConfig {
@@ -71,8 +62,6 @@ impl Default for ClientConfig {
             max_retries: 3,
             backoff_base: Duration::from_millis(20),
             backoff_cap: Duration::from_millis(500),
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            chunk_threshold: 8 << 20,
         }
     }
 }
@@ -142,6 +131,15 @@ impl From<Fault> for RemoteError {
             Some(e) => RemoteError::Wire(e),
             None => RemoteError::Protocol(fault.detail),
         }
+    }
+}
+
+/// Split a decoded response into what `call_with` classifies: the typed
+/// refusal, or any other response.
+fn refusal(resp: Response) -> Result<Response, ErrorFrame> {
+    match resp {
+        Response::Error(e) => Err(e),
+        other => Ok(other),
     }
 }
 
@@ -317,11 +315,12 @@ impl RemoteClient {
     /// transport failures retry with bounded exponential backoff on a
     /// fresh connection; `OutOfMemory`, `NeedsReduction`, `BadRequest` and
     /// `ShuttingDown` responses return immediately — only the transport
-    /// is retried, never policy.
-    fn call_with(
+    /// is retried, never policy. An attempt yields what the exchange was
+    /// for, or the typed refusal the service answered it with.
+    fn call_with<T>(
         &self,
-        attempt_once: impl Fn(&Self, &mut TcpStream) -> Result<Response, RemoteError>,
-    ) -> Result<Response, RemoteError> {
+        attempt_once: impl Fn(&Self, &mut TcpStream) -> Result<Result<T, ErrorFrame>, RemoteError>,
+    ) -> Result<T, RemoteError> {
         let cfg = &self.inner.cfg;
         let mut backoff = cfg.backoff_base;
         let mut last_err = None;
@@ -340,7 +339,7 @@ impl RemoteClient {
                 Err(e) => return Err(RemoteError::Io(e)),
             };
             match attempt_once(self, &mut stream) {
-                Ok(Response::Error(ErrorFrame::OutOfMemory {
+                Ok(Err(ErrorFrame::OutOfMemory {
                     cap,
                     used,
                     requested,
@@ -353,22 +352,22 @@ impl RemoteClient {
                         requested,
                     });
                 }
-                Ok(Response::Error(busy @ ErrorFrame::Busy { .. })) => {
+                Ok(Err(busy @ ErrorFrame::Busy { .. })) => {
                     // Transient service-side condition; retry with backoff.
                     self.inner.retries.busy.fetch_add(1, Ordering::Relaxed);
                     last_err = Some(RemoteError::Refused(busy));
                 }
-                Ok(Response::Error(reduce @ ErrorFrame::NeedsReduction { .. })) => {
+                Ok(Err(reduce @ ErrorFrame::NeedsReduction { .. })) => {
                     // The other policy signal: same healthy connection.
                     self.checkin(stream);
                     return Err(RemoteError::Refused(reduce));
                 }
                 // `BadRequest` / `ShuttingDown`: the stream may be out of
                 // step, so the connection is dropped.
-                Ok(Response::Error(e)) => return Err(RemoteError::Refused(e)),
-                Ok(resp) => {
+                Ok(Err(e)) => return Err(RemoteError::Refused(e)),
+                Ok(Ok(done)) => {
                     self.checkin(stream);
-                    return Ok(resp);
+                    return Ok(done);
                 }
                 Err(RemoteError::Io(e)) if transient(e.kind()) => {
                     // Stale pooled connection or flaky link: fresh socket
@@ -393,24 +392,25 @@ impl RemoteClient {
 
     /// Send a request under the retry policy (see [`Self::call_with`]).
     pub fn call(&self, req: &Request) -> Result<Response, RemoteError> {
-        self.call_with(|me, stream| me.exchange(stream, req))
+        self.call_with(|me, stream| me.exchange(stream, req).map(refusal))
     }
 
     /// Store one object; returns the shard it landed on. Picks the
-    /// transfer protocol by size: objects at or above
-    /// [`ClientConfig::chunk_threshold`] stream as chunks, smaller ones go
-    /// as a single frame.
+    /// transfer protocol by size: a payload that reaches the buffer pool's
+    /// largest size class ([`MAX_CLASS_BYTES`]) streams as chunks — as one
+    /// frame the service could not receive it into a recycled buffer (and
+    /// past `MAX_PAYLOAD` it could not be framed at all) — and a smaller
+    /// one goes as a single frame.
     pub fn put(&self, obj: &DataObject) -> Result<u32, RemoteError> {
-        if obj.desc.bytes >= self.inner.cfg.chunk_threshold {
+        if obj.desc.bytes >= MAX_CLASS_BYTES as u64 {
             self.put_chunked(obj)
         } else {
             self.put_whole(obj)
         }
     }
 
-    /// Store one object as a single `Put` frame, regardless of size (fails
-    /// on objects too large for one frame — use [`Self::put_chunked`]).
-    pub fn put_whole(&self, obj: &DataObject) -> Result<u32, RemoteError> {
+    /// Store one object as a single `Put` frame.
+    fn put_whole(&self, obj: &DataObject) -> Result<u32, RemoteError> {
         match self.call(&Request::Put(obj.clone()))? {
             Response::PutOk { shard } => Ok(shard),
             other => Err(RemoteError::Protocol(format!(
@@ -423,9 +423,12 @@ impl RemoteClient {
     /// Store one object as a chunked stream: a `PutChunked` descriptor
     /// frame, the payload as checksummed chunk frames sliced straight from
     /// the object (never copied), and a terminal frame — then one
-    /// response. No object size ceiling; retried like any other call.
+    /// response. No object size ceiling; retried like any other call. The
+    /// payload is hashed chunk by chunk as it goes out, while the service
+    /// verifies the chunk before — unless `obj` already knows its sums.
     pub fn put_chunked(&self, obj: &DataObject) -> Result<u32, RemoteError> {
-        let resp = self.call_with(|me, stream| me.exchange_put_chunked(stream, obj))?;
+        let resp =
+            self.call_with(|me, stream| me.exchange_put_chunked(stream, obj).map(refusal))?;
         match resp {
             Response::PutChunkedOk { shard } => Ok(shard),
             other => Err(RemoteError::Protocol(format!(
@@ -441,22 +444,18 @@ impl RemoteClient {
         obj: &DataObject,
     ) -> Result<Response, RemoteError> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let chunk = clamp_chunk_size(self.inner.cfg.chunk_size);
         let head = Request::PutChunked {
             desc: obj.desc.clone(),
-            chunk_size: chunk,
         };
         self.send_request(stream, &head, id)?;
-        send_stream(stream, id, chunk as usize, [(obj.payload.as_ref(), None)])
-            .map_err(RemoteError::Io)?;
+        send_stream(stream, id, CHUNK, [obj]).map_err(RemoteError::Io)?;
         self.read_response(stream, id)
     }
 
     /// Fetch the objects under `(name, version)`, optionally clipped to a
-    /// query box. Always uses the chunked stream protocol: the service
-    /// serves it zero-copy and it has no object size ceiling, so there is
-    /// no size the single-frame path handles better by more than a frame
-    /// of overhead.
+    /// query box. A get is always a chunked stream — the wire has no
+    /// other form: the service serves it zero-copy and it has no object
+    /// size ceiling.
     pub fn get(
         &self,
         name: &str,
@@ -464,28 +463,6 @@ impl RemoteClient {
         query: Option<IBox>,
     ) -> Result<Vec<DataObject>, RemoteError> {
         self.get_chunked(name, version, query)
-    }
-
-    /// Fetch objects as a single `GetOk` frame (fails when the result
-    /// exceeds the frame payload ceiling — use [`Self::get_chunked`]).
-    pub fn get_whole(
-        &self,
-        name: &str,
-        version: u64,
-        query: Option<IBox>,
-    ) -> Result<Vec<DataObject>, RemoteError> {
-        let req = Request::Get {
-            name: name.to_string(),
-            version,
-            query,
-        };
-        match self.call(&req)? {
-            Response::GetOk(objs) => Ok(objs),
-            other => Err(RemoteError::Protocol(format!(
-                "get answered with {:?}",
-                other.opcode()
-            ))),
-        }
     }
 
     /// Fetch objects as a chunked stream, assembling each payload directly
@@ -496,15 +473,7 @@ impl RemoteClient {
         version: u64,
         query: Option<IBox>,
     ) -> Result<Vec<DataObject>, RemoteError> {
-        let resp =
-            self.call_with(|me, stream| me.exchange_get_chunked(stream, name, version, &query))?;
-        match resp {
-            Response::GetOk(objs) => Ok(objs),
-            other => Err(RemoteError::Protocol(format!(
-                "chunked get answered with {:?}",
-                other.opcode()
-            ))),
-        }
+        self.call_with(|me, stream| me.exchange_get_chunked(stream, name, version, &query))
     }
 
     fn exchange_get_chunked(
@@ -513,19 +482,18 @@ impl RemoteClient {
         name: &str,
         version: u64,
         query: &Option<IBox>,
-    ) -> Result<Response, RemoteError> {
+    ) -> Result<Result<Vec<DataObject>, ErrorFrame>, RemoteError> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let req = Request::GetChunked {
             name: name.to_string(),
             version,
             query: *query,
-            chunk_size: self.inner.cfg.chunk_size,
         };
         self.send_request(stream, &req, id)?;
-        let (descs, chunk_size) = match self.read_response(stream, id)? {
-            Response::GetChunkedOk { descs, chunk_size } => (descs, chunk_size),
+        let descs = match self.read_response(stream, id)? {
+            Response::GetChunkedOk { descs } => descs,
             // Typed refusals surface to the retry loop's classification.
-            Response::Error(e) => return Ok(Response::Error(e)),
+            Response::Error(e) => return Ok(Err(e)),
             other => {
                 return Err(RemoteError::Protocol(format!(
                     "chunked get answered with {:?}",
@@ -533,17 +501,17 @@ impl RemoteClient {
                 )))
             }
         };
-        let mut assembler = Assembler::new(descs, chunk_size);
+        let mut assembler = Assembler::new(descs, CHUNK);
         // Abort on the first fault: the socket is dropped with the stream
         // half-read and `call_with` classifies what went wrong.
         let end = loop {
             match assembler.recv(stream, &self.inner.bufs, id)? {
-                Step::Chunk(_) => {}
+                Step::Chunk => {}
                 Step::End(end) => break end,
                 Step::Fault(fault) => return Err(fault.into()),
             }
         };
-        Ok(Response::GetOk(assembler.finish(end)?))
+        Ok(Ok(assembler.finish(end)?))
     }
 
     /// Fetch descriptors under `(name, version)` — metadata only.

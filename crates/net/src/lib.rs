@@ -51,7 +51,7 @@
 //!   the wire in one syscall without concatenating them.
 //!
 //! Large objects stream as chunked sub-frames (`PutChunked`/`GetChunked`,
-//! default 1 MiB chunks): receivers assemble directly into the buffer
+//! always 1 MiB chunks): receivers assemble directly into the buffer
 //! that becomes the payload and senders write straight out of the
 //! `Arc`-held payload, so the chunked path has no whole-object copies and
 //! no 256 MiB frame ceiling.

@@ -35,8 +35,8 @@ use crate::iovec::write_vectored_all;
 use crate::pool::{BufferPool, PooledBuf};
 use crate::stream::{recv_header, recv_payload, send_stream, Assembler, Step};
 use crate::wire::{
-    checksum, clamp_chunk_size, frame_header, ErrorFrame, Header, Request, Response,
-    ServiceSnapshot, MAX_CHUNKED_OBJECT,
+    checksum, frame_header, ErrorFrame, Header, Request, Response, ServiceSnapshot, CHUNK,
+    MAX_CHUNKED_OBJECT,
 };
 
 /// Configuration for a [`StagingService`].
@@ -58,12 +58,6 @@ pub struct ServiceConfig {
     pub read_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
-    /// Upper bound on the chunk size this service uses for chunked GET
-    /// streams: a client's proposal is capped here, then clamped to the
-    /// protocol bounds, and the effective size is announced in the
-    /// `GetChunkedOk` head frame. (PUT streams are paced by the sender, so
-    /// this does not apply to them.)
-    pub chunk_size: u32,
     /// Directory for the disk spill tier's per-server object logs. `None`
     /// disables the tier (puts beyond the memory cap are rejected, the
     /// pre-tier behaviour). Each service instance logs under its own
@@ -85,7 +79,6 @@ impl Default for ServiceConfig {
             max_connections: 32,
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(5),
-            chunk_size: crate::wire::DEFAULT_CHUNK_SIZE,
             disk_dir: None,
             disk_budget: u64::MAX,
         }
@@ -120,9 +113,12 @@ pub struct ServiceStats {
     /// Bytes written to served connections (headers + payloads), counted
     /// at the socket.
     pub bytes_out: AtomicU64,
-    /// Chunked-get streams whose per-chunk sums came from the cache.
+    /// Objects streamed by a chunked get whose per-chunk sums were already
+    /// known when the stream began (learned from the put stream that
+    /// delivered the object, an earlier get, or the disk tier).
     pub chunksum_hits: AtomicU64,
-    /// Chunked-get streams that had to recompute per-chunk sums.
+    /// Objects streamed by a chunked get that had to be hashed on the way
+    /// out.
     pub chunksum_misses: AtomicU64,
     /// `Busy` error frames actually written to refused peers. Differs from
     /// `conns_refused` (which counts refusal decisions) when the refusal
@@ -171,79 +167,10 @@ struct Inner {
     space: Arc<DataSpace>,
     stats: Arc<ServiceStats>,
     pool: Arc<BufferPool>,
-    chunk_sums: ChunkSumCache,
     stop: AtomicBool,
     active: AtomicU32,
     addr: SocketAddr,
     cfg: ServiceConfig,
-}
-
-/// Per-chunk data checksums of stored objects, keyed by payload identity.
-///
-/// A chunk frame's checksum is `checksum(prefix) ^ checksum(data)`
-/// (see `wire::chunk_data_parts_cached`), so the data half depends only on
-/// the stored bytes and the chunk size — not on the request or the chunk's
-/// position in a response. Stored objects are immutable behind their
-/// `Arc`, which makes those sums cacheable: `serve_put_chunked` learns
-/// them for free while verifying the inbound stream, and `serve_get_chunked`
-/// then streams the object without a single checksum pass over the
-/// payload. For a memory-bound staging service that pass is the dominant
-/// per-get CPU cost (the data bytes are otherwise only touched by the
-/// kernel's socket copy).
-///
-/// Entries are keyed by the `Arc`'s allocation address and hold a `Weak`
-/// back-reference: the weak keeps the allocation's address from being
-/// reused while the entry lives, and an entry whose weak no longer
-/// upgrades to the queried object is dead (evicted object) and is ignored.
-struct ChunkSumCache {
-    // BTreeMap: prune order is a pure function of the keys, never of a
-    // hasher's bucket layout.
-    map: std::sync::Mutex<std::collections::BTreeMap<usize, ChunkSumEntry>>,
-}
-
-struct ChunkSumEntry {
-    holder: std::sync::Weak<DataObject>,
-    chunk: u32,
-    sums: Arc<Vec<u32>>,
-}
-
-impl ChunkSumCache {
-    /// Entries kept before dead-weak pruning, then wholesale clearing.
-    const CAP: usize = 256;
-
-    fn new() -> Self {
-        ChunkSumCache {
-            map: std::sync::Mutex::new(std::collections::BTreeMap::new()),
-        }
-    }
-
-    /// The cached sums for `obj` chunked at `chunk` bytes, if present and
-    /// still referring to this exact allocation.
-    fn lookup(&self, obj: &Arc<DataObject>, chunk: u32) -> Option<Arc<Vec<u32>>> {
-        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = map.get(&(Arc::as_ptr(obj) as usize))?;
-        let live = entry
-            .holder
-            .upgrade()
-            .is_some_and(|held| Arc::ptr_eq(&held, obj));
-        (live && entry.chunk == chunk).then(|| Arc::clone(&entry.sums))
-    }
-
-    fn insert(&self, obj: &Arc<DataObject>, chunk: u32, sums: Arc<Vec<u32>>) {
-        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        map.retain(|_, e| e.holder.upgrade().is_some());
-        if map.len() >= Self::CAP {
-            map.clear();
-        }
-        map.insert(
-            Arc::as_ptr(obj) as usize,
-            ChunkSumEntry {
-                holder: Arc::downgrade(obj),
-                chunk,
-                sums,
-            },
-        );
-    }
 }
 
 impl Inner {
@@ -303,30 +230,10 @@ impl StagingService {
                 Arc::new(space)
             }
         };
-        Self::start_on_listener(cfg, listener, addr, space, pool)
-    }
-
-    /// Bind a listener and start serving an existing space (lets tests and
-    /// embedders share the space with in-process consumers).
-    pub fn start_with_space(cfg: ServiceConfig, space: Arc<DataSpace>) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let pool = Arc::new(BufferPool::new());
-        Self::start_on_listener(cfg, listener, addr, space, pool)
-    }
-
-    fn start_on_listener(
-        cfg: ServiceConfig,
-        listener: TcpListener,
-        addr: SocketAddr,
-        space: Arc<DataSpace>,
-        pool: Arc<BufferPool>,
-    ) -> std::io::Result<Self> {
         let inner = Arc::new(Inner {
             space,
             stats: Arc::new(ServiceStats::default()),
             pool,
-            chunk_sums: ChunkSumCache::new(),
             stop: AtomicBool::new(false),
             active: AtomicU32::new(0),
             addr,
@@ -360,11 +267,6 @@ impl StagingService {
     /// The buffer pool connection workers recycle wire scratch through.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.inner.pool
-    }
-
-    /// Whether a shutdown has been requested (locally or via the wire).
-    pub fn is_stopping(&self) -> bool {
-        self.inner.stop.load(Ordering::Acquire)
     }
 
     /// Request a graceful stop and wait for the accept loop and every
@@ -568,8 +470,8 @@ fn serve_connection(inner: &Inner, stream: TcpStream) {
                             false,
                         )
                     }
-                    Ok(Request::PutChunked { desc, chunk_size }) => {
-                        if serve_put_chunked(conn, request_id, desc, chunk_size) {
+                    Ok(Request::PutChunked { desc }) => {
+                        if serve_put_chunked(conn, request_id, desc) {
                             continue;
                         }
                         return;
@@ -578,9 +480,8 @@ fn serve_connection(inner: &Inner, stream: TcpStream) {
                         name,
                         version,
                         query,
-                        chunk_size,
                     }) => {
-                        if serve_get_chunked(conn, request_id, &name, version, query, chunk_size) {
+                        if serve_get_chunked(conn, request_id, &name, version, query) {
                             continue;
                         }
                         return;
@@ -604,17 +505,18 @@ fn serve_connection(inner: &Inner, stream: TcpStream) {
 }
 
 /// Serve one inbound `PutChunked` stream: the assembler lands chunks
-/// directly in the destination payload buffer, then the object is
-/// committed to the space. Returns `false` when the connection must close.
+/// directly in the destination payload buffer, then the object —
+/// carrying the per-chunk sums it was verified with, so a later chunked
+/// get or spill never re-hashes it — is committed to the space. Returns
+/// `false` when the connection must close.
 ///
 /// The failure policy is the service's own: whatever goes wrong inside
 /// the stream, keep draining to its `ChunkEnd` — the client is already
 /// committed to sending all of it — so the connection stays framed, then
 /// answer one typed error and keep serving.
-fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc, chunk_size: u32) -> bool {
+fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc) -> bool {
     let inner = conn.inner;
     inner.stats.puts.fetch_add(1, Ordering::Relaxed);
-    let chunk = clamp_chunk_size(chunk_size);
     // Head-of-stream rejections refuse before the declared size is
     // allocated: a hostile descriptor must not size the allocation.
     let refused = if !desc.is_consistent() || desc.bytes > MAX_CHUNKED_OBJECT {
@@ -641,22 +543,17 @@ fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc, chunk_s
     } else {
         None
     };
-    // Per-chunk data checksums, learned for free from the stream's own
-    // verification — cached with the committed object so later chunked
-    // gets never re-hash the payload. (Grown as chunks verify, never sized
-    // from the descriptor.)
-    let mut sums: Vec<u32> = Vec::new();
     // A refused stream drains through an assembler that expects nothing.
     let expected = if refused.is_none() {
         vec![desc]
     } else {
         vec![]
     };
-    let mut assembler = Assembler::new(expected, chunk);
+    let mut assembler = Assembler::new(expected, CHUNK);
     let mut failed: Option<String> = None;
     let end = loop {
         match assembler.recv(conn, &inner.pool, request_id) {
-            Ok(Step::Chunk(data_sum)) => sums.push(data_sum),
+            Ok(Step::Chunk) => {}
             Ok(Step::End(end)) => break end,
             Ok(Step::Fault(fault)) => {
                 if failed.is_none() {
@@ -680,16 +577,10 @@ fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc, chunk_s
     };
     let response = match (refused, assembled) {
         (Some(refusal), _) => Response::Error(refusal),
-        (None, Ok(obj)) => {
-            let obj = Arc::new(obj);
-            match commit_put(inner, Arc::clone(&obj)) {
-                Ok(shard) => {
-                    inner.chunk_sums.insert(&obj, chunk, Arc::new(sums));
-                    Response::PutChunkedOk { shard }
-                }
-                Err(rejection) => Response::Error(rejection),
-            }
-        }
+        (None, Ok(obj)) => match commit_put(inner, Arc::new(obj)) {
+            Ok(shard) => Response::PutChunkedOk { shard },
+            Err(rejection) => Response::Error(rejection),
+        },
         (None, Err(detail)) => {
             inner.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
             Response::Error(ErrorFrame::BadRequest { detail })
@@ -700,49 +591,33 @@ fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc, chunk_s
 
 /// Serve one `GetChunked`: answer with the matching descriptors, then
 /// stream every object's payload as chunk frames sliced straight out of
-/// the `Arc`-held objects — no payload copy. Returns `false` when the
-/// connection must close.
+/// the `Arc`-held objects — no payload copy, and for an object that knows
+/// its per-chunk sums no pass over the payload but the socket write.
+/// Returns `false` when the connection must close.
 fn serve_get_chunked(
     conn: &mut Conn,
     request_id: u64,
     name: &str,
     version: u64,
     query: Option<xlayer_amr::boxes::IBox>,
-    chunk_size: u32,
 ) -> bool {
     let inner = conn.inner;
     inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-    let chunk = clamp_chunk_size(chunk_size.min(inner.cfg.chunk_size));
     let objs = inner.space.get(name, version, query.as_ref());
     let head = Response::GetChunkedOk {
         descs: objs.iter().map(|o| o.desc.clone()).collect(),
-        chunk_size: chunk,
     };
     if send_response(conn, request_id, &head).is_err() {
         return false;
     }
-    // One hash pass per (object, chunk size) for the object's lifetime:
-    // learned at put time or computed on the first get, then every frame's
-    // checksum comes from the cache and the payload bytes are only touched
-    // by the socket write.
-    let with_sums = objs.iter().map(|obj| {
-        let payload: &[u8] = obj.payload.as_ref();
-        let sums = match inner.chunk_sums.lookup(obj, chunk) {
-            Some(sums) => {
-                inner.stats.chunksum_hits.fetch_add(1, Ordering::Relaxed);
-                sums
-            }
-            None => {
-                inner.stats.chunksum_misses.fetch_add(1, Ordering::Relaxed);
-                let fresh: Vec<u32> = payload.chunks(chunk as usize).map(checksum).collect();
-                let fresh = Arc::new(fresh);
-                inner.chunk_sums.insert(obj, chunk, Arc::clone(&fresh));
-                fresh
-            }
+    for obj in &objs {
+        let counter = match obj.known_sums(CHUNK) {
+            Some(_) => &inner.stats.chunksum_hits,
+            None => &inner.stats.chunksum_misses,
         };
-        (payload, Some(sums))
-    });
-    send_stream(conn, request_id, chunk as usize, with_sums).is_ok()
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    send_stream(conn, request_id, CHUNK, objs.iter().map(Arc::as_ref)).is_ok()
 }
 
 /// Store `obj`; a rejection comes back as the typed error frame that
@@ -776,20 +651,6 @@ fn handle_request(inner: &Inner, req: Request) -> Response {
                 Ok(shard) => Response::PutOk { shard },
                 Err(rejection) => Response::Error(rejection),
             }
-        }
-        Request::Get {
-            name,
-            version,
-            query,
-        } => {
-            stats.gets.fetch_add(1, Ordering::Relaxed);
-            let objs = inner
-                .space
-                .get(&name, version, query.as_ref())
-                .iter()
-                .map(|o| o.as_ref().clone())
-                .collect();
-            Response::GetOk(objs)
         }
         Request::Query { name, version } => {
             stats.queries.fetch_add(1, Ordering::Relaxed);

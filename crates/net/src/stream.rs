@@ -3,15 +3,16 @@
 //!
 //! A stream is opened by a `PutChunked` request (client → service) or a
 //! `GetChunkedOk` response (service → client) that declares the objects'
-//! descriptors and the chunk size, and is then zero or more `ChunkData`
-//! frames followed by exactly one `ChunkEnd`, all carrying the opening
-//! frame's request id ([`crate::wire`] draws the bytes). The rule that
+//! descriptors, and is then zero or more `ChunkData` frames followed by
+//! exactly one `ChunkEnd`, all carrying the opening frame's request id
+//! ([`crate::wire`] draws the bytes). The rule that
 //! makes a chunk acceptable lives here and nowhere else:
 //!
 //! * per object, offsets are strictly sequential from 0 — no gap, no
 //!   overlap, no rewind — and never run past the declared size;
-//! * every chunk is exactly the negotiated chunk size except an object's
-//!   last, which ends exactly at the declared size;
+//! * every chunk is exactly the stream's chunk size — on a socket always
+//!   [`crate::wire::CHUNK`], never negotiated — except an object's last,
+//!   which ends exactly at the declared size;
 //! * a chunk's frame checksum is `checksum(prefix) ^ checksum(data)`;
 //! * objects may interleave in any order; `ChunkEnd` carries the object
 //!   count and the data-byte total, and every object must be complete.
@@ -20,6 +21,11 @@
 //! its final place in a pre-sized buffer which then *becomes* the object's
 //! payload, and [`send_stream`] write each chunk straight out of the
 //! payload it slices — no intermediate chunk buffer on either side.
+//!
+//! Both ends hash every chunk's data anyway — the assembler to verify it,
+//! the sender to frame it — so both leave the object knowing its per-chunk
+//! sums (`DataObject::learn_sums`), and a sender whose object already
+//! knows them frames it without reading the data at all.
 //!
 //! What to do about a bad chunk is **not** decided here. The assembler
 //! consumes the offending frame whole (rejected data drains through a
@@ -39,8 +45,8 @@ use crate::frame::{self, RecvError};
 use crate::iovec::write_vectored_all;
 use crate::pool::{BufferPool, PooledBuf};
 use crate::wire::{
-    checksum, chunk_data_parts, chunk_data_parts_cached, decode_chunk_end, decode_chunk_prefix,
-    decode_header, encode_chunk_end, ChunkEnd, Header, Opcode, WireError, CHUNK_PREFIX_LEN,
+    checksum, chunk_data_parts_cached, decode_chunk_end, decode_chunk_prefix, decode_header,
+    encode_chunk_end, ChunkEnd, Header, Opcode, WireError, CHUNK_PREFIX_LEN,
 };
 
 /// Take one staging-wire header off `r`.
@@ -62,33 +68,46 @@ pub(crate) fn recv_payload(
 /// Send `objects` as the body of chunk stream `request_id`: each payload
 /// sliced at `chunk` bytes, every chunk one vectored `[header, prefix,
 /// data]` write straight out of the payload, then the `ChunkEnd` totals.
-/// An object's second element is its per-chunk data checksums when the
-/// caller already holds them (see `chunk_data_parts_cached`); chunks
-/// beyond the sums given are hashed as they go out.
+/// An object that knows its sums at `chunk` is framed from them; any other
+/// is hashed chunk by chunk as it goes out — so chunk *k* is on the socket
+/// while *k+1* is hashed — and knows them once its last chunk has left.
 pub(crate) fn send_stream<'a>(
     w: &mut impl Write,
     request_id: u64,
     chunk: usize,
-    objects: impl IntoIterator<Item = (&'a [u8], Option<Arc<Vec<u32>>>)>,
+    objects: impl IntoIterator<Item = &'a DataObject>,
 ) -> std::io::Result<()> {
     let chunk = chunk.max(1);
     let mut end = ChunkEnd {
         objects: 0,
         total_bytes: 0,
     };
-    for (payload, sums) in objects {
-        for (k, data) in payload.chunks(chunk).enumerate() {
-            let offset = (k * chunk) as u64;
-            let (header, prefix) = match sums.as_ref().and_then(|s| s.get(k)) {
-                Some(&sum) => {
-                    chunk_data_parts_cached(request_id, end.objects, offset, sum, data.len())
+    for obj in objects {
+        let known = obj.known_sums(chunk);
+        let mut hashed = Vec::new();
+        for (k, data) in obj.payload.chunks(chunk).enumerate() {
+            let sum = match known.and_then(|sums| sums.get(k)) {
+                Some(&sum) => sum,
+                None => {
+                    let sum = checksum(data);
+                    hashed.push(sum);
+                    sum
                 }
-                None => chunk_data_parts(request_id, end.objects, offset, data),
             };
+            let (header, prefix) = chunk_data_parts_cached(
+                request_id,
+                end.objects,
+                (k * chunk) as u64,
+                sum,
+                data.len(),
+            );
             write_vectored_all(w, &[&header, &prefix, data])?;
         }
+        if known.is_none() {
+            obj.learn_sums(chunk, hashed.into());
+        }
         end.objects += 1;
-        end.total_bytes += payload.len() as u64;
+        end.total_bytes += obj.payload.len() as u64;
     }
     w.write_all(&encode_chunk_end(request_id, end))
 }
@@ -123,9 +142,8 @@ impl Fault {
 #[derive(Debug)]
 pub(crate) enum Step {
     /// A chunk passed placement and its checksum and sits in its
-    /// destination; this is `checksum(data)`, the half of the frame
-    /// checksum that depends only on the stored bytes.
-    Chunk(u32),
+    /// destination.
+    Chunk,
     /// The stream's terminal frame; hand it to [`Assembler::finish`].
     End(ChunkEnd),
     /// The frame was consumed but not accepted.
@@ -135,12 +153,17 @@ pub(crate) enum Step {
 /// The receiving end of a chunk stream over a declared list of objects.
 pub(crate) struct Assembler {
     descs: Vec<ObjectDesc>,
-    chunk: u32,
+    chunk: usize,
     /// One destination buffer per object, sized from its descriptor up
     /// front; chunks land in place and the buffer becomes the payload.
     bufs: Vec<Vec<u8>>,
     /// Per object, the offset its next chunk must carry.
     next: Vec<u64>,
+    /// Per object, `checksum(data)` of each chunk accepted so far — the
+    /// half of the frame checksum that depends only on the stored bytes,
+    /// computed to verify the chunk and kept for the object to carry.
+    /// Grown as chunks verify, never sized from a descriptor.
+    sums: Vec<Vec<u32>>,
 }
 
 impl Assembler {
@@ -149,10 +172,11 @@ impl Assembler {
     /// came from a peer. Over an empty list nothing is allocated and every
     /// chunk is a fault — the shape that drains a stream refused at its
     /// head.
-    pub(crate) fn new(descs: Vec<ObjectDesc>, chunk: u32) -> Assembler {
+    pub(crate) fn new(descs: Vec<ObjectDesc>, chunk: usize) -> Assembler {
         Assembler {
             bufs: descs.iter().map(|d| vec![0u8; d.bytes as usize]).collect(),
             next: vec![0; descs.len()],
+            sums: vec![Vec::new(); descs.len()],
             descs,
             chunk,
         }
@@ -171,7 +195,7 @@ impl Assembler {
         let total = self.descs.get(i)?.bytes;
         let end = offset.checked_add(len)?;
         let sequential = self.next.get(i) == Some(&offset) && end <= total;
-        let full_or_last = len == u64::from(self.chunk) || end == total;
+        let full_or_last = len == self.chunk as u64 || end == total;
         (sequential && full_or_last).then_some(offset as usize..end as usize)
     }
 
@@ -251,11 +275,15 @@ impl Assembler {
         if let Some(next) = self.next.get_mut(index as usize) {
             *next = offset + data_len as u64;
         }
-        Ok(Step::Chunk(data_sum))
+        if let Some(sums) = self.sums.get_mut(index as usize) {
+            sums.push(data_sum);
+        }
+        Ok(Step::Chunk)
     }
 
     /// Reconcile the stream's `ChunkEnd` totals against what was declared
-    /// and what arrived, and turn the buffers into the objects.
+    /// and what arrived, and turn the buffers into the objects, each
+    /// knowing the per-chunk sums its chunks were verified with.
     pub(crate) fn finish(self, end: ChunkEnd) -> Result<Vec<DataObject>, Fault> {
         let short = |detail: String| Fault::corrupt(WireError::Truncated, detail);
         let received: u64 = self.next.iter().sum();
@@ -283,16 +311,20 @@ impl Assembler {
                 end.total_bytes
             )));
         }
+        let chunk = self.chunk;
         self.descs
             .into_iter()
             .zip(self.bufs)
-            .map(|(desc, buf)| {
-                DataObject::from_wire(desc, Bytes::from(buf)).ok_or_else(|| {
+            .zip(self.sums)
+            .map(|((desc, buf), sums)| {
+                let obj = DataObject::from_wire(desc, Bytes::from(buf)).ok_or_else(|| {
                     Fault::corrupt(
                         WireError::InconsistentObject,
                         "assembled object is inconsistent".to_string(),
                     )
-                })
+                })?;
+                obj.learn_sums(chunk, sums.into());
+                Ok(obj)
             })
             .collect()
     }
@@ -332,8 +364,10 @@ fn recv_terminal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::chunk_data_parts;
     use xlayer_amr::boxes::IBox;
     use xlayer_amr::intvect::IntVect;
+    use xlayer_staging::sum::chunk_sums;
     use xlayer_staging::ObjectKey;
 
     const ID: u64 = 9;
@@ -400,14 +434,14 @@ mod tests {
         let bytes = frames.concat();
         let mut r = bytes.as_slice();
         let descs = objs.iter().map(|o| o.desc.clone()).collect();
-        let mut assembler = Assembler::new(descs, CHUNK as u32);
+        let mut assembler = Assembler::new(descs, CHUNK);
         let mut first_fault = None;
-        for (k, frame) in frames.iter().enumerate() {
+        for k in 0..frames.len() {
             match assembler
                 .recv(&mut r, &pool, ID)
                 .expect("stream stays framed")
             {
-                Step::Chunk(sum) => assert_eq!(sum, checksum(&frame[36..])),
+                Step::Chunk => {}
                 Step::Fault(fault) => {
                     first_fault.get_or_insert((k, fault));
                     assembler.abandon();
@@ -425,11 +459,17 @@ mod tests {
         panic!("stream ended without a ChunkEnd")
     }
 
+    /// Reassembled objects are the originals, and each left the assembler
+    /// knowing exactly its payload's per-chunk sums.
     fn assert_identical(got: &[DataObject], want: &[DataObject]) {
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want) {
             assert_eq!(g.desc, w.desc);
             assert_eq!(g.payload.as_ref(), w.payload.as_ref());
+            assert_eq!(
+                g.known_sums(CHUNK).map(|s| s.to_vec()),
+                Some(chunk_sums(&g.payload, CHUNK))
+            );
         }
     }
 
@@ -622,32 +662,41 @@ mod tests {
     fn what_send_stream_writes_the_assembler_accepts() {
         let objs = [noisy(0, 5), noisy(1, 0), noisy(2, 9)];
         let pool = Arc::new(BufferPool::new());
-        // With no sums, with exact cached sums, and with sums that run out
-        // after the first chunk: the bytes on the wire are the same.
-        let cached = |o: &DataObject, n: usize| -> Option<Arc<Vec<u32>>> {
-            Some(Arc::new(
-                o.payload.chunks(CHUNK).take(n).map(checksum).collect(),
-            ))
-        };
-        let mut streams = Vec::new();
-        for sums in [0usize, usize::MAX, 1] {
-            let mut wire = Vec::new();
-            let parts = objs.iter().map(|o| {
-                let sums = if sums == 0 { None } else { cached(o, sums) };
-                (o.payload.as_ref(), sums)
-            });
-            send_stream(&mut wire, ID, CHUNK, parts).unwrap();
-            streams.push(wire);
+        // Objects nobody has hashed are hashed as they go out and know
+        // their sums afterwards; sent again they are framed from what they
+        // know. The bytes on the wire are the same.
+        let mut unknown = Vec::new();
+        send_stream(&mut unknown, ID, CHUNK, &objs).unwrap();
+        for o in &objs {
+            assert_eq!(
+                o.known_sums(CHUNK).map(|s| s.to_vec()),
+                Some(chunk_sums(&o.payload, CHUNK))
+            );
         }
-        assert_eq!(streams[0], streams[1]);
-        assert_eq!(streams[0], streams[2]);
+        let mut known = Vec::new();
+        send_stream(&mut known, ID, CHUNK, &objs).unwrap();
+        assert_eq!(unknown, known);
+        // Known sums go out as they are, the data unread — so an object
+        // taught wrong ones fails closed at the receiver.
+        let liar = noisy(3, 5);
+        liar.learn_sums(CHUNK, vec![0; 3].into());
+        let mut wire = Vec::new();
+        send_stream(&mut wire, ID, CHUNK, [&liar]).unwrap();
+        let mut assembler = Assembler::new(vec![liar.desc.clone()], CHUNK);
+        match assembler.recv(&mut wire.as_slice(), &pool, ID).unwrap() {
+            Step::Fault(Fault {
+                wire: Some(WireError::ChecksumMismatch { .. }),
+                ..
+            }) => {}
+            other => panic!("expected a checksum fault, got {other:?}"),
+        }
 
-        let mut r = streams[0].as_slice();
+        let mut r = known.as_slice();
         let descs = objs.iter().map(|o| o.desc.clone()).collect();
-        let mut assembler = Assembler::new(descs, CHUNK as u32);
+        let mut assembler = Assembler::new(descs, CHUNK);
         let end = loop {
             match assembler.recv(&mut r, &pool, ID).unwrap() {
-                Step::Chunk(_) => {}
+                Step::Chunk => {}
                 Step::End(end) => break end,
                 Step::Fault(fault) => panic!("{fault:?}"),
             }

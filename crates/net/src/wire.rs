@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic            b"XLNT"
-//!      4     2  protocol version u16 LE (currently 4)
+//!      4     2  protocol version u16 LE (currently 5)
 //!      6     1  opcode           (see [`Opcode`])
 //!      7     1  flags            reserved, must be 0
 //!      8     8  request id       u64 LE, echoed by the response
@@ -40,10 +40,14 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 /// 3 appended the disk-budget pair (`tier_disk_budget`,
 /// `tier_disk_headroom`) to `StatsOk`; version 4 appended `busy_frames`
 /// (Busy refusals actually written) to `StatsOk` for load-generation
-/// accounting; an older peer would misparse the body. The layout
-/// fingerprint is additionally pinned in `xlint.wire` (rule S):
-/// regenerate it with `xlint --write-wire-pin` alongside any bump.
-pub const VERSION: u16 = 4;
+/// accounting; version 5 fixed the chunk size of every stream at
+/// [`CHUNK`] (dropping the negotiated size from the bodies of `PutChunked`,
+/// `GetChunked` and `GetChunkedOk`) and retired the single-frame `Get` /
+/// `GetOk` pair, whose opcode numbers 0x02 / 0x82 stay unassigned; an
+/// older peer would misparse the body. The layout fingerprint is
+/// additionally pinned in `xlint.wire` (rule S): regenerate it with
+/// `xlint --write-wire-pin` alongside any bump.
+pub const VERSION: u16 = 5;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = frame::HEADER_LEN;
@@ -51,8 +55,7 @@ pub const HEADER_LEN: usize = frame::HEADER_LEN;
 /// Largest accepted payload (256 MiB). Decoders reject longer frames
 /// before allocating. Objects above this limit must travel chunked
 /// ([`Opcode::PutChunked`]/[`Opcode::GetChunked`]), whose streams are
-/// bounded per-frame by [`MAX_CHUNK_SIZE`] and in total by
-/// [`MAX_CHUNKED_OBJECT`].
+/// bounded per-frame by [`CHUNK`] and in total by [`MAX_CHUNKED_OBJECT`].
 pub const MAX_PAYLOAD: u32 = 256 << 20;
 
 /// This protocol's parameters for the shared header codec.
@@ -62,14 +65,11 @@ const SPEC: FrameSpec = FrameSpec {
     max_payload: MAX_PAYLOAD,
 };
 
-/// Default sub-frame size of a chunked stream (1 MiB).
-pub const DEFAULT_CHUNK_SIZE: u32 = 1 << 20;
-
-/// Smallest negotiable sub-frame size (4 KiB).
-pub const MIN_CHUNK_SIZE: u32 = 4 << 10;
-
-/// Largest negotiable sub-frame size (8 MiB).
-pub const MAX_CHUNK_SIZE: u32 = 8 << 20;
+/// The data bytes of every chunk of a chunked stream but an object's last,
+/// which may be shorter (1 MiB). Fixed, not negotiated: it is the size the
+/// per-chunk sums an object carries are valid for
+/// (`xlayer_staging::sum`).
+pub use xlayer_staging::sum::CHUNK;
 
 /// Ceiling on one chunked object's total payload (16 GiB) — the chunked
 /// path removes [`MAX_PAYLOAD`]'s per-frame cap, not the principle that a
@@ -80,22 +80,15 @@ pub const MAX_CHUNKED_OBJECT: u64 = 16 << 30;
 /// chunk's data bytes: `u32` object index + `u64` stream offset.
 pub const CHUNK_PREFIX_LEN: usize = 12;
 
-/// Clamp a proposed sub-frame size into the negotiable
-/// [`MIN_CHUNK_SIZE`]..=[`MAX_CHUNK_SIZE`] window. Both peers apply this,
-/// so a stream's effective chunk size is a pure function of the opening
-/// frame.
-pub fn clamp_chunk_size(proposed: u32) -> u32 {
-    proposed.clamp(MIN_CHUNK_SIZE, MAX_CHUNK_SIZE)
-}
-
 /// FNV-1a 32-bit checksum, the integrity check carried in each header.
 /// The implementation lives in `xlayer_staging::sum` — the disk tier
-/// checksums its extents with the very same function, so per-chunk sums
-/// computed on the wire stay valid on disk and back.
+/// checksums its extents with the very same function, so the per-chunk
+/// sums an object learned on the wire stay valid on disk and back.
 pub use xlayer_staging::sum::{checksum, checksum_update};
 
-/// Frame opcodes. Requests occupy `0x01..=0x08`, their success responses
-/// the same code with the high bit set, `0x09`/`0x0A` are the sub-frames
+/// Frame opcodes. Requests occupy `0x01..=0x08` (`0x02`, the retired
+/// single-frame get, is unassigned — as is its response `0x82`), their
+/// success responses the same code with the high bit set, `0x09`/`0x0A` are the sub-frames
 /// of a chunked stream (either direction), and `0x7F` is the typed error
 /// response any request can receive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,9 +96,6 @@ pub use xlayer_staging::sum::{checksum, checksum_update};
 pub enum Opcode {
     /// Store one [`DataObject`].
     Put = 0x01,
-    /// Fetch the objects under `(name, version)`, optionally intersecting
-    /// a query box.
-    Get = 0x02,
     /// Fetch descriptors only (metadata query).
     Query = 0x03,
     /// Evict versions of a variable older than a watermark.
@@ -114,11 +104,11 @@ pub enum Opcode {
     Stats = 0x05,
     /// Ask the service to shut down gracefully.
     Shutdown = 0x06,
-    /// Open a chunked put stream: descriptor + negotiated chunk size now,
-    /// payload in [`Opcode::ChunkData`] sub-frames after.
+    /// Open a chunked put stream: descriptor now, payload in
+    /// [`Opcode::ChunkData`] sub-frames after.
     PutChunked = 0x07,
-    /// Fetch objects as a chunked stream (the streaming counterpart of
-    /// [`Opcode::Get`]).
+    /// Fetch the objects under `(name, version)`, optionally intersecting
+    /// a query box, as a chunked stream.
     GetChunked = 0x08,
     /// One sub-frame of payload inside a chunked stream: object index +
     /// stream offset + data, checksummed per chunk by the frame header.
@@ -128,8 +118,6 @@ pub enum Opcode {
     ChunkEnd = 0x0A,
     /// Success response to [`Opcode::Put`].
     PutOk = 0x81,
-    /// Success response to [`Opcode::Get`].
-    GetOk = 0x82,
     /// Success response to [`Opcode::Query`].
     QueryOk = 0x83,
     /// Success response to [`Opcode::Delete`].
@@ -141,8 +129,8 @@ pub enum Opcode {
     /// Success response to [`Opcode::PutChunked`], sent after the entire
     /// stream has been assembled and stored.
     PutChunkedOk = 0x87,
-    /// Response header of a [`Opcode::GetChunked`] stream: descriptors +
-    /// effective chunk size, followed by `ChunkData`/`ChunkEnd` frames.
+    /// Response header of a [`Opcode::GetChunked`] stream: descriptors,
+    /// followed by `ChunkData`/`ChunkEnd` frames.
     GetChunkedOk = 0x88,
     /// Typed error response (see [`ErrorFrame`]).
     Error = 0x7F,
@@ -153,7 +141,6 @@ impl Opcode {
     pub fn from_u8(b: u8) -> Option<Opcode> {
         match b {
             0x01 => Some(Opcode::Put),
-            0x02 => Some(Opcode::Get),
             0x03 => Some(Opcode::Query),
             0x04 => Some(Opcode::Delete),
             0x05 => Some(Opcode::Stats),
@@ -163,7 +150,6 @@ impl Opcode {
             0x09 => Some(Opcode::ChunkData),
             0x0A => Some(Opcode::ChunkEnd),
             0x81 => Some(Opcode::PutOk),
-            0x82 => Some(Opcode::GetOk),
             0x83 => Some(Opcode::QueryOk),
             0x84 => Some(Opcode::DeleteOk),
             0x85 => Some(Opcode::StatsOk),
@@ -315,6 +301,18 @@ impl Rd<'_> {
         })
     }
 
+    /// A counted list of descriptors.
+    fn descs(&mut self) -> Result<Vec<ObjectDesc>, WireError> {
+        let n = self.u32()? as usize;
+        // Each descriptor is far more than 8 bytes; cap the preallocation
+        // by what the payload could possibly hold.
+        let mut descs = Vec::with_capacity(n.min(self.remaining() / 8 + 1));
+        for _ in 0..n {
+            descs.push(self.desc()?);
+        }
+        Ok(descs)
+    }
+
     fn object(&mut self) -> Result<DataObject, WireError> {
         let desc = self.desc()?;
         let payload = Bytes::copy_from_slice(self.bytes()?);
@@ -426,23 +424,10 @@ pub fn put_frame_parts(
 // pass over the concatenation. The XOR split keeps per-chunk integrity
 // (either half flipping flips the result) while making the data component
 // independent of the prefix, i.e. of the chunk's object index and stream
-// offset in *this* response — so a service can compute each stored
-// object's chunk sums once and reuse them across every later get stream
+// offset in *this* response — so an object's chunk sums, computed once by
+// whoever hashed it first, frame it in every later stream
 // ([`chunk_data_parts_cached`]). Which chunks a receiver accepts — the
 // sequencing rule that lets it assemble in place — is `crate::stream`'s.
-
-/// A decoded [`Opcode::ChunkData`] body, borrowing the chunk's data bytes
-/// so the caller decides whether (and where) to copy them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkData<'a> {
-    /// Which object of the stream this chunk belongs to (0-based; always 0
-    /// for a put stream, which carries one object).
-    pub index: u32,
-    /// Byte offset of this chunk within the object's payload.
-    pub offset: u64,
-    /// The chunk's data bytes.
-    pub data: &'a [u8],
-}
 
 /// Encode the header + body-prefix pair of a [`Opcode::ChunkData`] frame
 /// whose data bytes are written separately (vectored), so the data —
@@ -460,10 +445,9 @@ pub fn chunk_data_parts(
 /// [`chunk_data_parts`] with the data half of the checksum —
 /// `checksum(data)` — supplied by the caller instead of recomputed. The
 /// chunk checksum is `checksum(prefix) ^ checksum(data)`, so a sender
-/// holding pre-computed per-chunk data sums for an immutable payload
-/// (learned while verifying the put stream that delivered it, or from a
-/// prior get) emits every later stream without touching the data bytes
-/// beyond the socket write itself.
+/// whose object already knows its per-chunk sums
+/// (`DataObject::known_sums`) emits the stream without touching the data
+/// bytes beyond the socket write itself.
 pub fn chunk_data_parts_cached(
     request_id: u64,
     index: u32,
@@ -482,23 +466,12 @@ pub fn chunk_data_parts_cached(
     )
 }
 
-/// Decode a [`Opcode::ChunkData`] body (prefix + borrowed data).
-pub fn decode_chunk_data(payload: &[u8]) -> Result<ChunkData<'_>, WireError> {
-    let mut r = Rd::new(payload);
-    let index = r.u32()?;
-    let offset = r.u64()?;
-    let data = r.take(r.remaining())?;
-    Ok(ChunkData {
-        index,
-        offset,
-        data,
-    })
-}
-
-/// Decode just the fixed 12-byte [`Opcode::ChunkData`] prefix (object
-/// index, stream offset). The receive hot path reads the prefix and the
-/// data bytes in separate reads — the data lands directly in the
-/// destination object buffer — so the prefix is decoded alone.
+/// Decode the fixed 12-byte [`Opcode::ChunkData`] prefix: which object of
+/// the stream the chunk belongs to (0-based; always 0 for a put stream,
+/// which carries one object) and its byte offset within that object's
+/// payload. The receiver reads the prefix and the data bytes in separate
+/// reads — the data lands directly in the destination object buffer — so
+/// the prefix is decoded alone.
 pub fn decode_chunk_prefix(prefix: &[u8; CHUNK_PREFIX_LEN]) -> (u32, u64) {
     let mut idx = [0u8; 4];
     idx.copy_from_slice(&prefix[..4]);
@@ -545,15 +518,6 @@ pub fn decode_chunk_end(payload: &[u8]) -> Result<ChunkEnd, WireError> {
 pub enum Request {
     /// Store one object in the staging space.
     Put(DataObject),
-    /// Objects under `(name, version)`, optionally clipped to a query box.
-    Get {
-        /// Variable name.
-        name: String,
-        /// Version (simulation step).
-        version: u64,
-        /// Optional spatial filter.
-        query: Option<IBox>,
-    },
     /// Descriptors under `(name, version)` — metadata only.
     Query {
         /// Variable name.
@@ -577,11 +541,9 @@ pub enum Request {
     PutChunked {
         /// Descriptor of the object being streamed (carries total length).
         desc: ObjectDesc,
-        /// Proposed sub-frame size; both sides clamp it with
-        /// [`clamp_chunk_size`].
-        chunk_size: u32,
     },
-    /// Fetch objects as a chunked stream.
+    /// Fetch the objects under `(name, version)`, optionally clipped to a
+    /// query box, as a chunked stream.
     GetChunked {
         /// Variable name.
         name: String,
@@ -589,9 +551,6 @@ pub enum Request {
         version: u64,
         /// Optional spatial filter.
         query: Option<IBox>,
-        /// Proposed sub-frame size; the service clamps it and echoes the
-        /// effective size in `GetChunkedOk`.
-        chunk_size: u32,
     },
 }
 
@@ -600,7 +559,6 @@ impl Request {
     pub fn opcode(&self) -> Opcode {
         match self {
             Request::Put(_) => Opcode::Put,
-            Request::Get { .. } => Opcode::Get,
             Request::Query { .. } => Opcode::Query,
             Request::Delete { .. } => Opcode::Delete,
             Request::Stats => Opcode::Stats,
@@ -620,15 +578,6 @@ impl Request {
         };
         match self {
             Request::Put(obj) => w.object(obj),
-            Request::Get {
-                name,
-                version,
-                query,
-            } => {
-                w.string(name);
-                w.u64(*version);
-                w.opt_ibox(query.as_ref());
-            }
             Request::Query { name, version } => {
                 w.string(name);
                 w.u64(*version);
@@ -641,20 +590,15 @@ impl Request {
                 w.u64(*before_version);
             }
             Request::Stats | Request::Shutdown => {}
-            Request::PutChunked { desc, chunk_size } => {
-                w.desc(desc);
-                w.u32(*chunk_size);
-            }
+            Request::PutChunked { desc } => w.desc(desc),
             Request::GetChunked {
                 name,
                 version,
                 query,
-                chunk_size,
             } => {
                 w.string(name);
                 w.u64(*version);
                 w.opt_ibox(query.as_ref());
-                w.u32(*chunk_size);
             }
         }
         *out = w.buf;
@@ -672,11 +616,6 @@ impl Request {
         let mut r = Rd::new(payload);
         let req = match opcode {
             Opcode::Put => Request::Put(r.object()?),
-            Opcode::Get => Request::Get {
-                name: r.string()?,
-                version: r.u64()?,
-                query: r.opt_ibox()?,
-            },
             Opcode::Query => Request::Query {
                 name: r.string()?,
                 version: r.u64()?,
@@ -687,15 +626,11 @@ impl Request {
             },
             Opcode::Stats => Request::Stats,
             Opcode::Shutdown => Request::Shutdown,
-            Opcode::PutChunked => Request::PutChunked {
-                desc: r.desc()?,
-                chunk_size: r.u32()?,
-            },
+            Opcode::PutChunked => Request::PutChunked { desc: r.desc()? },
             Opcode::GetChunked => Request::GetChunked {
                 name: r.string()?,
                 version: r.u64()?,
                 query: r.opt_ibox()?,
-                chunk_size: r.u32()?,
             },
             other => return Err(WireError::UnexpectedOpcode(other as u8)),
         };
@@ -763,10 +698,11 @@ pub struct ServiceSnapshot {
     /// Disk bytes still free under the budget (`budget - used`,
     /// saturating) — the headroom a placement policy steers by.
     pub tier_disk_headroom: u64,
-    /// Chunked-get streams whose per-chunk sums came from the chunk-sum
-    /// cache.
+    /// Objects streamed by a chunked get whose per-chunk sums were already
+    /// known when the stream began.
     pub chunksum_hits: u64,
-    /// Chunked-get streams that had to recompute per-chunk sums.
+    /// Objects streamed by a chunked get that had to be hashed on the way
+    /// out.
     pub chunksum_misses: u64,
     /// `Busy` error frames actually written to refused peers (wire
     /// version 4; load generators reconcile this against client-side
@@ -857,8 +793,6 @@ pub enum Response {
         /// Index of the staging server that stored the object.
         shard: u32,
     },
-    /// Matching objects, payloads included.
-    GetOk(Vec<DataObject>),
     /// Matching descriptors.
     QueryOk(Vec<ObjectDesc>),
     /// Eviction done.
@@ -875,15 +809,13 @@ pub enum Response {
         /// Index of the staging server that stored the object.
         shard: u32,
     },
-    /// Header of a chunked get stream: the matching descriptors and the
-    /// effective (clamped) chunk size. `ChunkData`/`ChunkEnd` frames with
-    /// the same request id follow immediately.
+    /// Header of a chunked get stream: the matching descriptors.
+    /// `ChunkData`/`ChunkEnd` frames with the same request id follow
+    /// immediately.
     GetChunkedOk {
         /// Descriptors of the objects about to be streamed, in stream
         /// (object-index) order.
         descs: Vec<ObjectDesc>,
-        /// The chunk size the service will actually use.
-        chunk_size: u32,
     },
     /// Typed failure.
     Error(ErrorFrame),
@@ -894,7 +826,6 @@ impl Response {
     pub fn opcode(&self) -> Opcode {
         match self {
             Response::PutOk { .. } => Opcode::PutOk,
-            Response::GetOk(_) => Opcode::GetOk,
             Response::QueryOk(_) => Opcode::QueryOk,
             Response::DeleteOk { .. } => Opcode::DeleteOk,
             Response::StatsOk(_) => Opcode::StatsOk,
@@ -915,13 +846,7 @@ impl Response {
         };
         match self {
             Response::PutOk { shard } => w.u32(*shard),
-            Response::GetOk(objs) => {
-                w.u32(objs.len() as u32);
-                for o in objs {
-                    w.object(o);
-                }
-            }
-            Response::QueryOk(descs) => {
+            Response::QueryOk(descs) | Response::GetChunkedOk { descs } => {
                 w.u32(descs.len() as u32);
                 for d in descs {
                     w.desc(d);
@@ -961,13 +886,6 @@ impl Response {
             }
             Response::ShutdownOk => {}
             Response::PutChunkedOk { shard } => w.u32(*shard),
-            Response::GetChunkedOk { descs, chunk_size } => {
-                w.u32(descs.len() as u32);
-                for d in descs {
-                    w.desc(d);
-                }
-                w.u32(*chunk_size);
-            }
             Response::Error(e) => {
                 w.u16(e.code());
                 match e {
@@ -1005,24 +923,7 @@ impl Response {
         let mut r = Rd::new(payload);
         let resp = match opcode {
             Opcode::PutOk => Response::PutOk { shard: r.u32()? },
-            Opcode::GetOk => {
-                let n = r.u32()? as usize;
-                // Each object needs at least a descriptor; cap the
-                // preallocation by what the payload could possibly hold.
-                let mut objs = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-                for _ in 0..n {
-                    objs.push(r.object()?);
-                }
-                Response::GetOk(objs)
-            }
-            Opcode::QueryOk => {
-                let n = r.u32()? as usize;
-                let mut descs = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-                for _ in 0..n {
-                    descs.push(r.desc()?);
-                }
-                Response::QueryOk(descs)
-            }
+            Opcode::QueryOk => Response::QueryOk(r.descs()?),
             Opcode::DeleteOk => Response::DeleteOk {
                 bytes_freed: r.u64()?,
             },
@@ -1055,17 +956,7 @@ impl Response {
             }),
             Opcode::ShutdownOk => Response::ShutdownOk,
             Opcode::PutChunkedOk => Response::PutChunkedOk { shard: r.u32()? },
-            Opcode::GetChunkedOk => {
-                let n = r.u32()? as usize;
-                let mut descs = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-                for _ in 0..n {
-                    descs.push(r.desc()?);
-                }
-                Response::GetChunkedOk {
-                    descs,
-                    chunk_size: r.u32()?,
-                }
-            }
+            Opcode::GetChunkedOk => Response::GetChunkedOk { descs: r.descs()? },
             Opcode::Error => {
                 let code = r.u16()?;
                 let e = match code {
@@ -1135,7 +1026,7 @@ mod tests {
             buf,
             vec![
                 b'X', b'L', b'N', b'T', // magic
-                0x04, 0x00, // version 4 LE
+                0x05, 0x00, // version 5 LE
                 0x05, // opcode Stats
                 0x00, // flags
                 0x07, 0, 0, 0, 0, 0, 0, 0, // request id 7 LE
@@ -1159,7 +1050,7 @@ mod tests {
             9, 0, 0, 0, 0, 0, 0, 0, // before_version 9 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x04, 0x00, 0x04, 0x00, // magic, v4, Delete, flags
+            b'X', b'L', b'N', b'T', 0x05, 0x00, 0x04, 0x00, // magic, v5, Delete, flags
             0x01, 0, 0, 0, 0, 0, 0, 0, // request id 1
             15, 0, 0, 0, // payload length 15
         ];
@@ -1188,7 +1079,7 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&8u32.to_le_bytes());
         body.extend_from_slice(&3.0f64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x04, 0x00, 0x01, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x05, 0x00, 0x01, 0x00];
         expect.extend_from_slice(&3u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1223,9 +1114,6 @@ mod tests {
         // data bytes themselves vectored separately. Every byte pinned.
         let data = [0xAAu8, 0xBB, 0xCC];
         let (header, prefix) = chunk_data_parts(9, 1, 1 << 20, &data);
-        let mut whole = Vec::new();
-        whole.extend_from_slice(&prefix);
-        whole.extend_from_slice(&data);
         let cks = checksum(&prefix) ^ checksum(&data);
         assert_eq!(
             header,
@@ -1234,8 +1122,8 @@ mod tests {
                 b'L',
                 b'N',
                 b'T', // magic
-                0x04,
-                0x00, // version 4 LE
+                0x05,
+                0x00, // version 5 LE
                 0x09, // opcode ChunkData
                 0x00, // flags
                 0x09,
@@ -1257,7 +1145,7 @@ mod tests {
                 cks.to_le_bytes()[3],
             ]
         );
-        // Supplying the data sum from a cache produces the identical frame.
+        // Supplying the data sum ready-made produces the identical frame.
         assert_eq!(
             chunk_data_parts_cached(9, 1, 1 << 20, checksum(&data), data.len()),
             (header, prefix)
@@ -1269,14 +1157,7 @@ mod tests {
                 0, 0, 0x10, 0, 0, 0, 0, 0, // offset 2^20 LE
             ]
         );
-        // The vectored parts reassemble into exactly what decode expects.
-        let cd = decode_chunk_data(&whole).unwrap();
-        assert_eq!(cd.index, 1);
-        assert_eq!(cd.offset, 1 << 20);
-        assert_eq!(cd.data, &data);
-        let mut p = [0u8; CHUNK_PREFIX_LEN];
-        p.copy_from_slice(&prefix);
-        assert_eq!(decode_chunk_prefix(&p), (1, 1 << 20));
+        assert_eq!(decode_chunk_prefix(&prefix), (1, 1 << 20));
     }
 
     #[test]
@@ -1293,7 +1174,7 @@ mod tests {
             0x02, 0x01, 0, 0, 0, 0, 0, 0, // total_bytes 0x0102 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x04, 0x00, 0x0A, 0x00, // magic, v4, ChunkEnd, flags
+            b'X', b'L', b'N', b'T', 0x05, 0x00, 0x0A, 0x00, // magic, v5, ChunkEnd, flags
             0x04, 0, 0, 0, 0, 0, 0, 0, // request id 4
             12, 0, 0, 0, // payload length 12
         ];
@@ -1310,11 +1191,10 @@ mod tests {
         let obj = tiny_object();
         let buf = Request::PutChunked {
             desc: obj.desc.clone(),
-            chunk_size: DEFAULT_CHUNK_SIZE,
         }
         .encode(6);
-        // Body: desc (as in golden_put_request_bytes, without payload) +
-        // chunk size.
+        // Body: desc (as in golden_put_request_bytes, without payload) and
+        // nothing else.
         let mut body = Vec::new();
         body.extend_from_slice(&1u32.to_le_bytes());
         body.push(b'r');
@@ -1327,8 +1207,7 @@ mod tests {
         body.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
         body.extend_from_slice(&8u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&DEFAULT_CHUNK_SIZE.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x04, 0x00, 0x07, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x05, 0x00, 0x07, 0x00];
         expect.extend_from_slice(&6u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1342,15 +1221,11 @@ mod tests {
         let frame = decode_whole(
             &Request::PutChunked {
                 desc: obj.desc.clone(),
-                chunk_size: 4096,
             }
             .encode(8),
         );
         match Request::decode(&frame).unwrap() {
-            Request::PutChunked { desc, chunk_size } => {
-                assert_eq!(desc, obj.desc);
-                assert_eq!(chunk_size, 4096);
-            }
+            Request::PutChunked { desc } => assert_eq!(desc, obj.desc),
             other => panic!("wrong request: {other:?}"),
         }
         for query in [None, Some(IBox::cube(2))] {
@@ -1359,7 +1234,6 @@ mod tests {
                     name: "field".into(),
                     version: 3,
                     query,
-                    chunk_size: 1 << 16,
                 }
                 .encode(9),
             );
@@ -1368,12 +1242,10 @@ mod tests {
                     name,
                     version,
                     query: q,
-                    chunk_size,
                 } => {
                     assert_eq!(name, "field");
                     assert_eq!(version, 3);
                     assert_eq!(q, query);
-                    assert_eq!(chunk_size, 1 << 16);
                 }
                 other => panic!("wrong request: {other:?}"),
             }
@@ -1389,14 +1261,6 @@ mod tests {
         vectored.extend_from_slice(&scratch);
         vectored.extend_from_slice(obj.payload.as_ref());
         assert_eq!(vectored, Request::Put(obj).encode(3));
-    }
-
-    #[test]
-    fn chunk_size_negotiation_clamps() {
-        assert_eq!(clamp_chunk_size(0), MIN_CHUNK_SIZE);
-        assert_eq!(clamp_chunk_size(MIN_CHUNK_SIZE), MIN_CHUNK_SIZE);
-        assert_eq!(clamp_chunk_size(DEFAULT_CHUNK_SIZE), DEFAULT_CHUNK_SIZE);
-        assert_eq!(clamp_chunk_size(u32::MAX), MAX_CHUNK_SIZE);
     }
 
     #[test]
@@ -1436,35 +1300,8 @@ mod tests {
     }
 
     #[test]
-    fn get_request_roundtrip_with_and_without_query() {
-        for query in [None, Some(IBox::cube(4))] {
-            let frame = decode_whole(
-                &Request::Get {
-                    name: "field".into(),
-                    version: 42,
-                    query,
-                }
-                .encode(5),
-            );
-            match Request::decode(&frame).unwrap() {
-                Request::Get {
-                    name,
-                    version,
-                    query: q,
-                } => {
-                    assert_eq!(name, "field");
-                    assert_eq!(version, 42);
-                    assert_eq!(q, query);
-                }
-                other => panic!("wrong request: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn response_roundtrips() {
-        let objs = vec![tiny_object(), tiny_object()];
-        let descs: Vec<ObjectDesc> = objs.iter().map(|o| o.desc.clone()).collect();
+        let descs = vec![tiny_object().desc, tiny_object().desc];
         let snap = ServiceSnapshot {
             puts: 1,
             gets: 2,
@@ -1494,16 +1331,12 @@ mod tests {
         };
         let cases: Vec<Response> = vec![
             Response::PutOk { shard: 3 },
-            Response::GetOk(objs),
             Response::QueryOk(descs.clone()),
             Response::DeleteOk { bytes_freed: 512 },
             Response::StatsOk(snap),
             Response::ShutdownOk,
             Response::PutChunkedOk { shard: 1 },
-            Response::GetChunkedOk {
-                descs,
-                chunk_size: DEFAULT_CHUNK_SIZE,
-            },
+            Response::GetChunkedOk { descs },
             Response::Error(ErrorFrame::OutOfMemory {
                 cap: 100,
                 used: 90,
@@ -1522,13 +1355,6 @@ mod tests {
             let back = Response::decode(&frame).unwrap();
             match (&resp, &back) {
                 (Response::PutOk { shard: a }, Response::PutOk { shard: b }) => assert_eq!(a, b),
-                (Response::GetOk(a), Response::GetOk(b)) => {
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(b) {
-                        assert_eq!(x.desc, y.desc);
-                        assert_eq!(x.payload.as_ref(), y.payload.as_ref());
-                    }
-                }
                 (Response::QueryOk(a), Response::QueryOk(b)) => assert_eq!(a, b),
                 (Response::DeleteOk { bytes_freed: a }, Response::DeleteOk { bytes_freed: b }) => {
                     assert_eq!(a, b)
@@ -1538,18 +1364,8 @@ mod tests {
                 (Response::PutChunkedOk { shard: a }, Response::PutChunkedOk { shard: b }) => {
                     assert_eq!(a, b)
                 }
-                (
-                    Response::GetChunkedOk {
-                        descs: a,
-                        chunk_size: ca,
-                    },
-                    Response::GetChunkedOk {
-                        descs: b,
-                        chunk_size: cb,
-                    },
-                ) => {
-                    assert_eq!(a, b);
-                    assert_eq!(ca, cb);
+                (Response::GetChunkedOk { descs: a }, Response::GetChunkedOk { descs: b }) => {
+                    assert_eq!(a, b)
                 }
                 (Response::Error(a), Response::Error(b)) => assert_eq!(a, b),
                 (a, b) => panic!("mismatched roundtrip: {a:?} vs {b:?}"),
@@ -1569,13 +1385,19 @@ mod tests {
         bad[0] = b'Y';
         assert!(matches!(decode_header(&bad), Err(WireError::BadMagic(_))));
 
-        let mut bad = h;
-        bad[4] = 9;
-        assert_eq!(decode_header(&bad), Err(WireError::BadVersion(9)));
+        for v in [9, 4] {
+            let mut bad = h;
+            bad[4] = v;
+            assert_eq!(decode_header(&bad), Err(WireError::BadVersion(v.into())));
+        }
 
-        let mut bad = h;
-        bad[6] = 0x55;
-        assert_eq!(decode_header(&bad), Err(WireError::BadOpcode(0x55)));
+        // 0x02 / 0x82 were `Get` / `GetOk` until version 4; the numbers
+        // stay unassigned.
+        for op in [0x55, 0x02, 0x82] {
+            let mut bad = h;
+            bad[6] = op;
+            assert_eq!(decode_header(&bad), Err(WireError::BadOpcode(op)));
+        }
 
         let mut bad = h;
         bad[7] = 1;
@@ -1696,8 +1518,6 @@ mod tests {
             }
             for op in [
                 Opcode::Put,
-                Opcode::Get,
-                Opcode::GetOk,
                 Opcode::StatsOk,
                 Opcode::Error,
                 Opcode::PutChunked,
@@ -1715,7 +1535,6 @@ mod tests {
                 let _ = Request::decode(&frame);
                 let _ = Response::decode(&frame);
             }
-            let _ = decode_chunk_data(&buf);
             let _ = decode_chunk_end(&buf);
             if len >= CHUNK_PREFIX_LEN {
                 let mut p = [0u8; CHUNK_PREFIX_LEN];

@@ -1,4 +1,4 @@
-//! Chunked-stream failure modes, checksum-cache correctness, and buffer
+//! Chunked-stream failure modes, learned-chunk-sum correctness, and buffer
 //! pool regressions, driven against a real `StagingService` on loopback —
 //! partly through `RemoteClient`, partly through a raw TCP stream that
 //! speaks the wire format by hand so it can misbehave on purpose.
@@ -13,9 +13,9 @@ use xlayer_amr::intvect::IntVect;
 use xlayer_net::client::{ClientConfig, RemoteClient};
 use xlayer_net::service::{ServiceConfig, StagingService};
 use xlayer_net::wire::{
-    chunk_data_parts, decode_chunk_data, decode_chunk_end, decode_chunk_prefix, decode_header,
-    encode_chunk_end, encode_frame, verify_payload, ChunkEnd, ErrorFrame, Frame, Opcode, Request,
-    Response, CHUNK_PREFIX_LEN, HEADER_LEN, MIN_CHUNK_SIZE,
+    chunk_data_parts, decode_chunk_end, decode_chunk_prefix, decode_header, encode_chunk_end,
+    encode_frame, verify_payload, ChunkEnd, ErrorFrame, Frame, Opcode, Request, Response, CHUNK,
+    CHUNK_PREFIX_LEN, HEADER_LEN,
 };
 use xlayer_staging::DataObject;
 
@@ -40,21 +40,24 @@ fn noisy_obj(name: &str, version: u64, bx: IBox, seed: u64) -> DataObject {
     DataObject::from_fab(name, version, &fab, 0, &bx, 0)
 }
 
-/// A service configured for many small chunks (4 KiB), so multi-chunk
-/// streams are cheap to exercise.
-fn small_chunk_service() -> StagingService {
+/// A `nx × 64 × 64` box: `nx` × 32 KiB of payload, so `slab(72)` is
+/// 2.25 MiB — two full 1 MiB chunks and a short last one — and `slab(136)`
+/// is 4.25 MiB, five chunks.
+fn slab(nx: i64) -> IBox {
+    IBox::new(IntVect::new(0, 0, 0), IntVect::new(nx - 1, 63, 63))
+}
+
+fn one_server_service() -> StagingService {
     StagingService::start(ServiceConfig {
         servers: 1,
         memory_per_server: 64 << 20,
-        chunk_size: MIN_CHUNK_SIZE,
         ..ServiceConfig::default()
     })
     .unwrap()
 }
 
-/// A client that chunks everything (threshold 0) at the minimum chunk
-/// size.
-fn chunking_client(addr: &str) -> RemoteClient {
+/// A client with short backoffs; the tests stream through `put_chunked`.
+fn quick_client(addr: &str) -> RemoteClient {
     RemoteClient::connect(
         addr,
         ClientConfig {
@@ -64,8 +67,6 @@ fn chunking_client(addr: &str) -> RemoteClient {
             max_retries: 2,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(20),
-            chunk_size: MIN_CHUNK_SIZE,
-            chunk_threshold: 0,
         },
     )
     .unwrap()
@@ -90,10 +91,9 @@ fn read_response(stream: &mut TcpStream) -> Response {
 /// `corrupt_chunk` (if any) having one data byte flipped *after* its
 /// checksum was computed.
 fn raw_put_chunked(raw: &mut TcpStream, id: u64, obj: &DataObject, corrupt_chunk: Option<usize>) {
-    let chunk = MIN_CHUNK_SIZE as usize;
+    let chunk = CHUNK;
     let head = Request::PutChunked {
         desc: obj.desc.clone(),
-        chunk_size: chunk as u32,
     };
     raw.write_all(&head.encode(id)).unwrap();
     let payload: &[u8] = obj.payload.as_ref();
@@ -124,23 +124,20 @@ fn raw_put_chunked(raw: &mut TcpStream, id: u64, obj: &DataObject, corrupt_chunk
 
 #[test]
 fn chunked_roundtrip_bit_identical_and_cache_consistent() {
-    let service = small_chunk_service();
-    let client = chunking_client(&service.local_addr().to_string());
+    let service = one_server_service();
+    let client = quick_client(&service.local_addr().to_string());
 
-    // 256 KiB of noise = 64 chunks at the 4 KiB minimum chunk size.
-    let bx = IBox::cube(32);
-    let obj = noisy_obj("rho", 7, bx, 42);
-    client.put(&obj).unwrap();
+    // 2.25 MiB of noise = 3 chunks, the last one short.
+    let obj = noisy_obj("rho", 7, slab(72), 42);
+    client.put_chunked(&obj).unwrap();
 
-    // First chunked get serves checksums learned during the put stream;
-    // the repeat serves the same cache entry; the whole-frame get computes
-    // its checksum from scratch. The client verifies every chunk checksum
-    // on receipt, so a stale or misindexed cached sum fails the call
-    // rather than just the comparison.
+    // First chunked get serves the sums the stored object learned during
+    // the put stream; the repeat serves the same ones. The client verifies
+    // every chunk checksum on receipt, so a stale or misindexed sum fails
+    // the call rather than just the comparison.
     let first = client.get_chunked("rho", 7, None).unwrap();
     let again = client.get_chunked("rho", 7, None).unwrap();
-    let whole = client.get_whole("rho", 7, None).unwrap();
-    for got in [&first, &again, &whole] {
+    for got in [&first, &again] {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].desc, obj.desc);
         assert_eq!(got[0].payload.as_ref(), obj.payload.as_ref());
@@ -150,15 +147,53 @@ fn chunked_roundtrip_bit_identical_and_cache_consistent() {
 }
 
 #[test]
+fn promoted_object_streams_without_rehash() {
+    // 3 MiB of memory over a disk tier: the second 2.25 MiB put pushes the
+    // first object out to the log.
+    let dir = std::env::temp_dir().join(format!("xlayer-tier-promote-{}", std::process::id()));
+    let service = StagingService::start(ServiceConfig {
+        servers: 1,
+        memory_per_server: 3 << 20,
+        disk_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let client = quick_client(&service.local_addr().to_string());
+    let obj = noisy_obj("rho", 1, slab(72), 5);
+    client.put_chunked(&obj).unwrap();
+    client
+        .put_chunked(&noisy_obj("rho", 2, slab(72), 6))
+        .unwrap();
+    let before = client.service_stats().unwrap();
+    assert_eq!(before.tier_spilled, 1, "the first object should be on disk");
+
+    // The object that comes back from the log is a different allocation
+    // from the one the put stream assembled, yet it still knows the sums
+    // that stream verified: the spill wrote them, the verified read handed
+    // them back, and the get stream frames the payload without hashing it.
+    let got = client.get_chunked("rho", 1, None).unwrap();
+    assert_eq!(got.len(), 1);
+    assert_eq!(got[0].desc, obj.desc);
+    assert_eq!(got[0].payload.as_ref(), obj.payload.as_ref());
+    let after = client.service_stats().unwrap();
+    assert_eq!(after.tier_disk_hits, before.tier_disk_hits + 1);
+    assert_eq!(after.chunksum_hits, before.chunksum_hits + 1);
+    assert_eq!(after.chunksum_misses, before.chunksum_misses);
+
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupt_chunk_is_bad_request_and_connection_survives() {
-    let service = small_chunk_service();
+    let service = one_server_service();
     let mut raw = TcpStream::connect(service.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
     // A mid-stream chunk whose data does not match its checksum: the
     // service drains the rest of the stream, answers BadRequest, and keeps
     // the connection (framing never desynced).
-    let obj = noisy_obj("rho", 1, IBox::cube(16), 7);
+    let obj = noisy_obj("rho", 1, slab(136), 7);
     raw_put_chunked(&mut raw, 21, &obj, Some(3));
     match read_response(&mut raw) {
         Response::Error(ErrorFrame::BadRequest { detail }) => {
@@ -205,17 +240,16 @@ fn corrupt_chunk_is_bad_request_and_connection_survives() {
 
 #[test]
 fn interleaved_request_id_is_bad_request() {
-    let service = small_chunk_service();
+    let service = one_server_service();
     let mut raw = TcpStream::connect(service.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-    let obj = noisy_obj("rho", 2, IBox::cube(16), 11);
-    let chunk = MIN_CHUNK_SIZE as usize;
+    let obj = noisy_obj("rho", 2, slab(72), 11);
+    let chunk = CHUNK;
     let payload: &[u8] = obj.payload.as_ref();
     raw.write_all(
         &Request::PutChunked {
             desc: obj.desc.clone(),
-            chunk_size: chunk as u32,
         }
         .encode(31),
     )
@@ -261,7 +295,7 @@ fn interleaved_request_id_is_bad_request() {
 
 #[test]
 fn undersized_chunk_frame_is_in_stream_error() {
-    let service = small_chunk_service();
+    let service = one_server_service();
     let mut raw = TcpStream::connect(service.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
@@ -269,7 +303,6 @@ fn undersized_chunk_frame_is_in_stream_error() {
     raw.write_all(
         &Request::PutChunked {
             desc: obj.desc.clone(),
-            chunk_size: MIN_CHUNK_SIZE,
         }
         .encode(41),
     )
@@ -302,16 +335,15 @@ fn undersized_chunk_frame_is_in_stream_error() {
 
 #[test]
 fn truncated_stream_commits_nothing_and_service_survives() {
-    let service = small_chunk_service();
-    let obj = noisy_obj("rho", 4, IBox::cube(16), 17);
+    let service = one_server_service();
+    let obj = noisy_obj("rho", 4, slab(72), 17);
     {
         let mut raw = TcpStream::connect(service.local_addr()).unwrap();
-        let chunk = MIN_CHUNK_SIZE as usize;
+        let chunk = CHUNK;
         let payload: &[u8] = obj.payload.as_ref();
         raw.write_all(
             &Request::PutChunked {
                 desc: obj.desc.clone(),
-                chunk_size: chunk as u32,
             }
             .encode(51),
         )
@@ -330,9 +362,9 @@ fn truncated_stream_commits_nothing_and_service_survives() {
     }
     // The dropped connection must not have committed a partial object, and
     // the service must keep serving new connections.
-    let client = chunking_client(&service.local_addr().to_string());
+    let client = quick_client(&service.local_addr().to_string());
     assert!(client.describe("rho", 4).unwrap().is_empty());
-    client.put(&obj).unwrap();
+    client.put_chunked(&obj).unwrap();
     let got = client.get("rho", 4, None).unwrap();
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].payload.as_ref(), obj.payload.as_ref());
@@ -351,7 +383,6 @@ fn chunk_decoders_never_panic_on_fuzz() {
         for b in &mut bytes {
             *b = (lcg(&mut s) >> 32) as u8;
         }
-        let _ = decode_chunk_data(&bytes);
         let _ = decode_chunk_end(&bytes);
         if bytes.len() >= HEADER_LEN {
             let mut h = [0u8; HEADER_LEN];
@@ -371,10 +402,10 @@ fn chunk_decoders_never_panic_on_fuzz() {
 
 #[test]
 fn buffer_pools_return_on_error_paths_and_stay_bounded() {
-    let service = small_chunk_service();
+    let service = one_server_service();
     let addr = service.local_addr().to_string();
-    let client = chunking_client(&addr);
-    let obj = noisy_obj("rho", 5, IBox::cube(16), 23);
+    let client = quick_client(&addr);
+    let obj = noisy_obj("rho", 5, slab(72), 23);
 
     // Error paths that route payloads through the service's discard
     // buffers: a corrupt chunk mid-stream and an interleaved stream, each
@@ -394,7 +425,7 @@ fn buffer_pools_return_on_error_paths_and_stay_bounded() {
     // and the get stream has to keep growing.)
     for round in 0..8u64 {
         client
-            .put(&noisy_obj("rho", 5, IBox::cube(16), 23 + round))
+            .put_chunked(&noisy_obj("rho", 5, slab(72), 23 + round))
             .unwrap();
         let got = client.get("rho", 5, None).unwrap();
         assert_eq!(got.len(), 1 + round as usize);
@@ -427,7 +458,7 @@ fn buffer_pools_return_on_error_paths_and_stay_bounded() {
     // Steady state is allocation-free: one more round of the identical
     // request shapes must be served entirely from parked buffers.
     let misses_before = service.pool().misses();
-    client.put(&obj).unwrap();
+    client.put_chunked(&obj).unwrap();
     let _ = client.get("rho", 5, None).unwrap();
     let _ = client.service_stats().unwrap();
     assert_eq!(

@@ -14,7 +14,7 @@ use xlayer_net::cluster::ShardedClient;
 use xlayer_net::service::{ServiceConfig, StagingService};
 use xlayer_net::wire::{
     decode_header, encode_chunk_end, encode_frame, verify_payload, ChunkEnd, ErrorFrame, Frame,
-    Opcode, Request, Response, HEADER_LEN, MAGIC, MIN_CHUNK_SIZE,
+    Opcode, Request, Response, HEADER_LEN, MAGIC,
 };
 use xlayer_staging::{AsyncStager, DataObject, Sharding};
 
@@ -32,7 +32,6 @@ fn quick_cfg() -> ClientConfig {
         max_retries: 2,
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(20),
-        ..ClientConfig::default()
     }
 }
 
@@ -303,14 +302,8 @@ fn hostile_chunked_descriptor_sizes_no_allocation() {
     // the stream, before anything is sized from `bytes`.
     let mut desc = obj("rho", 1, 0, 0.0).desc;
     desc.bytes = u64::MAX;
-    raw.write_all(
-        &Request::PutChunked {
-            desc,
-            chunk_size: MIN_CHUNK_SIZE,
-        }
-        .encode(81),
-    )
-    .unwrap();
+    raw.write_all(&Request::PutChunked { desc }.encode(81))
+        .unwrap();
     raw.write_all(&encode_chunk_end(
         81,
         ChunkEnd {

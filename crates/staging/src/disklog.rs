@@ -24,10 +24,13 @@
 //! The in-memory extent index (`BTreeMap<ObjectKey, Vec<Extent>>`) is
 //! rebuilt on open by scanning the log; lookups never touch the file. Each
 //! record carries its own integrity evidence: `head_sum` covers the
-//! metadata, and the per-chunk payload sums (the same FNV-1a-32 chunk-sum
-//! scheme the wire protocol streams with) are re-verified on every read, so
+//! metadata, and the per-chunk payload sums ([`crate::sum`]'s scheme, the
+//! one the wire protocol streams with) are re-verified on every read, so
 //! a truncated or bit-flipped extent surfaces as a typed [`TierError`] —
-//! never as a panic and never as silently wrong data. A torn tail record
+//! never as a panic and never as silently wrong data. The sums themselves
+//! ride in the object: an append writes the ones the object already knows
+//! and hashes only an object nobody has hashed yet, and a verified read
+//! hands the extent's sums to the object it rebuilds. A torn tail record
 //! (the crash case) is detected during the open scan, reported through
 //! [`DiskLog::recovery`], and truncated away so the log appends cleanly
 //! again.
@@ -138,20 +141,14 @@ pub struct Extent {
     desc: ObjectDesc,
     /// Chunk size the payload sums were computed at.
     chunk: u32,
-    /// Per-chunk FNV-1a-32 payload sums (shared so a promote can hand them
-    /// to the wire layer's chunk-sum cache without recomputation).
-    sums: Arc<Vec<u32>>,
+    /// Per-chunk FNV-1a-32 payload sums every read is verified against.
+    sums: Arc<[u32]>,
 }
 
 impl Extent {
     /// The stored descriptor.
     pub fn desc(&self) -> &ObjectDesc {
         &self.desc
-    }
-
-    /// Chunk size and shared per-chunk sums, reusable by chunked senders.
-    pub fn chunk_sums(&self) -> (u32, Arc<Vec<u32>>) {
-        (self.chunk, Arc::clone(&self.sums))
     }
 }
 
@@ -373,7 +370,15 @@ impl DiskLog {
                 requested: bytes,
             });
         }
-        let sums = chunk_sums(obj.payload.as_ref(), self.chunk as usize);
+        let chunk = self.chunk as usize;
+        let sums = match obj.known_sums(chunk) {
+            Some(known) => Arc::clone(known),
+            None => {
+                let fresh: Arc<[u32]> = chunk_sums(obj.payload.as_ref(), chunk).into();
+                obj.learn_sums(chunk, Arc::clone(&fresh));
+                fresh
+            }
+        };
         let head = Self::encode_head(obj, self.chunk, &sums);
         let offset = self.tail;
         self.file
@@ -398,13 +403,14 @@ impl DiskLog {
                 payload_off: offset + head_len,
                 desc: obj.desc.clone(),
                 chunk: self.chunk,
-                sums: Arc::new(sums),
+                sums,
             });
         Ok(())
     }
 
     /// Read one extent's payload back, verifying every chunk sum, and
-    /// rebuild the object. A mismatch is [`TierError::Corrupt`].
+    /// rebuild the object — which leaves knowing the sums it was just
+    /// checked against. A mismatch is [`TierError::Corrupt`].
     fn read_extent(&mut self, ext: &Extent) -> Result<DataObject, TierError> {
         let len = ext.desc.bytes as usize;
         let mut buf = self.pool.acquire(len);
@@ -423,12 +429,14 @@ impl DiskLog {
         }
         // The buffer becomes the long-lived payload: detach it from the
         // pool rather than copying it out.
-        DataObject::from_wire(ext.desc.clone(), Bytes::from(buf.into_vec())).ok_or(
+        let obj = DataObject::from_wire(ext.desc.clone(), Bytes::from(buf.into_vec())).ok_or(
             TierError::Corrupt {
                 offset: ext.offset,
                 detail: "stored descriptor is inconsistent with its payload".to_string(),
             },
-        )
+        )?;
+        obj.learn_sums(ext.chunk as usize, Arc::clone(&ext.sums));
+        Ok(obj)
     }
 
     /// Read every live extent under `key` whose bbox intersects `query`
@@ -549,9 +557,10 @@ impl DiskLog {
         Ok(true)
     }
 
-    /// Decode and validate one record head starting at `offset`; the file
-    /// cursor is left at the start of the payload.
-    fn read_head(&mut self, offset: u64) -> Result<RecordHead, TierError> {
+    /// Decode and validate one record head starting at `offset` of a file
+    /// `file_len` bytes long; the file cursor is left at the start of the
+    /// payload, all of which the file holds.
+    fn read_head(&mut self, offset: u64, file_len: u64) -> Result<RecordHead, TierError> {
         let corrupt = |detail: String| TierError::Corrupt { offset, detail };
         let mut fixed = [0u8; FIXED_HEAD];
         self.file
@@ -583,7 +592,20 @@ impl DiskLog {
                 "{nsums} chunk sums stored for a {bytes}-byte payload at chunk {chunk}"
             )));
         }
-        let mut tailbuf = vec![0u8; name_len + nsums * 4 + 4];
+        // Nothing above is verified yet — the head checksum sits behind the
+        // name and sums — so what the record declares is bounded by the
+        // bytes the file actually has before any of it sizes a buffer.
+        let tail_len = name_len + nsums * 4 + 4;
+        let left = file_len.saturating_sub(offset + FIXED_HEAD as u64);
+        if (tail_len as u64)
+            .checked_add(bytes)
+            .is_none_or(|need| need > left)
+        {
+            return Err(corrupt(format!(
+                "record declares {tail_len} head and {bytes} payload bytes, {left} left in the file"
+            )));
+        }
+        let mut tailbuf = vec![0u8; tail_len];
         self.file
             .read_exact(&mut tailbuf)
             .map_err(|_| corrupt("record name/sums truncated".to_string()))?;
@@ -630,7 +652,7 @@ impl DiskLog {
         let file_len = self.file.metadata().map_err(|e| io_err("open", e))?.len();
         let mut offset = 0u64;
         while offset < file_len {
-            let head = match self.read_head(offset) {
+            let head = match self.read_head(offset, file_len) {
                 Ok(h) => h,
                 Err(e @ TierError::Corrupt { .. }) => {
                     self.recovery.push(e);
@@ -640,23 +662,13 @@ impl DiskLog {
             };
             let payload_off = offset + head.head_len;
             let record_len = head.head_len + head.desc.bytes;
-            if payload_off + head.desc.bytes > file_len {
-                self.recovery.push(TierError::Corrupt {
-                    offset,
-                    detail: format!(
-                        "payload truncated: record needs {} bytes, file ends at {file_len}",
-                        offset + record_len
-                    ),
-                });
-                break;
-            }
             let ext = Extent {
                 offset,
                 record_len,
                 payload_off,
                 desc: head.desc,
                 chunk: head.chunk,
-                sums: Arc::new(head.sums),
+                sums: head.sums.into(),
             };
             // Verify the payload sums now: a record whose payload was torn
             // mid-write is detected at open, not at first read.
@@ -792,6 +804,64 @@ mod tests {
         // The log appends cleanly after recovery.
         log.append(&obj("rho", 3, 0, 4)).unwrap();
         assert!(log.contains(&ObjectKey::new("rho", 3)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crafted_head_sizes_no_allocation() {
+        let dir = tmpdir("crafted");
+        let path = dir.join("test.log");
+        {
+            let mut log = open(&dir, 1 << 20);
+            log.append(&obj("rho", 1, 0, 4)).unwrap();
+        }
+        // A second record that is nothing but a fixed head: valid magic,
+        // one-byte chunks, payload_len = nsums = u32::MAX — ~16 GiB of
+        // sums declared by a file that ends right here.
+        let mut head = vec![0u8; FIXED_HEAD];
+        head[..4].copy_from_slice(&MAGIC);
+        head[126..134].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        head[134..138].copy_from_slice(&1u32.to_le_bytes());
+        head[138..142].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&head).unwrap();
+        drop(f);
+        let mut log = open(&dir, 1 << 20);
+        match log.recovery() {
+            [TierError::Corrupt { detail, .. }] => {
+                assert!(detail.contains("0 left in the file"), "{detail}")
+            }
+            other => panic!("expected one typed Corrupt, got {other:?}"),
+        }
+        // The record before it survives and the log appends cleanly.
+        assert!(log.contains(&ObjectKey::new("rho", 1)));
+        log.append(&obj("rho", 2, 0, 4)).unwrap();
+        let back = log.read(&ObjectKey::new("rho", 2), None).unwrap();
+        assert_eq!(back[0].payload, obj("rho", 2, 0, 4).payload);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sums_ride_through_append_and_read() {
+        let dir = tmpdir("sums");
+        let mut log = open(&dir, 1 << 20);
+        let a = obj("rho", 1, 0, 4);
+        let want = chunk_sums(&a.payload, 256);
+        // An unknown object is hashed once and learns; a verified read
+        // hands the sums to the object it rebuilds.
+        log.append(&a).unwrap();
+        assert_eq!(a.known_sums(256).unwrap().as_ref(), &want[..]);
+        let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
+        assert_eq!(back[0].known_sums(256).unwrap().as_ref(), &want[..]);
+        // Known sums are written as they are, not recomputed: an object
+        // taught wrong ones is stored with them — and fails its read closed.
+        let liar = obj("rho", 2, 0, 4);
+        liar.learn_sums(256, vec![0u32; want.len()].into());
+        log.append(&liar).unwrap();
+        assert!(matches!(
+            log.read(&ObjectKey::new("rho", 2), None),
+            Err(TierError::Corrupt { .. })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

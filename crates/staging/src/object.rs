@@ -4,6 +4,7 @@
 //! (time step) — exactly DataSpaces' `(var, version, bbox)` addressing.
 
 use bytes::Bytes;
+use std::sync::{Arc, OnceLock};
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 use xlayer_amr::intvect::IntVect;
@@ -73,7 +74,13 @@ pub struct DataObject {
     /// Metadata.
     pub desc: ObjectDesc,
     /// Raw little-endian `f64` payload in Fortran order over `desc.bbox`.
+    /// Immutable once the object is built: the per-chunk sums the object
+    /// carries ([`DataObject::known_sums`]) vouch for exactly these bytes,
+    /// so nothing may assign this field after construction.
     pub payload: Bytes,
+    /// Set-once memo of the payload's per-chunk sums ([`crate::sum`]) and
+    /// the chunk size they were taken at.
+    sums: OnceLock<(usize, Arc<[u32]>)>,
 }
 
 impl DataObject {
@@ -116,6 +123,7 @@ impl DataObject {
                 origin_rank,
             },
             payload,
+            sums: OnceLock::new(),
         }
     }
 
@@ -128,7 +136,30 @@ impl DataObject {
         if !desc.is_consistent() || payload.len() as u64 != desc.bytes {
             return None;
         }
-        Some(DataObject { desc, payload })
+        Some(DataObject {
+            desc,
+            payload,
+            sums: OnceLock::new(),
+        })
+    }
+
+    /// The payload's per-chunk sums, if they are known at `chunk` bytes.
+    pub fn known_sums(&self, chunk: usize) -> Option<&Arc<[u32]>> {
+        self.sums
+            .get()
+            .and_then(|(at, sums)| (*at == chunk).then_some(sums))
+    }
+
+    /// Remember `sums` as this payload's per-chunk sums at `chunk` bytes.
+    /// Only for a caller that has just hashed these exact bytes (or
+    /// compared them against the sums, as the disk log's read does). The
+    /// first writer wins; a vector of the wrong length is not kept. A wrong
+    /// memo fails closed: the receiver of a stream, or the log's read,
+    /// recomputes and rejects the bytes.
+    pub fn learn_sums(&self, chunk: usize, sums: Arc<[u32]>) {
+        if chunk > 0 && sums.len() == self.payload.len().div_ceil(chunk) {
+            let _ = self.sums.set((chunk, sums));
+        }
     }
 
     /// Set the physical grid spacing carried in the descriptor.
@@ -282,6 +313,30 @@ mod tests {
         // Payload shorter than the descriptor claims is rejected.
         let short = Bytes::from(obj.payload[..obj.payload.len() - 8].to_vec());
         assert!(DataObject::from_wire(obj.desc.clone(), short).is_none());
+    }
+
+    #[test]
+    fn sums_are_learned_once_and_travel_with_the_object() {
+        use crate::sum::chunk_sums;
+        let f = coord_fab(4);
+        let obj = DataObject::from_fab("rho", 0, &f, 0, &IBox::cube(4), 0); // 512 B
+        assert!(obj.known_sums(200).is_none());
+        let fresh = chunk_sums(&obj.payload, 200);
+        assert_eq!(fresh.len(), 3);
+        // A vector that cannot be this payload's sums at this size is not kept.
+        obj.learn_sums(200, fresh[..2].into());
+        assert!(obj.known_sums(200).is_none());
+        obj.learn_sums(200, fresh.clone().into());
+        assert_eq!(obj.known_sums(200).unwrap().as_ref(), &fresh[..]);
+        // First writer wins, at the same size and at another.
+        obj.learn_sums(200, vec![0; 3].into());
+        obj.learn_sums(256, chunk_sums(&obj.payload, 256).into());
+        assert_eq!(obj.known_sums(200).unwrap().as_ref(), &fresh[..]);
+        // A reader at another chunk size finds nothing known.
+        assert!(obj.known_sums(256).is_none());
+        // The descriptor builders and `clone` keep the memo.
+        let moved = obj.clone().with_dx(0.5).with_core(&IBox::cube(2));
+        assert_eq!(moved.known_sums(200).unwrap().as_ref(), &fresh[..]);
     }
 
     #[test]

@@ -28,8 +28,11 @@ use parking_lot::Mutex;
 
 /// Smallest size class: 1 KiB.
 const MIN_CLASS_BYTES: usize = 1 << 10;
-/// Largest size class: 8 MiB (the wire protocol's maximum chunk size).
-const MAX_CLASS_BYTES: usize = 8 << 20;
+/// Largest size class: 8 MiB; a larger request is a plain allocation freed
+/// on drop. The staging client streams an object whose payload alone
+/// reaches this size instead of framing it whole — the frame adds the
+/// descriptor, so the receiver's buffer for it would not recycle.
+pub const MAX_CLASS_BYTES: usize = 8 << 20;
 /// Number of power-of-two classes between the bounds, inclusive.
 const NUM_CLASSES: usize = 14; // 2^10 ..= 2^23
 

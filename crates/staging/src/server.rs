@@ -60,7 +60,7 @@ impl std::error::Error for StagingError {}
 pub struct StagingServer {
     id: usize,
     memory_cap: u64,
-    /// An `RwLock` so concurrent readers (`get`/`get_by_id`/`describe`)
+    /// An `RwLock` so concurrent readers (`get`/`describe`)
     /// share the lock; only mutations (`put`/`evict_before`/`clear`) take
     /// it exclusively.
     inner: RwLock<Store>,
@@ -409,18 +409,6 @@ impl StagingServer {
             out.extend(disk.into_iter().map(Arc::new));
         }
         out
-    }
-
-    /// The single object with index `id` under `key` (ids are put order,
-    /// matching the spatial index), if present — the cheapest read path
-    /// when the caller already knows which piece it wants.
-    pub fn get_by_id(&self, key: &ObjectKey, id: usize) -> Option<Arc<DataObject>> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .read()
-            .objects
-            .get(key)
-            .and_then(|(v, _)| v.get(id).cloned())
     }
 
     /// Descriptors of everything under `key`, across both tiers. The read

@@ -1,10 +1,23 @@
 //! FNV-1a 32-bit checksums — the integrity primitive shared by the wire
-//! protocol (`xlayer-net`) and the disk tier ([`crate::disklog`]).
+//! protocol (`xlayer-net`) and the disk tier ([`crate::disklog`]) — and the
+//! rule for a payload's *per-chunk* sums.
 //!
-//! One implementation, two consumers: a frame checksummed on the wire and
-//! an extent checksummed on disk use the same function, so a payload's
-//! per-chunk sums computed once (e.g. while verifying an inbound chunked
-//! put) are valid wherever the object later travels — RAM, socket, or log.
+//! A per-chunk sum is [`checksum`] of one `chunk`-sized slice of a payload
+//! (the last slice may be short); [`chunk_sums`] is the whole vector. The
+//! staging wire always chunks at [`CHUNK`]; the disk log chunks at its
+//! configured size, which defaults to [`CHUNK`].
+//!
+//! The sums of one immutable payload are computed once and then ride in
+//! the object: [`crate::DataObject`] holds a set-once memo of `(chunk size,
+//! sums)`. Whoever hashes the payload first **learns** it — the chunk-stream
+//! assembler as it verifies an inbound stream, a chunk-stream sender that
+//! had to hash an unknown object on its way out, [`crate::DiskLog::append`],
+//! and the log's verified read (promote / fetch), which attaches the
+//! extent's stored sums once they have been recomputed and compared.
+//! Whoever needs them later **asks the object** — a chunked send frames
+//! known chunks without reading the data, a spill writes known sums
+//! without hashing. Only code that has just hashed these exact bytes may
+//! teach an object its sums; numbers a peer sent are never learned.
 
 /// FNV-1a 32-bit offset basis.
 pub const FNV_OFFSET: u32 = 0x811c_9dc5;
@@ -25,6 +38,11 @@ pub fn checksum_update(mut state: u32, data: &[u8]) -> u32 {
     }
     state
 }
+
+/// The staging wire's chunk size (1 MiB), and the disk log's default: the
+/// one size at which per-chunk sums learned at one hop are reusable at the
+/// next.
+pub const CHUNK: usize = 1 << 20;
 
 /// Per-chunk FNV-1a-32 sums of `payload` split at `chunk` bytes (the final
 /// chunk may be short). An empty payload has no chunks.

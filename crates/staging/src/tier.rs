@@ -90,21 +90,23 @@ pub struct TierConfig {
     pub dir: PathBuf,
     /// Per-server cap on live spilled payload bytes.
     pub disk_budget: u64,
-    /// Chunk size extents are checksummed at.
+    /// Chunk size extents are checksummed at. The record stores it, so a
+    /// log reads back at whatever size wrote it; only at the default,
+    /// [`crate::sum::CHUNK`], do the sums an object carries from or to the
+    /// wire save a spill its hash pass.
     pub chunk_size: u32,
     /// Dead payload bytes that trigger a compaction sweep.
     pub compact_min_dead: u64,
 }
 
 impl TierConfig {
-    /// Defaults: unbounded budget, 1 MiB chunks (the wire protocol's
-    /// default chunk size, so spilled sums are reusable by chunked sends),
+    /// Defaults: unbounded budget, [`crate::sum::CHUNK`] chunks,
     /// compaction once 64 MiB of dead extents accumulate.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TierConfig {
             dir: dir.into(),
             disk_budget: u64::MAX,
-            chunk_size: 1 << 20,
+            chunk_size: crate::sum::CHUNK as u32,
             compact_min_dead: 64 << 20,
         }
     }

@@ -10,8 +10,8 @@
 //! [`AgentReport`].
 //!
 //! Workers replay the deterministic per-connection op stream from
-//! [`crate::spec`]: puts build AMR-shaped cube objects (chunked or whole
-//! depending on size vs. the spec's `chunk_threshold`), gets fetch the
+//! [`crate::spec`]: puts build AMR-shaped cube objects (the client
+//! streams the large ones and frames the rest whole), gets fetch the
 //! connection's most recent put through the same scatter/gather path a
 //! consumer would use, and drains trim version history with `Delete` ops.
 //! Offered load is paced by sleeping whenever delivered put bytes run
@@ -44,7 +44,6 @@ fn elapsed_ns(t0: Instant) -> u64 {
 fn connect(spec: &WorkloadSpec) -> std::io::Result<ShardedClient> {
     let cfg = ClientConfig {
         max_retries: spec.max_retries,
-        chunk_threshold: spec.chunk_threshold,
         ..ClientConfig::default()
     };
     ShardedClient::connect(&spec.targets, spec.span, cfg)

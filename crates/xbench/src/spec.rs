@@ -105,8 +105,6 @@ pub struct WorkloadSpec {
     pub targets: Vec<String>,
     /// Shard-map span (cells per placement bucket) for sharded targets.
     pub span: i64,
-    /// Objects at least this large go down the chunked-stream path.
-    pub chunk_threshold: u64,
     /// Client retry budget per op.
     pub max_retries: u32,
 }
@@ -129,7 +127,6 @@ impl Default for WorkloadSpec {
             retain_versions: 4,
             targets: Vec::new(),
             span: xlayer_staging::shard::DEFAULT_SPAN,
-            chunk_threshold: 8 << 20,
             max_retries: 3,
         }
     }
@@ -152,7 +149,6 @@ const KEYS: &[&str] = &[
     "retain_versions",
     "targets",
     "span",
-    "chunk_threshold",
     "max_retries",
 ];
 
@@ -218,7 +214,6 @@ impl WorkloadSpec {
             "spread" => self.spread = num(key, value)?,
             "retain_versions" => self.retain_versions = num(key, value)?,
             "span" => self.span = num(key, value)?,
-            "chunk_threshold" => self.chunk_threshold = num(key, value)?,
             "max_retries" => self.max_retries = num(key, value)?,
             "targets" => {
                 self.targets = value
@@ -302,7 +297,6 @@ impl WorkloadSpec {
         kv("retain_versions", self.retain_versions.to_string());
         kv("targets", self.targets.join(","));
         kv("span", self.span.to_string());
-        kv("chunk_threshold", self.chunk_threshold.to_string());
         kv("max_retries", self.max_retries.to_string());
         out
     }
