@@ -49,7 +49,7 @@ pub struct RawHeader {
     pub request_id: u64,
     /// Payload length in bytes (≤ the spec's cap).
     pub payload_len: u32,
-    /// FNV-1a-32 checksum of the payload.
+    /// Checksum of the payload (`xlayer_staging::sum`).
     pub checksum: u32,
 }
 

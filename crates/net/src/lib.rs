@@ -8,7 +8,8 @@
 //! to drive it through:
 //!
 //! - [`frame`] — the 24-byte frame header (magic, version, opcode,
-//!   request id, payload length, FNV-1a checksum) and the bounds-checked
+//!   request id, payload length, the four-lane `xlayer_staging::sum`
+//!   checksum) and the bounds-checked
 //!   little-endian cursors, parameterised by magic / version / payload
 //!   cap: the one header codec under both this crate's wire and xbench's
 //!   control protocol — and the one frame reader (header, then a pooled,

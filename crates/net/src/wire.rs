@@ -7,12 +7,12 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic            b"XLNT"
-//!      4     2  protocol version u16 LE (currently 5)
+//!      4     2  protocol version u16 LE (currently 6)
 //!      6     1  opcode           (see [`Opcode`])
 //!      7     1  flags            reserved, must be 0
 //!      8     8  request id       u64 LE, echoed by the response
 //!     16     4  payload length   u32 LE, bytes after the header
-//!     20     4  checksum         FNV-1a-32 over the payload, u32 LE
+//!     20     4  checksum         `xlayer_staging::sum` over the payload, u32 LE
 //!     24     …  payload          opcode-specific body
 //! ```
 //!
@@ -28,6 +28,7 @@ use crate::frame::{self, FrameSpec, Rd, Wr};
 use bytes::Bytes;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::intvect::IntVect;
+use xlayer_staging::sum::Sum;
 use xlayer_staging::{DataObject, ObjectDesc, ObjectKey};
 
 /// Frame magic: the first four bytes of every frame.
@@ -44,10 +45,14 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 /// [`CHUNK`] (dropping the negotiated size from the bodies of `PutChunked`,
 /// `GetChunked` and `GetChunkedOk`) and retired the single-frame `Get` /
 /// `GetOk` pair, whose opcode numbers 0x02 / 0x82 stay unassigned; an
-/// older peer would misparse the body. The layout fingerprint is
+/// older peer would misparse the body. Version 6 changed no layout but
+/// the function behind every checksum field (byte-serial FNV-1a-32 → the
+/// four-lane sum of `xlayer_staging::sum`): without the bump a v5 peer's
+/// frames would fail as `ChecksumMismatch` — and be retried — instead of
+/// being refused. The layout fingerprint is
 /// additionally pinned in `xlint.wire` (rule S): regenerate it with
 /// `xlint --write-wire-pin` alongside any bump.
-pub const VERSION: u16 = 5;
+pub const VERSION: u16 = 6;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = frame::HEADER_LEN;
@@ -80,11 +85,11 @@ pub const MAX_CHUNKED_OBJECT: u64 = 16 << 30;
 /// chunk's data bytes: `u32` object index + `u64` stream offset.
 pub const CHUNK_PREFIX_LEN: usize = 12;
 
-/// FNV-1a 32-bit checksum, the integrity check carried in each header.
-/// The implementation lives in `xlayer_staging::sum` — the disk tier
-/// checksums its extents with the very same function, so the per-chunk
-/// sums an object learned on the wire stay valid on disk and back.
-pub use xlayer_staging::sum::{checksum, checksum_update};
+/// The integrity sum carried in each header. The definition lives in
+/// `xlayer_staging::sum` — the disk tier checksums its extents with the
+/// very same function, so the per-chunk sums an object learned on the wire
+/// stay valid on disk and back.
+pub use xlayer_staging::sum::checksum;
 
 /// Frame opcodes. Requests occupy `0x01..=0x08` (`0x02`, the retired
 /// single-frame get, is unassigned — as is its response `0x82`), their
@@ -350,7 +355,7 @@ pub struct Header {
     pub request_id: u64,
     /// Payload length in bytes (≤ [`MAX_PAYLOAD`]).
     pub payload_len: u32,
-    /// FNV-1a-32 checksum of the payload.
+    /// Checksum of the payload.
     pub checksum: u32,
 }
 
@@ -376,8 +381,9 @@ pub fn verify_payload(header: &Header, payload: &[u8]) -> Result<(), WireError> 
 
 /// Build a 24-byte frame header for a payload whose bytes are sent
 /// separately (the vectored-I/O send path): the caller supplies the total
-/// payload length and its FNV-1a-32 checksum (composed with
-/// [`checksum_update`] when the payload is scattered across buffers).
+/// payload length and its checksum (streamed through
+/// `xlayer_staging::sum::Sum` when the payload is scattered across
+/// buffers).
 pub fn frame_header(
     opcode: Opcode,
     request_id: u64,
@@ -405,8 +411,10 @@ pub fn put_frame_parts(
     w.u32(obj.payload.len() as u32);
     *scratch = w.buf;
     let total = (scratch.len() + obj.payload.len()) as u32;
-    let cks = checksum_update(checksum(scratch), obj.payload.as_ref());
-    frame_header(Opcode::Put, request_id, total, cks)
+    let mut sum = Sum::new();
+    sum.update(scratch);
+    sum.update(obj.payload.as_ref());
+    frame_header(Opcode::Put, request_id, total, sum.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +428,7 @@ pub fn put_frame_parts(
 // Each `ChunkData` body is a fixed 12-byte prefix — `u32` object index +
 // `u64` stream offset — followed by the chunk's data bytes; the frame
 // header's checksum is `checksum(prefix) XOR checksum(data)` — two
-// independent FNV-1a-32 passes combined by XOR rather than one streaming
+// independent passes combined by XOR rather than one streaming
 // pass over the concatenation. The XOR split keeps per-chunk integrity
 // (either half flipping flips the result) while making the data component
 // independent of the prefix, i.e. of the chunk's object index and stream
@@ -1026,12 +1034,12 @@ mod tests {
             buf,
             vec![
                 b'X', b'L', b'N', b'T', // magic
-                0x05, 0x00, // version 5 LE
+                0x06, 0x00, // version 6 LE
                 0x05, // opcode Stats
                 0x00, // flags
                 0x07, 0, 0, 0, 0, 0, 0, 0, // request id 7 LE
                 0x00, 0x00, 0x00, 0x00, // payload length 0
-                0xc5, 0x9d, 0x1c, 0x81, // FNV-1a-32 offset basis (empty payload)
+                0xfd, 0x9a, 0x80, 0x65, // checksum of the empty payload
             ]
         );
         assert_eq!(buf.len(), HEADER_LEN);
@@ -1050,7 +1058,7 @@ mod tests {
             9, 0, 0, 0, 0, 0, 0, 0, // before_version 9 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x05, 0x00, 0x04, 0x00, // magic, v5, Delete, flags
+            b'X', b'L', b'N', b'T', 0x06, 0x00, 0x04, 0x00, // magic, v6, Delete, flags
             0x01, 0, 0, 0, 0, 0, 0, 0, // request id 1
             15, 0, 0, 0, // payload length 15
         ];
@@ -1079,7 +1087,7 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&8u32.to_le_bytes());
         body.extend_from_slice(&3.0f64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x05, 0x00, 0x01, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x06, 0x00, 0x01, 0x00];
         expect.extend_from_slice(&3u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1088,22 +1096,13 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_fnv1a32() {
-        assert_eq!(checksum(b""), 0x811c9dc5);
-        assert_eq!(checksum(b"a"), 0xe40c292c);
-        assert_eq!(checksum(b"foobar"), 0xbf9cf968);
-    }
-
-    #[test]
-    fn checksum_update_composes() {
-        // Streaming over split buffers equals one pass over the
-        // concatenation — the invariant the vectored send/receive paths
-        // rely on.
-        let data = b"the quick brown fox jumps over the lazy dog";
-        for split in 0..=data.len() {
-            let (a, b) = data.split_at(split);
-            assert_eq!(checksum_update(checksum(a), b), checksum(data));
-        }
+    fn checksum_is_the_staging_sum() {
+        // The wire's checksum is `xlayer_staging::sum`'s four-lane sum (its
+        // own tests pin the definition); these literals pin that the wire
+        // did not grow a second function.
+        assert_eq!(checksum(b""), 0x6580_9afd);
+        assert_eq!(checksum(b"a"), 0x170c_8745);
+        assert_eq!(checksum(b"foobar"), 0x2fd2_cfae);
     }
 
     // --- chunked stream sub-frames -----------------------------------------
@@ -1122,8 +1121,8 @@ mod tests {
                 b'L',
                 b'N',
                 b'T', // magic
-                0x05,
-                0x00, // version 5 LE
+                0x06,
+                0x00, // version 6 LE
                 0x09, // opcode ChunkData
                 0x00, // flags
                 0x09,
@@ -1174,7 +1173,7 @@ mod tests {
             0x02, 0x01, 0, 0, 0, 0, 0, 0, // total_bytes 0x0102 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x05, 0x00, 0x0A, 0x00, // magic, v5, ChunkEnd, flags
+            b'X', b'L', b'N', b'T', 0x06, 0x00, 0x0A, 0x00, // magic, v6, ChunkEnd, flags
             0x04, 0, 0, 0, 0, 0, 0, 0, // request id 4
             12, 0, 0, 0, // payload length 12
         ];
@@ -1207,7 +1206,7 @@ mod tests {
         body.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
         body.extend_from_slice(&8u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x05, 0x00, 0x07, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x06, 0x00, 0x07, 0x00];
         expect.extend_from_slice(&6u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1385,7 +1384,9 @@ mod tests {
         bad[0] = b'Y';
         assert!(matches!(decode_header(&bad), Err(WireError::BadMagic(_))));
 
-        for v in [9, 4] {
+        // 5 summed its payloads with FNV-1a-32: refused here, or its frames
+        // would fail as `ChecksumMismatch` and be retried.
+        for v in [9, 4, 5] {
             let mut bad = h;
             bad[4] = v;
             assert_eq!(decode_header(&bad), Err(WireError::BadVersion(v.into())));

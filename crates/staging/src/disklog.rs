@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic            "XTLG"
+//!      0     4  magic            "XTL2"
 //!      4     2  name_len         u16
 //!      6     8  version          u64
 //!     14    48  bbox             lo.x lo.y lo.z hi.x hi.y hi.z, i64 each
@@ -16,8 +16,8 @@
 //!    134     4  chunk_size       u32
 //!    138     4  nsums            u32 (= ceil(payload_len / chunk_size))
 //!    142     …  name             name_len bytes, UTF-8
-//!      …     …  sums             nsums × u32, FNV-1a-32 per payload chunk
-//!      …     4  head_sum         FNV-1a-32 over every byte above
+//!      …     …  sums             nsums × u32, [`crate::sum`] per payload chunk
+//!      …     4  head_sum         [`crate::sum`] over every byte above
 //!      …     …  payload          payload_len bytes, LE f64 Fortran order
 //! ```
 //!
@@ -48,7 +48,12 @@
 //! (and the directory entry is fsynced best-effort after), so a completed
 //! compaction never loses previously-stable records to power loss. The
 //! `Persistence::Durable` hint is a memory-pressure priority (never
-//! reject, always spill), not a power-loss guarantee.
+//! reject, always spill), not a power-loss guarantee. Nor does a log
+//! survive a *format* change: the record magic names the format (`XTLG`
+//! records carried FNV-1a-32 sums), there is no migration, and a log
+//! written under another magic is reported through [`DiskLog::recovery`]
+//! as "bad record magic" at offset 0 and truncated like any other
+//! unreadable tail.
 
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
 use crate::pool::BufferPool;
@@ -62,8 +67,9 @@ use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::intvect::IntVect;
 
-/// Record magic: "XTLG" (xlayer tier log).
-const MAGIC: [u8; 4] = *b"XTLG";
+/// Record magic: "XTL2" — the xlayer tier log's second format, whose sums
+/// are [`crate::sum`]'s four-lane sum ("XTLG" records carried FNV-1a-32).
+const MAGIC: [u8; 4] = *b"XTL2";
 /// Fixed-size prefix of a record, before the name/sums tail.
 const FIXED_HEAD: usize = 142;
 /// Longest accepted variable name (matches the wire protocol's cap).
@@ -141,7 +147,7 @@ pub struct Extent {
     desc: ObjectDesc,
     /// Chunk size the payload sums were computed at.
     chunk: u32,
-    /// Per-chunk FNV-1a-32 payload sums every read is verified against.
+    /// Per-chunk payload sums every read is verified against.
     sums: Arc<[u32]>,
 }
 
@@ -420,11 +426,24 @@ impl DiskLog {
         self.file
             .read_exact(&mut buf)
             .map_err(|e| io_err("read", e))?;
-        let got = chunk_sums(&buf, ext.chunk as usize);
-        if got != *ext.sums {
+        let chunks = buf.chunks((ext.chunk as usize).max(1));
+        if chunks.len() != ext.sums.len() {
             return Err(TierError::Corrupt {
                 offset: ext.offset,
-                detail: "payload chunk sums do not match the stored sums".to_string(),
+                detail: format!(
+                    "{} sums stored for a payload of {} chunks",
+                    ext.sums.len(),
+                    chunks.len()
+                ),
+            });
+        }
+        if let Some(k) = chunks
+            .zip(ext.sums.iter())
+            .position(|(data, &stored)| checksum(data) != stored)
+        {
+            return Err(TierError::Corrupt {
+                offset: ext.offset,
+                detail: format!("payload chunk {k} does not match its stored sum"),
             });
         }
         // The buffer becomes the long-lived payload: detach it from the
@@ -862,6 +881,60 @@ mod tests {
             log.read(&ObjectKey::new("rho", 2), None),
             Err(TierError::Corrupt { .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_format_log_is_refused_by_magic() {
+        // One record exactly as the "XTLG" format wrote it: same layout,
+        // FNV-1a-32 chunk sums and head sum.
+        fn fnv(data: &[u8]) -> u32 {
+            data.iter().fold(0x811c_9dc5u32, |s, &b| {
+                (s ^ b as u32).wrapping_mul(0x0100_0193)
+            })
+        }
+        let a = obj("rho", 1, 0, 4);
+        let sums: Vec<u32> = a.payload.chunks(256).map(fnv).collect();
+        let mut record = DiskLog::encode_head(&a, 256, &sums);
+        record.truncate(record.len() - 4);
+        record[..4].copy_from_slice(b"XTLG");
+        let head_sum = fnv(&record);
+        record.extend_from_slice(&head_sum.to_le_bytes());
+        record.extend_from_slice(&a.payload);
+        let dir = tmpdir("oldformat");
+        std::fs::write(dir.join("test.log"), &record).unwrap();
+        // Not "head checksum mismatch": the format is named by its magic.
+        let mut log = open(&dir, 1 << 20);
+        match log.recovery() {
+            [TierError::Corrupt { offset: 0, detail }] => {
+                assert_eq!(detail, "bad record magic")
+            }
+            other => panic!("expected one typed Corrupt at offset 0, got {other:?}"),
+        }
+        // Nothing of it is served, and the log starts over cleanly.
+        assert_eq!(log.num_keys(), 0);
+        log.append(&a).unwrap();
+        let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
+        assert_eq!(back[0].payload, a.payload);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_read_names_the_first_bad_chunk() {
+        let dir = tmpdir("badchunk");
+        let mut log = open(&dir, 1 << 20);
+        let a = obj("rho", 1, 0, 4); // 512 B: two 256-byte chunks
+        log.append(&a).unwrap();
+        let mut bytes = std::fs::read(dir.join("test.log")).unwrap();
+        let n = bytes.len();
+        bytes[n - 9] ^= 0xFF;
+        std::fs::write(dir.join("test.log"), &bytes).unwrap();
+        match log.read(&ObjectKey::new("rho", 1), None) {
+            Err(TierError::Corrupt { offset: 0, detail }) => {
+                assert!(detail.contains("chunk 1 "), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

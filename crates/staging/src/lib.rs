@@ -18,8 +18,8 @@
 //! * [`transport`] — asynchronous transfers with back-pressure into any
 //!   [`Staging`] backend,
 //! * [`lock`] — version gates for coupled producer/consumer coordination,
-//! * [`sum`] / [`pool`] — FNV-1a-32 checksums and the size-classed buffer
-//!   pool, shared with the wire layer (`xlayer-net`).
+//! * [`sum`] / [`pool`] — the four-lane word-wide integrity sum and the
+//!   size-classed buffer pool, shared with the wire layer (`xlayer-net`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

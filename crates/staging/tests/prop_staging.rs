@@ -200,3 +200,75 @@ mod tier_identity {
         }
     }
 }
+
+/// The integrity sum over random inputs (`sum.rs`'s own tests pin the
+/// known answers and the exhaustive cases): the streaming form is
+/// split-invariant; a changed block word and a zero-extension change the
+/// sum with certainty, permuted words or blocks but for one chance in 2³².
+mod integrity_sum {
+    use super::*;
+    use xlayer_staging::sum::{checksum, Sum};
+
+    fn arb_bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..=255, len)
+    }
+
+    proptest! {
+        #[test]
+        fn streaming_equals_one_shot_over_any_three_way_split(
+            data in arb_bytes(0..400),
+            cuts in (0usize..401, 0usize..401),
+        ) {
+            let (i, j) = (cuts.0 % (data.len() + 1), cuts.1 % (data.len() + 1));
+            let (i, j) = (i.min(j), i.max(j));
+            let mut sum = Sum::new();
+            sum.update(&data[..i]);
+            sum.update(&data[i..j]);
+            sum.update(&data[j..]);
+            prop_assert_eq!(sum.finish(), checksum(&data));
+        }
+
+        #[test]
+        fn a_changed_aligned_word_changes_the_sum(
+            data in arb_bytes(16..400),
+            at in 0usize..100,
+            delta in 1u32..=u32::MAX,
+        ) {
+            // Certain only inside the full blocks; a word of the byte-serial
+            // tail is four steps of the chain, not one.
+            let w = at % (data.len() / 16 * 4) * 4;
+            let mut bad = data.clone();
+            bad[w..w + 4].iter_mut().zip(delta.to_le_bytes()).for_each(|(b, d)| *b ^= d);
+            prop_assert_ne!(checksum(&bad), checksum(&data));
+        }
+
+        #[test]
+        fn permuted_blocks_and_words_change_the_sum(
+            data in arb_bytes(32..400),
+            blocks in (0usize..25, 0usize..25),
+            words in (0usize..4, 0usize..4),
+        ) {
+            let n = data.len() / 16;
+            let (i, j) = (blocks.0 % n, blocks.1 % n);
+            // Two 16-byte blocks swapped.
+            let mut bad = data.clone();
+            for k in 0..16 {
+                bad.swap(i * 16 + k, j * 16 + k);
+            }
+            prop_assert_eq!(checksum(&bad) != checksum(&data), bad != data);
+            // Two words of one block swapped between lanes.
+            let mut bad = data.clone();
+            for k in 0..4 {
+                bad.swap(i * 16 + words.0 * 4 + k, i * 16 + words.1 * 4 + k);
+            }
+            prop_assert_eq!(checksum(&bad) != checksum(&data), bad != data);
+        }
+
+        #[test]
+        fn zero_extension_changes_the_sum(data in arb_bytes(0..400), extra in 1usize..64) {
+            let mut longer = data.clone();
+            longer.resize(data.len() + extra, 0);
+            prop_assert_ne!(checksum(&longer), checksum(&data));
+        }
+    }
+}

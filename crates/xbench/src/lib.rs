@@ -24,8 +24,8 @@
 //!   exact bytes a seeded workload will deliver.
 //! - [`proto`] — the control protocol frames, reusing the staging wire's
 //!   framing conventions (magic, version, opcode, request id, length,
-//!   FNV-1a checksum) with its own magic so the two wires can never be
-//!   confused.
+//!   `xlayer_staging::sum` checksum) with its own magic so the two wires
+//!   can never be confused.
 //!
 //! Everything is `std::net` blocking sockets plus threads, like the
 //! staging wire itself; the workspace stays free of async runtimes.

@@ -26,8 +26,10 @@ use crate::spec::{SpecError, WorkloadSpec};
 /// Control-frame magic: first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"XBCH";
 
-/// Control-protocol version; peers refuse any other outright.
-pub const VERSION: u16 = 1;
+/// Control-protocol version; peers refuse any other outright. Version 2
+/// changed the function behind the header checksum with the staging wire
+/// (`xlayer_staging::sum`), no layout.
+pub const VERSION: u16 = 2;
 
 /// Header size in bytes (same layout as the staging wire header).
 pub const HEADER_LEN: usize = frame::HEADER_LEN;
@@ -628,6 +630,15 @@ mod tests {
             decode_ctl_header(&bad),
             Err(CtlError::BadVersion { got: 99 })
         ));
+
+        // The previous version summed its payloads with FNV-1a-32: such a
+        // peer is refused at the header, not retried as a checksum fault.
+        let mut bad = h;
+        bad[4..6].copy_from_slice(&(VERSION - 1).to_le_bytes());
+        assert_eq!(
+            decode_ctl_header(&bad),
+            Err(CtlError::BadVersion { got: 1 })
+        );
 
         let mut bad = h;
         bad[6] = 0x55;

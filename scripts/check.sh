@@ -21,23 +21,28 @@ echo "==> xlint --check-wire-pin (wire-format drift vs committed xlint.wire)"
 # regenerate the pin (cargo run -p xlint -- --write-wire-pin) to pass.
 cargo run --locked -q -p xlint -- --check-wire-pin
 
-echo "==> chunk sums have one owner, the wire one chunk size (grep gate)"
-# What PR 19 deleted must not grow back in non-test code (each file up to
-# its first #[cfg(test)]) of the crates on the staged-byte path: no cache
-# of sums beside the object, no negotiated or configurable wire chunk size,
-# no single-frame get. `chunk_size` survives only as the disk log's
-# self-describing record field and TierConfig's test-facing setter.
+echo "==> chunk sums have one owner, the wire one chunk size, integrity one sum (grep gate)"
+# What PRs 19 and 21 deleted must not grow back in non-test code (each file
+# up to its first #[cfg(test)]) of the crates on the staged-byte path: no
+# cache of sums beside the object, no negotiated or configurable wire chunk
+# size, no single-frame get, and no byte-serial FNV-1a-32 beside
+# `staging::sum` — its names (`FNV_OFFSET`, `checksum_update`) or its
+# `for &b in data` XOR-multiply loop. (The placement hash in
+# staging/src/shard.rs is FNV-1a-64 over three coordinates, not an
+# integrity sum, and matches none of these.) `chunk_size` survives only as
+# the disk log's self-describing record field and TierConfig's test-facing
+# setter.
 gate=0
 for f in $(find crates/{staging,net,xbench,workflow}/src -name '*.rs' | sort); do
     code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f")
-    banned='ChunkSumCache|clamp_chunk_size|MIN_CHUNK_SIZE|MAX_CHUNK_SIZE|DEFAULT_CHUNK_SIZE|chunk_threshold|get_whole'
+    banned='ChunkSumCache|clamp_chunk_size|MIN_CHUNK_SIZE|MAX_CHUNK_SIZE|DEFAULT_CHUNK_SIZE|chunk_threshold|get_whole|FNV_OFFSET|checksum_update|for &b in data'
     case "$f" in
         crates/staging/src/tier.rs | crates/staging/src/disklog.rs) ;;
         *) banned="$banned|chunk_size" ;;
     esac
     if grep -E "$banned" <<<"$code"; then gate=1; fi
 done
-[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md, PR 19)"; exit 1; }
+[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md, PRs 19 and 21)"; exit 1; }
 
 echo "==> cargo build --release"
 cargo build --locked --release
