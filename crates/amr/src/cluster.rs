@@ -7,7 +7,7 @@
 //! enforce max box size and blocking-factor alignment.
 
 use crate::boxes::IBox;
-use crate::intvect::DIM;
+use crate::intvect::{IntVect, DIM};
 use crate::tagging::IntVectSet;
 
 /// Parameters controlling grid generation.
@@ -41,16 +41,13 @@ impl Default for ClusterParams {
 ///   most one blocking factor),
 /// * boxes are aligned to `blocking_factor`.
 pub fn cluster_tags(tags: &IntVectSet, within: &IBox, params: &ClusterParams) -> Vec<IBox> {
-    if tags.is_empty() {
-        return Vec::new();
-    }
+    let clipped: Vec<IntVect> = tags
+        .iter()
+        .copied()
+        .filter(|&iv| within.contains(iv))
+        .collect();
     let mut out = Vec::new();
-    let bbox = tags.bounding_box().intersect(within);
-    let clipped = tags.clip(within);
-    if clipped.is_empty() {
-        return Vec::new();
-    }
-    split_recursive(&clipped, bbox, params, &mut out);
+    split_recursive(clipped, params, &mut out);
     // Snap to blocking factor and clip; subtract to keep disjointness after
     // snapping may re-introduce overlap, so merge via subtraction pass.
     let snapped: Vec<IBox> = out
@@ -60,58 +57,58 @@ pub fn cluster_tags(tags: &IntVectSet, within: &IBox, params: &ClusterParams) ->
     make_disjoint(snapped)
 }
 
-fn split_recursive(tags: &IntVectSet, bbox: IBox, params: &ClusterParams, out: &mut Vec<IBox>) {
-    let bbox = tags.clip(&bbox).bounding_box();
-    if bbox.is_empty() {
+/// Cover `tags` with efficient boxes. Each call owns exactly the tags of
+/// its box, so a level of the recursion touches every tag once.
+fn split_recursive(tags: Vec<IntVect>, params: &ClusterParams, out: &mut Vec<IBox>) {
+    let Some(&first) = tags.first() else {
         return;
-    }
-    let ntags = tags.count_in(&bbox);
-    if ntags == 0 {
-        return;
-    }
-    let efficiency = ntags as f64 / bbox.num_cells() as f64;
+    };
+    let (lo, hi) = tags
+        .iter()
+        .fold((first, first), |(lo, hi), &iv| (lo.min(iv), hi.max(iv)));
+    let bbox = IBox::new(lo, hi);
+    let efficiency = tags.len() as f64 / bbox.num_cells() as f64;
     if efficiency >= params.fill_ratio && bbox.longest_side() <= params.max_box_size {
         out.push(bbox);
         return;
     }
     // Find a split plane. Priority: hole in signature > steepest inflection
     // > midpoint of longest direction.
-    if let Some((d, at)) = find_split(tags, &bbox, params) {
-        let (l, r) = bbox.split_at(d, at);
-        split_recursive(tags, l, params, out);
-        split_recursive(tags, r, params, out);
+    if let Some((d, at)) = find_split(&tags, &bbox, params) {
+        let (l, r): (Vec<IntVect>, Vec<IntVect>) = tags.into_iter().partition(|iv| iv[d] < at);
+        split_recursive(l, params, out);
+        split_recursive(r, params, out);
     } else {
         // Cannot split further (unit extent everywhere): accept as-is.
         out.push(bbox);
     }
 }
 
-/// Tag signature along direction `d`: number of tags in each index plane.
-fn signature(tags: &IntVectSet, bbox: &IBox, d: usize) -> Vec<usize> {
-    let lo = bbox.lo()[d];
-    let n = bbox.size()[d] as usize;
-    let mut sig = vec![0usize; n];
-    for iv in tags.iter() {
-        if bbox.contains(*iv) {
-            sig[(iv[d] - lo) as usize] += 1;
+/// Tag signatures of a box holding exactly `tags`: per direction, the
+/// number of tags in each index plane.
+fn signatures(tags: &[IntVect], bbox: &IBox) -> [Vec<usize>; DIM] {
+    let mut sigs: [Vec<usize>; DIM] = std::array::from_fn(|d| vec![0; bbox.size()[d] as usize]);
+    for iv in tags {
+        for (d, sig) in sigs.iter_mut().enumerate() {
+            sig[(iv[d] - bbox.lo()[d]) as usize] += 1;
         }
     }
-    sig
+    sigs
 }
 
 /// Choose a split plane per Berger–Rigoutsos.
-fn find_split(tags: &IntVectSet, bbox: &IBox, params: &ClusterParams) -> Option<(usize, i64)> {
+fn find_split(tags: &[IntVect], bbox: &IBox, params: &ClusterParams) -> Option<(usize, i64)> {
+    let sigs = signatures(tags, bbox);
     // If longer than max_box_size, just halve the longest direction —
     // splitting at holes first can generate slivers.
     let must_split = bbox.longest_side() > params.max_box_size;
 
     // 1. Look for holes (zero planes) in the signatures.
     let mut best_hole: Option<(usize, i64, i64)> = None; // (dir, at, dist from edge)
-    for d in 0..DIM {
+    for (d, sig) in sigs.iter().enumerate() {
         if bbox.size()[d] < 2 {
             continue;
         }
-        let sig = signature(tags, bbox, d);
         for (i, &s) in sig.iter().enumerate().skip(1) {
             // split so the plane i is the first of the right half
             if s == 0 || sig[i - 1] == 0 {
@@ -131,12 +128,11 @@ fn find_split(tags: &IntVectSet, bbox: &IBox, params: &ClusterParams) -> Option<
 
     // 2. Steepest second-derivative inflection of the signature.
     let mut best_infl: Option<(usize, i64, i64)> = None; // (dir, at, |delta|)
-    for d in 0..DIM {
+    for (d, sig) in sigs.iter().enumerate() {
         let n = bbox.size()[d];
         if n < 4 {
             continue;
         }
-        let sig = signature(tags, bbox, d);
         let lap: Vec<i64> = (1..sig.len() - 1)
             .map(|i| sig[i - 1] as i64 - 2 * sig[i] as i64 + sig[i + 1] as i64)
             .collect();
@@ -222,6 +218,42 @@ mod tests {
             for b in &boxes[i + 1..] {
                 assert!(!a.intersects(b), "boxes overlap: {a:?} {b:?}");
             }
+        }
+    }
+
+    #[test]
+    fn shell_clustering_is_pinned() {
+        // A thick, perforated spherical shell (a blast front's tags), grown
+        // by one cell. The box lists were produced by the clusterer as it
+        // was when every recursion rescanned the whole tag set; regridding
+        // must keep generating exactly these grids.
+        let within = IBox::cube(40);
+        let tags: IntVectSet = within
+            .cells()
+            .filter(|iv| {
+                let r2: i64 = (0..3).map(|d| (2 * iv[d] - 37) * (2 * iv[d] - 41)).sum();
+                (24 * 24..=30 * 30).contains(&r2) && (iv[0] + 2 * iv[1] + 3 * iv[2]) % 7 != 0
+            })
+            .collect();
+        assert_eq!(tags.len(), 5846);
+        let buffered = tags.grow(1, &within);
+        for (blocking_factor, max_box_size, fill_ratio, count, pin) in [
+            (4, 32, 0.7, 139, 0xc102dc5c633c484a_u64),
+            (2, 8, 0.85, 791, 0xfb342bfa98f8c6e8),
+            (1, 16, 0.6, 147, 0x638ec13256987b31),
+        ] {
+            let params = ClusterParams {
+                fill_ratio,
+                max_box_size,
+                blocking_factor,
+            };
+            let boxes = cluster_tags(&buffered, &within, &params);
+            cover_check(&buffered, &boxes);
+            let corners = boxes.iter().flat_map(|b| [b.lo().0, b.hi().0]).flatten();
+            let hash = corners.fold(0xcbf29ce484222325_u64, |h, v| {
+                (h ^ v as u64).wrapping_mul(0x100000001b3)
+            });
+            assert_eq!((boxes.len(), hash), (count, pin), "bf {blocking_factor}");
         }
     }
 

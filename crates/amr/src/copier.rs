@@ -9,8 +9,10 @@
 //!
 //! The copier caches the op list together with everything derived from it:
 //!
-//! * ops grouped by destination grid, so the scatter phase can run in
-//!   parallel over fabs (distinct destination fabs are disjoint storage);
+//! * ops grouped by destination grid, so both phases run in parallel over
+//!   grids (distinct destination fabs are disjoint storage) — one pool item
+//!   per grid, not per op: an op moves a few dozen values, too little to
+//!   pay for a claim on the pool's shared counter;
 //! * per-op offsets into a single reusable pack buffer, so the pack phase
 //!   writes disjoint slices of one scratch `Vec<f64>` (no per-op allocation,
 //!   and in particular no full-fab clone for periodic self-copies);
@@ -22,9 +24,9 @@
 //! cell is written by exactly one op (ghost regions are disjoint by
 //! construction, source valid boxes are disjoint, and the periodic preimage
 //! of a cell is unique), so the phases are order-independent and the result
-//! is bit-identical to the sequential direct-copy path. Both phases go
-//! parallel only above a volume threshold: the vendored `rayon` stand-in
-//! spawns scoped threads per call, which would swamp a small exchange.
+//! is bit-identical to the sequential direct-copy path. Both phases go to
+//! the thread pool only above a volume threshold: a small exchange is over
+//! before a parked worker has woken up.
 
 use crate::domain::ProblemDomain;
 use crate::fab::Fab;
@@ -32,8 +34,11 @@ use crate::intvect::IntVect;
 use crate::layout::{BoxLayout, CopyOp, Grid};
 
 /// Minimum total copy volume (in `f64` values) before the pack and scatter
-/// phases use the thread pool. Below this, thread-spawn overhead of the
-/// vendored rayon stand-in exceeds the copy cost.
+/// phases use the thread pool. An exchange is two memory-bound passes, so a
+/// second thread buys little and waking it costs a fixed ~10 µs a phase.
+/// Measured on two hardware threads, 64 grids, serial against pooled: 31 k
+/// values 87–136 µs against 167–217; 78 k values a tie (146–235 against
+/// 149–254); 622 k values over 512 grids 3.2–4.0 ms against 2.6–3.3.
 const PAR_THRESHOLD: usize = 1 << 16;
 
 /// Compute the list of copies needed to fill every grid's ghost region from
@@ -99,8 +104,9 @@ pub struct ExchangeCopier {
     /// `op_offsets[k]..op_offsets[k + 1]` is op `k`'s slice of the scratch
     /// buffer, in `f64` units.
     op_offsets: Vec<usize>,
-    /// Op indices grouped by destination grid (`per_dst[g]` writes fab `g`).
-    per_dst: Vec<Vec<usize>>,
+    /// Ops `dst_ops[g]..dst_ops[g + 1]` write fab `g` (the plan lists ops
+    /// destination by destination).
+    dst_ops: Vec<usize>,
     cross_rank_bytes: u64,
     scratch: Vec<f64>,
 }
@@ -114,14 +120,19 @@ impl ExchangeCopier {
         ncomp: usize,
     ) -> ExchangeCopier {
         let ops = exchange_plan(layout, domain, nghost);
+        assert!(
+            ops.windows(2).all(|w| w[0].dst <= w[1].dst),
+            "exchange plan must list ops destination by destination"
+        );
         let mut op_offsets = Vec::with_capacity(ops.len() + 1);
-        let mut per_dst: Vec<Vec<usize>> = vec![Vec::new(); layout.len()];
+        let dst_ops = (0..=layout.len())
+            .map(|g| ops.partition_point(|op| op.dst < g))
+            .collect();
         let mut cross_rank_bytes = 0u64;
         let mut total = 0usize;
-        for (k, op) in ops.iter().enumerate() {
+        for op in &ops {
             op_offsets.push(total);
             total += op.region.num_cells() as usize * ncomp;
-            per_dst[op.dst].push(k);
             if layout.rank(op.src) != layout.rank(op.dst) {
                 cross_rank_bytes +=
                     op.region.num_cells() * ncomp as u64 * std::mem::size_of::<f64>() as u64;
@@ -136,7 +147,7 @@ impl ExchangeCopier {
             ncomp,
             ops,
             op_offsets,
-            per_dst,
+            dst_ops,
             cross_rank_bytes,
             scratch: Vec::new(),
         }
@@ -185,42 +196,48 @@ impl ExchangeCopier {
 
         let ops = &self.ops;
         let op_offsets = &self.op_offsets;
-        let ncomp = self.ncomp;
+        let dst_ops = &self.dst_ops;
+        // The (index, op) pairs that write fab `g`.
+        let ops_into = |g: usize| ops.iter().enumerate().take(dst_ops[g + 1]).skip(dst_ops[g]);
         let parallel = total >= PAR_THRESHOLD;
 
-        // Phase 1: pack every source region into its disjoint scratch slice.
+        // Phase 1: pack every source region into its disjoint scratch slice,
+        // one destination grid's ops (a contiguous run of slices) at a time.
         {
             let sources: &[Fab] = fabs;
-            let mut parts: Vec<(usize, &mut [f64])> = Vec::with_capacity(ops.len());
+            let mut parts: Vec<&mut [f64]> = Vec::with_capacity(fabs.len());
             let mut rest = &mut self.scratch[..total];
-            for k in 0..ops.len() {
-                let (head, tail) = rest.split_at_mut(op_offsets[k + 1] - op_offsets[k]);
-                parts.push((k, head));
+            for g in 0..fabs.len() {
+                let len = op_offsets[dst_ops[g + 1]] - op_offsets[dst_ops[g]];
+                let (head, tail) = rest.split_at_mut(len);
+                parts.push(head);
                 rest = tail;
             }
-            let pack = |(k, out): &mut (usize, &mut [f64])| {
-                let op = &ops[*k];
-                sources[op.src].pack_region(&op.region, op.shift, out);
+            let pack = |g: usize, mut out: &mut [f64]| {
+                for (k, op) in ops_into(g) {
+                    let (head, tail) = out.split_at_mut(op_offsets[k + 1] - op_offsets[k]);
+                    sources[op.src].pack_region(&op.region, op.shift, head);
+                    out = tail;
+                }
             };
             if parallel {
                 use rayon::prelude::*;
-                parts.par_iter_mut().for_each(pack);
+                parts
+                    .par_iter_mut()
+                    .enumerate()
+                    .for_each(|(g, out)| pack(g, out));
             } else {
-                parts.iter_mut().for_each(pack);
+                for (g, out) in parts.iter_mut().enumerate() {
+                    pack(g, out);
+                }
             }
         }
 
         // Phase 2: scatter each slice into its destination fab. Distinct
         // fabs are disjoint, so destinations proceed independently.
         let scratch = &self.scratch;
-        let per_dst = &self.per_dst;
-        let scatter = |i: usize, fab: &mut Fab| {
-            for &k in &per_dst[i] {
-                let op = &ops[k];
-                debug_assert_eq!(
-                    op_offsets[k + 1] - op_offsets[k],
-                    op.region.num_cells() as usize * ncomp
-                );
+        let scatter = |g: usize, fab: &mut Fab| {
+            for (k, op) in ops_into(g) {
                 fab.unpack_region(&op.region, &scratch[op_offsets[k]..op_offsets[k + 1]]);
             }
         };
@@ -228,10 +245,10 @@ impl ExchangeCopier {
             use rayon::prelude::*;
             fabs.par_iter_mut()
                 .enumerate()
-                .for_each(|(i, fab)| scatter(i, fab));
+                .for_each(|(g, fab)| scatter(g, fab));
         } else {
-            for (i, fab) in fabs.iter_mut().enumerate() {
-                scatter(i, fab);
+            for (g, fab) in fabs.iter_mut().enumerate() {
+                scatter(g, fab);
             }
         }
 

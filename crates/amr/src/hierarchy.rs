@@ -8,8 +8,9 @@
 use crate::balance::{assign_ranks, Balancer};
 use crate::boxes::IBox;
 use crate::cluster::{cluster_tags, make_disjoint, ClusterParams};
+use crate::coarse_fine::{average_from_fine, fill_from_coarse};
 use crate::domain::ProblemDomain;
-use crate::intvect::DIM;
+use crate::intvect::{IntVect, DIM};
 use crate::layout::{BoxLayout, Grid};
 use crate::level_data::LevelData;
 use crate::tagging::IntVectSet;
@@ -372,112 +373,46 @@ fn split_pair<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
 }
 
 /// Piecewise-constant interpolation of coarse data onto the whole fine level
-/// (valid regions).
+/// (valid regions), one fine grid per pool task.
 pub fn interpolate_to_fine(coarse: &LevelData, fine: &mut LevelData, ratio: i64) {
     assert_eq!(coarse.ncomp(), fine.ncomp());
-    let ncomp = fine.ncomp();
-    for fi in 0..fine.len() {
-        let fvalid = fine.valid_box(fi);
-        let cregion = fvalid.coarsen(ratio);
+    fine.par_for_each_mut(|_, fvalid, ffab| {
         for ci in 0..coarse.len() {
-            let cvalid = coarse.valid_box(ci).intersect(&cregion);
-            if cvalid.is_empty() {
-                continue;
-            }
-            for comp in 0..ncomp {
-                for civ in cvalid.cells() {
-                    let v = coarse.fab(ci).get(civ, comp);
-                    let fbox = IBox::single(civ).refine(ratio).intersect(&fvalid);
-                    for fiv in fbox.cells() {
-                        fine.fab_mut(fi).set(fiv, comp, v);
-                    }
-                }
+            let under = coarse.valid_box(ci).refine(ratio).intersect(&fvalid);
+            if !under.is_empty() {
+                fill_from_coarse(ffab, &under, coarse.fab(ci), IntVect::ZERO, ratio);
             }
         }
-    }
+    });
 }
 
 /// Fill fine ghost cells not covered by same-level data (including its
 /// periodic images) with piecewise-constant coarse values — the
 /// coarse–fine boundary interpolation. Periodic ghost cells read the
-/// wrapped coarse cell.
+/// wrapped coarse cell. The regions are cached on the fine level (see
+/// [`crate::coarse_fine`]); the fill runs one fine grid per pool task.
 pub fn interpolate_ghosts_from_coarse(coarse: &LevelData, fine: &mut LevelData, ratio: i64) {
-    let ncomp = fine.ncomp();
-    let nghost = fine.nghost();
-    if nghost == 0 {
-        return;
-    }
-    let fdomain = *fine.domain();
-    // Region needing fill = grown valid minus (own valid ∪ all same-level
-    // valid boxes ∪ their periodic images — those were filled by exchange).
-    let same_level: Vec<IBox> = fine.layout().grids().iter().map(|g| g.bx).collect();
-    for fi in 0..fine.len() {
-        let valid = fine.valid_box(fi);
-        let grown = fdomain.clip(&valid.grow(nghost));
-        let mut ghost_regions = grown.subtract(&valid);
-        for s in &same_level {
-            let mut cover = vec![*s];
-            for g in &ghost_regions {
-                for shift in fdomain.periodic_shifts(s, g) {
-                    cover.push(s.shift(shift));
-                }
-            }
-            for c in cover {
-                let mut next = Vec::new();
-                for g in ghost_regions {
-                    next.extend(g.subtract(&c));
-                }
-                ghost_regions = next;
-            }
-        }
-        for region in ghost_regions {
-            for fiv in region.cells() {
-                let civ = fdomain.wrap(fiv).coarsen(ratio);
-                for ci in 0..coarse.len() {
-                    if coarse.valid_box(ci).contains(civ) {
-                        for comp in 0..ncomp {
-                            let v = coarse.fab(ci).get(civ, comp);
-                            fine.fab_mut(fi).set(fiv, comp, v);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    fine.fill_ghosts_from_coarse(coarse, ratio);
 }
 
-/// Conservative averaging of fine data onto the coarse cells it covers.
+/// Conservative averaging of fine data onto the coarse cells it covers,
+/// one coarse grid per pool task.
 pub fn average_to_coarse(fine: &LevelData, coarse: &mut LevelData, ratio: i64) {
     assert_eq!(coarse.ncomp(), fine.ncomp());
-    let ncomp = fine.ncomp();
     let inv = 1.0 / (ratio.pow(DIM as u32) as f64);
-    for ci in 0..coarse.len() {
-        let cvalid = coarse.valid_box(ci);
+    coarse.par_for_each_mut(|_, cvalid, cfab| {
         for fi in 0..fine.len() {
-            let fvalid = fine.valid_box(fi);
-            let covered = fvalid.coarsen(ratio).intersect(&cvalid);
-            if covered.is_empty() {
-                continue;
-            }
-            for comp in 0..ncomp {
-                for civ in covered.cells() {
-                    let fcells = IBox::single(civ).refine(ratio);
-                    let mut acc = 0.0;
-                    for fiv in fcells.cells() {
-                        acc += fine.fab(fi).get(fiv, comp);
-                    }
-                    coarse.fab_mut(ci).set(civ, comp, acc * inv);
-                }
+            let covered = fine.valid_box(fi).coarsen(ratio).intersect(&cvalid);
+            if !covered.is_empty() {
+                average_from_fine(cfab, &covered, fine.fab(fi), ratio, inv);
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intvect::IntVect;
     use crate::tagging::IntVectSet;
 
     fn hier(max_levels: usize) -> AmrHierarchy {

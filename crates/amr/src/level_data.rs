@@ -2,6 +2,7 @@
 //! ghost-exchange operation (Chombo's `LevelData<FArrayBox>` + `exchange()`).
 
 use crate::boxes::IBox;
+use crate::coarse_fine::CoarseFill;
 use crate::copier::{self, ExchangeCopier};
 use crate::domain::ProblemDomain;
 use crate::fab::Fab;
@@ -19,6 +20,9 @@ pub struct LevelData {
     /// and revalidated against (layout, domain, nghost, ncomp) on every use.
     /// Regridding replaces the whole `LevelData`, which drops the cache.
     copier: Option<ExchangeCopier>,
+    /// Cached coarse–fine ghost schedule, kept like `copier` and revalidated
+    /// against both levels' layouts on every [`Self::fill_ghosts_from_coarse`].
+    coarse_fill: Option<CoarseFill>,
 }
 
 impl LevelData {
@@ -37,6 +41,7 @@ impl LevelData {
             ncomp,
             fabs,
             copier: None,
+            coarse_fill: None,
         }
     }
 
@@ -123,12 +128,7 @@ impl LevelData {
     where
         Self: Sized,
     {
-        use rayon::prelude::*;
-        let boxes: Vec<IBox> = self.layout.grids().iter().map(|g| g.bx).collect();
-        self.fabs
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, fab)| f(i, boxes[i], fab));
+        self.par_map_mut(f);
     }
 
     /// Apply `f(grid_index, valid_box, fab)` to every grid in parallel,
@@ -139,23 +139,29 @@ impl LevelData {
     /// face-flux fabs) that the caller keeps, so the serial
     /// `for i in 0..len` walk of the capture path parallelizes exactly
     /// like [`Self::par_for_each_mut`] without giving up the results.
+    ///
+    /// Grids are handed to the pool largest first: a refined level mixes
+    /// grids of a few hundred and a hundred thousand cells, and the big one
+    /// claimed last would leave every other thread idle behind it.
     pub fn par_map_mut<R: Send>(
         &mut self,
         f: impl Fn(usize, IBox, &mut Fab) -> R + Sync,
     ) -> Vec<R> {
         use rayon::prelude::*;
-        let boxes: Vec<IBox> = self.layout.grids().iter().map(|g| g.bx).collect();
-        // Pair each fab with an output slot so one mutable slice drives the
-        // parallel walk (the vendored rayon has no indexed collect-into).
-        let mut slots: Vec<(Option<R>, &mut Fab)> =
-            self.fabs.iter_mut().map(|fab| (None, fab)).collect();
-        slots
-            .par_iter_mut()
+        let mut tasks: Vec<(usize, IBox, &mut Fab, Option<R>)> = self
+            .fabs
+            .iter_mut()
             .enumerate()
-            .for_each(|(i, slot)| slot.0 = Some(f(i, boxes[i], slot.1)));
-        slots
+            .map(|(i, fab)| (i, self.layout.ibox(i), fab, None))
+            .collect();
+        tasks.sort_by_key(|t| std::cmp::Reverse(t.1.num_cells()));
+        tasks
+            .par_iter_mut()
+            .for_each(|(i, valid, fab, out)| *out = Some(f(*i, *valid, fab)));
+        tasks.sort_by_key(|t| t.0);
+        tasks
             .into_iter()
-            .map(|(r, _)| r.expect("every grid produced a result"))
+            .map(|t| t.3.expect("every grid produced a result"))
             .collect()
     }
 
@@ -183,6 +189,37 @@ impl LevelData {
         let cross_rank_bytes = copier.apply(&mut self.fabs);
         self.copier = Some(copier);
         cross_rank_bytes
+    }
+
+    /// Fill the ghost cells the exchange leaves — those no same-level grid
+    /// or periodic image covers — with the value of the cell of `coarse`
+    /// (the next coarser level, `ratio` times coarser) under each.
+    pub(crate) fn fill_ghosts_from_coarse(&mut self, coarse: &LevelData, ratio: i64) {
+        if self.nghost == 0 {
+            return;
+        }
+        let plan = match self.coarse_fill.take() {
+            Some(p)
+                if p.matches(
+                    &self.layout,
+                    &self.domain,
+                    self.nghost,
+                    &coarse.layout,
+                    ratio,
+                ) =>
+            {
+                p
+            }
+            _ => CoarseFill::build(
+                &self.layout,
+                &self.domain,
+                self.nghost,
+                &coarse.layout,
+                ratio,
+            ),
+        };
+        self.par_for_each_mut(|i, _, fab| plan.apply(i, fab, &coarse.fabs));
+        self.coarse_fill = Some(plan);
     }
 
     /// [`Self::exchange`] without the cached schedule: replans on every call

@@ -21,6 +21,7 @@
 pub mod balance;
 pub mod boxes;
 pub mod cluster;
+mod coarse_fine;
 pub mod copier;
 pub mod domain;
 pub mod fab;

@@ -74,13 +74,45 @@ impl IntVectSet {
 
     /// Grow the set by `n` cells in every direction (tag buffering), clipped
     /// to `within`.
+    ///
+    /// Neighbouring tags grow into mostly the same cells, so the grown cells
+    /// are marked in a byte map over the tags' grown bounding box — laid out
+    /// like the set is ordered, z fastest — and the set is built once from
+    /// the marks, already sorted.
     pub fn grow(&self, n: i64, within: &IBox) -> IntVectSet {
-        let mut out = IntVectSet::new();
-        for &iv in &self.cells {
-            let b = IBox::single(iv).grow(n).intersect(within);
-            out.insert_box(&b);
+        let bounds = self.bounding_box().grow(n).intersect(within);
+        if bounds.is_empty() {
+            return IntVectSet::new();
         }
-        out
+        let size = bounds.size();
+        let at = |iv: IntVect| {
+            let r = iv - bounds.lo();
+            ((r[0] * size[1] + r[1]) * size[2] + r[2]) as usize
+        };
+        let mut marked = vec![false; bounds.num_cells() as usize];
+        for &iv in &self.cells {
+            let b = IBox::single(iv).grow(n).intersect(&bounds);
+            if b.is_empty() {
+                continue;
+            }
+            let nz = b.size()[2] as usize;
+            for x in b.lo()[0]..=b.hi()[0] {
+                for y in b.lo()[1]..=b.hi()[1] {
+                    let o = at(IntVect::new(x, y, b.lo()[2]));
+                    marked[o..o + nz].fill(true);
+                }
+            }
+        }
+        let mut rows = marked.chunks(size[2] as usize);
+        let mut out = Vec::new();
+        for x in bounds.lo()[0]..=bounds.hi()[0] {
+            for y in bounds.lo()[1]..=bounds.hi()[1] {
+                let row = rows.next().expect("one row per (x, y)");
+                let zs = (bounds.lo()[2]..).zip(row).filter(|(_, &m)| m);
+                out.extend(zs.map(|(z, _)| IntVect::new(x, y, z)));
+            }
+        }
+        out.into_iter().collect()
     }
 
     /// Retain only cells inside `b`.
@@ -125,55 +157,90 @@ impl FromIterator<IntVect> for IntVectSet {
 ///
 /// The undivided gradient at cell `i` is
 /// `max_d |u[i+e_d] - u[i-e_d]| / 2` — Chombo's standard refinement
-/// criterion for its example applications.
+/// criterion for its example applications. Grids are scanned one per pool
+/// task, each in row walks over its flat payload.
 pub fn tag_undivided_gradient(data: &LevelData, comp: usize, threshold: f64) -> IntVectSet {
     assert!(data.nghost() >= 1, "gradient tagging needs ghost cells");
-    let mut tags = IntVectSet::new();
     let dom_box = data.domain().domain_box();
-    for i in 0..data.len() {
-        let valid = data.valid_box(i);
+    tag_per_grid(data, |i, tags| {
+        // Cells outside the domain (periodic layouts never have any) are
+        // not tagged.
+        let valid = data.valid_box(i).intersect(&dom_box);
         let fab = data.fab(i);
         let avail = fab.ibox();
-        for iv in valid.cells() {
-            let mut g: f64 = 0.0;
-            for d in 0..DIM {
-                let e = IntVect::basis(d);
-                // One-sided at physical boundaries where no ghost exists.
-                let (p, m) = (iv + e, iv - e);
-                let up = if avail.contains(p) {
-                    fab.get(p, comp)
-                } else {
-                    fab.get(iv, comp)
-                };
-                let um = if avail.contains(m) {
-                    fab.get(m, comp)
-                } else {
-                    fab.get(iv, comp)
-                };
-                g = g.max((up - um).abs() * 0.5);
+        let u = fab.comp_slice(comp);
+        let size = avail.size();
+        let stride = [1, size[0] as usize, (size[0] * size[1]) as usize];
+        for_each_row(&valid, |row, nx| {
+            let o0 = fab.cell_offset(row);
+            for k in 0..nx {
+                let (o, mut iv) = (o0 + k, row);
+                iv[0] += k as i64;
+                let mut g: f64 = 0.0;
+                for d in 0..DIM {
+                    // One-sided at physical boundaries where no ghost exists.
+                    let up = if iv[d] < avail.hi()[d] {
+                        u[o + stride[d]]
+                    } else {
+                        u[o]
+                    };
+                    let um = if iv[d] > avail.lo()[d] {
+                        u[o - stride[d]]
+                    } else {
+                        u[o]
+                    };
+                    g = g.max((up - um).abs() * 0.5);
+                }
+                if g > threshold {
+                    tags.push(iv);
+                }
             }
-            if g > threshold && dom_box.contains(iv) {
-                tags.insert(iv);
-            }
-        }
-    }
-    tags
+        });
+    })
 }
 
 /// Tag cells whose value of `comp` exceeds `threshold` (simple amplitude
 /// tagger, used by blob-tracking advection problems).
 pub fn tag_amplitude(data: &LevelData, comp: usize, threshold: f64) -> IntVectSet {
-    let mut tags = IntVectSet::new();
-    for i in 0..data.len() {
-        let valid = data.valid_box(i);
+    tag_per_grid(data, |i, tags| {
         let fab = data.fab(i);
-        for iv in valid.cells() {
-            if fab.get(iv, comp) > threshold {
-                tags.insert(iv);
+        let u = fab.comp_slice(comp);
+        for_each_row(&data.valid_box(i), |row, nx| {
+            let o0 = fab.cell_offset(row);
+            for k in (0..nx).filter(|k| u[o0 + k] > threshold) {
+                tags.push(row + IntVect::basis(0) * k as i64);
             }
+        });
+    })
+}
+
+/// Run `scan(grid, &mut tags)` for every grid of `data` on the thread pool
+/// and gather the tags. The set is ordered by cell index, so which thread
+/// scanned which grid cannot show in it.
+fn tag_per_grid(data: &LevelData, scan: impl Fn(usize, &mut Vec<IntVect>) + Sync) -> IntVectSet {
+    use rayon::prelude::*;
+    let per_grid: Vec<Vec<IntVect>> = (0..data.len())
+        .into_par_iter()
+        .map(|i| {
+            let mut tags = Vec::new();
+            scan(i, &mut tags);
+            tags
+        })
+        .collect();
+    per_grid.into_iter().flatten().collect()
+}
+
+/// Call `f(first cell, cell count)` for every x-row of `b`, y fastest.
+fn for_each_row(b: &IBox, mut f: impl FnMut(IntVect, usize)) {
+    if b.is_empty() {
+        return;
+    }
+    let nx = b.size()[0] as usize;
+    for z in b.lo()[2]..=b.hi()[2] {
+        for y in b.lo()[1]..=b.hi()[1] {
+            f(IntVect::new(b.lo()[0], y, z), nx);
         }
     }
-    tags
 }
 
 #[cfg(test)]
@@ -204,6 +271,31 @@ mod tests {
         let g = s.grow(1, &within);
         // 2x2x2 corner (clipped from 3x3x3)
         assert_eq!(g.len(), 8);
+    }
+
+    #[test]
+    fn grow_equals_the_union_of_grown_tags() {
+        let within = IBox::new(IntVect::new(-3, 0, 2), IntVect::new(9, 7, 12));
+        let mut state = 7u64;
+        let mut draw = |n: i64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as i64 % n
+        };
+        for n in 0..3 {
+            // Clustered and stray tags, some outside `within`.
+            let tags: IntVectSet = (0..40)
+                .map(|_| IntVect::new(draw(16) - 5, draw(6) + draw(6) - 2, draw(14)))
+                .collect();
+            let mut want = IntVectSet::new();
+            for &iv in tags.iter() {
+                want.insert_box(&IBox::single(iv).grow(n).intersect(&within));
+            }
+            let got = tags.grow(n, &within);
+            assert!(got.iter().eq(want.iter()), "grow by {n}");
+        }
+        assert!(IntVectSet::new().grow(1, &within).is_empty());
     }
 
     #[test]

@@ -41,8 +41,8 @@ fn bench_mc(c: &mut Criterion) {
         b.iter(|| mesh.welded(1e-9))
     });
 
-    // Merging per-grid surfaces into one level mesh: the parallel
-    // prefix-sum concat vs the serial grow-and-append baseline.
+    // Merging per-grid surfaces into one level mesh: concat into buffers
+    // allocated once at final size vs the grow-and-append baseline.
     let fab = sphere_fab(32);
     let parts: Vec<TriMesh> = (0..4i64)
         .flat_map(|bz| (0..4i64).flat_map(move |by| (0..4i64).map(move |bx| (bx, by, bz))))

@@ -8,7 +8,7 @@
 //! speedups — so CI and later sessions can diff kernel performance
 //! without parsing bench output. Only kernels are timed here: each pair
 //! isolates one restructuring (cached exchange plan, sweep-structured
-//! Euler, flat viz kernels, parallel concat) against its retained
+//! Euler, flat viz kernels, exact-capacity concat) against its retained
 //! reference. Everything a staged byte passes through — pack, transport,
 //! wire, service, disk tier, the coupled pipeline's overlap — is measured
 //! end to end and per layer by `xmark` (`benchmark/`, `BENCHMARK.json`).
@@ -239,8 +239,8 @@ fn main() {
         });
     }
 
-    // Merging 64 per-grid surfaces: parallel prefix-sum concat vs serial
-    // grow-and-append.
+    // Merging 64 per-grid surfaces: concat into buffers allocated once at
+    // final size vs grow-and-append.
     {
         let fab = noisy_fab(32);
         let parts: Vec<TriMesh> = (0..4i64)

@@ -5,7 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
@@ -433,6 +433,13 @@ fn buffer_pools_return_on_error_paths_and_stay_bounded() {
     }
     client.evict_before("rho", 6).unwrap();
 
+    // The service thread that sent the last reply parks its buffer after the
+    // send, so the client can get here first: give it up to two seconds
+    // before calling a buffer leaked.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while service.pool().outstanding() != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert_eq!(service.pool().outstanding(), 0, "service leaked buffers");
     assert_eq!(
         client.buffer_pool().outstanding(),

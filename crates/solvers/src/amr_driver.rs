@@ -139,14 +139,22 @@ impl<S: LevelSolver> AmrSimulation<S> {
     /// Tag-and-regrid immediately (also used to build the initial fine
     /// levels after setting initial conditions on the base level).
     pub fn regrid_now(&mut self) {
-        let mut tags: Vec<IntVectSet> = Vec::new();
         self.hierarchy.fill_ghosts();
-        for l in 0..self.hierarchy.num_levels() {
-            tags.push(
-                self.solver
-                    .tag_cells(self.hierarchy.level(l), self.config.tag_threshold),
-            );
+        self.tag_and_regrid();
+    }
+
+    /// Tag every level that can still be refined and regrid from the tags.
+    /// Ghost cells must be filled. `AmrHierarchy::regrid` ignores tags on
+    /// the finest allowed level, so that level is not scanned.
+    fn tag_and_regrid(&mut self) {
+        let h = &self.hierarchy;
+        let refinable = h.num_levels().min(h.config().max_levels - 1);
+        if refinable == 0 {
+            return;
         }
+        let tags: Vec<IntVectSet> = (0..refinable)
+            .map(|l| self.solver.tag_cells(h.level(l), self.config.tag_threshold))
+            .collect();
         self.hierarchy.regrid(&tags);
     }
 
@@ -326,7 +334,7 @@ impl<S: LevelSolver> AmrSimulation<S> {
         if self.config.regrid_interval > 0 && self.step.is_multiple_of(self.config.regrid_interval)
         {
             exchange_bytes += self.hierarchy.fill_ghosts();
-            self.regrid_now();
+            self.tag_and_regrid();
             regridded = true;
         }
 

@@ -223,8 +223,8 @@ pub fn extract_level(data: &LevelData, comp: usize, iso: f64, dx: f64) -> Vec<Gr
         .collect()
 }
 
-/// Merge per-grid surfaces into one mesh (order-preserving parallel
-/// concatenation via [`TriMesh::concat`]).
+/// Merge per-grid surfaces into one mesh (order-preserving, allocated once
+/// at final size: [`TriMesh::concat`]).
 pub fn merge_surfaces(surfaces: &[GridSurface]) -> TriMesh {
     let parts: Vec<&TriMesh> = surfaces.iter().map(|s| &s.mesh).collect();
     TriMesh::concat(&parts)

@@ -26,7 +26,8 @@
 
 use crate::report::StepLog;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::BTreeMap;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 use xlayer_amr::level_data::LevelData;
@@ -123,6 +124,31 @@ pub struct AnalysisOutcome {
     pub seconds: f64,
     /// Bytes of mesh produced.
     pub mesh_bytes: u64,
+}
+
+/// The versions whose analysis is queued or running, shared by the producer
+/// and the analysis workers. Workers can finish out of order, and
+/// [`Staging::evict_before`] drops everything older than its argument, so a
+/// worker done with version *v* may only evict below the oldest version
+/// another worker has still to read — not below *v + 1*.
+#[derive(Default)]
+struct InFlight {
+    versions: BTreeSet<u64>,
+    /// One past the newest version any worker has finished.
+    finished_below: u64,
+}
+
+impl InFlight {
+    /// `version`'s analysis is done: returns the oldest version still needed
+    /// (the newest finished + 1 when nothing is in flight).
+    fn finish(&mut self, version: u64) -> u64 {
+        self.versions.remove(&version);
+        self.finished_below = self.finished_below.max(version + 1);
+        self.versions
+            .first()
+            .copied()
+            .unwrap_or(self.finished_below)
+    }
 }
 
 struct Job {
@@ -282,6 +308,7 @@ pub struct NativeWorkflow<S: LevelSolver> {
     cluster: Option<ShardedClient>,
     engine: AdaptationEngine,
     job_tx: Option<Sender<Job>>,
+    in_flight: Arc<Mutex<InFlight>>,
     result_rx: Receiver<AnalysisOutcome>,
     workers: Vec<std::thread::JoinHandle<()>>,
     outcomes: Vec<AnalysisOutcome>,
@@ -336,9 +363,11 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         );
         let (job_tx, job_rx) = unbounded::<Job>();
         let (result_tx, result_rx) = unbounded::<AnalysisOutcome>();
+        let in_flight = Arc::new(Mutex::new(InFlight::default()));
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let job_rx = job_rx.clone();
+                let in_flight = Arc::clone(&in_flight);
                 let result_tx = result_tx.clone();
                 let staging = Arc::clone(&staging);
                 let transport = Arc::clone(&transport);
@@ -372,7 +401,8 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                             .collect();
                         let refs: Vec<&TriMesh> = parts.iter().collect();
                         let mesh = TriMesh::concat(&refs);
-                        staging.evict_before("field", job.version + 1);
+                        let oldest_needed = in_flight.lock().finish(job.version);
+                        staging.evict_before("field", oldest_needed);
                         let secs = t0.elapsed().as_secs_f64();
                         let _ = result_tx.send(AnalysisOutcome {
                             version: job.version,
@@ -394,6 +424,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             cluster,
             engine,
             job_tx: Some(job_tx),
+            in_flight,
             result_rx,
             workers,
             outcomes: Vec::new(),
@@ -601,6 +632,9 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 // means the step's analysis is skipped, not a crash, and
                 // pending_jobs / predictions stay consistent with what the
                 // workers will report back.
+                // The version counts as in flight from before a worker can
+                // see the job, so no other worker evicts it in between.
+                self.in_flight.lock().versions.insert(stats.step);
                 let sent = self
                     .job_tx
                     .as_ref()
@@ -616,6 +650,8 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 if sent {
                     self.pending_jobs += 1;
                     self.predictions.insert(stats.step, predicted);
+                } else {
+                    self.in_flight.lock().versions.remove(&stats.step);
                 }
             }
         }
@@ -671,6 +707,22 @@ mod tests {
     use xlayer_amr::hierarchy::HierarchyConfig;
     use xlayer_amr::{IBox, ProblemDomain};
     use xlayer_solvers::{AdvectDiffuseSolver, DriverConfig, ScalarProblem, VelocityField};
+
+    #[test]
+    fn a_worker_finishing_early_does_not_evict_what_another_still_reads() {
+        let mut f = InFlight::default();
+        f.versions.extend([1, 2, 4]);
+        // Version 2 done while 1 is still being read: keep 1 and up.
+        assert_eq!(f.finish(2), 1);
+        // Now 1 is done: 2 may go too; 4 (3 ran in situ) is still queued.
+        assert_eq!(f.finish(1), 4);
+        assert_eq!(f.finish(4), 5);
+        // Nothing queued behind an out-of-order pair: the bound is the
+        // newest finished version's, not the last finisher's.
+        f.versions.extend([6, 7]);
+        assert_eq!(f.finish(7), 6);
+        assert_eq!(f.finish(6), 8);
+    }
 
     fn blob_sim(n: i64) -> AmrSimulation<AdvectDiffuseSolver> {
         let domain = ProblemDomain::periodic(IBox::cube(n));

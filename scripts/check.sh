@@ -44,6 +44,23 @@ for f in $(find crates/{staging,net,xbench,workflow}/src -name '*.rs' | sort); d
 done
 [ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md, PRs 19 and 21)"; exit 1; }
 
+echo "==> one parallel runtime: vendor/rayon creates threads at pool start-up only, two unsafe blocks (grep gate)"
+# Non-test code of the stand-in (src/tests.rs and anything after a
+# #[cfg(test)] excluded): no scoped or per-call threads beside the pool's
+# one `.spawn(`, and exactly the two `unsafe` blocks its module doc accounts
+# for (the job closure's lifetime, `&mut T` by claimed index).
+code=$(for f in $(find vendor/rayon/src -name '*.rs' ! -name tests.rs | sort); do
+    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f"
+done)
+if grep -E 'thread::scope' <<<"$code"; then
+    echo "grep gate: vendor/rayon must not use thread::scope (see CHANGES.md, PR 23)"; exit 1
+fi
+spawns=$(grep -cE 'thread::spawn|\.spawn\(' <<<"$code" || true)
+unsafes=$(grep -cE 'unsafe \{' <<<"$code" || true)
+if [ "$spawns" -ne 1 ] || [ "$unsafes" -ne 2 ]; then
+    echo "grep gate: vendor/rayon has $spawns thread-creation sites (want 1) and $unsafes unsafe blocks (want 2)"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --locked --release
 
