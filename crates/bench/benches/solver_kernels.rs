@@ -149,6 +149,24 @@ fn bench_solvers(c: &mut Criterion) {
         })
     });
 
+    // xmark's `advect_sharded_intransit` level: 128³ in 32³ boxes, a vortex
+    // with diffusion.
+    c.bench_function("advect_level_step_128c_64box_periodic", |b| {
+        let vortex = VelocityField::Vortex {
+            center: [64.0; 2],
+            strength: 0.08,
+        };
+        let solver = AdvectDiffuseSolver::new(vortex, 0.01, 128);
+        let domain = ProblemDomain::periodic(IBox::cube(128));
+        let layout = BoxLayout::decompose(&domain, 32, 4);
+        let mut ld = LevelData::new(layout, domain, 1, 1);
+        ld.fill(1.0);
+        b.iter(|| {
+            ld.exchange();
+            solver.advance_level(&mut ld, 1.0, 0.05)
+        })
+    });
+
     c.bench_function("euler_max_wave_speed_24c", |b| {
         let solver = EulerSolver::default();
         let domain = ProblemDomain::periodic(IBox::cube(n));

@@ -149,6 +149,21 @@ fn main() {
             solver.advance_level(&mut ld, 1.0, 0.05);
         });
     }
+    // xmark's `advect_sharded_intransit` level: 128³ in 32³ boxes, a vortex
+    // with diffusion — grids large enough that the kernel, not the per-grid
+    // set-up, is the step.
+    {
+        let vortex = VelocityField::Vortex {
+            center: [64.0; 2],
+            strength: 0.08,
+        };
+        let solver = AdvectDiffuseSolver::new(vortex, 0.01, 128);
+        let mut ld = level(128, 32, true, 1);
+        run("advect_level_step_128c_64box_periodic", &mut || {
+            ld.exchange();
+            solver.advance_level(&mut ld, 1.0, 0.05);
+        });
+    }
 
     // Sweep-structured Euler kernel vs the per-cell reference on one
     // ghost-filled 8³ grid of the level above — the acceptance measurement

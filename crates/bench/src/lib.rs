@@ -32,6 +32,7 @@ pub const EXPECTED_BENCH_KEYS: &[&str] = &[
     "exchange_32c_64box_periodic_uncached",
     "euler_level_step_32c_64box_periodic",
     "advect_level_step_32c_64box_periodic",
+    "advect_level_step_128c_64box_periodic",
     "euler_sweep_kernel_32c_64box",
     "euler_reference_kernel_32c_64box",
     "euler_capture_level_step_32c_64box_periodic",
@@ -328,7 +329,7 @@ mod tests {
 
     #[test]
     fn schema_is_kernels_only() {
-        assert_eq!(EXPECTED_BENCH_KEYS.len(), 19);
+        assert_eq!(EXPECTED_BENCH_KEYS.len(), 20);
         assert_eq!(EXPECTED_DERIVED_KEYS.len(), 7);
         for key in EXPECTED_BENCH_KEYS.iter().chain(EXPECTED_DERIVED_KEYS) {
             for layer in ["net_", "staging_", "xbench_", "native_pipeline"] {

@@ -28,7 +28,8 @@ pub enum VelocityField {
 
 impl VelocityField {
     /// Velocity at the center of cell `iv` (cell coordinates; dx = 1 unit of
-    /// index space scaled outside).
+    /// index space scaled outside). No variant depends on `iv[2]`:
+    /// [`Self::face_normal_table`] relies on that.
     pub fn at(&self, iv: IntVect) -> [f64; 3] {
         match *self {
             VelocityField::Constant(v) => v,
@@ -38,6 +39,27 @@ impl VelocityField {
                 [-strength * y, strength * x, 0.0]
             }
         }
+    }
+
+    /// The velocity normal to every `d`-face of `valid`, one value per
+    /// (x, y) column of faces, x fastest: entry `(x - lo_x) + w * (y - lo_y)`
+    /// with `w` the face box's x extent (one more than `valid`'s along `d`)
+    /// is `0.5 * (at(iv - e_d)[d] + at(iv)[d])` — the same at every z, since
+    /// `at` ignores it. A kernel looks a face's velocity up here instead of
+    /// evaluating the field twice per face. `table` is the storage to
+    /// reuse; its contents are replaced.
+    pub fn face_normal_table(&self, d: usize, valid: &IBox, mut table: Vec<f64>) -> Vec<f64> {
+        let e = IntVect::basis(d);
+        let (lo, mut hi) = (valid.lo(), valid.hi());
+        hi[d] += 1;
+        table.clear();
+        for y in lo[1]..=hi[1] {
+            for x in lo[0]..=hi[0] {
+                let iv = IntVect::new(x, y, lo[2]);
+                table.push(0.5 * (self.at(iv - e)[d] + self.at(iv)[d]));
+            }
+        }
+        table
     }
 
     /// An upper bound on |velocity| over box side `n` (for CFL).
@@ -64,6 +86,14 @@ pub struct AdvectDiffuseSolver {
     pub domain_cells: i64,
 }
 
+/// A pooled buffer of `n` values, contents unspecified: every user below
+/// writes an entry before it reads it.
+fn take_row(n: usize) -> Vec<f64> {
+    let mut buf = scratch::take_buffer();
+    buf.resize(n, 0.0);
+    buf
+}
+
 impl AdvectDiffuseSolver {
     /// A solver translating with velocity `v` and diffusivity `d`.
     pub fn new(velocity: VelocityField, diffusion: f64, domain_cells: i64) -> Self {
@@ -74,163 +104,232 @@ impl AdvectDiffuseSolver {
         }
     }
 
+    /// The flux through one face with normal velocity `v` between the cell
+    /// values `u_lo` and `u_hi`: upwind advective, plus the centered
+    /// diffusive part on a `diffusive` face. Where a side is missing
+    /// (physical boundary) the caller passes the other side's value twice
+    /// and `diffusive == false` — zero gradient. The only definition:
+    /// [`Self::grid_fluxes`] and the fused walk of `advance_level` both
+    /// come through here.
+    #[inline(always)]
+    fn face_flux(&self, v: f64, u_lo: f64, u_hi: f64, diffusive: bool, dx: f64) -> f64 {
+        let mut f = if v >= 0.0 { v * u_lo } else { v * u_hi };
+        if diffusive {
+            f -= self.diffusion * (u_hi - u_lo) / dx;
+        }
+        f
+    }
+
+    /// Fluxes through the row of x-faces starting at face `row` (face `i`
+    /// lies between cells `row[0] + i - 1` and `row[0] + i`), one per entry
+    /// of `out`, with normal velocities `v`. Availability along x flips
+    /// only at the row ends: a face whose low or high cell lies outside
+    /// `avail` sees the other side twice.
+    fn x_face_row(
+        &self,
+        src: &[f64],
+        avail: &IBox,
+        row: IntVect,
+        v: &[f64],
+        dx: f64,
+        out: &mut [f64],
+    ) {
+        let base = avail.offset(IntVect::new(avail.lo()[0], row[1], row[2]));
+        let cells = &src[base..base + avail.size()[0] as usize];
+        // Cell index (within `cells`) on the high side of face 0.
+        let s = (row[0] - avail.lo()[0]) as usize;
+        let n = out.len();
+        let first = usize::from(s == 0);
+        let last = n.min(cells.len() - s);
+        if first == 1 {
+            out[0] = self.face_flux(v[0], cells[0], cells[0], false, dx);
+        }
+        if first < last {
+            let u_lo = &cells[s + first - 1..s + last - 1];
+            let u_hi = &cells[s + first..s + last];
+            let diffusive = self.diffusion > 0.0;
+            for (((f, &v), &u_lo), &u_hi) in out[first..last]
+                .iter_mut()
+                .zip(&v[first..last])
+                .zip(u_lo)
+                .zip(u_hi)
+            {
+                *f = self.face_flux(v, u_lo, u_hi, diffusive, dx);
+            }
+        }
+        for i in last..n {
+            let u = cells[s + i - 1];
+            out[i] = self.face_flux(v[i], u, u, false, dx);
+        }
+    }
+
+    /// Fluxes through the row of `d`-faces (`d` = 1 or 2) starting at face
+    /// `row`, whose `d` coordinate is the face index: face `i` lies between
+    /// cells `row - e_d + i·e_x` and `row + i·e_x`. Availability along `d`
+    /// is constant over the row; a missing side clamps to the other row.
+    #[allow(clippy::too_many_arguments)]
+    fn cross_face_row(
+        &self,
+        src: &[f64],
+        avail: &IBox,
+        d: usize,
+        row: IntVect,
+        v: &[f64],
+        dx: f64,
+        out: &mut [f64],
+    ) {
+        let e = IntVect::basis(d);
+        let have_lo = row[d] > avail.lo()[d];
+        let have_hi = row[d] <= avail.hi()[d];
+        let ohi = avail.offset(if have_hi { row } else { row - e });
+        let olo = if have_lo { avail.offset(row - e) } else { ohi };
+        let n = out.len();
+        let diffusive = self.diffusion > 0.0 && have_lo && have_hi;
+        for (((f, &v), &u_lo), &u_hi) in out
+            .iter_mut()
+            .zip(&v[..n])
+            .zip(&src[olo..olo + n])
+            .zip(&src[ohi..ohi + n])
+        {
+            *f = self.face_flux(v, u_lo, u_hi, diffusive, dx);
+        }
+    }
+
     /// Face fluxes for one grid: `flux[d]` at `iv` holds the upwind
     /// advective plus diffusive flux through the face between `iv - e_d`
     /// and `iv` (the flux-register convention).
     ///
-    /// Sweep-structured like the Euler kernel: both upwind states stream
-    /// from flat row offsets into `old` and the flux rows are written
-    /// contiguously, instead of per-face `get`/`set` index math. Bit-
-    /// identical to [`Self::grid_fluxes_reference`] (same expressions on
-    /// the same values, evaluated in the same order); property tests pin
-    /// the equivalence.
+    /// Row-structured: both upwind states stream from flat row offsets into
+    /// `old`, the normal velocities come from one (x, y) table per
+    /// direction, and the flux rows are written contiguously. Bit-identical
+    /// to [`crate::reference::advect_grid_fluxes`] (same expressions on the
+    /// same values, evaluated in the same order); property tests pin the
+    /// equivalence.
     pub fn grid_fluxes(&self, old: &Fab, valid: &IBox, dx: f64) -> [Fab; DIM] {
         let avail = old.ibox();
         let src = old.as_slice();
         std::array::from_fn(|d| {
-            let e = IntVect::basis(d);
             let mut hi = valid.hi();
             hi[d] += 1;
             let fbox = IBox::new(valid.lo(), hi);
+            let vel = self
+                .velocity
+                .face_normal_table(d, valid, scratch::take_buffer());
             let mut flux = scratch::take_fab(fbox, 1);
-            let out = flux.as_mut_slice();
             let nx = fbox.size()[0] as usize;
-            for z in fbox.lo()[2]..=fbox.hi()[2] {
-                for y in fbox.lo()[1]..=fbox.hi()[1] {
-                    let row = IntVect::new(fbox.lo()[0], y, z);
-                    let of0 = fbox.offset(row);
-                    if d == 0 {
-                        // Availability along x flips only at the row ends.
-                        let ob = avail.offset(IntVect::new(avail.lo()[0], y, z));
-                        let albx = avail.lo()[0];
-                        for i in 0..nx {
-                            let x = row[0] + i as i64;
-                            let have_lo = x > albx;
-                            let have_hi = x <= avail.hi()[0];
-                            let hx = if have_hi { x } else { x - 1 };
-                            let u_hi = src[ob + (hx - albx) as usize];
-                            let u_lo = if have_lo {
-                                src[ob + (x - 1 - albx) as usize]
-                            } else {
-                                u_hi
-                            };
-                            let iv = IntVect::new(x, y, z);
-                            let v = 0.5 * (self.velocity.at(iv - e)[d] + self.velocity.at(iv)[d]);
-                            let mut f = if v >= 0.0 { v * u_lo } else { v * u_hi };
-                            // Diffusive flux only across interior faces
-                            // (zero-gradient at physical boundaries).
-                            if self.diffusion > 0.0 && have_lo && have_hi {
-                                f -= self.diffusion * (u_hi - u_lo) / dx;
-                            }
-                            out[of0 + i] = f;
-                        }
-                    } else {
-                        // Availability along d is constant over the row;
-                        // a missing side clamps to the interior row base.
-                        let have_lo = row[d] > avail.lo()[d];
-                        let have_hi = row[d] <= avail.hi()[d];
-                        let ohi0 = avail.offset(if have_hi { row } else { row - e });
-                        let olo0 = if have_lo { avail.offset(row - e) } else { ohi0 };
-                        let diffusive = self.diffusion > 0.0 && have_lo && have_hi;
-                        for i in 0..nx {
-                            let u_hi = src[ohi0 + i];
-                            let u_lo = src[olo0 + i];
-                            let iv = IntVect::new(row[0] + i as i64, y, z);
-                            let v = 0.5 * (self.velocity.at(iv - e)[d] + self.velocity.at(iv)[d]);
-                            let mut f = if v >= 0.0 { v * u_lo } else { v * u_hi };
-                            if diffusive {
-                                f -= self.diffusion * (u_hi - u_lo) / dx;
-                            }
-                            out[of0 + i] = f;
-                        }
-                    }
-                }
-            }
-            flux
-        })
-    }
-
-    /// The retained per-face reference for [`Self::grid_fluxes`]: every
-    /// face independently resolves its cells through `Fab::get`. Kept for
-    /// the equivalence property tests and the sweep-vs-reference benches.
-    pub fn grid_fluxes_reference(&self, old: &Fab, valid: &IBox, dx: f64) -> [Fab; DIM] {
-        let avail = old.ibox();
-        std::array::from_fn(|d| {
-            let e = IntVect::basis(d);
-            let mut hi = valid.hi();
-            hi[d] += 1;
-            let fbox = IBox::new(valid.lo(), hi);
-            let mut flux = scratch::take_fab(fbox, 1);
-            for iv in fbox.cells() {
-                let lo_cell = iv - e;
-                let have_lo = avail.contains(lo_cell);
-                let have_hi = avail.contains(iv);
-                let u_hi = if have_hi {
-                    old.get(iv, 0)
+            // Table row `j` serves every z: the velocity does not vary
+            // along it.
+            for (row, out) in rows_of(&fbox).zip(flux.as_mut_slice().chunks_exact_mut(nx)) {
+                let j = (row[1] - fbox.lo()[1]) as usize;
+                let v = &vel[j * nx..(j + 1) * nx];
+                if d == 0 {
+                    self.x_face_row(src, &avail, row, v, dx, out);
                 } else {
-                    old.get(lo_cell, 0)
-                };
-                let u_lo = if have_lo { old.get(lo_cell, 0) } else { u_hi };
-                let v = 0.5 * (self.velocity.at(lo_cell)[d] + self.velocity.at(iv)[d]);
-                let mut f = if v >= 0.0 { v * u_lo } else { v * u_hi };
-                if self.diffusion > 0.0 && have_lo && have_hi {
-                    f -= self.diffusion * (u_hi - u_lo) / dx;
+                    self.cross_face_row(src, &avail, d, row, v, dx, out);
                 }
-                flux.set(iv, 0, f);
             }
+            scratch::recycle_buffer(vel);
             flux
         })
     }
 
-    /// [`LevelSolver::advance_level`] through the retained per-face
-    /// reference kernel — the baseline the sweep is tested against.
-    pub fn advance_level_reference(&self, data: &mut LevelData, dx: f64, dt: f64) {
-        let dtdx = dt / dx;
-        data.par_for_each_mut(|_, valid, fab| {
-            let old = scratch::take_fab_clone(fab);
-            let fluxes = self.grid_fluxes_reference(&old, &valid, dx);
-            Self::apply_fluxes(&valid, fab, &fluxes, dtdx);
-            scratch::recycle_fab(old);
-            for f in fluxes {
-                scratch::recycle_fab(f);
-            }
+    /// One grid's step with fluxes that never leave it: a single walk over
+    /// the rows of `valid`, in place. Each face's flux is still evaluated
+    /// exactly once, from the old state — row (y, z) is read for the last
+    /// time (as the low side of its y+1 and z+1 faces) just before it is
+    /// overwritten, and the rows behind the walk are reached only through
+    /// the buffered fluxes: the x-faces of the current row, the y-faces
+    /// below and above it (two rows, swapped), the z-faces below and above
+    /// the current plane (two planes, swapped). No snapshot of the old
+    /// state, no flux fab. The update is `apply_fluxes`' expression on the
+    /// same flux values, so every bit of the fab matches the captured path.
+    fn advance_grid(&self, valid: &IBox, fab: &mut Fab, dx: f64, dtdx: f64) {
+        let avail = fab.ibox();
+        let (lo, hi) = (valid.lo(), valid.hi());
+        let (nx, ny) = (valid.size()[0] as usize, valid.size()[1] as usize);
+        let [vx, vy, vz]: [Vec<f64>; DIM] = std::array::from_fn(|d| {
+            self.velocity
+                .face_normal_table(d, valid, scratch::take_buffer())
         });
-    }
+        let mut fx = take_row(nx + 1);
+        let (mut fy_lo, mut fy_hi) = (take_row(nx), take_row(nx));
+        let (mut fz_lo, mut fz_hi) = (take_row(nx * ny), take_row(nx * ny));
+        for z in lo[2]..=hi[2] {
+            for (j, y) in (lo[1]..=hi[1]).enumerate() {
+                let row = IntVect::new(lo[0], y, z);
+                let in_plane = j * nx..(j + 1) * nx;
+                let src = fab.as_slice();
+                self.x_face_row(
+                    src,
+                    &avail,
+                    row,
+                    &vx[j * (nx + 1)..(j + 1) * (nx + 1)],
+                    dx,
+                    &mut fx,
+                );
+                if j == 0 {
+                    self.cross_face_row(src, &avail, 1, row, &vy[..nx], dx, &mut fy_lo);
+                } else {
+                    std::mem::swap(&mut fy_lo, &mut fy_hi);
+                }
+                let above = row + IntVect::basis(1);
+                let v = &vy[(j + 1) * nx..(j + 2) * nx];
+                self.cross_face_row(src, &avail, 1, above, v, dx, &mut fy_hi);
+                let v = &vz[in_plane.clone()];
+                if z == lo[2] {
+                    let out = &mut fz_lo[in_plane.clone()];
+                    self.cross_face_row(src, &avail, 2, row, v, dx, out);
+                }
+                let above = row + IntVect::basis(2);
+                let out = &mut fz_hi[in_plane.clone()];
+                self.cross_face_row(src, &avail, 2, above, v, dx, out);
 
-    /// [`LevelSolver::advance_level_capture`] as the seed shipped it: a
-    /// serial grid loop over the reference kernel, retained for the AMR
-    /// refluxing golden tests.
-    pub fn advance_level_capture_reference(
-        &self,
-        data: &mut LevelData,
-        dx: f64,
-        dt: f64,
-    ) -> Option<LevelFluxes> {
-        let dtdx = dt / dx;
-        let mut out = Vec::with_capacity(data.len());
-        for i in 0..data.len() {
-            let valid = data.valid_box(i);
-            let old = scratch::take_fab_clone(data.fab(i));
-            let fluxes = self.grid_fluxes_reference(&old, &valid, dx);
-            Self::apply_fluxes(&valid, data.fab_mut(i), &fluxes, dtdx);
-            scratch::recycle_fab(old);
-            out.push(fluxes);
-        }
-        Some(out)
-    }
-
-    /// Conservative update from face fluxes.
-    fn apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64) {
-        for iv in valid.cells() {
-            let mut du = 0.0;
-            for (d, flux) in fluxes.iter().enumerate() {
-                let e = IntVect::basis(d);
-                du -= dtdx * (flux.get(iv + e, 0) - flux.get(iv, 0));
+                let o = avail.offset(row);
+                let (fx_lo, fx_hi) = (&fx[..nx], &fx[1..=nx]);
+                let (fy_lo, fy_hi) = (&fy_lo[..nx], &fy_hi[..nx]);
+                let (fz_lo, fz_hi) = (&fz_lo[in_plane.clone()], &fz_hi[in_plane]);
+                for (i, u) in fab.as_mut_slice()[o..o + nx].iter_mut().enumerate() {
+                    let mut du = 0.0;
+                    du -= dtdx * (fx_hi[i] - fx_lo[i]);
+                    du -= dtdx * (fy_hi[i] - fy_lo[i]);
+                    du -= dtdx * (fz_hi[i] - fz_lo[i]);
+                    *u += du;
+                }
             }
-            let u = fab.get(iv, 0);
-            fab.set(iv, 0, u + du);
+            std::mem::swap(&mut fz_lo, &mut fz_hi);
+        }
+        for buf in [vx, vy, vz, fx, fy_lo, fy_hi, fz_lo, fz_hi] {
+            scratch::recycle_buffer(buf);
         }
     }
+
+    /// Conservative update from face fluxes, as row walks: one offset per
+    /// row for the state and each flux fab, the per-cell expression and its
+    /// evaluation order those of the per-cell form.
+    fn apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64) {
+        let nx = valid.size()[0] as usize;
+        for row in rows_of(valid) {
+            let lo: [usize; DIM] = std::array::from_fn(|d| fluxes[d].cell_offset(row));
+            let hi: [usize; DIM] =
+                std::array::from_fn(|d| fluxes[d].cell_offset(row + IntVect::basis(d)));
+            let o = fab.cell_offset(row);
+            for (i, u) in fab.as_mut_slice()[o..o + nx].iter_mut().enumerate() {
+                let mut du = 0.0;
+                for (d, flux) in fluxes.iter().enumerate() {
+                    let f = flux.as_slice();
+                    du -= dtdx * (f[hi[d] + i] - f[lo[d] + i]);
+                }
+                *u += du;
+            }
+        }
+    }
+}
+
+/// The first cell of every x-row of `bx`, in storage order (y fastest, then
+/// z).
+fn rows_of(bx: &IBox) -> impl Iterator<Item = IntVect> {
+    let (lo, hi) = (bx.lo(), bx.hi());
+    (lo[2]..=hi[2]).flat_map(move |z| (lo[1]..=hi[1]).map(move |y| IntVect::new(lo[0], y, z)))
 }
 
 impl LevelSolver for AdvectDiffuseSolver {
@@ -257,30 +356,21 @@ impl LevelSolver for AdvectDiffuseSolver {
 
     fn advance_level(&self, data: &mut LevelData, dx: f64, dt: f64) {
         let dtdx = dt / dx;
-        // Grids are independent given their ghost-filled old state. The
-        // old-state snapshot and flux fabs come from the per-worker scratch
-        // pool: after the first grid, a step allocates nothing.
-        data.par_for_each_mut(|_, valid, fab| {
-            let old = scratch::take_fab_clone(fab);
-            let fluxes = self.grid_fluxes(&old, &valid, dx);
-            Self::apply_fluxes(&valid, fab, &fluxes, dtdx);
-            scratch::recycle_fab(old);
-            for f in fluxes {
-                scratch::recycle_fab(f);
-            }
-        });
+        // Grids are independent given their ghost-filled old state. The row
+        // and plane buffers come from the per-worker scratch pool: after
+        // the first grid, a step allocates nothing.
+        data.par_for_each_mut(|_, valid, fab| self.advance_grid(&valid, fab, dx, dtdx));
     }
 
     fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
         let dtdx = dt / dx;
         // Grids are independent; the indexed parallel map collects each
-        // grid's flux fabs in grid order for the refluxing caller. Flux
-        // fabs escape to the caller, so only the snapshot is pooled.
+        // grid's flux fabs in grid order for the refluxing caller. All of a
+        // grid's fluxes exist before its first cell changes, so the old
+        // state needs no snapshot.
         Some(data.par_map_mut(|_, valid, fab| {
-            let old = scratch::take_fab_clone(fab);
-            let fluxes = self.grid_fluxes(&old, &valid, dx);
+            let fluxes = self.grid_fluxes(fab, &valid, dx);
             Self::apply_fluxes(&valid, fab, &fluxes, dtdx);
-            scratch::recycle_fab(old);
             fluxes
         }))
     }

@@ -22,6 +22,8 @@ pub mod amr_driver;
 pub mod euler;
 pub mod level_solver;
 pub mod problems;
+#[doc(hidden)]
+pub mod reference;
 pub mod riemann_exact;
 pub mod scratch;
 

@@ -1,7 +1,8 @@
 //! Per-thread scratch buffers for the solver hot loops.
 //!
-//! Every Godunov/upwind sweep needs, per grid per step, a snapshot of the
-//! old state plus `DIM` face-flux fabs. Allocating those fresh each time
+//! The Godunov sweep needs, per grid per step, a snapshot of the old state
+//! plus `DIM` face-flux fabs and three caches; the fused upwind walk needs
+//! eight row, plane and table buffers. Allocating those fresh each time
 //! puts a multi-megabyte `malloc`/`free` cycle on the hottest path in the
 //! code. This module keeps a small per-thread pool of `Vec<f64>` backing
 //! buffers; [`xlayer_amr::Fab::with_storage`] / `clone_with_storage` /
@@ -23,6 +24,8 @@ use xlayer_amr::fab::Fab;
 /// Buffers retained per thread. A sweep-structured level step holds, per
 /// grid, 1 old-state snapshot + 1 primitive cache + 2 predicted-face caches
 /// + up to `DIM` flux fabs in flight at once (7 total); keep headroom.
+///
+/// The fused advection walk holds 8 row, plane and table buffers.
 const MAX_POOLED: usize = 12;
 
 /// Bytes of buffer capacity retained per thread. The 7 buffers of a 32³

@@ -3,12 +3,16 @@
 //! whatever ran it: the step sequence the driver used before it stopped
 //! filling ghosts twice and tagging the finest level, the main thread, a
 //! pool task (every parallel call inline), or two threads contending for
-//! the pool.
+//! the pool. So must the refined advected blob, whose kernel keeps its row
+//! and plane buffers in the per-thread scratch pool.
 
 use rayon::prelude::*;
 use xlayer_amr::hierarchy::{AmrHierarchy, HierarchyConfig};
 use xlayer_amr::{IBox, ProblemDomain};
-use xlayer_solvers::{AmrSimulation, DriverConfig, EulerSolver, GasProblem, LevelSolver};
+use xlayer_solvers::{
+    AdvectDiffuseSolver, AmrSimulation, DriverConfig, EulerSolver, GasProblem, LevelSolver,
+    ScalarProblem, VelocityField,
+};
 
 const STEPS: usize = 8;
 const TAG_THRESHOLD: f64 = 0.04;
@@ -44,6 +48,44 @@ fn blast() -> AmrSimulation<EulerSolver> {
 
 fn run() -> AmrHierarchy {
     let mut sim = blast();
+    for _ in 0..STEPS {
+        sim.advance();
+    }
+    sim.hierarchy
+}
+
+/// A Gaussian blob in a vortex with diffusion, refined, regridded twice.
+fn run_advect() -> AmrHierarchy {
+    let n = 32;
+    let solver = AdvectDiffuseSolver::new(
+        VelocityField::Vortex {
+            center: [n as f64 / 2.0; 2],
+            strength: 0.08,
+        },
+        0.01,
+        n,
+    );
+    let mut sim = AmrSimulation::new(
+        ProblemDomain::periodic(IBox::cube(n)),
+        HierarchyConfig {
+            max_levels: 2,
+            base_max_box: n / 4,
+            ..Default::default()
+        },
+        solver,
+        DriverConfig {
+            regrid_interval: 4,
+            tag_threshold: 0.02,
+            ..Default::default()
+        },
+    );
+    let problem = ScalarProblem::Gaussian {
+        center: [n as f64 / 2.0 + 3.0, n as f64 / 2.0 - 2.0, n as f64 / 2.0],
+        sigma: n as f64 / 8.0,
+    };
+    problem.init_hierarchy(&mut sim.hierarchy);
+    sim.regrid_now();
+    problem.init_hierarchy(&mut sim.hierarchy);
     for _ in 0..STEPS {
         sim.advance();
     }
@@ -100,6 +142,16 @@ fn regrid_step_equals_the_doubly_filled_fully_tagged_sequence() {
 
 #[test]
 fn result_does_not_depend_on_the_schedule() {
+    assert_schedule_independent(run);
+}
+
+#[test]
+fn advect_result_does_not_depend_on_the_schedule() {
+    assert_eq!(run_advect().num_levels(), 2, "the blob must stay refined");
+    assert_schedule_independent(run_advect);
+}
+
+fn assert_schedule_independent(run: fn() -> AmrHierarchy) {
     let on_main = run();
 
     // From inside pool tasks: every parallel call below runs inline.

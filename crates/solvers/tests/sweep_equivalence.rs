@@ -21,6 +21,7 @@ use xlayer_solvers::amr_driver::{AmrSimulation, DriverConfig};
 use xlayer_solvers::euler::{Conserved, EulerSolver, Primitive, NCOMP};
 use xlayer_solvers::level_solver::{LevelFluxes, LevelSolver};
 use xlayer_solvers::problems::{GasProblem, ScalarProblem};
+use xlayer_solvers::reference;
 
 const GAMMA: f64 = 1.4;
 
@@ -185,7 +186,7 @@ proptest! {
                 old.set(iv, 0, 2.0 * hash01(iv, salt) - 1.0);
             }
             let sweep = solver.grid_fluxes(&old, &valid, 0.5);
-            let reference = solver.grid_fluxes_reference(&old, &valid, 0.5);
+            let reference = reference::advect_grid_fluxes(&solver, &old, &valid, 0.5);
             for d in 0..DIM {
                 assert_fab_bits_eq(&sweep[d], &reference[d], &format!("advect dir {d}"));
             }
@@ -269,11 +270,129 @@ proptest! {
         let mut ser = build();
         let dt = solver.max_dt(1.0).min(0.2);
         let f_par = solver.advance_level_capture(&mut par, 1.0, dt).unwrap();
-        let f_ser = solver.advance_level_capture_reference(&mut ser, 1.0, dt).unwrap();
+        let f_ser = reference::advect_advance_level_capture(&solver, &mut ser, 1.0, dt);
         for i in 0..par.len() {
             assert_fab_bits_eq(par.fab(i), ser.fab(i), &format!("advect capture grid {i}"));
         }
         assert_fluxes_bits_eq(&f_par, &f_ser, "advect capture fluxes");
+    }
+}
+
+/// A small domain at `lo` cut into two unequal non-cubic boxes and a
+/// one-cell-thick slab along `thin`, each fab filled (ghosts included, then
+/// exchanged) with pseudo-random values in [-1, 1).
+fn advect_level(lo: i64, thin: usize, periodic: [bool; DIM], salt: i64) -> LevelData {
+    let lo = IntVect::new(lo, lo - 2, lo + 3);
+    let whole = IBox::new(lo, lo + IntVect::new(11, 6, 4));
+    let (rest, slab) = whole.split_at(thin, whole.hi()[thin]);
+    let cut = (thin + 1) % DIM;
+    let (a, b) = rest.split_at(cut, rest.lo()[cut] + 3);
+    assert_eq!(slab.size()[thin], 1);
+    let domain = ProblemDomain::with_periodicity(whole, periodic);
+    let mut ld = LevelData::new(BoxLayout::from_boxes(vec![a, b, slab]), domain, 1, 1);
+    ld.for_each_mut(|_, fab| {
+        for iv in fab.ibox().cells() {
+            fab.set(iv, 0, 2.0 * hash01(iv, salt) - 1.0);
+        }
+    });
+    ld.exchange();
+    ld
+}
+
+/// The fused in-place `advance_level` and the row-walk capture path land on
+/// the reference's bits — every fab entry, ghosts included, and every
+/// captured flux — on periodic, clipped and mixed domains, for uniform
+/// fields of mixed and of all-negative sign and vortices centred inside
+/// (both signs in a row) and outside the domain, with and without
+/// diffusion, over non-cubic boxes and a slab one cell thick along each
+/// axis in turn, two steps in a row.
+#[test]
+fn advect_level_paths_match_reference() {
+    let lo = -3;
+    let fields = [
+        VelocityField::Constant([0.7, -0.4, 0.25]),
+        VelocityField::Constant([-0.6, -0.3, -0.9]),
+        VelocityField::Vortex {
+            center: [lo as f64 + 5.3, lo as f64 + 1.1],
+            strength: 0.2,
+        },
+        VelocityField::Vortex {
+            center: [lo as f64 - 40.0, lo as f64 + 60.0],
+            strength: -0.01,
+        },
+    ];
+    let periodicities = [[true; DIM], [false; DIM], [true, false, false]];
+    let mut salt = 0;
+    for field in fields {
+        for diffusion in [0.0, 0.3] {
+            for periodic in periodicities {
+                for thin in 0..DIM {
+                    salt += 1;
+                    let what = format!("{field:?} D={diffusion} {periodic:?} thin={thin}");
+                    let solver = AdvectDiffuseSolver::new(field, diffusion, 12);
+                    let (dx, dt) = (0.5, 0.1);
+                    let mut fused = advect_level(lo, thin, periodic, salt);
+                    let mut captured = advect_level(lo, thin, periodic, salt);
+                    let mut want = advect_level(lo, thin, periodic, salt);
+                    for step in 0..2 {
+                        solver.advance_level(&mut fused, dx, dt);
+                        let fluxes = solver
+                            .advance_level_capture(&mut captured, dx, dt)
+                            .expect("advect captures its fluxes");
+                        let want_fluxes =
+                            reference::advect_advance_level_capture(&solver, &mut want, dx, dt);
+                        for i in 0..want.len() {
+                            let at = format!("{what}: step {step} grid {i}");
+                            assert_fab_bits_eq(fused.fab(i), want.fab(i), &format!("fused, {at}"));
+                            assert_fab_bits_eq(
+                                captured.fab(i),
+                                want.fab(i),
+                                &format!("capture, {at}"),
+                            );
+                        }
+                        assert_fluxes_bits_eq(&fluxes, &want_fluxes, &what);
+                        for ld in [&mut fused, &mut captured, &mut want] {
+                            ld.exchange();
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The hoisted (x, y) table of face-normal velocities holds, for every
+/// face of the box at every z, exactly what the per-face expression gives.
+#[test]
+fn face_normal_velocity_table_equals_the_per_face_expression() {
+    let valid = IBox::new(IntVect::new(-4, 3, -2), IntVect::new(6, 7, 1));
+    let fields = [
+        VelocityField::Constant([0.7, -0.4, 0.25]),
+        VelocityField::Vortex {
+            center: [1.25, 4.5],
+            strength: 0.3,
+        },
+    ];
+    for field in fields {
+        for d in 0..DIM {
+            let e = IntVect::basis(d);
+            let mut hi = valid.hi();
+            hi[d] += 1;
+            let fbox = IBox::new(valid.lo(), hi);
+            // Stale storage of another length: the contents are replaced.
+            let table = field.face_normal_table(d, &valid, vec![f64::NAN; 7]);
+            let w = fbox.size()[0];
+            assert_eq!(table.len() as i64, w * fbox.size()[1]);
+            for iv in fbox.cells() {
+                let r = iv - fbox.lo();
+                let want = 0.5 * (field.at(iv - e)[d] + field.at(iv)[d]);
+                assert_eq!(
+                    table[(r[0] + w * r[1]) as usize].to_bits(),
+                    want.to_bits(),
+                    "{field:?} dir {d} at {iv:?}"
+                );
+            }
+        }
     }
 }
 
@@ -354,10 +473,12 @@ impl LevelSolver for ReferenceAdvect {
         self.0.max_dt(dx)
     }
     fn advance_level(&self, data: &mut LevelData, dx: f64, dt: f64) {
-        self.0.advance_level_reference(data, dx, dt);
+        reference::advect_advance_level(&self.0, data, dx, dt);
     }
     fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
-        self.0.advance_level_capture_reference(data, dx, dt)
+        Some(reference::advect_advance_level_capture(
+            &self.0, data, dx, dt,
+        ))
     }
     fn tag_cells(&self, data: &LevelData, threshold: f64) -> IntVectSet {
         self.0.tag_cells(data, threshold)

@@ -23,10 +23,21 @@
 //! satisfy the wait). `finish()` stays deterministic: it drains the
 //! transport queue, then closes the job channel and joins the workers, so
 //! every step's analysis outcome is present and sorted by version.
+//!
+//! ## How far the producer may lead
+//!
+//! The paper's resource-layer condition (Eqs. 9–10) is that step *i*'s
+//! in-transit analysis is done before step *i + 1*'s data needs the
+//! staging memory. Its native form is [`InFlight::admit`]: before it packs
+//! version *v*, `step()` waits until at most `workers` versions are queued
+//! or running, so never more than `workers + 1` are staged and unanalysed —
+//! one per worker and one ready behind them. `finish()` waits for the last
+//! analysis anyway, so a longer lead would buy no time to solution, only
+//! resident copies of every version in it.
 
 use crate::report::StepLog;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -130,24 +141,69 @@ pub struct AnalysisOutcome {
 /// and the analysis workers. Workers can finish out of order, and
 /// [`Staging::evict_before`] drops everything older than its argument, so a
 /// worker done with version *v* may only evict below the oldest version
-/// another worker has still to read — not below *v + 1*.
+/// another worker has still to read — not below *v + 1*. The same set is
+/// what bounds the producer's lead ([`InFlight::admit`]).
 #[derive(Default)]
 struct InFlight {
-    versions: BTreeSet<u64>,
+    state: Mutex<Versions>,
+    /// Signalled whenever a version leaves `state`.
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct Versions {
+    live: BTreeSet<u64>,
     /// One past the newest version any worker has finished.
     finished_below: u64,
+    /// The most versions ever live at once.
+    peak: usize,
 }
 
 impl InFlight {
-    /// `version`'s analysis is done: returns the oldest version still needed
-    /// (the newest finished + 1 when nothing is in flight).
-    fn finish(&mut self, version: u64) -> u64 {
-        self.versions.remove(&version);
-        self.finished_below = self.finished_below.max(version + 1);
-        self.versions
-            .first()
-            .copied()
-            .unwrap_or(self.finished_below)
+    /// Producer side, before `version` is packed: block until at most
+    /// `workers` versions are queued or running, then count `version` among
+    /// them — from before a worker can see its job, so no other worker
+    /// evicts it in between.
+    fn admit(&self, version: u64, workers: usize) {
+        let mut state = self.state.lock();
+        while state.live.len() > workers {
+            self.released.wait(&mut state);
+        }
+        state.live.insert(version);
+        state.peak = state.peak.max(state.live.len());
+    }
+
+    /// `version` is out of flight — analysed, or never handed to a worker:
+    /// returns the oldest version still needed (the newest finished + 1
+    /// when nothing is in flight) and wakes a waiting producer.
+    fn finish(&self, version: u64) -> u64 {
+        let mut state = self.state.lock();
+        state.live.remove(&version);
+        state.finished_below = state.finished_below.max(version + 1);
+        self.released.notify_all();
+        state.live.first().copied().unwrap_or(state.finished_below)
+    }
+}
+
+/// A worker's hold on the version it is analysing. A worker that dies
+/// mid-job unwinds through the drop, which takes the version out of flight:
+/// its outcome is forfeit, but the producer is not left waiting for it.
+struct Running<'a> {
+    in_flight: &'a InFlight,
+    version: u64,
+}
+
+impl Running<'_> {
+    /// The analysis is over: [`InFlight::finish`], once.
+    fn finish(self) -> u64 {
+        let this = std::mem::ManuallyDrop::new(self);
+        this.in_flight.finish(this.version)
+    }
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.in_flight.finish(self.version);
     }
 }
 
@@ -308,7 +364,7 @@ pub struct NativeWorkflow<S: LevelSolver> {
     cluster: Option<ShardedClient>,
     engine: AdaptationEngine,
     job_tx: Option<Sender<Job>>,
-    in_flight: Arc<Mutex<InFlight>>,
+    in_flight: Arc<InFlight>,
     result_rx: Receiver<AnalysisOutcome>,
     workers: Vec<std::thread::JoinHandle<()>>,
     outcomes: Vec<AnalysisOutcome>,
@@ -327,9 +383,11 @@ impl<S: LevelSolver> NativeWorkflow<S> {
     pub fn new(sim: AmrSimulation<S>, cfg: NativeConfig) -> Self {
         // The asynchronous transport into the staging side: puts from
         // step() are enqueued and ingested by transfer threads while the
-        // next solve runs. Queue depth sized to hold a full step's objects
-        // (every grid of every level) so an in-transit step never blocks on
-        // back-pressure unless the transport is a full step behind. With
+        // next solve runs. Its 256-slot queue bounds how far the producer
+        // runs ahead of the *transfer* threads, in objects; it says nothing
+        // about the analysis side, whose job channel below is unbounded.
+        // What bounds the lead over analysis — and with it the versions
+        // resident in staging — is `InFlight::admit` in step(). With
         // cfg.remote set the same threads speak the wire protocol to the
         // staging service or cluster.
         let threads = cfg.staging_servers.max(1);
@@ -363,7 +421,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         );
         let (job_tx, job_rx) = unbounded::<Job>();
         let (result_tx, result_rx) = unbounded::<AnalysisOutcome>();
-        let in_flight = Arc::new(Mutex::new(InFlight::default()));
+        let in_flight = Arc::new(InFlight::default());
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let job_rx = job_rx.clone();
@@ -373,17 +431,25 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 let transport = Arc::clone(&transport);
                 std::thread::spawn(move || {
                     while let Ok(job) = job_rx.recv() {
-                        let t0 = Instant::now();
+                        let running = Running {
+                            in_flight: &in_flight,
+                            version: job.version,
+                        };
                         // Rendezvous with the transport: all of this
                         // version's objects must have been ingested (or
-                        // rejected) before the read.
+                        // rejected) before the read. The wait is transfer
+                        // time, not analysis time: the clock starts after.
                         transport.wait_processed("field", job.version, job.expected);
+                        let t0 = Instant::now();
                         // A fetch that fails (service gone mid-run) is an
                         // empty read: the analysis reports a zero-triangle
                         // outcome instead of crashing the worker.
+                        // Each fetched object is let go as soon as its
+                        // surface is out, so a version under analysis holds
+                        // what is left to extract, not a second whole copy.
                         let objects = staging.get("field", job.version, None);
                         let parts: Vec<TriMesh> = objects
-                            .iter()
+                            .into_iter()
                             .map(|obj| {
                                 // Staged objects are single-component; the
                                 // descriptor carries the level's dx and the
@@ -401,8 +467,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                             .collect();
                         let refs: Vec<&TriMesh> = parts.iter().collect();
                         let mesh = TriMesh::concat(&refs);
-                        let oldest_needed = in_flight.lock().finish(job.version);
-                        staging.evict_before("field", oldest_needed);
+                        staging.evict_before("field", running.finish());
                         let secs = t0.elapsed().as_secs_f64();
                         let _ = result_tx.send(AnalysisOutcome {
                             version: job.version,
@@ -467,6 +532,12 @@ impl<S: LevelSolver> NativeWorkflow<S> {
     /// The underlying simulation.
     pub fn sim(&self) -> &AmrSimulation<S> {
         &self.sim
+    }
+
+    /// The most versions that were ever staged and not yet analysed at one
+    /// time in this run: at most `workers + 1` (see the module docs).
+    pub fn peak_versions_in_flight(&self) -> usize {
+        self.in_flight.state.lock().peak
     }
 
     /// Record one worker result: close the autonomic loop by correcting
@@ -595,6 +666,9 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 });
             }
             Placement::InTransit | Placement::Hybrid => {
+                // Eqs. 9–10: no new version is staged until all but
+                // `workers` of the earlier ones have been analysed.
+                self.in_flight.admit(stats.step, self.workers.len());
                 // Stage every grid of every level as objects, then queue the
                 // analysis job. (Native mode treats hybrid like in-transit:
                 // the split is a modeled-scale mechanism.)
@@ -632,9 +706,6 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 // means the step's analysis is skipped, not a crash, and
                 // pending_jobs / predictions stay consistent with what the
                 // workers will report back.
-                // The version counts as in flight from before a worker can
-                // see the job, so no other worker evicts it in between.
-                self.in_flight.lock().versions.insert(stats.step);
                 let sent = self
                     .job_tx
                     .as_ref()
@@ -651,7 +722,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                     self.pending_jobs += 1;
                     self.predictions.insert(stats.step, predicted);
                 } else {
-                    self.in_flight.lock().versions.remove(&stats.step);
+                    self.in_flight.finish(stats.step);
                 }
             }
         }
@@ -710,8 +781,8 @@ mod tests {
 
     #[test]
     fn a_worker_finishing_early_does_not_evict_what_another_still_reads() {
-        let mut f = InFlight::default();
-        f.versions.extend([1, 2, 4]);
+        let f = InFlight::default();
+        f.state.lock().live.extend([1, 2, 4]);
         // Version 2 done while 1 is still being read: keep 1 and up.
         assert_eq!(f.finish(2), 1);
         // Now 1 is done: 2 may go too; 4 (3 ran in situ) is still queued.
@@ -719,9 +790,99 @@ mod tests {
         assert_eq!(f.finish(4), 5);
         // Nothing queued behind an out-of-order pair: the bound is the
         // newest finished version's, not the last finisher's.
-        f.versions.extend([6, 7]);
+        f.state.lock().live.extend([6, 7]);
         assert_eq!(f.finish(7), 6);
         assert_eq!(f.finish(6), 8);
+    }
+
+    #[test]
+    fn the_producer_leads_by_at_most_one_version_more_than_there_are_workers() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let workers = 2;
+        let f = Arc::new(InFlight::default());
+        let (admitted_tx, admitted) = mpsc::channel();
+        let producer = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || {
+                for version in 1..=5 {
+                    f.admit(version, workers);
+                    admitted_tx.send(version).expect("the test is listening");
+                }
+            })
+        };
+        // One version per worker and one ready behind them go straight in.
+        for version in 1..=3 {
+            assert_eq!(admitted.recv(), Ok(version));
+        }
+        // The fourth waits however long nothing finishes. (Correct code
+        // always passes this; the timeout only gives a producer that does
+        // not wait the time to show it.)
+        assert!(admitted.recv_timeout(Duration::from_millis(100)).is_err());
+        assert_eq!(f.state.lock().live.len(), workers + 1);
+        // A finish out of order brings the count to `workers`: 4 goes in,
+        // and 5 waits for the next one.
+        assert_eq!(f.finish(2), 1);
+        assert_eq!(admitted.recv(), Ok(4));
+        assert!(admitted.recv_timeout(Duration::from_millis(100)).is_err());
+        assert_eq!(f.finish(1), 3);
+        assert_eq!(admitted.recv(), Ok(5));
+        producer.join().expect("producer");
+        assert_eq!(f.state.lock().peak, workers + 1);
+    }
+
+    #[test]
+    fn a_worker_that_dies_mid_job_still_releases_its_version() {
+        let f = Arc::new(InFlight::default());
+        f.admit(1, 1);
+        f.admit(2, 1);
+        let worker = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || {
+                let _running = Running {
+                    in_flight: &f,
+                    version: 1,
+                };
+                panic!("the analysis of version 1 dies");
+            })
+        };
+        assert!(worker.join().is_err());
+        // The unwinding worker let go of version 1, so with one worker and
+        // one version left in flight the next admission does not wait.
+        let live = |f: &InFlight| f.state.lock().live.iter().copied().collect::<Vec<_>>();
+        assert_eq!(live(&f), [2]);
+        f.admit(3, 1);
+        assert_eq!(live(&f), [2, 3]);
+        // The hold released normally reports what is still needed, once.
+        let running = Running {
+            in_flight: &f,
+            version: 2,
+        };
+        assert_eq!(running.finish(), 3);
+    }
+
+    #[test]
+    fn analysis_slower_than_the_solver_bounds_the_lead_and_loses_no_step() {
+        // One worker extracting both levels against a solver stepping a
+        // 16³ base grid: the producer would run the whole way ahead.
+        let steps = 12;
+        let cfg = NativeConfig {
+            iso_value: 0.4,
+            workers: 1,
+            placement_override: Some(Placement::InTransit),
+            ..Default::default()
+        };
+        let workers = cfg.workers;
+        let mut wf = NativeWorkflow::new(blob_sim(16), cfg);
+        for _ in 0..steps {
+            wf.step();
+            assert!(wf.peak_versions_in_flight() <= workers + 1);
+        }
+        let peak = wf.peak_versions_in_flight();
+        let (_, outcomes, _) = wf.finish();
+        assert!((1..=workers + 1).contains(&peak), "peak in flight {peak}");
+        let analysed: Vec<u64> = outcomes.iter().map(|o| o.version).collect();
+        assert_eq!(analysed, (1..=steps as u64).collect::<Vec<_>>());
     }
 
     fn blob_sim(n: i64) -> AmrSimulation<AdvectDiffuseSolver> {

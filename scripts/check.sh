@@ -61,6 +61,21 @@ if [ "$spawns" -ne 1 ] || [ "$unsafes" -ne 2 ]; then
     echo "grep gate: vendor/rayon has $spawns thread-creation sites (want 1) and $unsafes unsafe blocks (want 2)"; exit 1
 fi
 
+echo "==> advection walks rows, the producer's lead over analysis is bounded (grep gate)"
+# What PR 24 deleted must not grow back in non-test code (each file up to
+# its first #[cfg(test)]): no per-cell `.get(` / `.set(` / `.cells()` in the
+# advection kernel — the per-cell forms live in solvers/src/reference.rs —
+# and no unbounded analysis job channel in the native workflow without the
+# `in_flight.admit(` wait in front of it in step().
+code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/solvers/src/advect.rs)
+if grep -E '\.get\(|\.set\(|\.cells\(\)' <<<"$code"; then
+    echo "grep gate: per-cell fab access is retired from advect.rs (see CHANGES.md, PR 24)"; exit 1
+fi
+code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/workflow/src/native.rs)
+if grep -qE 'unbounded::<Job>' <<<"$code" && ! grep -qE 'in_flight\.admit\(' <<<"$code"; then
+    echo "grep gate: native.rs queues analysis jobs unbounded with no InFlight::admit wait (see CHANGES.md, PR 24)"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --locked --release
 
@@ -94,7 +109,7 @@ git diff --exit-code -- benchmark/Cargo.lock
 echo "==> bench targets compile"
 cargo build --locked --release -p xlayer-bench --benches --bins
 
-echo "==> kernel bench summary schema (BENCH_native_hotpath.json: exactly 19 keys + 7 ratios)"
+echo "==> kernel bench summary schema (BENCH_native_hotpath.json: exactly 20 keys + 7 ratios)"
 # An equality check: a summary carrying keys outside the schema (the
 # staged-byte keys that moved to xmark, say) fails like a missing one.
 cargo run --locked --release -q -p xlayer-bench --bin bench_schema_check -- BENCH_native_hotpath.json
