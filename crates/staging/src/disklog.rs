@@ -1,5 +1,6 @@
 //! The disk tier's object log: spilled versions as chunked, checksummed
-//! extents in one append-only file per staging server.
+//! extents in a log of fixed-size segment files, one log per staging
+//! server.
 //!
 //! Layout of one record (all integers little-endian):
 //!
@@ -21,32 +22,50 @@
 //!      …     …  payload          payload_len bytes, LE f64 Fortran order
 //! ```
 //!
-//! The in-memory extent index (`BTreeMap<ObjectKey, Vec<Extent>>`) is
-//! rebuilt on open by scanning the log; lookups never touch the file. Each
-//! record carries its own integrity evidence: `head_sum` covers the
-//! metadata, and the per-chunk payload sums ([`crate::sum`]'s scheme, the
-//! one the wire protocol streams with) are re-verified on every read, so
-//! a truncated or bit-flipped extent surfaces as a typed [`TierError`] —
-//! never as a panic and never as silently wrong data. The sums themselves
-//! ride in the object: an append writes the ones the object already knows
-//! and hashes only an object nobody has hashed yet, and a verified read
-//! hands the extent's sums to the object it rebuilds. A torn tail record
-//! (the crash case) is detected during the open scan, reported through
-//! [`DiskLog::recovery`], and truncated away so the log appends cleanly
-//! again.
+//! **Segments.** Records are appended to segment files of at most
+//! [`SEGMENT_BYTES`] (a record larger than that gets a segment of its own).
+//! Segment `n` is the file `<log path>.<n>`, except segment 0, which *is*
+//! the log path — so a log written as one file opens unchanged as
+//! segment 0. Appends go to the highest-numbered (active) segment; a record
+//! that would push it past the size starts the next number. Each record
+//! lies whole inside one segment, and its [`Extent`] names the segment.
 //!
-//! Deletes only mark extents dead in the index; the bytes are reclaimed by
-//! [`DiskLog::maybe_compact`], which rewrites live records into a fresh
-//! file once the dead fraction crosses the configured floor.
+//! The in-memory extent index (`BTreeMap<ObjectKey, Vec<Extent>>`) is
+//! rebuilt on open by scanning the segments in number order; lookups never
+//! touch a file. Each record carries its own integrity evidence:
+//! `head_sum` covers the metadata, and the per-chunk payload sums
+//! ([`crate::sum`]'s scheme, the one the wire protocol streams with) are
+//! re-verified on every read, so a truncated or bit-flipped extent surfaces
+//! as a typed [`TierError`] — never as a panic and never as silently wrong
+//! data. The sums themselves ride in the object: an append writes the ones
+//! the object already knows and hashes only an object nobody has hashed
+//! yet, and a verified read hands the extent's sums to the object it
+//! rebuilds. A torn or corrupt record (the crash case) is detected during
+//! the open scan, reported through [`DiskLog::recovery`], and truncated
+//! away with the rest of *its own* segment; the scan goes on with the next
+//! segment, and the log appends cleanly again.
+//!
+//! **Reclamation.** Deletes only mark extents dead in the index.
+//! [`DiskLog::maybe_compact`] unlinks every segment left with no live
+//! extent (the active one is truncated to empty instead): nothing in it is
+//! worth keeping, so there is nothing to copy and nothing to sync. Only
+//! once the dead payload in segments that still hold live extents crosses
+//! the caller's floor does it rewrite one of them — the one with the most
+//! dead bytes — keeping its live records. Versions that are spilled,
+//! promoted and evicted together die together, so their segments go whole.
 //!
 //! **Durability scope.** The log is a spill tier, not a database:
 //! appends are written but not fsynced, so records spilled shortly before
 //! a *power* failure may be lost (they reappear on reopen as a torn tail
 //! and are truncated away); everything already in the page cache survives
-//! a *process* crash. Compaction is the one place that syncs — the
-//! rewritten file is `sync_all`'d before it atomically replaces the log
-//! (and the directory entry is fsynced best-effort after), so a completed
-//! compaction never loses previously-stable records to power loss. The
+//! a *process* crash. The segment rewrite is the one place that syncs —
+//! the rewritten file is `sync_all`'d before it atomically replaces the
+//! segment (and the directory entry is fsynced best-effort after), so a
+//! completed rewrite never loses previously-stable records to power loss.
+//! Unlinking or truncating a segment needs no sync: it held dead records
+//! only. Deletes are not persisted either: a dead record in a segment that
+//! still holds live ones reappears on reopen, as it did when the log was
+//! one file; a reclaimed segment's records do not. The
 //! `Persistence::Durable` hint is a memory-pressure priority (never
 //! reject, always spill), not a power-loss guarantee. Nor does a log
 //! survive a *format* change: the record magic names the format (`XTLG`
@@ -56,9 +75,10 @@
 //! unreadable tail.
 
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, PooledBuf};
 use crate::sum::{checksum, chunk_sums};
 use bytes::Bytes;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -74,6 +94,8 @@ const MAGIC: [u8; 4] = *b"XTL2";
 const FIXED_HEAD: usize = 142;
 /// Longest accepted variable name (matches the wire protocol's cap).
 const MAX_NAME: usize = 4096;
+/// Size a segment grows to before appends move on to the next one.
+pub const SEGMENT_BYTES: u64 = 16 << 20;
 
 /// Why a disk-tier operation failed.
 #[derive(Debug)]
@@ -88,7 +110,7 @@ pub enum TierError {
     /// A record failed its checksum or structural validation — a torn
     /// write, a truncated file, or corruption at rest.
     Corrupt {
-        /// File offset of the offending record.
+        /// Offset of the offending record within its segment file.
         offset: u64,
         /// What was wrong.
         detail: String,
@@ -137,11 +159,13 @@ fn io_err(op: &'static str, e: std::io::Error) -> TierError {
 /// without touching the file.
 #[derive(Clone, Debug)]
 pub struct Extent {
-    /// File offset of the record's first byte.
+    /// Sequence number of the segment holding the record.
+    seg: u64,
+    /// Offset of the record's first byte within its segment.
     offset: u64,
     /// Total record length (header + name + sums + head_sum + payload).
     record_len: u64,
-    /// Absolute file offset of the payload.
+    /// Offset of the payload within its segment.
     payload_off: u64,
     /// The object's descriptor, as stored.
     desc: ObjectDesc,
@@ -231,18 +255,172 @@ struct RecordHead {
     head_len: u64,
 }
 
+/// One segment file and the share of the index that lives in it.
+#[derive(Debug)]
+struct Segment {
+    file: File,
+    /// End of the last valid record: where the next append goes.
+    len: u64,
+    /// Extents the index still holds in this segment.
+    live: usize,
+    /// Payload bytes of this segment's deleted extents.
+    dead: u64,
+}
+
+impl Segment {
+    fn open(path: &Path, create: bool, op: &'static str) -> Result<Self, TierError> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(create)
+            .truncate(create)
+            .open(path)
+            .map_err(|e| io_err(op, e))?;
+        Ok(Segment {
+            file,
+            len: 0,
+            live: 0,
+            dead: 0,
+        })
+    }
+}
+
+/// `n` for the suffix `n ≥ 1` exactly as [`DiskLog::segment_path`] writes
+/// it; anything else in the directory is not a segment.
+fn parse_seq(suffix: &str) -> Option<u64> {
+    let seq: u64 = suffix.parse().ok()?;
+    (seq > 0 && seq.to_string() == suffix).then_some(seq)
+}
+
+/// Decode and validate one record head starting at `offset` of a segment
+/// `file_len` bytes long; the file cursor is left at the start of the
+/// payload, all of which the file holds.
+fn read_head(file: &mut File, offset: u64, file_len: u64) -> Result<RecordHead, TierError> {
+    let corrupt = |detail: String| TierError::Corrupt { offset, detail };
+    let mut fixed = [0u8; FIXED_HEAD];
+    file.seek(SeekFrom::Start(offset))
+        .map_err(|e| io_err("scan", e))?;
+    file.read_exact(&mut fixed)
+        .map_err(|_| corrupt("record head truncated".to_string()))?;
+    let mut c = Cur::new(&fixed);
+    let bad = || corrupt("record head fields truncated".to_string());
+    if c.take(4) != Some(MAGIC.as_slice()) {
+        return Err(corrupt("bad record magic".to_string()));
+    }
+    let name_len = c.u16().ok_or_else(bad)? as usize;
+    let version = c.u64().ok_or_else(bad)?;
+    let bbox = c.ibox().ok_or_else(bad)?;
+    let core = c.ibox().ok_or_else(bad)?;
+    let dx = f64::from_bits(c.u64().ok_or_else(bad)?);
+    let origin_rank = c.u64().ok_or_else(bad)? as usize;
+    let bytes = c.u64().ok_or_else(bad)?;
+    let chunk = c.u32().ok_or_else(bad)?.max(1);
+    let nsums = c.u32().ok_or_else(bad)? as usize;
+    if name_len > MAX_NAME {
+        return Err(corrupt(format!("name length {name_len} exceeds cap")));
+    }
+    let want_sums = (bytes as usize).div_ceil(chunk as usize);
+    if nsums != want_sums {
+        return Err(corrupt(format!(
+            "{nsums} chunk sums stored for a {bytes}-byte payload at chunk {chunk}"
+        )));
+    }
+    // Nothing above is verified yet — the head checksum sits behind the
+    // name and sums — so what the record declares is bounded by the
+    // bytes the file actually has before any of it sizes a buffer.
+    let tail_len = name_len + nsums * 4 + 4;
+    let left = file_len.saturating_sub(offset + FIXED_HEAD as u64);
+    if (tail_len as u64)
+        .checked_add(bytes)
+        .is_none_or(|need| need > left)
+    {
+        return Err(corrupt(format!(
+            "record declares {tail_len} head and {bytes} payload bytes, {left} left in the file"
+        )));
+    }
+    let mut tailbuf = vec![0u8; tail_len];
+    file.read_exact(&mut tailbuf)
+        .map_err(|_| corrupt("record name/sums truncated".to_string()))?;
+    let mut c = Cur::new(&tailbuf);
+    let name_bytes = c.take(name_len).ok_or_else(bad)?;
+    let name = std::str::from_utf8(name_bytes)
+        .map_err(|_| corrupt("record name is not UTF-8".to_string()))?
+        .to_string();
+    let mut sums = Vec::with_capacity(nsums);
+    for _ in 0..nsums {
+        sums.push(c.u32().ok_or_else(bad)?);
+    }
+    let stored_sum = c.u32().ok_or_else(bad)?;
+    let head_bytes = FIXED_HEAD + name_len + nsums * 4;
+    let mut whole = Vec::with_capacity(head_bytes);
+    whole.extend_from_slice(&fixed);
+    whole.extend_from_slice(tailbuf.get(..name_len + nsums * 4).unwrap_or_default());
+    if checksum(&whole) != stored_sum {
+        return Err(corrupt("record head checksum mismatch".to_string()));
+    }
+    let desc = ObjectDesc {
+        key: ObjectKey::new(name, version),
+        bbox,
+        core,
+        dx,
+        bytes,
+        origin_rank,
+    };
+    if !desc.is_consistent() {
+        return Err(corrupt("record descriptor is inconsistent".to_string()));
+    }
+    Ok(RecordHead {
+        desc,
+        chunk,
+        sums,
+        head_len: (head_bytes + 4) as u64,
+    })
+}
+
+/// Read one extent's payload from its segment into a pooled buffer,
+/// verifying every chunk sum. A mismatch is [`TierError::Corrupt`].
+fn read_payload(
+    pool: &Arc<BufferPool>,
+    file: &mut File,
+    ext: &Extent,
+) -> Result<PooledBuf, TierError> {
+    let mut buf = pool.acquire(ext.desc.bytes as usize);
+    file.seek(SeekFrom::Start(ext.payload_off))
+        .map_err(|e| io_err("read", e))?;
+    file.read_exact(&mut buf).map_err(|e| io_err("read", e))?;
+    let chunks = buf.chunks((ext.chunk as usize).max(1));
+    if chunks.len() != ext.sums.len() {
+        return Err(TierError::Corrupt {
+            offset: ext.offset,
+            detail: format!(
+                "{} sums stored for a payload of {} chunks",
+                ext.sums.len(),
+                chunks.len()
+            ),
+        });
+    }
+    if let Some(k) = chunks
+        .zip(ext.sums.iter())
+        .position(|(data, &stored)| checksum(data) != stored)
+    {
+        return Err(TierError::Corrupt {
+            offset: ext.offset,
+            detail: format!("payload chunk {k} does not match its stored sum"),
+        });
+    }
+    Ok(buf)
+}
+
 /// The per-server on-disk object log with its in-memory extent index.
 #[derive(Debug)]
 pub struct DiskLog {
+    /// Segment 0's path; segment `n` is `<path>.<n>`.
     path: PathBuf,
-    file: File,
+    /// Segments by sequence number; the last is the active one.
+    segments: BTreeMap<u64, Segment>,
     index: BTreeMap<ObjectKey, Vec<Extent>>,
-    /// Append position: end of the last valid record.
-    tail: u64,
     /// Payload bytes referenced by the index.
     live_payload: u64,
-    /// Payload bytes of deleted extents awaiting compaction.
-    dead_payload: u64,
     budget: u64,
     chunk: u32,
     recovery: Vec<TierError>,
@@ -251,39 +429,36 @@ pub struct DiskLog {
 }
 
 impl DiskLog {
-    /// Open (or create) the log at `path`, scanning existing records into
-    /// the index. `budget` caps live payload bytes; `chunk` is the chunk
-    /// size payload sums are computed at. A torn or corrupt tail is
-    /// truncated away and reported through [`DiskLog::recovery`]; only an
-    /// unusable file (unreadable, bad permissions) fails the open itself.
+    /// Open (or create) the log at `path`, scanning the existing segments
+    /// into the index. `budget` caps live payload bytes; `chunk` is the
+    /// chunk size payload sums are computed at. A torn or corrupt record is
+    /// truncated away with the rest of its segment and reported through
+    /// [`DiskLog::recovery`]; only an unusable file (unreadable, bad
+    /// permissions) fails the open itself.
     pub fn open(
         path: impl Into<PathBuf>,
         budget: u64,
         chunk: u32,
         pool: Arc<BufferPool>,
     ) -> Result<Self, TierError> {
-        let path = path.into();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|e| io_err("open", e))?;
         let mut log = DiskLog {
-            path,
-            file,
+            path: path.into(),
+            segments: BTreeMap::new(),
             index: BTreeMap::new(),
-            tail: 0,
             live_payload: 0,
-            dead_payload: 0,
             budget,
             chunk: chunk.max(1),
             recovery: Vec::new(),
             compactions: 0,
             pool,
         };
-        log.scan()?;
+        for seq in log.segment_seqs()? {
+            log.scan(seq)?;
+        }
+        if log.segments.is_empty() {
+            log.segments
+                .insert(0, Segment::open(&log.path, true, "open")?);
+        }
         Ok(log)
     }
 
@@ -298,9 +473,9 @@ impl DiskLog {
         self.live_payload
     }
 
-    /// Payload bytes of deleted extents not yet reclaimed by compaction.
+    /// Payload bytes of deleted extents not yet reclaimed.
     pub fn dead_bytes(&self) -> u64 {
-        self.dead_payload
+        self.segments.values().map(|seg| seg.dead).sum()
     }
 
     /// The live-payload budget.
@@ -318,7 +493,8 @@ impl DiskLog {
         self.index.len()
     }
 
-    /// Compactions performed since open.
+    /// Segment rewrites performed since open (unlinked segments are not
+    /// counted: they cost no copy).
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -386,24 +562,36 @@ impl DiskLog {
             }
         };
         let head = Self::encode_head(obj, self.chunk, &sums);
-        let offset = self.tail;
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err("append", e))?;
-        self.file
-            .write_all(&head)
-            .map_err(|e| io_err("append", e))?;
-        self.file
-            .write_all(obj.payload.as_ref())
-            .map_err(|e| io_err("append", e))?;
         let head_len = head.len() as u64;
         let record_len = head_len + bytes;
-        self.tail = offset + record_len;
+        // The active segment, unless this record would push it past the
+        // size: then the next one. An empty segment takes any record.
+        let seq = match self.segments.last_key_value() {
+            Some((&seq, seg)) if seg.len == 0 || seg.len + record_len <= SEGMENT_BYTES => seq,
+            Some((&seq, _)) => seq + 1,
+            None => 0,
+        };
+        let path = self.segment_path(seq);
+        let seg = match self.segments.entry(seq) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(Segment::open(&path, true, "append")?),
+        };
+        let offset = seg.len;
+        seg.file
+            .seek(SeekFrom::Start(offset))
+            .map_err(|e| io_err("append", e))?;
+        seg.file.write_all(&head).map_err(|e| io_err("append", e))?;
+        seg.file
+            .write_all(obj.payload.as_ref())
+            .map_err(|e| io_err("append", e))?;
+        seg.len = offset + record_len;
+        seg.live += 1;
         self.live_payload += bytes;
         self.index
             .entry(obj.desc.key.clone())
             .or_default()
             .push(Extent {
+                seg: seq,
                 offset,
                 record_len,
                 payload_off: offset + head_len,
@@ -418,34 +606,14 @@ impl DiskLog {
     /// rebuild the object — which leaves knowing the sums it was just
     /// checked against. A mismatch is [`TierError::Corrupt`].
     fn read_extent(&mut self, ext: &Extent) -> Result<DataObject, TierError> {
-        let len = ext.desc.bytes as usize;
-        let mut buf = self.pool.acquire(len);
-        self.file
-            .seek(SeekFrom::Start(ext.payload_off))
-            .map_err(|e| io_err("read", e))?;
-        self.file
-            .read_exact(&mut buf)
-            .map_err(|e| io_err("read", e))?;
-        let chunks = buf.chunks((ext.chunk as usize).max(1));
-        if chunks.len() != ext.sums.len() {
-            return Err(TierError::Corrupt {
+        let seg = self
+            .segments
+            .get_mut(&ext.seg)
+            .ok_or_else(|| TierError::Corrupt {
                 offset: ext.offset,
-                detail: format!(
-                    "{} sums stored for a payload of {} chunks",
-                    ext.sums.len(),
-                    chunks.len()
-                ),
-            });
-        }
-        if let Some(k) = chunks
-            .zip(ext.sums.iter())
-            .position(|(data, &stored)| checksum(data) != stored)
-        {
-            return Err(TierError::Corrupt {
-                offset: ext.offset,
-                detail: format!("payload chunk {k} does not match its stored sum"),
-            });
-        }
+                detail: format!("segment {} is gone", ext.seg),
+            })?;
+        let buf = read_payload(&self.pool, &mut seg.file, ext)?;
         // The buffer becomes the long-lived payload: detach it from the
         // pool rather than copying it out.
         let obj = DataObject::from_wire(ext.desc.clone(), Bytes::from(buf.into_vec())).ok_or(
@@ -486,14 +654,20 @@ impl DiskLog {
     }
 
     /// Drop every live extent under `key` (the bytes become dead weight
-    /// until compaction). Returns payload bytes freed.
+    /// until [`DiskLog::maybe_compact`]). Returns payload bytes freed.
     pub fn remove(&mut self, key: &ObjectKey) -> u64 {
         let Some(extents) = self.index.remove(key) else {
             return 0;
         };
-        let freed: u64 = extents.iter().map(|e| e.desc.bytes).sum();
+        let mut freed = 0;
+        for ext in &extents {
+            freed += ext.desc.bytes;
+            if let Some(seg) = self.segments.get_mut(&ext.seg) {
+                seg.live = seg.live.saturating_sub(1);
+                seg.dead += ext.desc.bytes;
+            }
+        }
         self.live_payload = self.live_payload.saturating_sub(freed);
-        self.dead_payload += freed;
         freed
     }
 
@@ -515,14 +689,65 @@ impl DiskLog {
         keys.iter().map(|k| self.remove(k)).sum()
     }
 
-    /// Rewrite live records into a fresh file when at least `min_dead`
-    /// payload bytes are dead, atomically replacing the log. Returns
-    /// whether a compaction ran.
+    /// Reclaim dead space. Every segment left with no live extent goes
+    /// first: unlinked, or truncated to empty if it is the active one — no
+    /// copy, no sync. Then, once at least `min_dead` payload bytes are dead
+    /// in segments that still hold live extents, the one with the most
+    /// dead bytes is rewritten without them. Returns whether a rewrite ran.
     pub fn maybe_compact(&mut self, min_dead: u64) -> Result<bool, TierError> {
-        if self.dead_payload < min_dead.max(1) {
+        self.drop_dead_segments()?;
+        // What is still dead now lies in partly-live segments.
+        if self.dead_bytes() < min_dead.max(1) {
             return Ok(false);
         }
+        let worst = self
+            .segments
+            .iter()
+            .max_by_key(|(_, seg)| seg.dead)
+            .map(|(&seq, _)| seq);
+        match worst {
+            Some(seq) => self.rewrite_segment(seq).map(|()| true),
+            None => Ok(false),
+        }
+    }
+
+    /// Unlink every segment without a live extent, and truncate the active
+    /// one if it has none. Nothing they hold is live, so nothing is copied
+    /// or synced.
+    fn drop_dead_segments(&mut self) -> Result<(), TierError> {
+        let active = self.segments.last_key_value().map(|(&seq, _)| seq);
+        let dead: Vec<u64> = self
+            .segments
+            .iter()
+            .filter(|&(&seq, seg)| seg.live == 0 && (seg.len > 0 || Some(seq) != active))
+            .map(|(&seq, _)| seq)
+            .collect();
+        for seq in dead {
+            if Some(seq) != active {
+                if let Err(e) = std::fs::remove_file(self.segment_path(seq)) {
+                    // Already gone is what reclaiming it wanted.
+                    if e.kind() != std::io::ErrorKind::NotFound {
+                        return Err(io_err("reclaim", e));
+                    }
+                }
+                self.segments.remove(&seq);
+            } else if let Some(seg) = self.segments.get_mut(&seq) {
+                seg.file.set_len(0).map_err(|e| io_err("reclaim", e))?;
+                seg.len = 0;
+                seg.dead = 0;
+            }
+        }
+        Ok(())
+    }
+
+    /// Rewrite segment `seq` with its live records only (raw byte copy in
+    /// file order, offsets patched), atomically replacing it.
+    fn rewrite_segment(&mut self, seq: u64) -> Result<(), TierError> {
+        let seg_path = self.segment_path(seq);
         let tmp_path = self.path.with_extension("compact");
+        let Some(seg) = self.segments.get_mut(&seq) else {
+            return Ok(());
+        };
         let mut tmp = OpenOptions::new()
             .read(true)
             .write(true)
@@ -530,148 +755,110 @@ impl DiskLog {
             .truncate(true)
             .open(&tmp_path)
             .map_err(|e| io_err("compact", e))?;
-        let mut new_tail = 0u64;
-        // Move live records in index order; raw byte copy, offsets patched.
-        let keys = self.keys();
-        let mut moved: BTreeMap<ObjectKey, Vec<Extent>> = BTreeMap::new();
-        for key in keys {
-            let extents = self.index.get(&key).cloned().unwrap_or_default();
-            let mut fresh = Vec::with_capacity(extents.len());
-            for mut ext in extents {
-                let mut buf = self.pool.acquire(ext.record_len as usize);
-                self.file
-                    .seek(SeekFrom::Start(ext.offset))
-                    .map_err(|e| io_err("compact", e))?;
-                self.file
-                    .read_exact(&mut buf)
-                    .map_err(|e| io_err("compact", e))?;
-                tmp.write_all(&buf).map_err(|e| io_err("compact", e))?;
-                let head_len = ext.payload_off - ext.offset;
-                ext.offset = new_tail;
-                ext.payload_off = new_tail + head_len;
-                new_tail += ext.record_len;
-                fresh.push(ext);
+        let mut moved: Vec<&mut Extent> = self
+            .index
+            .values_mut()
+            .flatten()
+            .filter(|e| e.seg == seq)
+            .collect();
+        moved.sort_unstable_by_key(|e| e.offset);
+        let mut fresh = Vec::with_capacity(moved.len());
+        let mut len = 0u64;
+        for ext in &moved {
+            seg.file
+                .seek(SeekFrom::Start(ext.offset))
+                .map_err(|e| io_err("compact", e))?;
+            let copied = std::io::copy(&mut Read::take(&mut seg.file, ext.record_len), &mut tmp)
+                .map_err(|e| io_err("compact", e))?;
+            if copied != ext.record_len {
+                return Err(TierError::Corrupt {
+                    offset: ext.offset,
+                    detail: format!("segment {seq} ends inside a live record"),
+                });
             }
-            moved.insert(key, fresh);
+            fresh.push(len);
+            len += ext.record_len;
         }
         // Flush the rewrite to stable storage BEFORE the rename makes it
-        // the log: rename-over is only atomic for readers; on power loss a
-        // renamed-but-unsynced file can come back empty, losing every live
-        // record. A failure here leaves the old log untouched.
+        // the segment: rename-over is only atomic for readers; on power
+        // loss a renamed-but-unsynced file can come back empty, losing
+        // every live record in it. A failure here leaves the old segment
+        // untouched.
         tmp.sync_all().map_err(|e| io_err("compact", e))?;
-        std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("compact", e))?;
+        std::fs::rename(&tmp_path, &seg_path).map_err(|e| io_err("compact", e))?;
         // Persist the rename itself (the directory entry). Best-effort:
         // the data is already safe under either name, and not every
         // filesystem supports fsync on a directory handle.
-        if let Some(dir) = self.path.parent() {
+        if let Some(dir) = seg_path.parent() {
             if let Ok(d) = File::open(dir) {
                 let _ = d.sync_all();
             }
         }
-        self.file = tmp;
-        self.index = moved;
-        self.tail = new_tail;
-        self.dead_payload = 0;
+        for (ext, offset) in moved.into_iter().zip(fresh) {
+            ext.payload_off = offset + (ext.payload_off - ext.offset);
+            ext.offset = offset;
+        }
+        seg.file = tmp;
+        seg.len = len;
+        seg.dead = 0;
         self.compactions += 1;
-        Ok(true)
+        Ok(())
     }
 
-    /// Decode and validate one record head starting at `offset` of a file
-    /// `file_len` bytes long; the file cursor is left at the start of the
-    /// payload, all of which the file holds.
-    fn read_head(&mut self, offset: u64, file_len: u64) -> Result<RecordHead, TierError> {
-        let corrupt = |detail: String| TierError::Corrupt { offset, detail };
-        let mut fixed = [0u8; FIXED_HEAD];
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err("scan", e))?;
-        self.file
-            .read_exact(&mut fixed)
-            .map_err(|_| corrupt("record head truncated".to_string()))?;
-        let mut c = Cur::new(&fixed);
-        let bad = || corrupt("record head fields truncated".to_string());
-        if c.take(4) != Some(MAGIC.as_slice()) {
-            return Err(corrupt("bad record magic".to_string()));
-        }
-        let name_len = c.u16().ok_or_else(bad)? as usize;
-        let version = c.u64().ok_or_else(bad)?;
-        let bbox = c.ibox().ok_or_else(bad)?;
-        let core = c.ibox().ok_or_else(bad)?;
-        let dx = f64::from_bits(c.u64().ok_or_else(bad)?);
-        let origin_rank = c.u64().ok_or_else(bad)? as usize;
-        let bytes = c.u64().ok_or_else(bad)?;
-        let chunk = c.u32().ok_or_else(bad)?.max(1);
-        let nsums = c.u32().ok_or_else(bad)? as usize;
-        if name_len > MAX_NAME {
-            return Err(corrupt(format!("name length {name_len} exceeds cap")));
-        }
-        let want_sums = (bytes as usize).div_ceil(chunk as usize);
-        if nsums != want_sums {
-            return Err(corrupt(format!(
-                "{nsums} chunk sums stored for a {bytes}-byte payload at chunk {chunk}"
-            )));
-        }
-        // Nothing above is verified yet — the head checksum sits behind the
-        // name and sums — so what the record declares is bounded by the
-        // bytes the file actually has before any of it sizes a buffer.
-        let tail_len = name_len + nsums * 4 + 4;
-        let left = file_len.saturating_sub(offset + FIXED_HEAD as u64);
-        if (tail_len as u64)
-            .checked_add(bytes)
-            .is_none_or(|need| need > left)
-        {
-            return Err(corrupt(format!(
-                "record declares {tail_len} head and {bytes} payload bytes, {left} left in the file"
-            )));
-        }
-        let mut tailbuf = vec![0u8; tail_len];
-        self.file
-            .read_exact(&mut tailbuf)
-            .map_err(|_| corrupt("record name/sums truncated".to_string()))?;
-        let mut c = Cur::new(&tailbuf);
-        let name_bytes = c.take(name_len).ok_or_else(bad)?;
-        let name = std::str::from_utf8(name_bytes)
-            .map_err(|_| corrupt("record name is not UTF-8".to_string()))?
-            .to_string();
-        let mut sums = Vec::with_capacity(nsums);
-        for _ in 0..nsums {
-            sums.push(c.u32().ok_or_else(bad)?);
-        }
-        let stored_sum = c.u32().ok_or_else(bad)?;
-        let head_bytes = FIXED_HEAD + name_len + nsums * 4;
-        let mut whole = Vec::with_capacity(head_bytes);
-        whole.extend_from_slice(&fixed);
-        whole.extend_from_slice(tailbuf.get(..name_len + nsums * 4).unwrap_or_default());
-        if checksum(&whole) != stored_sum {
-            return Err(corrupt("record head checksum mismatch".to_string()));
-        }
-        let desc = ObjectDesc {
-            key: ObjectKey::new(name, version),
-            bbox,
-            core,
-            dx,
-            bytes,
-            origin_rank,
+    /// Sequence numbers of the segment files on disk, ascending: 0 for the
+    /// log path itself, `n` for `<log path>.<n>`.
+    fn segment_seqs(&self) -> Result<Vec<u64>, TierError> {
+        let dir = match self.path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
         };
-        if !desc.is_consistent() {
-            return Err(corrupt("record descriptor is inconsistent".to_string()));
+        let prefix = match self.path.file_name().and_then(|n| n.to_str()) {
+            Some(name) => format!("{name}."),
+            None => {
+                return Err(TierError::Io {
+                    op: "open",
+                    detail: format!("log path {:?} names no file", self.path),
+                })
+            }
+        };
+        let mut seqs = Vec::new();
+        if self.path.is_file() {
+            seqs.push(0);
         }
-        Ok(RecordHead {
-            desc,
-            chunk,
-            sums,
-            head_len: (head_bytes + 4) as u64,
-        })
+        for entry in std::fs::read_dir(dir).map_err(|e| io_err("open", e))? {
+            let name = entry.map_err(|e| io_err("open", e))?.file_name();
+            if let Some(seq) = name
+                .to_str()
+                .and_then(|n| n.strip_prefix(&prefix))
+                .and_then(parse_seq)
+            {
+                seqs.push(seq);
+            }
+        }
+        seqs.sort_unstable();
+        Ok(seqs)
     }
 
-    /// Scan the whole file on open, rebuilding the index. Stops at the
-    /// first invalid record, truncates the file there, and records the
-    /// reason in `recovery` — a torn tail must not poison later appends.
-    fn scan(&mut self) -> Result<(), TierError> {
-        let file_len = self.file.metadata().map_err(|e| io_err("open", e))?.len();
+    /// The file of segment `seq`.
+    fn segment_path(&self, seq: u64) -> PathBuf {
+        if seq == 0 {
+            return self.path.clone();
+        }
+        let mut p = self.path.clone().into_os_string();
+        p.push(format!(".{seq}"));
+        PathBuf::from(p)
+    }
+
+    /// Scan segment `seq` on open, adding its records to the index. Stops
+    /// at the first invalid record, truncates the segment there, and
+    /// records the reason in `recovery` — a torn record must not poison
+    /// later appends, nor hide the segments after it.
+    fn scan(&mut self, seq: u64) -> Result<(), TierError> {
+        let mut seg = Segment::open(&self.segment_path(seq), false, "open")?;
+        let file_len = seg.file.metadata().map_err(|e| io_err("open", e))?.len();
         let mut offset = 0u64;
         while offset < file_len {
-            let head = match self.read_head(offset, file_len) {
+            let head = match read_head(&mut seg.file, offset, file_len) {
                 Ok(h) => h,
                 Err(e @ TierError::Corrupt { .. }) => {
                     self.recovery.push(e);
@@ -679,19 +866,18 @@ impl DiskLog {
                 }
                 Err(e) => return Err(e),
             };
-            let payload_off = offset + head.head_len;
-            let record_len = head.head_len + head.desc.bytes;
             let ext = Extent {
+                seg: seq,
                 offset,
-                record_len,
-                payload_off,
+                record_len: head.head_len + head.desc.bytes,
+                payload_off: offset + head.head_len,
                 desc: head.desc,
                 chunk: head.chunk,
                 sums: head.sums.into(),
             };
             // Verify the payload sums now: a record whose payload was torn
             // mid-write is detected at open, not at first read.
-            match self.read_extent(&ext) {
+            match read_payload(&self.pool, &mut seg.file, &ext) {
                 Ok(_) => {}
                 Err(e @ TierError::Corrupt { .. }) => {
                     self.recovery.push(e);
@@ -699,22 +885,25 @@ impl DiskLog {
                 }
                 Err(e) => return Err(e),
             }
+            offset += ext.record_len;
+            seg.live += 1;
             self.live_payload += ext.desc.bytes;
             self.index
                 .entry(ext.desc.key.clone())
                 .or_default()
                 .push(ext);
-            offset += record_len;
         }
-        self.tail = offset;
+        seg.len = offset;
         if offset < file_len {
             // Drop the torn tail so future appends start from a clean edge.
-            self.file.set_len(offset).map_err(|e| io_err("open", e))?;
+            seg.file.set_len(offset).map_err(|e| io_err("open", e))?;
         }
+        self.segments.insert(seq, seg);
         Ok(())
     }
 
-    /// The log's file path.
+    /// The log's path: segment 0's file, and the stem of every other
+    /// segment's.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -1025,6 +1214,136 @@ mod tests {
                 ObjectKey::new("rho", 2),
             ]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An object whose payload alone fills a segment (128³ cells × 8 B):
+    /// the record after it starts the next segment.
+    fn big(name: &str, version: u64) -> DataObject {
+        let o = obj(name, version, 0, 128);
+        assert_eq!(o.desc.bytes, SEGMENT_BYTES);
+        o
+    }
+
+    fn seg_path(dir: &Path, seq: u64) -> PathBuf {
+        dir.join(format!("test.log.{seq}"))
+    }
+
+    #[test]
+    fn dead_segment_is_unlinked_not_rewritten() {
+        let dir = tmpdir("deadseg");
+        let path = dir.join("test.log");
+        let mut log = open(&dir, u64::MAX);
+        log.append(&big("rho", 1)).unwrap(); // segment 0, full
+        log.append(&obj("rho", 2, 0, 4)).unwrap(); // segment 1
+        log.append(&obj("rho", 3, 0, 4)).unwrap();
+        assert!(path.exists() && seg_path(&dir, 1).exists());
+        assert_eq!(log.drop_before("rho", 2), SEGMENT_BYTES);
+        // Far below any rewrite floor, the dead segment goes anyway: it
+        // holds nothing live, so reclaiming it copies nothing.
+        assert!(!log.maybe_compact(u64::MAX).unwrap(), "no rewrite");
+        assert!(!path.exists(), "the dead segment is unlinked");
+        assert_eq!(log.compactions(), 0);
+        assert_eq!(log.dead_bytes(), 0);
+        for v in [2u64, 3] {
+            let back = log.read(&ObjectKey::new("rho", v), None).unwrap();
+            assert_eq!(back.len(), 1);
+            assert_eq!(back[0].payload, obj("rho", v, 0, 4).payload);
+        }
+        // Without segment 0 the log still reopens complete.
+        drop(log);
+        let mut log = open(&dir, u64::MAX);
+        assert!(log.recovery().is_empty());
+        assert_eq!(
+            log.keys(),
+            vec![ObjectKey::new("rho", 2), ObjectKey::new("rho", 3)]
+        );
+        // The active segment is truncated, not unlinked, once it dies.
+        log.clear();
+        assert!(!log.maybe_compact(u64::MAX).unwrap());
+        assert_eq!(std::fs::metadata(seg_path(&dir, 1)).unwrap().len(), 0);
+        assert_eq!(log.compactions(), 0);
+        log.append(&obj("rho", 4, 0, 4)).unwrap();
+        assert_eq!(log.read(&ObjectKey::new("rho", 4), None).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn multi_segment_reopen_rebuilds_index_and_appends_on() {
+        let dir = tmpdir("segreopen");
+        {
+            let mut log = open(&dir, u64::MAX);
+            log.append(&big("rho", 1)).unwrap(); // segment 0
+            log.append(&obj("p", 2, 8, 4)).unwrap(); // segment 1
+            log.append(&big("rho", 3)).unwrap(); // segment 2
+        }
+        assert!(seg_path(&dir, 2).exists());
+        let mut log = open(&dir, u64::MAX);
+        assert!(log.recovery().is_empty());
+        assert_eq!(log.num_keys(), 3);
+        assert_eq!(log.live_bytes(), 2 * SEGMENT_BYTES + 512);
+        assert_eq!(
+            log.read(&ObjectKey::new("p", 2), None).unwrap()[0].payload,
+            obj("p", 2, 8, 4).payload
+        );
+        assert_eq!(
+            log.read(&ObjectKey::new("rho", 3), None).unwrap()[0].payload,
+            big("rho", 3).payload
+        );
+        // Segment 2 is full: the next append starts segment 3.
+        log.append(&obj("p", 4, 8, 4)).unwrap();
+        assert!(seg_path(&dir, 3).exists());
+        drop(log);
+        let mut log = open(&dir, u64::MAX);
+        assert!(log.recovery().is_empty());
+        assert_eq!(log.num_keys(), 4);
+        assert_eq!(
+            log.read(&ObjectKey::new("p", 4), None).unwrap()[0].payload,
+            obj("p", 4, 8, 4).payload
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_middle_segment_leaves_later_segments_indexed() {
+        let dir = tmpdir("segcorrupt");
+        {
+            let mut log = open(&dir, u64::MAX);
+            log.append(&obj("rho", 1, 0, 4)).unwrap(); // segment 0
+            log.append(&obj("rho", 2, 0, 4)).unwrap();
+            log.append(&big("rho", 3)).unwrap(); // segment 1
+            log.append(&obj("rho", 4, 0, 4)).unwrap(); // segment 2
+        }
+        // Flip a payload byte of the middle segment's only record.
+        let middle = seg_path(&dir, 1);
+        let mut bytes = std::fs::read(&middle).unwrap();
+        let n = bytes.len();
+        bytes[n - 9] ^= 0xFF;
+        std::fs::write(&middle, &bytes).unwrap();
+        let last_len = std::fs::metadata(seg_path(&dir, 2)).unwrap().len();
+        let mut log = open(&dir, u64::MAX);
+        match log.recovery() {
+            [TierError::Corrupt { offset: 0, detail }] => {
+                assert!(detail.contains("does not match its stored sum"), "{detail}")
+            }
+            other => panic!("expected one typed Corrupt, got {other:?}"),
+        }
+        // Only the corrupt segment is cut; the ones around it stay whole.
+        assert_eq!(std::fs::metadata(&middle).unwrap().len(), 0);
+        assert_eq!(
+            std::fs::metadata(seg_path(&dir, 2)).unwrap().len(),
+            last_len
+        );
+        assert!(!log.contains(&ObjectKey::new("rho", 3)));
+        for v in [1u64, 2, 4] {
+            let back = log.read(&ObjectKey::new("rho", v), None).unwrap();
+            assert_eq!(back[0].payload, obj("rho", v, 0, 4).payload, "v{v}");
+        }
+        // The emptied middle segment is reclaimed; appends go on at the end.
+        log.maybe_compact(u64::MAX).unwrap();
+        assert!(!middle.exists());
+        log.append(&obj("rho", 5, 0, 4)).unwrap();
+        assert!(std::fs::metadata(seg_path(&dir, 2)).unwrap().len() > last_len);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,13 +13,22 @@
 //! Lifecycle: [`BufferPool::acquire`] hands out a [`PooledBuf`] guard sized
 //! (and zero-filled) to the requested length; dropping the guard returns
 //! the buffer to its size class — including on every error path, which is
-//! exactly why the return is in `Drop` and not an explicit call. Each class
-//! keeps at most [`BufferPool::MAX_PER_CLASS`] buffers, so churn from many
-//! concurrent connections cannot grow the pool without bound; overflow
-//! buffers are simply freed. Requests larger than the biggest class
-//! (8 MiB) fall through to a plain allocation and are freed on drop —
-//! chunked streaming keeps hot-path buffers at the chunk size, far below
-//! that ceiling.
+//! exactly why the return is in `Drop` and not an explicit call. A buffer
+//! that left the pool for good ([`PooledBuf::into_vec`], say as a promoted
+//! extent's payload) can come back through `BufferPool::recycle` once its
+//! last holder lets go of it — the tiered staging server does that for the
+//! objects it drops. Requests larger than the biggest class (8 MiB) fall
+//! through to a plain allocation and are freed on drop — chunked streaming
+//! keeps hot-path buffers at the chunk size, far below that ceiling.
+//!
+//! Retention is bounded per class, in bytes: a class parks up to
+//! `CLASS_RETAIN_BYTES` (4 MiB) of buffers, and never fewer than
+//! [`BufferPool::MAX_PER_CLASS`] (so classes from 512 KiB up keep exactly
+//! that count). Below `BYTE_BOUNDED_FROM` (128 KiB) a class keeps just
+//! `MAX_PER_CLASS`: buffers that small come back warm from the allocator's
+//! own free lists, while a larger fresh buffer is a new mapping whose every
+//! page faults on first touch. Overflow buffers are simply freed, so churn
+//! from many concurrent connections cannot grow the pool without bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,6 +44,14 @@ const MIN_CLASS_BYTES: usize = 1 << 10;
 pub const MAX_CLASS_BYTES: usize = 8 << 20;
 /// Number of power-of-two classes between the bounds, inclusive.
 const NUM_CLASSES: usize = 14; // 2^10 ..= 2^23
+/// Bytes a class may keep parked (at least [`BufferPool::MAX_PER_CLASS`]
+/// buffers of it): one 4 MiB promote of 256 KiB extents finds every buffer
+/// warm.
+const CLASS_RETAIN_BYTES: usize = 4 << 20;
+/// Smallest class bounded by [`CLASS_RETAIN_BYTES`] rather than by count:
+/// glibc's default mmap threshold, above which a freed buffer goes back to
+/// the kernel and a fresh one faults in page by page.
+const BYTE_BOUNDED_FROM: usize = 128 << 10;
 
 /// A bounded, size-classed recycler of `Vec<u8>` buffers.
 ///
@@ -54,7 +71,8 @@ impl Default for BufferPool {
 }
 
 impl BufferPool {
-    /// Maximum buffers retained per size class; overflow is freed.
+    /// Buffers a class below 128 KiB retains, and the least
+    /// any class retains; overflow is freed.
     pub const MAX_PER_CLASS: usize = 8;
 
     /// An empty pool (no buffers are pre-allocated; classes fill on first
@@ -82,6 +100,16 @@ impl BufferPool {
     /// Capacity of class `idx`.
     fn class_bytes(idx: usize) -> usize {
         MIN_CLASS_BYTES << idx
+    }
+
+    /// Buffers class `idx` may keep parked.
+    fn retain_limit(idx: usize) -> usize {
+        let bytes = Self::class_bytes(idx);
+        if bytes < BYTE_BOUNDED_FROM {
+            Self::MAX_PER_CLASS
+        } else {
+            (CLASS_RETAIN_BYTES / bytes).max(Self::MAX_PER_CLASS)
+        }
     }
 
     /// Take a buffer of exactly `len` zeroed bytes, recycled when possible.
@@ -115,14 +143,20 @@ impl BufferPool {
         }
     }
 
-    /// Return a buffer to a size class (called from [`PooledBuf`]'s
-    /// `Drop`). The buffer parks in the largest class whose floor its
-    /// capacity satisfies — so a buffer that grew past its acquire class
-    /// still recycles. Buffers below the smallest class or above the
-    /// largest (so huge one-off payload scratch is never retained), and
-    /// overflow beyond [`Self::MAX_PER_CLASS`], are freed.
+    /// Return a checked-out buffer (called from [`PooledBuf`]'s `Drop`).
     fn release(&self, buf: Vec<u8>) {
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
+        self.recycle(buf);
+    }
+
+    /// Park a buffer nobody else holds — one handed out by
+    /// [`PooledBuf::into_vec`] and given back, or any `Vec` worth reusing.
+    /// The buffer parks in the largest class whose floor its capacity
+    /// satisfies — so a buffer that grew past its acquire class still
+    /// recycles. Buffers below the smallest class or above the largest (so
+    /// huge one-off payload scratch is never retained), and overflow beyond
+    /// the class's retention bound, are freed.
+    pub(crate) fn recycle(&self, buf: Vec<u8>) {
         let cap = buf.capacity();
         if !(MIN_CLASS_BYTES..=MAX_CLASS_BYTES).contains(&cap) {
             return;
@@ -130,7 +164,7 @@ impl BufferPool {
         let floor = (usize::BITS - 1 - cap.leading_zeros()) as usize;
         let idx = (floor - 10).min(NUM_CLASSES - 1);
         let mut class = self.classes[idx].lock();
-        if class.len() < Self::MAX_PER_CLASS {
+        if class.len() < Self::retain_limit(idx) {
             class.push(buf);
         }
     }
@@ -166,7 +200,8 @@ pub struct PooledBuf {
 
 impl PooledBuf {
     /// Consume the guard WITHOUT returning the buffer to the pool — for
-    /// the rare path where the bytes become a long-lived payload. The
+    /// the path where the bytes become a long-lived payload (whose last
+    /// holder may hand it back through `BufferPool::recycle`). The
     /// outstanding count is still decremented.
     pub fn into_vec(mut self) -> Vec<u8> {
         let buf = std::mem::take(&mut self.buf);
@@ -253,6 +288,32 @@ mod tests {
         drop(guards);
         assert_eq!(pool.outstanding(), 0);
         assert!(pool.parked() <= BufferPool::MAX_PER_CLASS);
+    }
+
+    #[test]
+    fn retention_is_bounded_in_bytes() {
+        let fill = |bytes: usize, n: usize| {
+            let pool = BufferPool::new();
+            for _ in 0..n {
+                pool.recycle(Vec::with_capacity(bytes));
+            }
+            pool.parked()
+        };
+        let n = 64;
+        // Below the byte-bounded floor: a count bound.
+        assert_eq!(fill(BYTE_BOUNDED_FROM / 2, n), BufferPool::MAX_PER_CLASS);
+        // One 4 MiB promote's worth of 256 KiB extents stays warm.
+        assert_eq!(fill(256 << 10, n), CLASS_RETAIN_BYTES / (256 << 10));
+        assert!(fill(256 << 10, n) > BufferPool::MAX_PER_CLASS);
+        // Classes from 1 MiB up keep exactly what a count bound kept.
+        for bytes in [1 << 20, 2 << 20, MAX_CLASS_BYTES] {
+            assert_eq!(fill(bytes, n), BufferPool::MAX_PER_CLASS, "{bytes}");
+        }
+        // A recycled buffer serves the next acquire of its class.
+        let pool = Arc::new(BufferPool::new());
+        pool.recycle(Vec::with_capacity(256 << 10));
+        assert_eq!(pool.acquire(200 << 10).len(), 200 << 10);
+        assert_eq!((pool.hits(), pool.misses()), (1, 0));
     }
 
     #[test]

@@ -259,7 +259,8 @@ impl StagingServer {
     /// versions leave memory first (LRU-by-version). The incoming key is
     /// never demoted to make room for itself. Demotion stops early when the
     /// disk budget cannot hold the next victim: a victim is only removed
-    /// from memory after every one of its objects is safely on disk.
+    /// from memory after every one of its objects is safely on disk, and
+    /// then its payload buffers go back to the tier's pool.
     fn demote_victims(s: &mut Store, tier: &DiskTier, cap: u64, need: u64, incoming: &ObjectKey) {
         if s.used.saturating_add(need) <= cap {
             return;
@@ -283,26 +284,20 @@ impl StagingServer {
             let Some((objs, _)) = s.objects.get(&key) else {
                 continue;
             };
-            let objs: Vec<Arc<DataObject>> = objs.clone();
             let key_bytes: u64 = objs.iter().map(|o| o.desc.bytes).sum();
             if !tier.has_room(key_bytes) {
                 break;
             }
-            let mut spilled_all = true;
-            for o in &objs {
-                if tier.spill(o).is_err() {
-                    // Only real I/O failures land here (room was checked,
-                    // and the store lock serialises tier writers). Leave
-                    // the key resident; gets deduplicate by geometry.
-                    spilled_all = false;
-                    break;
-                }
-            }
-            if !spilled_all {
+            // Only real I/O failures fail a spill here (room was checked,
+            // and the store lock serialises tier writers). Leave the key
+            // resident; gets deduplicate by geometry.
+            if !objs.iter().all(|o| tier.spill(o).is_ok()) {
                 break;
             }
-            s.objects.remove(&key);
-            s.used = s.used.saturating_sub(key_bytes);
+            if let Some((objs, _)) = s.objects.remove(&key) {
+                s.used = s.used.saturating_sub(key_bytes);
+                objs.into_iter().for_each(|o| tier.recycle(o));
+            }
         }
     }
 
@@ -433,26 +428,27 @@ impl StagingServer {
 
     /// Drop every object older than `min_version` under variable `name`
     /// (the space reclaims consumed time steps), in memory and on disk.
-    /// Returns bytes freed across both tiers; dead disk extents are
-    /// truncated by the tier's periodic compaction.
+    /// Returns bytes freed across both tiers; the disk tier unlinks the
+    /// log segments this leaves without a live extent.
     pub fn evict_before(&self, name: &str, min_version: u64) -> u64 {
         // xlint: allow(L) -- eviction must drop both tiers atomically with the resident map; the store lock serializes tier writers
         let mut s = self.inner.write();
-        let mut freed = 0;
+        let stale = |k: &ObjectKey| k.name == name && k.version < min_version;
+        let mut dropped = Vec::new();
         s.objects.retain(|k, (v, _)| {
-            if k.name == name && k.version < min_version {
-                freed += v.iter().map(|o| o.desc.bytes).sum::<u64>();
-                false
-            } else {
-                true
+            if stale(k) {
+                dropped.append(v);
             }
+            !stale(k)
         });
+        let mut freed: u64 = dropped.iter().map(|o| o.desc.bytes).sum();
         s.used = s.used.saturating_sub(freed);
-        s.ticks
-            .retain(|k, _| !(k.name == name && k.version < min_version));
+        s.ticks.retain(|k, _| !stale(k));
         if let Some(tier) = &self.tier {
             freed += tier.evict_before(name, min_version).unwrap_or(0);
         }
+        drop(s);
+        self.recycle(dropped);
         freed
     }
 
@@ -460,13 +456,23 @@ impl StagingServer {
     pub fn clear(&self) -> u64 {
         let mut s = self.inner.write();
         let mut freed = s.used;
-        s.objects.clear();
+        let dropped: Vec<Arc<DataObject>> = s.objects.drain().flat_map(|(_, (v, _))| v).collect();
         s.ticks.clear();
         s.used = 0;
         if let Some(tier) = &self.tier {
             freed += tier.clear().unwrap_or(0);
         }
+        drop(s);
+        self.recycle(dropped);
         freed
+    }
+
+    /// Hand dropped objects' payload buffers to the disk tier's pool (see
+    /// `DiskTier::recycle`); without a tier they are simply freed.
+    fn recycle(&self, dropped: Vec<Arc<DataObject>>) {
+        if let Some(tier) = &self.tier {
+            dropped.into_iter().for_each(|o| tier.recycle(o));
+        }
     }
 
     /// Live spilled payload bytes on this server's disk tier (0 without
@@ -768,6 +774,51 @@ mod tests {
                 assert_eq!(s.used() + s.disk_used(), 1024);
                 let _ = std::fs::remove_dir_all(&dir);
             }
+        }
+
+        #[test]
+        fn dropped_payloads_warm_the_next_promote() {
+            let dir = tmpdir("recycle");
+            let pool = Arc::new(BufferPool::new());
+            let cfg = TierConfig::new(&dir).with_chunk_size(256);
+            let tier =
+                Arc::new(DiskTier::open(dir.join("srv.log"), &cfg, Arc::clone(&pool)).unwrap());
+            // Room for two 1 MiB objects.
+            let s = StagingServer::with_tier(0, 2 << 20, Arc::clone(&tier));
+            let mib = |v: u64| {
+                let b = IBox::new(IntVect::ZERO, IntVect::new(63, 63, 31));
+                DataObject::from_fab("rho", v, &Fab::filled(b, 1, v as f64), 0, &b, 0)
+            };
+            // The server holds the only handles to what it was given, so a
+            // demoted object's buffer goes back to the pool ...
+            for v in 1..=3 {
+                s.put(mib(v)).unwrap();
+            }
+            assert!(tier.has_spilled(&ObjectKey::new("rho", 1)));
+            assert_eq!(pool.parked(), 1);
+            // ... and so does an evicted one's (v2; v1 is on disk).
+            s.evict_before("rho", 3);
+            assert_eq!(pool.parked(), 2);
+            s.put(mib(4)).unwrap();
+            s.put(mib(5)).unwrap(); // demotes v3
+            assert_eq!(pool.parked(), 3);
+            // The promote of v3 demotes v4 and reads v3 into warm buffers.
+            let got = s.get(&ObjectKey::new("rho", 3), None);
+            assert_eq!(got[0].payload, mib(3).payload);
+            assert_eq!((pool.hits(), pool.misses()), (1, 0));
+            assert_eq!(pool.parked(), 3);
+            // A handle a reader still holds is not taken from it.
+            let held = s.get(&ObjectKey::new("rho", 3), None);
+            s.evict_before("rho", 4);
+            assert_eq!(pool.parked(), 3);
+            assert_eq!(held[0].payload, mib(3).payload);
+            // A 1 MiB class keeps what a count bound kept, churn or not.
+            for v in 6..6 + 3 * BufferPool::MAX_PER_CLASS as u64 {
+                s.put(mib(v)).unwrap();
+            }
+            s.clear();
+            assert_eq!(pool.parked(), BufferPool::MAX_PER_CLASS);
+            let _ = std::fs::remove_dir_all(&dir);
         }
 
         #[test]

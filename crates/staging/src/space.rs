@@ -131,6 +131,7 @@ impl DataSpace {
             agg.disk_budget = agg.disk_budget.saturating_add(snap.disk_budget);
             agg.compactions += snap.compactions;
             agg.compact_errors += snap.compact_errors;
+            agg.read_errors += snap.read_errors;
         }
         agg
     }
@@ -441,6 +442,38 @@ mod tests {
         assert!(space.get("rho", 1, None).is_empty());
         assert!(space.get("rho", 2, None).is_empty());
         assert_eq!(space.get("rho", 3, None).len(), 1);
+    }
+
+    #[test]
+    fn a_failed_tier_read_serves_the_resident_part_and_is_counted() {
+        let dir = std::env::temp_dir().join(format!("xlayer-tier-readerr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TierConfig::new(&dir).with_chunk_size(256);
+        // Memory for one 512 B piece: the second piece of the same
+        // version has no colder key to displace, so it goes to disk.
+        let space = DataSpace::new_tiered(
+            1,
+            600,
+            Sharding::BboxHash,
+            &cfg,
+            Arc::new(BufferPool::new()),
+        )
+        .unwrap();
+        let resident = obj("rho", 1, 0, 4);
+        space.put(resident.clone()).unwrap();
+        space.put(obj("rho", 1, 8, 4)).unwrap();
+        assert_eq!(space.tier_stats().spilled, 1);
+        // Flip a payload byte of the spilled extent in its segment file.
+        let segment = dir.join("server-0.log");
+        let mut bytes = std::fs::read(&segment).unwrap();
+        let n = bytes.len();
+        bytes[n - 9] ^= 0xFF;
+        std::fs::write(&segment, &bytes).unwrap();
+        let got = space.get("rho", 1, None);
+        assert_eq!(got.len(), 1, "the resident piece still serves");
+        assert_eq!(got[0].payload, resident.payload);
+        assert_eq!(space.tier_stats().read_errors, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -95,13 +95,16 @@ pub struct TierConfig {
     /// [`crate::sum::CHUNK`], do the sums an object carries from or to the
     /// wire save a spill its hash pass.
     pub chunk_size: u32,
-    /// Dead payload bytes that trigger a compaction sweep.
+    /// Dead payload bytes, in log segments that still hold live extents,
+    /// at which one such segment is rewritten without them. Segments with
+    /// no live extent left are unlinked whatever this says: that costs no
+    /// copy, so it never waits for a floor.
     pub compact_min_dead: u64,
 }
 
 impl TierConfig {
-    /// Defaults: unbounded budget, [`crate::sum::CHUNK`] chunks,
-    /// compaction once 64 MiB of dead extents accumulate.
+    /// Defaults: unbounded budget, [`crate::sum::CHUNK`] chunks, a segment
+    /// rewrite once 64 MiB of dead extents sit in partly-live segments.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TierConfig {
             dir: dir.into(),
@@ -123,7 +126,8 @@ impl TierConfig {
         self
     }
 
-    /// Compact once `bytes` of dead extents accumulate.
+    /// Rewrite a partly-live segment once `bytes` of dead extents sit in
+    /// such segments.
     pub fn with_compact_min_dead(mut self, bytes: u64) -> Self {
         self.compact_min_dead = bytes.max(1);
         self
@@ -149,11 +153,16 @@ pub struct TierSnapshot {
     pub spilled_keys: u64,
     /// Configured disk capacity in bytes (`u64::MAX` when unbounded).
     pub disk_budget: u64,
-    /// Compaction sweeps performed.
+    /// Partly-live segment rewrites performed (unlinked dead segments are
+    /// not counted: they cost no copy).
     pub compactions: u64,
-    /// Opportunistic compaction sweeps that failed with an I/O error (the
+    /// Opportunistic reclamation sweeps that failed with an I/O error (the
     /// log keeps serving; dead bytes are retried on the next mutation).
     pub compact_errors: u64,
+    /// Promotes and serve-from-disk reads that failed — a sum mismatch or
+    /// an I/O error — so the get answered with the resident objects only.
+    /// Not on the wire.
+    pub read_errors: u64,
 }
 
 /// A staging server's disk tier: one [`DiskLog`] plus the placement policy
@@ -180,6 +189,11 @@ pub struct DiskTier {
     spilled_keys: AtomicU64,
     /// Opportunistic compactions that failed with an I/O error.
     compact_errors: AtomicU64,
+    /// Reads of spilled extents that failed.
+    read_errors: AtomicU64,
+    /// Where the payloads of objects the owning server drops go back to:
+    /// the pool the log reads promoted extents into.
+    pool: Arc<BufferPool>,
     /// Messages describing records dropped during open-time recovery.
     recovered: Vec<String>,
 }
@@ -193,7 +207,7 @@ impl DiskTier {
         cfg: &TierConfig,
         pool: Arc<BufferPool>,
     ) -> Result<Self, TierError> {
-        let log = DiskLog::open(path, cfg.disk_budget, cfg.chunk_size, pool)?;
+        let log = DiskLog::open(path, cfg.disk_budget, cfg.chunk_size, Arc::clone(&pool))?;
         let recovered = log.recovery().iter().map(|e| e.to_string()).collect();
         let tier = DiskTier {
             spilled: AtomicU64::new(0),
@@ -204,6 +218,8 @@ impl DiskTier {
             disk_used: AtomicU64::new(log.live_bytes()),
             spilled_keys: AtomicU64::new(log.num_keys() as u64),
             compact_errors: AtomicU64::new(0),
+            read_errors: AtomicU64::new(0),
+            pool,
             log: Mutex::new(log),
             hints: RwLock::new(BTreeMap::new()),
             forced: Mutex::new(None),
@@ -270,8 +286,9 @@ impl DiskTier {
             .store(log.num_keys() as u64, Ordering::Relaxed);
     }
 
-    /// Run compaction opportunistically. Compaction is pure space
-    /// reclamation — a failed sweep leaves the old log fully intact and
+    /// Reclaim dead space opportunistically: unlink dead segments, and
+    /// rewrite a partly-live one past the floor. Reclamation is pure space
+    /// reclamation — a failed sweep leaves every live record intact and
     /// the dead bytes are retried on the next mutation — so its I/O errors
     /// are counted, never propagated: propagating one from a promote or
     /// delete would misreport (or, worse, discard) work that already
@@ -344,7 +361,8 @@ impl DiskTier {
         query: Option<&IBox>,
     ) -> Result<Vec<DataObject>, TierError> {
         // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
-        let objs = self.log.lock().read(key, query)?;
+        let read = self.log.lock().read(key, query);
+        let objs = read.inspect_err(|_| self.read_failed())?;
         if !objs.is_empty() {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -353,14 +371,15 @@ impl DiskTier {
 
     /// Promote: read every extent under `key`, drop them from the log, and
     /// hand the objects back for reinsertion into memory. Counts a disk hit
-    /// and the promote counters; compaction runs opportunistically. Once
+    /// and the promote counters (a failed read counts in
+    /// [`TierSnapshot::read_errors`]); reclamation runs opportunistically. Once
     /// the extents are read and unindexed, this cannot fail — the objects
     /// are the only remaining copy, so a compaction error here must not
     /// (and does not) discard them.
     pub fn take(&self, key: &ObjectKey) -> Result<Vec<DataObject>, TierError> {
         // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
         let mut log = self.log.lock();
-        let objs = log.read(key, None)?;
+        let objs = log.read(key, None).inspect_err(|_| self.read_failed())?;
         if objs.is_empty() {
             return Ok(objs);
         }
@@ -373,6 +392,23 @@ impl DiskTier {
         self.compact_best_effort(&mut log);
         self.refresh_gauges(&log);
         Ok(objs)
+    }
+
+    fn read_failed(&self) {
+        self.read_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Give a dropped object's payload buffer back to the pool when `obj`
+    /// was its last holder, for the next promote to read into. An object
+    /// or payload someone else still holds (a reader's handle, a caller's
+    /// copy) is just released.
+    pub(crate) fn recycle(&self, obj: Arc<DataObject>) {
+        if let Some(buf) = Arc::try_unwrap(obj)
+            .ok()
+            .and_then(|o| o.payload.try_into_vec().ok())
+        {
+            self.pool.recycle(buf);
+        }
     }
 
     /// Drop `key`'s extents without reading them (delete path).
@@ -433,6 +469,7 @@ impl DiskTier {
             disk_budget,
             compactions,
             compact_errors: self.compact_errors.load(Ordering::Relaxed),
+            read_errors: self.read_errors.load(Ordering::Relaxed),
         }
     }
 }
@@ -567,6 +604,9 @@ mod tests {
         let t = DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
         let a = obj("rho", 1, 4);
         t.spill(&a).unwrap();
+        // A second spilled object keeps the segment partly live, so the
+        // promote below leaves dead bytes only a rewrite can reclaim.
+        t.spill(&obj("rho", 2, 4)).unwrap();
         // Squat the compaction scratch path with a directory so every
         // compaction attempt fails with an I/O error.
         std::fs::create_dir(dir.join("tier.compact")).unwrap();
@@ -580,6 +620,31 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.compact_errors, 1, "the failed sweep is counted");
         assert_eq!(s.compactions, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_churn_unlinks_whole_segments_and_never_rewrites() {
+        // The staging pattern: spill every version, promote each two
+        // versions later. 2 MiB objects, seven to a segment, so every
+        // segment dies whole a few versions after it fills.
+        let dir = tmpdir("churn");
+        let cfg = TierConfig::new(&dir).with_chunk_size(256);
+        let t = DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
+        for v in 1..=24u64 {
+            t.spill(&obj("rho", v, 64)).unwrap();
+            if v > 2 {
+                let back = t.take(&ObjectKey::new("rho", v - 2)).unwrap();
+                assert_eq!(back[0].payload, obj("rho", v - 2, 64).payload);
+            }
+        }
+        let s = t.snapshot();
+        assert_eq!((s.compactions, s.compact_errors), (0, 0));
+        assert_eq!(s.disk_used, 2 * (64 * 64 * 64 * 8));
+        // 24 versions went through four segments; what is left is the
+        // active one and at most the one before it.
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert!(files <= 2, "{files} segment files left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 use xlayer_amr::intvect::IntVect;
+use xlayer_staging::disklog::SEGMENT_BYTES;
 use xlayer_staging::{BufferPool, DataObject, DiskLog, ObjectKey};
 
 /// A 64-bit linear congruential generator (Knuth's MMIX constants) —
@@ -157,4 +158,51 @@ fn untouched_log_reopens_complete() {
     assert_eq!(log.keys().len(), 8);
     let back = log.read(&ObjectKey::new("rho", 2), None).unwrap();
     assert_eq!(back.len(), 1);
+}
+
+/// A two-segment log: one record that fills segment 0 by itself (128³
+/// cells × 8 B is the segment size), then the same small records as
+/// [`seeded_log`] in segment 1. Returns both segment paths.
+fn two_segment_log(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+    let path = dir.join("fuzz.log");
+    let mut log = DiskLog::open(&path, u64::MAX, 256, Arc::new(BufferPool::new())).unwrap();
+    let big = obj("big", 0, 0, 128);
+    assert_eq!(big.desc.bytes, SEGMENT_BYTES);
+    log.append(&big).unwrap();
+    for v in 1..=4u64 {
+        log.append(&obj("rho", v, 0, 4)).unwrap();
+        log.append(&obj("vel", v, 8, 3)).unwrap();
+    }
+    drop(log);
+    let second = dir.join("fuzz.log.1");
+    assert!(second.exists(), "the small records must start segment 1");
+    (path, second)
+}
+
+#[test]
+fn fuzz_second_segment_truncation_plus_flips_never_panic() {
+    let dir = tmpdir("segments");
+    let (path, second) = two_segment_log(&dir);
+    let whole = std::fs::read(&second).unwrap();
+    let mut rng = Lcg(0x5eed_0004);
+    for round in 0..32 {
+        let cut = rng.below(whole.len() as u64 + 1) as usize;
+        let mut mangled = whole[..cut].to_vec();
+        if !mangled.is_empty() {
+            let at = rng.below(mangled.len() as u64) as usize;
+            mangled[at] ^= 1 << rng.below(8);
+        }
+        std::fs::write(&second, &mangled).unwrap_or_else(|e| panic!("round {round}: rewrite: {e}"));
+        reopen_and_probe(&path);
+    }
+    // The untouched copy reopens complete, across both segments.
+    std::fs::write(&second, &whole).unwrap();
+    let mut log = DiskLog::open(&path, u64::MAX, 256, Arc::new(BufferPool::new())).unwrap();
+    assert!(log.recovery().is_empty());
+    assert_eq!(log.keys().len(), 9);
+    let back = log.read(&ObjectKey::new("big", 0), None).unwrap();
+    assert_eq!(back[0].payload, obj("big", 0, 0, 128).payload);
+    let back = log.read(&ObjectKey::new("vel", 4), None).unwrap();
+    assert_eq!(back[0].payload, obj("vel", 4, 8, 3).payload);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -76,6 +76,20 @@ if grep -qE 'unbounded::<Job>' <<<"$code" && ! grep -qE 'in_flight\.admit\(' <<<
     echo "grep gate: native.rs queues analysis jobs unbounded with no InFlight::admit wait (see CHANGES.md, PR 24)"; exit 1
 fi
 
+echo "==> the spill log reclaims by unlinking, and syncs only in a segment rewrite (grep gate)"
+# What PR 25 deleted must not grow back in non-test code of disklog.rs: a
+# segment with no live extent is reclaimed with `remove_file` (no copy, no
+# sync), and `sync_all` appears only inside `rewrite_segment` — on the
+# rewritten file before its rename, and on the directory after it — never
+# on the append, promote or unlink path.
+f=crates/staging/src/disklog.rs
+code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f")
+outside=$(awk '/#\[cfg\(test\)\]/{exit} /fn rewrite_segment\(/{inside=1} inside && /^    }$/{inside=0; next} !inside {print FILENAME":"FNR": "$0}' "$f")
+syncs=$(grep -cE 'sync_all\(' <<<"$code" || true)
+if ! grep -qE 'fs::remove_file\(' <<<"$code" || grep -E 'sync_all\(|sync_data\(' <<<"$outside" || [ "$syncs" -ne 2 ]; then
+    echo "grep gate: disklog.rs must reclaim dead segments with remove_file and sync_all only in rewrite_segment, twice (found $syncs; see CHANGES.md, PR 25)"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --locked --release
 
