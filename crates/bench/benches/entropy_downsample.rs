@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xlayer_amr::{Fab, IBox};
-use xlayer_viz::downsample::{downsample_fab, downsample_region, downsample_region_reference};
-use xlayer_viz::entropy::{block_entropy, block_entropy_reference, block_entropy_scratch};
+use xlayer_viz::downsample::{downsample_fab, downsample_region};
+use xlayer_viz::entropy::{block_entropy, block_entropy_scratch};
+use xlayer_viz::reference;
 
 fn noisy_fab(n: i64) -> Fab {
     let b = IBox::cube(n);
@@ -49,7 +50,7 @@ fn bench_reduction(c: &mut Criterion) {
         b.iter(|| downsample_region(&fab, 0, &region, 4))
     });
     group.bench_function("reference", |b| {
-        b.iter(|| downsample_region_reference(&fab, 0, &region, 4))
+        b.iter(|| reference::downsample_region(&fab, 0, &region, 4))
     });
     group.finish();
 
@@ -60,7 +61,7 @@ fn bench_reduction(c: &mut Criterion) {
         b.iter(|| block_entropy_scratch(&fab, 0, &region, 256, &mut hist))
     });
     group.bench_function("reference", |b| {
-        b.iter(|| block_entropy_reference(&fab, 0, &region, 256))
+        b.iter(|| reference::block_entropy(&fab, 0, &region, 256))
     });
     group.finish();
 }

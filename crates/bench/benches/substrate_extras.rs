@@ -1,14 +1,12 @@
 //! Micro-benchmarks of the later substrate additions: flux registers,
-//! descriptive statistics, plotfile I/O and pub/sub dispatch.
+//! descriptive statistics, plotfile I/O and the staging bucket index.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
 use xlayer_amr::hierarchy::{AmrHierarchy, HierarchyConfig};
 use xlayer_amr::layout::Grid;
 use xlayer_amr::plotfile::{read_plotfile, write_plotfile};
 use xlayer_amr::tagging::IntVectSet;
 use xlayer_amr::{BoxLayout, Fab, FluxRegister, IBox, IntVect, ProblemDomain};
-use xlayer_staging::{DataObject, DataSpace, PubSubSpace, Sharding};
 use xlayer_viz::stats::{subset, BlockStats, Histogram};
 
 fn hierarchy_2level() -> AmrHierarchy {
@@ -101,33 +99,6 @@ fn bench_extras(c: &mut Criterion) {
         b.iter(|| read_plotfile(&mut buf.as_slice()).expect("read"))
     });
 
-    c.bench_function("compress_smooth_32c", |b| {
-        let bx = IBox::cube(32);
-        let mut fab = Fab::new(bx, 1);
-        for iv in bx.cells() {
-            fab.set(
-                iv,
-                0,
-                (iv[0] as f64 * 0.2).sin() + (iv[1] as f64 * 0.1).cos(),
-            );
-        }
-        b.iter(|| xlayer_viz::compress_fab(&fab, 0, &bx, 1e-4))
-    });
-
-    c.bench_function("decompress_smooth_32c", |b| {
-        let bx = IBox::cube(32);
-        let mut fab = Fab::new(bx, 1);
-        for iv in bx.cells() {
-            fab.set(
-                iv,
-                0,
-                (iv[0] as f64 * 0.2).sin() + (iv[1] as f64 * 0.1).cos(),
-            );
-        }
-        let c2 = xlayer_viz::compress_fab(&fab, 0, &bx, 1e-4);
-        b.iter(|| xlayer_viz::decompress(&c2).expect("decode"))
-    });
-
     c.bench_function("bucket_index_query_256obj", |b| {
         let mut idx = xlayer_staging::BucketIndex::new(16);
         for i in 0..256i64 {
@@ -135,27 +106,6 @@ fn bench_extras(c: &mut Criterion) {
         }
         let probe = IBox::new(IntVect::new(40, 40, 0), IntVect::new(80, 80, 7));
         b.iter(|| idx.query(&probe))
-    });
-
-    c.bench_function("pubsub_publish_8subs", |b| {
-        let ps = PubSubSpace::new(Arc::new(DataSpace::new(
-            4,
-            u64::MAX / 8,
-            Sharding::BboxHash,
-        )));
-        let subs: Vec<_> = (0..8).map(|_| ps.subscribe("u", None)).collect();
-        let bx = IBox::cube(8);
-        let fab = Fab::filled(bx, 1, 1.0);
-        let mut v = 0u64;
-        b.iter(|| {
-            v += 1;
-            let obj = DataObject::from_fab("u", v, &fab, 0, &bx, 0);
-            let n = ps.publish(obj).expect("publish");
-            for s in &subs {
-                let _ = s.rx.try_recv();
-            }
-            n
-        })
     });
 }
 

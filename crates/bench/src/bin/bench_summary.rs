@@ -25,12 +25,9 @@ use xlayer_amr::{Fab, IBox, IntVect};
 use xlayer_bench::{render_summary, EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS};
 use xlayer_solvers::euler::{EulerSolver, Primitive};
 use xlayer_solvers::{AdvectDiffuseSolver, LevelSolver, VelocityField};
-use xlayer_viz::downsample::{
-    downsample_region, downsample_region_reference, reconstruction_mse,
-    reconstruction_mse_reference,
-};
-use xlayer_viz::entropy::{block_entropy, block_entropy_reference, level_entropies};
-use xlayer_viz::TriMesh;
+use xlayer_viz::downsample::{downsample_region, reconstruction_mse};
+use xlayer_viz::entropy::{block_entropy, level_entropies};
+use xlayer_viz::{reference, TriMesh};
 
 /// Best-batch ns/iter of `f`: one calibration call sizes batches to
 /// ~25 ms, then the minimum over seven batches is reported. Timing noise
@@ -212,19 +209,19 @@ fn main() {
             let _ = downsample_region(&fab, 0, &region, 4);
         });
         run("downsample_reference_64c_x4", &mut || {
-            let _ = downsample_region_reference(&fab, 0, &region, 4);
+            let _ = reference::downsample_region(&fab, 0, &region, 4);
         });
         run("mse_flat_64c_x4", &mut || {
             let _ = reconstruction_mse(&fab, 0, 4);
         });
         run("mse_reference_64c_x4", &mut || {
-            let _ = reconstruction_mse_reference(&fab, 0, 4);
+            let _ = reference::reconstruction_mse(&fab, 0, 4);
         });
         run("entropy_flat_64c_256bins", &mut || {
             let _ = block_entropy(&fab, 0, &region, 256);
         });
         run("entropy_reference_64c_256bins", &mut || {
-            let _ = block_entropy_reference(&fab, 0, &region, 256);
+            let _ = reference::block_entropy(&fab, 0, &region, 256);
         });
     }
 
@@ -249,7 +246,7 @@ fn main() {
         });
         run("level_entropy_scan_64c_reference", &mut || {
             let _: Vec<f64> = (0..ld.len())
-                .map(|i| block_entropy_reference(ld.fab(i), 0, &ld.valid_box(i), 256))
+                .map(|i| reference::block_entropy(ld.fab(i), 0, &ld.valid_box(i), 256))
                 .collect();
         });
     }

@@ -16,7 +16,7 @@ use xlayer_net::wire::{
     decode_header, encode_chunk_end, encode_frame, verify_payload, ChunkEnd, ErrorFrame, Frame,
     Opcode, Request, Response, HEADER_LEN, MAGIC,
 };
-use xlayer_staging::{AsyncStager, DataObject, Sharding};
+use xlayer_staging::{AsyncStager, DataObject, Sharding, StageTask};
 
 fn obj(name: &str, version: u64, lo: i64, fill: f64) -> DataObject {
     let b = IBox::cube(4).shift(IntVect::splat(lo));
@@ -361,9 +361,8 @@ fn stager_over_one_shard_keeps_the_in_process_contract() {
     let stats = stager.stats();
 
     for v in 0..4u64 {
-        for part in 0..3i64 {
-            stager.put(obj("field", v, part * 8, v as f64)).unwrap();
-        }
+        let parts = (0..3i64).map(|part| StageTask::Ready(obj("field", v, part * 8, v as f64)));
+        stager.put_batch(parts.collect()).unwrap();
     }
     // The per-key rendezvous works across the wire exactly as in-process.
     stats.wait_processed("field", 2, 3);
@@ -391,8 +390,12 @@ fn stager_over_one_shard_counts_oom_and_terminal_failures_separately() {
     .unwrap();
     let stager = AsyncStager::new(one_shard(&service.local_addr().to_string()), 1, 4);
     let stats = stager.stats();
-    stager.put(obj("rho", 0, 0, 1.0)).unwrap();
-    stager.put(obj("rho", 1, 0, 2.0)).unwrap(); // rejected: space is full
+    stager
+        .put_batch(vec![
+            StageTask::Ready(obj("rho", 0, 0, 1.0)),
+            StageTask::Ready(obj("rho", 1, 0, 2.0)), // rejected: space is full
+        ])
+        .unwrap();
     let (delivered, rejected) = stager.drain().unwrap();
     assert_eq!((delivered, rejected), (1, 1));
     assert_eq!(stats.failed.load(std::sync::atomic::Ordering::Relaxed), 0);
@@ -406,7 +409,9 @@ fn stager_over_one_shard_counts_oom_and_terminal_failures_separately() {
     };
     let stager = AsyncStager::new(one_shard(&format!("127.0.0.1:{dead_port}")), 1, 4);
     let stats = stager.stats();
-    stager.put(obj("rho", 0, 0, 1.0)).unwrap();
+    stager
+        .put_batch(vec![StageTask::Ready(obj("rho", 0, 0, 1.0))])
+        .unwrap();
     let (delivered, rejected) = stager.drain().unwrap();
     assert_eq!((delivered, rejected), (0, 0));
     assert_eq!(stats.failed.load(std::sync::atomic::Ordering::Relaxed), 1);

@@ -16,8 +16,9 @@
 //!   of cold versions to a checksummed on-disk object log, with
 //!   promote-on-access back into memory,
 //! * [`transport`] — asynchronous transfers with back-pressure into any
-//!   [`Staging`] backend,
-//! * [`lock`] — version gates for coupled producer/consumer coordination,
+//!   [`Staging`] backend, and the per-version rendezvous
+//!   ([`TransportStats::wait_processed`]) that hands a staged version to
+//!   its consumer,
 //! * [`sum`] / [`pool`] — the four-lane word-wide integrity sum and the
 //!   size-classed buffer pool, shared with the wire layer (`xlayer-net`).
 
@@ -27,10 +28,8 @@
 pub mod backend;
 pub mod disklog;
 pub mod index;
-pub mod lock;
 pub mod object;
 pub mod pool;
-pub mod pubsub;
 pub mod server;
 pub mod shard;
 pub mod space;
@@ -41,14 +40,10 @@ pub mod transport;
 pub use backend::{PutVerdict, Staging};
 pub use disklog::{DiskLog, TierError};
 pub use index::BucketIndex;
-pub use lock::VersionGate;
 pub use object::{DataObject, ObjectDesc, ObjectKey};
 pub use pool::{BufferPool, PooledBuf};
-pub use pubsub::{PubSubSpace, PublishStats, Subscription};
 pub use server::{StagingError, StagingServer};
 pub use shard::ShardMap;
 pub use space::{DataSpace, Sharding};
 pub use tier::{DiskTier, ObjectHints, Persistence, SpillAction, TierConfig, TierSnapshot};
-pub use transport::{
-    AsyncStager, BatchClosed, DrainError, StageTask, TransportClosed, TransportStats,
-};
+pub use transport::{AsyncStager, BatchClosed, DrainError, StageTask, TransportStats};

@@ -12,9 +12,10 @@
 //! Consumers that must observe a *specific* version's objects (an
 //! in-transit analysis worker picking up step `i` while the producer is
 //! already enqueueing step `i+1`) synchronise on
-//! [`TransportStats::wait_processed`]: per-key processed counts, not a
-//! global tally, because with multiple transfer threads later-version
-//! objects can complete while an earlier one is still in flight.
+//! [`TransportStats::wait_processed`], the workspace's one way to hand a
+//! staged version to its consumer: per-key processed counts, not a global
+//! tally, because with multiple transfer threads later-version objects can
+//! complete while an earlier one is still in flight.
 
 use crate::backend::{PutVerdict, Staging};
 use crate::object::{DataObject, ObjectKey};
@@ -59,15 +60,10 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
-    /// Record that one object under `key` finished processing (stored,
-    /// rejected, or failed) and wake any waiters.
-    pub fn note_processed(&self, key: &ObjectKey) {
-        self.note_processed_n(key, 1);
-    }
-
-    /// Record `n` processed objects under `key` in one lock acquisition —
-    /// the batch hand-off path counts a whole step's transfers with a
-    /// single notify instead of one waiter wake-up per object.
+    /// Record that `n` objects under `key` finished processing (stored,
+    /// rejected, or failed) and wake any waiters, in one lock acquisition —
+    /// a transfer thread counts a whole run's transfers with a single
+    /// notify instead of one waiter wake-up per object.
     pub fn note_processed_n(&self, key: &ObjectKey, n: u64) {
         if n == 0 {
             return;
@@ -128,48 +124,31 @@ impl TransportStats {
     }
 }
 
-/// One unit of work for the transfer threads: an object ready to store,
-/// or a deferred pack the transfer thread materializes first. Deferral is
-/// how a producer moves the payload copy itself off its critical path —
-/// it snapshots the cheap-to-copy source, hands the stager a closure, and
-/// returns to the solve while a transfer thread runs the actual pack.
+/// One unit of work for the transfer threads: a packed object to store.
 pub enum StageTask {
     /// A fully-packed object.
     Ready(DataObject),
-    /// A pack to run on the transfer thread. The closure owns everything
-    /// it reads (no borrows of live simulation state), so it can run any
-    /// time before the transport drains.
-    Deferred(Box<dyn FnOnce() -> DataObject + Send>),
 }
 
 impl StageTask {
-    /// Wrap a deferred pack.
-    pub fn deferred(pack: impl FnOnce() -> DataObject + Send + 'static) -> Self {
-        StageTask::Deferred(Box::new(pack))
-    }
-
-    /// Produce the object: identity for `Ready`, runs the pack for
-    /// `Deferred`.
+    /// The object to store.
     pub fn materialize(self) -> DataObject {
-        match self {
-            StageTask::Ready(obj) => obj,
-            StageTask::Deferred(pack) => pack(),
-        }
+        let StageTask::Ready(obj) = self;
+        obj
     }
 }
 
 impl std::fmt::Debug for StageTask {
+    // The key, not the payload: a refused batch's error prints its tasks.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StageTask::Ready(obj) => f.debug_tuple("Ready").field(&obj.desc.key).finish(),
-            StageTask::Deferred(_) => f.write_str("Deferred(..)"),
-        }
+        let StageTask::Ready(obj) = self;
+        f.debug_tuple("Ready").field(&obj.desc.key).finish()
     }
 }
 
 /// A batch put was refused because the transport is shut down. Carries
 /// back every task that did *not* enter the queue (`rest`), plus how many
-/// of the batch did (`enqueued`) — the caller runs the remainder
+/// of the batch did (`enqueued`) — the caller stores the remainder
 /// synchronously and counts only the enqueued ones toward the transport's
 /// rendezvous.
 #[derive(Debug)]
@@ -194,24 +173,6 @@ impl std::fmt::Display for BatchClosed {
 }
 
 impl std::error::Error for BatchClosed {}
-
-/// A put was refused because the transport is shut down (queue closed or
-/// every transfer thread gone). Carries the object back so the caller can
-/// retry synchronously — the payload is never lost to the error path.
-#[derive(Debug)]
-pub struct TransportClosed(pub DataObject);
-
-impl std::fmt::Display for TransportClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "async transport closed; object {:?} v{} returned to caller",
-            self.0.desc.key.name, self.0.desc.key.version
-        )
-    }
-}
-
-impl std::error::Error for TransportClosed {}
 
 /// A transfer worker panicked while the stager drained; the counts cover
 /// only what the surviving workers processed.
@@ -242,8 +203,9 @@ impl std::error::Error for DrainError {}
 /// from the bounded queue.
 const MAX_RUN: usize = 64;
 
-/// An asynchronous put pipeline: `put` enqueues and returns immediately;
-/// transfer threads drain the queue into the [`Staging`] backend.
+/// An asynchronous put pipeline: `put_batch` enqueues and returns
+/// immediately; transfer threads drain the queue into the [`Staging`]
+/// backend.
 ///
 /// The queue carries [`StageTask`]s singly, so a step's batch fans out
 /// across the transfer threads (over the wire: down that many connections
@@ -321,25 +283,12 @@ impl AsyncStager {
         }
     }
 
-    /// Enqueue an object for transfer. Blocks only when the queue is full
-    /// (back-pressure), never on the actual transfer. After shutdown (or
-    /// if every transfer thread died) the object comes back in the error
-    /// so the caller can store it synchronously instead.
-    // The Err variant is deliberately the full DataObject: losing the
-    // payload on a closed transport is exactly the failure mode this API
-    // exists to prevent, and the hot path (Ok) moves nothing.
-    #[allow(clippy::result_large_err)]
-    pub fn put(&self, obj: DataObject) -> Result<(), TransportClosed> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(TransportClosed(obj));
-        };
-        tx.send(StageTask::Ready(obj))
-            .map_err(|e| TransportClosed(e.0.materialize()))
-    }
-
-    /// Enqueue a batch of tasks in order. On a closed transport the unsent
-    /// remainder comes back in the error so the caller can materialize and
-    /// store it synchronously; tasks already accepted stay in flight.
+    /// Enqueue a batch of tasks in order. Blocks only when the queue is
+    /// full (back-pressure), never on the actual transfer. On a closed
+    /// transport (after shutdown, or if every transfer thread died) the
+    /// unsent remainder comes back in the error so the caller can store it
+    /// synchronously — no payload is lost to the error path; tasks already
+    /// accepted stay in flight.
     pub fn put_batch(&self, tasks: Vec<StageTask>) -> Result<(), BatchClosed> {
         let Some(tx) = self.tx.as_ref() else {
             return Err(BatchClosed {
@@ -366,21 +315,6 @@ impl AsyncStager {
     /// [`TransportStats::wait_processed`] independently of the stager.
     pub fn stats(&self) -> Arc<TransportStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// Objects delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.stats.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Bytes delivered so far.
-    pub fn bytes_delivered(&self) -> u64 {
-        self.stats.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Puts the backend turned down (see [`TransportStats::rejected`]).
-    pub fn rejected(&self) -> u64 {
-        self.stats.rejected.load(Ordering::Relaxed)
     }
 
     /// Close the queue and wait until every enqueued object is delivered.
@@ -434,12 +368,17 @@ mod tests {
         DataObject::from_fab("rho", version, &fab, 0, &b, 0)
     }
 
+    /// Enqueue one object as a batch of one.
+    fn put(stager: &AsyncStager, obj: DataObject) -> Result<(), BatchClosed> {
+        stager.put_batch(vec![StageTask::Ready(obj)])
+    }
+
     #[test]
     fn async_puts_all_arrive() {
         let space = Arc::new(DataSpace::new(4, 1 << 20, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 2, 8);
         for v in 0..20 {
-            stager.put(obj(v, (v as i64 % 5) * 8)).unwrap();
+            put(&stager, obj(v, (v as i64 % 5) * 8)).unwrap();
         }
         let (delivered, rejected) = stager.drain().unwrap();
         assert_eq!(delivered, 20);
@@ -456,7 +395,7 @@ mod tests {
         let stager = AsyncStager::new(Arc::clone(&space), 1, 64);
         let t0 = std::time::Instant::now();
         for v in 0..32 {
-            stager.put(obj(v, 0)).unwrap();
+            put(&stager, obj(v, 0)).unwrap();
         }
         let enqueue_time = t0.elapsed();
         let (delivered, _) = stager.drain().unwrap();
@@ -471,8 +410,8 @@ mod tests {
         // Space fits exactly one 512 B object.
         let space = Arc::new(DataSpace::new(1, 600, Sharding::RoundRobin));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 4);
-        stager.put(obj(1, 0)).unwrap();
-        stager.put(obj(2, 0)).unwrap();
+        put(&stager, obj(1, 0)).unwrap();
+        put(&stager, obj(2, 0)).unwrap();
         let (delivered, rejected) = stager.drain().unwrap();
         assert_eq!(delivered, 1);
         assert_eq!(rejected, 1);
@@ -482,8 +421,8 @@ mod tests {
     fn bytes_accounting() {
         let space = Arc::new(DataSpace::new(2, 1 << 20, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 2, 4);
-        stager.put(obj(1, 0)).unwrap();
-        stager.put(obj(1, 8)).unwrap();
+        put(&stager, obj(1, 0)).unwrap();
+        put(&stager, obj(1, 8)).unwrap();
         let stats_bytes = {
             let s = stager;
             let (d, _) = s.drain().unwrap();
@@ -507,7 +446,7 @@ mod tests {
             })
         };
         for i in 0..4 {
-            stager.put(obj(3, i * 8)).unwrap();
+            put(&stager, obj(3, i * 8)).unwrap();
         }
         assert_eq!(consumer.join().unwrap(), 4);
         stager.drain().unwrap();
@@ -519,8 +458,8 @@ mod tests {
         // unblock the waiter.
         let space = Arc::new(DataSpace::new(1, 600, Sharding::RoundRobin));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 4);
-        stager.put(obj(5, 0)).unwrap();
-        stager.put(obj(5, 8)).unwrap();
+        put(&stager, obj(5, 0)).unwrap();
+        put(&stager, obj(5, 8)).unwrap();
         let stats = stager.stats();
         stats.wait_processed("rho", 5, 2);
         assert_eq!(stats.processed("rho", 5), 2);
@@ -535,9 +474,9 @@ mod tests {
         let stats = stager.stats();
         // Three objects at version 9 — waiting on version 9 must not be
         // satisfied by objects of other versions.
-        stager.put(obj(8, 0)).unwrap();
-        stager.put(obj(8, 8)).unwrap();
-        stager.put(obj(9, 0)).unwrap();
+        put(&stager, obj(8, 0)).unwrap();
+        put(&stager, obj(8, 8)).unwrap();
+        put(&stager, obj(9, 0)).unwrap();
         stats.wait_processed("rho", 8, 2);
         stats.wait_processed("rho", 9, 1);
         assert_eq!(stats.processed("rho", 8), 2);
@@ -556,7 +495,7 @@ mod tests {
         let stager = AsyncStager::new(Arc::clone(&space), 2, 16);
         let stats = stager.stats();
         for v in 0..50 {
-            stager.put(obj(v, 0)).unwrap();
+            put(&stager, obj(v, 0)).unwrap();
         }
         stager.drain().unwrap();
         assert_eq!(stats.tracked_keys(), 0, "rendezvous map leaked entries");
@@ -568,25 +507,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_put_delivers_ready_and_deferred_alike() {
+    fn batch_put_delivers_every_task() {
         let space = Arc::new(DataSpace::new(2, 1 << 20, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 2, 4);
         let stats = stager.stats();
-        // One batch mixing a packed object with deferred packs that run on
-        // the transfer thread.
-        let producer = std::thread::current().id();
+        // One batch of three objects, larger than one transfer thread's
+        // share of the queue.
         stager
             .put_batch(vec![
                 StageTask::Ready(obj(1, 0)),
-                StageTask::deferred(move || {
-                    assert_ne!(
-                        std::thread::current().id(),
-                        producer,
-                        "deferred pack ran on the producer thread"
-                    );
-                    obj(1, 8)
-                }),
-                StageTask::deferred(|| obj(1, 16)),
+                StageTask::Ready(obj(1, 8)),
+                StageTask::Ready(obj(1, 16)),
             ])
             .unwrap();
         stats.wait_processed("rho", 1, 3);
@@ -612,12 +543,12 @@ mod tests {
         let err = dead
             .put_batch(vec![
                 StageTask::Ready(obj(2, 0)),
-                StageTask::deferred(|| obj(2, 8)),
+                StageTask::Ready(obj(2, 8)),
             ])
             .unwrap_err();
         assert_eq!(err.enqueued, 0);
         assert_eq!(err.rest.len(), 2);
-        // Nothing was lost: the caller can materialize and store directly.
+        // Nothing was lost: the caller can store the objects directly.
         for task in err.rest {
             space.put(task.materialize()).unwrap();
         }
@@ -632,7 +563,9 @@ mod tests {
             workers: Vec::new(),
             stats: Arc::new(TransportStats::default()),
         };
-        let TransportClosed(back) = dead.put(obj(3, 0)).unwrap_err();
+        let BatchClosed { enqueued, rest } = put(&dead, obj(3, 0)).unwrap_err();
+        assert_eq!((enqueued, rest.len()), (0, 1));
+        let back = rest.into_iter().next().unwrap().materialize();
         assert_eq!(back.desc.key, crate::object::ObjectKey::new("rho", 3));
     }
 
@@ -689,7 +622,7 @@ mod tests {
         let space = Arc::new(DataSpace::new(1, 1 << 20, Sharding::RoundRobin));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 4);
         let stats = stager.stats();
-        stager.put(obj(0, 0)).unwrap();
+        put(&stager, obj(0, 0)).unwrap();
         let waiter = {
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || stats.wait_processed("rho", 7, 1))

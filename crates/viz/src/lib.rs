@@ -8,28 +8,28 @@
 //!   entropy-based application-layer adaptation (Fig. 6),
 //! * [`downsample`] — the `f_data_reduce(S_data, X)` reduction operator and
 //!   its memory model (Eqs. 1–2),
+//! * [`stats`] — descriptive statistics and data subsetting (§5.2.4),
 //! * [`mesh`] — triangle meshes with size accounting for the data-movement
 //!   bookkeeping (Figs. 8, 11).
+//!
+//! The per-cell twins of the flat kernels live in the hidden `reference`
+//! module, out of the API; only tests and the kernel benches call them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compress;
 pub mod downsample;
 pub mod entropy;
 pub mod marching_cubes;
 pub mod mesh;
+#[doc(hidden)]
+pub mod reference;
 pub mod stats;
 
-pub use compress::{compress_fab, decompress, CompressedBlock};
 pub use downsample::{
-    downsample_fab, downsample_level, downsample_region, downsample_region_reference,
-    reduced_bytes, reduction_memory,
+    downsample_fab, downsample_level, downsample_region, reduced_bytes, reduction_memory,
 };
-pub use entropy::{
-    block_entropy, block_entropy_reference, block_entropy_scratch, factors_from_entropy,
-    level_entropies,
-};
+pub use entropy::{block_entropy, block_entropy_scratch, factors_from_entropy, level_entropies};
 pub use marching_cubes::{extract_block, extract_level, merge_surfaces, GridSurface};
 pub use mesh::TriMesh;
 pub use stats::{level_stats, subset, BlockStats, Histogram};

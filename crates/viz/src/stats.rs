@@ -6,7 +6,7 @@
 //!
 //! The compute kernels here walk contiguous flat-offset rows of the fab
 //! payload rather than per-cell `IntVect` indexing; `level_stats` fans the
-//! per-grid passes out across threads. [`BlockStats::compute_reference`]
+//! per-grid passes out across threads. `crate::reference::block_stats`
 //! keeps the per-cell form for the equivalence property tests.
 
 use xlayer_amr::boxes::IBox;
@@ -55,33 +55,6 @@ impl BlockStats {
                     }
                 }
             }
-        }
-        BlockStats {
-            count,
-            min: if count == 0 { 0.0 } else { min },
-            max: if count == 0 { 0.0 } else { max },
-            mean,
-            variance: if count == 0 { 0.0 } else { m2 / count as f64 },
-        }
-    }
-
-    /// Per-cell reference implementation of [`BlockStats::compute`]. Kept
-    /// as the equivalence baseline for property tests.
-    pub fn compute_reference(fab: &Fab, comp: usize, region: &IBox) -> Self {
-        let r = region.intersect(&fab.ibox());
-        let mut count = 0u64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut mean = 0.0;
-        let mut m2 = 0.0;
-        for iv in r.cells() {
-            let v = fab.get(iv, comp);
-            count += 1;
-            min = min.min(v);
-            max = max.max(v);
-            let d = v - mean;
-            mean += d / count as f64;
-            m2 += d * (v - mean);
         }
         BlockStats {
             count,
@@ -291,7 +264,7 @@ mod tests {
         }
         let region = IBox::new(IntVect::new(-1, 2, -3), IntVect::new(9, 9, 9));
         let flat = BlockStats::compute(&f, 1, &region);
-        let rf = BlockStats::compute_reference(&f, 1, &region);
+        let rf = crate::reference::block_stats(&f, 1, &region);
         assert_eq!(flat, rf);
     }
 

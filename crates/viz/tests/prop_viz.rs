@@ -4,12 +4,10 @@
 
 use proptest::prelude::*;
 use xlayer_amr::{Fab, IBox, IntVect};
-use xlayer_viz::downsample::{
-    downsample_fab, downsample_region, downsample_region_reference, reconstruction_mse,
-    reconstruction_mse_reference,
-};
-use xlayer_viz::entropy::{block_entropy, block_entropy_reference};
+use xlayer_viz::downsample::{downsample_fab, downsample_region, reconstruction_mse};
+use xlayer_viz::entropy::block_entropy;
 use xlayer_viz::extract_block;
+use xlayer_viz::reference;
 use xlayer_viz::stats::BlockStats;
 
 /// A smooth random field: sum of a few random Gaussians.
@@ -190,7 +188,7 @@ proptest! {
             IntVect::new(rlo.0 + rsize.0 - 1, rlo.1 + rsize.1 - 1, rlo.2 + rsize.2 - 1),
         );
         let flat = downsample_region(&fab, 1, &region, x);
-        let rf = downsample_region_reference(&fab, 1, &region, x);
+        let rf = reference::downsample_region(&fab, 1, &region, x);
         prop_assert_eq!(flat.ibox(), rf.ibox());
         let (a, b) = (flat.as_slice(), rf.as_slice());
         prop_assert_eq!(a.len(), b.len());
@@ -207,7 +205,7 @@ proptest! {
     ) {
         let fab = hashed_fab(lo, size, 1);
         let flat = reconstruction_mse(&fab, 0, x);
-        let rf = reconstruction_mse_reference(&fab, 0, x);
+        let rf = reference::reconstruction_mse(&fab, 0, x);
         prop_assert_eq!(flat.to_bits(), rf.to_bits(), "{} vs {}", flat, rf);
     }
 
@@ -222,7 +220,7 @@ proptest! {
             IntVect::new(rlo.0 + rsize.0 - 1, rlo.1 + rsize.1 - 1, rlo.2 + rsize.2 - 1),
         );
         let flat = block_entropy(&fab, 0, &region, bins);
-        let rf = block_entropy_reference(&fab, 0, &region, bins);
+        let rf = reference::block_entropy(&fab, 0, &region, bins);
         prop_assert_eq!(flat.to_bits(), rf.to_bits(), "{} vs {}", flat, rf);
     }
 
@@ -235,7 +233,7 @@ proptest! {
             IntVect::new(rlo.0 + rsize.0 - 1, rlo.1 + rsize.1 - 1, rlo.2 + rsize.2 - 1),
         );
         let flat = BlockStats::compute(&fab, 1, &region);
-        let rf = BlockStats::compute_reference(&fab, 1, &region);
+        let rf = reference::block_stats(&fab, 1, &region);
         prop_assert_eq!(flat.count, rf.count);
         prop_assert_eq!(flat.min.to_bits(), rf.min.to_bits());
         prop_assert_eq!(flat.max.to_bits(), rf.max.to_bits());

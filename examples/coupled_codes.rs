@@ -1,7 +1,9 @@
 //! Coupled scientific codes through the staging space — the paper's title
-//! scenario: a producer simulation publishes versioned fields, while a
-//! separately-running consumer code subscribes to its region of interest
-//! and reacts as data is pushed (the DataSpaces pub/sub coupling pattern).
+//! scenario: a producer simulation stages versioned fields through the
+//! asynchronous transport, while a separately-running consumer code waits
+//! for each version's transfers to finish and analyses its region of
+//! interest (the DataSpaces versioned put/get coupling pattern, over the
+//! rendezvous the native workflow's analysis workers use).
 //!
 //! ```sh
 //! cargo run --release --example coupled_codes
@@ -13,35 +15,36 @@ use xlayer::amr::{IBox, IntVect, ProblemDomain};
 use xlayer::solvers::{
     AdvectDiffuseSolver, AmrSimulation, DriverConfig, ScalarProblem, VelocityField,
 };
-use xlayer::staging::{DataObject, DataSpace, PubSubSpace, Sharding};
+use xlayer::staging::{AsyncStager, DataObject, DataSpace, Sharding, StageTask};
 use xlayer::viz::stats::BlockStats;
 
 fn main() {
     const STEPS: u64 = 10;
     let space = Arc::new(DataSpace::new(4, 256 << 20, Sharding::BboxHash));
-    let pubsub = Arc::new(PubSubSpace::new(Arc::clone(&space)));
+    let stager = AsyncStager::new(Arc::clone(&space), 2, 4);
 
-    // Consumer code: subscribes to the lower-half region of the producer's
-    // "temperature" field and tracks descriptive statistics per version —
-    // the §5.2.4 statistics service, coupled push-mode.
+    // Consumer code: waits for each version of the producer's
+    // "temperature" field, reads the lower-half region of interest and
+    // tracks descriptive statistics per version — the §5.2.4 statistics
+    // service, coupled through versioned staging.
     let roi = IBox::new(IntVect::new(0, 0, 0), IntVect::new(23, 23, 11));
-    let sub = pubsub.subscribe("temperature", Some(roi));
-    let consumer = std::thread::spawn(move || {
-        let mut report = Vec::new();
-        let mut seen = 0;
-        while let Ok(obj) = sub.rx.recv() {
-            let fab = obj.to_fab();
-            let stats = BlockStats::compute(&fab, 0, &obj.desc.bbox.intersect(&roi));
-            report.push((obj.desc.key.version, stats));
-            seen += 1;
-            if seen == STEPS {
-                break;
+    let consumer = {
+        let space = Arc::clone(&space);
+        let transfers = stager.stats();
+        std::thread::spawn(move || {
+            let mut report = Vec::new();
+            for v in 1..=STEPS {
+                transfers.wait_processed("temperature", v, 1);
+                let (fab, _) = space.get_region("temperature", v, &roi);
+                report.push((v, BlockStats::compute(&fab, 0, &roi)));
+                // keep staging memory bounded
+                space.evict_before("temperature", v);
             }
-        }
-        report
-    });
+            report
+        })
+    };
 
-    // Producer code: an AMR advection run publishing its base level each
+    // Producer code: an AMR advection run staging its base level each
     // step (one object per step for the demo).
     let n = 24i64;
     let domain = ProblemDomain::periodic(IBox::cube(n));
@@ -77,10 +80,12 @@ fn main() {
             &level.valid_box(0),
             0,
         );
-        pubsub.publish(obj).expect("publish");
-        // keep staging memory bounded
-        space.evict_before("temperature", stats.step.saturating_sub(2));
+        stager
+            .put_batch(vec![StageTask::Ready(obj)])
+            .expect("transport open");
     }
+    let (delivered, rejected) = stager.drain().expect("transfer threads");
+    assert_eq!((delivered, rejected), (STEPS, 0));
 
     let report = consumer.join().expect("consumer");
     println!(

@@ -90,6 +90,23 @@ if ! grep -qE 'fs::remove_file\(' <<<"$code" || grep -E 'sync_all\(|sync_data\('
     echo "grep gate: disklog.rs must reclaim dead segments with remove_file and sync_all only in rewrite_segment, twice (found $syncs; see CHANGES.md, PR 25)"; exit 1
 fi
 
+echo "==> one way to hand a staged version to its consumer (grep gate)"
+# The retired delivery paths must not grow back in non-test code (each file
+# up to its first #[cfg(test)]) of the crates, the facade, the integration
+# tests and the examples: delivery is AsyncStager::put_batch plus
+# TransportStats::wait_processed — no pub/sub space, no version gate, no
+# deferred pack, no single-object put — and there is no compression
+# operator.
+gate=0
+for f in $(find crates/*/src src tests examples -name '*.rs' | sort); do
+    code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f")
+    if grep -E 'PubSubSpace|PublishStats|VersionGate|StageTask::Deferred|TransportClosed|compress_fab|CompressedBlock' <<<"$code"; then gate=1; fi
+done
+[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: pub/sub, version gates and compression deleted)"; exit 1; }
+
+echo "==> xmark A/B arithmetic self-test (scripts/xmark_ab.sh --self-test)"
+./scripts/xmark_ab.sh --self-test
+
 echo "==> cargo build --release"
 cargo build --locked --release
 
@@ -108,6 +125,11 @@ echo "==> xbench smoke (2-shard cluster + 2 agents on loopback, 2-step sweep)"
 # (monotone offered load, positive knee and goodput) and prints the
 # bench-style JSON. Seconds of wall time, ephemeral ports only.
 cargo run --locked --release -q -p xlayer-xbench --bin xbench-ctl -- --smoke
+
+echo "==> coupled_codes example (producer stages, consumer waits per version, ROI mean decays)"
+# The examples are compiled by clippy --all-targets; this one also runs,
+# because it asserts its own result.
+cargo run --locked --release -q --example coupled_codes > /dev/null
 
 echo "==> xmark smoke (benchmark/ builds against the crates' frozen surface; four workloads self-check)"
 # benchmark/ is a package of its own with path dependencies on crates/*:

@@ -3,55 +3,55 @@
 //! DataSpaces usage pattern the adaptation runtime is built on.
 
 use std::sync::Arc;
-use std::time::Duration;
 use xlayer::amr::{Fab, IBox, IntVect};
-use xlayer::staging::{AsyncStager, DataObject, DataSpace, Sharding, VersionGate};
+use xlayer::staging::{AsyncStager, DataObject, DataSpace, Sharding, StageTask};
 use xlayer::viz::extract_block;
 
-/// A producer thread writes versioned field slabs; a consumer extracts
-/// isosurfaces from them as versions are published.
+/// A producer thread stages versioned field slabs through the async
+/// transport; a consumer gates on each version's transfers
+/// (`wait_processed`, the rendezvous the native workflow's analysis
+/// workers use) and extracts an isosurface while later versions are still
+/// being enqueued.
 #[test]
 fn coupled_producer_consumer_via_version_gate() {
     let space = Arc::new(DataSpace::new(4, 64 << 20, Sharding::BboxHash));
-    let gate = Arc::new(VersionGate::new());
+    // Two transfer threads and a shallow queue: the producer feels
+    // back-pressure, so enqueueing interleaves with the consumer's reads.
+    let stager = AsyncStager::new(Arc::clone(&space), 2, 2);
+    let stats = stager.stats();
     const VERSIONS: u64 = 8;
 
-    let producer = {
-        let space = Arc::clone(&space);
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            for v in 1..=VERSIONS {
-                // A moving spherical field: radius grows with the version.
-                let b = IBox::cube(16);
-                let mut fab = Fab::new(b, 1);
-                for iv in b.cells() {
-                    let r = ((iv[0] - 8).pow(2) + (iv[1] - 8).pow(2) + (iv[2] - 8).pow(2)) as f64;
-                    fab.set(iv, 0, r.sqrt() - (2.0 + v as f64 * 0.5));
-                }
-                // two slabs to exercise multi-object assembly
-                let lo = IBox::new(IntVect::new(0, 0, 0), IntVect::new(15, 15, 7));
-                let hi = IBox::new(IntVect::new(0, 0, 8), IntVect::new(15, 15, 15));
-                space
-                    .put(DataObject::from_fab("phi", v, &fab, 0, &lo, 0))
-                    .expect("staging put");
-                space
-                    .put(DataObject::from_fab("phi", v, &fab, 0, &hi, 1))
-                    .expect("staging put");
-                gate.publish(v);
+    let producer = std::thread::spawn(move || {
+        for v in 1..=VERSIONS {
+            // A moving spherical field: radius grows with the version.
+            let b = IBox::cube(16);
+            let mut fab = Fab::new(b, 1);
+            for iv in b.cells() {
+                let r = ((iv[0] - 8).pow(2) + (iv[1] - 8).pow(2) + (iv[2] - 8).pow(2)) as f64;
+                fab.set(iv, 0, r.sqrt() - (2.0 + v as f64 * 0.5));
             }
-        })
-    };
+            // two slabs to exercise multi-object assembly
+            let lo = IBox::new(IntVect::new(0, 0, 0), IntVect::new(15, 15, 7));
+            let hi = IBox::new(IntVect::new(0, 0, 8), IntVect::new(15, 15, 15));
+            stager
+                .put_batch(vec![
+                    StageTask::Ready(DataObject::from_fab("phi", v, &fab, 0, &lo, 0)),
+                    StageTask::Ready(DataObject::from_fab("phi", v, &fab, 0, &hi, 1)),
+                ])
+                .expect("staging put");
+        }
+        stager.drain().expect("transfer threads")
+    });
 
     let consumer = {
         let space = Arc::clone(&space);
-        let gate = Arc::clone(&gate);
         std::thread::spawn(move || {
             let mut areas = Vec::new();
             for v in 1..=VERSIONS {
-                gate.wait_for(v);
+                stats.wait_processed("phi", v, 2);
                 let region = IBox::cube(16);
                 let (fab, bytes) = space.get_region("phi", v, &region);
-                assert!(bytes > 0, "version {v} not found after publish");
+                assert!(bytes > 0, "version {v} not found after its transfers");
                 let mesh = extract_block(&fab, 0, &region, 0.0, 1.0, [0.0; 3]);
                 areas.push(mesh.area());
                 space.evict_before("phi", v); // keep memory bounded
@@ -60,7 +60,7 @@ fn coupled_producer_consumer_via_version_gate() {
         })
     };
 
-    producer.join().expect("producer");
+    assert_eq!(producer.join().expect("producer"), (2 * VERSIONS, 0));
     let areas = consumer.join().expect("consumer");
     // The sphere grows ⇒ extracted area grows monotonically.
     for w in areas.windows(2) {
@@ -76,7 +76,9 @@ fn async_stager_with_consumer_drains_cleanly() {
     for v in 1..=20 {
         let fab = Fab::filled(b, 1, v as f64);
         stager
-            .put(DataObject::from_fab("u", v, &fab, 0, &b, 0))
+            .put_batch(vec![StageTask::Ready(DataObject::from_fab(
+                "u", v, &fab, 0, &b, 0,
+            ))])
             .unwrap();
     }
     let (delivered, rejected) = stager.drain().unwrap();
@@ -114,12 +116,4 @@ fn eviction_under_memory_pressure_keeps_newest() {
         .is_ok());
     assert!(space.get("u", 1, None).is_empty());
     assert_eq!(space.get("u", 3, None).len(), 1);
-}
-
-#[test]
-fn gate_timeout_reports_missing_version() {
-    let gate = VersionGate::new();
-    gate.publish(3);
-    assert!(gate.wait_for_timeout(3, Duration::from_millis(5)));
-    assert!(!gate.wait_for_timeout(4, Duration::from_millis(5)));
 }
