@@ -8,7 +8,7 @@ use xlayer_amr::layout::BoxLayout;
 use xlayer_amr::level_data::LevelData;
 use xlayer_amr::IBox;
 use xlayer_solvers::euler::{hllc_flux, EulerSolver, Primitive};
-use xlayer_solvers::{scratch, AdvectDiffuseSolver, LevelSolver, VelocityField};
+use xlayer_solvers::{reference, scratch, AdvectDiffuseSolver, LevelSolver, VelocityField};
 
 fn euler_level_32c_64box() -> (EulerSolver, LevelData) {
     let solver = EulerSolver::default();
@@ -112,7 +112,9 @@ fn bench_solvers(c: &mut Criterion) {
         let valid = ld.valid_box(0);
         let old = ld.fab(0).clone();
         b.iter(|| {
-            for f in solver.grid_fluxes_reference(black_box(&old), &valid, 0.05, solver.gamma) {
+            for f in
+                reference::euler_grid_fluxes(&solver, black_box(&old), &valid, 0.05, solver.gamma)
+            {
                 scratch::recycle_fab(f);
             }
         })

@@ -24,6 +24,7 @@ use xlayer_amr::level_data::LevelData;
 use xlayer_amr::{Fab, IBox, IntVect};
 use xlayer_bench::{render_summary, EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS};
 use xlayer_solvers::euler::{EulerSolver, Primitive};
+use xlayer_solvers::reference::euler_grid_fluxes;
 use xlayer_solvers::{AdvectDiffuseSolver, LevelSolver, VelocityField};
 use xlayer_viz::downsample::{downsample_region, reconstruction_mse};
 use xlayer_viz::entropy::{block_entropy, level_entropies};
@@ -177,7 +178,7 @@ fn main() {
             }
         });
         run("euler_reference_kernel_32c_64box", &mut || {
-            for f in solver.grid_fluxes_reference(&old, &valid, 0.05, solver.gamma) {
+            for f in euler_grid_fluxes(&solver, &old, &valid, 0.05, solver.gamma) {
                 xlayer_solvers::scratch::recycle_fab(f);
             }
         });

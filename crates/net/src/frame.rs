@@ -1,21 +1,19 @@
-//! The frame header, the little-endian cursors and the frame reader shared
-//! by every protocol in the workspace.
+//! The frame header, the little-endian cursors and the frame reader under
+//! the staging wire (crate-private).
 //!
-//! The staging wire ([`crate::wire`], whose module doc draws the 24-byte
-//! layout) and the xbench control protocol frame their messages
-//! identically — only the magic, the version counter and the payload cap
-//! differ, and those are a [`FrameSpec`]. A protocol owns its opcode
-//! table and its body layouts; the header codec and the bounds-checked
-//! primitive reader/writer live here once. Decoding failures are
-//! [`WireError`]s (a protocol with its own taxonomy converts); decoding is
-//! total over arbitrary bytes.
+//! [`crate::wire`] (whose module doc draws the 24-byte layout) owns the
+//! opcode table and the body layouts; the header codec and the
+//! bounds-checked primitive reader/writer live here. The header codec is
+//! parameterised by a [`FrameSpec`] — magic, version counter, payload cap —
+//! so the tests below frame with a spec of their own. Decoding failures
+//! are [`WireError`]s; decoding is total over arbitrary bytes.
 //!
 //! The I/O half is [`read_header`] + [`read_payload`]: the only code that
-//! takes a frame off a reader. Every socket reader in the workspace — the
-//! staging client and service, the chunk-stream assembler, xbench's
-//! controller and agent — is these two calls plus its own policy for what
-//! a failure means; they fail with [`RecvError`], the transport's
-//! `io::Error` or the codec's `WireError` and nothing else.
+//! takes a frame off a reader. Every socket reader of the crate — the
+//! staging client and service, the chunk-stream assembler — is these two
+//! calls plus its own policy for what a failure means; they fail with
+//! [`RecvError`], the transport's `io::Error` or the codec's `WireError`
+//! and nothing else.
 
 use std::io::Read;
 
@@ -25,7 +23,8 @@ use xlayer_staging::sum::checksum;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 24;
 
-/// What tells one protocol's frames from another's.
+/// What tells one protocol's frames from another's: the staging wire's
+/// is `wire::SPEC`.
 #[derive(Clone, Copy, Debug)]
 pub struct FrameSpec {
     /// First four bytes of every frame.
@@ -161,11 +160,10 @@ pub fn read_header<H, E: From<std::io::Error>>(
 }
 
 /// Fill `buf` with the payload a decoded header announced and verify it
-/// against the header's checksum. The caller sizes `buf` (pooled on the
-/// staging wire, a plain `Vec` for xbench's rare control frames) from a
-/// header that passed [`FrameSpec::decode_header`] — that is what bounds
-/// the allocation. A checksum failure leaves the reader positioned after
-/// the frame, so the caller may keep the connection.
+/// against the header's checksum. The caller sizes `buf` (from the buffer
+/// pool) from a header that passed [`FrameSpec::decode_header`] — that is
+/// what bounds the allocation. A checksum failure leaves the reader
+/// positioned after the frame, so the caller may keep the connection.
 pub fn read_payload(
     r: &mut impl Read,
     buf: &mut [u8],

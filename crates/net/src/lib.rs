@@ -7,14 +7,12 @@
 //! and hands the same stager the same [`xlayer_staging::Staging`] interface
 //! to drive it through:
 //!
-//! - [`frame`] — the 24-byte frame header (magic, version, opcode,
-//!   request id, payload length, the four-lane `xlayer_staging::sum`
-//!   checksum) and the bounds-checked
-//!   little-endian cursors, parameterised by magic / version / payload
-//!   cap: the one header codec under both this crate's wire and xbench's
-//!   control protocol — and the one frame reader (header, then a pooled,
-//!   checksum-verified payload, off any `Read`) under every socket loop in
-//!   the workspace.
+//! - `frame` (crate-private) — the 24-byte frame header (magic, version,
+//!   opcode, request id, payload length, the four-lane
+//!   `xlayer_staging::sum` checksum), the bounds-checked little-endian
+//!   cursors, and the one frame reader (header, then a pooled,
+//!   checksum-verified payload, off any `Read`) under every socket loop of
+//!   the crate.
 //! - [`wire`] — the staging protocol on those frames: versioned opcodes
 //!   and bodies with total, panic-free codecs for every request/response.
 //! - `stream` (crate-private) — the chunk stream, once: the sender that
@@ -39,9 +37,6 @@
 //!   the crate's `Staging` implementation — one address is a one-shard
 //!   cluster — so `workflow::native` runs in-transit analysis against a
 //!   remote service or a shard list through the handle it uses in process.
-//! - [`hist`] — [`hist::Hist`], a fixed-bucket mergeable latency
-//!   histogram (p50/p95/p99/max) that load-generation agents time their
-//!   own ops into and ship to a controller for cross-agent aggregation.
 //! - [`pool`] — [`BufferPool`], a bounded size-classed buffer recycler
 //!   shared by service workers and clients so steady-state put/get traffic
 //!   allocates nothing per op (hit/miss counters travel in `Stats`). The
@@ -66,8 +61,7 @@
 
 pub mod client;
 pub mod cluster;
-pub mod frame;
-pub mod hist;
+mod frame;
 pub mod iovec;
 pub use xlayer_staging::pool;
 pub mod service;
@@ -76,7 +70,6 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientStats, RemoteClient, RemoteError};
 pub use cluster::{ShardedClient, ShardedError, StagingCluster};
-pub use hist::{Hist, LatencySnapshot};
 pub use pool::{BufferPool, PooledBuf};
 pub use service::{ServiceConfig, ServiceStats, StagingService};
 pub use wire::{ErrorFrame, Opcode, Request, Response, ServiceSnapshot, WireError};

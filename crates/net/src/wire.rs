@@ -1,8 +1,8 @@
 //! The staging wire protocol: versioned, length-prefixed binary frames.
 //!
 //! Every message — request or response — is one frame, laid out by the
-//! shared header codec in [`crate::frame`] under this protocol's magic,
-//! version and payload cap:
+//! header codec in the crate-private `frame` module under this protocol's
+//! magic, version and payload cap:
 //!
 //! ```text
 //! offset  size  field
@@ -63,7 +63,7 @@ pub const HEADER_LEN: usize = frame::HEADER_LEN;
 /// bounded per-frame by [`CHUNK`] and in total by [`MAX_CHUNKED_OBJECT`].
 pub const MAX_PAYLOAD: u32 = 256 << 20;
 
-/// This protocol's parameters for the shared header codec.
+/// This protocol's parameters for the header codec.
 const SPEC: FrameSpec = FrameSpec {
     magic: MAGIC,
     version: VERSION,

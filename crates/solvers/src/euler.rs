@@ -99,11 +99,11 @@ impl Primitive {
         f
     }
 
-    fn as_array(self) -> [f64; NCOMP] {
+    pub(crate) fn as_array(self) -> [f64; NCOMP] {
         [self.rho, self.vel[0], self.vel[1], self.vel[2], self.p]
     }
 
-    fn from_array(a: [f64; NCOMP]) -> Self {
+    pub(crate) fn from_array(a: [f64; NCOMP]) -> Self {
         Primitive {
             rho: a[0].max(SMALL),
             vel: [a[1], a[2], a[3]],
@@ -195,7 +195,7 @@ pub fn hllc_flux(l: Primitive, r: Primitive, d: usize, gamma: f64) -> [f64; NCOM
 }
 
 /// minmod slope limiter.
-fn minmod(a: f64, b: f64) -> f64 {
+pub(crate) fn minmod(a: f64, b: f64) -> f64 {
     if a * b <= 0.0 {
         0.0
     } else if a.abs() < b.abs() {
@@ -250,65 +250,15 @@ impl EulerSolver {
         d[o + ENERGY * s] = c.energy;
     }
 
-    /// Limited primitive slope at `iv` along `d` (needs ±1 neighbors).
-    fn slopes(&self, fab: &Fab, iv: IntVect, d: usize) -> [f64; NCOMP] {
-        let e = IntVect::basis(d);
-        let avail = fab.ibox();
-        let wc = Self::state(fab, iv).to_primitive(self.gamma).as_array();
-        let wp = if avail.contains(iv + e) {
-            Self::state(fab, iv + e).to_primitive(self.gamma).as_array()
-        } else {
-            wc
-        };
-        let wm = if avail.contains(iv - e) {
-            Self::state(fab, iv - e).to_primitive(self.gamma).as_array()
-        } else {
-            wc
-        };
-        std::array::from_fn(|c| minmod(wp[c] - wc[c], wc[c] - wm[c]))
-    }
-
-    /// MUSCL–Hancock half-step predictor: advance the primitive state at a
-    /// cell face by dt/2 using the normal flux gradient.
-    fn predict(
-        &self,
-        w: Primitive,
-        slope: &[f64; NCOMP],
-        d: usize,
-        side: f64, // +0.5 for high face, -0.5 for low face
-        dtdx: f64,
-    ) -> Primitive {
-        // Characteristic-free primitive predictor (Toro §14.4): w_face =
-        // w + side*slope - dt/(2dx) * A(w)·slope, with A the primitive-form
-        // Jacobian along d.
-        let rho = w.rho;
-        let un = w.vel[d];
-        let c2 = self.gamma * w.p / rho;
-        let s = slope;
-        // A(w)·slope for primitive Euler along direction d:
-        let mut adw = [0.0; NCOMP];
-        adw[0] = un * s[0] + rho * s[1 + d];
-        for v in 0..3 {
-            adw[1 + v] = un * s[1 + v];
-        }
-        adw[1 + d] += s[4] / rho;
-        adw[4] = un * s[4] + rho * c2 * s[1 + d];
-
-        let arr = w.as_array();
-        // xlint: floors-applied -- Primitive::from_array clamps rho and p to SMALL
-        Primitive::from_array(std::array::from_fn(|c| {
-            arr[c] + side * s[c] - 0.5 * dtdx * adw[c]
-        }))
-    }
-
     /// Both half-step face predictions of a cell at once: the `A(w)·slope`
-    /// product of [`Self::predict`] depends only on `w` and `slope`, so the
-    /// sweep evaluates it once and forms the `side = ±0.5` states from it.
-    /// Each component is the same expression `predict` evaluates (IEEE
-    /// multiplication by −0.5 is the exact negation of multiplication by
-    /// 0.5, and `a + (−b)` is `a − b`), and the rho/p components carry the
-    /// same `.max(SMALL)` positivity floor `Primitive::from_array` applies,
-    /// so the pair is bit-identical to two `predict` calls.
+    /// product of the reference's per-face predictor depends only on `w`
+    /// and `slope`, so the sweep evaluates it once and forms the
+    /// `side = ±0.5` states from it. Each component is the same expression
+    /// the reference predictor evaluates (IEEE multiplication by −0.5 is
+    /// the exact negation of multiplication by 0.5, and `a + (−b)` is
+    /// `a − b`), and the rho/p components carry the same `.max(SMALL)`
+    /// positivity floor `Primitive::from_array` applies, so the pair is
+    /// bit-identical to two calls of the reference predictor.
     #[inline(always)]
     fn predict_faces(
         &self,
@@ -443,9 +393,9 @@ impl EulerSolver {
     /// and both ±½-predicted face states are cached in one contiguous row
     /// walk, and the HLLC pass reads only cached states and writes flux
     /// rows contiguously. The per-cell reference
-    /// ([`Self::grid_fluxes_reference`]) re-derives primitives and slopes
-    /// for every face touching a cell (~20+ redundant conversions per cell
-    /// per step); this path is bit-identical to it — every cached value is
+    /// ([`crate::reference::euler_grid_fluxes`]) re-derives primitives and
+    /// slopes for every face touching a cell (~20+ redundant conversions per
+    /// cell per step); this path is bit-identical to it — every cached value is
     /// the same expression the reference evaluates, just evaluated once —
     /// and property tests pin the equivalence.
     pub fn grid_fluxes(&self, old: &Fab, valid: &IBox, dtdx: f64, gamma: f64) -> [Fab; DIM] {
@@ -595,98 +545,14 @@ impl EulerSolver {
         fluxes
     }
 
-    /// The retained per-cell reference for [`Self::grid_fluxes`]: every
-    /// face independently re-derives both cells' primitives and slopes via
-    /// [`Self::face_flux`]. Kept for the equivalence property tests and the
-    /// sweep-vs-reference benches.
-    pub fn grid_fluxes_reference(
-        &self,
-        old: &Fab,
+    /// Conservative update from face fluxes, with positivity floors.
+    pub(crate) fn apply_fluxes(
         valid: &IBox,
+        fab: &mut Fab,
+        fluxes: &[Fab; DIM],
         dtdx: f64,
         gamma: f64,
-    ) -> [Fab; DIM] {
-        let avail = old.ibox();
-        std::array::from_fn(|d| {
-            let e = IntVect::basis(d);
-            let mut hi = valid.hi();
-            hi[d] += 1;
-            let fbox = IBox::new(valid.lo(), hi);
-            let mut flux = scratch::take_fab(fbox, NCOMP);
-            let stride = flux.comp_stride();
-            for iv in fbox.cells() {
-                let f = self.face_flux(old, &avail, iv - e, iv, d, dtdx, gamma);
-                let o = flux.cell_offset(iv);
-                let out = flux.as_mut_slice();
-                for (c, fv) in f.iter().enumerate() {
-                    out[o + c * stride] = *fv;
-                }
-            }
-            flux
-        })
-    }
-
-    /// [`LevelSolver::advance_level`] through the retained per-cell
-    /// reference kernel (same parallel per-grid structure, reference
-    /// per-face math) — the baseline the sweep is benchmarked against.
-    pub fn advance_level_reference(&self, data: &mut LevelData, dx: f64, dt: f64) {
-        let dtdx = dt / dx;
-        let gamma = self.gamma;
-        data.par_for_each_mut(|_, valid, fab| {
-            let old = scratch::take_fab_clone(fab);
-            let fluxes = self.grid_fluxes_reference(&old, &valid, dtdx, gamma);
-            Self::apply_fluxes(&valid, fab, &fluxes, dtdx, gamma);
-            scratch::recycle_fab(old);
-            for f in fluxes {
-                scratch::recycle_fab(f);
-            }
-        });
-    }
-
-    /// [`LevelSolver::advance_level_capture`] as the seed shipped it: a
-    /// serial grid loop over the reference kernel. Retained so the AMR
-    /// golden tests can prove the parallel capture path leaves refluxed
-    /// results and flux-register sums unchanged.
-    pub fn advance_level_capture_reference(
-        &self,
-        data: &mut LevelData,
-        dx: f64,
-        dt: f64,
-    ) -> Option<LevelFluxes> {
-        let dtdx = dt / dx;
-        let gamma = self.gamma;
-        let mut out = Vec::with_capacity(data.len());
-        for i in 0..data.len() {
-            let valid = data.valid_box(i);
-            let old = scratch::take_fab_clone(data.fab(i));
-            let fluxes = self.grid_fluxes_reference(&old, &valid, dtdx, gamma);
-            Self::apply_fluxes(&valid, data.fab_mut(i), &fluxes, dtdx, gamma);
-            scratch::recycle_fab(old);
-            out.push(fluxes);
-        }
-        Some(out)
-    }
-
-    /// The retained serial per-cell reference for
-    /// [`LevelSolver::max_wave_speed`].
-    pub fn max_wave_speed_reference(&self, data: &LevelData) -> f64 {
-        let mut s: f64 = 0.0;
-        for i in 0..data.len() {
-            let vb = data.valid_box(i);
-            let fab = data.fab(i);
-            for iv in vb.cells() {
-                let w = Self::state(fab, iv).to_primitive(self.gamma);
-                let c = w.sound_speed(self.gamma);
-                for d in 0..DIM {
-                    s = s.max(w.vel[d].abs() + c);
-                }
-            }
-        }
-        s
-    }
-
-    /// Conservative update from face fluxes, with positivity floors.
-    fn apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64, gamma: f64) {
+    ) {
         // Row walks: one offset per row for the state fab and each flux fab
         // (every Fab shares the x-fastest layout, so consecutive cells are
         // consecutive offsets). The per-cell arithmetic and its evaluation
@@ -735,43 +601,6 @@ impl EulerSolver {
                 }
             }
         }
-    }
-
-    /// MUSCL–Hancock + HLLC flux at the face between `left_cell` and
-    /// `right_cell` along `d`. Falls back to first order at physical
-    /// boundaries where a neighbor is unavailable.
-    #[allow(clippy::too_many_arguments)]
-    fn face_flux(
-        &self,
-        old: &Fab,
-        avail: &IBox,
-        left_cell: IntVect,
-        right_cell: IntVect,
-        d: usize,
-        dtdx: f64,
-        gamma: f64,
-    ) -> [f64; NCOMP] {
-        // Outside the domain (non-periodic boundary): reflecting-free outflow
-        // — use the interior cell's state on both sides.
-        let (lc, rc) = (
-            if avail.contains(left_cell) {
-                left_cell
-            } else {
-                right_cell
-            },
-            if avail.contains(right_cell) {
-                right_cell
-            } else {
-                left_cell
-            },
-        );
-        let wl0 = Self::state(old, lc).to_primitive(gamma);
-        let wr0 = Self::state(old, rc).to_primitive(gamma);
-        let sl = self.slopes(old, lc, d);
-        let sr = self.slopes(old, rc, d);
-        let wl = self.predict(wl0, &sl, d, 0.5, dtdx);
-        let wr = self.predict(wr0, &sr, d, -0.5, dtdx);
-        hllc_flux(wl, wr, d, gamma)
     }
 }
 

@@ -125,7 +125,7 @@ proptest! {
         for avail in avail_variants(valid, 2) {
             let old = gas_fab(avail, salt);
             let sweep = solver.grid_fluxes(&old, &valid, dtdx, GAMMA);
-            let reference = solver.grid_fluxes_reference(&old, &valid, dtdx, GAMMA);
+            let reference = reference::euler_grid_fluxes(&solver, &old, &valid, dtdx, GAMMA);
             for d in 0..DIM {
                 assert_fab_bits_eq(&sweep[d], &reference[d], &format!("euler dir {d}"));
             }
@@ -151,7 +151,7 @@ proptest! {
                 EulerSolver::set_state(&mut old, iv, near_vacuum_state(iv, salt));
             }
             let sweep = solver.grid_fluxes(&old, &valid, dtdx, GAMMA);
-            let reference = solver.grid_fluxes_reference(&old, &valid, dtdx, GAMMA);
+            let reference = reference::euler_grid_fluxes(&solver, &old, &valid, dtdx, GAMMA);
             for d in 0..DIM {
                 for v in sweep[d].as_slice() {
                     prop_assert!(v.is_finite(), "near-vacuum sweep flux not finite: {v}");
@@ -218,14 +218,14 @@ proptest! {
         let reference_level = build();
         prop_assert_eq!(
             solver.max_wave_speed(&reference_level).to_bits(),
-            solver.max_wave_speed_reference(&reference_level).to_bits()
+            reference::euler_max_wave_speed(&solver, &reference_level).to_bits()
         );
 
         let (dx, dt) = (1.0 / n as f64, 0.4 / n as f64);
         let mut sweep_level = build();
         let mut reference_level = reference_level;
         solver.advance_level(&mut sweep_level, dx, dt);
-        solver.advance_level_reference(&mut reference_level, dx, dt);
+        reference::euler_advance_level(&solver, &mut reference_level, dx, dt);
         for i in 0..sweep_level.len() {
             assert_fab_bits_eq(
                 sweep_level.fab(i),
@@ -237,7 +237,7 @@ proptest! {
         let mut cap = build();
         let mut cap_ref = build();
         let fluxes = solver.advance_level_capture(&mut cap, dx, dt).unwrap();
-        let fluxes_ref = solver.advance_level_capture_reference(&mut cap_ref, dx, dt).unwrap();
+        let fluxes_ref = reference::euler_advance_level_capture(&solver, &mut cap_ref, dx, dt);
         for i in 0..cap.len() {
             assert_fab_bits_eq(cap.fab(i), cap_ref.fab(i), &format!("capture grid {i}"));
         }
@@ -422,7 +422,7 @@ fn euler_sweep_clamps_near_vacuum_prediction() {
     }
     let dtdx = 1.4;
     let sweep = solver.grid_fluxes(&old, &valid, dtdx, GAMMA);
-    let reference = solver.grid_fluxes_reference(&old, &valid, dtdx, GAMMA);
+    let reference = reference::euler_grid_fluxes(&solver, &old, &valid, dtdx, GAMMA);
     for d in 0..DIM {
         for v in sweep[d].as_slice() {
             assert!(v.is_finite(), "clamped sweep flux not finite: {v}");
@@ -444,13 +444,15 @@ impl LevelSolver for ReferenceEuler {
         self.0.nghost()
     }
     fn max_wave_speed(&self, data: &LevelData) -> f64 {
-        self.0.max_wave_speed_reference(data)
+        reference::euler_max_wave_speed(&self.0, data)
     }
     fn advance_level(&self, data: &mut LevelData, dx: f64, dt: f64) {
-        self.0.advance_level_reference(data, dx, dt);
+        reference::euler_advance_level(&self.0, data, dx, dt);
     }
     fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
-        self.0.advance_level_capture_reference(data, dx, dt)
+        Some(reference::euler_advance_level_capture(
+            &self.0, data, dx, dt,
+        ))
     }
     fn tag_cells(&self, data: &LevelData, threshold: f64) -> IntVectSet {
         self.0.tag_cells(data, threshold)

@@ -24,12 +24,24 @@
 #
 # --self-test checks the median, quartile, pairs-won, steal and table-cell
 # arithmetic against scripts/xmark_ab_fixture.json; no build, no run.
+#
+# A workload name that is not in BENCHMARK.json exits 2, listing the valid
+# names, before anything is extracted or built.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 if [ "${1:-}" = "--self-test" ]; then
     mode=(self-test)
 else
     [ $# -ge 1 ] || { echo "usage: scripts/xmark_ab.sh <parent-rev> [workload ...] | --self-test" >&2; exit 2; }
+    python3 - "$root/BENCHMARK.json" "${@:2}" <<'PY'
+import json, sys
+valid = [w["name"] for w in json.load(open(sys.argv[1]))["workloads"]]
+unknown = [w for w in sys.argv[2:] if w not in valid]
+if unknown:
+    print(f"xmark_ab: unknown workload {' '.join(unknown)}; valid: {' '.join(valid)}",
+          file=sys.stderr)
+    sys.exit(2)
+PY
     rev=$(git -C "$root" rev-parse --verify --short "$1^{commit}")
     shift
     parent="${TMPDIR:-/tmp}/xmark-ab-$rev"
