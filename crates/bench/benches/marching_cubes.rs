@@ -1,9 +1,10 @@
-//! The visualization service's extraction kernel: cost scales with cells
-//! scanned plus surface crossed (the `analysis_time_surface` model).
+//! The visualization service's extraction kernel: cost scales with rows
+//! classified plus surface crossed (the `analysis_time_surface` model).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xlayer_amr::{Fab, IBox, IntVect};
-use xlayer_viz::{extract_block, TriMesh};
+use xlayer_bench::advect_version_objects;
+use xlayer_viz::{extract_block, extract_payload_into, reference, TriMesh};
 
 fn sphere_fab(n: i64) -> Fab {
     let b = IBox::cube(n);
@@ -28,7 +29,7 @@ fn bench_mc(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sphere", n), &n, |b, &n| {
             b.iter(|| extract_block(&fab, 0, &region, n as f64 / 3.0, 1.0, [0.0; 3]))
         });
-        // Scan-only: isovalue outside → quick-reject path.
+        // Scan-only: isovalue outside → every cube culled by the classify pass.
         group.bench_with_input(BenchmarkId::new("scan_only", n), &n, |b, &n| {
             b.iter(|| extract_block(&fab, 0, &region, 10.0 * n as f64, 1.0, [0.0; 3]))
         });
@@ -62,6 +63,43 @@ fn bench_mc(c: &mut Criterion) {
                 total.append(p);
             }
             total
+        })
+    });
+    group.finish();
+
+    // One advect version as the in-transit worker receives it: 64 staged
+    // objects of 34³, extracted off their payload bytes into one mesh, vs
+    // `to_fab` + the per-cube reference kernel + a concat of 64 meshes.
+    let objects = advect_version_objects();
+    let mut group = c.benchmark_group("advect34_version");
+    group.bench_function("payload_into_one_mesh", |b| {
+        b.iter(|| {
+            let mut mesh = TriMesh::new();
+            for obj in &objects {
+                let d = &obj.desc;
+                extract_payload_into(
+                    &obj.payload,
+                    &d.bbox,
+                    &d.core,
+                    0.5,
+                    1.0,
+                    [0.0; 3],
+                    &mut mesh,
+                );
+            }
+            mesh
+        })
+    });
+    group.bench_function("to_fab_reference_concat", |b| {
+        b.iter(|| {
+            let parts: Vec<TriMesh> = objects
+                .iter()
+                .map(|obj| {
+                    reference::extract_block(&obj.to_fab(), 0, &obj.desc.core, 0.5, 1.0, [0.0; 3])
+                })
+                .collect();
+            let refs: Vec<&TriMesh> = parts.iter().collect();
+            TriMesh::concat(&refs)
         })
     });
     group.finish();

@@ -8,10 +8,11 @@
 //! speedups — so CI and later sessions can diff kernel performance
 //! without parsing bench output. Only kernels are timed here: each pair
 //! isolates one restructuring (cached exchange plan, sweep-structured
-//! Euler, flat viz kernels, exact-capacity concat) against its retained
-//! reference. Everything a staged byte passes through — pack, transport,
-//! wire, service, disk tier, the coupled pipeline's overlap — is measured
-//! end to end and per layer by `xmark` (`benchmark/`, `BENCHMARK.json`).
+//! Euler, flat viz kernels, exact-capacity concat, classify-first marching
+//! cubes off the staged bytes) against its retained reference. Everything
+//! a staged byte passes through — pack, transport, wire, service, disk
+//! tier, the coupled pipeline's overlap — is measured end to end and per
+//! layer by `xmark` (`benchmark/`, `BENCHMARK.json`).
 //! The key set is pinned by [`xlayer_bench::EXPECTED_BENCH_KEYS`] and
 //! validated by the `bench_schema_check` binary.
 //!
@@ -22,13 +23,15 @@ use xlayer_amr::domain::ProblemDomain;
 use xlayer_amr::layout::BoxLayout;
 use xlayer_amr::level_data::LevelData;
 use xlayer_amr::{Fab, IBox, IntVect};
-use xlayer_bench::{render_summary, EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS};
+use xlayer_bench::{
+    advect_version_objects, render_summary, EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS,
+};
 use xlayer_solvers::euler::{EulerSolver, Primitive};
 use xlayer_solvers::reference::euler_grid_fluxes;
 use xlayer_solvers::{AdvectDiffuseSolver, LevelSolver, VelocityField};
 use xlayer_viz::downsample::{downsample_region, reconstruction_mse};
 use xlayer_viz::entropy::{block_entropy, level_entropies};
-use xlayer_viz::{reference, TriMesh};
+use xlayer_viz::{extract_payload_into, reference, TriMesh};
 
 /// Best-batch ns/iter of `f`: one calibration call sizes batches to
 /// ~25 ms, then the minimum over seven batches is reported. Timing noise
@@ -276,6 +279,39 @@ fn main() {
         });
     }
 
+    // One advect version as its analysis worker receives it (64 objects
+    // of 34³, iso 0.5): classify-first straight off the payload bytes into
+    // one mesh vs the path it replaced — `to_fab`, the per-cube reference
+    // kernel and a concat of 64 meshes. ns per version.
+    {
+        let objects = advect_version_objects();
+        run("marching_cubes_advect34_flat", &mut || {
+            let mut mesh = TriMesh::new();
+            for obj in &objects {
+                let d = &obj.desc;
+                extract_payload_into(
+                    &obj.payload,
+                    &d.bbox,
+                    &d.core,
+                    0.5,
+                    1.0,
+                    [0.0; 3],
+                    &mut mesh,
+                );
+            }
+        });
+        run("marching_cubes_advect34_reference", &mut || {
+            let parts: Vec<TriMesh> = objects
+                .iter()
+                .map(|obj| {
+                    reference::extract_block(&obj.to_fab(), 0, &obj.desc.core, 0.5, 1.0, [0.0; 3])
+                })
+                .collect();
+            let refs: Vec<&TriMesh> = parts.iter().collect();
+            let _ = TriMesh::concat(&refs);
+        });
+    }
+
     let produced: Vec<&str> = results.iter().map(|(n, _)| *n).collect();
     assert_eq!(
         produced, EXPECTED_BENCH_KEYS,
@@ -318,6 +354,10 @@ fn main() {
         (
             "mesh_concat_speedup",
             ns_of("mesh_append_64parts") / ns_of("mesh_concat_64parts"),
+        ),
+        (
+            "marching_cubes_speedup",
+            ns_of("marching_cubes_advect34_reference") / ns_of("marching_cubes_advect34_flat"),
         ),
     ];
     let derived_names: Vec<&str> = derived.iter().map(|(n, _)| *n).collect();

@@ -12,11 +12,12 @@
 #![warn(missing_docs)]
 
 use xlayer_amr::hierarchy::HierarchyConfig;
-use xlayer_amr::{IBox, ProblemDomain};
+use xlayer_amr::{Fab, IBox, IntVect, ProblemDomain};
 use xlayer_solvers::{
     AdvectDiffuseSolver, AmrSimulation, DriverConfig, EulerSolver, GasProblem, LevelSolver,
     ScalarProblem, VelocityField,
 };
+use xlayer_staging::DataObject;
 use xlayer_workflow::{AmrDriver, DrivePoint, WorkloadDriver};
 
 /// The bench names `bench_summary` writes into `BENCH_native_hotpath.json`
@@ -47,6 +48,8 @@ pub const EXPECTED_BENCH_KEYS: &[&str] = &[
     "level_entropy_scan_64c_reference",
     "mesh_concat_64parts",
     "mesh_append_64parts",
+    "marching_cubes_advect34_flat",
+    "marching_cubes_advect34_reference",
 ];
 
 /// The derived ratios `bench_summary` writes under `"derived"`.
@@ -58,7 +61,37 @@ pub const EXPECTED_DERIVED_KEYS: &[&str] = &[
     "entropy_flat_speedup",
     "level_entropy_scan_speedup",
     "mesh_concat_speedup",
+    "marching_cubes_speedup",
 ];
+
+/// One version of xmark's `advect_sharded_intransit` as its analysis
+/// worker receives it: a Gaussian (σ = n/8) at the centre of a 128³ level,
+/// staged as 64 objects of 34³ — a 32³ core plus the one-cell halo, as
+/// `pack_level_objects` stages them. At iso 0.5 its surface crosses 8 of
+/// the 64.
+pub fn advect_version_objects() -> Vec<DataObject> {
+    let (n, side) = (128i64, 32i64);
+    let sigma = n as f64 / 8.0;
+    let mut objects = Vec::new();
+    for bz in 0..n / side {
+        for by in 0..n / side {
+            for bx in 0..n / side {
+                let lo = IntVect::new(bx * side, by * side, bz * side);
+                let core = IBox::new(lo, lo + IntVect::splat(side - 1));
+                let halo = core.grow(1);
+                let mut fab = Fab::new(halo, 1);
+                for iv in halo.cells() {
+                    let r2: f64 = (0..3)
+                        .map(|d| (iv[d] as f64 + 0.5 - n as f64 / 2.0).powi(2))
+                        .sum();
+                    fab.set(iv, 0, (-r2 / (2.0 * sigma * sigma)).exp());
+                }
+                objects.push(DataObject::from_fab("field", 0, &fab, 0, &halo, 0).with_core(&core));
+            }
+        }
+    }
+    objects
+}
 
 /// The summary file `bench_summary` writes: `(name, value)` rows under
 /// `"benches"` (ns/iter, one decimal) and `"derived"` (ratios, two).
@@ -319,6 +352,30 @@ mod tests {
         assert!(max >= first);
     }
 
+    #[test]
+    fn the_advect_version_surface_misses_56_of_its_64_objects() {
+        let objects = advect_version_objects();
+        assert_eq!(objects.len(), 64);
+        let empty = objects
+            .iter()
+            .filter(|obj| {
+                let d = &obj.desc;
+                let mut mesh = xlayer_viz::TriMesh::new();
+                xlayer_viz::extract_payload_into(
+                    &obj.payload,
+                    &d.bbox,
+                    &d.core,
+                    0.5,
+                    1.0,
+                    [0.0; 3],
+                    &mut mesh,
+                );
+                mesh.is_empty()
+            })
+            .count();
+        assert_eq!(empty, 56);
+    }
+
     /// What `bench_summary` would write for these keys, every value 1.5.
     fn summary_of(benches: &[&str], derived: &[&str]) -> String {
         fn rows<'a>(keys: &[&'a str]) -> Vec<(&'a str, f64)> {
@@ -329,8 +386,8 @@ mod tests {
 
     #[test]
     fn schema_is_kernels_only() {
-        assert_eq!(EXPECTED_BENCH_KEYS.len(), 20);
-        assert_eq!(EXPECTED_DERIVED_KEYS.len(), 7);
+        assert_eq!(EXPECTED_BENCH_KEYS.len(), 22);
+        assert_eq!(EXPECTED_DERIVED_KEYS.len(), 8);
         for key in EXPECTED_BENCH_KEYS.iter().chain(EXPECTED_DERIVED_KEYS) {
             for layer in ["net_", "staging_", "xbench_", "native_pipeline"] {
                 assert!(!key.starts_with(layer), "{key} belongs to xmark");

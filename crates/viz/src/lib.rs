@@ -30,6 +30,8 @@ pub use downsample::{
     downsample_fab, downsample_level, downsample_region, reduced_bytes, reduction_memory,
 };
 pub use entropy::{block_entropy, block_entropy_scratch, factors_from_entropy, level_entropies};
-pub use marching_cubes::{extract_block, extract_level, merge_surfaces, GridSurface};
+pub use marching_cubes::{
+    extract_block, extract_level, extract_payload_into, merge_surfaces, GridSurface,
+};
 pub use mesh::TriMesh;
 pub use stats::{level_stats, subset, BlockStats, Histogram};

@@ -8,9 +8,30 @@
 //! decomposition into six tetrahedra sharing the cube's main diagonal.
 //! The decomposition is face-consistent between neighboring cubes, so the
 //! extracted surface is watertight — this resolves the ambiguous
-//! configurations of the classic 256-case table variant while keeping the
-//! identical access pattern and cost profile (work ∝ cells scanned +
-//! triangles emitted).
+//! configurations of the classic 256-case table variant.
+//!
+//! ## Classify, then gather
+//!
+//! The paper prices the service as cells scanned plus triangles emitted.
+//! Nearly every cube of a level misses the surface, so the scan is
+//! min–max culling (span-space, Livnat, Shen & Johnson 1996) done with
+//! bits: one streaming pass per row of samples writes a `v >= iso` bit row
+//! and a `v < iso` bit row (NaN sets neither, so a cube with a NaN corner
+//! is judged on its other corners, as a per-corner `any` test would). A
+//! cube anchored at `x` is active iff some corner of its four rows is
+//! `>= iso` and some is `< iso`: over 64 anchors at once that is
+//! `(o | o >> 1) & (l | l >> 1)` on the OR of the four rows' words, the
+//! shift carrying bit 0 of the next word. Only the set bits of that word
+//! gather their 8 corners and reach `march_tet`, in the same z → y → x
+//! anchor order as a per-cube walk, so every vertex and triangle is
+//! bit-identical to it (`reference::extract_block` is that walk, kept for
+//! the tests). The cost is rows classified + active cubes marched.
+//!
+//! The kernel reads its samples either from a fab component
+//! ([`extract_block`], [`extract_level`]) or from a staged object's
+//! little-endian payload bytes ([`extract_payload_into`]) — one generic
+//! kernel, monomorphised per source, so a consumer never decodes a payload
+//! into a fab only to index it.
 
 use crate::mesh::{Point, TriMesh};
 use xlayer_amr::boxes::IBox;
@@ -19,7 +40,7 @@ use xlayer_amr::intvect::IntVect;
 use xlayer_amr::level_data::LevelData;
 
 /// Corner offsets of a cube, standard MC corner numbering.
-const CORNERS: [[i64; 3]; 8] = [
+pub(crate) const CORNERS: [[i64; 3]; 8] = [
     [0, 0, 0],
     [1, 0, 0],
     [1, 1, 0],
@@ -33,7 +54,7 @@ const CORNERS: [[i64; 3]; 8] = [
 /// Six tetrahedra sharing the 0–6 main diagonal. This split agrees with the
 /// same split in every face-adjacent cube (the shared-face diagonals match),
 /// which makes the global surface watertight.
-const TETS: [[usize; 4]; 6] = [
+pub(crate) const TETS: [[usize; 4]; 6] = [
     [0, 1, 2, 6],
     [0, 2, 3, 6],
     [0, 3, 7, 6],
@@ -41,6 +62,26 @@ const TETS: [[usize; 4]; 6] = [
     [0, 4, 5, 6],
     [0, 5, 1, 6],
 ];
+
+/// One sample as the kernel reads it: an `f64` of a fab component, or the
+/// eight little-endian bytes of one in a staged payload.
+trait Sample: Copy {
+    fn value(self) -> f64;
+}
+
+impl Sample for f64 {
+    #[inline]
+    fn value(self) -> f64 {
+        self
+    }
+}
+
+impl Sample for [u8; 8] {
+    #[inline]
+    fn value(self) -> f64 {
+        f64::from_le_bytes(self)
+    }
+}
 
 /// Extract the isosurface of component `comp` at isovalue `iso` from the
 /// cubes anchored at the cells of `region`.
@@ -58,58 +99,178 @@ pub fn extract_block(
     origin: Point,
 ) -> TriMesh {
     let mut mesh = TriMesh::new();
-    let avail = fab.ibox();
+    march_cubes(
+        fab.comp_slice(comp),
+        &fab.ibox(),
+        region,
+        iso,
+        dx,
+        origin,
+        &mut mesh,
+    );
+    mesh
+}
+
+/// [`extract_block`] straight off a staged object's payload — `payload` is
+/// little-endian `f64`s in Fortran order over `bbox` — appending to `mesh`.
+///
+/// Nothing is decoded beyond what the classify pass reads and the corners
+/// of active cubes. Triangles index `mesh`'s running vertex count, so
+/// extracting objects one after another into one mesh gives exactly
+/// [`TriMesh::concat`] of their separate meshes.
+///
+/// # Panics
+/// If `payload` is not 8 bytes per cell of `bbox`.
+pub fn extract_payload_into(
+    payload: &[u8],
+    bbox: &IBox,
+    region: &IBox,
+    iso: f64,
+    dx: f64,
+    origin: Point,
+    mesh: &mut TriMesh,
+) {
+    assert_eq!(
+        payload.len() as u64,
+        bbox.num_cells() * 8,
+        "payload is not one f64 per cell of its bbox"
+    );
+    let (samples, _) = payload.as_chunks::<8>();
+    march_cubes(samples, bbox, region, iso, dx, origin, mesh);
+}
+
+/// Set bit `j` of `ge` / `lt` for each sample `j` of `row` that is
+/// `>= iso` / `< iso`; `ge` and `lt` have one word per 64 samples.
+fn classify_row<E: Sample>(row: &[E], iso: f64, ge: &mut [u64], lt: &mut [u64]) {
+    for ((g, l), word) in ge.iter_mut().zip(lt.iter_mut()).zip(row.chunks(64)) {
+        let (mut gw, mut lw) = (0u64, 0u64);
+        // Eight samples at a time with constant shifts, so the compares
+        // pair up into vector compares and mask moves; then the tail.
+        let (octets, tail) = word.as_chunks::<8>();
+        for (j, oct) in octets.iter().enumerate() {
+            let (mut gb, mut lb) = (0u64, 0u64);
+            for (k, e) in oct.iter().enumerate() {
+                let v = e.value();
+                gb |= u64::from(v >= iso) << k;
+                lb |= u64::from(v < iso) << k;
+            }
+            gw |= gb << (8 * j);
+            lw |= lb << (8 * j);
+        }
+        for (k, e) in tail.iter().enumerate() {
+            let v = e.value();
+            gw |= u64::from(v >= iso) << (8 * octets.len() + k);
+            lw |= u64::from(v < iso) << (8 * octets.len() + k);
+        }
+        *g = gw;
+        *l = lw;
+    }
+}
+
+/// The kernel behind [`extract_block`] and [`extract_payload_into`]:
+/// `src` holds the samples of `avail`, and the cubes anchored in `region`
+/// with all 8 corners in `avail` are marched into `mesh`.
+fn march_cubes<E: Sample>(
+    src: &[E],
+    avail: &IBox,
+    region: &IBox,
+    iso: f64,
+    dx: f64,
+    origin: Point,
+    mesh: &mut TriMesh,
+) {
     // A cube anchored at iv needs corners iv..iv+1, so the anchor set is the
-    // region clipped to avail shrunk by one on the high side — the same cells
-    // the per-cell `contains` checks admit, without testing each one.
+    // region clipped to avail shrunk by one on the high side.
     let anchors = region.intersect(&IBox::new(avail.lo(), avail.hi() - IntVect::UNIT));
     if anchors.is_empty() {
-        return mesh;
+        return;
     }
-    let src = fab.comp_slice(comp);
     let sx = avail.size();
     // Flat offsets of the 8 cube corners relative to the anchor cell.
     let mut corner_off = [0usize; 8];
     for (k, c) in CORNERS.iter().enumerate() {
         corner_off[k] = (c[0] + sx[0] * (c[1] + sx[1] * c[2])) as usize;
     }
+    let IntVect([x0, y0, z0]) = anchors.lo();
+    let IntVect([_, y1, z1]) = anchors.hi();
     let nx = anchors.size()[0] as usize;
-    for z in anchors.lo()[2]..=anchors.hi()[2] {
-        for y in anchors.lo()[1]..=anchors.hi()[1] {
-            let s0 = avail.offset(IntVect::new(anchors.lo()[0], y, z));
-            for i in 0..nx {
-                let base = s0 + i;
-                let mut vals = [0.0f64; 8];
-                for (k, off) in corner_off.iter().enumerate() {
-                    vals[k] = src[base + off];
+    let ny = anchors.size()[1] as usize;
+    // A corner row holds nx + 1 samples: `words` bit words per half, the
+    // `ge` half then the `lt` half. A plane holds the ny + 1 corner rows of
+    // one z; two planes (z and z + 1) are live at a time.
+    let words = (nx + 1).div_ceil(64);
+    let row_len = 2 * words;
+    let plane_len = (ny + 1) * row_len;
+    let mut bits = vec![0u64; 2 * plane_len];
+    let (mut lower, mut upper) = bits.split_at_mut(plane_len);
+    let classify_plane = |z: i64, plane: &mut [u64]| {
+        for (j, row) in plane.chunks_exact_mut(row_len).enumerate() {
+            let start = avail.offset(IntVect::new(x0, y0 + j as i64, z));
+            let (ge, lt) = row.split_at_mut(words);
+            classify_row(&src[start..start + nx + 1], iso, ge, lt);
+        }
+    };
+    classify_plane(z0, lower);
+    for z in z0..=z1 {
+        classify_plane(z + 1, upper);
+        for y in y0..=y1 {
+            let j = (y - y0) as usize;
+            let rows = [
+                &lower[j * row_len..(j + 1) * row_len],
+                &lower[(j + 1) * row_len..(j + 2) * row_len],
+                &upper[j * row_len..(j + 1) * row_len],
+                &upper[(j + 1) * row_len..(j + 2) * row_len],
+            ];
+            // Word `w` of the OR of the four rows' `ge` (half 0) or `lt`
+            // (half 1) bits; zero past the row's end.
+            let any = |half: usize, w: usize| -> u64 {
+                if w < words {
+                    let i = half * words + w;
+                    rows[0][i] | rows[1][i] | rows[2][i] | rows[3][i]
+                } else {
+                    0
                 }
-                // Quick reject: all corners on one side.
-                let any_in = vals.iter().any(|&v| v >= iso);
-                let any_out = vals.iter().any(|&v| v < iso);
-                if !(any_in && any_out) {
-                    continue;
-                }
-                let x = anchors.lo()[0] + i as i64;
-                let mut pts = [[0.0f64; 3]; 8];
-                for (k, c) in CORNERS.iter().enumerate() {
-                    pts[k] = [
-                        origin[0] + ((x + c[0]) as f64 + 0.5) * dx,
-                        origin[1] + ((y + c[1]) as f64 + 0.5) * dx,
-                        origin[2] + ((z + c[2]) as f64 + 0.5) * dx,
-                    ];
-                }
-                for tet in &TETS {
-                    march_tet(
-                        [pts[tet[0]], pts[tet[1]], pts[tet[2]], pts[tet[3]]],
-                        [vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]]],
-                        iso,
-                        &mut mesh,
-                    );
+            };
+            let s0 = avail.offset(IntVect::new(x0, y, z));
+            for w in 0..nx.div_ceil(64) {
+                // Anchor bit b covers corner bits b and b + 1.
+                let pair = |half: usize| {
+                    let v = any(half, w);
+                    v | (v >> 1) | (any(half, w + 1) << 63)
+                };
+                let left = nx - 64 * w;
+                let anchor_mask = if left >= 64 { !0 } else { (1u64 << left) - 1 };
+                let mut active = pair(0) & pair(1) & anchor_mask;
+                while active != 0 {
+                    let i = 64 * w + active.trailing_zeros() as usize;
+                    active &= active - 1;
+                    let base = s0 + i;
+                    let mut vals = [0.0f64; 8];
+                    for (k, off) in corner_off.iter().enumerate() {
+                        vals[k] = src[base + off].value();
+                    }
+                    let x = x0 + i as i64;
+                    let mut pts = [[0.0f64; 3]; 8];
+                    for (k, c) in CORNERS.iter().enumerate() {
+                        pts[k] = [
+                            origin[0] + ((x + c[0]) as f64 + 0.5) * dx,
+                            origin[1] + ((y + c[1]) as f64 + 0.5) * dx,
+                            origin[2] + ((z + c[2]) as f64 + 0.5) * dx,
+                        ];
+                    }
+                    for tet in &TETS {
+                        march_tet(
+                            [pts[tet[0]], pts[tet[1]], pts[tet[2]], pts[tet[3]]],
+                            [vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]]],
+                            iso,
+                            mesh,
+                        );
+                    }
                 }
             }
         }
+        std::mem::swap(&mut lower, &mut upper);
     }
-    mesh
 }
 
 /// Interpolate the iso crossing on the segment `a`–`b`.
@@ -128,7 +289,7 @@ fn lerp(pa: Point, pb: Point, va: f64, vb: f64, iso: f64) -> Point {
 }
 
 /// Triangulate the isosurface within one tetrahedron.
-fn march_tet(p: [Point; 4], v: [f64; 4], iso: f64, mesh: &mut TriMesh) {
+pub(crate) fn march_tet(p: [Point; 4], v: [f64; 4], iso: f64, mesh: &mut TriMesh) {
     let mut mask = 0usize;
     for (k, &vk) in v.iter().enumerate() {
         if vk >= iso {
@@ -342,6 +503,47 @@ mod tests {
         let m1 = merge_surfaces(&extract_level(&ld, 0, 4.0, 1.0));
         let m2 = merge_surfaces(&extract_level(&ld, 0, 4.0, 0.5));
         assert!((m2.area() - m1.area() / 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn extracting_objects_into_one_mesh_equals_concat_of_their_meshes() {
+        // What an in-transit worker does with a version's objects: each
+        // grid's halo payload extracted into one running mesh must be
+        // byte-identical to concatenating one mesh per object.
+        let c = 8.0;
+        let mut ld = field_level(16, 8, move |x, y, z| {
+            ((x - c).powi(2) + (y - c).powi(2) + (z - c).powi(2)).sqrt()
+        });
+        ld.exchange();
+        let mut running = TriMesh::new();
+        let mut parts = Vec::new();
+        for i in 0..ld.len() {
+            let fab = ld.fab(i);
+            let payload: Vec<u8> = fab
+                .comp_slice(0)
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            let core = ld.valid_box(i);
+            extract_payload_into(
+                &payload,
+                &fab.ibox(),
+                &core,
+                5.0,
+                0.5,
+                [1.0, -2.0, 0.25],
+                &mut running,
+            );
+            parts.push(extract_block(fab, 0, &core, 5.0, 0.5, [1.0, -2.0, 0.25]));
+        }
+        let refs: Vec<&TriMesh> = parts.iter().collect();
+        let concat = TriMesh::concat(&refs);
+        assert!(parts.iter().filter(|m| !m.is_empty()).count() > 1);
+        assert_eq!(running.triangles, concat.triangles);
+        let bits = |m: &TriMesh| -> Vec<[u64; 3]> {
+            m.vertices.iter().map(|p| p.map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(&running), bits(&concat));
     }
 
     #[test]

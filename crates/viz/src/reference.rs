@@ -1,14 +1,19 @@
 //! Retained per-cell reference kernels: what the flat row-walking analysis
 //! kernels are tested and benchmarked against, out of the viz API.
 //!
-//! Every function here resolves each cell through `Fab::get`/`set` and
-//! `IBox::cells()`, one cell at a time, in the accumulation order the flat
-//! kernel must reproduce bit for bit. Support code for the in-module tests,
+//! Every statistics kernel here resolves each cell through `Fab::get`/`set`
+//! and `IBox::cells()`, one cell at a time, in the accumulation order the
+//! flat kernel must reproduce bit for bit; [`extract_block`] is the
+//! per-cube marching-cubes walk the classify-first kernel must reproduce
+//! vertex for vertex. Support code for the in-module tests,
 //! `tests/prop_viz.rs` and `bench_summary`; nothing in the product calls it.
 
+use crate::marching_cubes::{march_tet, CORNERS, TETS};
+use crate::mesh::{Point, TriMesh};
 use crate::stats::BlockStats;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
+use xlayer_amr::intvect::IntVect;
 
 /// The per-cell reference for [`crate::downsample::downsample_region`]:
 /// gathers each coarse cell's fine block through `Fab::get`.
@@ -104,4 +109,75 @@ pub fn block_stats(fab: &Fab, comp: usize, region: &IBox) -> BlockStats {
         mean,
         variance: if count == 0 { 0.0 } else { m2 / count as f64 },
     }
+}
+
+/// The per-cube reference for [`crate::marching_cubes::extract_block`]:
+/// every anchored cube gathers its 8 corners and is rejected by two `any`
+/// scans when all of them lie on one side of `iso`.
+///
+/// A cube anchored at cell `iv` spans the cell centers `iv .. iv+1`; it is
+/// processed only if all 8 corners are available in `fab` (ghost cells
+/// included). Vertices are emitted in physical coordinates
+/// `origin + (cell + 0.5) * dx`.
+pub fn extract_block(
+    fab: &Fab,
+    comp: usize,
+    region: &IBox,
+    iso: f64,
+    dx: f64,
+    origin: Point,
+) -> TriMesh {
+    let mut mesh = TriMesh::new();
+    let avail = fab.ibox();
+    // A cube anchored at iv needs corners iv..iv+1, so the anchor set is the
+    // region clipped to avail shrunk by one on the high side — the same cells
+    // the per-cell `contains` checks admit, without testing each one.
+    let anchors = region.intersect(&IBox::new(avail.lo(), avail.hi() - IntVect::UNIT));
+    if anchors.is_empty() {
+        return mesh;
+    }
+    let src = fab.comp_slice(comp);
+    let sx = avail.size();
+    // Flat offsets of the 8 cube corners relative to the anchor cell.
+    let mut corner_off = [0usize; 8];
+    for (k, c) in CORNERS.iter().enumerate() {
+        corner_off[k] = (c[0] + sx[0] * (c[1] + sx[1] * c[2])) as usize;
+    }
+    let nx = anchors.size()[0] as usize;
+    for z in anchors.lo()[2]..=anchors.hi()[2] {
+        for y in anchors.lo()[1]..=anchors.hi()[1] {
+            let s0 = avail.offset(IntVect::new(anchors.lo()[0], y, z));
+            for i in 0..nx {
+                let base = s0 + i;
+                let mut vals = [0.0f64; 8];
+                for (k, off) in corner_off.iter().enumerate() {
+                    vals[k] = src[base + off];
+                }
+                // Quick reject: all corners on one side.
+                let any_in = vals.iter().any(|&v| v >= iso);
+                let any_out = vals.iter().any(|&v| v < iso);
+                if !(any_in && any_out) {
+                    continue;
+                }
+                let x = anchors.lo()[0] + i as i64;
+                let mut pts = [[0.0f64; 3]; 8];
+                for (k, c) in CORNERS.iter().enumerate() {
+                    pts[k] = [
+                        origin[0] + ((x + c[0]) as f64 + 0.5) * dx,
+                        origin[1] + ((y + c[1]) as f64 + 0.5) * dx,
+                        origin[2] + ((z + c[2]) as f64 + 0.5) * dx,
+                    ];
+                }
+                for tet in &TETS {
+                    march_tet(
+                        [pts[tet[0]], pts[tet[1]], pts[tet[2]], pts[tet[3]]],
+                        [vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]]],
+                        iso,
+                        &mut mesh,
+                    );
+                }
+            }
+        }
+    }
+    mesh
 }

@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use xlayer_amr::{Fab, IBox, IntVect};
 use xlayer_viz::downsample::{downsample_fab, downsample_region, reconstruction_mse};
 use xlayer_viz::entropy::block_entropy;
-use xlayer_viz::extract_block;
 use xlayer_viz::reference;
 use xlayer_viz::stats::BlockStats;
+use xlayer_viz::{extract_block, extract_payload_into, TriMesh};
 
 /// A smooth random field: sum of a few random Gaussians.
 fn blob_fab(n: i64, blobs: &[(f64, f64, f64, f64)]) -> Fab {
@@ -247,5 +247,115 @@ proptest! {
         let mesh = extract_block(&fab, 0, &IBox::cube(12), iso, 1.0, [0.0; 3]);
         let expect = (mesh.num_vertices() * 24 + mesh.num_triangles() * 12) as u64;
         prop_assert_eq!(mesh.bytes(), expect);
+    }
+}
+
+/// Row widths around the classify pass's 64-bit words: anything small, one
+/// short of a word, exactly one, one over, and two words plus a carry.
+fn arb_width() -> impl Strategy<Value = i64> {
+    prop_oneof![1i64..12, Just(63i64), Just(64), Just(65), Just(130)]
+}
+
+/// One axis of the extraction region for a box starting at `lo` with
+/// `size` cells: one cell thick, the whole box, the box grown past both
+/// ends (clipped), or a shifted interior span.
+fn region_axis(lo: i64, size: i64, mode: u8, shift: i64) -> (i64, i64) {
+    match mode {
+        0 => (lo + shift, lo + shift),
+        1 => (lo, lo + size - 1),
+        2 => (lo - 2, lo + size + 1),
+        _ => (lo + shift, lo + size - 1 - shift.abs()),
+    }
+}
+
+/// A two-component fab whose component 1 is either the hashed field
+/// (values on a 0.001 grid, so isovalues hit samples exactly) or a Gaussian
+/// blob, with every `1 / every`-th cell (0: none) replaced by NaN, +∞ or −∞.
+fn special_fab(b: IBox, blob: bool, every: u64) -> Fab {
+    let mut f = Fab::new(b, 2);
+    let c = [0, 1, 2].map(|d| (b.lo()[d] + b.hi()[d]) as f64 / 2.0);
+    let s = 0.25 * b.size()[0].max(b.size()[1]).max(b.size()[2]) as f64 + 0.5;
+    for iv in b.cells() {
+        let h = iv[0]
+            .wrapping_mul(73856093)
+            .wrapping_add(iv[1].wrapping_mul(19349663))
+            .wrapping_add(iv[2].wrapping_mul(83492791))
+            .rem_euclid(10_000) as u64;
+        let v = if every > 0 && h % (3 * every) < 3 {
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(h % 3) as usize]
+        } else if blob {
+            let r2: f64 = (0..3).map(|d| (iv[d] as f64 - c[d]).powi(2)).sum();
+            (-r2 / (2.0 * s * s)).exp()
+        } else {
+            h as f64 * 0.001 - 5.0
+        };
+        f.set(iv, 1, v);
+    }
+    f
+}
+
+/// Component `comp` of `fab` as a staged object's payload bytes.
+fn payload_of(fab: &Fab, comp: usize) -> Vec<u8> {
+    fab.comp_slice(comp)
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect()
+}
+
+/// A mesh as bits: vertex coordinates by `to_bits`, then the triangles.
+fn mesh_bits(m: &TriMesh) -> (Vec<[u64; 3]>, Vec<[u32; 3]>) {
+    let v = m.vertices.iter().map(|p| p.map(f64::to_bits)).collect();
+    (v, m.triangles.clone())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn classify_first_marching_cubes_matches_reference_bitwise(
+        lo in (-7i64..7, -7i64..7, -7i64..7),
+        size in (arb_width(), 1i64..7, 1i64..7),
+        clip in (0u8..4, 0u8..4, 0u8..4, -1i64..3),
+        field in (0u8..2, 0u64..4),
+        iso in (0u8..2, 0usize..1 << 20, -5.0f64..5.0),
+        place in (-3.0f64..3.0, -3.0f64..3.0, -3.0f64..3.0, 0.125f64..2.0),
+    ) {
+        // The classify-then-gather kernel, from a fab and from payload
+        // bytes, against the per-cube walk it replaced: every vertex bit and
+        // every triangle, in order — over negative box origins, clipped and
+        // one-cell-thick regions, rows that straddle 64-bit words, samples
+        // equal to the isovalue, and NaN / ±∞ corners.
+        let b = IBox::new(
+            IntVect::new(lo.0, lo.1, lo.2),
+            IntVect::new(lo.0 + size.0 - 1, lo.1 + size.1 - 1, lo.2 + size.2 - 1),
+        );
+        let fab = special_fab(b, field.0 == 1, field.1);
+        let axes = [
+            region_axis(lo.0, size.0, clip.0, clip.3),
+            region_axis(lo.1, size.1, clip.1, clip.3),
+            region_axis(lo.2, size.2, clip.2, clip.3),
+        ];
+        let region = IBox::new(
+            IntVect::new(axes[0].0, axes[1].0, axes[2].0),
+            IntVect::new(axes[0].1, axes[1].1, axes[2].1),
+        );
+        // Half the cases take the isovalue from a sample (an exact tie, or
+        // a special), half from a range that spans both fields.
+        let samples = fab.comp_slice(1);
+        let iso = if iso.0 == 0 {
+            samples[iso.1 % samples.len()]
+        } else if field.0 == 1 {
+            (iso.2 + 5.0) / 10.0
+        } else {
+            iso.2
+        };
+        let (origin, dx) = ([place.0, place.1, place.2], place.3);
+
+        let rf = reference::extract_block(&fab, 1, &region, iso, dx, origin);
+        let flat = extract_block(&fab, 1, &region, iso, dx, origin);
+        let mut staged = TriMesh::new();
+        extract_payload_into(&payload_of(&fab, 1), &b, &region, iso, dx, origin, &mut staged);
+        prop_assert_eq!(mesh_bits(&flat), mesh_bits(&rf), "extract_block, iso {}", iso);
+        prop_assert_eq!(mesh_bits(&staged), mesh_bits(&rf), "extract_payload_into, iso {}", iso);
     }
 }

@@ -55,7 +55,7 @@ use xlayer_staging::{
     AsyncStager, BatchClosed, BufferPool, DataObject, DataSpace, PutVerdict, Sharding, SpillAction,
     StageTask, Staging, TierConfig, TransportStats,
 };
-use xlayer_viz::{extract_level, merge_surfaces, TriMesh};
+use xlayer_viz::{extract_level, extract_payload_into, merge_surfaces, TriMesh};
 
 /// Configuration of a native run.
 #[derive(Clone, Debug)]
@@ -135,6 +135,10 @@ pub struct AnalysisOutcome {
     pub seconds: f64,
     /// Bytes of mesh produced.
     pub mesh_bytes: u64,
+    /// Fetched objects that yielded no triangle: staged and moved for
+    /// nothing, as far as this isovalue goes (0 in situ, where nothing is
+    /// fetched).
+    pub empty_objects: usize,
 }
 
 /// The versions whose analysis is queued or running, shared by the producer
@@ -444,29 +448,28 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         // A fetch that fails (service gone mid-run) is an
                         // empty read: the analysis reports a zero-triangle
                         // outcome instead of crashing the worker.
-                        // Each fetched object is let go as soon as its
-                        // surface is out, so a version under analysis holds
-                        // what is left to extract, not a second whole copy.
-                        let objects = staging.get("field", job.version, None);
-                        let parts: Vec<TriMesh> = objects
-                            .into_iter()
-                            .map(|obj| {
-                                // Staged objects are single-component; the
-                                // descriptor carries the level's dx and the
-                                // anchor (core) region.
-                                let fab = obj.to_fab();
-                                xlayer_viz::extract_block(
-                                    &fab,
-                                    0,
-                                    &obj.desc.core,
-                                    job.iso,
-                                    obj.desc.dx,
-                                    [0.0; 3],
-                                )
-                            })
-                            .collect();
-                        let refs: Vec<&TriMesh> = parts.iter().collect();
-                        let mesh = TriMesh::concat(&refs);
+                        // Every object's surface goes straight into the
+                        // version's one mesh, read off the staged bytes
+                        // (objects are single-component; the descriptor
+                        // carries the level's dx and the anchor region),
+                        // and each object is let go as soon as its surface
+                        // is out, so a version under analysis holds what is
+                        // left to extract, not a second whole copy.
+                        let mut mesh = TriMesh::new();
+                        let mut empty_objects = 0;
+                        for obj in staging.get("field", job.version, None) {
+                            let before = mesh.num_triangles();
+                            extract_payload_into(
+                                &obj.payload,
+                                &obj.desc.bbox,
+                                &obj.desc.core,
+                                job.iso,
+                                obj.desc.dx,
+                                [0.0; 3],
+                                &mut mesh,
+                            );
+                            empty_objects += usize::from(mesh.num_triangles() == before);
+                        }
                         staging.evict_before("field", running.finish());
                         let secs = t0.elapsed().as_secs_f64();
                         let _ = result_tx.send(AnalysisOutcome {
@@ -475,6 +478,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                             triangles: mesh.num_triangles(),
                             seconds: secs,
                             mesh_bytes: mesh.bytes(),
+                            empty_objects,
                         });
                     }
                 })
@@ -663,6 +667,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                     triangles: total.num_triangles(),
                     seconds: analysis_secs,
                     mesh_bytes: total.bytes(),
+                    empty_objects: 0,
                 });
             }
             Placement::InTransit | Placement::Hybrid => {
@@ -909,6 +914,57 @@ mod tests {
         .init_hierarchy(&mut sim.hierarchy);
         sim.regrid_now();
         sim
+    }
+
+    #[test]
+    fn empty_objects_counts_the_grids_the_surface_misses() {
+        // One periodic 32³ level in 8³ grids stages 64 objects a version. A
+        // Gaussian centred on the corner the middle eight grids share has
+        // its iso-0.4 shell ~3.4 cells out, inside those eight: the other
+        // 56 objects are fetched and yield nothing. Above the peak, all 64.
+        let run = |iso_value: f64| {
+            let n = 32;
+            let domain = ProblemDomain::periodic(IBox::cube(n));
+            let solver = AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.0, 0.0]), 0.0, n);
+            let mut sim = AmrSimulation::new(
+                domain,
+                HierarchyConfig {
+                    max_levels: 1,
+                    base_max_box: 8,
+                    ..Default::default()
+                },
+                solver,
+                DriverConfig {
+                    regrid_interval: 0,
+                    ..Default::default()
+                },
+            );
+            ScalarProblem::Gaussian {
+                center: [n as f64 / 2.0; 3],
+                sigma: 2.5,
+            }
+            .init_hierarchy(&mut sim.hierarchy);
+            let cfg = NativeConfig {
+                iso_value,
+                placement_override: Some(Placement::InTransit),
+                ..Default::default()
+            };
+            let mut wf = NativeWorkflow::new(sim, cfg);
+            for _ in 0..2 {
+                wf.step();
+            }
+            let (_, outcomes, _) = wf.finish();
+            outcomes
+        };
+        let crossed = run(0.4);
+        assert_eq!(crossed.len(), 2);
+        for o in &crossed {
+            assert!(o.triangles > 0, "no surface at version {}", o.version);
+            assert_eq!(o.empty_objects, 56, "version {}", o.version);
+        }
+        for o in run(2.0) {
+            assert_eq!((o.triangles, o.empty_objects), (0, 64));
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! regardless of AMR level, so moving analysis off-node silently rescaled
 //! every fine-level vertex by `ref_ratio^l`. Staged objects now carry the
 //! producer's physical spacing (`ObjectDesc::dx`) and region of interest
-//! (`ObjectDesc::core`), so the staged path — pack, put, get, unpack,
-//! extract — must reproduce the in-situ mesh *exactly*: same triangle
-//! count and bit-identical vertex coordinates, on every level.
+//! (`ObjectDesc::core`), so the staged path — pack, put, get, extract off
+//! the payload bytes — must reproduce the in-situ mesh *exactly*: same
+//! triangle count and bit-identical vertex coordinates, on every level.
 
 use xlayer_amr::hierarchy::HierarchyConfig;
 use xlayer_amr::{IBox, ProblemDomain};
@@ -14,7 +14,7 @@ use xlayer_solvers::{
     AdvectDiffuseSolver, AmrSimulation, DriverConfig, ScalarProblem, VelocityField,
 };
 use xlayer_staging::{DataSpace, Sharding};
-use xlayer_viz::{extract_block, extract_level, merge_surfaces, TriMesh};
+use xlayer_viz::{extract_level, extract_payload_into, merge_surfaces, TriMesh};
 use xlayer_workflow::pack_level_objects;
 
 fn blob_sim(n: i64) -> AmrSimulation<AdvectDiffuseSolver> {
@@ -73,8 +73,9 @@ fn staged_extraction_is_bitwise_identical_to_insitu() {
     assert!(insitu.num_triangles() > 0, "blob must cross iso={iso}");
 
     // In-transit: round-trip every grid through the staging space, then
-    // extract from the unpacked halo objects using only the metadata the
-    // object itself carries (core + dx) — exactly what the workers do.
+    // extract from the halo objects' payloads into one mesh using only the
+    // metadata the object itself carries (core + dx) — exactly what the
+    // workers do.
     let space = DataSpace::new(2, 256 << 20, Sharding::BboxHash);
     let version = 7;
     for l in 0..sim.hierarchy.num_levels() {
@@ -91,15 +92,18 @@ fn staged_extraction_is_bitwise_identical_to_insitu() {
         objects.iter().any(|o| o.desc.dx == fine_dx),
         "no staged object carries the fine-level spacing"
     );
-    let parts: Vec<TriMesh> = objects
-        .iter()
-        .map(|obj| {
-            let fab = obj.to_fab();
-            extract_block(&fab, 0, &obj.desc.core, iso, obj.desc.dx, [0.0; 3])
-        })
-        .collect();
-    let refs: Vec<&TriMesh> = parts.iter().collect();
-    let staged = TriMesh::concat(&refs);
+    let mut staged = TriMesh::new();
+    for obj in &objects {
+        extract_payload_into(
+            &obj.payload,
+            &obj.desc.bbox,
+            &obj.desc.core,
+            iso,
+            obj.desc.dx,
+            [0.0; 3],
+            &mut staged,
+        );
+    }
 
     assert_eq!(staged.num_triangles(), insitu.num_triangles());
     // Object order out of the sharded space is arbitrary; compare the
