@@ -67,8 +67,12 @@ fn main() {
             .iter()
             .filter(|s| {
                 (1..=6).any(|v| {
-                    !s.get(&xlayer_staging::ObjectKey::new("rho", v), Some(&probe))
-                        .is_empty()
+                    !s.get(
+                        &xlayer_staging::ObjectKey::new("rho", v),
+                        Some(&probe),
+                        None,
+                    )
+                    .is_empty()
                 })
             })
             .count();

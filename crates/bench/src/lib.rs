@@ -356,9 +356,9 @@ mod tests {
     fn the_advect_version_surface_misses_56_of_its_64_objects() {
         let objects = advect_version_objects();
         assert_eq!(objects.len(), 64);
-        let empty = objects
+        let empty: Vec<bool> = objects
             .iter()
-            .filter(|obj| {
+            .map(|obj| {
                 let d = &obj.desc;
                 let mut mesh = xlayer_viz::TriMesh::new();
                 xlayer_viz::extract_payload_into(
@@ -372,8 +372,13 @@ mod tests {
                 );
                 mesh.is_empty()
             })
-            .count();
-        assert_eq!(empty, 56);
+            .collect();
+        assert_eq!(empty.iter().filter(|&&e| e).count(), 56);
+        // The value-range predicate a filtered get applies keeps exactly
+        // the 8 objects the surface crosses.
+        for (obj, empty) in objects.iter().zip(empty) {
+            assert_eq!(obj.desc.may_cross(Some(0.5)), !empty, "{:?}", obj.desc.core);
+        }
     }
 
     /// What `bench_summary` would write for these keys, every value 1.5.

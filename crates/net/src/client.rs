@@ -453,43 +453,45 @@ impl RemoteClient {
     }
 
     /// Fetch the objects under `(name, version)`, optionally clipped to a
-    /// query box. A get is always a chunked stream — the wire has no
-    /// other form: the service serves it zero-copy and it has no object
-    /// size ceiling.
+    /// query box.
     pub fn get(
         &self,
         name: &str,
         version: u64,
         query: Option<IBox>,
     ) -> Result<Vec<DataObject>, RemoteError> {
-        self.get_chunked(name, version, query)
+        self.get_crossing(name, version, query, None)
     }
 
-    /// Fetch objects as a chunked stream, assembling each payload directly
-    /// into its destination buffer.
-    pub fn get_chunked(
+    /// [`Self::get`] of only the objects an isosurface at `crossing` can
+    /// cross (`ObjectDesc::may_cross`; all of them if `None`): the service
+    /// filters on descriptors and sends nothing else. A get is always a
+    /// chunked stream — the wire has no other form: the service serves it
+    /// zero-copy, it has no object size ceiling, and each payload is
+    /// assembled straight into its destination buffer.
+    pub fn get_crossing(
         &self,
         name: &str,
         version: u64,
         query: Option<IBox>,
+        crossing: Option<f64>,
     ) -> Result<Vec<DataObject>, RemoteError> {
-        self.call_with(|me, stream| me.exchange_get_chunked(stream, name, version, &query))
+        let req = Request::GetChunked {
+            name: name.to_string(),
+            version,
+            query,
+            crossing,
+        };
+        self.call_with(|me, stream| me.exchange_get_chunked(stream, &req))
     }
 
     fn exchange_get_chunked(
         &self,
         stream: &mut TcpStream,
-        name: &str,
-        version: u64,
-        query: &Option<IBox>,
+        req: &Request,
     ) -> Result<Result<Vec<DataObject>, ErrorFrame>, RemoteError> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let req = Request::GetChunked {
-            name: name.to_string(),
-            version,
-            query: *query,
-        };
-        self.send_request(stream, &req, id)?;
+        self.send_request(stream, req, id)?;
         let descs = match self.read_response(stream, id)? {
             Response::GetChunkedOk { descs } => descs,
             // Typed refusals surface to the retry loop's classification.

@@ -231,8 +231,21 @@ impl ShardedClient {
         version: u64,
         query: Option<IBox>,
     ) -> Result<Vec<DataObject>, ShardedError> {
+        self.get_crossing(name, version, query, None)
+    }
+
+    /// [`Self::get`] of only the objects an isosurface at `crossing` can
+    /// cross (`ObjectDesc::may_cross`; all of them if `None`): every shard
+    /// filters on descriptors, so what it drops never crosses the wire.
+    pub fn get_crossing(
+        &self,
+        name: &str,
+        version: u64,
+        query: Option<IBox>,
+        crossing: Option<f64>,
+    ) -> Result<Vec<DataObject>, ShardedError> {
         let targets = self.fetch_targets(&query);
-        let fetched = self.scatter(&targets, |c| c.get(name, version, query))?;
+        let fetched = self.scatter(&targets, |c| c.get_crossing(name, version, query, crossing))?;
         let mut out: Vec<DataObject> = fetched.into_iter().flatten().collect();
         sort_objects(&mut out);
         Ok(out)
@@ -419,8 +432,14 @@ impl Staging for ShardedClient {
         }
     }
 
-    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>> {
-        ShardedClient::get(self, name, version, query.copied())
+    fn get(
+        &self,
+        name: &str,
+        version: u64,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
+    ) -> Vec<Arc<DataObject>> {
+        ShardedClient::get_crossing(self, name, version, query.copied(), crossing)
             .map(|objs| objs.into_iter().map(Arc::new).collect())
             .unwrap_or_default()
     }

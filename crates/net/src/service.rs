@@ -480,8 +480,9 @@ fn serve_connection(inner: &Inner, stream: TcpStream) {
                         name,
                         version,
                         query,
+                        crossing,
                     }) => {
-                        if serve_get_chunked(conn, request_id, &name, version, query) {
+                        if serve_get_chunked(conn, request_id, &name, version, query, crossing) {
                             continue;
                         }
                         return;
@@ -589,21 +590,25 @@ fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc) -> bool
     send_response(conn, request_id, &response).is_ok()
 }
 
-/// Serve one `GetChunked`: answer with the matching descriptors, then
-/// stream every object's payload as chunk frames sliced straight out of
-/// the `Arc`-held objects — no payload copy, and for an object that knows
-/// its per-chunk sums no pass over the payload but the socket write.
-/// Returns `false` when the connection must close.
+/// Serve one `GetChunked`: answer with the descriptors that pass both
+/// filters — the box and the `crossing` predicate, judged on descriptors
+/// alone — then stream those objects' payloads as chunk frames sliced
+/// straight out of the `Arc`-held objects: no payload copy, and for an
+/// object that knows its per-chunk sums no pass over the payload but the
+/// socket write. Returns `false` when the connection must close.
 fn serve_get_chunked(
     conn: &mut Conn,
     request_id: u64,
     name: &str,
     version: u64,
     query: Option<xlayer_amr::boxes::IBox>,
+    crossing: Option<f64>,
 ) -> bool {
     let inner = conn.inner;
     inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-    let objs = inner.space.get(name, version, query.as_ref());
+    let objs = inner
+        .space
+        .get_crossing(name, version, query.as_ref(), crossing);
     let head = Response::GetChunkedOk {
         descs: objs.iter().map(|o| o.desc.clone()).collect(),
     };

@@ -391,6 +391,8 @@ mod tests {
             bbox,
             core: bbox,
             dx: 1.0,
+            // Noise bytes have no meaningful range; nothing here filters.
+            range: xlayer_staging::EMPTY_RANGE,
             bytes: payload.len() as u64,
             origin_rank: rank,
         };

@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic            b"XLNT"
-//!      4     2  protocol version u16 LE (currently 6)
+//!      4     2  protocol version u16 LE (currently 7)
 //!      6     1  opcode           (see [`Opcode`])
 //!      7     1  flags            reserved, must be 0
 //!      8     8  request id       u64 LE, echoed by the response
@@ -18,11 +18,12 @@
 //!
 //! All integers are little-endian; floats travel as `to_bits()` so the
 //! round trip is bit-exact. Strings are `u32` length + UTF-8 bytes; an
-//! [`IBox`] is its two inclusive corners (6 × `i64`); an optional box is a
-//! one-byte tag. The payload length is capped ([`MAX_PAYLOAD`]) so a
-//! hostile header cannot make a peer allocate unbounded memory, and every
-//! decode error is a typed [`WireError`] — the codec never panics on
-//! malformed bytes (xlint rule P covers this module).
+//! [`IBox`] is its two inclusive corners (6 × `i64`); an optional box or
+//! float is a one-byte tag, then the value if the tag is non-zero. The
+//! payload length is capped ([`MAX_PAYLOAD`]) so a hostile header cannot
+//! make a peer allocate unbounded memory, and every decode error is a
+//! typed [`WireError`] — the codec never panics on malformed bytes (xlint
+//! rule P covers this module).
 
 use crate::frame::{self, FrameSpec, Rd, Wr};
 use bytes::Bytes;
@@ -49,10 +50,12 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 /// the function behind every checksum field (byte-serial FNV-1a-32 → the
 /// four-lane sum of `xlayer_staging::sum`): without the bump a v5 peer's
 /// frames would fail as `ChecksumMismatch` — and be retried — instead of
-/// being refused. The layout fingerprint is
-/// additionally pinned in `xlint.wire` (rule S): regenerate it with
-/// `xlint --write-wire-pin` alongside any bump.
-pub const VERSION: u16 = 6;
+/// being refused. Version 7 put the object's value range (two `f64`,
+/// after `dx`) in every descriptor and an optional isovalue predicate
+/// (`crossing`) at the end of the `GetChunked` body. The layout
+/// fingerprint is additionally pinned in `xlint.wire` (rule S):
+/// regenerate it with `xlint --write-wire-pin` alongside any bump.
+pub const VERSION: u16 = 7;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = frame::HEADER_LEN;
@@ -255,12 +258,24 @@ impl Wr {
             }
         }
     }
+    fn opt_f64(&mut self, v: Option<f64>) {
+        match v {
+            None => self.u8(0),
+            Some(v) => {
+                self.u8(1);
+                self.f64(v);
+            }
+        }
+    }
     fn desc(&mut self, d: &ObjectDesc) {
         self.string(&d.key.name);
         self.u64(d.key.version);
         self.ibox(&d.bbox);
         self.ibox(&d.core);
         self.f64(d.dx);
+        let [lo, hi] = d.range;
+        self.f64(lo);
+        self.f64(hi);
         self.u64(d.bytes);
         self.u64(d.origin_rank as u64);
     }
@@ -288,12 +303,20 @@ impl Rd<'_> {
         }
     }
 
+    fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
+        match self.u8()? {
+            0 => Ok(None),
+            _ => Ok(Some(self.f64()?)),
+        }
+    }
+
     fn desc(&mut self) -> Result<ObjectDesc, WireError> {
         let name = self.string()?;
         let version = self.u64()?;
         let bbox = self.ibox()?;
         let core = self.ibox()?;
         let dx = self.f64()?;
+        let range = [self.f64()?, self.f64()?];
         let bytes = self.u64()?;
         let origin_rank = self.u64()? as usize;
         Ok(ObjectDesc {
@@ -301,6 +324,7 @@ impl Rd<'_> {
             bbox,
             core,
             dx,
+            range,
             bytes,
             origin_rank,
         })
@@ -551,7 +575,8 @@ pub enum Request {
         desc: ObjectDesc,
     },
     /// Fetch the objects under `(name, version)`, optionally clipped to a
-    /// query box, as a chunked stream.
+    /// query box and to the objects an isosurface can cross, as a chunked
+    /// stream.
     GetChunked {
         /// Variable name.
         name: String,
@@ -559,6 +584,8 @@ pub enum Request {
         version: u64,
         /// Optional spatial filter.
         query: Option<IBox>,
+        /// Optional isovalue predicate (`ObjectDesc::may_cross`).
+        crossing: Option<f64>,
     },
 }
 
@@ -603,10 +630,12 @@ impl Request {
                 name,
                 version,
                 query,
+                crossing,
             } => {
                 w.string(name);
                 w.u64(*version);
                 w.opt_ibox(query.as_ref());
+                w.opt_f64(*crossing);
             }
         }
         *out = w.buf;
@@ -639,6 +668,7 @@ impl Request {
                 name: r.string()?,
                 version: r.u64()?,
                 query: r.opt_ibox()?,
+                crossing: r.opt_f64()?,
             },
             other => return Err(WireError::UnexpectedOpcode(other as u8)),
         };
@@ -1034,7 +1064,7 @@ mod tests {
             buf,
             vec![
                 b'X', b'L', b'N', b'T', // magic
-                0x06, 0x00, // version 6 LE
+                0x07, 0x00, // version 7 LE
                 0x05, // opcode Stats
                 0x00, // flags
                 0x07, 0, 0, 0, 0, 0, 0, 0, // request id 7 LE
@@ -1058,7 +1088,7 @@ mod tests {
             9, 0, 0, 0, 0, 0, 0, 0, // before_version 9 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x06, 0x00, 0x04, 0x00, // magic, v6, Delete, flags
+            b'X', b'L', b'N', b'T', 0x07, 0x00, 0x04, 0x00, // magic, v7, Delete, flags
             0x01, 0, 0, 0, 0, 0, 0, 0, // request id 1
             15, 0, 0, 0, // payload length 15
         ];
@@ -1071,7 +1101,7 @@ mod tests {
     fn golden_put_request_bytes() {
         let buf = Request::Put(tiny_object()).encode(3);
         // Body: name "r", version 2, bbox [0,0]^3, core [0,0]^3, dx 0.5,
-        // bytes 8, origin_rank 1, payload = 3.0f64.
+        // range [3, 3], bytes 8, origin_rank 1, payload = 3.0f64.
         let mut body = Vec::new();
         body.extend_from_slice(&1u32.to_le_bytes());
         body.push(b'r');
@@ -1083,11 +1113,14 @@ mod tests {
             }
         }
         body.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        for bound in [3.0f64, 3.0] {
+            body.extend_from_slice(&bound.to_bits().to_le_bytes());
+        }
         body.extend_from_slice(&8u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&8u32.to_le_bytes());
         body.extend_from_slice(&3.0f64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x06, 0x00, 0x01, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x07, 0x00, 0x01, 0x00];
         expect.extend_from_slice(&3u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1121,8 +1154,8 @@ mod tests {
                 b'L',
                 b'N',
                 b'T', // magic
-                0x06,
-                0x00, // version 6 LE
+                0x07,
+                0x00, // version 7 LE
                 0x09, // opcode ChunkData
                 0x00, // flags
                 0x09,
@@ -1173,7 +1206,7 @@ mod tests {
             0x02, 0x01, 0, 0, 0, 0, 0, 0, // total_bytes 0x0102 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x06, 0x00, 0x0A, 0x00, // magic, v6, ChunkEnd, flags
+            b'X', b'L', b'N', b'T', 0x07, 0x00, 0x0A, 0x00, // magic, v7, ChunkEnd, flags
             0x04, 0, 0, 0, 0, 0, 0, 0, // request id 4
             12, 0, 0, 0, // payload length 12
         ];
@@ -1204,9 +1237,12 @@ mod tests {
             }
         }
         body.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        for bound in [3.0f64, 3.0] {
+            body.extend_from_slice(&bound.to_bits().to_le_bytes());
+        }
         body.extend_from_slice(&8u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x06, 0x00, 0x07, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x07, 0x00, 0x07, 0x00];
         expect.extend_from_slice(&6u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1227,27 +1263,107 @@ mod tests {
             Request::PutChunked { desc } => assert_eq!(desc, obj.desc),
             other => panic!("wrong request: {other:?}"),
         }
+        let crossings = [
+            None,
+            Some(0.5),
+            Some(-0.0),
+            Some(f64::NAN),
+            Some(f64::INFINITY),
+            Some(f64::NEG_INFINITY),
+        ];
         for query in [None, Some(IBox::cube(2))] {
-            let frame = decode_whole(
-                &Request::GetChunked {
-                    name: "field".into(),
-                    version: 3,
-                    query,
+            for crossing in crossings {
+                let frame = decode_whole(
+                    &Request::GetChunked {
+                        name: "field".into(),
+                        version: 3,
+                        query,
+                        crossing,
+                    }
+                    .encode(9),
+                );
+                match Request::decode(&frame).unwrap() {
+                    Request::GetChunked {
+                        name,
+                        version,
+                        query: q,
+                        crossing: c,
+                    } => {
+                        assert_eq!(name, "field");
+                        assert_eq!(version, 3);
+                        assert_eq!(q, query);
+                        // Bits, not `==`: a NaN predicate must arrive NaN.
+                        assert_eq!(c.map(f64::to_bits), crossing.map(f64::to_bits));
+                    }
+                    other => panic!("wrong request: {other:?}"),
                 }
-                .encode(9),
-            );
+            }
+        }
+    }
+
+    #[test]
+    fn golden_get_chunked_request_bytes() {
+        let buf = Request::GetChunked {
+            name: "f".into(),
+            version: 4,
+            query: None,
+            crossing: Some(0.5),
+        }
+        .encode(2);
+        let mut body = vec![1, 0, 0, 0, b'f']; // name
+        body.extend_from_slice(&4u64.to_le_bytes());
+        body.push(0); // no query box
+        body.push(1); // a crossing predicate ...
+        body.extend_from_slice(&0.5f64.to_bits().to_le_bytes()); // ... at 0.5
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x07, 0x00, 0x08, 0x00];
+        expect.extend_from_slice(&2u64.to_le_bytes());
+        expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        expect.extend_from_slice(&checksum(&body).to_le_bytes());
+        expect.extend_from_slice(&body);
+        assert_eq!(buf, expect);
+    }
+
+    #[test]
+    fn infinite_and_empty_ranges_roundtrip_and_lying_ones_are_refused() {
+        let with_range = |range: [f64; 2]| {
+            let mut obj = tiny_object();
+            obj.desc.range = range;
+            obj
+        };
+        let honest = [
+            xlayer_staging::EMPTY_RANGE,
+            [f64::NEG_INFINITY, f64::INFINITY],
+            [f64::INFINITY, f64::INFINITY],
+            [-0.0, 3.0],
+        ];
+        for range in honest {
+            let obj = with_range(range);
+            let frame = decode_whole(&Request::Put(obj.clone()).encode(1));
             match Request::decode(&frame).unwrap() {
-                Request::GetChunked {
-                    name,
-                    version,
-                    query: q,
-                } => {
-                    assert_eq!(name, "field");
-                    assert_eq!(version, 3);
-                    assert_eq!(q, query);
+                Request::Put(back) => {
+                    assert_eq!(back.desc.range.map(f64::to_bits), range.map(f64::to_bits))
                 }
                 other => panic!("wrong request: {other:?}"),
             }
+            let frame = decode_whole(&Response::QueryOk(vec![obj.desc.clone()]).encode(1));
+            match Response::decode(&frame).unwrap() {
+                Response::QueryOk(descs) => assert_eq!(descs, vec![obj.desc]),
+                other => panic!("wrong response: {other:?}"),
+            }
+        }
+        // A descriptor whose range has a NaN bound, or is inverted without
+        // being the empty sentinel, is refused like an escaped core.
+        for range in [
+            [f64::NAN, 3.0],
+            [3.0, f64::NAN],
+            [4.0, 3.0],
+            [f64::INFINITY, 3.0],
+        ] {
+            let frame = decode_whole(&Request::Put(with_range(range)).encode(1));
+            assert!(
+                matches!(Request::decode(&frame), Err(WireError::InconsistentObject)),
+                "{range:?}"
+            );
         }
     }
 
@@ -1385,8 +1501,9 @@ mod tests {
         assert!(matches!(decode_header(&bad), Err(WireError::BadMagic(_))));
 
         // 5 summed its payloads with FNV-1a-32: refused here, or its frames
-        // would fail as `ChecksumMismatch` and be retried.
-        for v in [9, 4, 5] {
+        // would fail as `ChecksumMismatch` and be retried. 6 had no range in
+        // its descriptors: its bodies would misparse.
+        for v in [9, 4, 5, 6] {
             let mut bad = h;
             bad[4] = v;
             assert_eq!(decode_header(&bad), Err(WireError::BadVersion(v.into())));
@@ -1497,6 +1614,64 @@ mod tests {
             payload: Vec::new(),
         };
         assert!(Response::decode(&frame).is_err());
+    }
+
+    #[test]
+    fn random_range_and_crossing_bits_roundtrip_or_are_refused() {
+        // Ranges and predicates drawn as raw bit patterns, a third of them
+        // from the edge cases: a range decodes iff it is consistent (and
+        // then bit-exact), and every predicate arrives bit-exact.
+        let specials = [
+            0u64,
+            (-0.0f64).to_bits(),
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            f64::NAN.to_bits(),
+            0x7ff0_0000_0000_0001, // a signalling NaN
+            0xfff8_0000_0000_0000, // a negative quiet NaN
+            3.0f64.to_bits(),
+        ];
+        let mut state: u64 = 0x5eed_0007;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match state % 3 {
+                0 => specials[(state >> 32) as usize % specials.len()],
+                _ => state.rotate_left(17),
+            }
+        };
+        for _ in 0..600 {
+            let mut obj = tiny_object();
+            obj.desc.range = [f64::from_bits(draw()), f64::from_bits(draw())];
+            let frame = decode_whole(&Request::Put(obj.clone()).encode(0));
+            match Request::decode(&frame) {
+                Ok(Request::Put(back)) => {
+                    assert!(obj.desc.is_consistent(), "{:?}", obj.desc.range);
+                    assert_eq!(
+                        back.desc.range.map(f64::to_bits),
+                        obj.desc.range.map(f64::to_bits)
+                    );
+                }
+                Err(WireError::InconsistentObject) => {
+                    assert!(!obj.desc.is_consistent(), "{:?}", obj.desc.range)
+                }
+                other => panic!("unexpected decode {other:?}"),
+            }
+            let crossing = Some(f64::from_bits(draw()));
+            let req = Request::GetChunked {
+                name: "f".into(),
+                version: 1,
+                query: None,
+                crossing,
+            };
+            match Request::decode(&decode_whole(&req.encode(0))).unwrap() {
+                Request::GetChunked { crossing: c, .. } => {
+                    assert_eq!(c.map(f64::to_bits), crossing.map(f64::to_bits))
+                }
+                other => panic!("wrong request: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -135,8 +135,8 @@ fn chunked_roundtrip_bit_identical_and_cache_consistent() {
     // the put stream; the repeat serves the same ones. The client verifies
     // every chunk checksum on receipt, so a stale or misindexed sum fails
     // the call rather than just the comparison.
-    let first = client.get_chunked("rho", 7, None).unwrap();
-    let again = client.get_chunked("rho", 7, None).unwrap();
+    let first = client.get("rho", 7, None).unwrap();
+    let again = client.get("rho", 7, None).unwrap();
     for got in [&first, &again] {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].desc, obj.desc);
@@ -171,7 +171,7 @@ fn promoted_object_streams_without_rehash() {
     // from the one the put stream assembled, yet it still knows the sums
     // that stream verified: the spill wrote them, the verified read handed
     // them back, and the get stream frames the payload without hashing it.
-    let got = client.get_chunked("rho", 1, None).unwrap();
+    let got = client.get("rho", 1, None).unwrap();
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].desc, obj.desc);
     assert_eq!(got[0].payload.as_ref(), obj.payload.as_ref());

@@ -389,3 +389,102 @@ fn headroom_reports_memory_and_disk_tier_from_one_snapshot_per_shard() {
     cluster.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One version of the advect workload as the analysis fetches it: a
+/// Gaussian (σ = n/8) at the centre of a 128³ level, staged as 64 objects
+/// of a 32³ core plus a one-cell halo. At iso 0.5 its surface crosses the
+/// 8 objects around the centre.
+fn advect_version(version: u64) -> Vec<DataObject> {
+    let (n, side) = (128i64, 32i64);
+    let sigma = n as f64 / 8.0;
+    let mut objects = Vec::new();
+    for bz in 0..n / side {
+        for by in 0..n / side {
+            for bx in 0..n / side {
+                let lo = IntVect::new(bx * side, by * side, bz * side);
+                let core = IBox::new(lo, lo + IntVect::splat(side - 1));
+                let halo = core.grow(1);
+                let mut fab = Fab::new(halo, 1);
+                for iv in halo.cells() {
+                    let r2: f64 = (0..3)
+                        .map(|d| (iv[d] as f64 + 0.5 - n as f64 / 2.0).powi(2))
+                        .sum();
+                    fab.set(iv, 0, (-r2 / (2.0 * sigma * sigma)).exp());
+                }
+                objects.push(
+                    DataObject::from_fab("field", version, &fab, 0, &halo, 0).with_core(&core),
+                );
+            }
+        }
+    }
+    objects
+}
+
+#[test]
+fn a_filtered_get_sends_only_the_objects_the_surface_crosses() {
+    use xlayer_net::wire::{Response, ServiceSnapshot, CHUNK, CHUNK_PREFIX_LEN, HEADER_LEN};
+    let cluster = StagingCluster::start(2, &service_cfg(64 << 20)).expect("start cluster");
+    let client = ShardedClient::connect(&cluster.addrs(), 32, fast_cfg()).expect("client");
+    let objects = advect_version(1);
+    for o in &objects {
+        client.put(o).expect("put");
+    }
+    let crossing: Vec<&DataObject> = objects
+        .iter()
+        .filter(|o| o.desc.may_cross(Some(0.5)))
+        .collect();
+    assert_eq!(crossing.len(), 8);
+
+    // Bytes each shard has written, read over the connection the get used:
+    // a shard serves one connection's requests in order, so the `Stats`
+    // after a get counts every byte of it.
+    let sent = || -> u64 {
+        client
+            .shard_stats()
+            .into_iter()
+            .map(|s| s.expect("shard stats").bytes_out)
+            .sum()
+    };
+    let stats_frames = 2 * Response::StatsOk(ServiceSnapshot::default())
+        .encode(0)
+        .len() as u64;
+    let before = sent();
+    let got = client
+        .get_crossing("field", 1, None, Some(0.5))
+        .expect("filtered get");
+    let moved = sent() - before - stats_frames;
+
+    let mut want: Vec<&DataObject> = crossing.clone();
+    want.sort_by_key(|o| (o.desc.bbox.lo(), o.desc.bbox.hi()));
+    assert_eq!(got.len(), 8);
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!((&g.desc, &g.payload), (&w.desc, &w.payload));
+    }
+    // Exactly the 8 objects' payloads and their framing: per shard the
+    // stream's descriptor head and end frame, per object its descriptor
+    // and its chunks' frame headers and prefixes. Nothing of the other 56.
+    let desc_len = (Response::QueryOk(vec![objects[0].desc.clone()])
+        .encode(0)
+        .len()
+        - Response::QueryOk(Vec::new()).encode(0).len()) as u64;
+    let per_shard = (HEADER_LEN + 4 + HEADER_LEN + 12) as u64;
+    let payload: u64 = crossing.iter().map(|o| o.desc.bytes).sum();
+    let chunks: u64 = crossing
+        .iter()
+        .map(|o| o.desc.bytes.div_ceil(CHUNK as u64))
+        .sum();
+    assert_eq!(payload, 8 * 34 * 34 * 34 * 8);
+    assert_eq!(
+        moved,
+        2 * per_shard + 8 * desc_len + chunks * (HEADER_LEN + CHUNK_PREFIX_LEN) as u64 + payload
+    );
+
+    // The unfiltered get of the same version moves all 64.
+    let before = sent();
+    assert_eq!(client.get("field", 1, None).expect("get").len(), 64);
+    let all = sent() - before - stats_frames;
+    assert!(all > 64 * objects[0].desc.bytes, "{all}");
+
+    client.shutdown_all().expect("shutdown");
+    cluster.wait();
+}

@@ -46,10 +46,19 @@ pub trait Staging: Send + Sync {
     fn put(&self, obj: Arc<DataObject>) -> PutVerdict;
 
     /// All objects under `(name, version)` intersecting `query` (every
-    /// object of the version if `None`). Part order within a version is
-    /// backend-defined. A backend that cannot answer yields an empty read;
-    /// its typed error stays on the concrete client.
-    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>>;
+    /// object of the version if `None`) that pass the `crossing` isovalue
+    /// predicate ([`crate::ObjectDesc::may_cross`]; every object if
+    /// `None`). Every layer evaluates both filters on descriptors, before
+    /// a payload byte is read, framed or sent. Part order within a version
+    /// is backend-defined. A backend that cannot answer yields an empty
+    /// read; its typed error stays on the concrete client.
+    fn get(
+        &self,
+        name: &str,
+        version: u64,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
+    ) -> Vec<Arc<DataObject>>;
 
     /// Evict versions of `name` older than `min_version`; returns bytes
     /// freed (zero from a backend that cannot answer).
@@ -71,8 +80,14 @@ impl Staging for DataSpace {
         }
     }
 
-    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>> {
-        DataSpace::get(self, name, version, query)
+    fn get(
+        &self,
+        name: &str,
+        version: u64,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
+    ) -> Vec<Arc<DataObject>> {
+        DataSpace::get_crossing(self, name, version, query, crossing)
     }
 
     fn evict_before(&self, name: &str, min_version: u64) -> u64 {

@@ -6,17 +6,18 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic            "XTL2"
+//!      0     4  magic            "XTL3"
 //!      4     2  name_len         u16
 //!      6     8  version          u64
 //!     14    48  bbox             lo.x lo.y lo.z hi.x hi.y hi.z, i64 each
 //!     62    48  core             same encoding as bbox
 //!    110     8  dx               f64 bit pattern
-//!    118     8  origin_rank      u64
-//!    126     8  payload_len      u64
-//!    134     4  chunk_size       u32
-//!    138     4  nsums            u32 (= ceil(payload_len / chunk_size))
-//!    142     …  name             name_len bytes, UTF-8
+//!    118    16  range            min, max: f64 bit patterns
+//!    134     8  origin_rank      u64
+//!    142     8  payload_len      u64
+//!    150     4  chunk_size       u32
+//!    154     4  nsums            u32 (= ceil(payload_len / chunk_size))
+//!    158     …  name             name_len bytes, UTF-8
 //!      …     …  sums             nsums × u32, [`crate::sum`] per payload chunk
 //!      …     4  head_sum         [`crate::sum`] over every byte above
 //!      …     …  payload          payload_len bytes, LE f64 Fortran order
@@ -69,10 +70,10 @@
 //! `Persistence::Durable` hint is a memory-pressure priority (never
 //! reject, always spill), not a power-loss guarantee. Nor does a log
 //! survive a *format* change: the record magic names the format (`XTLG`
-//! records carried FNV-1a-32 sums), there is no migration, and a log
-//! written under another magic is reported through [`DiskLog::recovery`]
-//! as "bad record magic" at offset 0 and truncated like any other
-//! unreadable tail.
+//! records carried FNV-1a-32 sums, `XTL2` records no value range), there
+//! is no migration, and a log written under another magic is reported
+//! through [`DiskLog::recovery`] as "bad record magic" at offset 0 and
+//! truncated like any other unreadable tail.
 
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
 use crate::pool::{BufferPool, PooledBuf};
@@ -87,11 +88,12 @@ use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::intvect::IntVect;
 
-/// Record magic: "XTL2" — the xlayer tier log's second format, whose sums
-/// are [`crate::sum`]'s four-lane sum ("XTLG" records carried FNV-1a-32).
-const MAGIC: [u8; 4] = *b"XTL2";
+/// Record magic: "XTL3" — the xlayer tier log's third format, whose head
+/// carries the descriptor's value range ("XTL2" had none; "XTLG" records
+/// carried FNV-1a-32 sums instead of [`crate::sum`]'s four-lane sum).
+const MAGIC: [u8; 4] = *b"XTL3";
 /// Fixed-size prefix of a record, before the name/sums tail.
-const FIXED_HEAD: usize = 142;
+const FIXED_HEAD: usize = 158;
 /// Longest accepted variable name (matches the wire protocol's cap).
 const MAX_NAME: usize = 4096;
 /// Size a segment grows to before appends move on to the next one.
@@ -312,6 +314,10 @@ fn read_head(file: &mut File, offset: u64, file_len: u64) -> Result<RecordHead, 
     let bbox = c.ibox().ok_or_else(bad)?;
     let core = c.ibox().ok_or_else(bad)?;
     let dx = f64::from_bits(c.u64().ok_or_else(bad)?);
+    let range = [
+        f64::from_bits(c.u64().ok_or_else(bad)?),
+        f64::from_bits(c.u64().ok_or_else(bad)?),
+    ];
     let origin_rank = c.u64().ok_or_else(bad)? as usize;
     let bytes = c.u64().ok_or_else(bad)?;
     let chunk = c.u32().ok_or_else(bad)?.max(1);
@@ -363,6 +369,7 @@ fn read_head(file: &mut File, offset: u64, file_len: u64) -> Result<RecordHead, 
         bbox,
         core,
         dx,
+        range,
         bytes,
         origin_rank,
     };
@@ -527,6 +534,9 @@ impl DiskLog {
         put_ibox(&mut head, &obj.desc.bbox);
         put_ibox(&mut head, &obj.desc.core);
         head.extend_from_slice(&obj.desc.dx.to_bits().to_le_bytes());
+        for bound in obj.desc.range {
+            head.extend_from_slice(&bound.to_bits().to_le_bytes());
+        }
         head.extend_from_slice(&(obj.desc.origin_rank as u64).to_le_bytes());
         head.extend_from_slice(&obj.desc.bytes.to_le_bytes());
         head.extend_from_slice(&chunk.to_le_bytes());
@@ -633,14 +643,26 @@ impl DiskLog {
         key: &ObjectKey,
         query: Option<&IBox>,
     ) -> Result<Vec<DataObject>, TierError> {
+        self.read_crossing(key, query, None)
+    }
+
+    /// [`Self::read`] of only the extents that also pass the `crossing`
+    /// predicate ([`ObjectDesc::may_cross`]). Both filters run on the
+    /// indexed descriptors: a dropped extent's bytes are never read.
+    pub fn read_crossing(
+        &mut self,
+        key: &ObjectKey,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
+    ) -> Result<Vec<DataObject>, TierError> {
         let extents: Vec<Extent> = self
             .index
             .get(key)
             .map(|v| {
                 v.iter()
-                    .filter(|e| match query {
-                        None => true,
-                        Some(q) => !e.desc.bbox.intersect(q).is_empty(),
+                    .filter(|e| {
+                        query.is_none_or(|q| !e.desc.bbox.intersect(q).is_empty())
+                            && e.desc.may_cross(crossing)
                     })
                     .cloned()
                     .collect()
@@ -1028,9 +1050,9 @@ mod tests {
         // sums declared by a file that ends right here.
         let mut head = vec![0u8; FIXED_HEAD];
         head[..4].copy_from_slice(&MAGIC);
-        head[126..134].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
-        head[134..138].copy_from_slice(&1u32.to_le_bytes());
-        head[138..142].copy_from_slice(&u32::MAX.to_le_bytes());
+        head[142..150].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        head[150..154].copy_from_slice(&1u32.to_le_bytes());
+        head[154..158].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&head).unwrap();
         drop(f);
@@ -1075,36 +1097,109 @@ mod tests {
 
     #[test]
     fn old_format_log_is_refused_by_magic() {
-        // One record exactly as the "XTLG" format wrote it: same layout,
-        // FNV-1a-32 chunk sums and head sum.
+        // One record exactly as each earlier format wrote it: the 142-byte
+        // fixed head without the range, under its own magic and sums —
+        // FNV-1a-32 for "XTLG", the four-lane sum for "XTL2".
         fn fnv(data: &[u8]) -> u32 {
             data.iter().fold(0x811c_9dc5u32, |s, &b| {
                 (s ^ b as u32).wrapping_mul(0x0100_0193)
             })
         }
         let a = obj("rho", 1, 0, 4);
-        let sums: Vec<u32> = a.payload.chunks(256).map(fnv).collect();
-        let mut record = DiskLog::encode_head(&a, 256, &sums);
-        record.truncate(record.len() - 4);
-        record[..4].copy_from_slice(b"XTLG");
-        let head_sum = fnv(&record);
-        record.extend_from_slice(&head_sum.to_le_bytes());
-        record.extend_from_slice(&a.payload);
-        let dir = tmpdir("oldformat");
-        std::fs::write(dir.join("test.log"), &record).unwrap();
-        // Not "head checksum mismatch": the format is named by its magic.
-        let mut log = open(&dir, 1 << 20);
-        match log.recovery() {
-            [TierError::Corrupt { offset: 0, detail }] => {
-                assert_eq!(detail, "bad record magic")
+        type SumFn = fn(&[u8]) -> u32;
+        let formats: [(&[u8; 4], SumFn); 2] = [(b"XTLG", fnv), (b"XTL2", checksum)];
+        for (magic, sum) in formats {
+            let sums: Vec<u32> = a.payload.chunks(256).map(sum).collect();
+            let mut record = DiskLog::encode_head(&a, 256, &sums);
+            record.truncate(record.len() - 4);
+            record.drain(118..134);
+            record[..4].copy_from_slice(magic);
+            let head_sum = sum(&record);
+            record.extend_from_slice(&head_sum.to_le_bytes());
+            record.extend_from_slice(&a.payload);
+            let dir = tmpdir("oldformat");
+            std::fs::write(dir.join("test.log"), &record).unwrap();
+            // Not "head checksum mismatch": the format is named by its magic.
+            let mut log = open(&dir, 1 << 20);
+            match log.recovery() {
+                [TierError::Corrupt { offset: 0, detail }] => {
+                    assert_eq!(detail, "bad record magic")
+                }
+                other => panic!("expected one typed Corrupt at offset 0, got {other:?}"),
             }
-            other => panic!("expected one typed Corrupt at offset 0, got {other:?}"),
+            // Nothing of it is served, the segment is truncated, and the
+            // log starts over cleanly.
+            assert_eq!(log.num_keys(), 0);
+            assert_eq!(std::fs::metadata(dir.join("test.log")).unwrap().len(), 0);
+            log.append(&a).unwrap();
+            let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
+            assert_eq!(back[0].payload, a.payload);
+            assert_eq!(back[0].desc.range, a.desc.range);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        // Nothing of it is served, and the log starts over cleanly.
-        assert_eq!(log.num_keys(), 0);
-        log.append(&a).unwrap();
-        let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
-        assert_eq!(back[0].payload, a.payload);
+    }
+
+    #[test]
+    fn a_lying_range_is_dropped_by_the_open_scan() {
+        // A record whose head sum is right but whose range has a NaN bound
+        // (or is inverted) does not describe its payload: refused like an
+        // escaped core.
+        for range in [[f64::NAN, 1.0], [2.0, 1.0]] {
+            let mut a = obj("rho", 1, 0, 4);
+            a.desc.range = range;
+            let sums = chunk_sums(&a.payload, 256);
+            let mut record = DiskLog::encode_head(&a, 256, &sums);
+            record.extend_from_slice(&a.payload);
+            let dir = tmpdir("lyingrange");
+            std::fs::write(dir.join("test.log"), &record).unwrap();
+            let log = open(&dir, 1 << 20);
+            match log.recovery() {
+                [TierError::Corrupt { offset: 0, detail }] => {
+                    assert_eq!(detail, "record descriptor is inconsistent")
+                }
+                other => panic!("expected one typed Corrupt at offset 0, got {other:?}"),
+            }
+            assert_eq!(log.num_keys(), 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_crossing_read_never_touches_an_extent_it_drops() {
+        let dir = tmpdir("crossing");
+        let mut log = open(&dir, 1 << 20);
+        // Values 100x + 10y + z + v: [1, 334] for v = 1 at lo 0, [889,
+        // 1222] at lo 8.
+        let low = obj("rho", 1, 0, 4);
+        let high = obj("rho", 1, 8, 4);
+        log.append(&low).unwrap();
+        log.append(&high).unwrap();
+        assert_eq!(
+            (low.desc.range, high.desc.range),
+            ([1.0, 334.0], [889.0, 1222.0])
+        );
+        let key = ObjectKey::new("rho", 1);
+        let read = |log: &mut DiskLog, crossing| log.read_crossing(&key, None, crossing);
+        assert_eq!(read(&mut log, None).unwrap().len(), 2);
+        assert!(read(&mut log, Some(500.0)).unwrap().is_empty());
+        assert!(read(&mut log, Some(f64::NAN)).unwrap().is_empty());
+        let hit = read(&mut log, Some(1000.0)).unwrap();
+        assert_eq!((hit.len(), &hit[0].payload), (1, &high.payload));
+        // Corrupt the low extent's payload (the first record): an
+        // unfiltered read now fails, one that drops it never reads it.
+        let path = dir.join("test.log");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let low_end = bytes.len() / 2;
+        bytes[low_end - 9] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read(&mut log, None),
+            Err(TierError::Corrupt { .. })
+        ));
+        assert_eq!(
+            read(&mut log, Some(1000.0)).unwrap()[0].payload,
+            high.payload
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

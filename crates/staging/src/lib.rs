@@ -8,7 +8,9 @@
 //! * [`backend`] — the one [`Staging`] put/get/evict/headroom interface
 //!   every backend (this crate's [`DataSpace`], `xlayer-net`'s sharded
 //!   client) implements,
-//! * [`object`] — `(variable, version, bbox)`-addressed data objects,
+//! * [`object`] — `(variable, version, bbox)`-addressed data objects whose
+//!   descriptors carry their value range, so every layer below can answer
+//!   an isovalue-filtered get on metadata alone,
 //! * [`server`] — staging servers with memory caps (paper Eq. 10),
 //! * [`shard`] — deterministic box-hash placement of regions onto shards,
 //! * [`space`] — the sharded put/get/query space,
@@ -40,7 +42,7 @@ pub mod transport;
 pub use backend::{PutVerdict, Staging};
 pub use disklog::{DiskLog, TierError};
 pub use index::BucketIndex;
-pub use object::{DataObject, ObjectDesc, ObjectKey};
+pub use object::{DataObject, ObjectDesc, ObjectKey, EMPTY_RANGE};
 pub use pool::{BufferPool, PooledBuf};
 pub use server::{StagingError, StagingServer};
 pub use shard::ShardMap;

@@ -46,21 +46,90 @@ pub struct ObjectDesc {
     /// Defaults to 1.0; producers on refined AMR levels set the level's dx
     /// so consumers reconstruct geometry placement-independently.
     pub dx: f64,
+    /// `[min, max]` over the payload's non-NaN values, halo included;
+    /// [`EMPTY_RANGE`] when it has none. What a get's isovalue predicate
+    /// ([`ObjectDesc::may_cross`]) is evaluated on, so a staging layer can
+    /// drop an object the surface cannot cross before touching its bytes.
+    pub range: [f64; 2],
     /// Payload size in bytes.
     pub bytes: u64,
     /// Rank that produced the object.
     pub origin_rank: usize,
 }
 
+/// The value range of a payload with no comparable value (empty, or all
+/// NaN): `[+∞, −∞]`, which no isovalue can cross.
+pub const EMPTY_RANGE: [f64; 2] = [f64::INFINITY, f64::NEG_INFINITY];
+
 impl ObjectDesc {
     /// Whether the descriptor is internally consistent: the byte count
-    /// matches the bbox's cell count (8 bytes per `f64` cell) and the core
-    /// region lies within the bbox. Wire decoders call this before trusting
-    /// a descriptor that arrived from a peer — the in-process constructors
-    /// uphold it by construction.
+    /// matches the bbox's cell count (8 bytes per `f64` cell), the core
+    /// region lies within the bbox, and the range is ordered (no NaN bound;
+    /// `min > max` only as [`EMPTY_RANGE`] exactly). Wire decoders and the
+    /// disk log's open scan call this before trusting a descriptor they did
+    /// not build — the in-process constructors uphold it by construction.
     pub fn is_consistent(&self) -> bool {
+        let [lo, hi] = self.range;
         self.bytes == self.bbox.num_cells() * 8
             && (self.core.is_empty() || self.bbox.contains_box(&self.core))
+            && (lo <= hi || self.range == EMPTY_RANGE)
+    }
+
+    /// Whether the object passes a get's `crossing` predicate: always
+    /// without one; with an isovalue, iff `min < iso <= max`. That is the
+    /// necessary condition for marching cubes to find a cube with one
+    /// corner `>= iso` and another `< iso` anywhere in the payload (NaN is
+    /// neither), so an object it drops holds no piece of the surface. A NaN
+    /// isovalue passes nothing.
+    pub fn may_cross(&self, crossing: Option<f64>) -> bool {
+        let [lo, hi] = self.range;
+        crossing.is_none_or(|iso| lo < iso && iso <= hi)
+    }
+}
+
+/// Four compare-select lanes of a running `[min, max]`. `v < lo` and
+/// `v > hi` are false for NaN, so NaN never enters a lane, and the
+/// select-not-`f64::min` form lets the loop vectorise.
+#[derive(Clone, Copy)]
+struct Lanes {
+    lo: [f64; 4],
+    hi: [f64; 4],
+}
+
+impl Lanes {
+    fn new() -> Self {
+        let [lo, hi] = EMPTY_RANGE;
+        Lanes {
+            lo: [lo; 4],
+            hi: [hi; 4],
+        }
+    }
+
+    fn absorb(&mut self, row: &[f64]) {
+        let Lanes { mut lo, mut hi } = *self;
+        let mut take = |k: usize, v: f64| {
+            lo[k] = if v < lo[k] { v } else { lo[k] };
+            hi[k] = if v > hi[k] { v } else { hi[k] };
+        };
+        let mut quads = row.chunks_exact(4);
+        for quad in &mut quads {
+            for (k, &v) in quad.iter().enumerate() {
+                take(k, v);
+            }
+        }
+        for (k, &v) in quads.remainder().iter().enumerate() {
+            take(k, v);
+        }
+        *self = Lanes { lo, hi };
+    }
+
+    fn finish(self) -> [f64; 2] {
+        let [mut lo, mut hi] = EMPTY_RANGE;
+        for (&l, &h) in self.lo.iter().zip(&self.hi) {
+            lo = if l < lo { l } else { lo };
+            hi = if h > hi { h } else { hi };
+        }
+        [lo, hi]
     }
 }
 
@@ -85,7 +154,9 @@ pub struct DataObject {
 
 impl DataObject {
     /// Package one component of a fab region into an object. The payload is
-    /// copied row-wise from the fab's contiguous storage (x-fastest order).
+    /// copied row-wise from the fab's contiguous storage (x-fastest order),
+    /// and each row's values fold into the descriptor's
+    /// [`range`](ObjectDesc::range) while the row is in cache.
     pub fn from_fab(
         name: impl Into<String>,
         version: u64,
@@ -96,6 +167,7 @@ impl DataObject {
     ) -> Self {
         let r = region.intersect(&fab.ibox());
         let mut buf = Vec::with_capacity(r.num_cells() as usize * 8);
+        let mut lanes = Lanes::new();
         if !r.is_empty() {
             let src_box = fab.ibox();
             let src = fab.comp_slice(comp);
@@ -106,7 +178,9 @@ impl DataObject {
             for z in lz..=hz {
                 for y in ly..=hy {
                     let s0 = src_box.offset(IntVect::new(lx, y, z));
-                    for &v in &src[s0..s0 + nx] {
+                    let row = &src[s0..s0 + nx];
+                    lanes.absorb(row);
+                    for &v in row {
                         buf.extend_from_slice(&v.to_le_bytes());
                     }
                 }
@@ -119,6 +193,7 @@ impl DataObject {
                 bbox: r,
                 core: r,
                 dx: 1.0,
+                range: lanes.finish(),
                 bytes: payload.len() as u64,
                 origin_rank,
             },
@@ -313,6 +388,111 @@ mod tests {
         // Payload shorter than the descriptor claims is rejected.
         let short = Bytes::from(obj.payload[..obj.payload.len() - 8].to_vec());
         assert!(DataObject::from_wire(obj.desc.clone(), short).is_none());
+        // A range with a NaN bound, or inverted but not the empty sentinel,
+        // is rejected; infinite bounds and the sentinel itself are not.
+        let ranged = |range: [f64; 2]| ObjectDesc {
+            range,
+            ..obj.desc.clone()
+        };
+        for bad in [
+            [f64::NAN, 1.0],
+            [0.0, f64::NAN],
+            [f64::NAN, f64::NAN],
+            [2.0, 1.0],
+            [f64::INFINITY, 0.0],
+            [0.0, f64::NEG_INFINITY],
+        ] {
+            assert!(!ranged(bad).is_consistent(), "{bad:?}");
+            assert!(DataObject::from_wire(ranged(bad), obj.payload.clone()).is_none());
+        }
+        for good in [
+            EMPTY_RANGE,
+            [f64::NEG_INFINITY, f64::INFINITY],
+            [f64::INFINITY, f64::INFINITY],
+            [-0.0, 0.0],
+            [3.0, 3.0],
+        ] {
+            assert!(ranged(good).is_consistent(), "{good:?}");
+        }
+    }
+
+    /// The range a plain scan finds: min and max over the non-NaN values,
+    /// [`EMPTY_RANGE`] when there are none.
+    fn naive_range(values: impl Iterator<Item = f64>) -> [f64; 2] {
+        values
+            .filter(|v| !v.is_nan())
+            .fold(EMPTY_RANGE, |[lo, hi], v| [lo.min(v), hi.max(v)])
+    }
+
+    #[test]
+    fn from_fab_range_equals_a_naive_scan() {
+        let b = IBox::new(IntVect::new(-3, 0, 1), IntVect::new(6, 4, 5)); // rows of 10
+        let mut s = 0x5eed_u64;
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        for round in 0..40 {
+            let mut f = Fab::new(b, 2);
+            for iv in b.cells() {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let draw = (s >> 33) as usize;
+                let v = match (round % 4, draw % 16) {
+                    // All NaN: the empty range.
+                    (0, _) if round < 8 => f64::NAN,
+                    (_, k) if k < specials.len() => specials[k],
+                    _ => (draw % 1000) as f64 / 37.0 - 13.0,
+                };
+                f.set(iv, 1, v);
+            }
+            // The whole fab, a clipped region (strided rows) and one cell.
+            for region in [
+                b,
+                IBox::new(IntVect::new(-1, 1, 2), IntVect::new(9, 3, 9)),
+                IBox::new(IntVect::new(2, 2, 2), IntVect::new(2, 2, 2)),
+            ] {
+                let obj = DataObject::from_fab("rho", 0, &f, 1, &region, 0);
+                let want = naive_range(obj.desc.bbox.cells().map(|iv| f.get(iv, 1)));
+                // `==`, not bits: which of -0.0 and 0.0 a lane keeps depends
+                // on the order it saw them, and the predicate cannot tell.
+                assert_eq!(obj.desc.range, want, "round {round}, {region:?}");
+                assert!(obj.desc.is_consistent());
+            }
+        }
+        // An empty region has the empty range.
+        let outside = IBox::cube(2).shift(IntVect::splat(50));
+        let none = DataObject::from_fab("rho", 0, &Fab::new(b, 1), 0, &outside, 0);
+        assert_eq!((none.desc.bytes, none.desc.range), (0, EMPTY_RANGE));
+    }
+
+    #[test]
+    fn may_cross_is_min_below_and_max_at_or_above() {
+        let desc = |range: [f64; 2]| ObjectDesc {
+            range,
+            ..DataObject::from_fab("rho", 0, &coord_fab(1), 0, &IBox::cube(1), 0).desc
+        };
+        let d = desc([0.0, 1.0]);
+        assert!(d.may_cross(None));
+        assert!(d.may_cross(Some(0.5)));
+        assert!(d.may_cross(Some(1.0)), "iso at the max: a corner is >= iso");
+        assert!(
+            !d.may_cross(Some(0.0)),
+            "iso at the min: no corner is < iso"
+        );
+        assert!(!d.may_cross(Some(1.5)));
+        assert!(!d.may_cross(Some(-0.5)));
+        for iso in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!d.may_cross(Some(iso)), "{iso}");
+        }
+        // A constant object equal to iso has no corner below it.
+        assert!(!desc([2.0, 2.0]).may_cross(Some(2.0)));
+        // +∞ is reached only by a range that holds it.
+        assert!(desc([0.0, f64::INFINITY]).may_cross(Some(f64::INFINITY)));
+        // The empty range passes only the absent predicate.
+        let empty = desc(EMPTY_RANGE);
+        assert!(empty.may_cross(None));
+        for iso in [0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(!empty.may_cross(Some(iso)), "{iso}");
+        }
     }
 
     #[test]
@@ -334,9 +514,13 @@ mod tests {
         assert_eq!(obj.known_sums(200).unwrap().as_ref(), &fresh[..]);
         // A reader at another chunk size finds nothing known.
         assert!(obj.known_sums(256).is_none());
-        // The descriptor builders and `clone` keep the memo.
+        // The descriptor builders and `clone` keep the memo, and the range.
         let moved = obj.clone().with_dx(0.5).with_core(&IBox::cube(2));
         assert_eq!(moved.known_sums(200).unwrap().as_ref(), &fresh[..]);
+        let ranged = DataObject::from_fab("rho", 0, &f, 1, &IBox::cube(4), 0);
+        assert_eq!(ranged.desc.range, [0.0, 333.0]);
+        let moved = ranged.clone().with_dx(0.5).with_core(&IBox::cube(2));
+        assert_eq!(moved.desc.range, [0.0, 333.0]);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use xlayer_amr::boxes::IBox;
 
 /// Bucket width of the per-key spatial index (cells).
 const INDEX_BUCKET: i64 = 16;
@@ -246,7 +247,7 @@ impl StagingServer {
         };
         let corner = obj.desc.bbox.lo();
         index
-            .query(&xlayer_amr::boxes::IBox::new(corner, corner))
+            .query(&IBox::new(corner, corner))
             .into_iter()
             .filter_map(|id| objs.get(id))
             .any(|held| held.desc == obj.desc && held.payload == obj.payload)
@@ -302,8 +303,10 @@ impl StagingServer {
     }
 
     /// Objects under `key` whose bbox intersects `query` (all, if `query`
-    /// is `None`). Spatial queries go through the per-key bucket index.
-    /// Returns refcounted handles: no descriptor or payload is copied.
+    /// is `None`) and that pass the `crossing` predicate
+    /// ([`ObjectDesc::may_cross`]). Spatial queries go through the per-key
+    /// bucket index. Returns refcounted handles: no descriptor or payload
+    /// is copied.
     ///
     /// With a disk tier attached, a key with spilled versions is promoted
     /// back into memory on access (demoting colder keys if the cap is
@@ -311,11 +314,14 @@ impl StagingServer {
     /// straight from disk without residency. The hot path is barely
     /// touched while nothing is spilled: under the read lock it costs one
     /// lock-free gauge read, so an idle tier keeps RAM-resident gets at
-    /// parity.
+    /// parity. A spilled key is promoted whole whatever `crossing` says,
+    /// and filtered after; served from disk, only its matching extents are
+    /// read.
     pub fn get(
         &self,
         key: &ObjectKey,
-        query: Option<&xlayer_amr::boxes::IBox>,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
     ) -> Vec<Arc<DataObject>> {
         self.gets.fetch_add(1, Ordering::Relaxed);
         let s = self.inner.read();
@@ -328,29 +334,33 @@ impl StagingServer {
         if let Some(tier) = &self.tier {
             if tier.spilled_key_count() > 0 && tier.has_spilled(key) {
                 drop(s);
-                return self.get_promoting(tier, key, query);
+                return self.get_promoting(tier, key, query, crossing);
             }
         }
-        Self::match_resident(&s, key, query)
+        Self::match_resident(&s, key, query, crossing)
     }
 
     /// The in-memory matches for `key` under an already-held store lock.
     fn match_resident(
         s: &Store,
         key: &ObjectKey,
-        query: Option<&xlayer_amr::boxes::IBox>,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
     ) -> Vec<Arc<DataObject>> {
         let Some((objs, index)) = s.objects.get(key) else {
             return Vec::new();
         };
+        let keep = |o: &&Arc<DataObject>| o.desc.may_cross(crossing);
         match query {
-            None => objs.clone(),
+            None => objs.iter().filter(keep).cloned().collect(),
             Some(q) => index
                 .query(q)
                 .into_iter()
                 // The index is built alongside `objs`, so ids are in range;
                 // filter_map keeps a desynced index from panicking a reader.
-                .filter_map(|id| objs.get(id).cloned())
+                .filter_map(|id| objs.get(id))
+                .filter(keep)
+                .cloned()
                 .collect(),
         }
     }
@@ -364,14 +374,15 @@ impl StagingServer {
         &self,
         tier: &DiskTier,
         key: &ObjectKey,
-        query: Option<&xlayer_amr::boxes::IBox>,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
     ) -> Vec<Arc<DataObject>> {
         // xlint: allow(L) -- promote/serve-from-disk runs under the write lock so a promote racing a drain resolves as one serial order
         let mut s = self.inner.write();
         let spilled_bytes = tier.spilled_bytes_for(key);
         if spilled_bytes == 0 {
             // A racing promote or drain got here first.
-            return Self::match_resident(&s, key, query);
+            return Self::match_resident(&s, key, query, crossing);
         }
         if s.used.saturating_add(spilled_bytes) > self.memory_cap {
             Self::demote_victims(&mut s, tier, self.memory_cap, spilled_bytes, key);
@@ -395,12 +406,12 @@ impl StagingServer {
             }
             // On a tier read error the disk side is unreadable; serve what
             // memory has rather than failing the whole get.
-            return Self::match_resident(&s, key, query);
+            return Self::match_resident(&s, key, query, crossing);
         }
         // Promotion cannot fit even after demotion: serve spilled extents
         // from disk alongside any resident ones, leaving residency alone.
-        let mut out = Self::match_resident(&s, key, query);
-        if let Ok(disk) = tier.fetch(key, query) {
+        let mut out = Self::match_resident(&s, key, query, crossing);
+        if let Ok(disk) = tier.fetch(key, query, crossing) {
             out.extend(disk.into_iter().map(Arc::new));
         }
         out
@@ -485,7 +496,6 @@ impl StagingServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xlayer_amr::boxes::IBox;
     use xlayer_amr::fab::Fab;
     use xlayer_amr::intvect::IntVect;
 
@@ -502,9 +512,9 @@ mod tests {
         s.put(obj("rho", 1, 8, 4)).unwrap();
         s.put(obj("rho", 2, 0, 4)).unwrap();
         let key = ObjectKey::new("rho", 1);
-        assert_eq!(s.get(&key, None).len(), 2);
-        assert_eq!(s.get(&ObjectKey::new("rho", 2), None).len(), 1);
-        assert_eq!(s.get(&ObjectKey::new("p", 1), None).len(), 0);
+        assert_eq!(s.get(&key, None, None).len(), 2);
+        assert_eq!(s.get(&ObjectKey::new("rho", 2), None, None).len(), 1);
+        assert_eq!(s.get(&ObjectKey::new("p", 1), None, None).len(), 0);
     }
 
     #[test]
@@ -514,7 +524,7 @@ mod tests {
         s.put(obj("rho", 1, 8, 4)).unwrap();
         let key = ObjectKey::new("rho", 1);
         let q = IBox::cube(4);
-        let hits = s.get(&key, Some(&q));
+        let hits = s.get(&key, Some(&q), None);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].desc.bbox, IBox::cube(4));
     }
@@ -547,8 +557,8 @@ mod tests {
         assert_eq!(freed, 512);
         assert_eq!(s.used(), used0 - 512);
         // rho v2 and p v1 survive
-        assert_eq!(s.get(&ObjectKey::new("rho", 2), None).len(), 1);
-        assert_eq!(s.get(&ObjectKey::new("p", 1), None).len(), 1);
+        assert_eq!(s.get(&ObjectKey::new("rho", 2), None, None).len(), 1);
+        assert_eq!(s.get(&ObjectKey::new("p", 1), None, None).len(), 1);
     }
 
     #[test]
@@ -565,8 +575,8 @@ mod tests {
     fn op_counts() {
         let s = StagingServer::new(0, 1 << 20);
         s.put(obj("rho", 1, 0, 4)).unwrap();
-        s.get(&ObjectKey::new("rho", 1), None);
-        s.get(&ObjectKey::new("rho", 1), None);
+        s.get(&ObjectKey::new("rho", 1), None, None);
+        s.get(&ObjectKey::new("rho", 1), None, None);
         assert_eq!(s.op_counts(), (1, 2));
     }
 
@@ -620,7 +630,7 @@ mod tests {
             assert!(!tier.has_spilled(&ObjectKey::new("rho", 3)));
             // The spilled version is still fully readable (promotes back,
             // displacing the now-coldest v2).
-            let got = s.get(&ObjectKey::new("rho", 1), None);
+            let got = s.get(&ObjectKey::new("rho", 1), None, None);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, vobj("rho", 1).payload);
             assert!(!tier.has_spilled(&ObjectKey::new("rho", 1)));
@@ -639,7 +649,7 @@ mod tests {
             assert_eq!(s.used(), 0, "object must not be charged to memory");
             assert_eq!(tier.snapshot().disk_used, 512);
             // Served straight from disk (cannot promote), bit-identical.
-            let got = s.get(&ObjectKey::new("rho", 1), None);
+            let got = s.get(&ObjectKey::new("rho", 1), None, None);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, vobj("rho", 1).payload);
             assert!(tier.has_spilled(&ObjectKey::new("rho", 1)));
@@ -711,8 +721,8 @@ mod tests {
             let freed = s.evict_before("rho", 3);
             assert_eq!(freed, 1024, "one RAM version + one disk version");
             assert!(!tier.has_spilled(&ObjectKey::new("rho", 1)));
-            assert!(s.get(&ObjectKey::new("rho", 1), None).is_empty());
-            assert_eq!(s.get(&ObjectKey::new("rho", 3), None).len(), 1);
+            assert!(s.get(&ObjectKey::new("rho", 1), None, None).is_empty());
+            assert_eq!(s.get(&ObjectKey::new("rho", 3), None, None).len(), 1);
             let _ = std::fs::remove_dir_all(&dir);
         }
 
@@ -729,7 +739,7 @@ mod tests {
             s.put(DataObject::from_fab("rho", 1, &f2, 0, &b2, 0))
                 .unwrap();
             assert_eq!(tier.snapshot().spilled, 2);
-            let hits = s.get(&ObjectKey::new("rho", 1), Some(&IBox::cube(4)));
+            let hits = s.get(&ObjectKey::new("rho", 1), Some(&IBox::cube(4)), None);
             assert_eq!(hits.len(), 1);
             assert_eq!(hits[0].desc.bbox, b1);
             let _ = std::fs::remove_dir_all(&dir);
@@ -750,7 +760,7 @@ mod tests {
                 let s = Arc::new(s);
                 let getter = {
                     let s = Arc::clone(&s);
-                    std::thread::spawn(move || s.get(&ObjectKey::new("rho", 1), None))
+                    std::thread::spawn(move || s.get(&ObjectKey::new("rho", 1), None, None))
                 };
                 let drainer = {
                     let s = Arc::clone(&s);
@@ -766,11 +776,11 @@ mod tests {
                     n => panic!("impossible interleaving: {n} objects"),
                 }
                 // Post-state is identical either way: v1 fully gone.
-                assert!(s.get(&ObjectKey::new("rho", 1), None).is_empty());
+                assert!(s.get(&ObjectKey::new("rho", 1), None, None).is_empty());
                 assert!(!tier.has_spilled(&ObjectKey::new("rho", 1)));
                 // v2 and v3 survive with balanced accounting.
-                assert_eq!(s.get(&ObjectKey::new("rho", 2), None).len(), 1);
-                assert_eq!(s.get(&ObjectKey::new("rho", 3), None).len(), 1);
+                assert_eq!(s.get(&ObjectKey::new("rho", 2), None, None).len(), 1);
+                assert_eq!(s.get(&ObjectKey::new("rho", 3), None, None).len(), 1);
                 assert_eq!(s.used() + s.disk_used(), 1024);
                 let _ = std::fs::remove_dir_all(&dir);
             }
@@ -803,12 +813,12 @@ mod tests {
             s.put(mib(5)).unwrap(); // demotes v3
             assert_eq!(pool.parked(), 3);
             // The promote of v3 demotes v4 and reads v3 into warm buffers.
-            let got = s.get(&ObjectKey::new("rho", 3), None);
+            let got = s.get(&ObjectKey::new("rho", 3), None, None);
             assert_eq!(got[0].payload, mib(3).payload);
             assert_eq!((pool.hits(), pool.misses()), (1, 0));
             assert_eq!(pool.parked(), 3);
             // A handle a reader still holds is not taken from it.
-            let held = s.get(&ObjectKey::new("rho", 3), None);
+            let held = s.get(&ObjectKey::new("rho", 3), None, None);
             s.evict_before("rho", 4);
             assert_eq!(pool.parked(), 3);
             assert_eq!(held[0].payload, mib(3).payload);
@@ -843,12 +853,12 @@ mod tests {
             };
             let want = vobj("rho", 1).payload;
             while !putter.is_finished() {
-                let got = s.get(&ObjectKey::new("rho", 1), None);
+                let got = s.get(&ObjectKey::new("rho", 1), None, None);
                 assert_eq!(got.len(), 1, "a stored key must never read empty");
                 assert_eq!(got[0].payload, want);
             }
             putter.join().expect("putter");
-            let got = s.get(&ObjectKey::new("rho", 1), None);
+            let got = s.get(&ObjectKey::new("rho", 1), None, None);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, want);
             let _ = std::fs::remove_dir_all(&dir);

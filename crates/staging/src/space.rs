@@ -246,10 +246,24 @@ impl DataSpace {
     /// (all objects of the version if `query` is `None`), as refcounted
     /// handles — readers share the stored descriptors and payloads.
     pub fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>> {
+        self.get_crossing(name, version, query, None)
+    }
+
+    /// [`Self::get`] keeping only the objects an isosurface at `crossing`
+    /// can cross ([`ObjectDesc::may_cross`]; all of them if `None`). Every
+    /// server filters on descriptors, its disk tier before reading an
+    /// extent.
+    pub fn get_crossing(
+        &self,
+        name: &str,
+        version: u64,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
+    ) -> Vec<Arc<DataObject>> {
         let key = ObjectKey::new(name, version);
         let mut out = Vec::new();
         for s in &self.servers {
-            out.extend(s.get(&key, query));
+            out.extend(s.get(&key, query, crossing));
         }
         out
     }
@@ -350,10 +364,11 @@ mod tests {
             assert_eq!(space.describe("rho", 1), descs, "{sharding:?}");
 
             // Same key, box and rank is not enough: another AMR level's
-            // grid at a different dx, or different bytes, is a new object.
+            // grid at a different dx, or different bytes (here inside the
+            // same value range), is a new object.
             space.put(first.clone().with_dx(0.5)).unwrap();
             let mut fab = first.to_fab();
-            fab.set(first.desc.bbox.lo(), 0, -1.0);
+            fab.set(first.desc.bbox.lo() + IntVect::UNIT, 0, 4.0);
             let other_bytes = DataObject::from_fab("rho", 1, &fab, 0, &first.desc.bbox, 0);
             assert_eq!(other_bytes.desc, first.desc);
             space.put(other_bytes).unwrap();

@@ -352,16 +352,19 @@ impl DiskTier {
         self.log.lock().extents_for(key)
     }
 
-    /// Read `key`'s extents intersecting `query` without removing them —
-    /// the serve-from-disk path when promotion is not worthwhile. Counts a
+    /// Read `key`'s extents intersecting `query` and passing the
+    /// `crossing` predicate without removing them — the serve-from-disk
+    /// path when promotion is not worthwhile. An extent either filter
+    /// drops is judged by its indexed descriptor and never read. Counts a
     /// disk hit when anything matched.
     pub fn fetch(
         &self,
         key: &ObjectKey,
         query: Option<&IBox>,
+        crossing: Option<f64>,
     ) -> Result<Vec<DataObject>, TierError> {
         // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
-        let read = self.log.lock().read(key, query);
+        let read = self.log.lock().read_crossing(key, query, crossing);
         let objs = read.inspect_err(|_| self.read_failed())?;
         if !objs.is_empty() {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -574,7 +577,7 @@ mod tests {
         assert_eq!(t.spilled_key_count(), 2);
         assert!(t.has_spilled(&ObjectKey::new("rho", 1)));
         // Fetch serves without removing.
-        let served = t.fetch(&ObjectKey::new("rho", 1), None).unwrap();
+        let served = t.fetch(&ObjectKey::new("rho", 1), None, None).unwrap();
         assert_eq!(served.len(), 1);
         assert_eq!(served[0].payload, a.payload);
         assert_eq!(t.spilled_key_count(), 2);
@@ -664,7 +667,7 @@ mod tests {
         assert!(t.recovery().is_empty());
         assert_eq!(t.spilled_key_count(), 1);
         assert_eq!(t.disk_used(), 512);
-        let back = t.fetch(&ObjectKey::new("rho", 1), None).unwrap();
+        let back = t.fetch(&ObjectKey::new("rho", 1), None, None).unwrap();
         assert_eq!(back[0].payload, obj("rho", 1, 4).payload);
         let _ = std::fs::remove_dir_all(&dir);
     }

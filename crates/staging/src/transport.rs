@@ -582,7 +582,7 @@ mod tests {
                 _ => PutVerdict::Failed,
             }
         }
-        fn get(&self, _: &str, _: u64, _: Option<&IBox>) -> Vec<Arc<DataObject>> {
+        fn get(&self, _: &str, _: u64, _: Option<&IBox>, _: Option<f64>) -> Vec<Arc<DataObject>> {
             Vec::new()
         }
         fn evict_before(&self, _: &str, _: u64) -> u64 {

@@ -191,7 +191,7 @@ mod tier_identity {
                 // First get may promote from disk; second reads the
                 // promoted copy. Both must match the original bytes.
                 for round in 0..2 {
-                    let got = server.get(&ObjectKey::new("u", v as u64), None);
+                    let got = server.get(&ObjectKey::new("u", v as u64), None, None);
                     prop_assert_eq!(got.len(), 1, "v{} round {}", v, round);
                     prop_assert_eq!(&got[0].payload, payload, "v{} round {}", v, round);
                 }

@@ -20,7 +20,11 @@
 //! analysis worker picking up step *i* first blocks on
 //! [`TransportStats::wait_processed`] until all of that version's objects
 //! have landed (per-version counts — later versions finishing early cannot
-//! satisfy the wait). `finish()` stays deterministic: it drains the
+//! satisfy the wait). The worker's fetch carries the step's isovalue
+//! ([`Staging::get`]'s `crossing`), so every staging layer — memory, disk
+//! tier, service, shard — drops the objects whose value range the
+//! isovalue is outside on their descriptors, and only the objects the
+//! surface can cross are read, sent and extracted. `finish()` stays deterministic: it drains the
 //! transport queue, then closes the job channel and joins the workers, so
 //! every step's analysis outcome is present and sorted by version.
 //!
@@ -135,9 +139,13 @@ pub struct AnalysisOutcome {
     pub seconds: f64,
     /// Bytes of mesh produced.
     pub mesh_bytes: u64,
-    /// Fetched objects that yielded no triangle: staged and moved for
-    /// nothing, as far as this isovalue goes (0 in situ, where nothing is
-    /// fetched).
+    /// Fetched objects that yielded no triangle: moved for nothing, as far
+    /// as this isovalue goes (0 in situ, where nothing is fetched). In
+    /// transit the fetch asks only for objects whose value range holds the
+    /// isovalue, so what is left here is an object whose range holds it
+    /// but none of whose core cubes straddles it — the crossing lies in
+    /// the halo a neighbour anchors, or the values either side of it never
+    /// share a cube.
     pub empty_objects: usize,
 }
 
@@ -337,8 +345,14 @@ impl Staging for CoarsenOnDemand {
         }
     }
 
-    fn get(&self, name: &str, version: u64, query: Option<&IBox>) -> Vec<Arc<DataObject>> {
-        self.0.get(name, version, query)
+    fn get(
+        &self,
+        name: &str,
+        version: u64,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
+    ) -> Vec<Arc<DataObject>> {
+        self.0.get(name, version, query, crossing)
     }
 
     fn evict_before(&self, name: &str, min_version: u64) -> u64 {
@@ -448,6 +462,10 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         // A fetch that fails (service gone mid-run) is an
                         // empty read: the analysis reports a zero-triangle
                         // outcome instead of crashing the worker.
+                        // The fetch asks only for the objects whose value
+                        // range the isovalue lies in: every staging layer
+                        // drops the rest on descriptors, and they could
+                        // not have held a triangle.
                         // Every object's surface goes straight into the
                         // version's one mesh, read off the staged bytes
                         // (objects are single-component; the descriptor
@@ -457,7 +475,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         // left to extract, not a second whole copy.
                         let mut mesh = TriMesh::new();
                         let mut empty_objects = 0;
-                        for obj in staging.get("field", job.version, None) {
+                        for obj in staging.get("field", job.version, None, Some(job.iso)) {
                             let before = mesh.num_triangles();
                             extract_payload_into(
                                 &obj.payload,
@@ -921,7 +939,9 @@ mod tests {
         // One periodic 32³ level in 8³ grids stages 64 objects a version. A
         // Gaussian centred on the corner the middle eight grids share has
         // its iso-0.4 shell ~3.4 cells out, inside those eight: the other
-        // 56 objects are fetched and yield nothing. Above the peak, all 64.
+        // 56 objects' value ranges lie below 0.4, so the filtered fetch
+        // never brings them and nothing fetched is empty. Above the peak,
+        // nothing is fetched at all.
         let run = |iso_value: f64| {
             let n = 32;
             let domain = ProblemDomain::periodic(IBox::cube(n));
@@ -960,10 +980,10 @@ mod tests {
         assert_eq!(crossed.len(), 2);
         for o in &crossed {
             assert!(o.triangles > 0, "no surface at version {}", o.version);
-            assert_eq!(o.empty_objects, 56, "version {}", o.version);
+            assert_eq!(o.empty_objects, 0, "version {}", o.version);
         }
         for o in run(2.0) {
-            assert_eq!((o.triangles, o.empty_objects), (0, 64));
+            assert_eq!((o.triangles, o.empty_objects), (0, 0));
         }
     }
 

@@ -93,6 +93,18 @@ if grep -E 'to_fab\(\)|TriMesh::concat' <<<"$code"; then
     echo "grep gate: native.rs decodes payloads into fabs or concatenates per-object meshes (see CHANGES.md: classify-first marching cubes)"; exit 1
 fi
 
+echo "==> the analysis worker fetches only what the isosurface can cross (grep gate)"
+# The worker's get carries the job's isovalue as its `crossing` predicate,
+# so every staging layer drops, on descriptors, the objects the surface
+# cannot cross. In non-test native.rs (up to its first #[cfg(test)]) the
+# filtered fetch must be there, and no unfiltered fetch of the version
+# (`None` or `None, None` after the query box) beside it.
+code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/workflow/src/native.rs)
+if grep -E 'get\("field", job\.version, None(, None)?\)' <<<"$code" \
+    || ! grep -qF 'get("field", job.version, None, Some(job.iso))' <<<"$code"; then
+    echo "grep gate: the analysis worker must fetch with Some(job.iso) as its crossing predicate (see CHANGES.md: value-range descriptors)"; exit 1
+fi
+
 echo "==> the spill log reclaims by unlinking, and syncs only in a segment rewrite (grep gate)"
 # What PR 25 deleted must not grow back in non-test code of disklog.rs: a
 # segment with no live extent is reclaimed with `remove_file` (no copy, no

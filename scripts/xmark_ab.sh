@@ -2,17 +2,18 @@
 # A/B: ten alternating same-seed pairs of xmark runs, a parent revision
 # against this checkout.
 #
-#   scripts/xmark_ab.sh <parent-rev> [workload ...]
+#   scripts/xmark_ab.sh [--seed N] <parent-rev> [workload ...]
 #   scripts/xmark_ab.sh --self-test
 #
 # Extracts <parent-rev> with `git archive` into $TMPDIR/xmark-ab-<rev>
 # (reused if present), builds that tree's benchmark/ and this checkout's
 # (committed or not) once each, then for every workload in BENCHMARK.json
 # (or only the ones named) runs 10 pairs of untraced xmark runs at
-# BENCHMARK.json's run_seconds, seed 1 on both sides, each side from its
-# own root. Even pairs run the parent first, odd pairs the change first.
+# BENCHMARK.json's run_seconds, seed N (default 1) on both sides, each
+# side from its own root. A claim's confirmation at a seed never used
+# while writing the change is the same run with `--seed`. Even pairs run the parent first, odd pairs the change first.
 # Every run is appended as one JSON line to BENCH_xmark_ab.jsonl (parent,
-# change, workload, pair, side, hypervisor steal over the run from
+# change, workload, pair, side, seed, hypervisor steal over the run from
 # /proc/stat, correct/attempted/failed, every metric). At the end it
 # prints the CHANGES.md table: per end-to-end metric the parent and change
 # medians, the gap, the parent's quartile distance as a share of its
@@ -29,10 +30,17 @@
 # names, before anything is extracted or built.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+usage="usage: scripts/xmark_ab.sh [--seed N] <parent-rev> [workload ...] | --self-test"
+seed=1
+if [ "${1:-}" = "--seed" ]; then
+    [[ "${2:-}" =~ ^[0-9]+$ ]] || { echo "$usage" >&2; exit 2; }
+    seed=$2
+    shift 2
+fi
 if [ "${1:-}" = "--self-test" ]; then
     mode=(self-test)
 else
-    [ $# -ge 1 ] || { echo "usage: scripts/xmark_ab.sh <parent-rev> [workload ...] | --self-test" >&2; exit 2; }
+    [ $# -ge 1 ] || { echo "$usage" >&2; exit 2; }
     python3 - "$root/BENCHMARK.json" "${@:2}" <<'PY'
 import json, sys
 valid = [w["name"] for w in json.load(open(sys.argv[1]))["workloads"]]
@@ -53,12 +61,12 @@ PY
         CARGO_TARGET_DIR="$side/benchmark/target" \
             cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
     done
-    mode=(run "$rev" "$parent" "$@")
+    mode=(run "$rev" "$parent" "$seed" "$@")
 fi
 exec python3 - "$root" "${mode[@]}" <<'PY'
 import datetime, json, statistics, subprocess, sys
 
-PAIRS, SEED = 10, 1
+PAIRS = 10
 
 
 def quartile_distance(values):
@@ -133,7 +141,7 @@ def git(root, *args):
     return subprocess.run(["git", "-C", root, *args], capture_output=True, text=True).stdout.strip()
 
 
-def run_ab(root, rev, parent_root, only):
+def run_ab(root, rev, parent_root, seed, only):
     bench = json.load(open(f"{root}/BENCHMARK.json"))
     seconds = str(bench["run_seconds"])
     metrics = bench["end_to_end"]
@@ -148,7 +156,7 @@ def run_ab(root, rev, parent_root, only):
         before = cpu_line()
         out = subprocess.run(
             [f"{roots[side]}/benchmark/target/release/xmark", "--workload", workload,
-             "--seed", str(SEED), "--seconds", seconds, "--trace", "0"],
+             "--seed", str(seed), "--seconds", seconds, "--trace", "0"],
             capture_output=True, text=True, cwd=roots[side])
         steal = steal_fraction(before, cpu_line())
         try:
@@ -158,7 +166,7 @@ def run_ab(root, rev, parent_root, only):
             print(out.stderr, file=sys.stderr)
         record = {
             "parent": rev, "change": change, "dirty": dirty, "date": date,
-            "workload": workload, "pair": pair, "side": side, "seed": SEED,
+            "workload": workload, "pair": pair, "side": side, "seed": seed,
             "run_seconds": bench["run_seconds"], "steal": round(steal, 5),
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -200,7 +208,7 @@ def run_ab(root, rev, parent_root, only):
                 notes.append(f"  {w} {name} {side}: " + " ".join(f"{v:.4g}" for v in values))
 
     print(f"\nA/B {rev} (parent) → {change}{' + uncommitted' if dirty else ''} (change), "
-          f"xmark --seconds {seconds} --seed {SEED}, {PAIRS} alternating pairs, {date}:")
+          f"xmark --seconds {seconds} --seed {seed}, {PAIRS} alternating pairs, {date}:")
     print("| workload | " + " | ".join(m["name"] for m in metrics) + " | failed share P / C | max steal |")
     print("|---" * (len(metrics) + 3) + "|")
     print("\n".join(rows))
@@ -215,5 +223,5 @@ root, mode = sys.argv[1], sys.argv[2]
 if mode == "self-test":
     self_test(root)
 else:
-    run_ab(root, sys.argv[3], sys.argv[4], sys.argv[5:])
+    run_ab(root, sys.argv[3], sys.argv[4], int(sys.argv[5]), sys.argv[6:])
 PY
