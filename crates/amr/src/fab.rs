@@ -90,19 +90,6 @@ impl Fab {
         }
     }
 
-    /// Copy of `self` whose payload lives in `storage` (cleared/resized as
-    /// in [`Fab::with_storage`]). A `clone()` that recycles a buffer.
-    pub fn clone_with_storage(&self, mut storage: Vec<f64>) -> Self {
-        storage.clear();
-        storage.extend_from_slice(&self.data);
-        track_alloc(self.bytes());
-        Fab {
-            bx: self.bx,
-            ncomp: self.ncomp,
-            data: storage,
-        }
-    }
-
     /// Consume the fab, handing back its backing buffer for reuse (the
     /// accounting sees the payload freed, exactly as if it were dropped).
     pub fn into_storage(mut self) -> Vec<f64> {
@@ -414,7 +401,8 @@ mod tests {
     #[test]
     fn storage_reuse_roundtrip() {
         let f = Fab::filled(IBox::cube(4), 2, 3.0);
-        let g = f.clone_with_storage(Vec::new());
+        let mut g = Fab::with_storage(f.ibox(), 2, Vec::new());
+        g.as_mut_slice().copy_from_slice(f.as_slice());
         assert_eq!(g.ibox(), f.ibox());
         assert_eq!(g.as_slice(), f.as_slice());
         let live_with_g = allocated_bytes();

@@ -4,6 +4,16 @@
 //! This is the Rust analogue of Chombo's `AMRGodunov` Polytropic Gas example
 //! — the memory- and compute-intensive workload of the paper's evaluation
 //! (§5.2.1, Fig. 1, Fig. 5, Fig. 9).
+//!
+//! A level step walks each grid once, in place ([`GridKernel::walk`]): the
+//! grid's primitives are cached first, so every face reads only that cache
+//! and the conserved state can be overwritten row by row behind the walk.
+//! The arithmetic — slopes and half-step predictor, HLLC, conservative
+//! update — is written once over [`LANES`]-wide lane groups of
+//! component-major rows, each lane evaluating exactly the scalar expression
+//! in the scalar order, so the compiler packs four cells into SSE2
+//! registers and every output bit matches the per-face formulation in
+//! [`crate::reference`].
 
 use crate::level_solver::{LevelFluxes, LevelSolver};
 use crate::scratch;
@@ -27,7 +37,11 @@ pub const MZ: usize = 3;
 pub const ENERGY: usize = 4;
 
 /// Floor applied to density and pressure to keep states physical.
-const SMALL: f64 = 1e-10;
+pub(crate) const SMALL: f64 = 1e-10;
+
+/// Cells (or faces) the kernel's element-wise arithmetic handles at once:
+/// two SSE2 registers of `f64`.
+const LANES: usize = 4;
 
 /// Conserved state at one cell.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -112,97 +126,602 @@ impl Primitive {
     }
 }
 
-fn cons_as_array(c: Conserved) -> [f64; NCOMP] {
-    [c.rho, c.mom[0], c.mom[1], c.mom[2], c.energy]
-}
+/// `L` values of one quantity, one per cell or face of a lane group. Every
+/// operation applies the scalar IEEE operation lane by lane — a lane
+/// computes exactly what the scalar expression computes, and Rust never
+/// contracts a multiply and an add into an FMA — so with `L` = [`LANES`]
+/// the compiler emits packed SSE2 arithmetic and with `L` = 1 the scalar
+/// form, bit for bit the same.
+#[derive(Clone, Copy, Debug)]
+struct Lane<const L: usize>([f64; L]);
 
-/// Read a 5-component state from strided slots of a flat payload. Every
-/// writer of these slots — `to_primitive` for the pass-A primitive cache and
-/// `predict_faces` for the wlo/whi face fabs — applies the `.max(SMALL)`
-/// positivity floors before storing, so no clamping happens on the way out
-/// (reloading is bit-identical to never storing).
-#[inline(always)]
-fn load_prim(s: &[f64], o: usize, st: usize) -> Primitive {
-    Primitive {
-        rho: s[o],
-        vel: [s[o + st], s[o + 2 * st], s[o + 3 * st]],
-        p: s[o + 4 * st],
+impl<const L: usize> Lane<L> {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        Lane([v; L])
+    }
+
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        let mut r = self.0;
+        for (a, b) in r.iter_mut().zip(o.0) {
+            *a = f(*a, b);
+        }
+        Lane(r)
+    }
+
+    #[inline(always)]
+    fn max(self, o: impl Into<Self>) -> Self {
+        self.zip(o.into(), f64::max)
+    }
+
+    #[inline(always)]
+    fn min(self, o: impl Into<Self>) -> Self {
+        self.zip(o.into(), f64::min)
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        Lane(self.0.map(f64::sqrt))
     }
 }
 
-/// Write a 5-component state array into strided slots of a flat payload.
-#[inline(always)]
-fn store5(s: &mut [f64], o: usize, st: usize, v: [f64; NCOMP]) {
-    s[o] = v[0];
-    s[o + st] = v[1];
-    s[o + 2 * st] = v[2];
-    s[o + 3 * st] = v[3];
-    s[o + 4 * st] = v[4];
+impl<const L: usize> From<f64> for Lane<L> {
+    #[inline(always)]
+    fn from(v: f64) -> Self {
+        Lane::splat(v)
+    }
 }
 
-/// HLLC approximate Riemann solver: the flux through a face with left state
-/// `l` and right state `r`, normal direction `d`.
-pub fn hllc_flux(l: Primitive, r: Primitive, d: usize, gamma: f64) -> [f64; NCOMP] {
-    let cl = l.sound_speed(gamma);
-    let cr = r.sound_speed(gamma);
-    let ul = l.vel[d];
-    let ur = r.vel[d];
+/// Per lane, all ones where a condition holds and zeros where it does not:
+/// the operand of a bitwise select, which the compiler keeps branch-free.
+#[derive(Clone, Copy, Debug)]
+struct Mask<const L: usize>([u64; L]);
+
+impl<const L: usize> Mask<L> {
+    /// Lane by lane, whether `f` holds for `a` and `b` (an ordered
+    /// comparison with NaN never does).
+    #[inline(always)]
+    fn cmp(a: Lane<L>, b: Lane<L>, f: impl Fn(f64, f64) -> bool) -> Self {
+        let mut m = [0; L];
+        for ((m, a), b) in m.iter_mut().zip(a.0).zip(b.0) {
+            *m = if f(a, b) { u64::MAX } else { 0 };
+        }
+        Mask(m)
+    }
+
+    /// Lane by lane, whether `f` holds for `v`.
+    #[inline(always)]
+    fn of(v: Lane<L>, f: impl Fn(f64) -> bool) -> Self {
+        Mask::cmp(v, v, |v, _| f(v))
+    }
+
+    /// Lane by lane, `a` where the mask is set and `b` where it is not,
+    /// bit for bit.
+    #[inline(always)]
+    fn select(self, a: Lane<L>, b: Lane<L>) -> Lane<L> {
+        let mut r = b.0;
+        for ((r, m), a) in r.iter_mut().zip(self.0).zip(a.0) {
+            *r = f64::from_bits((a.to_bits() & m) | (r.to_bits() & !m));
+        }
+        Lane(r)
+    }
+}
+
+/// Lane-by-lane `Lane ∘ Lane`, `Lane ∘ f64` and `f64 ∘ Lane`.
+macro_rules! lane_op {
+    ($trait:ident, $f:ident, $op:tt) => {
+        impl<const L: usize> std::ops::$trait for Lane<L> {
+            type Output = Self;
+            #[inline(always)]
+            fn $f(self, o: Self) -> Self {
+                self.zip(o, |a, b| a $op b)
+            }
+        }
+        impl<const L: usize> std::ops::$trait<f64> for Lane<L> {
+            type Output = Self;
+            #[inline(always)]
+            fn $f(self, o: f64) -> Self {
+                self.zip(Lane::splat(o), |a, b| a $op b)
+            }
+        }
+        impl<const L: usize> std::ops::$trait<Lane<L>> for f64 {
+            type Output = Lane<L>;
+            #[inline(always)]
+            fn $f(self, o: Lane<L>) -> Lane<L> {
+                Lane::splat(self).zip(o, |a, b| a $op b)
+            }
+        }
+    };
+}
+lane_op!(Add, add, +);
+lane_op!(Sub, sub, -);
+lane_op!(Mul, mul, *);
+lane_op!(Div, div, /);
+
+/// Five components (conserved, primitive or flux) of `L` cells or faces.
+type State<const L: usize> = [Lane<L>; NCOMP];
+
+/// A state built component by component: `[f(0), …, f(4)]`.
+#[inline(always)]
+fn per_comp<const L: usize>(f: impl Fn(usize) -> Lane<L>) -> State<L> {
+    [f(0), f(1), f(2), f(3), f(4)]
+}
+
+/// Runs `$body` over `0..$n` in lane groups: with the `const` `$lanes`
+/// equal to [`LANES`] at the first index `$i` of every full group, then
+/// equal to 1 at each index after the last full group. One body serves
+/// both, so a row's tail runs the very code its bulk runs.
+macro_rules! lane_groups {
+    ($n:expr, |$i:ident, $lanes:ident| $body:block) => {{
+        let n: usize = $n;
+        let full = n - n % LANES;
+        for $i in (0..full).step_by(LANES) {
+            const $lanes: usize = LANES;
+            $body
+        }
+        for $i in full..n {
+            const $lanes: usize = 1;
+            $body
+        }
+    }};
+}
+
+/// Component-major rows in a flat buffer: entry `i` of component `c` at
+/// `s[c * stride + i]`. A fab payload from a cell's offset on is one (with
+/// `stride` its component stride), and so is every row and plane the walk
+/// buffers.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    s: &'a [f64],
+    stride: usize,
+}
+
+impl<'a> Rows<'a> {
+    fn new(s: &'a [f64], stride: usize) -> Self {
+        Rows { s, stride }
+    }
+
+    /// Entries `i..i + L` of all five components.
+    #[inline(always)]
+    fn load<const L: usize>(&self, i: usize) -> State<L> {
+        per_comp(|c| {
+            let o = c * self.stride + i;
+            Lane(self.s[o..o + L].try_into().expect("a lane group"))
+        })
+    }
+}
+
+/// [`Rows`] to write.
+struct RowsMut<'a> {
+    s: &'a mut [f64],
+    stride: usize,
+}
+
+impl<'a> RowsMut<'a> {
+    fn new(s: &'a mut [f64], stride: usize) -> Self {
+        RowsMut { s, stride }
+    }
+
+    /// The same rows, to read.
+    fn rows(&self) -> Rows<'_> {
+        Rows::new(self.s, self.stride)
+    }
+
+    /// The same rows, to write through a shorter borrow.
+    fn reborrow(&mut self) -> RowsMut<'_> {
+        RowsMut::new(self.s, self.stride)
+    }
+
+    #[inline(always)]
+    fn store<const L: usize>(&mut self, i: usize, v: &State<L>) {
+        for (c, v) in v.iter().enumerate() {
+            let o = c * self.stride + i;
+            self.s[o..o + L].copy_from_slice(&v.0);
+        }
+    }
+}
+
+/// The faces below and above a row of cells along one direction: entry `i`
+/// of `lo` is the face between cells `i - e_d` and `i`, of `hi` the face
+/// between `i` and `i + e_d`.
+#[derive(Clone, Copy)]
+struct FaceRows<'a> {
+    lo: Rows<'a>,
+    hi: Rows<'a>,
+}
+
+impl<'a> FaceRows<'a> {
+    fn new(lo: &'a [f64], hi: &'a [f64], stride: usize) -> Self {
+        FaceRows {
+            lo: Rows::new(lo, stride),
+            hi: Rows::new(hi, stride),
+        }
+    }
+}
+
+/// `buf` cut into consecutive slices of the given lengths.
+fn carve<const N: usize>(mut buf: &mut [f64], lens: [usize; N]) -> [&mut [f64]; N] {
+    lens.map(|n| {
+        let (head, rest) = std::mem::take(&mut buf).split_at_mut(n);
+        buf = rest;
+        head
+    })
+}
+
+/// The minmod slope limiter over `L` lanes: `a·b ≤ 0 ? 0 : |a| < |b| ? a : b`.
+#[inline(always)]
+fn minmod<const L: usize>(a: Lane<L>, b: Lane<L>) -> Lane<L> {
+    let opposite = Mask::of(a * b, |p| p <= 0.0);
+    let smaller = Mask::cmp(a, b, |a, b| a.abs() < b.abs());
+    opposite.select(Lane::splat(0.0), smaller.select(a, b))
+}
+
+/// `Conserved::to_primitive` over `L` cells.
+#[inline(always)]
+fn primitive<const L: usize>(u: &State<L>, gamma: f64) -> State<L> {
+    let rho = u[RHO].max(SMALL);
+    let vel = [u[MX] / rho, u[MY] / rho, u[MZ] / rho];
+    let ke = 0.5 * rho * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
+    let p = ((gamma - 1.0) * (u[ENERGY] - ke)).max(SMALL);
+    [rho, vel[0], vel[1], vel[2], p]
+}
+
+/// `Primitive::to_conserved` over `L` cells.
+#[inline(always)]
+fn conserved<const L: usize>(w: &State<L>, gamma: f64) -> State<L> {
+    let [rho, u, v, w, p] = *w;
+    let ke = 0.5 * rho * (u * u + v * v + w * w);
+    [rho, rho * u, rho * v, rho * w, p / (gamma - 1.0) + ke]
+}
+
+/// `Primitive::flux` along `D` over `L` faces, from the primitive states
+/// `w` and their conserved forms `u`.
+#[inline(always)]
+fn physical_flux<const L: usize, const D: usize>(w: &State<L>, u: &State<L>) -> State<L> {
+    let un = w[1 + D];
+    let mut f = [
+        u[RHO] * un,
+        u[MX] * un,
+        u[MY] * un,
+        u[MZ] * un,
+        un * (u[ENERGY] + w[4]),
+    ];
+    f[MX + D] = f[MX + D] + w[4];
+    f
+}
+
+/// HLLC's star-region flux `F + s·(U* − U)` on the side of the contact
+/// (speed `s_star`) whose outer wave has speed `s`, from that side's
+/// primitive states `q`, conserved states `u` and physical fluxes `f`.
+#[inline(always)]
+fn star_flux<const L: usize, const D: usize>(
+    q: &State<L>,
+    u: &State<L>,
+    f: &State<L>,
+    s: Lane<L>,
+    s_star: Lane<L>,
+) -> State<L> {
+    let un = q[1 + D];
+    let factor = q[0] * (s - un) / (s - s_star);
+    let mut vel = [q[1], q[2], q[3]];
+    vel[D] = s_star;
+    let u_star = [
+        factor,
+        factor * vel[0],
+        factor * vel[1],
+        factor * vel[2],
+        factor * (u[ENERGY] / q[0] + (s_star - un) * (s_star + q[4] / (q[0] * (s - un)))),
+    ];
+    per_comp(|c| f[c] + s * (u_star[c] - u[c]))
+}
+
+/// The HLLC flux through `L` faces along `D`, left states `l`, right
+/// states `r`. Branch-free: every lane evaluates the left and right
+/// physical fluxes and both star-state fluxes, then takes
+/// `s_l >= 0 ? F_l : s_r <= 0 ? F_r : s_star >= 0 ? F*_l : F*_r` — what
+/// the branches of the scalar solver return, NaN included (every
+/// comparison with NaN fails, so it falls through to `F*_r`).
+#[inline(always)]
+fn hllc<const L: usize, const D: usize>(l: &State<L>, r: &State<L>, gamma: f64) -> State<L> {
+    let cl = (gamma * l[4] / l[0].max(SMALL)).sqrt();
+    let cr = (gamma * r[4] / r[0].max(SMALL)).sqrt();
+    let (ul, ur) = (l[1 + D], r[1 + D]);
 
     // Davis wave-speed estimates.
     let s_l = (ul - cl).min(ur - cr);
     let s_r = (ul + cl).max(ur + cr);
 
-    if s_l >= 0.0 {
-        return l.flux(d, gamma);
-    }
-    if s_r <= 0.0 {
-        return r.flux(d, gamma);
-    }
-
     // Contact wave speed.
-    let rho_l = l.rho;
-    let rho_r = r.rho;
-    let s_star = (r.p - l.p + rho_l * ul * (s_l - ul) - rho_r * ur * (s_r - ur))
+    let (rho_l, rho_r) = (l[0], r[0]);
+    let s_star = (r[4] - l[4] + rho_l * ul * (s_l - ul) - rho_r * ur * (s_r - ur))
         / (rho_l * (s_l - ul) - rho_r * (s_r - ur));
 
-    let star_state = |q: Primitive, s: f64| -> [f64; NCOMP] {
-        let cons = q.to_conserved(gamma);
-        let un = q.vel[d];
-        let factor = q.rho * (s - un) / (s - s_star);
-        let mut u_star = [0.0; NCOMP];
-        u_star[RHO] = factor;
-        let mut vel = q.vel;
-        vel[d] = s_star;
-        u_star[MX] = factor * vel[0];
-        u_star[MY] = factor * vel[1];
-        u_star[MZ] = factor * vel[2];
-        u_star[ENERGY] =
-            factor * (cons.energy / q.rho + (s_star - un) * (s_star + q.p / (q.rho * (s - un))));
-        u_star
-    };
+    let (u_l, u_r) = (conserved(l, gamma), conserved(r, gamma));
+    let (f_l, f_r) = (
+        physical_flux::<L, D>(l, &u_l),
+        physical_flux::<L, D>(r, &u_r),
+    );
+    // F* = F + s·(U* − U) on either side of the contact.
+    let (fs_l, fs_r) = (
+        star_flux::<L, D>(l, &u_l, &f_l, s_l, s_star),
+        star_flux::<L, D>(r, &u_r, &f_r, s_r, s_star),
+    );
+    let upwind_l = Mask::of(s_l, |s| s >= 0.0);
+    let upwind_r = Mask::of(s_r, |s| s <= 0.0);
+    let star_l = Mask::of(s_star, |s| s >= 0.0);
+    per_comp(|c| {
+        upwind_l.select(
+            f_l[c],
+            upwind_r.select(f_r[c], star_l.select(fs_l[c], fs_r[c])),
+        )
+    })
+}
 
-    if s_star >= 0.0 {
-        let f_l = l.flux(d, gamma);
-        let u_l = cons_as_array(l.to_conserved(gamma));
-        let u_star = star_state(l, s_l);
-        std::array::from_fn(|c| f_l[c] + s_l * (u_star[c] - u_l[c]))
-    } else {
-        let f_r = r.flux(d, gamma);
-        let u_r = cons_as_array(r.to_conserved(gamma));
-        let u_star = star_state(r, s_r);
-        std::array::from_fn(|c| f_r[c] + s_r * (u_star[c] - u_r[c]))
+/// MUSCL–Hancock over `L` cells along `D`: the minmod-limited slopes from
+/// the cells' primitives `wc` and their neighbours' `wm`, `wp`, then both
+/// half-step face states, `(lo, hi)` at the cell's −½ and +½ faces. The
+/// `A(w)·slope` product depends only on the cell, so it is evaluated once
+/// for both; each component is the expression the per-face reference
+/// predictor evaluates (IEEE multiplication by −0.5 is the exact negation
+/// of multiplication by 0.5, and `a + (−b)` is `a − b`).
+#[inline(always)]
+fn predict<const L: usize, const D: usize>(
+    wm: &State<L>,
+    wc: &State<L>,
+    wp: &State<L>,
+    gamma: f64,
+    dtdx: f64,
+) -> (State<L>, State<L>) {
+    let s: State<L> = per_comp(|c| minmod(wp[c] - wc[c], wc[c] - wm[c]));
+    let rho = wc[0];
+    let un = wc[1 + D];
+    let c2 = gamma * wc[4] / rho;
+    // A(w)·slope for primitive Euler along D.
+    let mut adw = [
+        un * s[0] + rho * s[1 + D],
+        un * s[1],
+        un * s[2],
+        un * s[3],
+        un * s[4] + rho * c2 * s[1 + D],
+    ];
+    adw[1 + D] = adw[1 + D] + s[4] / rho;
+    let mut hi: State<L> = per_comp(|c| wc[c] + 0.5 * s[c] - 0.5 * dtdx * adw[c]);
+    let mut lo: State<L> = per_comp(|c| wc[c] - 0.5 * s[c] - 0.5 * dtdx * adw[c]);
+    // Positivity floors, matching Primitive::from_array: without these a
+    // strong rarefaction can store rho or p ≤ 0 and the Riemann solve would
+    // take sqrt of a negative sound-speed argument.
+    // xlint: floors-applied
+    hi[0] = hi[0].max(SMALL);
+    hi[4] = hi[4].max(SMALL);
+    lo[0] = lo[0].max(SMALL);
+    lo[4] = lo[4].max(SMALL);
+    (lo, hi)
+}
+
+/// The conservative update of `L` cells: `u + du`, then the positivity
+/// floors through a primitive round trip.
+#[inline(always)]
+fn update<const L: usize>(u: &State<L>, du: &State<L>, gamma: f64) -> State<L> {
+    let new: State<L> = per_comp(|c| u[c] + du[c]);
+    let floored = [new[RHO].max(SMALL), new[MX], new[MY], new[MZ], new[ENERGY]];
+    conserved(&primitive(&floored, gamma), gamma)
+}
+
+/// HLLC approximate Riemann solver: the flux through a face with left state
+/// `l` and right state `r`, normal direction `d` — the kernel's Riemann
+/// solve at one lane.
+pub fn hllc_flux(l: Primitive, r: Primitive, d: usize, gamma: f64) -> [f64; NCOMP] {
+    let (l, r) = (
+        l.as_array().map(|v| Lane([v])),
+        r.as_array().map(|v| Lane([v])),
+    );
+    let f = match d {
+        0 => hllc::<1, 0>(&l, &r, gamma),
+        1 => hllc::<1, 1>(&l, &r, gamma),
+        2 => hllc::<1, 2>(&l, &r, gamma),
+        _ => panic!("hllc_flux: direction {d} out of range"),
+    };
+    f.map(|c| c.0[0])
+}
+
+/// The primitive cache of a fab: `Conserved::to_primitive` of every cell,
+/// ghosts included, in a pooled buffer laid out like the fab's payload.
+/// Stored primitives already carry their floors, so reading them back is
+/// bit-identical to converting again.
+fn primitives(fab: &Fab, gamma: f64) -> Vec<f64> {
+    let st = fab.comp_stride();
+    let src = Rows::new(fab.as_slice(), st);
+    let mut prim = scratch::take_buffer();
+    prim.resize(NCOMP * st, 0.0);
+    let mut dst = RowsMut::new(&mut prim, st);
+    lane_groups!(st, |o, L| {
+        dst.store(o, &primitive(&src.load::<L>(o), gamma));
+    });
+    prim
+}
+
+/// The row kernels of one grid's step: its primitive cache over the
+/// ghost-filled box `avail`, the predictor's and the Riemann solve's ratio
+/// of specific heats, and dt/dx.
+struct GridKernel<'a> {
+    prim: Rows<'a>,
+    avail: IBox,
+    predict_gamma: f64,
+    gamma: f64,
+    dtdx: f64,
+}
+
+impl GridKernel<'_> {
+    /// The cell `iv` moved to `v` along `d`, clamped into `avail`: a
+    /// neighbour missing from `avail` (a physical boundary) is the cell
+    /// itself.
+    fn along(&self, iv: IntVect, d: usize, v: i64) -> IntVect {
+        let mut r = iv;
+        r[d] = v.clamp(self.avail.lo()[d], self.avail.hi()[d]);
+        r
+    }
+
+    /// Half-step face states along `D` of the `n` cells from `iv` on,
+    /// entry `i` into `lo` and `hi`. Each cell's −e_D and +e_D neighbours
+    /// are those of `iv` shifted by `i`: along x the caller passes a
+    /// stretch whose neighbours are all in `avail`, or one cell.
+    fn half_step<const D: usize>(&self, iv: IntVect, n: usize, mut lo: RowsMut, mut hi: RowsMut) {
+        let at = |v: IntVect| self.avail.offset(v);
+        let (om, oc, op) = (
+            at(self.along(iv, D, iv[D] - 1)),
+            at(iv),
+            at(self.along(iv, D, iv[D] + 1)),
+        );
+        let (gamma, dtdx) = (self.predict_gamma, self.dtdx);
+        lane_groups!(n, |i, L| {
+            let (wm, wc, wp) = (
+                self.prim.load::<L>(om + i),
+                self.prim.load::<L>(oc + i),
+                self.prim.load::<L>(op + i),
+            );
+            let (l, h) = predict::<L, D>(&wm, &wc, &wp, gamma, dtdx);
+            lo.store(i, &l);
+            hi.store(i, &h);
+        });
+    }
+
+    /// HLLC fluxes along `D` through `n` faces, entry `i` of `out` from the
+    /// left states `l` and right states `r` at entry `i`.
+    fn riemann<const D: usize>(&self, l: Rows, r: Rows, n: usize, mut out: RowsMut) {
+        lane_groups!(n, |i, L| {
+            out.store(i, &hllc::<L, D>(&l.load(i), &r.load(i), self.gamma));
+        });
+    }
+
+    /// The faces along `D` (y or z) of the `n`-cell row at `row`: the face
+    /// states of the row above into `hi_next`, their −½ half into the
+    /// scratch row `lo`, and the fluxes through the faces above — between
+    /// `hi`, the row's own +½ states, and the row above — into `f_hi`. On
+    /// the walk's first row along `D` (`first`), before that: the row's own
+    /// states into `hi` and the fluxes through the faces below into `f_lo`.
+    #[allow(clippy::too_many_arguments)]
+    fn cross_faces<const D: usize>(
+        &self,
+        row: IntVect,
+        first: bool,
+        n: usize,
+        lo: &mut [f64],
+        mut hi: RowsMut,
+        mut hi_next: RowsMut,
+        mut f_lo: RowsMut,
+        mut f_hi: RowsMut,
+    ) {
+        if first {
+            let below = self.along(row, D, row[D] - 1);
+            self.half_step::<D>(below, n, RowsMut::new(lo, n), hi_next.reborrow());
+            self.half_step::<D>(row, n, RowsMut::new(lo, n), hi.reborrow());
+            self.riemann::<D>(hi_next.rows(), Rows::new(lo, n), n, f_lo.reborrow());
+        }
+        let above = self.along(row, D, row[D] + 1);
+        self.half_step::<D>(above, n, RowsMut::new(lo, n), hi_next.reborrow());
+        self.riemann::<D>(hi.rows(), Rows::new(lo, n), n, f_hi.reborrow());
+    }
+
+    /// One walk over the rows of `valid`, handing `on_row` each row's
+    /// first cell and the fluxes through its faces along x, y and z.
+    ///
+    /// Every face reads only the primitive cache, so `on_row` may
+    /// overwrite the row's cells. Each face's flux is evaluated once: the
+    /// walk buffers the x-faces of the current row, the y-faces below and
+    /// above it (two rows, swapped as it moves up), the z-faces below and
+    /// above the current plane (two planes, swapped per plane), and each
+    /// cell's predicted ±½ states per direction, computed once and carried
+    /// to the face that needs them — the row above for y, the plane above
+    /// for z. A face on a physical boundary sees the interior cell's state
+    /// on both sides, as in the reference's `face_flux`. One pooled buffer,
+    /// carved into the rows and planes, holds all of it.
+    fn walk(&self, valid: &IBox, mut on_row: impl FnMut(IntVect, &[FaceRows; DIM])) {
+        let (lo, hi) = (valid.lo(), valid.hi());
+        let (nx, ny) = (valid.size()[0] as usize, valid.size()[1] as usize);
+        let plane = nx * ny;
+        // The x-face states of a row: entry i is cell lo - 1 + i, clamped.
+        // Entries a..b have both x-neighbours in `avail` and form one
+        // contiguous stretch; the rest run one at a time.
+        let nxe = nx + 2;
+        let first = lo[0] - 1;
+        let a = (self.avail.lo()[0] + 1 - first).clamp(0, nxe as i64) as usize;
+        let b = (self.avail.hi()[0] - first).clamp(a as i64, nxe as i64) as usize;
+
+        // Entries of the slices named below, in order: rows of x-face
+        // states and fluxes, rows of y-face states and fluxes and the z
+        // scratch row, planes of z-face states and fluxes.
+        let lens: [usize; 13] = std::array::from_fn(|k| match k {
+            0 | 1 => nxe,
+            2 => nx + 1,
+            3..=8 => nx,
+            _ => plane,
+        });
+        let mut buf = scratch::take_buffer();
+        buf.resize(NCOMP * lens.iter().sum::<usize>(), 0.0);
+        let [xlo, xhi, fx, ylo, mut yhi, mut yhi_next, mut fy_lo, mut fy_hi, zlo, mut zhi, mut zhi_next, mut fz_lo, mut fz_hi] =
+            carve(&mut buf, lens.map(|n| NCOMP * n));
+        for (k, z) in (lo[2]..=hi[2]).enumerate() {
+            for (j, y) in (lo[1]..=hi[1]).enumerate() {
+                let row = IntVect::new(lo[0], y, z);
+                let x_states = |i: usize, xlo: &mut [f64], xhi: &mut [f64], n: usize| {
+                    let iv = self.along(row, 0, first + i as i64);
+                    let (l, h) = (
+                        RowsMut::new(&mut xlo[i..], nxe),
+                        RowsMut::new(&mut xhi[i..], nxe),
+                    );
+                    self.half_step::<0>(iv, n, l, h);
+                };
+                for i in (0..a).chain(b..nxe) {
+                    x_states(i, xlo, xhi, 1);
+                }
+                if a < b {
+                    x_states(a, xlo, xhi, b - a);
+                }
+                let (l, r) = (Rows::new(xhi, nxe), Rows::new(&xlo[1..], nxe));
+                self.riemann::<0>(l, r, nx + 1, RowsMut::new(fx, nx + 1));
+
+                let [h, hn, fl, fh] =
+                    [&mut yhi, &mut yhi_next, &mut fy_lo, &mut fy_hi].map(|s| RowsMut::new(s, nx));
+                self.cross_faces::<1>(row, j == 0, nx, ylo, h, hn, fl, fh);
+                let pj = j * nx;
+                let [h, hn, fl, fh] = [&mut zhi, &mut zhi_next, &mut fz_lo, &mut fz_hi]
+                    .map(|s| RowsMut::new(&mut s[pj..], plane));
+                self.cross_faces::<2>(row, k == 0, nx, zlo, h, hn, fl, fh);
+
+                on_row(
+                    row,
+                    &[
+                        FaceRows::new(fx, &fx[1..], nx + 1),
+                        FaceRows::new(fy_lo, fy_hi, nx),
+                        FaceRows::new(&fz_lo[pj..], &fz_hi[pj..], plane),
+                    ],
+                );
+                std::mem::swap(&mut yhi, &mut yhi_next);
+                std::mem::swap(&mut fy_lo, &mut fy_hi);
+            }
+            std::mem::swap(&mut zhi, &mut zhi_next);
+            std::mem::swap(&mut fz_lo, &mut fz_hi);
+        }
+        scratch::recycle_buffer(buf);
     }
 }
 
-/// minmod slope limiter.
-pub(crate) fn minmod(a: f64, b: f64) -> f64 {
-    if a * b <= 0.0 {
-        0.0
-    } else if a.abs() < b.abs() {
-        a
-    } else {
-        b
-    }
+/// The conservative update of a row of `n` cells from the fluxes through
+/// their faces along each direction: `du = 0; du −= dtdx·(F_d⁺ − F_d⁻)`
+/// for d = x, y, z, then `u + du` and the floors.
+fn update_row(mut cells: RowsMut, n: usize, faces: &[FaceRows; DIM], dtdx: f64, gamma: f64) {
+    lane_groups!(n, |i, L| {
+        let mut du = [Lane::<L>::splat(0.0); NCOMP];
+        for f in faces {
+            let (lo, hi) = (f.lo.load::<L>(i), f.hi.load::<L>(i));
+            for (c, du) in du.iter_mut().enumerate() {
+                *du = *du - dtdx * (hi[c] - lo[c]);
+            }
+        }
+        let u = cells.rows().load::<L>(i);
+        cells.store(i, &update(&u, &du, gamma));
+    });
 }
 
 /// The polytropic-gas level solver.
@@ -250,48 +769,31 @@ impl EulerSolver {
         d[o + ENERGY * s] = c.energy;
     }
 
-    /// Both half-step face predictions of a cell at once: the `A(w)·slope`
-    /// product of the reference's per-face predictor depends only on `w`
-    /// and `slope`, so the sweep evaluates it once and forms the
-    /// `side = ±0.5` states from it. Each component is the same expression
-    /// the reference predictor evaluates (IEEE multiplication by −0.5 is
-    /// the exact negation of multiplication by 0.5, and `a + (−b)` is
-    /// `a − b`), and the rho/p components carry the same `.max(SMALL)`
-    /// positivity floor `Primitive::from_array` applies, so the pair is
-    /// bit-identical to two calls of the reference predictor.
-    #[inline(always)]
-    fn predict_faces(
-        &self,
-        w: Primitive,
-        slope: &[f64; NCOMP],
-        d: usize,
-        dtdx: f64,
-    ) -> ([f64; NCOMP], [f64; NCOMP]) {
-        let rho = w.rho;
-        let un = w.vel[d];
-        let c2 = self.gamma * w.p / rho;
-        let s = slope;
-        let mut adw = [0.0; NCOMP];
-        adw[0] = un * s[0] + rho * s[1 + d];
-        for v in 0..3 {
-            adw[1 + v] = un * s[1 + v];
+    /// The row kernels of a step over `prim`, the primitive cache of `fab`.
+    fn kernel<'a>(&self, prim: &'a [f64], fab: &Fab, dtdx: f64, gamma: f64) -> GridKernel<'a> {
+        GridKernel {
+            prim: Rows::new(prim, fab.comp_stride()),
+            avail: fab.ibox(),
+            predict_gamma: self.gamma,
+            gamma,
+            dtdx,
         }
-        adw[1 + d] += s[4] / rho;
-        adw[4] = un * s[4] + rho * c2 * s[1 + d];
-        let arr = w.as_array();
-        let mut hi: [f64; NCOMP] =
-            std::array::from_fn(|c| arr[c] + 0.5 * s[c] - 0.5 * dtdx * adw[c]);
-        let mut lo: [f64; NCOMP] =
-            std::array::from_fn(|c| arr[c] - 0.5 * s[c] - 0.5 * dtdx * adw[c]);
-        // Positivity floors, matching Primitive::from_array: without these a
-        // strong rarefaction can store rho or p ≤ 0 and hllc_flux would take
-        // sqrt of a negative sound-speed argument.
-        // xlint: floors-applied
-        hi[0] = hi[0].max(SMALL);
-        hi[4] = hi[4].max(SMALL);
-        lo[0] = lo[0].max(SMALL);
-        lo[4] = lo[4].max(SMALL);
-        (hi, lo)
+    }
+
+    /// One grid's step with fluxes that never leave it: the primitive
+    /// cache, then the walk ([`GridKernel::walk`]) updating each row in
+    /// place. No snapshot of the old state, no face or flux fab.
+    fn advance_grid(&self, valid: &IBox, fab: &mut Fab, dtdx: f64) {
+        let gamma = self.gamma;
+        let (avail, st) = (fab.ibox(), fab.comp_stride());
+        let nx = valid.size()[0] as usize;
+        let prim = primitives(fab, gamma);
+        self.kernel(&prim, fab, dtdx, gamma)
+            .walk(valid, |row, faces| {
+                let cells = &mut fab.as_mut_slice()[avail.offset(row)..];
+                update_row(RowsMut::new(cells, st), nx, faces, dtdx, gamma);
+            });
+        scratch::recycle_buffer(prim);
     }
 }
 
@@ -346,34 +848,23 @@ impl LevelSolver for EulerSolver {
 
     fn advance_level(&self, data: &mut LevelData, dx: f64, dt: f64) {
         let dtdx = dt / dx;
-        let gamma = self.gamma;
-        // Grids are independent given their (ghost-filled) old state, so the
-        // sweep parallelizes per grid. Each interior face is solved once.
-        // The old-state snapshot and flux fabs come from the per-worker
-        // scratch pool: after the first grid, a step allocates nothing.
-        data.par_for_each_mut(|_, valid, fab| {
-            let old = scratch::take_fab_clone(fab);
-            let fluxes = self.grid_fluxes(&old, &valid, dtdx, gamma);
-            Self::apply_fluxes(&valid, fab, &fluxes, dtdx, gamma);
-            scratch::recycle_fab(old);
-            for f in fluxes {
-                scratch::recycle_fab(f);
-            }
-        });
+        // Grids are independent given their ghost-filled old state. The
+        // primitive cache and the walk's rows and planes come from the
+        // per-worker scratch pool: after the first grid, a step allocates
+        // nothing.
+        data.par_for_each_mut(|_, valid, fab| self.advance_grid(&valid, fab, dtdx));
     }
 
     fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
         let dtdx = dt / dx;
         let gamma = self.gamma;
-        // Same per-grid independence as `advance_level`; the indexed
-        // parallel map collects each grid's flux fabs in grid order for the
-        // refluxing caller. Flux fabs escape to the caller, so only the
-        // old-state snapshot can come from the scratch pool here.
+        // Grids are independent; the indexed parallel map collects each
+        // grid's flux fabs in grid order for the refluxing caller. All of a
+        // grid's fluxes exist before its first cell changes, so the old
+        // state needs no snapshot.
         Some(data.par_map_mut(|_, valid, fab| {
-            let old = scratch::take_fab_clone(fab);
-            let fluxes = self.grid_fluxes(&old, &valid, dtdx, gamma);
+            let fluxes = self.grid_fluxes(fab, &valid, dtdx, gamma);
             Self::apply_fluxes(&valid, fab, &fluxes, dtdx, gamma);
-            scratch::recycle_fab(old);
             fluxes
         }))
     }
@@ -388,217 +879,71 @@ impl EulerSolver {
     /// at `iv` holds the HLLC flux through the face between `iv - e_d`
     /// and `iv`.
     ///
-    /// Sweep-structured MUSCL–Hancock: conserved→primitive happens once
-    /// per cell into a scratch fab, then per direction the limited slopes
-    /// and both ±½-predicted face states are cached in one contiguous row
-    /// walk, and the HLLC pass reads only cached states and writes flux
-    /// rows contiguously. The per-cell reference
-    /// ([`crate::reference::euler_grid_fluxes`]) re-derives primitives and
-    /// slopes for every face touching a cell (~20+ redundant conversions per
-    /// cell per step); this path is bit-identical to it — every cached value is
-    /// the same expression the reference evaluates, just evaluated once —
-    /// and property tests pin the equivalence.
+    /// The walk of `advance_level` ([`GridKernel::walk`]) with its face rows
+    /// copied out instead of applied: the primitive cache once per cell,
+    /// each predicted face state once, each face once. The per-face
+    /// reference ([`crate::reference::euler_grid_fluxes`]) re-derives
+    /// primitives and slopes for every face touching a cell; this path is
+    /// bit-identical to it — the same expressions on the same values, each
+    /// evaluated once — and property tests pin the equivalence.
     pub fn grid_fluxes(&self, old: &Fab, valid: &IBox, dtdx: f64, gamma: f64) -> [Fab; DIM] {
-        let avail = old.ibox();
-        // Pass A: conserved → primitive once per cell of the ghost-filled
-        // box. One flat walk; all five components stream contiguously.
-        let mut prim = scratch::take_fab(avail, NCOMP);
-        let st = old.comp_stride();
-        {
-            let src = old.as_slice();
-            let dst = prim.as_mut_slice();
-            for o in 0..st {
-                let w = Conserved {
-                    rho: src[o],
-                    mom: [src[o + st], src[o + 2 * st], src[o + 3 * st]],
-                    energy: src[o + 4 * st],
-                }
-                .to_primitive(gamma)
-                .as_array();
-                store5(dst, o, st, w);
-            }
-        }
-        let asize = avail.size();
-        let fluxes = std::array::from_fn(|d| {
-            // Cells whose predicted face states this direction's faces read:
-            // the valid box grown by one in ±d, clipped to what exists.
-            let sbox = valid.grow_dir(d, 1).intersect(&avail);
-            let ss = sbox.num_cells() as usize;
-            let mut wlo = scratch::take_fab(sbox, NCOMP); // state at the cell's −½ face
-            let mut whi = scratch::take_fab(sbox, NCOMP); // state at the cell's +½ face
-                                                          // Flat-offset step to the ±e_d neighbor inside the prim fab.
-            let pstep = match d {
-                0 => 1usize,
-                1 => asize[0] as usize,
-                _ => (asize[0] * asize[1]) as usize,
-            };
-            // Pass B: limited slopes + MUSCL–Hancock half-step predictor,
-            // cached for both faces of every cell in contiguous row walks.
-            {
-                let p = prim.as_slice();
-                let lo_s = wlo.as_mut_slice();
-                let hi_s = whi.as_mut_slice();
-                let nx = sbox.size()[0] as usize;
-                for z in sbox.lo()[2]..=sbox.hi()[2] {
-                    for y in sbox.lo()[1]..=sbox.hi()[1] {
-                        let row = IntVect::new(sbox.lo()[0], y, z);
-                        let op0 = avail.offset(row);
-                        let os0 = sbox.offset(row);
-                        // Neighbor availability along d is per-row constant
-                        // except for d == 0, where it flips at the row ends.
-                        let (row_has_m, row_has_p) =
-                            (row[d] > avail.lo()[d], row[d] < avail.hi()[d]);
-                        for i in 0..nx {
-                            let op = op0 + i;
-                            let (has_m, has_p) = if d == 0 {
-                                let x = row[0] + i as i64;
-                                (x > avail.lo()[0], x < avail.hi()[0])
-                            } else {
-                                (row_has_m, row_has_p)
-                            };
-                            let wc = [
-                                p[op],
-                                p[op + st],
-                                p[op + 2 * st],
-                                p[op + 3 * st],
-                                p[op + 4 * st],
-                            ];
-                            let wp = if has_p {
-                                let q = op + pstep;
-                                [p[q], p[q + st], p[q + 2 * st], p[q + 3 * st], p[q + 4 * st]]
-                            } else {
-                                wc
-                            };
-                            let wm = if has_m {
-                                let q = op - pstep;
-                                [p[q], p[q + st], p[q + 2 * st], p[q + 3 * st], p[q + 4 * st]]
-                            } else {
-                                wc
-                            };
-                            let slope: [f64; NCOMP] =
-                                std::array::from_fn(|c| minmod(wp[c] - wc[c], wc[c] - wm[c]));
-                            let w = Primitive {
-                                rho: wc[0],
-                                vel: [wc[1], wc[2], wc[3]],
-                                p: wc[4],
-                            };
-                            let os = os0 + i;
-                            let (w_hi, w_lo) = self.predict_faces(w, &slope, d, dtdx);
-                            store5(hi_s, os, ss, w_hi);
-                            store5(lo_s, os, ss, w_lo);
-                        }
-                    }
-                }
-            }
-            // Pass C: HLLC over faces, reading only the cached predicted
-            // states and writing flux rows contiguously. At a physical
-            // boundary the missing cell falls back to the interior one,
-            // exactly as the reference's `face_flux` clamps.
+        let prim = primitives(old, gamma);
+        let mut fluxes: [Fab; DIM] = std::array::from_fn(|d| {
             let mut hi = valid.hi();
             hi[d] += 1;
-            let fbox = IBox::new(valid.lo(), hi);
-            let mut flux = scratch::take_fab(fbox, NCOMP);
-            let sf = flux.comp_stride();
-            {
-                let lo_s = wlo.as_slice();
-                let hi_s = whi.as_slice();
-                let out = flux.as_mut_slice();
-                let nx = fbox.size()[0] as usize;
-                for z in fbox.lo()[2]..=fbox.hi()[2] {
-                    for y in fbox.lo()[1]..=fbox.hi()[1] {
-                        let row = IntVect::new(fbox.lo()[0], y, z);
-                        let of0 = fbox.offset(row);
-                        if d == 0 {
-                            let os0 = sbox.offset(IntVect::new(sbox.lo()[0], y, z));
-                            for i in 0..nx {
-                                let x = row[0] + i as i64;
-                                let lx = if x > avail.lo()[0] { x - 1 } else { x };
-                                let rx = if x <= avail.hi()[0] { x } else { x - 1 };
-                                let wl = load_prim(hi_s, os0 + (lx - sbox.lo()[0]) as usize, ss);
-                                let wr = load_prim(lo_s, os0 + (rx - sbox.lo()[0]) as usize, ss);
-                                store5(out, of0 + i, sf, hllc_flux(wl, wr, d, gamma));
-                            }
-                        } else {
-                            let fd = row[d];
-                            let ld = if fd > avail.lo()[d] { fd - 1 } else { fd };
-                            let rd = if fd <= avail.hi()[d] { fd } else { fd - 1 };
-                            let mut lrow = row;
-                            lrow[d] = ld;
-                            let mut rrow = row;
-                            rrow[d] = rd;
-                            let ol0 = sbox.offset(lrow);
-                            let or0 = sbox.offset(rrow);
-                            for i in 0..nx {
-                                let wl = load_prim(hi_s, ol0 + i, ss);
-                                let wr = load_prim(lo_s, or0 + i, ss);
-                                store5(out, of0 + i, sf, hllc_flux(wl, wr, d, gamma));
-                            }
-                        }
-                    }
-                }
-            }
-            scratch::recycle_fab(wlo);
-            scratch::recycle_fab(whi);
-            flux
+            scratch::take_fab(IBox::new(valid.lo(), hi), NCOMP)
         });
-        scratch::recycle_fab(prim);
+        let nx = valid.size()[0] as usize;
+        self.kernel(&prim, old, dtdx, gamma)
+            .walk(valid, |row, faces| {
+                for (d, (flux, f)) in fluxes.iter_mut().zip(faces).enumerate() {
+                    let sf = flux.comp_stride();
+                    let mut copy = |from: Rows, iv: IntVect| {
+                        let o = flux.cell_offset(iv);
+                        let to = flux.as_mut_slice();
+                        for c in 0..NCOMP {
+                            let src = &from.s[c * from.stride..][..nx];
+                            to[o + c * sf..][..nx].copy_from_slice(src);
+                        }
+                    };
+                    // The low faces of a row are the high faces of the row
+                    // before it, except in the first row along `d`.
+                    if row[d] == valid.lo()[d] {
+                        copy(f.lo, row);
+                    }
+                    copy(f.hi, row + IntVect::basis(d));
+                }
+            });
+        scratch::recycle_buffer(prim);
         fluxes
     }
 
-    /// Conservative update from face fluxes, with positivity floors.
-    pub(crate) fn apply_fluxes(
-        valid: &IBox,
-        fab: &mut Fab,
-        fluxes: &[Fab; DIM],
-        dtdx: f64,
-        gamma: f64,
-    ) {
-        // Row walks: one offset per row for the state fab and each flux fab
-        // (every Fab shares the x-fastest layout, so consecutive cells are
-        // consecutive offsets). The per-cell arithmetic and its evaluation
-        // order are unchanged from the per-cell form, so the update is
-        // bit-identical to it.
-        let lo = valid.lo();
-        let hi = valid.hi();
-        let nx = (hi[0] - lo[0] + 1) as usize;
-        let s = fab.comp_stride();
-        let sf: [usize; DIM] = std::array::from_fn(|d| fluxes[d].comp_stride());
+    /// Conservative update from face fluxes, with positivity floors: one
+    /// offset per row for the state fab and each flux fab, then the walk's
+    /// row update.
+    fn apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64, gamma: f64) {
+        let (lo, hi) = (valid.lo(), valid.hi());
+        let nx = valid.size()[0] as usize;
+        let st = fab.comp_stride();
         for z in lo[2]..=hi[2] {
             for y in lo[1]..=hi[1] {
                 let row = IntVect::new(lo[0], y, z);
-                let ob = fab.cell_offset(row);
-                let f0: [usize; DIM] = std::array::from_fn(|d| fluxes[d].cell_offset(row));
-                let f1: [usize; DIM] =
-                    std::array::from_fn(|d| fluxes[d].cell_offset(row + IntVect::basis(d)));
-                let dst = fab.as_mut_slice();
-                for i in 0..nx {
-                    let mut du = [0.0; NCOMP];
-                    for (d, flux) in fluxes.iter().enumerate() {
-                        let fd = flux.as_slice();
-                        let (o0, o1) = (f0[d] + i, f1[d] + i);
-                        for (c, dv) in du.iter_mut().enumerate() {
-                            *dv -= dtdx * (fd[o1 + c * sf[d]] - fd[o0 + c * sf[d]]);
-                        }
-                    }
-                    let o = ob + i;
-                    let u = Conserved {
-                        rho: dst[o],
-                        mom: [dst[o + s], dst[o + 2 * s], dst[o + 3 * s]],
-                        energy: dst[o + 4 * s],
-                    };
-                    let mut new = cons_as_array(u);
-                    for (c, dv) in du.iter().enumerate() {
-                        new[c] += dv;
-                    }
-                    // positivity floors via primitive roundtrip
-                    let cons = Conserved {
-                        rho: new[RHO].max(SMALL),
-                        mom: [new[MX], new[MY], new[MZ]],
-                        energy: new[ENERGY],
-                    };
-                    let w = cons.to_primitive(gamma);
-                    store5(dst, o, s, cons_as_array(w.to_conserved(gamma)));
-                }
+                let faces: [FaceRows; DIM] = std::array::from_fn(|d| {
+                    let (f, stride) = (fluxes[d].as_slice(), fluxes[d].comp_stride());
+                    let (o0, o1) = (
+                        fluxes[d].cell_offset(row),
+                        fluxes[d].cell_offset(row + IntVect::basis(d)),
+                    );
+                    FaceRows::new(&f[o0..], &f[o1..], stride)
+                });
+                let o = fab.cell_offset(row);
+                update_row(
+                    RowsMut::new(&mut fab.as_mut_slice()[o..], st),
+                    nx,
+                    &faces,
+                    dtdx,
+                    gamma,
+                );
             }
         }
     }
@@ -655,6 +1000,54 @@ mod tests {
         let exact = l.flux(0, GAMMA);
         for c in 0..NCOMP {
             assert!((f[c] - exact[c]).abs() < 1e-12);
+        }
+    }
+
+    /// Four HLLC lanes return, lane by lane, the one-lane bits whatever
+    /// their neighbours select: supersonic either way, subsonic on either
+    /// side of the contact, and NaN states, in every lane position and
+    /// direction.
+    #[test]
+    fn hllc_lanes_are_independent() {
+        let along = |d: usize, rho: f64, u: f64, p: f64| {
+            let mut vel = [0.1, -0.2, 0.3];
+            vel[d] = u;
+            Primitive { rho, vel, p }
+        };
+        let cases = |d| {
+            [
+                (along(d, 1.0, 10.0, 1.0), along(d, 0.1, 10.0, 0.1)),
+                (along(d, 0.1, -10.0, 0.1), along(d, 1.0, -10.0, 1.0)),
+                (along(d, 1.0, 0.5, 1.0), along(d, 0.125, 0.0, 0.1)),
+                (along(d, 0.125, -0.5, 0.1), along(d, 1.0, -0.2, 1.0)),
+                (along(d, f64::NAN, 0.0, 1.0), along(d, 1.0, 0.0, 1.0)),
+            ]
+        };
+        for d in 0..DIM {
+            let cases = cases(d);
+            for shift in 0..cases.len() {
+                let pick = |l: usize| cases[(shift + l) % cases.len()];
+                let lanes = |side: fn((Primitive, Primitive)) -> Primitive| -> State<4> {
+                    per_comp(|c| Lane(std::array::from_fn(|l| side(pick(l)).as_array()[c])))
+                };
+                let (l, r) = (lanes(|s| s.0), lanes(|s| s.1));
+                let f = match d {
+                    0 => hllc::<4, 0>(&l, &r, GAMMA),
+                    1 => hllc::<4, 1>(&l, &r, GAMMA),
+                    _ => hllc::<4, 2>(&l, &r, GAMMA),
+                };
+                for k in 0..4 {
+                    let (lk, rk) = pick(k);
+                    let one = hllc_flux(lk, rk, d, GAMMA);
+                    for c in 0..NCOMP {
+                        assert_eq!(
+                            f[c].0[k].to_bits(),
+                            one[c].to_bits(),
+                            "dir {d} lane {k} comp {c}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -790,6 +1183,7 @@ mod tests {
 
     #[test]
     fn minmod_limits() {
+        let minmod = |a: f64, b: f64| minmod(Lane([a]), Lane([b])).0[0];
         assert_eq!(minmod(1.0, 2.0), 1.0);
         assert_eq!(minmod(-3.0, -2.0), -2.0);
         assert_eq!(minmod(1.0, -1.0), 0.0);

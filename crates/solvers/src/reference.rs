@@ -4,13 +4,14 @@
 //! Every function here walks its box through `IBox::cells()`, one face or
 //! one cell at a time, with its own copy of the face arithmetic —
 //! deliberately sharing no loop or cache with the kernel it checks. The
-//! Euler level steps share only the conservative update
-//! (`EulerSolver::apply_fluxes`) with the product: the flux kernel is what
-//! they check. Support code for `tests/sweep_equivalence.rs` and the kernel
-//! benches; nothing in the product calls it.
+//! Euler references keep their own branchy scalar `hllc_flux`, `minmod` and
+//! per-cell conservative update, so the pins compare two formulations of
+//! the whole step, not the lane kernel with itself. Support code for
+//! `tests/sweep_equivalence.rs` and the kernel benches; nothing in the
+//! product calls it.
 
 use crate::advect::AdvectDiffuseSolver;
-use crate::euler::{hllc_flux, minmod, EulerSolver, Primitive, NCOMP};
+use crate::euler::{Conserved, EulerSolver, Primitive, ENERGY, MX, MY, MZ, NCOMP, RHO, SMALL};
 use crate::level_solver::LevelFluxes;
 use crate::scratch;
 use xlayer_amr::boxes::IBox;
@@ -127,6 +128,27 @@ pub fn euler_grid_fluxes(
     })
 }
 
+/// Conservative per-cell update from face fluxes, with the positivity
+/// floors through a primitive round trip.
+fn euler_apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64, gamma: f64) {
+    for iv in valid.cells() {
+        let mut du = [0.0; NCOMP];
+        for (d, flux) in fluxes.iter().enumerate() {
+            let e = IntVect::basis(d);
+            for (c, dv) in du.iter_mut().enumerate() {
+                *dv -= dtdx * (flux.get(iv + e, c) - flux.get(iv, c));
+            }
+        }
+        let u = EulerSolver::state(fab, iv);
+        let floored = Conserved {
+            rho: (u.rho + du[RHO]).max(SMALL),
+            mom: [u.mom[0] + du[MX], u.mom[1] + du[MY], u.mom[2] + du[MZ]],
+            energy: u.energy + du[ENERGY],
+        };
+        EulerSolver::set_state(fab, iv, floored.to_primitive(gamma).to_conserved(gamma));
+    }
+}
+
 /// `EulerSolver::advance_level` through [`euler_grid_fluxes`] (same
 /// parallel per-grid structure, reference per-face math) — the baseline the
 /// sweep is benchmarked against.
@@ -134,10 +156,9 @@ pub fn euler_advance_level(solver: &EulerSolver, data: &mut LevelData, dx: f64, 
     let dtdx = dt / dx;
     let gamma = solver.gamma;
     data.par_for_each_mut(|_, valid, fab| {
-        let old = scratch::take_fab_clone(fab);
+        let old = fab.clone();
         let fluxes = euler_grid_fluxes(solver, &old, &valid, dtdx, gamma);
-        EulerSolver::apply_fluxes(&valid, fab, &fluxes, dtdx, gamma);
-        scratch::recycle_fab(old);
+        euler_apply_fluxes(&valid, fab, &fluxes, dtdx, gamma);
         for f in fluxes {
             scratch::recycle_fab(f);
         }
@@ -157,10 +178,9 @@ pub fn euler_advance_level_capture(
     let mut out = Vec::with_capacity(data.len());
     for i in 0..data.len() {
         let valid = data.valid_box(i);
-        let old = scratch::take_fab_clone(data.fab(i));
+        let old = data.fab(i).clone();
         let fluxes = euler_grid_fluxes(solver, &old, &valid, dtdx, gamma);
-        EulerSolver::apply_fluxes(&valid, data.fab_mut(i), &fluxes, dtdx, gamma);
-        scratch::recycle_fab(old);
+        euler_apply_fluxes(&valid, data.fab_mut(i), &fluxes, dtdx, gamma);
         out.push(fluxes);
     }
     out
@@ -220,6 +240,75 @@ fn euler_face_flux(
     hllc_flux(wl, wr, d, gamma)
 }
 
+fn cons_as_array(c: Conserved) -> [f64; NCOMP] {
+    [c.rho, c.mom[0], c.mom[1], c.mom[2], c.energy]
+}
+
+/// HLLC approximate Riemann solver, one face at a time with branches: the
+/// flux through a face with left state `l` and right state `r`, normal
+/// direction `d`.
+fn hllc_flux(l: Primitive, r: Primitive, d: usize, gamma: f64) -> [f64; NCOMP] {
+    let cl = l.sound_speed(gamma);
+    let cr = r.sound_speed(gamma);
+    let ul = l.vel[d];
+    let ur = r.vel[d];
+
+    // Davis wave-speed estimates.
+    let s_l = (ul - cl).min(ur - cr);
+    let s_r = (ul + cl).max(ur + cr);
+
+    if s_l >= 0.0 {
+        return l.flux(d, gamma);
+    }
+    if s_r <= 0.0 {
+        return r.flux(d, gamma);
+    }
+
+    // Contact wave speed.
+    let rho_l = l.rho;
+    let rho_r = r.rho;
+    let s_star = (r.p - l.p + rho_l * ul * (s_l - ul) - rho_r * ur * (s_r - ur))
+        / (rho_l * (s_l - ul) - rho_r * (s_r - ur));
+
+    let star_state = |q: Primitive, s: f64| -> [f64; NCOMP] {
+        let cons = q.to_conserved(gamma);
+        let un = q.vel[d];
+        let factor = q.rho * (s - un) / (s - s_star);
+        let mut vel = q.vel;
+        vel[d] = s_star;
+        [
+            factor,
+            factor * vel[0],
+            factor * vel[1],
+            factor * vel[2],
+            factor * (cons.energy / q.rho + (s_star - un) * (s_star + q.p / (q.rho * (s - un)))),
+        ]
+    };
+
+    if s_star >= 0.0 {
+        let f_l = l.flux(d, gamma);
+        let u_l = cons_as_array(l.to_conserved(gamma));
+        let u_star = star_state(l, s_l);
+        std::array::from_fn(|c| f_l[c] + s_l * (u_star[c] - u_l[c]))
+    } else {
+        let f_r = r.flux(d, gamma);
+        let u_r = cons_as_array(r.to_conserved(gamma));
+        let u_star = star_state(r, s_r);
+        std::array::from_fn(|c| f_r[c] + s_r * (u_star[c] - u_r[c]))
+    }
+}
+
+/// minmod slope limiter.
+fn minmod(a: f64, b: f64) -> f64 {
+    if a * b <= 0.0 {
+        0.0
+    } else if a.abs() < b.abs() {
+        a
+    } else {
+        b
+    }
+}
+
 /// Limited primitive slope at `iv` along `d` (needs ±1 neighbors).
 fn euler_slopes(solver: &EulerSolver, fab: &Fab, iv: IntVect, d: usize) -> [f64; NCOMP] {
     let e = IntVect::basis(d);
@@ -274,4 +363,42 @@ fn euler_predict(
     Primitive::from_array(std::array::from_fn(|c| {
         arr[c] + side * s[c] - 0.5 * dtdx * adw[c]
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The branchy solver and the lane kernel's one-lane entry agree bit
+    /// for bit in each branch, and on NaN states, which fail every
+    /// comparison and fall through to the right star-state flux in both.
+    #[test]
+    fn branchy_hllc_matches_the_lane_kernel() {
+        let w = |rho: f64, u: f64, p: f64| Primitive {
+            rho,
+            vel: [u, 0.25, -0.5],
+            p,
+        };
+        let cases = [
+            (w(1.0, 10.0, 1.0), w(0.1, 10.0, 0.1)),
+            (w(0.1, -10.0, 0.1), w(1.0, -10.0, 1.0)),
+            (w(1.0, 0.5, 1.0), w(0.125, 0.0, 0.1)),
+            (w(0.125, -0.5, 0.1), w(1.0, -0.2, 1.0)),
+            (w(f64::NAN, 0.0, 1.0), w(1.0, 0.0, 1.0)),
+            (w(1.0, 0.0, 1.0), w(1.0, f64::NAN, 1.0)),
+        ];
+        for (l, r) in cases {
+            for d in 0..DIM {
+                let (a, b) = (
+                    hllc_flux(l, r, d, 1.4),
+                    crate::euler::hllc_flux(l, r, d, 1.4),
+                );
+                assert_eq!(
+                    a.map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "{l:?} | {r:?} dir {d}"
+                );
+            }
+        }
+    }
 }

@@ -361,6 +361,97 @@ fn advect_level_paths_match_reference() {
     }
 }
 
+/// A small gas domain at `lo`, `w` cells wide along x, cut into two unequal
+/// non-cubic boxes and a one-cell-thick slab along `thin`, each fab filled
+/// (ghosts included, then exchanged) with normal or near-vacuum states.
+fn gas_level(
+    lo: i64,
+    w: i64,
+    thin: usize,
+    periodic: [bool; DIM],
+    salt: i64,
+    vacuum: bool,
+) -> LevelData {
+    let lo = IntVect::new(lo, lo - 2, lo + 3);
+    let whole = IBox::new(lo, lo + IntVect::new(w - 1, 6, 4));
+    let (rest, slab) = whole.split_at(thin, whole.hi()[thin]);
+    let cut = (thin + 1) % DIM;
+    let (a, b) = rest.split_at(cut, rest.lo()[cut] + rest.size()[cut] / 2);
+    assert_eq!(slab.size()[thin], 1);
+    assert_eq!(a.num_cells() + b.num_cells(), rest.num_cells());
+    assert!(!a.is_empty() && !b.is_empty());
+    let domain = ProblemDomain::with_periodicity(whole, periodic);
+    let layout = BoxLayout::from_boxes(vec![a, b, slab]);
+    let mut ld = LevelData::new(layout, domain, NCOMP, 2);
+    ld.for_each_mut(|_, fab| {
+        for iv in fab.ibox().cells() {
+            let u = if vacuum {
+                near_vacuum_state(iv, salt)
+            } else {
+                gas_state(iv, salt)
+            };
+            EulerSolver::set_state(fab, iv, u);
+        }
+    });
+    ld.exchange();
+    ld
+}
+
+/// The fused in-place `advance_level` and the flux-capturing path land on
+/// the reference's bits — every fab entry, ghosts included, and every
+/// captured flux — on periodic, clipped and mixed domains, with normal and
+/// near-vacuum states, over non-cubic boxes and a slab one cell thick
+/// along each axis in turn, whose rows are 1 to 7 cells long (mostly
+/// shorter than, or no multiple of, the kernel's four lanes), at two
+/// origins, two steps in a row.
+#[test]
+fn euler_walk_matches_reference() {
+    let solver = EulerSolver::default();
+    let periodicities = [[true; DIM], [false; DIM], [true, false, false]];
+    let mut salt = 0;
+    for lo in [-3, 2] {
+        for w in [2, 3, 6, 7] {
+            for vacuum in [false, true] {
+                for periodic in periodicities {
+                    for thin in 0..DIM {
+                        salt += 1;
+                        let what =
+                            format!("lo={lo} w={w} vacuum={vacuum} {periodic:?} thin={thin}");
+                        let build = || gas_level(lo, w, thin, periodic, salt, vacuum);
+                        let (dx, dt) = (0.5, if vacuum { 0.01 } else { 0.05 });
+                        let (mut fused, mut captured, mut want) = (build(), build(), build());
+                        for step in 0..2 {
+                            solver.advance_level(&mut fused, dx, dt);
+                            let fluxes = solver
+                                .advance_level_capture(&mut captured, dx, dt)
+                                .expect("euler captures its fluxes");
+                            let want_fluxes =
+                                reference::euler_advance_level_capture(&solver, &mut want, dx, dt);
+                            for i in 0..want.len() {
+                                let at = format!("{what}: step {step} grid {i}");
+                                assert_fab_bits_eq(
+                                    fused.fab(i),
+                                    want.fab(i),
+                                    &format!("fused, {at}"),
+                                );
+                                assert_fab_bits_eq(
+                                    captured.fab(i),
+                                    want.fab(i),
+                                    &format!("capture, {at}"),
+                                );
+                            }
+                            assert_fluxes_bits_eq(&fluxes, &want_fluxes, &what);
+                            for ld in [&mut fused, &mut captured, &mut want] {
+                                ld.exchange();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The hoisted (x, y) table of face-normal velocities holds, for every
 /// face of the box at every z, exactly what the per-face expression gives.
 #[test]
@@ -590,4 +681,61 @@ fn amr_refluxed_advect_run_is_bit_identical_to_reference() {
         reference.advance();
         assert_hierarchies_bits_eq(&sweep, &reference, &format!("after step {step}"));
     }
+}
+
+/// The path `gas_local_intransit` runs, pinned: a blast on a clipped
+/// domain, up to 2 levels, no refluxing, regridding every 4 steps — its
+/// density is uniform at first, so the fine level appears at the first
+/// regrid and moves at the second. Ten steps driven by the fused walk land
+/// on exactly the bits of the same run driven by the retained references,
+/// every level and grid included.
+#[test]
+fn amr_regridding_euler_run_is_bit_identical_to_reference() {
+    let problem = GasProblem::Blast {
+        center: [7.5, 8.0, 8.5],
+        radius: 2.5,
+        p_in: 10.0,
+        p_out: 0.1,
+    };
+    let hier = HierarchyConfig {
+        max_levels: 2,
+        base_max_box: 8,
+        nranks: 2,
+        ..Default::default()
+    };
+    let config = DriverConfig {
+        cfl: 0.3,
+        regrid_interval: 4,
+        tag_threshold: 0.04,
+        subcycle: false,
+        reflux: false,
+        base_dx: 1.0 / 16.0,
+    };
+    fn init<S: LevelSolver>(sim: &mut AmrSimulation<S>, problem: &GasProblem) {
+        problem.init_hierarchy(&mut sim.hierarchy, GAMMA);
+        sim.regrid_now();
+        problem.init_hierarchy(&mut sim.hierarchy, GAMMA);
+    }
+
+    let domain = ProblemDomain::new(IBox::cube(16));
+    let mut walk = AmrSimulation::new(domain, hier.clone(), EulerSolver::default(), config);
+    let mut reference =
+        AmrSimulation::new(domain, hier, ReferenceEuler(EulerSolver::default()), config);
+    init(&mut walk, &problem);
+    init(&mut reference, &problem);
+
+    let mut regrids = 0;
+    for step in 0..10 {
+        let s = walk.advance();
+        let r = reference.advance();
+        assert_eq!(s.dt.to_bits(), r.dt.to_bits(), "dt diverged at step {step}");
+        assert_eq!(s.regridded, r.regridded, "regrid diverged at step {step}");
+        regrids += usize::from(s.regridded);
+        assert_hierarchies_bits_eq(&walk, &reference, &format!("after step {step}"));
+    }
+    assert!(
+        regrids >= 2,
+        "the run must regrid at least twice, did {regrids}"
+    );
+    assert!(walk.hierarchy.num_levels() > 1, "the blast must refine");
 }

@@ -76,6 +76,21 @@ if grep -qE 'unbounded::<Job>' <<<"$code" && ! grep -qE 'in_flight\.admit\(' <<<
     echo "grep gate: native.rs queues analysis jobs unbounded with no InFlight::admit wait (see CHANGES.md, PR 24)"; exit 1
 fi
 
+echo "==> the Euler kernel walks each grid in place, in safe Rust (grep gate)"
+# What the in-place Euler walk retired must not grow back in non-test
+# euler.rs (up to its first #[cfg(test)]): no old-state snapshot
+# (`take_fab_clone`) — every face reads the grid's primitive cache, so the
+# fab is updated row by row — and its four-wide lanes stay plain safe Rust
+# the compiler packs into baseline SSE2: no `unsafe`, no `target_feature`.
+# The solvers crate keeps `#![forbid(unsafe_code)]`.
+code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/solvers/src/euler.rs)
+if grep -E 'take_fab_clone|unsafe|target_feature' <<<"$code"; then
+    echo "grep gate: euler.rs must not snapshot the old state or leave safe, baseline Rust (see CHANGES.md: the in-place Euler walk)"; exit 1
+fi
+if ! grep -qxF '#![forbid(unsafe_code)]' crates/solvers/src/lib.rs; then
+    echo "grep gate: crates/solvers/src/lib.rs must keep #![forbid(unsafe_code)] (see CHANGES.md: the in-place Euler walk)"; exit 1
+fi
+
 echo "==> marching cubes classifies before it gathers, the worker reads the staged bytes (grep gate)"
 # What the classify-first kernel retired must not grow back in non-test code (each file up
 # to its first #[cfg(test)]): no per-cube `.any(|` quick reject in the
