@@ -7,7 +7,6 @@
 //! and naive round-robin.
 
 use crate::boxes::IBox;
-use crate::layout::BoxLayout;
 
 /// Strategy for assigning grids to ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,13 +28,6 @@ pub fn assign_ranks(boxes: &[IBox], nranks: usize, balancer: Balancer) -> Vec<us
         Balancer::Knapsack => knapsack(boxes, nranks),
         Balancer::MortonSfc => morton(boxes, nranks),
     }
-}
-
-/// Rebalance an existing layout in place (same boxes, new ranks).
-pub fn rebalance(layout: &BoxLayout, nranks: usize, balancer: Balancer) -> BoxLayout {
-    let boxes: Vec<IBox> = layout.grids().iter().map(|g| g.bx).collect();
-    let ranks = assign_ranks(&boxes, nranks, balancer);
-    layout.with_ranks(&ranks, nranks)
 }
 
 fn knapsack(boxes: &[IBox], nranks: usize) -> Vec<usize> {

@@ -125,19 +125,6 @@ impl IBox {
         IBox::new(self.lo - IntVect::splat(n), self.hi + IntVect::splat(n))
     }
 
-    /// Grow by `n` cells in direction `d` only (both sides).
-    #[inline]
-    pub fn grow_dir(&self, d: usize, n: i64) -> IBox {
-        if self.is_empty() {
-            return IBox::EMPTY;
-        }
-        let mut lo = self.lo;
-        let mut hi = self.hi;
-        lo[d] -= n;
-        hi[d] += n;
-        IBox::new(lo, hi)
-    }
-
     /// Translate by `shift`.
     #[inline]
     pub fn shift(&self, shift: IntVect) -> IBox {

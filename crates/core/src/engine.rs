@@ -188,18 +188,6 @@ impl AdaptationEngine {
         }
     }
 
-    /// Replace the disk model pricing the pressure layer's spill and
-    /// promote paths (defaults to [`DiskModel::titan`]).
-    pub fn with_disk_model(mut self, disk: DiskModel) -> Self {
-        self.disk = disk;
-        self
-    }
-
-    /// The disk model the pressure layer prices against.
-    pub fn disk_model(&self) -> &DiskModel {
-        &self.disk
-    }
-
     /// The estimator (exposed for policy-level diagnostics).
     pub fn estimator(&self) -> &Estimator {
         &self.estimator

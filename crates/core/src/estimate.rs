@@ -111,11 +111,6 @@ impl Estimator {
             * self.intransit_scale
     }
 
-    /// Default surface-cell estimate when no observation exists.
-    pub fn default_surface(&self, cells: u64) -> u64 {
-        (cells as f64 * self.cost.kernels.mc_surface_fraction) as u64
-    }
-
     /// `T_sd(S_data)`: latency for the simulation side to send `bytes`
     /// asynchronously — the injection cost, spread over the sending nodes
     /// (Table 1, Eq. 9).

@@ -1,12 +1,13 @@
-//! The frame header, the little-endian cursors and the frame reader under
-//! the staging wire (crate-private).
+//! The frame header codec and the frame reader under the staging wire
+//! (crate-private).
 //!
 //! [`crate::wire`] (whose module doc draws the 24-byte layout) owns the
-//! opcode table and the body layouts; the header codec and the
-//! bounds-checked primitive reader/writer live here. The header codec is
-//! parameterised by a [`FrameSpec`] — magic, version counter, payload cap —
-//! so the tests below frame with a spec of their own. Decoding failures
-//! are [`WireError`]s; decoding is total over arbitrary bytes.
+//! opcode table and the body layouts; the header codec lives here, and
+//! reads through the bounds-checked cursor every encoding of the workspace
+//! shares (`xlayer_staging::codec::Rd`). The header codec is parameterised
+//! by a [`FrameSpec`] — magic, version counter, payload cap — so the tests
+//! below frame with a spec of their own. Decoding failures are
+//! [`WireError`]s; decoding is total over arbitrary bytes.
 //!
 //! The I/O half is [`read_header`] + [`read_payload`]: the only code that
 //! takes a frame off a reader. Every socket reader of the crate — the
@@ -18,6 +19,7 @@
 use std::io::Read;
 
 use crate::wire::WireError;
+use xlayer_staging::codec::Rd;
 use xlayer_staging::sum::checksum;
 
 /// Header size in bytes.
@@ -171,115 +173,6 @@ pub fn read_payload(
 ) -> Result<(), RecvError> {
     r.read_exact(buf)?;
     Ok(verify(header_checksum, buf)?)
-}
-
-/// Append-only little-endian encoder over a byte vector. Floats travel as
-/// `to_bits()`; byte strings as `u32` length + bytes.
-#[derive(Default)]
-pub struct Wr {
-    /// The bytes written so far.
-    pub buf: Vec<u8>,
-}
-
-#[allow(missing_docs)] // one obvious method per primitive
-impl Wr {
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    pub fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-}
-
-/// Cursor-style little-endian decoder over a byte slice; every read is
-/// bounds-checked.
-pub struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-#[allow(missing_docs)] // one obvious method per primitive
-impl<'a> Rd<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    /// The next `n` bytes, borrowed.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let mut b = [0u8; N];
-        b.copy_from_slice(self.take(N)?);
-        Ok(b)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(u8::from_le_bytes(self.array()?))
-    }
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-    pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A `u32`-length-prefixed byte string, borrowed.
-    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    pub fn string(&mut self) -> Result<String, WireError> {
-        std::str::from_utf8(self.bytes()?)
-            .map(str::to_string)
-            .map_err(|_| WireError::BadUtf8)
-    }
-
-    /// The body must end exactly here.
-    pub fn done(&self) -> Result<(), WireError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(WireError::TrailingBytes(n)),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,12 +9,13 @@
 //!
 //! - `frame` (crate-private) — the 24-byte frame header (magic, version,
 //!   opcode, request id, payload length, the four-lane
-//!   `xlayer_staging::sum` checksum), the bounds-checked little-endian
-//!   cursors, and the one frame reader (header, then a pooled,
-//!   checksum-verified payload, off any `Read`) under every socket loop of
-//!   the crate.
+//!   `xlayer_staging::sum` checksum) and the one frame reader (header,
+//!   then a pooled, checksum-verified payload, off any `Read`) under every
+//!   socket loop of the crate.
 //! - [`wire`] — the staging protocol on those frames: versioned opcodes
-//!   and bodies with total, panic-free codecs for every request/response.
+//!   and bodies with total, panic-free codecs for every request/response,
+//!   written with `xlayer_staging::codec`'s cursors and descriptor
+//!   encoding — the bytes the disk tier's spill log writes too.
 //! - `stream` (crate-private) — the chunk stream, once: the sender that
 //!   slices a payload into `ChunkData` frames and the assembler that lands
 //!   them in place, shared by the client's and the service's put and get

@@ -16,21 +16,23 @@
 //!     24     …  payload          opcode-specific body
 //! ```
 //!
-//! All integers are little-endian; floats travel as `to_bits()` so the
-//! round trip is bit-exact. Strings are `u32` length + UTF-8 bytes; an
-//! [`IBox`] is its two inclusive corners (6 × `i64`); an optional box or
-//! float is a one-byte tag, then the value if the tag is non-zero. The
-//! payload length is capped ([`MAX_PAYLOAD`]) so a hostile header cannot
-//! make a peer allocate unbounded memory, and every decode error is a
-//! typed [`WireError`] — the codec never panics on malformed bytes (xlint
-//! rule P covers this module).
+//! Bodies are written and read with `xlayer_staging::codec`'s cursors —
+//! the disk tier's spill log uses the same ones, and the same
+//! [`ObjectDesc`] layout. Integers are little-endian; floats travel as
+//! `to_bits()`; strings are `u32` length + UTF-8 bytes; an [`IBox`] is its
+//! two inclusive corners (6 × `i64`); an option is a one-byte tag, then the
+//! value if the tag is non-zero. The payload length is capped
+//! ([`MAX_PAYLOAD`]) so a hostile header cannot make a peer allocate
+//! unbounded memory, and every decode error is a typed [`WireError`] — the
+//! codec never panics on malformed bytes (xlint rule P covers this module
+//! and the shared codec).
 
-use crate::frame::{self, FrameSpec, Rd, Wr};
+use crate::frame::{self, FrameSpec};
 use bytes::Bytes;
 use xlayer_amr::boxes::IBox;
-use xlayer_amr::intvect::IntVect;
+use xlayer_staging::codec::{DecodeError, Rd, Wr};
 use xlayer_staging::sum::Sum;
-use xlayer_staging::{DataObject, ObjectDesc, ObjectKey};
+use xlayer_staging::{DataObject, ObjectDesc};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"XLNT";
@@ -233,120 +235,22 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------------
-// Staging types on the shared cursors
-// ---------------------------------------------------------------------------
-
-/// The staging wire's compound fields, written with [`Wr`]'s primitives.
-impl Wr {
-    fn ivect(&mut self, v: IntVect) {
-        let IntVect([x, y, z]) = v;
-        self.i64(x);
-        self.i64(y);
-        self.i64(z);
-    }
-    fn ibox(&mut self, b: &IBox) {
-        self.ivect(b.lo());
-        self.ivect(b.hi());
-    }
-    fn opt_ibox(&mut self, b: Option<&IBox>) {
-        match b {
-            None => self.u8(0),
-            Some(b) => {
-                self.u8(1);
-                self.ibox(b);
-            }
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::TrailingBytes(n) => WireError::TrailingBytes(n),
+            DecodeError::BadUtf8 => WireError::BadUtf8,
         }
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-        }
-    }
-    fn desc(&mut self, d: &ObjectDesc) {
-        self.string(&d.key.name);
-        self.u64(d.key.version);
-        self.ibox(&d.bbox);
-        self.ibox(&d.core);
-        self.f64(d.dx);
-        let [lo, hi] = d.range;
-        self.f64(lo);
-        self.f64(hi);
-        self.u64(d.bytes);
-        self.u64(d.origin_rank as u64);
-    }
-    fn object(&mut self, o: &DataObject) {
-        self.desc(&o.desc);
-        self.bytes(o.payload.as_ref());
     }
 }
 
-/// The staging wire's compound fields, read with [`Rd`]'s primitives.
-impl Rd<'_> {
-    fn ivect(&mut self) -> Result<IntVect, WireError> {
-        Ok(IntVect::new(self.i64()?, self.i64()?, self.i64()?))
-    }
-
-    fn ibox(&mut self) -> Result<IBox, WireError> {
-        let (lo, hi) = (self.ivect()?, self.ivect()?);
-        Ok(IBox::new(lo, hi))
-    }
-
-    fn opt_ibox(&mut self) -> Result<Option<IBox>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            _ => Ok(Some(self.ibox()?)),
-        }
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            _ => Ok(Some(self.f64()?)),
-        }
-    }
-
-    fn desc(&mut self) -> Result<ObjectDesc, WireError> {
-        let name = self.string()?;
-        let version = self.u64()?;
-        let bbox = self.ibox()?;
-        let core = self.ibox()?;
-        let dx = self.f64()?;
-        let range = [self.f64()?, self.f64()?];
-        let bytes = self.u64()?;
-        let origin_rank = self.u64()? as usize;
-        Ok(ObjectDesc {
-            key: ObjectKey::new(name, version),
-            bbox,
-            core,
-            dx,
-            range,
-            bytes,
-            origin_rank,
-        })
-    }
-
-    /// A counted list of descriptors.
-    fn descs(&mut self) -> Result<Vec<ObjectDesc>, WireError> {
-        let n = self.u32()? as usize;
-        // Each descriptor is far more than 8 bytes; cap the preallocation
-        // by what the payload could possibly hold.
-        let mut descs = Vec::with_capacity(n.min(self.remaining() / 8 + 1));
-        for _ in 0..n {
-            descs.push(self.desc()?);
-        }
-        Ok(descs)
-    }
-
-    fn object(&mut self) -> Result<DataObject, WireError> {
-        let desc = self.desc()?;
-        let payload = Bytes::copy_from_slice(self.bytes()?);
-        DataObject::from_wire(desc, payload).ok_or(WireError::InconsistentObject)
-    }
+/// A `Put` body's object: its descriptor, then its payload as a byte
+/// string, checked against each other ([`DataObject::from_wire`]).
+fn read_object(r: &mut Rd<'_>) -> Result<DataObject, WireError> {
+    let desc = r.desc()?;
+    let payload = Bytes::copy_from_slice(r.bytes()?);
+    DataObject::from_wire(desc, payload).ok_or(WireError::InconsistentObject)
 }
 
 // ---------------------------------------------------------------------------
@@ -505,11 +409,9 @@ pub fn chunk_data_parts_cached(
 /// reads — the data lands directly in the destination object buffer — so
 /// the prefix is decoded alone.
 pub fn decode_chunk_prefix(prefix: &[u8; CHUNK_PREFIX_LEN]) -> (u32, u64) {
-    let mut idx = [0u8; 4];
-    idx.copy_from_slice(&prefix[..4]);
-    let mut off = [0u8; 8];
-    off.copy_from_slice(&prefix[4..12]);
-    (u32::from_le_bytes(idx), u64::from_le_bytes(off))
+    // The array holds both fields, so neither read can fail.
+    let mut r = Rd::new(prefix);
+    (r.u32().unwrap_or_default(), r.u64().unwrap_or_default())
 }
 
 /// Totals carried by a stream's terminal [`Opcode::ChunkEnd`] frame.
@@ -523,10 +425,10 @@ pub struct ChunkEnd {
 
 /// Encode a complete [`Opcode::ChunkEnd`] frame.
 pub fn encode_chunk_end(request_id: u64, end: ChunkEnd) -> Vec<u8> {
-    let mut body = [0u8; 12];
-    body[..4].copy_from_slice(&end.objects.to_le_bytes());
-    body[4..12].copy_from_slice(&end.total_bytes.to_le_bytes());
-    encode_frame(Opcode::ChunkEnd, request_id, &body)
+    let mut w = Wr::default();
+    w.u32(end.objects);
+    w.u64(end.total_bytes);
+    encode_frame(Opcode::ChunkEnd, request_id, &w.buf)
 }
 
 /// Decode a [`Opcode::ChunkEnd`] body.
@@ -612,7 +514,10 @@ impl Request {
             buf: std::mem::take(out),
         };
         match self {
-            Request::Put(obj) => w.object(obj),
+            Request::Put(obj) => {
+                w.desc(&obj.desc);
+                w.bytes(obj.payload.as_ref());
+            }
             Request::Query { name, version } => {
                 w.string(name);
                 w.u64(*version);
@@ -652,7 +557,7 @@ impl Request {
     pub fn decode_body(opcode: Opcode, payload: &[u8]) -> Result<Request, WireError> {
         let mut r = Rd::new(payload);
         let req = match opcode {
-            Opcode::Put => Request::Put(r.object()?),
+            Opcode::Put => Request::Put(read_object(&mut r)?),
             Opcode::Query => Request::Query {
                 name: r.string()?,
                 version: r.u64()?,
@@ -884,12 +789,7 @@ impl Response {
         };
         match self {
             Response::PutOk { shard } => w.u32(*shard),
-            Response::QueryOk(descs) | Response::GetChunkedOk { descs } => {
-                w.u32(descs.len() as u32);
-                for d in descs {
-                    w.desc(d);
-                }
-            }
+            Response::QueryOk(descs) | Response::GetChunkedOk { descs } => w.descs(descs),
             Response::DeleteOk { bytes_freed } => w.u64(*bytes_freed),
             Response::StatsOk(s) => {
                 for v in [

@@ -127,11 +127,6 @@ impl CostModel {
         cells as f64 * self.kernels.reduce_cell_flops / self.rate(cores)
     }
 
-    /// Entropy evaluation of `cells` cells on `cores` cores.
-    pub fn entropy_time(&self, cells: u64, cores: usize) -> SimTime {
-        cells as f64 * self.kernels.entropy_cell_flops / self.rate(cores)
-    }
-
     /// Cells that fit in `bytes` of grid data (8-byte doubles × ncomp).
     pub fn cells_of_bytes(bytes: u64, ncomp: usize) -> u64 {
         bytes / (8 * ncomp as u64)

@@ -2,26 +2,21 @@
 //! extents in a log of fixed-size segment files, one log per staging
 //! server.
 //!
-//! Layout of one record (all integers little-endian):
+//! Layout of one record (all integers little-endian, written and read with
+//! [`crate::codec`]'s cursors):
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic            "XTL3"
-//!      4     2  name_len         u16
-//!      6     8  version          u64
-//!     14    48  bbox             lo.x lo.y lo.z hi.x hi.y hi.z, i64 each
-//!     62    48  core             same encoding as bbox
-//!    110     8  dx               f64 bit pattern
-//!    118    16  range            min, max: f64 bit patterns
-//!    134     8  origin_rank      u64
-//!    142     8  payload_len      u64
-//!    150     4  chunk_size       u32
-//!    154     4  nsums            u32 (= ceil(payload_len / chunk_size))
-//!    158     …  name             name_len bytes, UTF-8
-//!      …     …  sums             nsums × u32, [`crate::sum`] per payload chunk
+//!      0     4  magic            "XTL4"
+//!      4     4  head_len         u32
+//!      8     …  head             the wire's descriptor ([`Wr::desc`]), then
+//!                                chunk u32, nsums u32, nsums × u32 sums
 //!      …     4  head_sum         [`crate::sum`] over every byte above
-//!      …     …  payload          payload_len bytes, LE f64 Fortran order
+//!      …     …  payload          desc.bytes bytes, LE f64 Fortran order
 //! ```
+//!
+//! The open scan bounds what a prefix declares by the bytes the segment
+//! still holds before sizing any buffer from it.
 //!
 //! **Segments.** Records are appended to segment files of at most
 //! [`SEGMENT_BYTES`] (a record larger than that gets a segment of its own).
@@ -70,11 +65,13 @@
 //! `Persistence::Durable` hint is a memory-pressure priority (never
 //! reject, always spill), not a power-loss guarantee. Nor does a log
 //! survive a *format* change: the record magic names the format (`XTLG`
-//! records carried FNV-1a-32 sums, `XTL2` records no value range), there
-//! is no migration, and a log written under another magic is reported
+//! records carried FNV-1a-32 sums, `XTL2` records no value range, `XTL3`
+//! records a hand-packed head of their own), there is no migration, and a
+//! log written under another magic is reported
 //! through [`DiskLog::recovery`] as "bad record magic" at offset 0 and
 //! truncated like any other unreadable tail.
 
+use crate::codec::{DecodeError, Rd, Wr};
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
 use crate::pool::{BufferPool, PooledBuf};
 use crate::sum::{checksum, chunk_sums};
@@ -86,16 +83,14 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
-use xlayer_amr::intvect::IntVect;
 
-/// Record magic: "XTL3" — the xlayer tier log's third format, whose head
-/// carries the descriptor's value range ("XTL2" had none; "XTLG" records
-/// carried FNV-1a-32 sums instead of [`crate::sum`]'s four-lane sum).
-const MAGIC: [u8; 4] = *b"XTL3";
-/// Fixed-size prefix of a record, before the name/sums tail.
-const FIXED_HEAD: usize = 158;
-/// Longest accepted variable name (matches the wire protocol's cap).
-const MAX_NAME: usize = 4096;
+/// Record magic: "XTL4" — the xlayer tier log's fourth format, whose head
+/// is the wire's descriptor encoding ("XTL3" packed a head of its own,
+/// "XTL2" had no value range, "XTLG" records carried FNV-1a-32 sums
+/// instead of [`crate::sum`]'s four-lane sum).
+const MAGIC: [u8; 4] = *b"XTL4";
+/// Bytes before a record's head: the magic and `head_len`.
+const PREFIX: usize = 8;
 /// Size a segment grows to before appends move on to the next one.
 pub const SEGMENT_BYTES: u64 = 16 << 20;
 
@@ -165,7 +160,7 @@ pub struct Extent {
     seg: u64,
     /// Offset of the record's first byte within its segment.
     offset: u64,
-    /// Total record length (header + name + sums + head_sum + payload).
+    /// Total record length (prefix + head + head_sum + payload).
     record_len: u64,
     /// Offset of the payload within its segment.
     payload_off: u64,
@@ -177,84 +172,44 @@ pub struct Extent {
     sums: Arc<[u32]>,
 }
 
-impl Extent {
-    /// The stored descriptor.
-    pub fn desc(&self) -> &ObjectDesc {
-        &self.desc
+/// A record's bytes before its payload: prefix, head and `head_sum`
+/// (layout in the module doc). Fails only for a head longer than its
+/// `u32` length can say.
+fn encode_head(desc: &ObjectDesc, chunk: u32, sums: &[u32]) -> Result<Vec<u8>, TierError> {
+    let mut head = Wr::default();
+    head.desc(desc);
+    head.u32(chunk);
+    head.u32(sums.len() as u32);
+    for &s in sums {
+        head.u32(s);
     }
+    let head_len = u32::try_from(head.buf.len()).map_err(|_| TierError::Io {
+        op: "append",
+        detail: format!("a {}-byte record head overflows its length", head.buf.len()),
+    })?;
+    let mut w = Wr {
+        buf: Vec::with_capacity(PREFIX + head.buf.len() + 4),
+    };
+    w.buf.extend_from_slice(&MAGIC);
+    w.u32(head_len);
+    w.buf.extend_from_slice(&head.buf);
+    w.u32(checksum(&w.buf));
+    Ok(w.buf)
 }
 
-fn put_ibox(buf: &mut Vec<u8>, b: &IBox) {
-    let IntVect([lx, ly, lz]) = b.lo();
-    let IntVect([hx, hy, hz]) = b.hi();
-    for v in [lx, ly, lz, hx, hy, hz] {
-        buf.extend_from_slice(&v.to_le_bytes());
+/// A record's head as [`encode_head`] wrote it — descriptor, chunk size
+/// and chunk sums — consumed exactly.
+fn decode_head(head: &[u8]) -> Result<(ObjectDesc, u32, Vec<u32>), DecodeError> {
+    let mut r = Rd::new(head);
+    let desc = r.desc()?;
+    let chunk = r.u32()?;
+    let nsums = r.u32()? as usize;
+    let mut sums = Vec::with_capacity(nsums.min(r.remaining() / 4));
+    for _ in 0..nsums {
+        sums.push(r.u32()?);
     }
-}
-
-/// A bounds-checked little-endian reader over a byte slice.
-struct Cur<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.buf.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| {
-            let mut b = [0u8; 2];
-            b.copy_from_slice(s);
-            u16::from_le_bytes(b)
-        })
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(s);
-            u32::from_le_bytes(b)
-        })
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(s);
-            u64::from_le_bytes(b)
-        })
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
-    }
-
-    fn ibox(&mut self) -> Option<IBox> {
-        let (lx, ly, lz) = (self.i64()?, self.i64()?, self.i64()?);
-        let (hx, hy, hz) = (self.i64()?, self.i64()?, self.i64()?);
-        Some(IBox::new(
-            IntVect::new(lx, ly, lz),
-            IntVect::new(hx, hy, hz),
-        ))
-    }
-}
-
-/// The decoded fixed+variable header of one record.
-struct RecordHead {
-    desc: ObjectDesc,
-    chunk: u32,
-    sums: Vec<u32>,
-    /// Length of header + name + sums + head_sum (payload starts here).
-    head_len: u64,
+    r.done()?;
+    Ok((desc, chunk, sums))
 }
 
 /// One segment file and the share of the index that lives in it.
@@ -294,93 +249,58 @@ fn parse_seq(suffix: &str) -> Option<u64> {
     (seq > 0 && seq.to_string() == suffix).then_some(seq)
 }
 
-/// Decode and validate one record head starting at `offset` of a segment
-/// `file_len` bytes long; the file cursor is left at the start of the
-/// payload, all of which the file holds.
-fn read_head(file: &mut File, offset: u64, file_len: u64) -> Result<RecordHead, TierError> {
+/// Decode and validate the head of the record at `offset` of segment
+/// `seg`, `file_len` bytes long, into its extent; the file cursor is left
+/// at the start of the payload, all of which the file holds. The chunk
+/// sums are checked against the payload by [`read_payload`].
+fn read_head(file: &mut File, seg: u64, offset: u64, file_len: u64) -> Result<Extent, TierError> {
     let corrupt = |detail: String| TierError::Corrupt { offset, detail };
-    let mut fixed = [0u8; FIXED_HEAD];
+    let mut prefix = [0u8; PREFIX];
     file.seek(SeekFrom::Start(offset))
         .map_err(|e| io_err("scan", e))?;
-    file.read_exact(&mut fixed)
+    file.read_exact(&mut prefix)
         .map_err(|_| corrupt("record head truncated".to_string()))?;
-    let mut c = Cur::new(&fixed);
-    let bad = || corrupt("record head fields truncated".to_string());
-    if c.take(4) != Some(MAGIC.as_slice()) {
-        return Err(corrupt("bad record magic".to_string()));
-    }
-    let name_len = c.u16().ok_or_else(bad)? as usize;
-    let version = c.u64().ok_or_else(bad)?;
-    let bbox = c.ibox().ok_or_else(bad)?;
-    let core = c.ibox().ok_or_else(bad)?;
-    let dx = f64::from_bits(c.u64().ok_or_else(bad)?);
-    let range = [
-        f64::from_bits(c.u64().ok_or_else(bad)?),
-        f64::from_bits(c.u64().ok_or_else(bad)?),
-    ];
-    let origin_rank = c.u64().ok_or_else(bad)? as usize;
-    let bytes = c.u64().ok_or_else(bad)?;
-    let chunk = c.u32().ok_or_else(bad)?.max(1);
-    let nsums = c.u32().ok_or_else(bad)? as usize;
-    if name_len > MAX_NAME {
-        return Err(corrupt(format!("name length {name_len} exceeds cap")));
-    }
-    let want_sums = (bytes as usize).div_ceil(chunk as usize);
-    if nsums != want_sums {
-        return Err(corrupt(format!(
-            "{nsums} chunk sums stored for a {bytes}-byte payload at chunk {chunk}"
-        )));
-    }
-    // Nothing above is verified yet — the head checksum sits behind the
-    // name and sums — so what the record declares is bounded by the
-    // bytes the file actually has before any of it sizes a buffer.
-    let tail_len = name_len + nsums * 4 + 4;
-    let left = file_len.saturating_sub(offset + FIXED_HEAD as u64);
-    if (tail_len as u64)
-        .checked_add(bytes)
-        .is_none_or(|need| need > left)
-    {
-        return Err(corrupt(format!(
-            "record declares {tail_len} head and {bytes} payload bytes, {left} left in the file"
-        )));
-    }
-    let mut tailbuf = vec![0u8; tail_len];
-    file.read_exact(&mut tailbuf)
-        .map_err(|_| corrupt("record name/sums truncated".to_string()))?;
-    let mut c = Cur::new(&tailbuf);
-    let name_bytes = c.take(name_len).ok_or_else(bad)?;
-    let name = std::str::from_utf8(name_bytes)
-        .map_err(|_| corrupt("record name is not UTF-8".to_string()))?
-        .to_string();
-    let mut sums = Vec::with_capacity(nsums);
-    for _ in 0..nsums {
-        sums.push(c.u32().ok_or_else(bad)?);
-    }
-    let stored_sum = c.u32().ok_or_else(bad)?;
-    let head_bytes = FIXED_HEAD + name_len + nsums * 4;
-    let mut whole = Vec::with_capacity(head_bytes);
-    whole.extend_from_slice(&fixed);
-    whole.extend_from_slice(tailbuf.get(..name_len + nsums * 4).unwrap_or_default());
-    if checksum(&whole) != stored_sum {
+    let mut r = Rd::new(&prefix);
+    let head_len = match (r.array::<4>(), r.u32()) {
+        (Ok(MAGIC), Ok(len)) => len as usize,
+        _ => return Err(corrupt("bad record magic".to_string())),
+    };
+    // Nothing the record declares is verified yet — head_sum sits behind
+    // the head — so it is bounded by the bytes the segment still holds
+    // before it sizes a buffer: the head now, the payload once the head
+    // has decoded.
+    let left = file_len.saturating_sub(offset + PREFIX as u64);
+    let fits = |payload: u64| match (head_len as u64 + 4).checked_add(payload) {
+        Some(need) if need <= left => Ok(()),
+        _ => Err(corrupt(format!(
+            "record declares a {head_len}-byte head and {payload} payload bytes, \
+             {left} left in the file"
+        ))),
+    };
+    fits(0)?;
+    let mut rec = vec![0u8; PREFIX + head_len + 4];
+    rec[..PREFIX].copy_from_slice(&prefix);
+    file.read_exact(&mut rec[PREFIX..])
+        .map_err(|_| corrupt("record head truncated".to_string()))?;
+    let (summed, stored) = rec.split_at(PREFIX + head_len);
+    if Rd::new(stored).u32() != Ok(checksum(summed)) {
         return Err(corrupt("record head checksum mismatch".to_string()));
     }
-    let desc = ObjectDesc {
-        key: ObjectKey::new(name, version),
-        bbox,
-        core,
-        dx,
-        range,
-        bytes,
-        origin_rank,
-    };
+    let (desc, chunk, sums) = decode_head(&summed[PREFIX..])
+        .map_err(|e| corrupt(format!("record head does not decode: {e}")))?;
+    fits(desc.bytes)?;
     if !desc.is_consistent() {
         return Err(corrupt("record descriptor is inconsistent".to_string()));
     }
-    Ok(RecordHead {
+    let payload_at = (PREFIX + head_len + 4) as u64;
+    Ok(Extent {
+        seg,
+        offset,
+        record_len: payload_at + desc.bytes,
+        payload_off: offset + payload_at,
         desc,
-        chunk,
-        sums,
-        head_len: (head_bytes + 4) as u64,
+        chunk: chunk.max(1),
+        sums: sums.into(),
     })
 }
 
@@ -525,31 +445,6 @@ impl DiskLog {
         self.index.keys().cloned().collect()
     }
 
-    fn encode_head(obj: &DataObject, chunk: u32, sums: &[u32]) -> Vec<u8> {
-        let name = obj.desc.key.name.as_bytes();
-        let mut head = Vec::with_capacity(FIXED_HEAD + name.len() + sums.len() * 4 + 4);
-        head.extend_from_slice(&MAGIC);
-        head.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        head.extend_from_slice(&obj.desc.key.version.to_le_bytes());
-        put_ibox(&mut head, &obj.desc.bbox);
-        put_ibox(&mut head, &obj.desc.core);
-        head.extend_from_slice(&obj.desc.dx.to_bits().to_le_bytes());
-        for bound in obj.desc.range {
-            head.extend_from_slice(&bound.to_bits().to_le_bytes());
-        }
-        head.extend_from_slice(&(obj.desc.origin_rank as u64).to_le_bytes());
-        head.extend_from_slice(&obj.desc.bytes.to_le_bytes());
-        head.extend_from_slice(&chunk.to_le_bytes());
-        head.extend_from_slice(&(sums.len() as u32).to_le_bytes());
-        head.extend_from_slice(name);
-        for s in sums {
-            head.extend_from_slice(&s.to_le_bytes());
-        }
-        let hs = checksum(&head);
-        head.extend_from_slice(&hs.to_le_bytes());
-        head
-    }
-
     /// Append `obj` as a new extent. Fails with [`TierError::DiskFull`]
     /// when the live payload would exceed the budget; the file is only
     /// written after that check, so a rejected append changes nothing.
@@ -571,7 +466,7 @@ impl DiskLog {
                 fresh
             }
         };
-        let head = Self::encode_head(obj, self.chunk, &sums);
+        let head = encode_head(&obj.desc, self.chunk, &sums)?;
         let head_len = head.len() as u64;
         let record_len = head_len + bytes;
         // The active segment, unless this record would push it past the
@@ -880,33 +775,18 @@ impl DiskLog {
         let file_len = seg.file.metadata().map_err(|e| io_err("open", e))?.len();
         let mut offset = 0u64;
         while offset < file_len {
-            let head = match read_head(&mut seg.file, offset, file_len) {
-                Ok(h) => h,
+            // Verify the payload sums now too: a record whose payload was
+            // torn mid-write is detected at open, not at first read.
+            let checked = read_head(&mut seg.file, seq, offset, file_len)
+                .and_then(|ext| read_payload(&self.pool, &mut seg.file, &ext).map(|_| ext));
+            let ext = match checked {
+                Ok(ext) => ext,
                 Err(e @ TierError::Corrupt { .. }) => {
                     self.recovery.push(e);
                     break;
                 }
                 Err(e) => return Err(e),
             };
-            let ext = Extent {
-                seg: seq,
-                offset,
-                record_len: head.head_len + head.desc.bytes,
-                payload_off: offset + head.head_len,
-                desc: head.desc,
-                chunk: head.chunk,
-                sums: head.sums.into(),
-            };
-            // Verify the payload sums now: a record whose payload was torn
-            // mid-write is detected at open, not at first read.
-            match read_payload(&self.pool, &mut seg.file, &ext) {
-                Ok(_) => {}
-                Err(e @ TierError::Corrupt { .. }) => {
-                    self.recovery.push(e);
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
             offset += ext.record_len;
             seg.live += 1;
             self.live_payload += ext.desc.bytes;
@@ -935,6 +815,7 @@ impl DiskLog {
 mod tests {
     use super::*;
     use xlayer_amr::fab::Fab;
+    use xlayer_amr::intvect::IntVect;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("xlayer-disklog-{tag}-{}", std::process::id()));
@@ -1045,29 +926,95 @@ mod tests {
             let mut log = open(&dir, 1 << 20);
             log.append(&obj("rho", 1, 0, 4)).unwrap();
         }
-        // A second record that is nothing but a fixed head: valid magic,
-        // one-byte chunks, payload_len = nsums = u32::MAX — ~16 GiB of
-        // sums declared by a file that ends right here.
-        let mut head = vec![0u8; FIXED_HEAD];
-        head[..4].copy_from_slice(&MAGIC);
-        head[142..150].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
-        head[150..154].copy_from_slice(&1u32.to_le_bytes());
-        head[154..158].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&head).unwrap();
-        drop(f);
-        let mut log = open(&dir, 1 << 20);
-        match log.recovery() {
-            [TierError::Corrupt { detail, .. }] => {
-                assert!(detail.contains("0 left in the file"), "{detail}")
+        let clean = std::fs::read(&path).unwrap();
+        // A second record that is nothing but a prefix: valid magic and a
+        // ~4 GiB head declared by a file that ends right here.
+        let mut huge_head = Wr::default();
+        huge_head.buf.extend_from_slice(&MAGIC);
+        huge_head.u32(u32::MAX);
+        // A second record whose head is whole and correctly summed, but
+        // declares an 8 GiB payload (a 1024³ bbox, in 4 GiB chunks) the
+        // file does not have.
+        let mut desc = obj("rho", 2, 0, 4).desc;
+        desc.bbox = IBox::cube(1024);
+        desc.core = desc.bbox;
+        desc.bytes = 8 << 30;
+        let huge_payload = encode_head(&desc, u32::MAX, &[0, 0, 0]).unwrap();
+        for (record, declared) in [
+            (huge_head.buf, "4294967295-byte head and 0"),
+            (huge_payload, "and 8589934592 payload bytes"),
+        ] {
+            let mut bytes = clean.clone();
+            bytes.extend_from_slice(&record);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut log = open(&dir, 1 << 20);
+            match log.recovery() {
+                [TierError::Corrupt { detail, .. }] => {
+                    assert!(detail.contains(declared), "{detail}");
+                    assert!(detail.contains(" left in the file"), "{detail}");
+                }
+                other => panic!("expected one typed Corrupt, got {other:?}"),
             }
-            other => panic!("expected one typed Corrupt, got {other:?}"),
+            // The record before it survives and the log appends cleanly.
+            assert!(log.contains(&ObjectKey::new("rho", 1)));
+            log.append(&obj("rho", 2, 0, 4)).unwrap();
+            let back = log.read(&ObjectKey::new("rho", 2), None).unwrap();
+            assert_eq!(back[0].payload, obj("rho", 2, 0, 4).payload);
         }
-        // The record before it survives and the log appends cleanly.
-        assert!(log.contains(&ObjectKey::new("rho", 1)));
-        log.append(&obj("rho", 2, 0, 4)).unwrap();
-        let back = log.read(&ObjectKey::new("rho", 2), None).unwrap();
-        assert_eq!(back[0].payload, obj("rho", 2, 0, 4).payload);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_head_is_the_wire_descriptor() {
+        let dir = tmpdir("head");
+        let mut log = open(&dir, 1 << 20);
+        let a = obj("ρ-density", 7, -3, 4); // 512 B: two 256-byte chunks
+        log.append(&a).unwrap();
+        let bytes = std::fs::read(dir.join("test.log")).unwrap();
+        let mut desc = Wr::default();
+        desc.desc(&a.desc);
+        let mut r = Rd::new(&bytes);
+        assert_eq!(r.array::<4>(), Ok(*b"XTL4"));
+        let head_len = r.u32().unwrap() as usize;
+        assert_eq!(head_len, desc.buf.len() + 4 + 4 + 2 * 4);
+        // After the 8-byte prefix: the descriptor exactly as the wire
+        // writes it, then the chunk size, the sum count and the sums.
+        assert_eq!(r.take(desc.buf.len()).unwrap(), desc.buf.as_slice());
+        assert_eq!((r.u32(), r.u32()), (Ok(256), Ok(2)));
+        let sums = chunk_sums(&a.payload, 256);
+        assert_eq!([r.u32(), r.u32()], [Ok(sums[0]), Ok(sums[1])]);
+        assert_eq!(r.u32(), Ok(checksum(&bytes[..PREFIX + head_len])));
+        assert_eq!(r.take(512).unwrap(), a.payload.as_ref());
+        r.done().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn long_names_survive_a_reopen() {
+        let dir = tmpdir("longname");
+        let names = [
+            "rho".to_string(),
+            "n".repeat(5_000),
+            "ñ".repeat(35_000), // 70 000 bytes: past a u16 length
+            "p".to_string(),
+        ];
+        {
+            let mut log = open(&dir, 1 << 20);
+            for (v, name) in names.iter().enumerate() {
+                log.append(&obj(name, v as u64, 0, 4)).unwrap();
+            }
+        }
+        let mut log = open(&dir, 1 << 20);
+        assert!(log.recovery().is_empty(), "{:?}", log.recovery());
+        assert_eq!(log.num_keys(), 4);
+        for (v, name) in names.iter().enumerate() {
+            let back = log
+                .read(&ObjectKey::new(name.as_str(), v as u64), None)
+                .unwrap();
+            assert_eq!(back.len(), 1);
+            assert_eq!(back[0].desc, obj(name, v as u64, 0, 4).desc);
+            assert_eq!(back[0].payload, obj(name, v as u64, 0, 4).payload);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1097,9 +1044,10 @@ mod tests {
 
     #[test]
     fn old_format_log_is_refused_by_magic() {
-        // One record exactly as each earlier format wrote it: the 142-byte
-        // fixed head without the range, under its own magic and sums —
-        // FNV-1a-32 for "XTLG", the four-lane sum for "XTL2".
+        // One record exactly as each earlier format wrote it: a fixed head
+        // (with the range after dx only in "XTL3"), then the name, the sums
+        // and the head sum, under its own magic and sums — FNV-1a-32 for
+        // "XTLG", the four-lane sum for "XTL2" and "XTL3".
         fn fnv(data: &[u8]) -> u32 {
             data.iter().fold(0x811c_9dc5u32, |s, &b| {
                 (s ^ b as u32).wrapping_mul(0x0100_0193)
@@ -1107,15 +1055,39 @@ mod tests {
         }
         let a = obj("rho", 1, 0, 4);
         type SumFn = fn(&[u8]) -> u32;
-        let formats: [(&[u8; 4], SumFn); 2] = [(b"XTLG", fnv), (b"XTL2", checksum)];
-        for (magic, sum) in formats {
+        let formats: [(&[u8; 4], SumFn, bool); 3] = [
+            (b"XTLG", fnv, false),
+            (b"XTL2", checksum, false),
+            (b"XTL3", checksum, true),
+        ];
+        for (magic, sum, with_range) in formats {
             let sums: Vec<u32> = a.payload.chunks(256).map(sum).collect();
-            let mut record = DiskLog::encode_head(&a, 256, &sums);
-            record.truncate(record.len() - 4);
-            record.drain(118..134);
-            record[..4].copy_from_slice(magic);
-            let head_sum = sum(&record);
-            record.extend_from_slice(&head_sum.to_le_bytes());
+            let d = &a.desc;
+            let mut w = Wr::default();
+            w.buf.extend_from_slice(magic);
+            w.u16(d.key.name.len() as u16);
+            w.u64(d.key.version);
+            w.ibox(&d.bbox);
+            w.ibox(&d.core);
+            w.f64(d.dx);
+            if with_range {
+                w.f64(d.range[0]);
+                w.f64(d.range[1]);
+            }
+            w.u64(d.origin_rank as u64);
+            w.u64(d.bytes);
+            w.u32(256);
+            w.u32(sums.len() as u32);
+            w.buf.extend_from_slice(d.key.name.as_bytes());
+            for &s in &sums {
+                w.u32(s);
+            }
+            w.u32(sum(&w.buf));
+            let mut record = w.buf;
+            assert_eq!(
+                record.len(),
+                if with_range { 158 } else { 142 } + 3 + 2 * 4 + 4
+            );
             record.extend_from_slice(&a.payload);
             let dir = tmpdir("oldformat");
             std::fs::write(dir.join("test.log"), &record).unwrap();
@@ -1148,7 +1120,7 @@ mod tests {
             let mut a = obj("rho", 1, 0, 4);
             a.desc.range = range;
             let sums = chunk_sums(&a.payload, 256);
-            let mut record = DiskLog::encode_head(&a, 256, &sums);
+            let mut record = encode_head(&a.desc, 256, &sums).unwrap();
             record.extend_from_slice(&a.payload);
             let dir = tmpdir("lyingrange");
             std::fs::write(dir.join("test.log"), &record).unwrap();

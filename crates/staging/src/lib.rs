@@ -11,6 +11,9 @@
 //! * [`object`] — `(variable, version, bbox)`-addressed data objects whose
 //!   descriptors carry their value range, so every layer below can answer
 //!   an isovalue-filtered get on metadata alone,
+//! * [`codec`] — the one byte encoding of a descriptor and the
+//!   little-endian cursors it is written with, shared by the wire
+//!   (`xlayer-net`) and the spill log,
 //! * [`server`] — staging servers with memory caps (paper Eq. 10),
 //! * [`shard`] — deterministic box-hash placement of regions onto shards,
 //! * [`space`] — the sharded put/get/query space,
@@ -28,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod codec;
 pub mod disklog;
 pub mod index;
 pub mod object;

@@ -141,11 +141,6 @@ impl DataSpace {
         self.servers.iter().map(|s| s.disk_used()).sum()
     }
 
-    /// Whether the space has a disk spill tier behind its memory caps.
-    pub fn has_tier(&self) -> bool {
-        self.servers.iter().any(|s| s.tier().is_some())
-    }
-
     /// Free bytes left under the disk tiers' budgets, summed across
     /// servers (0 without tiers; saturates on unbounded budgets).
     pub fn disk_headroom(&self) -> u64 {
@@ -154,11 +149,6 @@ impl DataSpace {
             .filter_map(|s| s.tier())
             .map(|t| t.budget().saturating_sub(t.disk_used()))
             .fold(0u64, u64::saturating_add)
-    }
-
-    /// Number of servers.
-    pub fn num_servers(&self) -> usize {
-        self.servers.len()
     }
 
     /// The servers (for metrics inspection).

@@ -65,11 +65,6 @@ impl BlockStats {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
     /// Merge two partial statistics (parallel reduction; Chan et al.).
     pub fn merge(a: Self, b: Self) -> Self {
         if a.count == 0 {

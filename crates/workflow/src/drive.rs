@@ -22,11 +22,6 @@ impl<S: LevelSolver> AmrDriver<S> {
     pub fn sim(&self) -> &AmrSimulation<S> {
         &self.sim
     }
-
-    /// Consume the driver, returning the simulation.
-    pub fn into_sim(self) -> AmrSimulation<S> {
-        self.sim
-    }
 }
 
 impl<S: LevelSolver> WorkloadDriver for AmrDriver<S> {

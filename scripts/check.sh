@@ -5,6 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The non-test code of each FILE — its lines up to its first #[cfg(test)] —
+# as "FILE:LINE: text", one line each: what the grep gates below search.
+nontest() {
+    local f
+    for f in "$@"; do
+        awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f"
+    done
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -34,7 +43,7 @@ echo "==> chunk sums have one owner, the wire one chunk size, integrity one sum 
 # setter.
 gate=0
 for f in $(find crates/{staging,net,xbench,workflow}/src -name '*.rs' | sort); do
-    code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f")
+    code=$(nontest "$f")
     banned='ChunkSumCache|clamp_chunk_size|MIN_CHUNK_SIZE|MAX_CHUNK_SIZE|DEFAULT_CHUNK_SIZE|chunk_threshold|get_whole|FNV_OFFSET|checksum_update|for &b in data'
     case "$f" in
         crates/staging/src/tier.rs | crates/staging/src/disklog.rs) ;;
@@ -49,9 +58,7 @@ echo "==> one parallel runtime: vendor/rayon creates threads at pool start-up on
 # #[cfg(test)] excluded): no scoped or per-call threads beside the pool's
 # one `.spawn(`, and exactly the two `unsafe` blocks its module doc accounts
 # for (the job closure's lifetime, `&mut T` by claimed index).
-code=$(for f in $(find vendor/rayon/src -name '*.rs' ! -name tests.rs | sort); do
-    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f"
-done)
+code=$(nontest $(find vendor/rayon/src -name '*.rs' ! -name tests.rs | sort))
 if grep -E 'thread::scope' <<<"$code"; then
     echo "grep gate: vendor/rayon must not use thread::scope (see CHANGES.md, PR 23)"; exit 1
 fi
@@ -67,11 +74,11 @@ echo "==> advection walks rows, the producer's lead over analysis is bounded (gr
 # advection kernel — the per-cell forms live in solvers/src/reference.rs —
 # and no unbounded analysis job channel in the native workflow without the
 # `in_flight.admit(` wait in front of it in step().
-code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/solvers/src/advect.rs)
+code=$(nontest crates/solvers/src/advect.rs)
 if grep -E '\.get\(|\.set\(|\.cells\(\)' <<<"$code"; then
     echo "grep gate: per-cell fab access is retired from advect.rs (see CHANGES.md, PR 24)"; exit 1
 fi
-code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/workflow/src/native.rs)
+code=$(nontest crates/workflow/src/native.rs)
 if grep -qE 'unbounded::<Job>' <<<"$code" && ! grep -qE 'in_flight\.admit\(' <<<"$code"; then
     echo "grep gate: native.rs queues analysis jobs unbounded with no InFlight::admit wait (see CHANGES.md, PR 24)"; exit 1
 fi
@@ -83,7 +90,7 @@ echo "==> the Euler kernel walks each grid in place, in safe Rust (grep gate)"
 # fab is updated row by row — and its four-wide lanes stay plain safe Rust
 # the compiler packs into baseline SSE2: no `unsafe`, no `target_feature`.
 # The solvers crate keeps `#![forbid(unsafe_code)]`.
-code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/solvers/src/euler.rs)
+code=$(nontest crates/solvers/src/euler.rs)
 if grep -E 'take_fab_clone|unsafe|target_feature' <<<"$code"; then
     echo "grep gate: euler.rs must not snapshot the old state or leave safe, baseline Rust (see CHANGES.md: the in-place Euler walk)"; exit 1
 fi
@@ -99,7 +106,7 @@ echo "==> marching cubes classifies before it gathers, the worker reads the stag
 # `TriMesh::concat` in the native workflow, whose workers extract every
 # object's payload into one mesh. `reduce_object`, which down-samples a
 # refused object on the producer side, keeps its `to_fab()` by name.
-code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/viz/src/marching_cubes.rs)
+code=$(nontest crates/viz/src/marching_cubes.rs)
 if grep -F '.any(|' <<<"$code"; then
     echo "grep gate: the per-cube quick reject is retired from marching_cubes.rs (see CHANGES.md: classify-first marching cubes)"; exit 1
 fi
@@ -114,7 +121,7 @@ echo "==> the analysis worker fetches only what the isosurface can cross (grep g
 # cannot cross. In non-test native.rs (up to its first #[cfg(test)]) the
 # filtered fetch must be there, and no unfiltered fetch of the version
 # (`None` or `None, None` after the query box) beside it.
-code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/workflow/src/native.rs)
+code=$(nontest crates/workflow/src/native.rs)
 if grep -E 'get\("field", job\.version, None(, None)?\)' <<<"$code" \
     || ! grep -qF 'get("field", job.version, None, Some(job.iso))' <<<"$code"; then
     echo "grep gate: the analysis worker must fetch with Some(job.iso) as its crossing predicate (see CHANGES.md: value-range descriptors)"; exit 1
@@ -127,12 +134,31 @@ echo "==> the spill log reclaims by unlinking, and syncs only in a segment rewri
 # rewritten file before its rename, and on the directory after it — never
 # on the append, promote or unlink path.
 f=crates/staging/src/disklog.rs
-code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f")
+code=$(nontest "$f")
 outside=$(awk '/#\[cfg\(test\)\]/{exit} /fn rewrite_segment\(/{inside=1} inside && /^    }$/{inside=0; next} !inside {print FILENAME":"FNR": "$0}' "$f")
 syncs=$(grep -cE 'sync_all\(' <<<"$code" || true)
 if ! grep -qE 'fs::remove_file\(' <<<"$code" || grep -E 'sync_all\(|sync_data\(' <<<"$outside" || [ "$syncs" -ne 2 ]; then
     echo "grep gate: disklog.rs must reclaim dead segments with remove_file and sync_all only in rewrite_segment, twice (found $syncs; see CHANGES.md, PR 25)"; exit 1
 fi
+
+echo "==> one encoding of a staged object: one codec, one descriptor layout (grep gate)"
+# The wire and the spill log share staging::codec. In non-test code of
+# crates/{staging,net}/src: the little-endian cursors (`struct Rd`,
+# `struct Wr`) and the descriptor codec (`fn desc`) live only in
+# staging/src/codec.rs; the disk log's own cursor, box packer and fixed
+# head (`struct Cur`, `put_ibox`, `FIXED_HEAD`, `MAX_NAME`) stay deleted;
+# and disklog.rs packs no integer by hand (`to_le_bytes`, `from_le_bytes`).
+gate=0
+for f in $(find crates/{staging,net}/src -name '*.rs' | sort); do
+    banned='struct Cur\b|put_ibox|FIXED_HEAD|MAX_NAME'
+    case "$f" in
+        crates/staging/src/codec.rs) ;;
+        crates/staging/src/disklog.rs) banned="$banned|struct (Rd|Wr)\b|fn desc\b|to_le_bytes|from_le_bytes" ;;
+        *) banned="$banned|struct (Rd|Wr)\b|fn desc\b" ;;
+    esac
+    if grep -E "$banned" <<<"$(nontest "$f")"; then gate=1; fi
+done
+[ "$gate" -eq 0 ] || { echo "grep gate: a staged object has one encoding, staging::codec's (see CHANGES.md: one codec for the wire and the spill log)"; exit 1; }
 
 echo "==> one way to hand a staged version to its consumer (grep gate)"
 # The retired delivery paths must not grow back in non-test code (each file
@@ -143,7 +169,7 @@ echo "==> one way to hand a staged version to its consumer (grep gate)"
 # operator.
 gate=0
 for f in $(find crates/*/src src tests examples -name '*.rs' | sort); do
-    code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f")
+    code=$(nontest "$f")
     if grep -E 'PubSubSpace|PublishStats|VersionGate|StageTask::Deferred|TransportClosed|compress_fab|CompressedBlock' <<<"$code"; then gate=1; fi
 done
 [ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: pub/sub, version gates and compression deleted)"; exit 1; }
@@ -157,7 +183,7 @@ echo "==> one instrument for the staged-byte path: no distributed load generator
 # the examples.
 gate=0
 for f in $(find crates/*/src src tests examples -name '*.rs' | sort); do
-    code=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f")
+    code=$(nontest "$f")
     if grep -E 'AgentServer|AgentConn|saturation_sweep|CtlRequest|LatencySnapshot|net::hist|WorkloadSpec::parse' <<<"$code"; then gate=1; fi
 done
 [ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: xbench's load generator deleted)"; exit 1; }
