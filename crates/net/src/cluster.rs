@@ -135,11 +135,6 @@ impl ShardedClient {
         self.inner.shards.get(shard)
     }
 
-    /// Resolved per-shard addresses, in shard order.
-    pub fn shard_addrs(&self) -> Vec<SocketAddr> {
-        self.inner.shards.iter().map(|c| c.addr()).collect()
-    }
-
     fn err_on(&self, shard: usize, source: RemoteError) -> ShardedError {
         let addr = self
             .inner

@@ -1,10 +1,17 @@
 //! A staging server: one in-transit node's share of the space, with a
 //! memory cap (the in-transit memory constraint of paper Eq. 10) and an
 //! optional disk spill tier behind it ([`crate::tier`]).
+//!
+//! A server has one lock. Its store — the resident objects, their
+//! accounting and recency ticks, and the disk tier — sits behind one
+//! `RwLock`, so which tier holds a key is read and changed under it and
+//! nowhere else: the compiler, not a comment, keeps every "is it on disk?"
+//! probe inside the guard.
 
 use crate::index::BucketIndex;
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
-use crate::tier::{DiskTier, SpillAction};
+use crate::pool::BufferPool;
+use crate::tier::{recycle, DiskTier, ObjectHints, SpillAction, TierSnapshot};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,18 +68,14 @@ impl std::error::Error for StagingError {}
 pub struct StagingServer {
     id: usize,
     memory_cap: u64,
-    /// An `RwLock` so concurrent readers (`get`/`describe`)
-    /// share the lock; only mutations (`put`/`evict_before`/`clear`) take
-    /// it exclusively.
+    /// The server's one lock, over both tiers: concurrent readers
+    /// (`get`/`describe`) share it; mutations of either tier
+    /// (`put`/promotion/`evict_before`/`clear`) take it exclusively.
     inner: RwLock<Store>,
     /// Op counters live outside the store so the read paths don't need a
     /// write lock just to bump them.
     puts: AtomicU64,
     gets: AtomicU64,
-    /// The disk spill tier, if one is attached. Tier mutations only happen
-    /// under the store's write lock, so demotion, promotion and victim
-    /// selection are serialised per server.
-    tier: Option<Arc<DiskTier>>,
 }
 
 #[derive(Debug, Default)]
@@ -88,6 +91,30 @@ struct Store {
     /// `BTreeMap` so victim candidates enumerate deterministically.
     ticks: BTreeMap<ObjectKey, u64>,
     clock: u64,
+    /// The disk spill tier, if one is attached. It lives here, under the
+    /// store lock, so whether a key is resident or spilled is one
+    /// partition that no reader can see half-moved.
+    tier: Option<DiskTier>,
+}
+
+impl Store {
+    /// Mark `key` as touched now (victim recency).
+    fn touch(&mut self, key: &ObjectKey) {
+        self.clock += 1;
+        self.ticks.insert(key.clone(), self.clock);
+    }
+
+    /// Make `obj` resident and charge it to memory.
+    fn admit(&mut self, obj: Arc<DataObject>) {
+        self.used += obj.desc.bytes;
+        self.peak = self.peak.max(self.used);
+        let entry = self
+            .objects
+            .entry(obj.desc.key.clone())
+            .or_insert_with(|| (Vec::new(), BucketIndex::new(INDEX_BUCKET)));
+        entry.1.insert(obj.desc.bbox);
+        entry.0.push(obj);
+    }
 }
 
 impl StagingServer {
@@ -97,10 +124,9 @@ impl StagingServer {
         StagingServer {
             id,
             memory_cap,
-            inner: RwLock::new(Store::default()),
+            inner: RwLock::default(),
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),
-            tier: None,
         }
     }
 
@@ -108,20 +134,15 @@ impl StagingServer {
     /// spill tier: puts that exceed the cap demote cold versions to `tier`
     /// (or are refused/downsampled, per its policy), and gets promote
     /// spilled versions back on access.
-    pub fn with_tier(id: usize, memory_cap: u64, tier: Arc<DiskTier>) -> Self {
-        StagingServer {
-            id,
-            memory_cap,
-            inner: RwLock::new(Store::default()),
-            puts: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
+    pub fn with_tier(id: usize, memory_cap: u64, tier: DiskTier) -> Self {
+        let store = Store {
             tier: Some(tier),
+            ..Store::default()
+        };
+        StagingServer {
+            inner: RwLock::new(store),
+            ..Self::new(id, memory_cap)
         }
-    }
-
-    /// The attached disk tier, if any.
-    pub fn tier(&self) -> Option<&Arc<DiskTier>> {
-        self.tier.as_ref()
     }
 
     /// Server id (its index in the staging partition).
@@ -150,6 +171,28 @@ impl StagingServer {
             self.puts.load(Ordering::Relaxed),
             self.gets.load(Ordering::Relaxed),
         )
+    }
+
+    /// The disk tier's counters (`None` without a tier). Taken under the
+    /// store lock, so the gauges in it are one consistent cut.
+    pub fn tier_snapshot(&self) -> Option<TierSnapshot> {
+        self.inner.read().tier.as_ref().map(DiskTier::snapshot)
+    }
+
+    /// Set (replace) the disk tier's placement hints for variable `name`
+    /// (a no-op without a tier).
+    pub fn set_hints(&self, name: &str, hints: ObjectHints) {
+        if let Some(tier) = &mut self.inner.write().tier {
+            tier.set_hints(name, hints);
+        }
+    }
+
+    /// Force the disk tier's pressure decision to `action`; `None`
+    /// restores hint-driven policy (a no-op without a tier).
+    pub fn set_pressure_action(&self, action: Option<SpillAction>) {
+        if let Some(tier) = &mut self.inner.write().tier {
+            tier.set_forced(action);
+        }
     }
 
     /// Store an object (a plain `DataObject` is wrapped on the way in).
@@ -185,46 +228,34 @@ impl StagingServer {
                 used: s.used,
                 requested: bytes,
             };
-            let Some(tier) = &self.tier else {
-                return Err(oom);
-            };
-            match tier.decide(&obj.desc.key.name, bytes) {
+            let verdict = s
+                .tier
+                .as_ref()
+                .map_or(SpillAction::Reject, |t| t.decide(&obj.desc.key.name, bytes));
+            match verdict {
                 SpillAction::Reject => return Err(oom),
                 SpillAction::Downsample { factor } => {
                     return Err(StagingError::NeedsReduction { factor })
                 }
                 SpillAction::Spill => {
-                    Self::demote_victims(&mut s, tier, self.memory_cap, bytes, &obj.desc.key);
-                    if s.used + bytes > self.memory_cap {
-                        // Demotion could not make room (the cap is smaller
-                        // than the object, or the disk filled up): spill
-                        // the incoming object itself.
-                        return match tier.spill(&obj) {
-                            Ok(()) => {
-                                self.puts.fetch_add(1, Ordering::Relaxed);
-                                s.clock += 1;
-                                let tick = s.clock;
-                                s.ticks.insert(obj.desc.key.clone(), tick);
-                                Ok(())
-                            }
-                            Err(_) => Err(oom),
-                        };
-                    }
+                    Self::demote_victims(&mut s, self.memory_cap, bytes, &obj.desc.key)
                 }
             }
+            if s.used + bytes > self.memory_cap {
+                // Demotion could not make room (the cap is smaller than the
+                // object, or the disk filled up): spill the incoming object
+                // itself.
+                if s.tier.as_mut().is_none_or(|t| t.spill(&obj).is_err()) {
+                    return Err(oom);
+                }
+                self.puts.fetch_add(1, Ordering::Relaxed);
+                s.touch(&obj.desc.key);
+                return Ok(());
+            }
         }
-        s.used += bytes;
-        s.peak = s.peak.max(s.used);
         self.puts.fetch_add(1, Ordering::Relaxed);
-        s.clock += 1;
-        let tick = s.clock;
-        s.ticks.insert(obj.desc.key.clone(), tick);
-        let entry = s
-            .objects
-            .entry(obj.desc.key.clone())
-            .or_insert_with(|| (Vec::new(), BucketIndex::new(INDEX_BUCKET)));
-        entry.1.insert(obj.desc.bbox);
-        entry.0.push(obj);
+        s.touch(&obj.desc.key);
+        s.admit(obj);
         Ok(())
     }
 
@@ -253,16 +284,20 @@ impl StagingServer {
             .any(|held| held.desc == obj.desc && held.payload == obj.payload)
     }
 
-    /// Demote whole resident keys to `tier` until `need` more bytes fit
-    /// under `cap` (or no demotable victim remains). Victim order: keys
-    /// past their deadline hint first, then least-recently-touched, with
-    /// `(name, version)` order breaking ties — so the coldest, oldest
-    /// versions leave memory first (LRU-by-version). The incoming key is
-    /// never demoted to make room for itself. Demotion stops early when the
-    /// disk budget cannot hold the next victim: a victim is only removed
-    /// from memory after every one of its objects is safely on disk, and
-    /// then its payload buffers go back to the tier's pool.
-    fn demote_victims(s: &mut Store, tier: &DiskTier, cap: u64, need: u64, incoming: &ObjectKey) {
+    /// Demote whole resident keys to the disk tier until `need` more bytes
+    /// fit under `cap` (or no demotable victim remains; a no-op without a
+    /// tier). Victim order: keys past their deadline hint first, then
+    /// least-recently-touched, with `(name, version)` order breaking ties —
+    /// so the coldest, oldest versions leave memory first (LRU-by-version).
+    /// The incoming key is never demoted to make room for itself. Demotion
+    /// stops early when the disk budget cannot hold the next victim: a
+    /// victim is only removed from memory after every one of its objects is
+    /// safely on disk, and then its payload buffers go back to the tier's
+    /// pool.
+    fn demote_victims(s: &mut Store, cap: u64, need: u64, incoming: &ObjectKey) {
+        let Some(tier) = s.tier.as_mut() else {
+            return;
+        };
         if s.used.saturating_add(need) <= cap {
             return;
         }
@@ -286,18 +321,17 @@ impl StagingServer {
                 continue;
             };
             let key_bytes: u64 = objs.iter().map(|o| o.desc.bytes).sum();
-            if !tier.has_room(key_bytes) {
+            if !tier.log().has_room(key_bytes) {
                 break;
             }
-            // Only real I/O failures fail a spill here (room was checked,
-            // and the store lock serialises tier writers). Leave the key
-            // resident; gets deduplicate by geometry.
+            // Only real I/O failures fail a spill here (room was checked).
+            // Leave the key resident; gets deduplicate by geometry.
             if !objs.iter().all(|o| tier.spill(o).is_ok()) {
                 break;
             }
             if let Some((objs, _)) = s.objects.remove(&key) {
                 s.used = s.used.saturating_sub(key_bytes);
-                objs.into_iter().for_each(|o| tier.recycle(o));
+                objs.into_iter().for_each(|o| recycle(tier.pool(), o));
             }
         }
     }
@@ -311,12 +345,11 @@ impl StagingServer {
     /// With a disk tier attached, a key with spilled versions is promoted
     /// back into memory on access (demoting colder keys if the cap is
     /// tight); when promotion cannot fit, the spilled extents are served
-    /// straight from disk without residency. The hot path is barely
-    /// touched while nothing is spilled: under the read lock it costs one
-    /// lock-free gauge read, so an idle tier keeps RAM-resident gets at
-    /// parity. A spilled key is promoted whole whatever `crossing` says,
-    /// and filtered after; served from disk, only its matching extents are
-    /// read.
+    /// straight from disk without residency. While nothing of `key` is
+    /// spilled the tier costs one index lookup under the read guard, so
+    /// an idle tier keeps RAM-resident gets at parity. A spilled key is
+    /// promoted whole whatever `crossing` says, and filtered after; served
+    /// from disk, only its matching extents are read.
     pub fn get(
         &self,
         key: &ObjectKey,
@@ -325,19 +358,16 @@ impl StagingServer {
     ) -> Vec<Arc<DataObject>> {
         self.gets.fetch_add(1, Ordering::Relaxed);
         let s = self.inner.read();
-        // The tier check must run under the store lock: demotions happen
-        // only under the write lock, so a key observed un-spilled here
-        // cannot move to disk before the resident match below. Checked
-        // before the lock, a concurrent demoting put could spill the key
-        // in the gap and this get would return empty for data that lives
-        // on disk.
-        if let Some(tier) = &self.tier {
-            if tier.spilled_key_count() > 0 && tier.has_spilled(key) {
-                drop(s);
-                return self.get_promoting(tier, key, query, crossing);
-            }
+        // The tier lives in the store, so this probe can only run under
+        // the guard: a key observed un-spilled here cannot move to disk
+        // before the resident match below.
+        if !s.tier.as_ref().is_some_and(|t| t.log().contains(key)) {
+            return Self::match_resident(&s, key, query, crossing);
         }
-        Self::match_resident(&s, key, query, crossing)
+        drop(s);
+        // xlint: allow(L) -- promote/serve-from-disk runs under the write lock so a promote racing a drain resolves as one serial order
+        let mut s = self.inner.write();
+        Self::get_promoting(&mut s, self.memory_cap, key, query, crossing)
     }
 
     /// The in-memory matches for `key` under an already-held store lock.
@@ -366,62 +396,50 @@ impl StagingServer {
     }
 
     /// The get slow path: `key` has spilled extents. Promote them into
-    /// memory when they fit (after demoting colder keys), else serve them
-    /// from disk without promotion. Runs under the write lock, so a promote
-    /// racing a drain resolves as one of the two serial orders — never a
-    /// torn in-between state.
+    /// memory when they fit under `cap` (after demoting colder keys), else
+    /// serve them from disk without promotion. Runs under the write lock,
+    /// so a promote racing a drain resolves as one of the two serial
+    /// orders — never a torn in-between state.
     fn get_promoting(
-        &self,
-        tier: &DiskTier,
+        s: &mut Store,
+        cap: u64,
         key: &ObjectKey,
         query: Option<&IBox>,
         crossing: Option<f64>,
     ) -> Vec<Arc<DataObject>> {
-        // xlint: allow(L) -- promote/serve-from-disk runs under the write lock so a promote racing a drain resolves as one serial order
-        let mut s = self.inner.write();
-        let spilled_bytes = tier.spilled_bytes_for(key);
+        let spilled_bytes: u64 = s.tier.as_ref().map_or(0, |t| {
+            t.log().extents_for(key).iter().map(|d| d.bytes).sum()
+        });
         if spilled_bytes == 0 {
             // A racing promote or drain got here first.
-            return Self::match_resident(&s, key, query, crossing);
+            return Self::match_resident(s, key, query, crossing);
         }
-        if s.used.saturating_add(spilled_bytes) > self.memory_cap {
-            Self::demote_victims(&mut s, tier, self.memory_cap, spilled_bytes, key);
-        }
-        if s.used.saturating_add(spilled_bytes) <= self.memory_cap {
+        Self::demote_victims(s, cap, spilled_bytes, key);
+        let Some(tier) = s.tier.as_mut() else {
+            return Self::match_resident(s, key, query, crossing);
+        };
+        if s.used.saturating_add(spilled_bytes) <= cap {
             // Promote: move the extents into memory, then serve from there.
             if let Ok(objs) = tier.take(key) {
-                s.used += spilled_bytes;
-                s.peak = s.peak.max(s.used);
-                s.clock += 1;
-                let tick = s.clock;
-                s.ticks.insert(key.clone(), tick);
-                let entry = s
-                    .objects
-                    .entry(key.clone())
-                    .or_insert_with(|| (Vec::new(), BucketIndex::new(INDEX_BUCKET)));
-                for obj in objs {
-                    entry.1.insert(obj.desc.bbox);
-                    entry.0.push(Arc::new(obj));
-                }
+                s.touch(key);
+                objs.into_iter().for_each(|o| s.admit(Arc::new(o)));
             }
             // On a tier read error the disk side is unreadable; serve what
             // memory has rather than failing the whole get.
-            return Self::match_resident(&s, key, query, crossing);
+            return Self::match_resident(s, key, query, crossing);
         }
         // Promotion cannot fit even after demotion: serve spilled extents
         // from disk alongside any resident ones, leaving residency alone.
-        let mut out = Self::match_resident(&s, key, query, crossing);
-        if let Ok(disk) = tier.fetch(key, query, crossing) {
-            out.extend(disk.into_iter().map(Arc::new));
-        }
+        let disk = tier.fetch(key, query, crossing).unwrap_or_default();
+        let mut out = Self::match_resident(s, key, query, crossing);
+        out.extend(disk.into_iter().map(Arc::new));
         out
     }
 
-    /// Descriptors of everything under `key`, across both tiers. The read
-    /// guard stays live across the spilled probe: demotions take the write
-    /// lock, so the resident snapshot and the disk-side listing describe
-    /// one consistent partition (an extent cannot slip between tiers after
-    /// the resident walk and be missed — or counted twice — below).
+    /// Descriptors of everything under `key`, across both tiers, under one
+    /// read guard: demotions take the write lock, so the resident snapshot
+    /// and the disk-side listing describe one consistent partition (an
+    /// extent cannot slip between tiers and be missed — or counted twice).
     pub fn describe(&self, key: &ObjectKey) -> Vec<ObjectDesc> {
         let s = self.inner.read();
         let mut out: Vec<ObjectDesc> = s
@@ -429,10 +447,8 @@ impl StagingServer {
             .get(key)
             .map(|(v, _)| v.iter().map(|o| o.desc.clone()).collect())
             .unwrap_or_default();
-        if let Some(tier) = &self.tier {
-            if tier.spilled_key_count() > 0 {
-                out.extend(tier.spilled_descs(key));
-            }
+        if let Some(tier) = &s.tier {
+            out.extend(tier.log().extents_for(key));
         }
         out
     }
@@ -455,11 +471,12 @@ impl StagingServer {
         let mut freed: u64 = dropped.iter().map(|o| o.desc.bytes).sum();
         s.used = s.used.saturating_sub(freed);
         s.ticks.retain(|k, _| !stale(k));
-        if let Some(tier) = &self.tier {
-            freed += tier.evict_before(name, min_version).unwrap_or(0);
-        }
+        let pool = s.tier.as_mut().map(|tier| {
+            freed += tier.evict_before(name, min_version);
+            Arc::clone(tier.pool())
+        });
         drop(s);
-        self.recycle(dropped);
+        Self::recycle_all(pool, dropped);
         freed
     }
 
@@ -470,26 +487,22 @@ impl StagingServer {
         let dropped: Vec<Arc<DataObject>> = s.objects.drain().flat_map(|(_, (v, _))| v).collect();
         s.ticks.clear();
         s.used = 0;
-        if let Some(tier) = &self.tier {
-            freed += tier.clear().unwrap_or(0);
-        }
+        let pool = s.tier.as_mut().map(|tier| {
+            freed += tier.clear();
+            Arc::clone(tier.pool())
+        });
         drop(s);
-        self.recycle(dropped);
+        Self::recycle_all(pool, dropped);
         freed
     }
 
-    /// Hand dropped objects' payload buffers to the disk tier's pool (see
-    /// `DiskTier::recycle`); without a tier they are simply freed.
-    fn recycle(&self, dropped: Vec<Arc<DataObject>>) {
-        if let Some(tier) = &self.tier {
-            dropped.into_iter().for_each(|o| tier.recycle(o));
+    /// Hand dropped objects' payload buffers to the disk tier's `pool`
+    /// (see [`recycle`]) once the store lock is released; without a tier
+    /// they are simply freed.
+    fn recycle_all(pool: Option<Arc<BufferPool>>, dropped: Vec<Arc<DataObject>>) {
+        if let Some(pool) = pool {
+            dropped.into_iter().for_each(|o| recycle(&pool, o));
         }
-    }
-
-    /// Live spilled payload bytes on this server's disk tier (0 without
-    /// one).
-    pub fn disk_used(&self) -> u64 {
-        self.tier.as_ref().map(|t| t.disk_used()).unwrap_or(0)
     }
 }
 
@@ -583,7 +596,7 @@ mod tests {
     mod tiered {
         use super::*;
         use crate::pool::BufferPool;
-        use crate::tier::{DiskTier, ObjectHints, Persistence, TierConfig};
+        use crate::tier::{Persistence, TierConfig};
         use std::path::PathBuf;
 
         fn tmpdir(tag: &str) -> PathBuf {
@@ -594,12 +607,22 @@ mod tests {
             d
         }
 
-        fn server(dir: &std::path::Path, cap: u64, disk: u64) -> (StagingServer, Arc<DiskTier>) {
+        fn server(dir: &std::path::Path, cap: u64, disk: u64) -> StagingServer {
             let cfg = TierConfig::new(dir).with_budget(disk).with_chunk_size(256);
-            let tier = Arc::new(
-                DiskTier::open(dir.join("srv.log"), &cfg, Arc::new(BufferPool::new())).unwrap(),
-            );
-            (StagingServer::with_tier(0, cap, Arc::clone(&tier)), tier)
+            let tier =
+                DiskTier::open(dir.join("srv.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
+            StagingServer::with_tier(0, cap, tier)
+        }
+
+        /// Whether `key` has extents on `s`'s disk tier, read under the
+        /// store guard like every other tier probe.
+        fn spilled(s: &StagingServer, key: &ObjectKey) -> bool {
+            let store = s.inner.read();
+            store.tier.as_ref().is_some_and(|t| t.log().contains(key))
+        }
+
+        fn snap(s: &StagingServer) -> TierSnapshot {
+            s.tier_snapshot().expect("a tiered server")
         }
 
         /// A distinctive payload per (name, version) so bit-identity checks
@@ -621,21 +644,21 @@ mod tests {
         fn pressure_spills_cold_versions_lru_by_version() {
             let dir = tmpdir("lru");
             // Cap fits two 512 B objects; disk takes the overflow.
-            let (s, tier) = server(&dir, 1024, 1 << 20);
+            let s = server(&dir, 1024, 1 << 20);
             s.put(vobj("rho", 1)).unwrap();
             s.put(vobj("rho", 2)).unwrap();
             s.put(vobj("rho", 3)).unwrap(); // demotes v1 (oldest tick)
             assert_eq!(s.used(), 1024);
-            assert!(tier.has_spilled(&ObjectKey::new("rho", 1)));
-            assert!(!tier.has_spilled(&ObjectKey::new("rho", 3)));
+            assert!(spilled(&s, &ObjectKey::new("rho", 1)));
+            assert!(!spilled(&s, &ObjectKey::new("rho", 3)));
             // The spilled version is still fully readable (promotes back,
             // displacing the now-coldest v2).
             let got = s.get(&ObjectKey::new("rho", 1), None, None);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, vobj("rho", 1).payload);
-            assert!(!tier.has_spilled(&ObjectKey::new("rho", 1)));
-            assert!(tier.has_spilled(&ObjectKey::new("rho", 2)));
-            let snap = tier.snapshot();
+            assert!(!spilled(&s, &ObjectKey::new("rho", 1)));
+            assert!(spilled(&s, &ObjectKey::new("rho", 2)));
+            let snap = snap(&s);
             assert_eq!(snap.promoted, 1);
             assert!(snap.spilled >= 2);
             let _ = std::fs::remove_dir_all(&dir);
@@ -644,23 +667,23 @@ mod tests {
         #[test]
         fn object_larger_than_cap_lives_on_disk() {
             let dir = tmpdir("bigobj");
-            let (s, tier) = server(&dir, 100, 1 << 20); // cap < one object
+            let s = server(&dir, 100, 1 << 20); // cap < one object
             s.put(vobj("rho", 1)).unwrap();
             assert_eq!(s.used(), 0, "object must not be charged to memory");
-            assert_eq!(tier.snapshot().disk_used, 512);
+            assert_eq!(snap(&s).disk_used, 512);
             // Served straight from disk (cannot promote), bit-identical.
             let got = s.get(&ObjectKey::new("rho", 1), None, None);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, vobj("rho", 1).payload);
-            assert!(tier.has_spilled(&ObjectKey::new("rho", 1)));
-            assert_eq!(tier.snapshot().disk_hits, 1);
+            assert!(spilled(&s, &ObjectKey::new("rho", 1)));
+            assert_eq!(snap(&s).disk_hits, 1);
             let _ = std::fs::remove_dir_all(&dir);
         }
 
         #[test]
         fn both_tiers_full_is_out_of_memory() {
             let dir = tmpdir("full");
-            let (s, _tier) = server(&dir, 512, 600); // disk fits one object
+            let s = server(&dir, 512, 600); // disk fits one object
             s.put(vobj("rho", 1)).unwrap();
             s.put(vobj("rho", 2)).unwrap(); // v1 demoted, disk now full
             let err = s.put(vobj("rho", 3)).unwrap_err();
@@ -671,8 +694,8 @@ mod tests {
         #[test]
         fn reducible_hint_asks_for_downsampling() {
             let dir = tmpdir("reduce");
-            let (s, tier) = server(&dir, 512, 1 << 20);
-            tier.set_hints(
+            let s = server(&dir, 512, 1 << 20);
+            s.set_hints(
                 "rho",
                 ObjectHints {
                     persistence: Persistence::Reducible { factor: 2 },
@@ -688,9 +711,9 @@ mod tests {
         #[test]
         fn expired_deadlines_are_demoted_first() {
             let dir = tmpdir("deadline");
-            let (s, tier) = server(&dir, 1024, 1 << 20);
+            let s = server(&dir, 1024, 1 << 20);
             // "old" versions expire 2 steps after production; "rho" never.
-            tier.set_hints(
+            s.set_hints(
                 "old",
                 ObjectHints {
                     persistence: Persistence::Transient,
@@ -702,25 +725,25 @@ mod tests {
             // At rho v5, old v1 is expired (1 + 2 <= 5): expiry outranks
             // recency, so the expired key is the one demoted to disk.
             s.put(vobj("rho", 5)).unwrap();
-            assert!(tier.has_spilled(&ObjectKey::new("old", 1)));
-            assert!(!tier.has_spilled(&ObjectKey::new("rho", 1)));
+            assert!(spilled(&s, &ObjectKey::new("old", 1)));
+            assert!(!spilled(&s, &ObjectKey::new("rho", 1)));
             let _ = std::fs::remove_dir_all(&dir);
         }
 
         #[test]
         fn describe_and_evict_span_both_tiers() {
             let dir = tmpdir("span");
-            let (s, tier) = server(&dir, 1024, 1 << 20);
+            let s = server(&dir, 1024, 1 << 20);
             for v in 1..=3 {
                 s.put(vobj("rho", v)).unwrap();
             }
-            assert!(tier.has_spilled(&ObjectKey::new("rho", 1)));
+            assert!(spilled(&s, &ObjectKey::new("rho", 1)));
             assert_eq!(s.describe(&ObjectKey::new("rho", 1)).len(), 1);
             assert_eq!(s.describe(&ObjectKey::new("rho", 3)).len(), 1);
             // Draining consumed steps reclaims disk extents too.
             let freed = s.evict_before("rho", 3);
             assert_eq!(freed, 1024, "one RAM version + one disk version");
-            assert!(!tier.has_spilled(&ObjectKey::new("rho", 1)));
+            assert!(!spilled(&s, &ObjectKey::new("rho", 1)));
             assert!(s.get(&ObjectKey::new("rho", 1), None, None).is_empty());
             assert_eq!(s.get(&ObjectKey::new("rho", 3), None, None).len(), 1);
             let _ = std::fs::remove_dir_all(&dir);
@@ -729,7 +752,7 @@ mod tests {
         #[test]
         fn spatial_queries_reach_spilled_extents() {
             let dir = tmpdir("spatial");
-            let (s, tier) = server(&dir, 100, 1 << 20); // everything on disk
+            let s = server(&dir, 100, 1 << 20); // everything on disk
             let b1 = IBox::cube(4);
             let b2 = IBox::cube(4).shift(IntVect::splat(8));
             let f1 = Fab::filled(b1, 1, 1.0);
@@ -738,7 +761,7 @@ mod tests {
                 .unwrap();
             s.put(DataObject::from_fab("rho", 1, &f2, 0, &b2, 0))
                 .unwrap();
-            assert_eq!(tier.snapshot().spilled, 2);
+            assert_eq!(snap(&s).spilled, 2);
             let hits = s.get(&ObjectKey::new("rho", 1), Some(&IBox::cube(4)), None);
             assert_eq!(hits.len(), 1);
             assert_eq!(hits[0].desc.bbox, b1);
@@ -752,11 +775,11 @@ mod tests {
         fn promote_during_drain_resolves_deterministically() {
             for round in 0..20 {
                 let dir = tmpdir(&format!("race-{round}"));
-                let (s, tier) = server(&dir, 1024, 1 << 20);
+                let s = server(&dir, 1024, 1 << 20);
                 for v in 1..=3 {
                     s.put(vobj("rho", v)).unwrap();
                 }
-                assert!(tier.has_spilled(&ObjectKey::new("rho", 1)));
+                assert!(spilled(&s, &ObjectKey::new("rho", 1)));
                 let s = Arc::new(s);
                 let getter = {
                     let s = Arc::clone(&s);
@@ -777,11 +800,11 @@ mod tests {
                 }
                 // Post-state is identical either way: v1 fully gone.
                 assert!(s.get(&ObjectKey::new("rho", 1), None, None).is_empty());
-                assert!(!tier.has_spilled(&ObjectKey::new("rho", 1)));
+                assert!(!spilled(&s, &ObjectKey::new("rho", 1)));
                 // v2 and v3 survive with balanced accounting.
                 assert_eq!(s.get(&ObjectKey::new("rho", 2), None, None).len(), 1);
                 assert_eq!(s.get(&ObjectKey::new("rho", 3), None, None).len(), 1);
-                assert_eq!(s.used() + s.disk_used(), 1024);
+                assert_eq!(s.used() + snap(&s).disk_used, 1024);
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
@@ -791,10 +814,9 @@ mod tests {
             let dir = tmpdir("recycle");
             let pool = Arc::new(BufferPool::new());
             let cfg = TierConfig::new(&dir).with_chunk_size(256);
-            let tier =
-                Arc::new(DiskTier::open(dir.join("srv.log"), &cfg, Arc::clone(&pool)).unwrap());
+            let tier = DiskTier::open(dir.join("srv.log"), &cfg, Arc::clone(&pool)).unwrap();
             // Room for two 1 MiB objects.
-            let s = StagingServer::with_tier(0, 2 << 20, Arc::clone(&tier));
+            let s = StagingServer::with_tier(0, 2 << 20, tier);
             let mib = |v: u64| {
                 let b = IBox::new(IntVect::ZERO, IntVect::new(63, 63, 31));
                 DataObject::from_fab("rho", v, &Fab::filled(b, 1, v as f64), 0, &b, 0)
@@ -804,7 +826,7 @@ mod tests {
             for v in 1..=3 {
                 s.put(mib(v)).unwrap();
             }
-            assert!(tier.has_spilled(&ObjectKey::new("rho", 1)));
+            assert!(spilled(&s, &ObjectKey::new("rho", 1)));
             assert_eq!(pool.parked(), 1);
             // ... and so does an evicted one's (v2; v1 is on disk).
             s.evict_before("rho", 3);
@@ -840,7 +862,7 @@ mod tests {
             // bouncing between memory and disk while a reader hammers it:
             // every read must see exactly the object that was stored.
             let dir = tmpdir("demote-race");
-            let (s, _tier) = server(&dir, 1024, 1 << 30);
+            let s = server(&dir, 1024, 1 << 30);
             let s = Arc::new(s);
             s.put(vobj("rho", 1)).unwrap();
             let putter = {

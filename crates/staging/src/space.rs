@@ -80,7 +80,7 @@ impl DataSpace {
                 tier,
                 Arc::clone(&pool),
             )?;
-            servers.push(StagingServer::with_tier(i, memory_per_server, Arc::new(t)));
+            servers.push(StagingServer::with_tier(i, memory_per_server, t));
         }
         Ok(DataSpace {
             servers,
@@ -92,33 +92,23 @@ impl DataSpace {
     /// Set placement hints for variable `name` on every server's tier (a
     /// no-op without tiers).
     pub fn set_hints(&self, name: &str, hints: ObjectHints) {
-        for s in &self.servers {
-            if let Some(t) = s.tier() {
-                t.set_hints(name, hints);
-            }
-        }
+        self.servers.iter().for_each(|s| s.set_hints(name, hints));
     }
 
     /// Force every tier's pressure decision to `action` (the adaptation
     /// engine's hook); `None` restores hint-driven policy. No-op without
     /// tiers.
     pub fn set_pressure_action(&self, action: Option<SpillAction>) {
-        for s in &self.servers {
-            if let Some(t) = s.tier() {
-                t.set_forced(action);
-            }
-        }
+        self.servers
+            .iter()
+            .for_each(|s| s.set_pressure_action(action));
     }
 
-    /// Aggregate tier counters across servers (zeros without tiers).
+    /// Aggregate tier counters across servers (zeros without tiers). Each
+    /// server's part is one consistent cut, taken under its store lock.
     pub fn tier_stats(&self) -> TierSnapshot {
         let mut agg = TierSnapshot::default();
-        for snap in self
-            .servers
-            .iter()
-            .filter_map(|s| s.tier())
-            .map(|t| t.snapshot())
-        {
+        for snap in self.servers.iter().filter_map(StagingServer::tier_snapshot) {
             agg.spilled += snap.spilled;
             agg.spilled_bytes += snap.spilled_bytes;
             agg.promoted += snap.promoted;
@@ -136,18 +126,13 @@ impl DataSpace {
         agg
     }
 
-    /// Total live spilled payload bytes across servers.
-    pub fn disk_used(&self) -> u64 {
-        self.servers.iter().map(|s| s.disk_used()).sum()
-    }
-
     /// Free bytes left under the disk tiers' budgets, summed across
     /// servers (0 without tiers; saturates on unbounded budgets).
     pub fn disk_headroom(&self) -> u64 {
         self.servers
             .iter()
-            .filter_map(|s| s.tier())
-            .map(|t| t.budget().saturating_sub(t.disk_used()))
+            .filter_map(StagingServer::tier_snapshot)
+            .map(|t| t.disk_budget.saturating_sub(t.disk_used))
             .fold(0u64, u64::saturating_add)
     }
 
@@ -478,6 +463,46 @@ mod tests {
         assert_eq!(got.len(), 1, "the resident piece still serves");
         assert_eq!(got[0].payload, resident.payload);
         assert_eq!(space.tier_stats().read_errors, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tier_snapshot_is_one_consistent_cut_under_churn() {
+        // Two threads put, get and drain their own variable on one tiered
+        // server whose memory holds two objects, so keys keep moving to
+        // disk and back (each thread alone spills and promotes every
+        // cycle) and the disk keeps emptying; a third thread polls.
+        // Every snapshot must pair its gauges: bytes on disk iff keys on
+        // disk, and never more than the budget.
+        let dir = std::env::temp_dir().join(format!("xlayer-tier-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TierConfig::new(&dir)
+            .with_budget(1 << 20)
+            .with_chunk_size(256);
+        let pool = Arc::new(BufferPool::new());
+        let space = DataSpace::new_tiered(1, 1024, Sharding::BboxHash, &cfg, pool).unwrap();
+        let space = Arc::new(space);
+        let churn = |name: &'static str| {
+            let space = Arc::clone(&space);
+            std::thread::spawn(move || {
+                for v in 1..=1500u64 {
+                    space.put(obj(name, v, 0, 4)).unwrap();
+                    space.get(name, v.saturating_sub(2), None);
+                    if v % 3 == 0 {
+                        space.evict_before(name, v + 1);
+                    }
+                }
+            })
+        };
+        let churners = [churn("a"), churn("b")];
+        while !churners.iter().all(|t| t.is_finished()) {
+            let t = space.tier_stats();
+            assert_eq!(t.disk_used == 0, t.spilled_keys == 0, "torn snapshot {t:?}");
+            assert!(t.disk_used <= t.disk_budget, "{t:?}");
+        }
+        churners.into_iter().for_each(|t| t.join().expect("churn"));
+        let t = space.tier_stats();
+        assert!(t.spilled > 0 && t.promoted > 0, "{t:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,21 +11,20 @@
 //! adaptation engine via [`DiskTier::set_forced`] — placement across tiers
 //! is a policy decision informed by workflow knowledge, not a crash path.
 //!
-//! Counters follow the same discipline as the buffer pool: relaxed atomics,
-//! surfaced through [`DiskTier::snapshot`] and, one layer up, the networked
-//! service's `Stats` opcode (`tier_spilled` / `tier_promoted` /
-//! `tier_disk_used` / `tier_disk_hits`). The `spilled_keys` gauge is
-//! deliberately lock-free so the server's get hot path can prove "nothing
-//! is on disk" without touching the tier lock — that check is what keeps
-//! warm-tier latency at parity when the tier is enabled but idle.
+//! A [`DiskTier`] has no lock of its own. Each staging server keeps its
+//! tier inside its store, under the one store lock that already serialises
+//! every resident change, so the answer to "is this key on disk?" — read
+//! off `DiskTier::log` — cannot be had without that lock, and cannot
+//! change before the caller acts on it. Counters are plain integers
+//! bumped under the same lock, surfaced through [`DiskTier::snapshot`] and,
+//! one layer up, the networked service's `Stats` opcode (`tier_spilled` /
+//! `tier_promoted` / `tier_disk_used` / `tier_disk_hits`).
 
 use crate::disklog::{DiskLog, TierError};
 use crate::object::{DataObject, ObjectKey};
 use crate::pool::BufferPool;
-use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 
@@ -166,36 +165,24 @@ pub struct TierSnapshot {
 }
 
 /// A staging server's disk tier: one [`DiskLog`] plus the placement policy
-/// and counters around it. All methods take `&self`; internal locking keeps
-/// the log consistent, and the owning server serialises mutations under its
-/// own store lock so victim selection and demotion are race-free.
+/// and counters around it. Plain single-owner state: the server keeps it
+/// inside its store, so every call runs under the store lock — reads under
+/// the read guard, anything that takes `&mut self` under the write guard.
 #[derive(Debug)]
 pub struct DiskTier {
-    log: Mutex<DiskLog>,
-    hints: RwLock<BTreeMap<String, ObjectHints>>,
+    log: DiskLog,
+    hints: BTreeMap<String, ObjectHints>,
     /// Adaptation-engine override: when set, every pressure decision is
     /// this action, regardless of hints.
-    forced: Mutex<Option<SpillAction>>,
+    forced: Option<SpillAction>,
     compact_min_dead: u64,
-    spilled: AtomicU64,
-    spilled_bytes: AtomicU64,
-    promoted: AtomicU64,
-    promoted_bytes: AtomicU64,
-    disk_hits: AtomicU64,
-    /// Gauge mirror of the log's live byte count (lock-free reads).
-    disk_used: AtomicU64,
-    /// Gauge mirror of the log's key count. The get hot path reads this to
-    /// skip the tier entirely while nothing is spilled.
-    spilled_keys: AtomicU64,
-    /// Opportunistic compactions that failed with an I/O error.
-    compact_errors: AtomicU64,
-    /// Reads of spilled extents that failed.
-    read_errors: AtomicU64,
+    /// The event counters. The gauges (`disk_used`, `spilled_keys`,
+    /// `disk_budget`, `compactions`) stay zero here: [`Self::snapshot`]
+    /// reads them off the log.
+    counts: TierSnapshot,
     /// Where the payloads of objects the owning server drops go back to:
     /// the pool the log reads promoted extents into.
     pool: Arc<BufferPool>,
-    /// Messages describing records dropped during open-time recovery.
-    recovered: Vec<String>,
 }
 
 impl DiskTier {
@@ -207,66 +194,59 @@ impl DiskTier {
         cfg: &TierConfig,
         pool: Arc<BufferPool>,
     ) -> Result<Self, TierError> {
-        let log = DiskLog::open(path, cfg.disk_budget, cfg.chunk_size, Arc::clone(&pool))?;
-        let recovered = log.recovery().iter().map(|e| e.to_string()).collect();
-        let tier = DiskTier {
-            spilled: AtomicU64::new(0),
-            spilled_bytes: AtomicU64::new(0),
-            promoted: AtomicU64::new(0),
-            promoted_bytes: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            disk_used: AtomicU64::new(log.live_bytes()),
-            spilled_keys: AtomicU64::new(log.num_keys() as u64),
-            compact_errors: AtomicU64::new(0),
-            read_errors: AtomicU64::new(0),
-            pool,
-            log: Mutex::new(log),
-            hints: RwLock::new(BTreeMap::new()),
-            forced: Mutex::new(None),
+        Ok(DiskTier {
+            log: DiskLog::open(path, cfg.disk_budget, cfg.chunk_size, Arc::clone(&pool))?,
+            hints: BTreeMap::new(),
+            forced: None,
             compact_min_dead: cfg.compact_min_dead,
-            recovered,
-        };
-        Ok(tier)
+            counts: TierSnapshot::default(),
+            pool,
+        })
     }
 
-    /// Descriptions of records dropped during open-time recovery (empty
-    /// after a clean shutdown).
-    pub fn recovery(&self) -> &[String] {
-        &self.recovered
+    /// Records dropped during open-time recovery (empty after a clean
+    /// shutdown).
+    pub fn recovery(&self) -> &[TierError] {
+        self.log.recovery()
+    }
+
+    /// The log: what is on disk, under which key, against which budget.
+    pub(crate) fn log(&self) -> &DiskLog {
+        &self.log
+    }
+
+    /// The pool dropped payloads go back to (see [`recycle`]).
+    pub(crate) fn pool(&self) -> &Arc<BufferPool> {
+        &self.pool
     }
 
     /// Set (replace) the placement hints for variable `name`.
-    pub fn set_hints(&self, name: impl Into<String>, hints: ObjectHints) {
-        self.hints.write().insert(name.into(), hints);
+    pub fn set_hints(&mut self, name: impl Into<String>, hints: ObjectHints) {
+        self.hints.insert(name.into(), hints);
     }
 
     /// The hints for `name`, or the default ([`Persistence::Transient`], no
     /// deadline).
     pub fn hints_for(&self, name: &str) -> ObjectHints {
-        self.hints.read().get(name).copied().unwrap_or_default()
+        self.hints.get(name).copied().unwrap_or_default()
     }
 
     /// Force every pressure decision to `action` (the adaptation engine's
     /// root–leaf mechanism hook); `None` restores hint-driven policy.
-    pub fn set_forced(&self, action: Option<SpillAction>) {
-        *self.forced.lock() = action;
+    pub fn set_forced(&mut self, action: Option<SpillAction>) {
+        self.forced = action;
     }
 
     /// Decide what to do with a `bytes`-sized put of variable `name` that
     /// does not fit in memory.
     pub fn decide(&self, name: &str, bytes: u64) -> SpillAction {
-        if let Some(forced) = *self.forced.lock() {
+        if let Some(forced) = self.forced {
             return forced;
         }
         match self.hints_for(name).persistence {
             Persistence::Durable => SpillAction::Spill,
-            Persistence::Transient => {
-                if self.log.lock().has_room(bytes) {
-                    SpillAction::Spill
-                } else {
-                    SpillAction::Reject
-                }
-            }
+            Persistence::Transient if self.log.has_room(bytes) => SpillAction::Spill,
+            Persistence::Transient => SpillAction::Reject,
             Persistence::Reducible { factor } => SpillAction::Downsample { factor },
         }
     }
@@ -280,12 +260,6 @@ impl DiskTier {
         }
     }
 
-    fn refresh_gauges(&self, log: &DiskLog) {
-        self.disk_used.store(log.live_bytes(), Ordering::Relaxed);
-        self.spilled_keys
-            .store(log.num_keys() as u64, Ordering::Relaxed);
-    }
-
     /// Reclaim dead space opportunistically: unlink dead segments, and
     /// rewrite a partly-live one past the floor. Reclamation is pure space
     /// reclamation — a failed sweep leaves every live record intact and
@@ -293,9 +267,9 @@ impl DiskTier {
     /// are counted, never propagated: propagating one from a promote or
     /// delete would misreport (or, worse, discard) work that already
     /// succeeded.
-    fn compact_best_effort(&self, log: &mut DiskLog) {
-        if log.maybe_compact(self.compact_min_dead).is_err() {
-            self.compact_errors.fetch_add(1, Ordering::Relaxed);
+    fn compact_best_effort(&mut self) {
+        if self.log.maybe_compact(self.compact_min_dead).is_err() {
+            self.counts.compact_errors += 1;
         }
     }
 
@@ -303,53 +277,11 @@ impl DiskTier {
     /// disk is exhausted too — the caller escalates to `OutOfMemory`, which
     /// is what lets sibling-shard spill remain the relief valve of last
     /// resort.
-    pub fn spill(&self, obj: &DataObject) -> Result<(), TierError> {
-        let mut log = self.log.lock();
-        log.append(obj)?;
-        self.spilled.fetch_add(1, Ordering::Relaxed);
-        self.spilled_bytes
-            .fetch_add(obj.desc.bytes, Ordering::Relaxed);
-        self.refresh_gauges(&log);
+    pub fn spill(&mut self, obj: &DataObject) -> Result<(), TierError> {
+        self.log.append(obj)?;
+        self.counts.spilled += 1;
+        self.counts.spilled_bytes += obj.desc.bytes;
         Ok(())
-    }
-
-    /// `(name, version)` keys currently on disk — lock-free gauge read; the
-    /// get hot path short-circuits on zero.
-    pub fn spilled_key_count(&self) -> u64 {
-        self.spilled_keys.load(Ordering::Relaxed)
-    }
-
-    /// Whether any extent is spilled under `key`.
-    pub fn has_spilled(&self, key: &ObjectKey) -> bool {
-        self.log.lock().contains(key)
-    }
-
-    /// Whether `bytes` more payload fits under the disk budget right now.
-    /// Callers that must not observe a failing spill (victim demotion)
-    /// check this first; the owning server's store lock serialises tier
-    /// writers, so the answer cannot go stale before the spill.
-    pub fn has_room(&self, bytes: u64) -> bool {
-        self.log.lock().has_room(bytes)
-    }
-
-    /// The tier's live-payload budget in bytes (`u64::MAX` = unbounded).
-    pub fn budget(&self) -> u64 {
-        self.log.lock().budget()
-    }
-
-    /// Total payload bytes spilled under `key`.
-    pub fn spilled_bytes_for(&self, key: &ObjectKey) -> u64 {
-        self.log
-            .lock()
-            .extents_for(key)
-            .iter()
-            .map(|d| d.bytes)
-            .sum()
-    }
-
-    /// Descriptors of every extent spilled under `key` (no payload I/O).
-    pub fn spilled_descs(&self, key: &ObjectKey) -> Vec<crate::object::ObjectDesc> {
-        self.log.lock().extents_for(key)
     }
 
     /// Read `key`'s extents intersecting `query` and passing the
@@ -358,16 +290,17 @@ impl DiskTier {
     /// drops is judged by its indexed descriptor and never read. Counts a
     /// disk hit when anything matched.
     pub fn fetch(
-        &self,
+        &mut self,
         key: &ObjectKey,
         query: Option<&IBox>,
         crossing: Option<f64>,
     ) -> Result<Vec<DataObject>, TierError> {
-        // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
-        let read = self.log.lock().read_crossing(key, query, crossing);
-        let objs = read.inspect_err(|_| self.read_failed())?;
+        let objs = self
+            .log
+            .read_crossing(key, query, crossing)
+            .inspect_err(|_| self.counts.read_errors += 1)?;
         if !objs.is_empty() {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.disk_hits += 1;
         }
         Ok(objs)
     }
@@ -379,101 +312,64 @@ impl DiskTier {
     /// the extents are read and unindexed, this cannot fail — the objects
     /// are the only remaining copy, so a compaction error here must not
     /// (and does not) discard them.
-    pub fn take(&self, key: &ObjectKey) -> Result<Vec<DataObject>, TierError> {
-        // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
-        let mut log = self.log.lock();
-        let objs = log.read(key, None).inspect_err(|_| self.read_failed())?;
+    pub fn take(&mut self, key: &ObjectKey) -> Result<Vec<DataObject>, TierError> {
+        let objs = self
+            .log
+            .read(key, None)
+            .inspect_err(|_| self.counts.read_errors += 1)?;
         if objs.is_empty() {
             return Ok(objs);
         }
-        log.remove(key);
-        let bytes: u64 = objs.iter().map(|o| o.desc.bytes).sum();
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.promoted
-            .fetch_add(objs.len() as u64, Ordering::Relaxed);
-        self.promoted_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.compact_best_effort(&mut log);
-        self.refresh_gauges(&log);
+        self.log.remove(key);
+        self.counts.disk_hits += 1;
+        self.counts.promoted += objs.len() as u64;
+        self.counts.promoted_bytes += objs.iter().map(|o| o.desc.bytes).sum::<u64>();
+        self.compact_best_effort();
         Ok(objs)
     }
 
-    fn read_failed(&self) {
-        self.read_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Give a dropped object's payload buffer back to the pool when `obj`
-    /// was its last holder, for the next promote to read into. An object
-    /// or payload someone else still holds (a reader's handle, a caller's
-    /// copy) is just released.
-    pub(crate) fn recycle(&self, obj: Arc<DataObject>) {
-        if let Some(buf) = Arc::try_unwrap(obj)
-            .ok()
-            .and_then(|o| o.payload.try_into_vec().ok())
-        {
-            self.pool.recycle(buf);
-        }
-    }
-
-    /// Drop `key`'s extents without reading them (delete path).
-    pub fn remove(&self, key: &ObjectKey) -> Result<u64, TierError> {
-        // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
-        let mut log = self.log.lock();
-        let freed = log.remove(key);
-        if freed > 0 {
-            self.compact_best_effort(&mut log);
-            self.refresh_gauges(&log);
-        }
-        Ok(freed)
-    }
-
     /// Drop every extent of `name` older than `min_version` (drain path).
-    pub fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, TierError> {
-        // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
-        let mut log = self.log.lock();
-        let freed = log.drop_before(name, min_version);
+    /// Returns payload bytes freed.
+    pub fn evict_before(&mut self, name: &str, min_version: u64) -> u64 {
+        let freed = self.log.drop_before(name, min_version);
         if freed > 0 {
-            self.compact_best_effort(&mut log);
-            self.refresh_gauges(&log);
+            self.compact_best_effort();
         }
-        Ok(freed)
+        freed
     }
 
-    /// Drop everything on disk.
-    pub fn clear(&self) -> Result<u64, TierError> {
-        // xlint: allow(L) -- the log mutex serializes the log file itself; I/O under it is the tier's design
-        let mut log = self.log.lock();
-        let freed = log.clear();
+    /// Drop everything on disk. Returns payload bytes freed.
+    pub fn clear(&mut self) -> u64 {
+        let freed = self.log.clear();
         if freed > 0 {
-            self.compact_best_effort(&mut log);
+            self.compact_best_effort();
         }
-        self.refresh_gauges(&log);
-        Ok(freed)
+        freed
     }
 
-    /// Live spilled payload bytes (lock-free gauge).
-    pub fn disk_used(&self) -> u64 {
-        self.disk_used.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time counters.
+    /// The counters, with the gauges read off the log now: one consistent
+    /// cut, since nothing changes the tier while `&self` is held.
     pub fn snapshot(&self) -> TierSnapshot {
-        let (compactions, disk_budget) = {
-            let log = self.log.lock();
-            (log.compactions(), log.budget())
-        };
         TierSnapshot {
-            spilled: self.spilled.load(Ordering::Relaxed),
-            spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
-            promoted: self.promoted.load(Ordering::Relaxed),
-            promoted_bytes: self.promoted_bytes.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_used: self.disk_used.load(Ordering::Relaxed),
-            spilled_keys: self.spilled_keys.load(Ordering::Relaxed),
-            disk_budget,
-            compactions,
-            compact_errors: self.compact_errors.load(Ordering::Relaxed),
-            read_errors: self.read_errors.load(Ordering::Relaxed),
+            disk_used: self.log.live_bytes(),
+            spilled_keys: self.log.num_keys() as u64,
+            disk_budget: self.log.budget(),
+            compactions: self.log.compactions(),
+            ..self.counts
         }
+    }
+}
+
+/// Give a dropped object's payload buffer back to `pool` when `obj` was its
+/// last holder, for the next promote to read into. An object or payload
+/// someone else still holds (a reader's handle, a caller's copy) is just
+/// released.
+pub(crate) fn recycle(pool: &BufferPool, obj: Arc<DataObject>) {
+    if let Some(buf) = Arc::try_unwrap(obj)
+        .ok()
+        .and_then(|o| o.payload.try_into_vec().ok())
+    {
+        pool.recycle(buf);
     }
 }
 
@@ -508,7 +404,7 @@ mod tests {
     #[test]
     fn default_policy_spills_while_disk_has_room() {
         let dir = tmpdir("policy");
-        let t = tier(&dir, 600);
+        let mut t = tier(&dir, 600);
         assert_eq!(t.decide("rho", 512), SpillAction::Spill);
         t.spill(&obj("rho", 1, 4)).unwrap(); // 512 B
                                              // Disk now holds 512 of 600: another 512 would not fit.
@@ -519,7 +415,7 @@ mod tests {
     #[test]
     fn hints_steer_the_decision() {
         let dir = tmpdir("hints");
-        let t = tier(&dir, 0); // no disk room at all
+        let mut t = tier(&dir, 0); // no disk room at all
         t.set_hints(
             "must-keep",
             ObjectHints {
@@ -551,7 +447,7 @@ mod tests {
     #[test]
     fn deadlines_mark_stale_versions() {
         let dir = tmpdir("deadline");
-        let t = tier(&dir, 1 << 20);
+        let mut t = tier(&dir, 1 << 20);
         t.set_hints(
             "rho",
             ObjectHints {
@@ -570,22 +466,22 @@ mod tests {
     #[test]
     fn spill_take_roundtrip_updates_counters() {
         let dir = tmpdir("counters");
-        let t = tier(&dir, 1 << 20);
+        let mut t = tier(&dir, 1 << 20);
         let a = obj("rho", 1, 4);
         t.spill(&a).unwrap();
         t.spill(&obj("rho", 2, 4)).unwrap();
-        assert_eq!(t.spilled_key_count(), 2);
-        assert!(t.has_spilled(&ObjectKey::new("rho", 1)));
+        assert_eq!(t.log().num_keys(), 2);
+        assert!(t.log().contains(&ObjectKey::new("rho", 1)));
         // Fetch serves without removing.
         let served = t.fetch(&ObjectKey::new("rho", 1), None, None).unwrap();
         assert_eq!(served.len(), 1);
         assert_eq!(served[0].payload, a.payload);
-        assert_eq!(t.spilled_key_count(), 2);
+        assert_eq!(t.log().num_keys(), 2);
         // Take promotes: removed from disk, counters move.
         let promoted = t.take(&ObjectKey::new("rho", 1)).unwrap();
         assert_eq!(promoted.len(), 1);
         assert_eq!(promoted[0].payload, a.payload);
-        assert_eq!(t.spilled_key_count(), 1);
+        assert_eq!(t.log().num_keys(), 1);
         let s = t.snapshot();
         assert_eq!(s.spilled, 2);
         assert_eq!(s.spilled_bytes, 1024);
@@ -604,7 +500,8 @@ mod tests {
             .with_budget(1 << 20)
             .with_chunk_size(256)
             .with_compact_min_dead(1);
-        let t = DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
+        let mut t =
+            DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
         let a = obj("rho", 1, 4);
         t.spill(&a).unwrap();
         // A second spilled object keeps the segment partly live, so the
@@ -619,7 +516,7 @@ mod tests {
         let back = t.take(&ObjectKey::new("rho", 1)).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].payload, a.payload);
-        assert!(!t.has_spilled(&ObjectKey::new("rho", 1)));
+        assert!(!t.log().contains(&ObjectKey::new("rho", 1)));
         let s = t.snapshot();
         assert_eq!(s.compact_errors, 1, "the failed sweep is counted");
         assert_eq!(s.compactions, 0);
@@ -633,7 +530,8 @@ mod tests {
         // segment dies whole a few versions after it fills.
         let dir = tmpdir("churn");
         let cfg = TierConfig::new(&dir).with_chunk_size(256);
-        let t = DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
+        let mut t =
+            DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
         for v in 1..=24u64 {
             t.spill(&obj("rho", v, 64)).unwrap();
             if v > 2 {
@@ -659,14 +557,14 @@ mod tests {
             .with_chunk_size(256);
         let path = dir.join("tier.log");
         {
-            let t = DiskTier::open(&path, &cfg, Arc::new(BufferPool::new())).unwrap();
+            let mut t = DiskTier::open(&path, &cfg, Arc::new(BufferPool::new())).unwrap();
             t.spill(&obj("rho", 1, 4)).unwrap();
             assert!(t.recovery().is_empty());
         }
-        let t = DiskTier::open(&path, &cfg, Arc::new(BufferPool::new())).unwrap();
+        let mut t = DiskTier::open(&path, &cfg, Arc::new(BufferPool::new())).unwrap();
         assert!(t.recovery().is_empty());
-        assert_eq!(t.spilled_key_count(), 1);
-        assert_eq!(t.disk_used(), 512);
+        assert_eq!(t.log().num_keys(), 1);
+        assert_eq!(t.snapshot().disk_used, 512);
         let back = t.fetch(&ObjectKey::new("rho", 1), None, None).unwrap();
         assert_eq!(back[0].payload, obj("rho", 1, 4).payload);
         let _ = std::fs::remove_dir_all(&dir);

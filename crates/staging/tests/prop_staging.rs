@@ -179,7 +179,7 @@ mod tier_identity {
             ).unwrap();
             // Half the working set fits in memory: some versions spill,
             // gets promote them back (or serve from disk when oversized).
-            let server = StagingServer::with_tier(0, total / 2 + 1, Arc::new(tier));
+            let server = StagingServer::with_tier(0, total / 2 + 1, tier);
             let mut want = Vec::new();
             for (v, b) in boxes.iter().enumerate() {
                 let fab = coord_fab(*b);

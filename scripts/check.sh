@@ -160,6 +160,22 @@ for f in $(find crates/{staging,net}/src -name '*.rs' | sort); do
 done
 [ "$gate" -eq 0 ] || { echo "grep gate: a staged object has one encoding, staging::codec's (see CHANGES.md: one codec for the wire and the spill log)"; exit 1; }
 
+echo "==> a staging server's tiers sit under one lock (grep gate)"
+# Each staging server keeps its disk tier inside its store, under the store
+# lock that serialises every resident change, so "is this key on disk?" can
+# only be asked under it. In non-test code of crates/staging/src (each file
+# up to its first #[cfg(test)]): no shared `Arc<DiskTier>`, and tier.rs
+# holds no lock or atomic of its own (no `Mutex`, `RwLock`, `Atomic`). The
+# lock-free gauge read that let a probe skip the store lock, and the mirror
+# that fed it (`spilled_key_count`, `refresh_gauges`), appear nowhere in the
+# staging and net crates, the facade, the integration tests or the examples
+# (xlint's `guarded_by` config and fixtures keep the names on purpose).
+gate=0
+if grep -E 'Arc<DiskTier>' <<<"$(nontest $(find crates/staging/src -name '*.rs' | sort))"; then gate=1; fi
+if grep -E 'Mutex|RwLock|Atomic' <<<"$(nontest crates/staging/src/tier.rs)"; then gate=1; fi
+if grep -rnE 'spilled_key_count|refresh_gauges' crates/staging crates/net src tests examples; then gate=1; fi
+[ "$gate" -eq 0 ] || { echo "grep gate: a staging server's disk tier is plain state under its store lock (see CHANGES.md: one lock per staging server)"; exit 1; }
+
 echo "==> one way to hand a staged version to its consumer (grep gate)"
 # The retired delivery paths must not grow back in non-test code (each file
 # up to its first #[cfg(test)]) of the crates, the facade, the integration
