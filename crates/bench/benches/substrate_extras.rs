@@ -7,7 +7,7 @@ use xlayer_amr::layout::Grid;
 use xlayer_amr::plotfile::{read_plotfile, write_plotfile};
 use xlayer_amr::tagging::IntVectSet;
 use xlayer_amr::{BoxLayout, Fab, FluxRegister, IBox, IntVect, ProblemDomain};
-use xlayer_viz::stats::{subset, BlockStats, Histogram};
+use xlayer_viz::stats::BlockStats;
 
 fn hierarchy_2level() -> AmrHierarchy {
     let dom = ProblemDomain::periodic(IBox::cube(16));
@@ -65,22 +65,6 @@ fn bench_extras(c: &mut Criterion) {
     c.bench_function("block_stats_32c", |b| {
         let fab = Fab::filled(IBox::cube(32), 1, 1.5);
         b.iter(|| BlockStats::compute(&fab, 0, &IBox::cube(32)))
-    });
-
-    c.bench_function("histogram_32c_256bins", |b| {
-        let mut fab = Fab::new(IBox::cube(32), 1);
-        for iv in IBox::cube(32).cells() {
-            fab.set(iv, 0, ((iv[0] * 7 + iv[1] * 3 + iv[2]) % 97) as f64);
-        }
-        b.iter(|| Histogram::compute(&fab, 0, &IBox::cube(32), 0.0, 97.0, 256))
-    });
-
-    c.bench_function("subset_query_32c", |b| {
-        let mut fab = Fab::new(IBox::cube(32), 1);
-        for iv in IBox::cube(32).cells() {
-            fab.set(iv, 0, (iv[0] + iv[1] + iv[2]) as f64);
-        }
-        b.iter(|| subset(&fab, 0, &IBox::cube(32), 40.0, 50.0))
     });
 
     c.bench_function("plotfile_write_2level", |b| {

@@ -1,5 +1,9 @@
 //! The Monitor (paper §3, Fig. 3): periodically samples the operational
 //! state of the workflow and forwards it to the Adaptation Engine.
+//!
+//! It predicts nothing itself: the engine's policies read the latest
+//! sample, and the history it keeps is the record of what each sampling
+//! point observed.
 
 use crate::state::OperationalState;
 
@@ -46,36 +50,6 @@ impl Monitor {
     pub fn history(&self) -> &[OperationalState] {
         &self.history
     }
-
-    /// Exponentially-smoothed simulation step time over the history — a
-    /// more stable `T_(i+1)_sim` predictor than the last sample alone.
-    pub fn smoothed_sim_time(&self) -> f64 {
-        let mut est = 0.0;
-        let mut init = false;
-        for s in &self.history {
-            if !init {
-                est = s.last_sim_time;
-                init = true;
-            } else {
-                est = 0.7 * est + 0.3 * s.last_sim_time;
-            }
-        }
-        est
-    }
-
-    /// Trend of the output data size over the last `window` samples, as
-    /// bytes per step (positive while the AMR hierarchy is refining).
-    pub fn data_growth_rate(&self, window: usize) -> f64 {
-        let n = self.history.len();
-        if n < 2 || window < 2 {
-            return 0.0;
-        }
-        let w = window.min(n);
-        let first = &self.history[n - w];
-        let last = &self.history[n - 1];
-        let dsteps = (last.step - first.step).max(1);
-        (last.data_bytes as f64 - first.data_bytes as f64) / dsteps as f64
-    }
 }
 
 #[cfg(test)]
@@ -109,26 +83,5 @@ mod tests {
         m.record(state(2, 4.0, 200));
         assert_eq!(m.last().unwrap().step, 2);
         assert_eq!(m.history().len(), 2);
-    }
-
-    #[test]
-    fn smoothing_converges_toward_recent_values() {
-        let mut m = Monitor::new(1);
-        for i in 0..20 {
-            m.record(state(i, if i < 10 { 1.0 } else { 5.0 }, 0));
-        }
-        let s = m.smoothed_sim_time();
-        assert!(s > 3.0 && s < 5.0, "smoothed {s}");
-    }
-
-    #[test]
-    fn growth_rate() {
-        let mut m = Monitor::new(1);
-        m.record(state(0, 1.0, 1000));
-        m.record(state(1, 1.0, 1500));
-        m.record(state(2, 1.0, 2000));
-        assert!((m.data_growth_rate(3) - 500.0).abs() < 1e-9);
-        assert_eq!(m.data_growth_rate(1), 0.0);
-        assert_eq!(Monitor::new(1).data_growth_rate(3), 0.0);
     }
 }

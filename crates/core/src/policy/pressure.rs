@@ -12,7 +12,7 @@
 //!
 //! The verdict maps one-to-one onto the staging layer's `SpillAction`:
 //! the workflow driver forwards it with `DataSpace::set_pressure_action`
-//! so the servers' hint-driven default gives way to the engine's
+//! so the servers' spill-then-reject default gives way to the engine's
 //! cross-layer choice.
 
 use super::app;
@@ -51,7 +51,7 @@ pub struct PressureDecision {
 /// Decide the relief mechanism for one step's staging pressure.
 ///
 /// Returns `None` when `incoming_bytes` fits in `mem_available` (no
-/// pressure — the tier stays on its hint-driven default). Otherwise:
+/// pressure — the tier stays on its spill-then-reject default). Otherwise:
 ///
 /// 1. **Spill** if the overflow fits the disk budget *and* the disk
 ///    round trip stays within `budget_frac` of the step's simulation

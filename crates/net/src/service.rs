@@ -91,7 +91,7 @@ impl Default for ServiceConfig {
 pub struct ServiceStats {
     /// `Put` requests served (accepted and rejected).
     pub puts: AtomicU64,
-    /// `Get` requests served.
+    /// `GetChunked` requests served.
     pub gets: AtomicU64,
     /// `Query` requests served.
     pub queries: AtomicU64,

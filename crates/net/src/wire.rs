@@ -597,7 +597,7 @@ impl Request {
 pub struct ServiceSnapshot {
     /// `Put` requests served (including rejected ones).
     pub puts: u64,
-    /// `Get` requests served.
+    /// `GetChunked` requests served.
     pub gets: u64,
     /// `Query` requests served.
     pub queries: u64,

@@ -138,9 +138,9 @@ fn oom_is_typed_and_never_retried() {
 
 #[test]
 fn needs_reduction_keeps_the_pooled_connection() {
-    use xlayer_staging::{ObjectHints, Persistence};
-    // A tiered service whose hints answer every over-cap put with the
-    // downsample verdict. Like OutOfMemory it is a policy signal on a
+    use xlayer_staging::SpillAction;
+    // A tiered service whose forced verdict answers every over-cap put with
+    // the downsample verdict. Like OutOfMemory it is a policy signal on a
     // healthy, in-step connection: never retried, and the socket goes back
     // to the pool instead of each refusal costing a reconnect.
     let dir = std::env::temp_dir().join(format!("xlayer-tier-reduce-{}", std::process::id()));
@@ -151,13 +151,9 @@ fn needs_reduction_keeps_the_pooled_connection() {
         ..ServiceConfig::default()
     })
     .unwrap();
-    service.space().set_hints(
-        "rho",
-        ObjectHints {
-            persistence: Persistence::Reducible { factor: 2 },
-            deadline: None,
-        },
-    );
+    service
+        .space()
+        .set_pressure_action(Some(SpillAction::Downsample { factor: 2 }));
     let client = quick_client(&service.local_addr().to_string());
 
     client.put(&obj("rho", 0, 0, 1.0)).unwrap();

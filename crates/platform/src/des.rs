@@ -1,113 +1,13 @@
-//! A minimal deterministic discrete-event engine.
+//! Virtual time for the modeled-scale mode.
 //!
-//! The modeled-scale execution mode (DESIGN.md) replays the workflow's
-//! timestep loop over virtual ranks; this engine supplies the virtual clock
-//! and ordered event dispatch. Ties are broken by insertion order, so runs
-//! are fully deterministic.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The modeled mode (DESIGN.md) replays the workflow's timestep loop over
+//! virtual ranks. It has no event queue: each component advances its own
+//! virtual clock, and the one shared thing — a network link or a staging
+//! ingress port — is a [`FifoResource`] that serialises the requests made
+//! on it in the order they are made, so runs are fully deterministic.
 
 /// Simulated time in seconds.
 pub type SimTime = f64;
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Total order: time first (NaN is rejected at insert), then seq.
-        self.time
-            .partial_cmp(&other.time)
-            .expect("event times are never NaN")
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// An event queue with a virtual clock.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    now: SimTime,
-    seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            now: 0.0,
-            seq: 0,
-        }
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue at time 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at` (must not precede `now` and
-    /// must not be NaN).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(!at.is_nan(), "event time is NaN");
-        assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < {}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
-            seq,
-            event,
-        }));
-    }
-
-    /// Schedule `event` after a delay.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Pop the next event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        self.now = e.time;
-        Some((e.time, e.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
 
 /// A single-server FIFO resource (e.g. one shared network link or one
 /// staging core): requests are serviced in arrival order, each occupying
@@ -154,131 +54,9 @@ impl FifoResource {
     }
 }
 
-/// A pool of identical FIFO resources; each acquire picks the earliest-free
-/// member (models an M-core staging partition serving analysis jobs).
-#[derive(Clone, Debug)]
-pub struct ResourcePool {
-    members: Vec<FifoResource>,
-}
-
-impl ResourcePool {
-    /// A pool of `n` idle resources.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        ResourcePool {
-            members: vec![FifoResource::new(); n],
-        }
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True if the pool is empty (never; pools have ≥ 1 member).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Grow or shrink the pool to `n` members (shrink drops the busiest
-    /// members last — freed cores return to the allocation).
-    pub fn resize(&mut self, n: usize) {
-        assert!(n > 0);
-        if n > self.members.len() {
-            self.members.resize(n, FifoResource::new());
-        } else {
-            // Release idle members first: in-flight work on busy members is
-            // never abandoned, so keep the latest-free ones.
-            self.members
-                .sort_by(|a, b| b.free_at().partial_cmp(&a.free_at()).expect("no NaN"));
-            self.members.truncate(n);
-        }
-    }
-
-    /// Acquire the earliest-free member for `duration` starting no earlier
-    /// than `now`. Returns `(member index, start, end)`.
-    pub fn acquire(&mut self, now: SimTime, duration: SimTime) -> (usize, SimTime, SimTime) {
-        let (idx, _) = self
-            .members
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.free_at().partial_cmp(&b.free_at()).expect("no NaN"))
-            .expect("pool non-empty");
-        let (s, e) = self.members[idx].acquire(now, duration);
-        (idx, s, e)
-    }
-
-    /// When the whole pool is next idle.
-    pub fn all_free_at(&self) -> SimTime {
-        self.members.iter().map(|m| m.free_at()).fold(0.0, f64::max)
-    }
-
-    /// When at least one member is free.
-    pub fn any_free_at(&self) -> SimTime {
-        self.members
-            .iter()
-            .map(|m| m.free_at())
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Total busy time across members.
-    pub fn busy_time(&self) -> SimTime {
-        self.members.iter().map(|m| m.busy_time()).sum()
-    }
-
-    /// Mean utilization over `[0, horizon]` (Eq. 12's denominator is
-    /// members × horizon).
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_time() / (horizon * self.members.len() as f64)).min(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(3.0, "c");
-        q.schedule(1.0, "a");
-        q.schedule(2.0, "b");
-        assert_eq!(q.pop(), Some((1.0, "a")));
-        assert_eq!(q.pop(), Some((2.0, "b")));
-        assert_eq!(q.now(), 2.0);
-        assert_eq!(q.pop(), Some((3.0, "c")));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        q.schedule(1.0, "first");
-        q.schedule(1.0, "second");
-        assert_eq!(q.pop().unwrap().1, "first");
-        assert_eq!(q.pop().unwrap().1, "second");
-    }
-
-    #[test]
-    #[should_panic]
-    fn scheduling_into_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(2.0, ());
-        q.pop();
-        q.schedule(1.0, ());
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(5.0, "x");
-        q.pop();
-        q.schedule_in(2.0, "y");
-        assert_eq!(q.pop(), Some((7.0, "y")));
-    }
 
     #[test]
     fn fifo_resource_serializes() {
@@ -288,42 +66,5 @@ mod tests {
         assert_eq!(r.acquire(10.0, 1.0), (10.0, 11.0)); // idle gap
         assert_eq!(r.busy_time(), 6.0);
         assert!((r.utilization(12.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pool_picks_earliest_free() {
-        let mut p = ResourcePool::new(2);
-        let (i0, s0, e0) = p.acquire(0.0, 4.0);
-        let (i1, s1, _) = p.acquire(0.0, 1.0);
-        assert_ne!(i0, i1);
-        assert_eq!((s0, s1), (0.0, 0.0));
-        // Third job goes to the one free at t=1.
-        let (i2, s2, _) = p.acquire(0.0, 1.0);
-        assert_eq!(i2, i1);
-        assert_eq!(s2, 1.0);
-        assert_eq!(e0, 4.0);
-        assert_eq!(p.all_free_at(), 4.0);
-        assert_eq!(p.any_free_at(), 2.0);
-    }
-
-    #[test]
-    fn pool_resize_preserves_busy_state() {
-        let mut p = ResourcePool::new(4);
-        p.acquire(0.0, 10.0);
-        p.resize(2);
-        assert_eq!(p.len(), 2);
-        // The busy member was dropped last; one member still busy until 10.
-        assert_eq!(p.all_free_at(), 10.0);
-        p.resize(8);
-        assert_eq!(p.len(), 8);
-        assert_eq!(p.any_free_at(), 0.0);
-    }
-
-    #[test]
-    fn pool_utilization() {
-        let mut p = ResourcePool::new(2);
-        p.acquire(0.0, 5.0);
-        p.acquire(0.0, 5.0);
-        assert!((p.utilization(10.0) - 0.5).abs() < 1e-12);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The machine substrate the paper ran on, as a model (DESIGN.md,
 //! substitution table): Intrepid (IBM BG/P) and Titan (Cray XK7) hardware
-//! parameters, a deterministic discrete-event engine for modeled-scale
-//! execution, network transfer models with staging-ingress contention,
+//! parameters, virtual time and FIFO links for modeled-scale execution,
+//! network transfer models with staging-ingress contention,
 //! calibrated kernel cost estimators (Table 1's `T_sim` / `T_insitu` /
 //! `T_intransit`), and the utilization/end-to-end metrics of Eq. 12,
 //! Table 2 and Figs. 7–11.
@@ -20,7 +20,7 @@ pub mod network;
 pub mod power;
 
 pub use cost::{CostModel, KernelCosts, SolverKind};
-pub use des::{EventQueue, FifoResource, ResourcePool, SimTime};
+pub use des::{FifoResource, SimTime};
 pub use disk::DiskModel;
 pub use machine::{MachineSpec, Partition};
 pub use metrics::{EndToEnd, StagingStepRecord, StagingUtilization, UtilizationBuckets};

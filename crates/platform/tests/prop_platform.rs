@@ -1,42 +1,13 @@
-//! Property-based tests of the platform substrate: event ordering, FIFO
-//! resource laws, cost-model monotonicity and utilization bounds.
+//! Property-based tests of the platform substrate: FIFO resource laws,
+//! cost-model monotonicity and utilization bounds.
 
 use proptest::prelude::*;
 use xlayer_platform::{
-    CostModel, EventQueue, FifoResource, MachineSpec, PowerModel, ResourcePool, SolverKind,
-    StagingStepRecord, StagingUtilization, TransferModel,
+    CostModel, FifoResource, MachineSpec, PowerModel, SolverKind, StagingStepRecord,
+    StagingUtilization, TransferModel,
 };
 
 proptest! {
-    #[test]
-    fn events_pop_in_nondecreasing_time_order(
-        times in proptest::collection::vec(0.0f64..1e6, 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(*t, i);
-        }
-        let mut last = f64::NEG_INFINITY;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            prop_assert_eq!(q.now(), t);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    #[test]
-    fn equal_times_pop_in_insertion_order(n in 1usize..50) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(1.0, i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
-
     #[test]
     fn fifo_resource_never_overlaps(
         reqs in proptest::collection::vec((0.0f64..100.0, 0.01f64..10.0), 1..40),
@@ -58,22 +29,6 @@ proptest! {
         // busy time = sum of durations
         let total: f64 = intervals.iter().map(|(s, e)| e - s).sum();
         prop_assert!((r.busy_time() - total).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pool_utilization_bounded(
-        jobs in proptest::collection::vec(0.01f64..5.0, 1..30),
-        n in 1usize..8,
-    ) {
-        let mut p = ResourcePool::new(n);
-        let mut latest: f64 = 0.0;
-        for d in &jobs {
-            let (_, _, e) = p.acquire(0.0, *d);
-            latest = latest.max(e);
-        }
-        let u = p.utilization(latest);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&u));
-        prop_assert!((p.busy_time() - jobs.iter().sum::<f64>()).abs() < 1e-6);
     }
 
     #[test]

@@ -136,6 +136,11 @@ impl<S: LevelSolver> AmrSimulation<S> {
         self.time
     }
 
+    /// Cell spacing of level `level`: `base_dx / r^level`.
+    pub fn dx(&self, level: usize) -> f64 {
+        self.config.base_dx / self.hierarchy.ref_ratio().pow(level as u32) as f64
+    }
+
     /// Tag-and-regrid immediately (also used to build the initial fine
     /// levels after setting initial conditions on the base level).
     pub fn regrid_now(&mut self) {
@@ -165,7 +170,7 @@ impl<S: LevelSolver> AmrSimulation<S> {
         let r = self.hierarchy.ref_ratio();
         let mut dt = f64::INFINITY;
         for l in 0..self.hierarchy.num_levels() {
-            let dx = self.config.base_dx / r.pow(l as u32) as f64;
+            let dx = self.dx(l);
             let s = self.solver.max_wave_speed(self.hierarchy.level(l));
             let scale = r.pow(l as u32) as f64;
             if s > 0.0 {
@@ -194,7 +199,7 @@ impl<S: LevelSolver> AmrSimulation<S> {
     ) -> (u64, u64) {
         let r = self.hierarchy.ref_ratio();
         let nlev = self.hierarchy.num_levels();
-        let dx = self.config.base_dx / r.pow(l as u32) as f64;
+        let dx = self.dx(l);
         let mut moved = self.hierarchy.fill_level_ghosts(l);
 
         let need_fluxes = self.config.reflux && (parent_reg.is_some() || l + 1 < nlev);
@@ -247,10 +252,9 @@ impl<S: LevelSolver> AmrSimulation<S> {
 
     /// The stable time step at the current state.
     pub fn compute_dt(&self) -> f64 {
-        let r = self.hierarchy.ref_ratio();
         let mut dt = f64::INFINITY;
         for l in 0..self.hierarchy.num_levels() {
-            let dx = self.config.base_dx / r.pow(l as u32) as f64;
+            let dx = self.dx(l);
             let s = self.solver.max_wave_speed(self.hierarchy.level(l));
             if s > 0.0 {
                 dt = dt.min(self.config.cfl * dx / s);
@@ -292,7 +296,7 @@ impl<S: LevelSolver> AmrSimulation<S> {
                 })
                 .collect();
             for l in 0..nlev {
-                let dx = self.config.base_dx / r.pow(l as u32) as f64;
+                let dx = self.dx(l);
                 cells += self.hierarchy.level(l).layout().total_cells();
                 let fluxes = self
                     .solver
@@ -312,7 +316,7 @@ impl<S: LevelSolver> AmrSimulation<S> {
             }
             self.hierarchy.average_down();
             for l in (0..nlev - 1).rev() {
-                let dx = self.config.base_dx / r.pow(l as u32) as f64;
+                let dx = self.dx(l);
                 registers[l].reflux(self.hierarchy.level_mut(l), dt / dx);
             }
         } else {
@@ -320,7 +324,7 @@ impl<S: LevelSolver> AmrSimulation<S> {
             exchange_bytes = self.hierarchy.fill_ghosts();
             cells = 0;
             for l in 0..self.hierarchy.num_levels() {
-                let dx = self.config.base_dx / r.pow(l as u32) as f64;
+                let dx = self.dx(l);
                 cells += self.hierarchy.level(l).layout().total_cells();
                 self.solver
                     .advance_level(self.hierarchy.level_mut(l), dx, dt);

@@ -51,5 +51,5 @@ pub use pool::{BufferPool, PooledBuf};
 pub use server::{StagingError, StagingServer};
 pub use shard::ShardMap;
 pub use space::{DataSpace, Sharding};
-pub use tier::{DiskTier, ObjectHints, Persistence, SpillAction, TierConfig, TierSnapshot};
+pub use tier::{DiskTier, ObjectHints, SpillAction, TierConfig, TierSnapshot};
 pub use transport::{AsyncStager, BatchClosed, DrainError, StageTask, TransportStats};

@@ -14,7 +14,6 @@ use crate::pool::BufferPool;
 use crate::tier::{recycle, DiskTier, ObjectHints, SpillAction, TierSnapshot};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 
@@ -72,10 +71,6 @@ pub struct StagingServer {
     /// (`get`/`describe`) share it; mutations of either tier
     /// (`put`/promotion/`evict_before`/`clear`) take it exclusively.
     inner: RwLock<Store>,
-    /// Op counters live outside the store so the read paths don't need a
-    /// write lock just to bump them.
-    puts: AtomicU64,
-    gets: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -125,8 +120,6 @@ impl StagingServer {
             id,
             memory_cap,
             inner: RwLock::default(),
-            puts: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
         }
     }
 
@@ -165,22 +158,14 @@ impl StagingServer {
         self.inner.read().peak
     }
 
-    /// (puts, gets) served.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (
-            self.puts.load(Ordering::Relaxed),
-            self.gets.load(Ordering::Relaxed),
-        )
-    }
-
     /// The disk tier's counters (`None` without a tier). Taken under the
     /// store lock, so the gauges in it are one consistent cut.
     pub fn tier_snapshot(&self) -> Option<TierSnapshot> {
         self.inner.read().tier.as_ref().map(DiskTier::snapshot)
     }
 
-    /// Set (replace) the disk tier's placement hints for variable `name`
-    /// (a no-op without a tier).
+    /// Set (replace) the disk tier's placement hints — the version
+    /// deadline — for variable `name` (a no-op without a tier).
     pub fn set_hints(&self, name: &str, hints: ObjectHints) {
         if let Some(tier) = &mut self.inner.write().tier {
             tier.set_hints(name, hints);
@@ -188,7 +173,8 @@ impl StagingServer {
     }
 
     /// Force the disk tier's pressure decision to `action`; `None`
-    /// restores hint-driven policy (a no-op without a tier).
+    /// restores the default, spill while the log has room and reject after
+    /// (a no-op without a tier).
     pub fn set_pressure_action(&self, action: Option<SpillAction>) {
         if let Some(tier) = &mut self.inner.write().tier {
             tier.set_forced(action);
@@ -204,7 +190,7 @@ impl StagingServer {
     /// disk log until the object fits, falling back to writing the object
     /// itself to disk when the cap is smaller than the object. Only when
     /// the disk is exhausted too (or the policy says reject) does the put
-    /// fail with `OutOfMemory`; a `Reducible` hint fails fast with
+    /// fail with `OutOfMemory`; a forced downsample fails fast with
     /// [`StagingError::NeedsReduction`] instead. The shared handle the
     /// caller kept — if any — stays usable for retrying elsewhere, so a
     /// rejected put costs no payload copy.
@@ -231,7 +217,7 @@ impl StagingServer {
             let verdict = s
                 .tier
                 .as_ref()
-                .map_or(SpillAction::Reject, |t| t.decide(&obj.desc.key.name, bytes));
+                .map_or(SpillAction::Reject, |t| t.decide(bytes));
             match verdict {
                 SpillAction::Reject => return Err(oom),
                 SpillAction::Downsample { factor } => {
@@ -248,12 +234,10 @@ impl StagingServer {
                 if s.tier.as_mut().is_none_or(|t| t.spill(&obj).is_err()) {
                     return Err(oom);
                 }
-                self.puts.fetch_add(1, Ordering::Relaxed);
                 s.touch(&obj.desc.key);
                 return Ok(());
             }
         }
-        self.puts.fetch_add(1, Ordering::Relaxed);
         s.touch(&obj.desc.key);
         s.admit(obj);
         Ok(())
@@ -356,7 +340,6 @@ impl StagingServer {
         query: Option<&IBox>,
         crossing: Option<f64>,
     ) -> Vec<Arc<DataObject>> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
         let s = self.inner.read();
         // The tier lives in the store, so this probe can only run under
         // the guard: a key observed un-spilled here cannot move to disk
@@ -584,19 +567,10 @@ mod tests {
         assert_eq!(s.peak(), 1024);
     }
 
-    #[test]
-    fn op_counts() {
-        let s = StagingServer::new(0, 1 << 20);
-        s.put(obj("rho", 1, 0, 4)).unwrap();
-        s.get(&ObjectKey::new("rho", 1), None, None);
-        s.get(&ObjectKey::new("rho", 1), None, None);
-        assert_eq!(s.op_counts(), (1, 2));
-    }
-
     mod tiered {
         use super::*;
         use crate::pool::BufferPool;
-        use crate::tier::{Persistence, TierConfig};
+        use crate::tier::TierConfig;
         use std::path::PathBuf;
 
         fn tmpdir(tag: &str) -> PathBuf {
@@ -695,13 +669,7 @@ mod tests {
         fn reducible_hint_asks_for_downsampling() {
             let dir = tmpdir("reduce");
             let s = server(&dir, 512, 1 << 20);
-            s.set_hints(
-                "rho",
-                ObjectHints {
-                    persistence: Persistence::Reducible { factor: 2 },
-                    deadline: None,
-                },
-            );
+            s.set_pressure_action(Some(SpillAction::Downsample { factor: 2 }));
             s.put(vobj("rho", 1)).unwrap();
             let err = s.put(vobj("rho", 2)).unwrap_err();
             assert_eq!(err, StagingError::NeedsReduction { factor: 2 });
@@ -713,13 +681,7 @@ mod tests {
             let dir = tmpdir("deadline");
             let s = server(&dir, 1024, 1 << 20);
             // "old" versions expire 2 steps after production; "rho" never.
-            s.set_hints(
-                "old",
-                ObjectHints {
-                    persistence: Persistence::Transient,
-                    deadline: Some(2),
-                },
-            );
+            s.set_hints("old", ObjectHints { deadline: Some(2) });
             s.put(vobj("old", 1)).unwrap();
             s.put(vobj("rho", 1)).unwrap();
             // At rho v5, old v1 is expired (1 + 2 <= 5): expiry outranks

@@ -89,15 +89,15 @@ impl DataSpace {
         })
     }
 
-    /// Set placement hints for variable `name` on every server's tier (a
-    /// no-op without tiers).
+    /// Set placement hints — the version deadline — for variable `name` on
+    /// every server's tier (a no-op without tiers).
     pub fn set_hints(&self, name: &str, hints: ObjectHints) {
         self.servers.iter().for_each(|s| s.set_hints(name, hints));
     }
 
     /// Force every tier's pressure decision to `action` (the adaptation
-    /// engine's hook); `None` restores hint-driven policy. No-op without
-    /// tiers.
+    /// engine's hook); `None` restores the default, spill while the log
+    /// has room and reject after. No-op without tiers.
     pub fn set_pressure_action(&self, action: Option<SpillAction>) {
         self.servers
             .iter()

@@ -1,15 +1,15 @@
-//! The policy layer of the disk spill tier: placement decisions, per-object
-//! hints, and counters over a [`DiskLog`].
+//! The policy layer of the disk spill tier: the pressure verdict, version
+//! deadlines, and counters over a [`DiskLog`].
 //!
 //! The staging server owns DRAM; this module owns what happens when DRAM is
 //! full. A put that would exceed the memory budget asks [`DiskTier::decide`]
 //! for a [`SpillAction`] — **spill** cold versions to the on-disk object
 //! log, **downsample** (tell the producer to coarsen and retry), or
-//! **reject** (the old hard `OutOfMemory`). The decision is driven by
-//! per-variable [`ObjectHints`] (MaDaTS-style data properties: persistence
-//! class and a version deadline) and can be overridden wholesale by the
-//! adaptation engine via [`DiskTier::set_forced`] — placement across tiers
-//! is a policy decision informed by workflow knowledge, not a crash path.
+//! **reject** (the old hard `OutOfMemory`). The verdict has one author, the
+//! adaptation engine: it forces an action via [`DiskTier::set_forced`], and
+//! without one the tier spills while the log has room and rejects after.
+//! Per-variable [`ObjectHints`] carry only a version deadline, which orders
+//! spill victims and never changes the verdict.
 //!
 //! A [`DiskTier`] has no lock of its own. Each staging server keeps its
 //! tier inside its store, under the one store lock that already serialises
@@ -42,44 +42,14 @@ pub enum SpillAction {
     Reject,
 }
 
-/// Persistence class of a variable — the MaDaTS-style "data property" that
-/// tells the tier how much the data is worth under memory pressure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Persistence {
-    /// Must not be dropped under memory pressure: always spill, even if
-    /// the disk budget check looks tight (the append's own budget check is
-    /// the final arbiter). This is a placement priority, not a power-loss
-    /// guarantee — see the durability note in [`crate::disklog`].
-    Durable,
-    /// Worth spilling while the disk has room; rejectable once it doesn't.
-    Transient,
-    /// The producer can regenerate a coarser version: prefer asking for a
-    /// downsample over consuming either tier.
-    Reducible {
-        /// Per-axis coarsening factor to request.
-        factor: u32,
-    },
-}
-
 /// Per-variable placement hints, set once by the workflow layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ObjectHints {
-    /// How much the variable's data is worth under pressure.
-    pub persistence: Persistence,
     /// Version (time step) after which old versions are dead weight: when
     /// choosing spill victims, versions whose `version + deadline` lies at
     /// or before the incoming put's version are demoted first. `None`
     /// means versions never expire.
     pub deadline: Option<u64>,
-}
-
-impl Default for ObjectHints {
-    fn default() -> Self {
-        ObjectHints {
-            persistence: Persistence::Transient,
-            deadline: None,
-        }
-    }
 }
 
 /// Configuration of a space's disk tier.
@@ -172,8 +142,8 @@ pub struct TierSnapshot {
 pub struct DiskTier {
     log: DiskLog,
     hints: BTreeMap<String, ObjectHints>,
-    /// Adaptation-engine override: when set, every pressure decision is
-    /// this action, regardless of hints.
+    /// The adaptation engine's verdict: when set, every pressure decision
+    /// is this action.
     forced: Option<SpillAction>,
     compact_min_dead: u64,
     /// The event counters. The gauges (`disk_used`, `spilled_keys`,
@@ -225,39 +195,30 @@ impl DiskTier {
         self.hints.insert(name.into(), hints);
     }
 
-    /// The hints for `name`, or the default ([`Persistence::Transient`], no
-    /// deadline).
-    pub fn hints_for(&self, name: &str) -> ObjectHints {
-        self.hints.get(name).copied().unwrap_or_default()
-    }
-
     /// Force every pressure decision to `action` (the adaptation engine's
-    /// root–leaf mechanism hook); `None` restores hint-driven policy.
+    /// root–leaf mechanism hook); `None` restores the default verdict.
     pub fn set_forced(&mut self, action: Option<SpillAction>) {
         self.forced = action;
     }
 
-    /// Decide what to do with a `bytes`-sized put of variable `name` that
-    /// does not fit in memory.
-    pub fn decide(&self, name: &str, bytes: u64) -> SpillAction {
-        if let Some(forced) = self.forced {
-            return forced;
-        }
-        match self.hints_for(name).persistence {
-            Persistence::Durable => SpillAction::Spill,
-            Persistence::Transient if self.log.has_room(bytes) => SpillAction::Spill,
-            Persistence::Transient => SpillAction::Reject,
-            Persistence::Reducible { factor } => SpillAction::Downsample { factor },
+    /// Decide what to do with a `bytes`-sized put that does not fit in
+    /// memory: the forced action if one is set, else spill while the log
+    /// has room for `bytes` and reject once it has not.
+    pub fn decide(&self, bytes: u64) -> SpillAction {
+        match self.forced {
+            Some(forced) => forced,
+            None if self.log.has_room(bytes) => SpillAction::Spill,
+            None => SpillAction::Reject,
         }
     }
 
     /// Whether `key`'s versions are past their deadline as of the put that
     /// is `now` versions in — such keys are demoted first.
     pub fn past_deadline(&self, key: &ObjectKey, now: u64) -> bool {
-        match self.hints_for(&key.name).deadline {
-            Some(d) => key.version.saturating_add(d) <= now,
-            None => false,
-        }
+        self.hints
+            .get(&key.name)
+            .and_then(|h| h.deadline)
+            .is_some_and(|d| key.version.saturating_add(d) <= now)
     }
 
     /// Reclaim dead space opportunistically: unlink dead segments, and
@@ -405,10 +366,10 @@ mod tests {
     fn default_policy_spills_while_disk_has_room() {
         let dir = tmpdir("policy");
         let mut t = tier(&dir, 600);
-        assert_eq!(t.decide("rho", 512), SpillAction::Spill);
+        assert_eq!(t.decide(512), SpillAction::Spill);
         t.spill(&obj("rho", 1, 4)).unwrap(); // 512 B
                                              // Disk now holds 512 of 600: another 512 would not fit.
-        assert_eq!(t.decide("rho", 512), SpillAction::Reject);
+        assert_eq!(t.decide(512), SpillAction::Reject);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -416,31 +377,49 @@ mod tests {
     fn hints_steer_the_decision() {
         let dir = tmpdir("hints");
         let mut t = tier(&dir, 0); // no disk room at all
-        t.set_hints(
-            "must-keep",
-            ObjectHints {
-                persistence: Persistence::Durable,
-                deadline: None,
-            },
-        );
-        t.set_hints(
-            "coarse-ok",
-            ObjectHints {
-                persistence: Persistence::Reducible { factor: 2 },
-                deadline: None,
-            },
-        );
-        assert_eq!(t.decide("must-keep", 512), SpillAction::Spill);
-        assert_eq!(
-            t.decide("coarse-ok", 512),
-            SpillAction::Downsample { factor: 2 }
-        );
-        assert_eq!(t.decide("unhinted", 512), SpillAction::Reject);
-        // The engine override trumps everything.
+        t.set_hints("rho", ObjectHints { deadline: Some(1) });
+        assert_eq!(t.decide(512), SpillAction::Reject);
+        t.set_forced(Some(SpillAction::Spill));
+        assert_eq!(t.decide(512), SpillAction::Spill);
+        t.set_forced(Some(SpillAction::Downsample { factor: 2 }));
+        assert_eq!(t.decide(512), SpillAction::Downsample { factor: 2 });
+        // The engine's verdict trumps the default, either way.
         t.set_forced(Some(SpillAction::Reject));
-        assert_eq!(t.decide("must-keep", 512), SpillAction::Reject);
+        assert_eq!(t.decide(512), SpillAction::Reject);
         t.set_forced(None);
-        assert_eq!(t.decide("must-keep", 512), SpillAction::Spill);
+        assert_eq!(t.decide(512), SpillAction::Reject);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The whole verdict table, as a put over the memory cap sees it.
+    #[test]
+    fn verdict_is_the_forced_action_or_spill_then_reject() {
+        use crate::server::{StagingError, StagingServer};
+        let dir = tmpdir("verdict");
+        // Memory holds one 512 B object, the disk one more.
+        let s = StagingServer::with_tier(0, 512, tier(&dir, 600));
+        s.put(obj("rho", 1, 4)).unwrap();
+        let oom = |e: Result<(), StagingError>| matches!(e, Err(StagingError::OutOfMemory { .. }));
+
+        // No forced action: spill while the log has room, then reject.
+        s.put(obj("rho", 2, 4)).unwrap();
+        assert_eq!(s.tier_snapshot().unwrap().spilled, 1);
+        assert!(oom(s.put(obj("rho", 3, 4))));
+        assert_eq!(s.tier_snapshot().unwrap().spilled, 1);
+
+        // Forced spill goes past `has_room`: the append's own budget check
+        // refuses, and that surfaces as `OutOfMemory`.
+        s.set_pressure_action(Some(SpillAction::Spill));
+        assert!(oom(s.put(obj("rho", 3, 4))));
+
+        // Forced downsample answers every variable alike.
+        s.set_pressure_action(Some(SpillAction::Downsample { factor: 4 }));
+        for name in ["rho", "p", "unhinted"] {
+            assert_eq!(
+                s.put(obj(name, 7, 4)),
+                Err(StagingError::NeedsReduction { factor: 4 })
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -448,13 +427,7 @@ mod tests {
     fn deadlines_mark_stale_versions() {
         let dir = tmpdir("deadline");
         let mut t = tier(&dir, 1 << 20);
-        t.set_hints(
-            "rho",
-            ObjectHints {
-                persistence: Persistence::Transient,
-                deadline: Some(3),
-            },
-        );
+        t.set_hints("rho", ObjectHints { deadline: Some(3) });
         // Version 5 expires once the put stream reaches version 8.
         assert!(!t.past_deadline(&ObjectKey::new("rho", 5), 7));
         assert!(t.past_deadline(&ObjectKey::new("rho", 5), 8));

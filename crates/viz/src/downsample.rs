@@ -2,8 +2,8 @@
 //! (paper §4.1, Eqs. 1–3).
 //!
 //! `f_data_reduce(S_data, X)` reduces a block by factor `X` per direction
-//! (X³ in volume) by block-averaging, and the memory model
-//! `Mem_data_reduce` mirrors the policy's constraint (Eq. 2).
+//! (X³ in volume) by block-averaging. The policy's size and memory model
+//! (Eqs. 1–2) is `xlayer_core::policy::app`'s, not this module's.
 //!
 //! The production kernels iterate contiguous flat-offset rows of the fab
 //! payload (x-fastest Fortran order) instead of per-cell `IntVect`
@@ -15,7 +15,6 @@
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 use xlayer_amr::intvect::IntVect;
-use xlayer_amr::level_data::LevelData;
 
 /// Down-sample `comp` of `fab` over its whole box by factor `x` per
 /// direction, averaging each x³ block (partial edge blocks average the
@@ -143,41 +142,6 @@ fn accumulate_runs_generic(row: &[f64], head: usize, x: usize, mut di: usize, ds
         i = end;
         run = x;
     }
-}
-
-/// Down-sample every grid of a level by a per-grid factor, in parallel
-/// (grids are disjoint). Returns one reduced fab per grid plus the factor
-/// that produced it. Each grid is reduced straight from its level fab's
-/// component — no tight single-component copy is made.
-pub fn downsample_level(data: &LevelData, comp: usize, factors: &[u32]) -> Vec<(Fab, u32)> {
-    use rayon::prelude::*;
-    assert_eq!(factors.len(), data.len());
-    (0..data.len())
-        .into_par_iter()
-        .map(|i| {
-            // Reduce the valid region only — ghosts are re-derivable.
-            let valid = data.valid_box(i);
-            (
-                downsample_region(data.fab(i), comp, &valid, factors[i]),
-                factors[i],
-            )
-        })
-        .collect()
-}
-
-/// Bytes of the reduced output of a block of `bytes` reduced by factor `x`
-/// per direction — the policy objective term `f_data_reduce(S_data, X)`
-/// (Eq. 1).
-pub fn reduced_bytes(bytes: u64, x: u32) -> u64 {
-    let v = (x as u64).pow(3);
-    bytes.div_ceil(v)
-}
-
-/// Transient memory needed to perform the reduction of a block of `bytes`
-/// at factor `x`: the input stays resident while the output is built —
-/// `Mem_data_reduce(S_data, X)` (Eq. 2).
-pub fn reduction_memory(bytes: u64, x: u32) -> u64 {
-    bytes + reduced_bytes(bytes, x)
 }
 
 /// Mean-squared error between a fab and the reconstruction of its
@@ -310,21 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn reduced_bytes_scales_cubically() {
-        assert_eq!(reduced_bytes(8000, 1), 8000);
-        assert_eq!(reduced_bytes(8000, 2), 1000);
-        assert_eq!(reduced_bytes(8000, 10), 8);
-        // ceil behaviour
-        assert_eq!(reduced_bytes(9, 2), 2);
-    }
-
-    #[test]
-    fn reduction_memory_includes_both_buffers() {
-        assert_eq!(reduction_memory(8000, 2), 9000);
-        assert!(reduction_memory(8000, 16) > 8000);
-    }
-
-    #[test]
     fn mse_grows_with_factor_on_nonconstant_data() {
         let f = coord_fab(16);
         let m2 = reconstruction_mse(&f, 0, 2);
@@ -338,45 +287,5 @@ mod tests {
         let b = IBox::cube(8);
         let f = Fab::filled(b, 1, 7.0);
         assert_eq!(reconstruction_mse(&f, 0, 4), 0.0);
-    }
-
-    #[test]
-    fn downsample_level_respects_per_grid_factors() {
-        use xlayer_amr::domain::ProblemDomain;
-        use xlayer_amr::layout::BoxLayout;
-        use xlayer_amr::level_data::LevelData;
-        let domain = ProblemDomain::new(IBox::cube(8));
-        let layout = BoxLayout::decompose(&domain, 4, 1);
-        let mut ld = LevelData::new(layout, domain, 1, 1);
-        ld.fill(1.0);
-        let n = ld.len();
-        let mut factors = vec![1u32; n];
-        factors[0] = 4;
-        let out = downsample_level(&ld, 0, &factors);
-        assert_eq!(out.len(), n);
-        assert_eq!(out[0].0.ibox().num_cells(), 1); // 4^3 -> 1
-        assert_eq!(out[1].0.ibox().num_cells(), 64);
-        assert_eq!(out[0].1, 4);
-    }
-
-    #[test]
-    fn downsample_level_reads_the_right_component() {
-        use xlayer_amr::domain::ProblemDomain;
-        use xlayer_amr::layout::BoxLayout;
-        use xlayer_amr::level_data::LevelData;
-        let domain = ProblemDomain::new(IBox::cube(4));
-        let layout = BoxLayout::decompose(&domain, 4, 1);
-        let mut ld = LevelData::new(layout, domain, 2, 1);
-        ld.for_each_mut(|vb, fab| {
-            for iv in vb.cells() {
-                fab.set(iv, 1, 3.0);
-            }
-        });
-        let out = downsample_level(&ld, 1, &vec![2; ld.len()]);
-        for (fab, _) in &out {
-            for iv in fab.ibox().cells() {
-                assert_eq!(fab.get(iv, 0), 3.0);
-            }
-        }
     }
 }

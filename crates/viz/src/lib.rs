@@ -6,9 +6,9 @@
 //!   level data (the paper's visualization service),
 //! * [`entropy`] — per-block Shannon entropy (Eq. 11), driving the
 //!   entropy-based application-layer adaptation (Fig. 6),
-//! * [`downsample`] — the `f_data_reduce(S_data, X)` reduction operator and
-//!   its memory model (Eqs. 1–2),
-//! * [`stats`] — descriptive statistics and data subsetting (§5.2.4),
+//! * [`downsample`] — the `f_data_reduce(S_data, X)` reduction operator
+//!   (Eq. 1),
+//! * [`stats`] — descriptive statistics of a block (§5.2.4),
 //! * [`mesh`] — triangle meshes with size accounting for the data-movement
 //!   bookkeeping (Figs. 8, 11).
 //!
@@ -26,12 +26,10 @@ pub mod mesh;
 pub mod reference;
 pub mod stats;
 
-pub use downsample::{
-    downsample_fab, downsample_level, downsample_region, reduced_bytes, reduction_memory,
-};
+pub use downsample::{downsample_fab, downsample_region};
 pub use entropy::{block_entropy, block_entropy_scratch, factors_from_entropy, level_entropies};
 pub use marching_cubes::{
     extract_block, extract_level, extract_payload_into, merge_surfaces, GridSurface,
 };
 pub use mesh::TriMesh;
-pub use stats::{level_stats, subset, BlockStats, Histogram};
+pub use stats::BlockStats;

@@ -374,8 +374,8 @@ pub struct NativeWorkflow<S: LevelSolver> {
     staging: Arc<dyn Staging>,
     /// The asynchronous put pipeline into `staging`.
     stager: AsyncStager,
-    /// `staging` as the in-process space, when it is one (tier hints and
-    /// the engine's forced pressure verdict).
+    /// `staging` as the in-process space, when it is one (the engine's
+    /// forced pressure verdict).
     space: Option<Arc<DataSpace>>,
     /// `staging` as the cluster client, when it is one (per-shard
     /// pressure and retry counters).
@@ -399,16 +399,9 @@ pub struct NativeWorkflow<S: LevelSolver> {
 impl<S: LevelSolver> NativeWorkflow<S> {
     /// Build the workflow around an initialized simulation.
     pub fn new(sim: AmrSimulation<S>, cfg: NativeConfig) -> Self {
-        // The asynchronous transport into the staging side: puts from
-        // step() are enqueued and ingested by transfer threads while the
-        // next solve runs. Its 256-slot queue bounds how far the producer
-        // runs ahead of the *transfer* threads, in objects; it says nothing
-        // about the analysis side, whose job channel below is unbounded.
-        // What bounds the lead over analysis — and with it the versions
-        // resident in staging — is `InFlight::admit` in step(). With
-        // cfg.remote set the same threads speak the wire protocol to the
-        // staging service or cluster.
-        let threads = cfg.staging_servers.max(1);
+        // With cfg.remote set the transfer threads speak the wire protocol
+        // to the staging service or cluster; without it they stage in
+        // process.
         let cluster = connect_remote(&cfg);
         let (backend, space): (Arc<dyn Staging>, _) = match &cluster {
             Some(client) => (Arc::new(client.clone()), None),
@@ -417,6 +410,26 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 (space.clone(), Some(space))
             }
         };
+        Self::over(sim, cfg, backend, space, cluster)
+    }
+
+    /// The workflow staging into `backend`, which `space` or `cluster` is
+    /// when it is one of those.
+    fn over(
+        sim: AmrSimulation<S>,
+        cfg: NativeConfig,
+        backend: Arc<dyn Staging>,
+        space: Option<Arc<DataSpace>>,
+        cluster: Option<ShardedClient>,
+    ) -> Self {
+        // The asynchronous transport into the staging side: puts from
+        // step() are enqueued and ingested by transfer threads while the
+        // next solve runs. Its 256-slot queue bounds how far the producer
+        // runs ahead of the *transfer* threads, in objects; it says nothing
+        // about the analysis side, whose job channel below is unbounded.
+        // What bounds the lead over analysis — and with it the versions
+        // resident in staging — is `InFlight::admit` in step().
+        let threads = cfg.staging_servers.max(1);
         let staging = Arc::new(CoarsenOnDemand(backend));
         let stager = AsyncStager::new(Arc::clone(&staging), threads, 256);
         let staging: Arc<dyn Staging> = staging;
@@ -629,8 +642,8 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         };
         let adaptations = self.engine.adapt(&state);
         // Forward the pressure verdict to the local tier: the engine's
-        // cross-layer choice overrides the servers' hint-driven default
-        // until the next sampling point (None restores it).
+        // cross-layer choice overrides the servers' spill-then-reject
+        // default until the next sampling point (None restores it).
         if self.cfg.engine.enable_pressure {
             if let Some(space) = &self.space {
                 space.set_pressure_action(adaptations.pressure.map(|p| match p.action {
@@ -659,7 +672,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 let t0 = Instant::now();
                 let mut total = TriMesh::new();
                 for l in 0..self.sim.hierarchy.num_levels() {
-                    let dx = 1.0 / self.sim.hierarchy.ref_ratio().pow(l as u32) as f64;
+                    let dx = self.sim.dx(l);
                     let surfaces = extract_level(
                         self.sim.hierarchy.level(l),
                         self.cfg.comp,
@@ -697,7 +710,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 // the split is a modeled-scale mechanism.)
                 let mut tasks: Vec<StageTask> = Vec::new();
                 for l in 0..self.sim.hierarchy.num_levels() {
-                    let dx = 1.0 / self.sim.hierarchy.ref_ratio().pow(l as u32) as f64;
+                    let dx = self.sim.dx(l);
                     let level = self.sim.hierarchy.level(l);
                     let objects =
                         pack_level_objects(level, self.cfg.comp, "field", stats.step, factor, dx);
@@ -909,6 +922,11 @@ mod tests {
     }
 
     fn blob_sim(n: i64) -> AmrSimulation<AdvectDiffuseSolver> {
+        blob_sim_at(n, 1.0)
+    }
+
+    /// [`blob_sim`] at base-level spacing `base_dx`.
+    fn blob_sim_at(n: i64, base_dx: f64) -> AmrSimulation<AdvectDiffuseSolver> {
         let domain = ProblemDomain::periodic(IBox::cube(n));
         let solver = AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.0, 0.0]), 0.0, n);
         let mut sim = AmrSimulation::new(
@@ -922,6 +940,7 @@ mod tests {
             DriverConfig {
                 tag_threshold: 0.02,
                 regrid_interval: 3,
+                base_dx,
                 ..Default::default()
             },
         );
@@ -932,6 +951,67 @@ mod tests {
         .init_hierarchy(&mut sim.hierarchy);
         sim.regrid_now();
         sim
+    }
+
+    /// A space that records the descriptor of every object put into it.
+    struct Recording {
+        space: DataSpace,
+        puts: Mutex<Vec<xlayer_staging::ObjectDesc>>,
+    }
+
+    impl Staging for Recording {
+        fn put(&self, obj: Arc<DataObject>) -> PutVerdict {
+            self.puts.lock().push(obj.desc.clone());
+            Staging::put(&self.space, obj)
+        }
+
+        fn get(
+            &self,
+            name: &str,
+            version: u64,
+            query: Option<&IBox>,
+            crossing: Option<f64>,
+        ) -> Vec<Arc<DataObject>> {
+            Staging::get(&self.space, name, version, query, crossing)
+        }
+
+        fn evict_before(&self, name: &str, min_version: u64) -> u64 {
+            Staging::evict_before(&self.space, name, min_version)
+        }
+
+        fn headroom(&self) -> (u64, u64) {
+            Staging::headroom(&self.space)
+        }
+    }
+
+    #[test]
+    fn staged_objects_carry_each_levels_physical_spacing() {
+        let base_dx = 1.0 / 16.0;
+        let recording = Arc::new(Recording {
+            space: DataSpace::new(1, 1 << 30, Sharding::BboxHash),
+            puts: Mutex::default(),
+        });
+        let cfg = NativeConfig {
+            placement_override: Some(Placement::InTransit),
+            ..Default::default()
+        };
+        let mut wf =
+            NativeWorkflow::over(blob_sim_at(16, base_dx), cfg, recording.clone(), None, None);
+        wf.step();
+        let h = &wf.sim.hierarchy;
+        assert!(h.num_levels() > 1, "the blob must refine");
+        let spacing: Vec<f64> = (0..h.num_levels())
+            .map(|l| base_dx / h.ref_ratio().pow(l as u32) as f64)
+            .collect();
+        let grids: Vec<usize> = (0..h.num_levels()).map(|l| h.level(l).len()).collect();
+        wf.finish();
+        let puts = recording.puts.lock();
+        let staged: Vec<usize> = spacing
+            .iter()
+            .map(|dx| puts.iter().filter(|d| d.dx == *dx).count())
+            .collect();
+        assert_eq!(staged, grids, "objects staged per level at base_dx / r^l");
+        assert_eq!(puts.len(), grids.iter().sum::<usize>());
     }
 
     #[test]
@@ -1178,15 +1258,12 @@ mod tests {
     fn needs_reduction_coarsens_and_retries() {
         use std::sync::atomic::Ordering;
         use xlayer_net::service::{ServiceConfig, StagingService};
-        use xlayer_staging::{ObjectHints, Persistence};
-        // Reducible hints force the tier's downsample verdict on a space far
-        // too small for one full-resolution object; the coarsened retry
-        // must land instead of the step's objects being dropped. Same
-        // contract in process and across the wire.
-        let reducible = ObjectHints {
-            persistence: Persistence::Reducible { factor: 2 },
-            deadline: None,
-        };
+        // A forced downsample verdict on a space far too small for one
+        // full-resolution object: the coarsened retry must land instead of
+        // the step's objects being dropped. Same contract in process and
+        // across the wire. The engine's pressure policy stays off (the
+        // default), so nothing overwrites the forced verdict.
+        let reducible = Some(SpillAction::Downsample { factor: 2 });
         let memory = 4 << 10;
         let run = |disk_dir: Option<std::path::PathBuf>, remote: Option<String>| {
             let cfg = NativeConfig {
@@ -1200,7 +1277,7 @@ mod tests {
             };
             let mut wf = NativeWorkflow::new(blob_sim(16), cfg);
             if let Some(space) = wf.space() {
-                space.set_hints("field", reducible);
+                space.set_pressure_action(reducible);
             }
             wf.step();
             let transport = wf.transport_stats().expect("transport running");
@@ -1227,7 +1304,7 @@ mod tests {
             ..Default::default()
         })
         .expect("tiered service starts");
-        svc.space().set_hints("field", reducible);
+        svc.space().set_pressure_action(reducible);
         run(None, Some(svc.local_addr().to_string()));
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

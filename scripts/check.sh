@@ -204,6 +204,21 @@ for f in $(find crates/*/src src tests examples -name '*.rs' | sort); do
 done
 [ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: xbench's load generator deleted)"; exit 1; }
 
+echo "==> one author for the pressure verdict, no product code only tests run (grep gate)"
+# A disk tier's spill/downsample/reject verdict is the adaptation engine's
+# forced action or the spill-then-reject default: there is no per-variable
+# persistence class beside it. The event engine and resource pool the
+# modeled mode never ran, the server's op counters and the Monitor's two
+# predictors are deleted, and none of their names may come back anywhere
+# (test code included) in the crates, the facade, the integration tests or
+# the examples. The viz operators no workflow called are deleted from
+# crates/viz (core::policy::app keeps its own `reduced_bytes` and
+# `reduction_memory`, the policy's volumetric model).
+gate=0
+if grep -rnE 'EventQueue|ResourcePool|Persistence|op_counts|smoothed_sim_time|data_growth_rate' crates src tests examples; then gate=1; fi
+if grep -rnE 'Histogram|SubsetCell|level_stats|downsample_level|reduced_bytes|reduction_memory' crates/viz; then gate=1; fi
+[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one author for the pressure verdict)"; exit 1; }
+
 echo "==> xmark A/B arithmetic self-test (scripts/xmark_ab.sh --self-test)"
 ./scripts/xmark_ab.sh --self-test
 
