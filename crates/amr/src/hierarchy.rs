@@ -280,28 +280,13 @@ impl AmrHierarchy {
     pub fn fill_ghosts(&mut self) -> u64 {
         let mut moved = 0;
         for l in 0..self.levels.len() {
-            moved += self.fill_level_ghosts(l);
+            moved += self.levels[l].exchange();
+            if l > 0 {
+                let (coarse, fine) = split_pair(&mut self.levels, l - 1, l);
+                interpolate_ghosts_from_coarse(coarse, fine, self.config.ref_ratio);
+            }
         }
         moved
-    }
-
-    /// Fill one level's ghosts (same-level exchange + coarse-fine
-    /// interpolation) — the per-level operation subcycled time stepping
-    /// needs between fine sub-steps. Returns cross-rank bytes moved.
-    pub fn fill_level_ghosts(&mut self, l: usize) -> u64 {
-        let moved = self.levels[l].exchange();
-        if l > 0 {
-            let (coarse, fine) = split_pair(&mut self.levels, l - 1, l);
-            interpolate_ghosts_from_coarse(coarse, fine, self.config.ref_ratio);
-        }
-        moved
-    }
-
-    /// Conservatively average level `l + 1` down onto level `l` only.
-    pub fn average_down_level(&mut self, l: usize) {
-        assert!(l + 1 < self.levels.len());
-        let (coarse, fine) = split_pair(&mut self.levels, l, l + 1);
-        average_to_coarse(fine, coarse, self.config.ref_ratio);
     }
 
     /// The sum of `comp` over the composite grid: coarse cells covered by a

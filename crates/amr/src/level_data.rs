@@ -134,12 +134,6 @@ impl LevelData {
     /// Apply `f(grid_index, valid_box, fab)` to every grid in parallel,
     /// collecting each grid's result in grid order.
     ///
-    /// This is the indexed parallel fab access behind the solvers'
-    /// flux-capturing advance: each grid's kernel returns a value (its
-    /// face-flux fabs) that the caller keeps, so the serial
-    /// `for i in 0..len` walk of the capture path parallelizes exactly
-    /// like [`Self::par_for_each_mut`] without giving up the results.
-    ///
     /// Grids are handed to the pool largest first: a refined level mixes
     /// grids of a few hundred and a hundred thousand cells, and the big one
     /// claimed last would leave every other thread idle behind it.

@@ -25,7 +25,6 @@ mod coarse_fine;
 pub mod copier;
 pub mod domain;
 pub mod fab;
-pub mod flux_register;
 pub mod hierarchy;
 pub mod intvect;
 pub mod layout;
@@ -38,7 +37,6 @@ pub use boxes::IBox;
 pub use copier::ExchangeCopier;
 pub use domain::ProblemDomain;
 pub use fab::Fab;
-pub use flux_register::FluxRegister;
 pub use hierarchy::{AmrHierarchy, HierarchyConfig};
 pub use intvect::{IntVect, DIM};
 pub use layout::BoxLayout;

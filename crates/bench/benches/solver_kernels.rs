@@ -8,7 +8,7 @@ use xlayer_amr::layout::BoxLayout;
 use xlayer_amr::level_data::LevelData;
 use xlayer_amr::IBox;
 use xlayer_solvers::euler::{hllc_flux, EulerSolver, Primitive};
-use xlayer_solvers::{reference, scratch, AdvectDiffuseSolver, LevelSolver, VelocityField};
+use xlayer_solvers::{AdvectDiffuseSolver, LevelSolver, VelocityField};
 
 fn euler_level_32c_64box() -> (EulerSolver, LevelData) {
     let solver = EulerSolver::default();
@@ -87,46 +87,6 @@ fn bench_solvers(c: &mut Criterion) {
         b.iter(|| {
             ld.exchange();
             solver.advance_level(&mut ld, 1.0, 0.05)
-        })
-    });
-
-    // The sweep-structured kernel vs the per-cell reference on one
-    // ghost-filled 8³ grid: the isolated cost of cached primitives, slopes,
-    // and predicted face states vs re-deriving them per face. Flux fabs go
-    // back through the scratch pool, as in the real level step.
-    c.bench_function("euler_sweep_kernel_32c_64box", |b| {
-        let (solver, mut ld) = euler_level_32c_64box();
-        ld.exchange();
-        let valid = ld.valid_box(0);
-        let old = ld.fab(0).clone();
-        b.iter(|| {
-            for f in solver.grid_fluxes(black_box(&old), &valid, 0.05, solver.gamma) {
-                scratch::recycle_fab(f);
-            }
-        })
-    });
-
-    c.bench_function("euler_reference_kernel_32c_64box", |b| {
-        let (solver, mut ld) = euler_level_32c_64box();
-        ld.exchange();
-        let valid = ld.valid_box(0);
-        let old = ld.fab(0).clone();
-        b.iter(|| {
-            for f in
-                reference::euler_grid_fluxes(&solver, black_box(&old), &valid, 0.05, solver.gamma)
-            {
-                scratch::recycle_fab(f);
-            }
-        })
-    });
-
-    // The refluxing variant: same sweep, but every grid's flux fabs are
-    // collected (in grid order) for coarse–fine flux correction.
-    c.bench_function("euler_capture_level_step_32c_64box_periodic", |b| {
-        let (solver, mut ld) = euler_level_32c_64box();
-        b.iter(|| {
-            ld.exchange();
-            solver.advance_level_capture(&mut ld, 1.0, 0.05)
         })
     });
 

@@ -1,12 +1,11 @@
-//! Micro-benchmarks of the later substrate additions: flux registers,
-//! descriptive statistics, plotfile I/O and the staging bucket index.
+//! Micro-benchmarks of the later substrate additions: descriptive
+//! statistics, plotfile I/O and the staging bucket index.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xlayer_amr::hierarchy::{AmrHierarchy, HierarchyConfig};
-use xlayer_amr::layout::Grid;
 use xlayer_amr::plotfile::{read_plotfile, write_plotfile};
 use xlayer_amr::tagging::IntVectSet;
-use xlayer_amr::{BoxLayout, Fab, FluxRegister, IBox, IntVect, ProblemDomain};
+use xlayer_amr::{Fab, IBox, IntVect, ProblemDomain};
 use xlayer_viz::stats::BlockStats;
 
 fn hierarchy_2level() -> AmrHierarchy {
@@ -27,41 +26,6 @@ fn hierarchy_2level() -> AmrHierarchy {
 }
 
 fn bench_extras(c: &mut Criterion) {
-    c.bench_function("flux_register_build", |b| {
-        let layout = BoxLayout::new(
-            vec![Grid {
-                bx: IBox::new(IntVect::splat(8), IntVect::splat(23)),
-                rank: 0,
-            }],
-            1,
-        );
-        b.iter(|| FluxRegister::new(&layout, 2, 5))
-    });
-
-    c.bench_function("flux_register_cycle", |b| {
-        let layout = BoxLayout::new(
-            vec![Grid {
-                bx: IBox::new(IntVect::splat(8), IntVect::splat(23)),
-                rank: 0,
-            }],
-            1,
-        );
-        let mut reg = FluxRegister::new(&layout, 2, 1);
-        let cflux = Fab::filled(IBox::cube(33), 1, 1.0);
-        let fflux = Fab::filled(IBox::cube(34).grow(2), 1, 1.0);
-        let domain = ProblemDomain::new(IBox::cube(16));
-        let coarse_layout = BoxLayout::decompose(&domain, 16, 1);
-        let mut coarse = xlayer_amr::LevelData::new(coarse_layout, domain, 1, 0);
-        b.iter(|| {
-            reg.set_to_zero();
-            for d in 0..3 {
-                reg.increment_coarse(&cflux, d);
-                reg.increment_fine(&fflux, d);
-            }
-            reg.reflux(&mut coarse, 0.1);
-        })
-    });
-
     c.bench_function("block_stats_32c", |b| {
         let fab = Fab::filled(IBox::cube(32), 1, 1.5);
         b.iter(|| BlockStats::compute(&fab, 0, &IBox::cube(32)))

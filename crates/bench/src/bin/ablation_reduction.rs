@@ -50,8 +50,6 @@ fn main() {
             regrid_interval: 2,
             tag_threshold: 0.04,
             base_dx: 1.0,
-            subcycle: false,
-            reflux: false,
         },
     );
     let problem = GasProblem::Blast {

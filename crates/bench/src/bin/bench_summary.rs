@@ -7,9 +7,9 @@
 //! `BENCH_native_hotpath.json` — one ns/iter figure per bench plus derived
 //! speedups — so CI and later sessions can diff kernel performance
 //! without parsing bench output. Only kernels are timed here: each pair
-//! isolates one restructuring (cached exchange plan, sweep-structured
-//! Euler, flat viz kernels, exact-capacity concat, classify-first marching
-//! cubes off the staged bytes) against its retained reference. Everything
+//! isolates one restructuring (cached exchange plan, flat viz kernels,
+//! exact-capacity concat, classify-first marching cubes off the staged
+//! bytes) against its retained reference. Everything
 //! a staged byte passes through — pack, transport, wire, service, disk
 //! tier, the coupled pipeline's overlap — is measured end to end and per
 //! layer by `xmark` (`benchmark/`, `BENCHMARK.json`).
@@ -27,7 +27,6 @@ use xlayer_bench::{
     advect_version_objects, render_summary, EXPECTED_BENCH_KEYS, EXPECTED_DERIVED_KEYS,
 };
 use xlayer_solvers::euler::{EulerSolver, Primitive};
-use xlayer_solvers::reference::euler_grid_fluxes;
 use xlayer_solvers::{AdvectDiffuseSolver, LevelSolver, VelocityField};
 use xlayer_viz::downsample::{downsample_region, reconstruction_mse};
 use xlayer_viz::entropy::{block_entropy, level_entropies};
@@ -166,37 +165,7 @@ fn main() {
         });
     }
 
-    // Sweep-structured Euler kernel vs the per-cell reference on one
-    // ghost-filled 8³ grid of the level above — the acceptance measurement
-    // for the cached-primitives/slopes restructuring. Flux fabs are
-    // recycled through the scratch pool exactly as the level step does.
-    {
-        let (solver, mut ld) = euler_level(32, 8);
-        ld.exchange();
-        let valid = ld.valid_box(0);
-        let old = ld.fab(0).clone();
-        run("euler_sweep_kernel_32c_64box", &mut || {
-            for f in solver.grid_fluxes(&old, &valid, 0.05, solver.gamma) {
-                xlayer_solvers::scratch::recycle_fab(f);
-            }
-        });
-        run("euler_reference_kernel_32c_64box", &mut || {
-            for f in euler_grid_fluxes(&solver, &old, &valid, 0.05, solver.gamma) {
-                xlayer_solvers::scratch::recycle_fab(f);
-            }
-        });
-    }
-
-    // The refluxing variant of the level step (captures per-grid flux fabs
-    // for coarse–fine correction) and the CFL wave-speed reduction, both
-    // parallel over grids.
-    {
-        let (solver, mut ld) = euler_level(32, 8);
-        run("euler_capture_level_step_32c_64box_periodic", &mut || {
-            ld.exchange();
-            let _ = solver.advance_level_capture(&mut ld, 1.0, 0.05);
-        });
-    }
+    // The CFL wave-speed reduction, parallel over grids.
     {
         let (solver, ld) = euler_level(32, 8);
         run("euler_max_wave_speed_32c_64box_periodic", &mut || {
@@ -330,10 +299,6 @@ fn main() {
             "exchange_cached_speedup",
             ns_of("exchange_32c_64box_periodic_uncached")
                 / ns_of("exchange_32c_64box_periodic_cached"),
-        ),
-        (
-            "euler_sweep_speedup",
-            ns_of("euler_reference_kernel_32c_64box") / ns_of("euler_sweep_kernel_32c_64box"),
         ),
         (
             "downsample_flat_speedup",

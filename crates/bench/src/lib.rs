@@ -34,9 +34,6 @@ pub const EXPECTED_BENCH_KEYS: &[&str] = &[
     "euler_level_step_32c_64box_periodic",
     "advect_level_step_32c_64box_periodic",
     "advect_level_step_128c_64box_periodic",
-    "euler_sweep_kernel_32c_64box",
-    "euler_reference_kernel_32c_64box",
-    "euler_capture_level_step_32c_64box_periodic",
     "euler_max_wave_speed_32c_64box_periodic",
     "downsample_flat_64c_x4",
     "downsample_reference_64c_x4",
@@ -55,7 +52,6 @@ pub const EXPECTED_BENCH_KEYS: &[&str] = &[
 /// The derived ratios `bench_summary` writes under `"derived"`.
 pub const EXPECTED_DERIVED_KEYS: &[&str] = &[
     "exchange_cached_speedup",
-    "euler_sweep_speedup",
     "downsample_flat_speedup",
     "mse_flat_speedup",
     "entropy_flat_speedup",
@@ -238,8 +234,6 @@ pub fn euler_trace(n: i64, max_levels: usize, steps: u64) -> Trace {
             regrid_interval: 2,
             tag_threshold: 0.04,
             base_dx: 1.0,
-            subcycle: false,
-            reflux: false,
         },
     );
     let problem = GasProblem::Blast {
@@ -391,8 +385,8 @@ mod tests {
 
     #[test]
     fn schema_is_kernels_only() {
-        assert_eq!(EXPECTED_BENCH_KEYS.len(), 22);
-        assert_eq!(EXPECTED_DERIVED_KEYS.len(), 8);
+        assert_eq!(EXPECTED_BENCH_KEYS.len(), 19);
+        assert_eq!(EXPECTED_DERIVED_KEYS.len(), 7);
         for key in EXPECTED_BENCH_KEYS.iter().chain(EXPECTED_DERIVED_KEYS) {
             for layer in ["net_", "staging_", "xbench_", "native_pipeline"] {
                 assert!(!key.starts_with(layer), "{key} belongs to xmark");

@@ -21,8 +21,9 @@
 //!
 //! Degradation contract: a full shard answers a put with the typed
 //! `OutOfMemory` policy signal. The client first *spills* the object to
-//! sibling shards in ascending order (the same overflow rule as the
-//! in-process `DataSpace`); only when every shard is full does the error
+//! the sibling shards in ascending shard order (the in-process `DataSpace`
+//! orders its overflow differently: least-loaded server first); only when
+//! every shard is full does the error
 //! surface — tagged with the shard that owned the object — so the
 //! workflow can fall back per-object instead of failing the step. A
 //! transport-dead shard, by contrast, is never spilled around: its typed
@@ -150,9 +151,10 @@ impl ShardedClient {
     }
 
     /// Store one object on its home shard; returns the shard it landed
-    /// on. On `OutOfMemory` the put spills to sibling shards in ascending
-    /// order (mirroring the in-process `DataSpace` overflow rule) and the
-    /// typed error — tagged with the owning shard — surfaces only when
+    /// on. On `OutOfMemory` the put spills to the sibling shards in
+    /// ascending shard order — the client knows no shard's load, unlike
+    /// `DataSpace::put`, which tries its least-loaded server first — and
+    /// the typed error, tagged with the owning shard, surfaces only when
     /// the whole cluster is full. Transport failures never spill: a dead
     /// shard must be visible, not silently remapped.
     pub fn put(&self, obj: &DataObject) -> Result<usize, ShardedError> {

@@ -89,7 +89,7 @@ impl Default for ServiceConfig {
 /// surfaced to clients through the `Stats` opcode.
 #[derive(Debug, Default)]
 pub struct ServiceStats {
-    /// `Put` requests served (accepted and rejected).
+    /// `Put` and `PutChunked` requests served (accepted and rejected).
     pub puts: AtomicU64,
     /// `GetChunked` requests served.
     pub gets: AtomicU64,

@@ -595,7 +595,7 @@ impl Request {
 /// response.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
-    /// `Put` requests served (including rejected ones).
+    /// `Put` and `PutChunked` requests served (including rejected ones).
     pub puts: u64,
     /// `GetChunked` requests served.
     pub gets: u64,

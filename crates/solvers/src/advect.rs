@@ -3,7 +3,7 @@
 //! (§5.1), used for the middleware-layer and cross-layer experiments
 //! (Figs. 7, 8, 10, 11, Table 2).
 
-use crate::level_solver::{LevelFluxes, LevelSolver};
+use crate::level_solver::LevelSolver;
 use crate::scratch;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
@@ -108,9 +108,8 @@ impl AdvectDiffuseSolver {
     /// values `u_lo` and `u_hi`: upwind advective, plus the centered
     /// diffusive part on a `diffusive` face. Where a side is missing
     /// (physical boundary) the caller passes the other side's value twice
-    /// and `diffusive == false` — zero gradient. The only definition:
-    /// [`Self::grid_fluxes`] and the fused walk of `advance_level` both
-    /// come through here.
+    /// and `diffusive == false` — zero gradient. The only definition: every
+    /// face of the fused walk of `advance_level` comes through here.
     #[inline(always)]
     fn face_flux(&self, v: f64, u_lo: f64, u_hi: f64, diffusive: bool, dx: f64) -> f64 {
         let mut f = if v >= 0.0 { v * u_lo } else { v * u_hi };
@@ -195,44 +194,6 @@ impl AdvectDiffuseSolver {
         }
     }
 
-    /// Face fluxes for one grid: `flux[d]` at `iv` holds the upwind
-    /// advective plus diffusive flux through the face between `iv - e_d`
-    /// and `iv` (the flux-register convention).
-    ///
-    /// Row-structured: both upwind states stream from flat row offsets into
-    /// `old`, the normal velocities come from one (x, y) table per
-    /// direction, and the flux rows are written contiguously. Bit-identical
-    /// to [`crate::reference::advect_grid_fluxes`] (same expressions on the
-    /// same values, evaluated in the same order); property tests pin the
-    /// equivalence.
-    pub fn grid_fluxes(&self, old: &Fab, valid: &IBox, dx: f64) -> [Fab; DIM] {
-        let avail = old.ibox();
-        let src = old.as_slice();
-        std::array::from_fn(|d| {
-            let mut hi = valid.hi();
-            hi[d] += 1;
-            let fbox = IBox::new(valid.lo(), hi);
-            let vel = self
-                .velocity
-                .face_normal_table(d, valid, scratch::take_buffer());
-            let mut flux = scratch::take_fab(fbox, 1);
-            let nx = fbox.size()[0] as usize;
-            // Table row `j` serves every z: the velocity does not vary
-            // along it.
-            for (row, out) in rows_of(&fbox).zip(flux.as_mut_slice().chunks_exact_mut(nx)) {
-                let j = (row[1] - fbox.lo()[1]) as usize;
-                let v = &vel[j * nx..(j + 1) * nx];
-                if d == 0 {
-                    self.x_face_row(src, &avail, row, v, dx, out);
-                } else {
-                    self.cross_face_row(src, &avail, d, row, v, dx, out);
-                }
-            }
-            scratch::recycle_buffer(vel);
-            flux
-        })
-    }
-
     /// One grid's step with fluxes that never leave it: a single walk over
     /// the rows of `valid`, in place. Each face's flux is still evaluated
     /// exactly once, from the old state — row (y, z) is read for the last
@@ -241,8 +202,10 @@ impl AdvectDiffuseSolver {
     /// the buffered fluxes: the x-faces of the current row, the y-faces
     /// below and above it (two rows, swapped), the z-faces below and above
     /// the current plane (two planes, swapped). No snapshot of the old
-    /// state, no flux fab. The update is `apply_fluxes`' expression on the
-    /// same flux values, so every bit of the fab matches the captured path.
+    /// state, no flux fab. Bit-identical to the per-face reference
+    /// [`crate::reference::advect_advance_level`] (same expressions on the
+    /// same flux values, summed in the same order); the level-step pins in
+    /// `tests/sweep_equivalence.rs` hold it there.
     fn advance_grid(&self, valid: &IBox, fab: &mut Fab, dx: f64, dtdx: f64) {
         let avail = fab.ibox();
         let (lo, hi) = (valid.lo(), valid.hi());
@@ -302,34 +265,6 @@ impl AdvectDiffuseSolver {
             scratch::recycle_buffer(buf);
         }
     }
-
-    /// Conservative update from face fluxes, as row walks: one offset per
-    /// row for the state and each flux fab, the per-cell expression and its
-    /// evaluation order those of the per-cell form.
-    fn apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64) {
-        let nx = valid.size()[0] as usize;
-        for row in rows_of(valid) {
-            let lo: [usize; DIM] = std::array::from_fn(|d| fluxes[d].cell_offset(row));
-            let hi: [usize; DIM] =
-                std::array::from_fn(|d| fluxes[d].cell_offset(row + IntVect::basis(d)));
-            let o = fab.cell_offset(row);
-            for (i, u) in fab.as_mut_slice()[o..o + nx].iter_mut().enumerate() {
-                let mut du = 0.0;
-                for (d, flux) in fluxes.iter().enumerate() {
-                    let f = flux.as_slice();
-                    du -= dtdx * (f[hi[d] + i] - f[lo[d] + i]);
-                }
-                *u += du;
-            }
-        }
-    }
-}
-
-/// The first cell of every x-row of `bx`, in storage order (y fastest, then
-/// z).
-fn rows_of(bx: &IBox) -> impl Iterator<Item = IntVect> {
-    let (lo, hi) = (bx.lo(), bx.hi());
-    (lo[2]..=hi[2]).flat_map(move |z| (lo[1]..=hi[1]).map(move |y| IntVect::new(lo[0], y, z)))
 }
 
 impl LevelSolver for AdvectDiffuseSolver {
@@ -360,19 +295,6 @@ impl LevelSolver for AdvectDiffuseSolver {
         // and plane buffers come from the per-worker scratch pool: after
         // the first grid, a step allocates nothing.
         data.par_for_each_mut(|_, valid, fab| self.advance_grid(&valid, fab, dx, dtdx));
-    }
-
-    fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
-        let dtdx = dt / dx;
-        // Grids are independent; the indexed parallel map collects each
-        // grid's flux fabs in grid order for the refluxing caller. All of a
-        // grid's fluxes exist before its first cell changes, so the old
-        // state needs no snapshot.
-        Some(data.par_map_mut(|_, valid, fab| {
-            let fluxes = self.grid_fluxes(fab, &valid, dx);
-            Self::apply_fluxes(&valid, fab, &fluxes, dtdx);
-            fluxes
-        }))
     }
 
     fn tag_cells(&self, data: &LevelData, threshold: f64) -> IntVectSet {

@@ -2,10 +2,10 @@
 //! [`AmrHierarchy`], producing exactly the per-step observables the
 //! adaptation runtime monitors (step wall time, data volume, memory).
 //!
-//! Two time-stepping modes are provided: lock-step (every level advances
-//! with the global, finest-limited dt) and Berger–Oliger subcycling
-//! (Chombo's mode: level `l` takes `r^l` sub-steps of `dt/r^l`, so fine
-//! levels do proportionally more work — the paper's compute/data dynamics).
+//! Time stepping is lock-step: every level advances with the global,
+//! finest-limited dt, then the fine levels are averaged down onto the
+//! coarse ones. Coarse–fine fluxes are not refluxed, so the composite sum
+//! drifts at O(dt) per boundary crossing.
 
 use crate::level_solver::LevelSolver;
 use xlayer_amr::hierarchy::{AmrHierarchy, HierarchyConfig};
@@ -22,7 +22,7 @@ pub struct StepStats {
     pub time: f64,
     /// Time step taken.
     pub dt: f64,
-    /// Total composite-grid cells advanced.
+    /// Cells advanced: every level's cells, each level once per step.
     pub cells_advanced: u64,
     /// Bytes moved between ranks by ghost exchanges.
     pub exchange_bytes: u64,
@@ -46,15 +46,6 @@ pub struct DriverConfig {
     pub tag_threshold: f64,
     /// Base-level grid spacing.
     pub base_dx: f64,
-    /// Berger–Oliger subcycling: level `l` takes `ref_ratio` sub-steps of
-    /// `dt / ref_ratio^l` per coarse step. When false, every level advances
-    /// with the global (finest-limited) time step.
-    pub subcycle: bool,
-    /// Conservative refluxing at coarse–fine boundaries (lock-step mode
-    /// only): coarse cells bordering a fine level are corrected with the
-    /// averaged fine fluxes, making the composite update exactly
-    /// conservative.
-    pub reflux: bool,
 }
 
 impl Default for DriverConfig {
@@ -64,8 +55,6 @@ impl Default for DriverConfig {
             regrid_interval: 4,
             tag_threshold: 0.05,
             base_dx: 1.0,
-            subcycle: false,
-            reflux: false,
         }
     }
 }
@@ -163,93 +152,6 @@ impl<S: LevelSolver> AmrSimulation<S> {
         self.hierarchy.regrid(&tags);
     }
 
-    /// The stable *coarse-level* time step for subcycled stepping: each
-    /// level `l` then takes sub-steps of `dt0 / r^l`, so the binding
-    /// constraint is `min_l (cfl · dx_l / s_l) · r^l`.
-    pub fn compute_dt_subcycled(&self) -> f64 {
-        let r = self.hierarchy.ref_ratio();
-        let mut dt = f64::INFINITY;
-        for l in 0..self.hierarchy.num_levels() {
-            let dx = self.dx(l);
-            let s = self.solver.max_wave_speed(self.hierarchy.level(l));
-            let scale = r.pow(l as u32) as f64;
-            if s > 0.0 {
-                dt = dt.min(self.config.cfl * dx / s * scale);
-            }
-            dt = dt.min(self.solver.max_dt(dx) * scale);
-        }
-        if dt.is_finite() {
-            dt
-        } else {
-            self.config.base_dx * self.config.cfl
-        }
-    }
-
-    /// Advance level `l` by `dt`, recursing into `r` sub-steps of the next
-    /// finer level, then averaging it back down (Berger–Oliger).
-    /// With refluxing enabled, time-weighted flux defects are accumulated
-    /// per level pair (`D = Σ dt_f ⟨F_f⟩ − dt_c F_c`) and applied with
-    /// scale `1/dx_c` after the fine sub-steps.
-    /// Returns (cells advanced incl. sub-steps, cross-rank bytes moved).
-    fn advance_level_recursive(
-        &mut self,
-        l: usize,
-        dt: f64,
-        parent_reg: Option<&mut xlayer_amr::FluxRegister>,
-    ) -> (u64, u64) {
-        let r = self.hierarchy.ref_ratio();
-        let nlev = self.hierarchy.num_levels();
-        let dx = self.dx(l);
-        let mut moved = self.hierarchy.fill_level_ghosts(l);
-
-        let need_fluxes = self.config.reflux && (parent_reg.is_some() || l + 1 < nlev);
-        let fluxes = if need_fluxes {
-            self.solver
-                .advance_level_capture(self.hierarchy.level_mut(l), dx, dt)
-        } else {
-            self.solver
-                .advance_level(self.hierarchy.level_mut(l), dx, dt);
-            None
-        };
-        if let (Some(reg), Some(fluxes)) = (parent_reg, fluxes.as_ref()) {
-            for grid_fluxes in fluxes {
-                for (d, flux) in grid_fluxes.iter().enumerate() {
-                    reg.increment_fine_scaled(flux, d, dt);
-                }
-            }
-        }
-        let mut cells = self.hierarchy.level(l).layout().total_cells();
-        if l + 1 < nlev {
-            let mut reg = if self.config.reflux {
-                let mut reg = xlayer_amr::FluxRegister::new(
-                    self.hierarchy.level(l + 1).layout(),
-                    r,
-                    self.solver.ncomp(),
-                );
-                if let Some(fluxes) = fluxes.as_ref() {
-                    for grid_fluxes in fluxes {
-                        for (d, flux) in grid_fluxes.iter().enumerate() {
-                            reg.increment_coarse_scaled(flux, d, dt);
-                        }
-                    }
-                }
-                Some(reg)
-            } else {
-                None
-            };
-            for _ in 0..r {
-                let (c, m) = self.advance_level_recursive(l + 1, dt / r as f64, reg.as_mut());
-                cells += c;
-                moved += m;
-            }
-            self.hierarchy.average_down_level(l);
-            if let Some(reg) = reg {
-                reg.reflux(self.hierarchy.level_mut(l), 1.0 / dx);
-            }
-        }
-        (cells, moved)
-    }
-
     /// The stable time step at the current state.
     pub fn compute_dt(&self) -> f64 {
         let mut dt = f64::INFINITY;
@@ -268,69 +170,20 @@ impl<S: LevelSolver> AmrSimulation<S> {
         }
     }
 
-    /// Advance one step: fill ghosts, advance every level (subcycled or
-    /// lock-step), average down, regrid on schedule. Returns the step's
-    /// observables.
+    /// Advance one step: fill ghosts, advance every level with the global
+    /// (finest-limited) time step, average down, regrid on schedule.
+    /// Returns the step's observables.
     pub fn advance(&mut self) -> StepStats {
-        let r = self.hierarchy.ref_ratio();
-        let (dt, mut cells, mut exchange_bytes);
-        if self.config.subcycle {
-            dt = self.compute_dt_subcycled();
-            let (c, m) = self.advance_level_recursive(0, dt, None);
-            cells = c;
-            exchange_bytes = m;
-        } else if self.config.reflux && self.hierarchy.num_levels() > 1 {
-            dt = self.compute_dt();
-            exchange_bytes = self.hierarchy.fill_ghosts();
-            cells = 0;
-            // Advance every level capturing its face fluxes, accumulate the
-            // coarse-fine flux defects, then correct the coarse cells.
-            let nlev = self.hierarchy.num_levels();
-            let mut registers: Vec<xlayer_amr::FluxRegister> = (0..nlev - 1)
-                .map(|l| {
-                    xlayer_amr::FluxRegister::new(
-                        self.hierarchy.level(l + 1).layout(),
-                        r,
-                        self.solver.ncomp(),
-                    )
-                })
-                .collect();
-            for l in 0..nlev {
-                let dx = self.dx(l);
-                cells += self.hierarchy.level(l).layout().total_cells();
-                let fluxes = self
-                    .solver
-                    .advance_level_capture(self.hierarchy.level_mut(l), dx, dt);
-                if let Some(fluxes) = fluxes {
-                    for grid_fluxes in &fluxes {
-                        for (d, flux) in grid_fluxes.iter().enumerate() {
-                            if l < nlev - 1 {
-                                registers[l].increment_coarse(flux, d);
-                            }
-                            if l > 0 {
-                                registers[l - 1].increment_fine(flux, d);
-                            }
-                        }
-                    }
-                }
-            }
-            self.hierarchy.average_down();
-            for l in (0..nlev - 1).rev() {
-                let dx = self.dx(l);
-                registers[l].reflux(self.hierarchy.level_mut(l), dt / dx);
-            }
-        } else {
-            dt = self.compute_dt();
-            exchange_bytes = self.hierarchy.fill_ghosts();
-            cells = 0;
-            for l in 0..self.hierarchy.num_levels() {
-                let dx = self.dx(l);
-                cells += self.hierarchy.level(l).layout().total_cells();
-                self.solver
-                    .advance_level(self.hierarchy.level_mut(l), dx, dt);
-            }
-            self.hierarchy.average_down();
+        let dt = self.compute_dt();
+        let mut exchange_bytes = self.hierarchy.fill_ghosts();
+        let mut cells = 0;
+        for l in 0..self.hierarchy.num_levels() {
+            let dx = self.dx(l);
+            cells += self.hierarchy.level(l).layout().total_cells();
+            self.solver
+                .advance_level(self.hierarchy.level_mut(l), dx, dt);
         }
+        self.hierarchy.average_down();
         self.step += 1;
         self.time += dt;
 
@@ -440,105 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn refluxing_makes_composite_advection_exactly_conservative() {
-        // A blob advecting across the coarse-fine boundary: without
-        // refluxing the composite mass drifts at O(dt) per boundary
-        // crossing; with refluxing it is conserved to machine precision.
-        let run = |reflux: bool| {
-            let domain = ProblemDomain::periodic(IBox::cube(16));
-            let solver =
-                AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.0, 0.0]), 0.0, 16);
-            let mut sim = AmrSimulation::new(
-                domain,
-                HierarchyConfig {
-                    max_levels: 2,
-                    base_max_box: 8,
-                    ..Default::default()
-                },
-                solver,
-                DriverConfig {
-                    tag_threshold: 0.02,
-                    regrid_interval: 0, // fixed grids isolate the flux error
-                    subcycle: false,
-                    reflux,
-                    ..Default::default()
-                },
-            );
-            ScalarProblem::Gaussian {
-                center: [8.0; 3],
-                sigma: 2.0,
-            }
-            .init_hierarchy(&mut sim.hierarchy);
-            sim.regrid_now();
-            ScalarProblem::Gaussian {
-                center: [8.0; 3],
-                sigma: 2.0,
-            }
-            .init_hierarchy(&mut sim.hierarchy);
-            sim.hierarchy.average_down();
-            let m0 = sim.hierarchy.composite_sum(0);
-            for _ in 0..6 {
-                sim.advance();
-            }
-            (sim.hierarchy.composite_sum(0) - m0).abs() / m0.abs().max(1e-300)
-        };
-        let drift_with = run(true);
-        let drift_without = run(false);
-        assert!(
-            drift_with < 1e-12,
-            "refluxed composite mass drifted by {drift_with:e}"
-        );
-        assert!(
-            drift_with < drift_without / 100.0,
-            "refluxing gained too little: {drift_with:e} vs {drift_without:e}"
-        );
-    }
-
-    #[test]
-    fn refluxing_conserves_euler_invariants() {
-        // Mass and energy of the refined blast stay conserved while the
-        // wave crosses the coarse-fine boundary (periodic domain).
-        use crate::euler::{ENERGY, RHO};
-        let domain = ProblemDomain::periodic(IBox::cube(16));
-        let mut sim = AmrSimulation::new(
-            domain,
-            HierarchyConfig {
-                max_levels: 2,
-                base_max_box: 8,
-                ..Default::default()
-            },
-            EulerSolver::default(),
-            DriverConfig {
-                cfl: 0.3,
-                regrid_interval: 0,
-                tag_threshold: 0.04,
-                base_dx: 1.0,
-                subcycle: false,
-                reflux: true,
-            },
-        );
-        let problem = GasProblem::Blast {
-            center: [8.0; 3],
-            radius: 3.0,
-            p_in: 10.0,
-            p_out: 0.1,
-        };
-        problem.init_hierarchy(&mut sim.hierarchy, 1.4);
-        sim.regrid_now();
-        problem.init_hierarchy(&mut sim.hierarchy, 1.4);
-        sim.hierarchy.average_down();
-        let m0 = sim.hierarchy.composite_sum(RHO);
-        let e0 = sim.hierarchy.composite_sum(ENERGY);
-        for _ in 0..4 {
-            sim.advance();
-        }
-        let m1 = sim.hierarchy.composite_sum(RHO);
-        let e1 = sim.hierarchy.composite_sum(ENERGY);
-        assert!((m1 - m0).abs() < 1e-10 * m0, "mass drifted {m0} -> {m1}");
-        assert!((e1 - e0).abs() < 1e-10 * e0, "energy drifted {e0} -> {e1}");
-    }
-
-    #[test]
     fn euler_blast_drives_memory_growth() {
         let domain = ProblemDomain::new(IBox::cube(16));
         let solver = EulerSolver::default();
@@ -556,8 +310,6 @@ mod tests {
                 regrid_interval: 2,
                 tag_threshold: 0.05,
                 base_dx: 1.0,
-                subcycle: false,
-                reflux: false,
             },
         );
         GasProblem::Blast {
@@ -594,149 +346,6 @@ mod tests {
             mem1.total()
         );
         assert_eq!(mem1.bytes_per_rank.len(), 4);
-    }
-
-    #[test]
-    fn subcycled_run_is_stable_and_conservative() {
-        let domain = ProblemDomain::periodic(IBox::cube(16));
-        let solver = AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.0, 0.0]), 0.0, 16);
-        let mut sim = AmrSimulation::new(
-            domain,
-            HierarchyConfig {
-                max_levels: 2,
-                base_max_box: 8,
-                ..Default::default()
-            },
-            solver,
-            DriverConfig {
-                tag_threshold: 0.02,
-                subcycle: true,
-                regrid_interval: 0,
-                ..Default::default()
-            },
-        );
-        ScalarProblem::Gaussian {
-            center: [8.0; 3],
-            sigma: 2.0,
-        }
-        .init_hierarchy(&mut sim.hierarchy);
-        sim.regrid_now();
-        ScalarProblem::Gaussian {
-            center: [8.0; 3],
-            sigma: 2.0,
-        }
-        .init_hierarchy(&mut sim.hierarchy);
-        sim.hierarchy.average_down();
-        let m0 = sim.hierarchy.composite_sum(0);
-        for _ in 0..3 {
-            let stats = sim.advance();
-            assert!(stats.dt > 0.0);
-        }
-        let m1 = sim.hierarchy.composite_sum(0);
-        assert!(
-            (m1 - m0).abs() < 0.03 * m0.abs().max(1e-30),
-            "subcycled composite mass drifted {m0} -> {m1}"
-        );
-        // solution stays bounded
-        assert!(sim.hierarchy.level(0).max(0) <= 1.5);
-        assert!(sim.hierarchy.level(0).min(0) >= -0.2);
-    }
-
-    #[test]
-    fn subcycled_refluxing_is_exactly_conservative() {
-        // The full Berger–Oliger combination: subcycled time stepping with
-        // time-weighted refluxing conserves the composite mass exactly.
-        let run = |reflux: bool| {
-            let domain = ProblemDomain::periodic(IBox::cube(16));
-            let solver =
-                AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.0, 0.0]), 0.0, 16);
-            let mut sim = AmrSimulation::new(
-                domain,
-                HierarchyConfig {
-                    max_levels: 2,
-                    base_max_box: 8,
-                    ..Default::default()
-                },
-                solver,
-                DriverConfig {
-                    tag_threshold: 0.02,
-                    regrid_interval: 0,
-                    subcycle: true,
-                    reflux,
-                    ..Default::default()
-                },
-            );
-            ScalarProblem::Gaussian {
-                center: [8.0; 3],
-                sigma: 2.0,
-            }
-            .init_hierarchy(&mut sim.hierarchy);
-            sim.regrid_now();
-            ScalarProblem::Gaussian {
-                center: [8.0; 3],
-                sigma: 2.0,
-            }
-            .init_hierarchy(&mut sim.hierarchy);
-            sim.hierarchy.average_down();
-            let m0 = sim.hierarchy.composite_sum(0);
-            for _ in 0..5 {
-                sim.advance();
-            }
-            (sim.hierarchy.composite_sum(0) - m0).abs() / m0.abs().max(1e-300)
-        };
-        let with = run(true);
-        let without = run(false);
-        assert!(with < 1e-12, "subcycled refluxed drift {with:e}");
-        assert!(
-            with < without / 100.0,
-            "gain too small: {with:e} vs {without:e}"
-        );
-    }
-
-    #[test]
-    fn subcycling_takes_larger_coarse_steps_and_counts_substeps() {
-        let build = |subcycle: bool| {
-            let domain = ProblemDomain::periodic(IBox::cube(16));
-            let solver =
-                AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.0, 0.0]), 0.0, 16);
-            let mut sim = AmrSimulation::new(
-                domain,
-                HierarchyConfig {
-                    max_levels: 2,
-                    base_max_box: 8,
-                    ..Default::default()
-                },
-                solver,
-                DriverConfig {
-                    tag_threshold: 0.02,
-                    subcycle,
-                    regrid_interval: 0,
-                    ..Default::default()
-                },
-            );
-            ScalarProblem::Gaussian {
-                center: [8.0; 3],
-                sigma: 2.0,
-            }
-            .init_hierarchy(&mut sim.hierarchy);
-            sim.regrid_now();
-            sim
-        };
-        let mut lock = build(false);
-        let mut sub = build(true);
-        let a = lock.advance();
-        let b = sub.advance();
-        // The coarse step is r× the lock-step dt (fine level binds both).
-        assert!(
-            b.dt > 1.5 * a.dt,
-            "subcycled dt {} not larger than lock-step {}",
-            b.dt,
-            a.dt
-        );
-        // Subcycled work counts fine sub-steps: coarse + r × fine cells.
-        let coarse = sub.hierarchy.level(0).layout().total_cells();
-        let fine = sub.hierarchy.level(1).layout().total_cells();
-        assert_eq!(b.cells_advanced, coarse + 2 * fine);
     }
 
     #[test]

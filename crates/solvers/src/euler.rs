@@ -15,7 +15,7 @@
 //! registers and every output bit matches the per-face formulation in
 //! [`crate::reference`].
 
-use crate::level_solver::{LevelFluxes, LevelSolver};
+use crate::level_solver::LevelSolver;
 use crate::scratch;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
@@ -542,12 +542,10 @@ fn primitives(fab: &Fab, gamma: f64) -> Vec<f64> {
 }
 
 /// The row kernels of one grid's step: its primitive cache over the
-/// ghost-filled box `avail`, the predictor's and the Riemann solve's ratio
-/// of specific heats, and dt/dx.
+/// ghost-filled box `avail`, the ratio of specific heats, and dt/dx.
 struct GridKernel<'a> {
     prim: Rows<'a>,
     avail: IBox,
-    predict_gamma: f64,
     gamma: f64,
     dtdx: f64,
 }
@@ -573,7 +571,7 @@ impl GridKernel<'_> {
             at(iv),
             at(self.along(iv, D, iv[D] + 1)),
         );
-        let (gamma, dtdx) = (self.predict_gamma, self.dtdx);
+        let (gamma, dtdx) = (self.gamma, self.dtdx);
         lane_groups!(n, |i, L| {
             let (wm, wc, wp) = (
                 self.prim.load::<L>(om + i),
@@ -769,17 +767,6 @@ impl EulerSolver {
         d[o + ENERGY * s] = c.energy;
     }
 
-    /// The row kernels of a step over `prim`, the primitive cache of `fab`.
-    fn kernel<'a>(&self, prim: &'a [f64], fab: &Fab, dtdx: f64, gamma: f64) -> GridKernel<'a> {
-        GridKernel {
-            prim: Rows::new(prim, fab.comp_stride()),
-            avail: fab.ibox(),
-            predict_gamma: self.gamma,
-            gamma,
-            dtdx,
-        }
-    }
-
     /// One grid's step with fluxes that never leave it: the primitive
     /// cache, then the walk ([`GridKernel::walk`]) updating each row in
     /// place. No snapshot of the old state, no face or flux fab.
@@ -788,11 +775,16 @@ impl EulerSolver {
         let (avail, st) = (fab.ibox(), fab.comp_stride());
         let nx = valid.size()[0] as usize;
         let prim = primitives(fab, gamma);
-        self.kernel(&prim, fab, dtdx, gamma)
-            .walk(valid, |row, faces| {
-                let cells = &mut fab.as_mut_slice()[avail.offset(row)..];
-                update_row(RowsMut::new(cells, st), nx, faces, dtdx, gamma);
-            });
+        let kernel = GridKernel {
+            prim: Rows::new(&prim, st),
+            avail,
+            gamma,
+            dtdx,
+        };
+        kernel.walk(valid, |row, faces| {
+            let cells = &mut fab.as_mut_slice()[avail.offset(row)..];
+            update_row(RowsMut::new(cells, st), nx, faces, dtdx, gamma);
+        });
         scratch::recycle_buffer(prim);
     }
 }
@@ -855,97 +847,8 @@ impl LevelSolver for EulerSolver {
         data.par_for_each_mut(|_, valid, fab| self.advance_grid(&valid, fab, dtdx));
     }
 
-    fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
-        let dtdx = dt / dx;
-        let gamma = self.gamma;
-        // Grids are independent; the indexed parallel map collects each
-        // grid's flux fabs in grid order for the refluxing caller. All of a
-        // grid's fluxes exist before its first cell changes, so the old
-        // state needs no snapshot.
-        Some(data.par_map_mut(|_, valid, fab| {
-            let fluxes = self.grid_fluxes(fab, &valid, dtdx, gamma);
-            Self::apply_fluxes(&valid, fab, &fluxes, dtdx, gamma);
-            fluxes
-        }))
-    }
-
     fn tag_cells(&self, data: &LevelData, threshold: f64) -> IntVectSet {
         tag_undivided_gradient(data, self.tag_comp, threshold)
-    }
-}
-
-impl EulerSolver {
-    /// Face fluxes for one grid, the flux-register convention: `flux[d]`
-    /// at `iv` holds the HLLC flux through the face between `iv - e_d`
-    /// and `iv`.
-    ///
-    /// The walk of `advance_level` ([`GridKernel::walk`]) with its face rows
-    /// copied out instead of applied: the primitive cache once per cell,
-    /// each predicted face state once, each face once. The per-face
-    /// reference ([`crate::reference::euler_grid_fluxes`]) re-derives
-    /// primitives and slopes for every face touching a cell; this path is
-    /// bit-identical to it — the same expressions on the same values, each
-    /// evaluated once — and property tests pin the equivalence.
-    pub fn grid_fluxes(&self, old: &Fab, valid: &IBox, dtdx: f64, gamma: f64) -> [Fab; DIM] {
-        let prim = primitives(old, gamma);
-        let mut fluxes: [Fab; DIM] = std::array::from_fn(|d| {
-            let mut hi = valid.hi();
-            hi[d] += 1;
-            scratch::take_fab(IBox::new(valid.lo(), hi), NCOMP)
-        });
-        let nx = valid.size()[0] as usize;
-        self.kernel(&prim, old, dtdx, gamma)
-            .walk(valid, |row, faces| {
-                for (d, (flux, f)) in fluxes.iter_mut().zip(faces).enumerate() {
-                    let sf = flux.comp_stride();
-                    let mut copy = |from: Rows, iv: IntVect| {
-                        let o = flux.cell_offset(iv);
-                        let to = flux.as_mut_slice();
-                        for c in 0..NCOMP {
-                            let src = &from.s[c * from.stride..][..nx];
-                            to[o + c * sf..][..nx].copy_from_slice(src);
-                        }
-                    };
-                    // The low faces of a row are the high faces of the row
-                    // before it, except in the first row along `d`.
-                    if row[d] == valid.lo()[d] {
-                        copy(f.lo, row);
-                    }
-                    copy(f.hi, row + IntVect::basis(d));
-                }
-            });
-        scratch::recycle_buffer(prim);
-        fluxes
-    }
-
-    /// Conservative update from face fluxes, with positivity floors: one
-    /// offset per row for the state fab and each flux fab, then the walk's
-    /// row update.
-    fn apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64, gamma: f64) {
-        let (lo, hi) = (valid.lo(), valid.hi());
-        let nx = valid.size()[0] as usize;
-        let st = fab.comp_stride();
-        for z in lo[2]..=hi[2] {
-            for y in lo[1]..=hi[1] {
-                let row = IntVect::new(lo[0], y, z);
-                let faces: [FaceRows; DIM] = std::array::from_fn(|d| {
-                    let (f, stride) = (fluxes[d].as_slice(), fluxes[d].comp_stride());
-                    let (o0, o1) = (
-                        fluxes[d].cell_offset(row),
-                        fluxes[d].cell_offset(row + IntVect::basis(d)),
-                    );
-                    FaceRows::new(&f[o0..], &f[o1..], stride)
-                });
-                let o = fab.cell_offset(row);
-                update_row(
-                    RowsMut::new(&mut fab.as_mut_slice()[o..], st),
-                    nx,
-                    &faces,
-                    dtdx,
-                    gamma,
-                );
-            }
-        }
     }
 }
 

@@ -1,14 +1,7 @@
 //! The interface an application solver presents to the AMR driver.
 
-use xlayer_amr::fab::Fab;
-use xlayer_amr::intvect::DIM;
 use xlayer_amr::level_data::LevelData;
 use xlayer_amr::tagging::IntVectSet;
-
-/// Per-grid face fluxes: `fluxes[g][d]` holds, at index `iv`, the flux
-/// through the face between cells `iv - e_d` and `iv` (the convention
-/// `xlayer_amr::flux_register` consumes).
-pub type LevelFluxes = Vec<[Fab; DIM]>;
 
 /// A single-level explicit solver advanced by the AMR driver.
 ///
@@ -37,14 +30,5 @@ pub trait LevelSolver {
     /// (e.g. an explicit-diffusion limit). Return `f64::INFINITY` if none.
     fn max_dt(&self, _dx: f64) -> f64 {
         f64::INFINITY
-    }
-
-    /// Advance the level *and* return the per-grid face fluxes used —
-    /// needed for conservative refluxing at coarse–fine boundaries.
-    /// The default falls back to [`Self::advance_level`] and returns `None`
-    /// (refluxing is then skipped).
-    fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
-        self.advance_level(data, dx, dt);
-        None
     }
 }

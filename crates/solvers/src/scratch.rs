@@ -3,7 +3,7 @@
 //! A level step needs, per grid, a few working buffers: the Euler walk a
 //! primitive cache of the ghost-filled box plus one buffer carved into its
 //! face rows and planes, the fused advection walk eight row, plane and
-//! table buffers, and the flux-capturing paths their flux fabs. Allocating
+//! table buffers, and the per-face references their flux fabs. Allocating
 //! those fresh each time puts a `malloc`/`free` cycle (megabytes, for the
 //! primitive cache) on the hottest path in the code. This module keeps a
 //! small per-thread pool of `Vec<f64>` backing buffers;
@@ -24,9 +24,8 @@ use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 
 /// Buffers retained per thread. The Euler walk holds 2 at once (primitive
-/// cache, carved rows and planes) and its flux-capturing form 3 flux fabs
-/// more; the fused advection walk holds 8 row, plane and table buffers.
-/// Keep headroom.
+/// cache, carved rows and planes); the fused advection walk holds 8 row,
+/// plane and table buffers. Keep headroom.
 const MAX_POOLED: usize = 12;
 
 /// Bytes of buffer capacity retained per thread. A 32³ Euler grid with 2

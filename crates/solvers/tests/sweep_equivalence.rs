@@ -1,11 +1,12 @@
-//! Equivalence pins for the sweep-structured solver hot path.
+//! Equivalence pins for the solver hot path.
 //!
-//! The sweep kernels cache primitives and predicted face states instead of
-//! re-deriving them per face, and the capture/wave-speed paths run grids in
-//! parallel. All of that is a pure re-ordering of *where* the same
-//! floating-point expressions are evaluated, so the results must be
-//! **bit-identical** to the retained per-cell references — these tests
-//! compare `f64::to_bits`, not approximate norms.
+//! The level steps walk each grid once, in place, caching primitives and
+//! predicted face states instead of re-deriving them per face, and the
+//! level step and wave-speed scan run grids in parallel. All of that is a
+//! pure re-ordering of *where* the same floating-point expressions are
+//! evaluated, so the results must be **bit-identical** to the retained
+//! per-cell references — these tests compare `f64::to_bits`, not
+//! approximate norms.
 
 use proptest::prelude::*;
 use xlayer_amr::boxes::IBox;
@@ -19,7 +20,7 @@ use xlayer_amr::tagging::IntVectSet;
 use xlayer_solvers::advect::{AdvectDiffuseSolver, VelocityField};
 use xlayer_solvers::amr_driver::{AmrSimulation, DriverConfig};
 use xlayer_solvers::euler::{Conserved, EulerSolver, Primitive, NCOMP};
-use xlayer_solvers::level_solver::{LevelFluxes, LevelSolver};
+use xlayer_solvers::level_solver::LevelSolver;
 use xlayer_solvers::problems::{GasProblem, ScalarProblem};
 use xlayer_solvers::reference;
 
@@ -50,15 +51,6 @@ fn gas_state(iv: IntVect, salt: i64) -> Conserved {
     .to_conserved(GAMMA)
 }
 
-/// Fill a fab over `bx` with pseudo-random gas states.
-fn gas_fab(bx: IBox, salt: i64) -> Fab {
-    let mut f = Fab::new(bx, NCOMP);
-    for iv in bx.cells() {
-        EulerSolver::set_state(&mut f, iv, gas_state(iv, salt));
-    }
-    f
-}
-
 /// A near-vacuum gas state: rho and p log-uniform down to 1e-9 with large
 /// velocities, so neighboring cells form strong rarefactions whose MUSCL
 /// half-step prediction undershoots below the `SMALL` positivity floor.
@@ -87,15 +79,6 @@ fn assert_fab_bits_eq(a: &Fab, b: &Fab, what: &str) {
     }
 }
 
-fn assert_fluxes_bits_eq(a: &LevelFluxes, b: &LevelFluxes, what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: grid count mismatch");
-    for (g, (fa, fb)) in a.iter().zip(b).enumerate() {
-        for d in 0..DIM {
-            assert_fab_bits_eq(&fa[d], &fb[d], &format!("{what}: grid {g} dir {d}"));
-        }
-    }
-}
-
 /// Ghost-filled boxes around `valid` that exercise every boundary-clamp
 /// combination: fully grown (all interior faces), clipped flush on the low
 /// sides, clipped flush on the high sides.
@@ -108,11 +91,36 @@ fn avail_variants(valid: IBox, nghost: i64) -> [IBox; 3] {
     ]
 }
 
+/// A level of the one grid `valid` on the non-periodic domain `avail`, so
+/// the grid's fab is exactly `avail` (one of [`avail_variants`]): ghosts on
+/// a side `avail` clips are physical-boundary faces. `value` fills every
+/// cell of the fab, ghosts included; with one grid and no periodic image
+/// there is nothing to exchange.
+fn one_grid_level(
+    valid: IBox,
+    avail: IBox,
+    ncomp: usize,
+    nghost: i64,
+    value: impl Fn(&mut Fab, IntVect),
+) -> LevelData {
+    let layout = BoxLayout::from_boxes(vec![valid]);
+    let mut ld = LevelData::new(layout, ProblemDomain::new(avail), ncomp, nghost);
+    assert_eq!(ld.fab(0).ibox(), avail);
+    ld.for_each_mut(|_, fab| {
+        for iv in avail.cells() {
+            value(fab, iv);
+        }
+    });
+    ld
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The Euler sweep kernel is bit-identical to the per-face reference,
-    /// including at clamped physical boundaries.
+    /// The Euler level step on one cubic grid lands on the bits of the
+    /// step built on the per-face reference fluxes
+    /// (`reference::euler_grid_fluxes`), including at clamped physical
+    /// boundaries.
     #[test]
     fn euler_grid_fluxes_match_reference(
         salt in 0i64..1000,
@@ -123,19 +131,23 @@ proptest! {
         let solver = EulerSolver::default();
         let valid = IBox::new(IntVect::splat(lo), IntVect::splat(lo + n - 1));
         for avail in avail_variants(valid, 2) {
-            let old = gas_fab(avail, salt);
-            let sweep = solver.grid_fluxes(&old, &valid, dtdx, GAMMA);
-            let reference = reference::euler_grid_fluxes(&solver, &old, &valid, dtdx, GAMMA);
-            for d in 0..DIM {
-                assert_fab_bits_eq(&sweep[d], &reference[d], &format!("euler dir {d}"));
-            }
+            let build = || {
+                one_grid_level(valid, avail, NCOMP, 2, |fab, iv| {
+                    EulerSolver::set_state(fab, iv, gas_state(iv, salt))
+                })
+            };
+            let (mut walk, mut want) = (build(), build());
+            solver.advance_level(&mut walk, 1.0, dtdx);
+            reference::euler_advance_level(&solver, &mut want, 1.0, dtdx);
+            assert_fab_bits_eq(walk.fab(0), want.fab(0), &format!("euler, fab {avail:?}"));
         }
     }
 
     /// Near-vacuum regime: rho/p down to 1e-9 with strong jumps and large
     /// dtdx drive the predictor below the positivity floors, so this pins
-    /// that the sweep clamps exactly like `Primitive::from_array` does in
-    /// the reference — and that no NaN escapes `hllc_flux` in either path.
+    /// that the walk clamps exactly like `Primitive::from_array` does in
+    /// the reference — and that no NaN escapes `hllc_flux` into the
+    /// updated state in either path.
     #[test]
     fn euler_grid_fluxes_match_reference_near_vacuum(
         salt in 0i64..1000,
@@ -146,23 +158,26 @@ proptest! {
         let solver = EulerSolver::default();
         let valid = IBox::new(IntVect::splat(lo), IntVect::splat(lo + n - 1));
         for avail in avail_variants(valid, 2) {
-            let mut old = Fab::new(avail, NCOMP);
-            for iv in avail.cells() {
-                EulerSolver::set_state(&mut old, iv, near_vacuum_state(iv, salt));
+            let build = || {
+                one_grid_level(valid, avail, NCOMP, 2, |fab, iv| {
+                    EulerSolver::set_state(fab, iv, near_vacuum_state(iv, salt))
+                })
+            };
+            let (mut walk, mut want) = (build(), build());
+            solver.advance_level(&mut walk, 1.0, dtdx);
+            reference::euler_advance_level(&solver, &mut want, 1.0, dtdx);
+            for v in walk.fab(0).as_slice() {
+                prop_assert!(v.is_finite(), "near-vacuum state not finite: {v}");
             }
-            let sweep = solver.grid_fluxes(&old, &valid, dtdx, GAMMA);
-            let reference = reference::euler_grid_fluxes(&solver, &old, &valid, dtdx, GAMMA);
-            for d in 0..DIM {
-                for v in sweep[d].as_slice() {
-                    prop_assert!(v.is_finite(), "near-vacuum sweep flux not finite: {v}");
-                }
-                assert_fab_bits_eq(&sweep[d], &reference[d], &format!("near-vacuum dir {d}"));
-            }
+            assert_fab_bits_eq(walk.fab(0), want.fab(0), &format!("near-vacuum, fab {avail:?}"));
         }
     }
 
-    /// The advect sweep kernel is bit-identical to the per-face reference,
-    /// with and without diffusion, for both velocity-field shapes.
+    /// The advect level step on one cubic grid lands on the bits of the step
+    /// built on the per-face reference fluxes
+    /// (`reference::advect_grid_fluxes`), with and without diffusion, for
+    /// both velocity-field shapes, including at clamped physical
+    /// boundaries.
     #[test]
     fn advect_grid_fluxes_match_reference(
         salt in 0i64..1000,
@@ -181,21 +196,22 @@ proptest! {
         let solver = AdvectDiffuseSolver::new(field, diffusion, 16);
         let valid = IBox::new(IntVect::splat(lo), IntVect::splat(lo + n - 1));
         for avail in avail_variants(valid, 1) {
-            let mut old = Fab::new(avail, 1);
-            for iv in avail.cells() {
-                old.set(iv, 0, 2.0 * hash01(iv, salt) - 1.0);
-            }
-            let sweep = solver.grid_fluxes(&old, &valid, 0.5);
-            let reference = reference::advect_grid_fluxes(&solver, &old, &valid, 0.5);
-            for d in 0..DIM {
-                assert_fab_bits_eq(&sweep[d], &reference[d], &format!("advect dir {d}"));
-            }
+            let build = || {
+                one_grid_level(valid, avail, 1, 1, |fab, iv| {
+                    fab.set(iv, 0, 2.0 * hash01(iv, salt) - 1.0)
+                })
+            };
+            let (mut fused, mut want) = (build(), build());
+            let (dx, dt) = (0.5, 0.1);
+            solver.advance_level(&mut fused, dx, dt);
+            reference::advect_advance_level(&solver, &mut want, dx, dt);
+            assert_fab_bits_eq(fused.fab(0), want.fab(0), &format!("advect, fab {avail:?}"));
         }
     }
 
-    /// A full multi-grid Euler level step through the sweep path lands on
-    /// the same bits as the reference path, and so do the parallel
-    /// wave-speed reduction and the parallel flux-capturing step.
+    /// A full multi-grid Euler level step through the walk lands on the same
+    /// bits as the reference path, and so does the parallel wave-speed
+    /// reduction.
     #[test]
     fn euler_level_paths_match_reference(salt in 0i64..1000, periodic in 0i64..2) {
         let periodic = periodic == 1;
@@ -222,32 +238,24 @@ proptest! {
         );
 
         let (dx, dt) = (1.0 / n as f64, 0.4 / n as f64);
-        let mut sweep_level = build();
+        let mut walk_level = build();
         let mut reference_level = reference_level;
-        solver.advance_level(&mut sweep_level, dx, dt);
+        solver.advance_level(&mut walk_level, dx, dt);
         reference::euler_advance_level(&solver, &mut reference_level, dx, dt);
-        for i in 0..sweep_level.len() {
+        for i in 0..walk_level.len() {
             assert_fab_bits_eq(
-                sweep_level.fab(i),
+                walk_level.fab(i),
                 reference_level.fab(i),
                 &format!("advance_level grid {i}"),
             );
         }
-
-        let mut cap = build();
-        let mut cap_ref = build();
-        let fluxes = solver.advance_level_capture(&mut cap, dx, dt).unwrap();
-        let fluxes_ref = reference::euler_advance_level_capture(&solver, &mut cap_ref, dx, dt);
-        for i in 0..cap.len() {
-            assert_fab_bits_eq(cap.fab(i), cap_ref.fab(i), &format!("capture grid {i}"));
-        }
-        assert_fluxes_bits_eq(&fluxes, &fluxes_ref, "euler capture fluxes");
     }
 
-    /// The parallel advect capture path returns the same state and flux
-    /// bits as the retained serial reference.
+    /// The parallel advect level step on a periodic, diffusive vortex level
+    /// (16³ in grids of at most 8 cells a side, two ranks) lands on the bits
+    /// of the retained serial reference.
     #[test]
-    fn advect_capture_matches_reference(salt in 0i64..1000) {
+    fn advect_vortex_level_step_matches_reference(salt in 0i64..1000) {
         let n = 16;
         let domain = ProblemDomain::periodic(IBox::cube(n));
         let solver = AdvectDiffuseSolver::new(
@@ -269,12 +277,11 @@ proptest! {
         let mut par = build();
         let mut ser = build();
         let dt = solver.max_dt(1.0).min(0.2);
-        let f_par = solver.advance_level_capture(&mut par, 1.0, dt).unwrap();
-        let f_ser = reference::advect_advance_level_capture(&solver, &mut ser, 1.0, dt);
+        solver.advance_level(&mut par, 1.0, dt);
+        reference::advect_advance_level(&solver, &mut ser, 1.0, dt);
         for i in 0..par.len() {
-            assert_fab_bits_eq(par.fab(i), ser.fab(i), &format!("advect capture grid {i}"));
+            assert_fab_bits_eq(par.fab(i), ser.fab(i), &format!("advect vortex grid {i}"));
         }
-        assert_fluxes_bits_eq(&f_par, &f_ser, "advect capture fluxes");
     }
 }
 
@@ -299,11 +306,10 @@ fn advect_level(lo: i64, thin: usize, periodic: [bool; DIM], salt: i64) -> Level
     ld
 }
 
-/// The fused in-place `advance_level` and the row-walk capture path land on
-/// the reference's bits — every fab entry, ghosts included, and every
-/// captured flux — on periodic, clipped and mixed domains, for uniform
-/// fields of mixed and of all-negative sign and vortices centred inside
-/// (both signs in a row) and outside the domain, with and without
+/// The fused in-place `advance_level` lands on the reference's bits — every
+/// fab entry, ghosts included — on periodic, clipped and mixed domains, for
+/// uniform fields of mixed and of all-negative sign and vortices centred
+/// inside (both signs in a row) and outside the domain, with and without
 /// diffusion, over non-cubic boxes and a slab one cell thick along each
 /// axis in turn, two steps in a row.
 #[test]
@@ -332,26 +338,15 @@ fn advect_level_paths_match_reference() {
                     let solver = AdvectDiffuseSolver::new(field, diffusion, 12);
                     let (dx, dt) = (0.5, 0.1);
                     let mut fused = advect_level(lo, thin, periodic, salt);
-                    let mut captured = advect_level(lo, thin, periodic, salt);
                     let mut want = advect_level(lo, thin, periodic, salt);
                     for step in 0..2 {
                         solver.advance_level(&mut fused, dx, dt);
-                        let fluxes = solver
-                            .advance_level_capture(&mut captured, dx, dt)
-                            .expect("advect captures its fluxes");
-                        let want_fluxes =
-                            reference::advect_advance_level_capture(&solver, &mut want, dx, dt);
+                        reference::advect_advance_level(&solver, &mut want, dx, dt);
                         for i in 0..want.len() {
                             let at = format!("{what}: step {step} grid {i}");
-                            assert_fab_bits_eq(fused.fab(i), want.fab(i), &format!("fused, {at}"));
-                            assert_fab_bits_eq(
-                                captured.fab(i),
-                                want.fab(i),
-                                &format!("capture, {at}"),
-                            );
+                            assert_fab_bits_eq(fused.fab(i), want.fab(i), &at);
                         }
-                        assert_fluxes_bits_eq(&fluxes, &want_fluxes, &what);
-                        for ld in [&mut fused, &mut captured, &mut want] {
+                        for ld in [&mut fused, &mut want] {
                             ld.exchange();
                         }
                     }
@@ -397,11 +392,10 @@ fn gas_level(
     ld
 }
 
-/// The fused in-place `advance_level` and the flux-capturing path land on
-/// the reference's bits — every fab entry, ghosts included, and every
-/// captured flux — on periodic, clipped and mixed domains, with normal and
-/// near-vacuum states, over non-cubic boxes and a slab one cell thick
-/// along each axis in turn, whose rows are 1 to 7 cells long (mostly
+/// The fused in-place `advance_level` lands on the reference's bits — every
+/// fab entry, ghosts included — on periodic, clipped and mixed domains, with
+/// normal and near-vacuum states, over non-cubic boxes and a slab one cell
+/// thick along each axis in turn, whose rows are 1 to 7 cells long (mostly
 /// shorter than, or no multiple of, the kernel's four lanes), at two
 /// origins, two steps in a row.
 #[test]
@@ -419,29 +413,15 @@ fn euler_walk_matches_reference() {
                             format!("lo={lo} w={w} vacuum={vacuum} {periodic:?} thin={thin}");
                         let build = || gas_level(lo, w, thin, periodic, salt, vacuum);
                         let (dx, dt) = (0.5, if vacuum { 0.01 } else { 0.05 });
-                        let (mut fused, mut captured, mut want) = (build(), build(), build());
+                        let (mut fused, mut want) = (build(), build());
                         for step in 0..2 {
                             solver.advance_level(&mut fused, dx, dt);
-                            let fluxes = solver
-                                .advance_level_capture(&mut captured, dx, dt)
-                                .expect("euler captures its fluxes");
-                            let want_fluxes =
-                                reference::euler_advance_level_capture(&solver, &mut want, dx, dt);
+                            reference::euler_advance_level(&solver, &mut want, dx, dt);
                             for i in 0..want.len() {
                                 let at = format!("{what}: step {step} grid {i}");
-                                assert_fab_bits_eq(
-                                    fused.fab(i),
-                                    want.fab(i),
-                                    &format!("fused, {at}"),
-                                );
-                                assert_fab_bits_eq(
-                                    captured.fab(i),
-                                    want.fab(i),
-                                    &format!("capture, {at}"),
-                                );
+                                assert_fab_bits_eq(fused.fab(i), want.fab(i), &at);
                             }
-                            assert_fluxes_bits_eq(&fluxes, &want_fluxes, &what);
-                            for ld in [&mut fused, &mut captured, &mut want] {
+                            for ld in [&mut fused, &mut want] {
                                 ld.exchange();
                             }
                         }
@@ -491,40 +471,35 @@ fn face_normal_velocity_table_equals_the_per_face_expression() {
 /// expanding velocity ramp, where the half-step predictor provably drives
 /// rho and p negative (p_face = p·(1 − 0.5·dtdx·γ·du) with 0.5·dtdx·γ·du ≈
 /// 2.0), so the `.max(SMALL)` clamps must engage on every interior face.
-/// Without the clamp the sweep path would feed p < 0 to `hllc_flux` and emit
-/// NaN where the reference stays finite.
+/// Without the clamp the walk would feed p < 0 to `hllc_flux` and write NaN
+/// into the level where the reference stays finite.
 #[test]
 fn euler_sweep_clamps_near_vacuum_prediction() {
     let solver = EulerSolver::default();
     let valid = IBox::new(IntVect::splat(0), IntVect::splat(5));
-    let avail = valid.grow(2);
-    let mut old = Fab::new(avail, NCOMP);
-    for iv in avail.cells() {
-        EulerSolver::set_state(
-            &mut old,
-            iv,
-            Primitive {
+    let build = || {
+        one_grid_level(valid, valid.grow(2), NCOMP, 2, |fab, iv| {
+            let w = Primitive {
                 rho: 1e-6,
                 vel: [2.0 * iv[0] as f64, 0.0, 0.0],
                 p: 1e-6,
-            }
-            .to_conserved(GAMMA),
-        );
-    }
+            };
+            EulerSolver::set_state(fab, iv, w.to_conserved(GAMMA));
+        })
+    };
+    let (mut walk, mut want) = (build(), build());
     let dtdx = 1.4;
-    let sweep = solver.grid_fluxes(&old, &valid, dtdx, GAMMA);
-    let reference = reference::euler_grid_fluxes(&solver, &old, &valid, dtdx, GAMMA);
-    for d in 0..DIM {
-        for v in sweep[d].as_slice() {
-            assert!(v.is_finite(), "clamped sweep flux not finite: {v}");
-        }
-        assert_fab_bits_eq(&sweep[d], &reference[d], &format!("clamp pin dir {d}"));
+    solver.advance_level(&mut walk, 1.0, dtdx);
+    reference::euler_advance_level(&solver, &mut want, 1.0, dtdx);
+    for v in walk.fab(0).as_slice() {
+        assert!(v.is_finite(), "clamped walk state not finite: {v}");
     }
+    assert_fab_bits_eq(walk.fab(0), want.fab(0), "clamp pin");
 }
 
 /// A `LevelSolver` that routes every overridden path through the retained
-/// references: serial capture, serial wave-speed scan, per-face fluxes.
-/// Driving a full AMR run with it reproduces the seed's behavior exactly.
+/// references: serial wave-speed scan, per-face fluxes. Driving a full AMR
+/// run with it reproduces the seed's behavior exactly.
 struct ReferenceEuler(EulerSolver);
 
 impl LevelSolver for ReferenceEuler {
@@ -539,11 +514,6 @@ impl LevelSolver for ReferenceEuler {
     }
     fn advance_level(&self, data: &mut LevelData, dx: f64, dt: f64) {
         reference::euler_advance_level(&self.0, data, dx, dt);
-    }
-    fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
-        Some(reference::euler_advance_level_capture(
-            &self.0, data, dx, dt,
-        ))
     }
     fn tag_cells(&self, data: &LevelData, threshold: f64) -> IntVectSet {
         self.0.tag_cells(data, threshold)
@@ -567,11 +537,6 @@ impl LevelSolver for ReferenceAdvect {
     }
     fn advance_level(&self, data: &mut LevelData, dx: f64, dt: f64) {
         reference::advect_advance_level(&self.0, data, dx, dt);
-    }
-    fn advance_level_capture(&self, data: &mut LevelData, dx: f64, dt: f64) -> Option<LevelFluxes> {
-        Some(reference::advect_advance_level_capture(
-            &self.0, data, dx, dt,
-        ))
     }
     fn tag_cells(&self, data: &LevelData, threshold: f64) -> IntVectSet {
         self.0.tag_cells(data, threshold)
@@ -597,53 +562,13 @@ fn assert_hierarchies_bits_eq<A: LevelSolver, B: LevelSolver>(
     }
 }
 
-/// Multi-level AMR golden test: a refluxing Euler run driven by the sweep
-/// kernels + parallel capture lands on exactly the same bits as one driven
-/// by the retained serial references — refluxed coarse cells included.
+/// Multi-level AMR golden test for the advect solver: a two-level
+/// lock-step run on a periodic domain, regridding every 2 steps, driven by
+/// the fused walk lands on exactly the bits of the same run driven by the
+/// retained serial reference — every level and grid, averaged-down coarse
+/// cells included.
 #[test]
-fn amr_refluxed_euler_run_is_bit_identical_to_reference() {
-    // Density jump => the RHO-gradient tagger refines around the plane.
-    let problem = GasProblem::SodX { x_jump: 8.0 };
-    let hier = HierarchyConfig {
-        max_levels: 2,
-        base_max_box: 8,
-        nranks: 2,
-        ..Default::default()
-    };
-    let config = DriverConfig {
-        regrid_interval: 0, // fixed grids: isolate the solve + reflux paths
-        subcycle: false,
-        reflux: true,
-        base_dx: 1.0 / 16.0,
-        ..Default::default()
-    };
-    fn init<S: LevelSolver>(sim: &mut AmrSimulation<S>, problem: &GasProblem) {
-        problem.init_hierarchy(&mut sim.hierarchy, GAMMA);
-        sim.regrid_now();
-        problem.init_hierarchy(&mut sim.hierarchy, GAMMA);
-        sim.hierarchy.average_down();
-    }
-
-    let domain = ProblemDomain::periodic(IBox::cube(16));
-    let mut sweep = AmrSimulation::new(domain, hier.clone(), EulerSolver::default(), config);
-    let mut reference =
-        AmrSimulation::new(domain, hier, ReferenceEuler(EulerSolver::default()), config);
-    init(&mut sweep, &problem);
-    init(&mut reference, &problem);
-    assert!(sweep.hierarchy.num_levels() > 1, "blast must refine");
-
-    for step in 0..3 {
-        let s = sweep.advance();
-        let r = reference.advance();
-        assert_eq!(s.dt.to_bits(), r.dt.to_bits(), "dt diverged at step {step}");
-        assert_hierarchies_bits_eq(&sweep, &reference, &format!("after step {step}"));
-    }
-}
-
-/// Same golden run for the advect solver (subcycled, refluxed): the
-/// parallel capture path changes nothing about the refluxed composite.
-#[test]
-fn amr_refluxed_advect_run_is_bit_identical_to_reference() {
+fn amr_advect_run_is_bit_identical_to_reference() {
     let problem = ScalarProblem::Gaussian {
         center: [8.0; 3],
         sigma: 2.0,
@@ -655,13 +580,11 @@ fn amr_refluxed_advect_run_is_bit_identical_to_reference() {
         ..Default::default()
     };
     let config = DriverConfig {
-        regrid_interval: 0,
-        subcycle: false,
-        reflux: true,
+        regrid_interval: 2,
         tag_threshold: 0.02,
         ..Default::default()
     };
-    let mk_solver = || AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.5, 0.0]), 0.0, 16);
+    let mk_solver = || AdvectDiffuseSolver::new(VelocityField::Constant([1.0, 0.5, 0.0]), 0.02, 16);
     fn init<S: LevelSolver>(sim: &mut AmrSimulation<S>, problem: &ScalarProblem) {
         problem.init_hierarchy(&mut sim.hierarchy);
         sim.regrid_now();
@@ -676,15 +599,20 @@ fn amr_refluxed_advect_run_is_bit_identical_to_reference() {
     init(&mut reference, &problem);
     assert!(sweep.hierarchy.num_levels() > 1, "gaussian must refine");
 
-    for step in 0..4 {
-        sweep.advance();
-        reference.advance();
+    let mut regrids = 0;
+    for step in 0..6 {
+        let s = sweep.advance();
+        let r = reference.advance();
+        assert_eq!(s.dt.to_bits(), r.dt.to_bits(), "dt diverged at step {step}");
+        assert_eq!(s.levels, 2, "the run must stay refined at step {step}");
+        regrids += usize::from(s.regridded);
         assert_hierarchies_bits_eq(&sweep, &reference, &format!("after step {step}"));
     }
+    assert_eq!(regrids, 3);
 }
 
 /// The path `gas_local_intransit` runs, pinned: a blast on a clipped
-/// domain, up to 2 levels, no refluxing, regridding every 4 steps — its
+/// domain, up to 2 levels, regridding every 4 steps — its
 /// density is uniform at first, so the fine level appears at the first
 /// regrid and moves at the second. Ten steps driven by the fused walk land
 /// on exactly the bits of the same run driven by the retained references,
@@ -707,8 +635,6 @@ fn amr_regridding_euler_run_is_bit_identical_to_reference() {
         cfl: 0.3,
         regrid_interval: 4,
         tag_threshold: 0.04,
-        subcycle: false,
-        reflux: false,
         base_dx: 1.0 / 16.0,
     };
     fn init<S: LevelSolver>(sim: &mut AmrSimulation<S>, problem: &GasProblem) {

@@ -81,8 +81,6 @@ fn euler_blast_workflow_end_to_end() {
             regrid_interval: 2,
             tag_threshold: 0.04,
             base_dx: 1.0,
-            subcycle: false,
-            reflux: false,
         },
     );
     let problem = GasProblem::Blast {
