@@ -71,35 +71,6 @@ impl Fab {
         f
     }
 
-    /// Build a zero-initialized fab over `bx` reusing `storage` as the
-    /// backing buffer (it is cleared and resized; its capacity is what is
-    /// being recycled). Bit-identical to [`Fab::new`], but skips the heap
-    /// allocation when the storage already has capacity — the basis of the
-    /// solver scratch arenas. Accounting-wise this counts as a fresh
-    /// allocation so it stays symmetric with `Drop`/[`Fab::into_storage`].
-    pub fn with_storage(bx: IBox, ncomp: usize, mut storage: Vec<f64>) -> Self {
-        assert!(ncomp > 0, "Fab needs at least one component");
-        let n = bx.num_cells() as usize * ncomp;
-        storage.clear();
-        storage.resize(n, 0.0);
-        track_alloc((n * std::mem::size_of::<f64>()) as u64);
-        Fab {
-            bx,
-            ncomp,
-            data: storage,
-        }
-    }
-
-    /// Consume the fab, handing back its backing buffer for reuse (the
-    /// accounting sees the payload freed, exactly as if it were dropped).
-    pub fn into_storage(mut self) -> Vec<f64> {
-        let data = std::mem::take(&mut self.data);
-        // `Drop` will now see an empty payload and free 0 bytes; release
-        // the real footprint here instead.
-        track_free((data.len() * std::mem::size_of::<f64>()) as u64);
-        data
-    }
-
     /// The box this fab covers.
     #[inline]
     pub fn ibox(&self) -> IBox {
@@ -396,24 +367,6 @@ mod tests {
             assert_eq!(allocated_bytes(), before + f.bytes() + g.bytes());
         }
         assert_eq!(allocated_bytes(), before);
-    }
-
-    #[test]
-    fn storage_reuse_roundtrip() {
-        let f = Fab::filled(IBox::cube(4), 2, 3.0);
-        let mut g = Fab::with_storage(f.ibox(), 2, Vec::new());
-        g.as_mut_slice().copy_from_slice(f.as_slice());
-        assert_eq!(g.ibox(), f.ibox());
-        assert_eq!(g.as_slice(), f.as_slice());
-        let live_with_g = allocated_bytes();
-        let buf = g.into_storage();
-        assert_eq!(allocated_bytes(), live_with_g - f.bytes());
-        let cap = buf.capacity();
-        // Reusing the buffer for a smaller fab must not reallocate.
-        let h = Fab::with_storage(IBox::cube(3), 1, buf);
-        assert!(h.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(h.ibox(), IBox::cube(3));
-        assert_eq!(h.into_storage().capacity(), cap);
     }
 
     #[test]

@@ -123,40 +123,22 @@ impl LevelData {
     ///
     /// Grids are disjoint, so per-grid kernels (solver sweeps, extraction,
     /// reduction) are embarrassingly parallel; this is the in-node
-    /// parallelism of the native execution mode.
-    pub fn par_for_each_mut(&mut self, f: impl Fn(usize, IBox, &mut Fab) + Sync)
-    where
-        Self: Sized,
-    {
-        self.par_map_mut(f);
-    }
-
-    /// Apply `f(grid_index, valid_box, fab)` to every grid in parallel,
-    /// collecting each grid's result in grid order.
-    ///
-    /// Grids are handed to the pool largest first: a refined level mixes
-    /// grids of a few hundred and a hundred thousand cells, and the big one
-    /// claimed last would leave every other thread idle behind it.
-    pub fn par_map_mut<R: Send>(
-        &mut self,
-        f: impl Fn(usize, IBox, &mut Fab) -> R + Sync,
-    ) -> Vec<R> {
+    /// parallelism of the native execution mode. Grids are handed to the
+    /// pool largest first: a refined level mixes grids of a few hundred and
+    /// a hundred thousand cells, and the big one claimed last would leave
+    /// every other thread idle behind it.
+    pub fn par_for_each_mut(&mut self, f: impl Fn(usize, IBox, &mut Fab) + Sync) {
         use rayon::prelude::*;
-        let mut tasks: Vec<(usize, IBox, &mut Fab, Option<R>)> = self
+        let mut tasks: Vec<(usize, IBox, &mut Fab)> = self
             .fabs
             .iter_mut()
             .enumerate()
-            .map(|(i, fab)| (i, self.layout.ibox(i), fab, None))
+            .map(|(i, fab)| (i, self.layout.ibox(i), fab))
             .collect();
         tasks.sort_by_key(|t| std::cmp::Reverse(t.1.num_cells()));
         tasks
             .par_iter_mut()
-            .for_each(|(i, valid, fab, out)| *out = Some(f(*i, *valid, fab)));
-        tasks.sort_by_key(|t| t.0);
-        tasks
-            .into_iter()
-            .map(|t| t.3.expect("every grid produced a result"))
-            .collect()
+            .for_each(|(i, valid, fab)| f(*i, *valid, fab));
     }
 
     /// Compute the list of copies needed to fill every grid's ghost region

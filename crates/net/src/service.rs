@@ -48,8 +48,6 @@ pub struct ServiceConfig {
     pub servers: usize,
     /// Memory cap per staging server in bytes (paper Eq. 10).
     pub memory_per_server: u64,
-    /// How objects are routed to shards.
-    pub sharding: Sharding,
     /// Maximum concurrently served connections; excess peers get a `Busy`
     /// error frame and are closed.
     pub max_connections: u32,
@@ -75,7 +73,6 @@ impl Default for ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
             servers: 2,
             memory_per_server: 64 << 20,
-            sharding: Sharding::RoundRobin,
             max_connections: 32,
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(5),
@@ -213,7 +210,7 @@ impl StagingService {
             None => Arc::new(DataSpace::new(
                 cfg.servers.max(1),
                 cfg.memory_per_server,
-                cfg.sharding,
+                Sharding::BboxHash,
             )),
             Some(dir) => {
                 let tier =
@@ -222,7 +219,7 @@ impl StagingService {
                 let space = DataSpace::new_tiered(
                     cfg.servers.max(1),
                     cfg.memory_per_server,
-                    cfg.sharding,
+                    Sharding::BboxHash,
                     &tier,
                     Arc::clone(&pool),
                 )

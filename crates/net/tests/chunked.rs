@@ -30,8 +30,6 @@ fn lcg(state: &mut u64) -> u64 {
 /// An object over `bx` whose payload is LCG noise — every byte matters for
 /// the bit-identity checks, unlike a constant fill.
 fn noisy_obj(name: &str, version: u64, bx: IBox, seed: u64) -> DataObject {
-    // (Not `Fab::with_storage`: that recycles a buffer's capacity and
-    // zero-fills it, which silently made every payload here all zeros.)
     let mut fab = Fab::new(bx, 1);
     let mut s = seed;
     for v in fab.as_mut_slice() {

@@ -11,14 +11,13 @@ use xlayer_amr::intvect::IntVect;
 use xlayer_net::client::{ClientConfig, RemoteError};
 use xlayer_net::cluster::{ShardedClient, StagingCluster};
 use xlayer_net::service::ServiceConfig;
-use xlayer_staging::{AsyncStager, DataObject, Sharding, StageTask};
+use xlayer_staging::{AsyncStager, DataObject, StageTask};
 
 fn service_cfg(memory_per_server: u64) -> ServiceConfig {
     ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         servers: 1,
         memory_per_server,
-        sharding: Sharding::RoundRobin,
         ..ServiceConfig::default()
     }
 }

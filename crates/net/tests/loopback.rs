@@ -16,7 +16,7 @@ use xlayer_net::wire::{
     decode_header, encode_chunk_end, encode_frame, verify_payload, ChunkEnd, ErrorFrame, Frame,
     Opcode, Request, Response, HEADER_LEN, MAGIC,
 };
-use xlayer_staging::{AsyncStager, DataObject, Sharding, StageTask};
+use xlayer_staging::{AsyncStager, DataObject, StageTask};
 
 fn obj(name: &str, version: u64, lo: i64, fill: f64) -> DataObject {
     let b = IBox::cube(4).shift(IntVect::splat(lo));
@@ -48,7 +48,6 @@ fn start_service(memory_per_server: u64) -> StagingService {
     StagingService::start(ServiceConfig {
         servers: 2,
         memory_per_server,
-        sharding: Sharding::RoundRobin,
         ..ServiceConfig::default()
     })
     .unwrap()
@@ -107,7 +106,6 @@ fn oom_is_typed_and_never_retried() {
     let service = StagingService::start(ServiceConfig {
         servers: 1,
         memory_per_server: 600,
-        sharding: Sharding::RoundRobin,
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -284,6 +282,36 @@ fn resent_put_frame_is_acknowledged_but_stored_once() {
     assert_eq!(service.space().get("rho", 1, None).len(), 1);
     assert_eq!(service.space().describe("rho", 1), vec![a.desc.clone()]);
     assert_eq!(service.space().used(), a.desc.bytes);
+
+    service.shutdown();
+}
+
+#[test]
+fn racing_resent_puts_store_one_copy() {
+    // A re-sent put that overlaps its first copy: two threads released
+    // together put the same object into a default-config service's space,
+    // a fresh version each round. Both land on the server the box hashes
+    // to, whose twin check runs under its store's write lock, so one of
+    // the two puts stores nothing.
+    const ROUNDS: u64 = 20_000;
+    let service = StagingService::start(ServiceConfig::default()).unwrap();
+    let space = service.space();
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for v in 0..ROUNDS {
+                    let o = obj("rho", v, 0, 1.5);
+                    barrier.wait();
+                    space.put(o).unwrap();
+                }
+            });
+        }
+    });
+    let doubled = (0..ROUNDS)
+        .filter(|&v| space.get("rho", v, None).len() != 1)
+        .count();
+    assert_eq!(doubled, 0, "{doubled} of {ROUNDS} versions stored twice");
 
     service.shutdown();
 }

@@ -11,7 +11,6 @@
 
 use crate::advect::AdvectDiffuseSolver;
 use crate::euler::{Conserved, EulerSolver, Primitive, ENERGY, MX, MY, MZ, NCOMP, RHO, SMALL};
-use crate::scratch;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 use xlayer_amr::intvect::{IntVect, DIM};
@@ -86,23 +85,17 @@ pub fn advect_advance_level(solver: &AdvectDiffuseSolver, data: &mut LevelData, 
 /// The per-face fluxes of one grid, `flux[d]` at `iv` through the face
 /// between `iv - e_d` and `iv`: every face independently re-derives both
 /// cells' primitives and slopes via [`euler_face_flux`].
-pub fn euler_grid_fluxes(
-    solver: &EulerSolver,
-    old: &Fab,
-    valid: &IBox,
-    dtdx: f64,
-    gamma: f64,
-) -> [Fab; DIM] {
+pub fn euler_grid_fluxes(solver: &EulerSolver, old: &Fab, valid: &IBox, dtdx: f64) -> [Fab; DIM] {
     let avail = old.ibox();
     std::array::from_fn(|d| {
         let e = IntVect::basis(d);
         let mut hi = valid.hi();
         hi[d] += 1;
         let fbox = IBox::new(valid.lo(), hi);
-        let mut flux = scratch::take_fab(fbox, NCOMP);
+        let mut flux = Fab::new(fbox, NCOMP);
         let stride = flux.comp_stride();
         for iv in fbox.cells() {
-            let f = euler_face_flux(solver, old, &avail, iv - e, iv, d, dtdx, gamma);
+            let f = euler_face_flux(solver, old, &avail, iv - e, iv, d, dtdx);
             let o = flux.cell_offset(iv);
             let out = flux.as_mut_slice();
             for (c, fv) in f.iter().enumerate() {
@@ -115,7 +108,14 @@ pub fn euler_grid_fluxes(
 
 /// Conservative per-cell update from face fluxes, with the positivity
 /// floors through a primitive round trip.
-fn euler_apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f64, gamma: f64) {
+fn euler_apply_fluxes(
+    solver: &EulerSolver,
+    valid: &IBox,
+    fab: &mut Fab,
+    fluxes: &[Fab; DIM],
+    dtdx: f64,
+) {
+    let gamma = solver.gamma;
     for iv in valid.cells() {
         let mut du = [0.0; NCOMP];
         for (d, flux) in fluxes.iter().enumerate() {
@@ -139,14 +139,10 @@ fn euler_apply_fluxes(valid: &IBox, fab: &mut Fab, fluxes: &[Fab; DIM], dtdx: f6
 /// sweep is benchmarked against.
 pub fn euler_advance_level(solver: &EulerSolver, data: &mut LevelData, dx: f64, dt: f64) {
     let dtdx = dt / dx;
-    let gamma = solver.gamma;
     data.par_for_each_mut(|_, valid, fab| {
         let old = fab.clone();
-        let fluxes = euler_grid_fluxes(solver, &old, &valid, dtdx, gamma);
-        euler_apply_fluxes(&valid, fab, &fluxes, dtdx, gamma);
-        for f in fluxes {
-            scratch::recycle_fab(f);
-        }
+        let fluxes = euler_grid_fluxes(solver, &old, &valid, dtdx);
+        euler_apply_fluxes(solver, &valid, fab, &fluxes, dtdx);
     });
 }
 
@@ -170,7 +166,6 @@ pub fn euler_max_wave_speed(solver: &EulerSolver, data: &LevelData) -> f64 {
 /// MUSCL–Hancock + HLLC flux at the face between `left_cell` and
 /// `right_cell` along `d`. Falls back to first order at physical
 /// boundaries where a neighbor is unavailable.
-#[allow(clippy::too_many_arguments)]
 fn euler_face_flux(
     solver: &EulerSolver,
     old: &Fab,
@@ -179,8 +174,8 @@ fn euler_face_flux(
     right_cell: IntVect,
     d: usize,
     dtdx: f64,
-    gamma: f64,
 ) -> [f64; NCOMP] {
+    let gamma = solver.gamma;
     // Outside the domain (non-periodic boundary): reflecting-free outflow
     // — use the interior cell's state on both sides.
     let (lc, rc) = (

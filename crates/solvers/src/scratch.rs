@@ -3,25 +3,21 @@
 //! A level step needs, per grid, a few working buffers: the Euler walk a
 //! primitive cache of the ghost-filled box plus one buffer carved into its
 //! face rows and planes, the fused advection walk eight row, plane and
-//! table buffers, and the per-face references their flux fabs. Allocating
-//! those fresh each time puts a `malloc`/`free` cycle (megabytes, for the
-//! primitive cache) on the hottest path in the code. This module keeps a
-//! small per-thread pool of `Vec<f64>` backing buffers;
-//! [`xlayer_amr::Fab::with_storage`] / `into_storage` move fabs in and out
-//! of the pool without touching the allocator once the pool is warm.
+//! table buffers. Allocating those fresh each time puts a `malloc`/`free`
+//! cycle (megabytes, for the primitive cache) on the hottest path in the
+//! code. This module keeps a small per-thread pool of `Vec<f64>` buffers:
+//! [`take_buffer`] / [`recycle_buffer`] hand them out and take them back
+//! without touching the allocator once the pool is warm.
 //!
 //! The pool is thread-local because `advance_level` runs grids in parallel
 //! (`LevelData::par_for_each_mut`) on a persistent thread pool: each worker
 //! — and the calling thread, which works alongside them — warms and reuses
 //! its own buffers with no synchronization, for the life of the process.
 //! What a thread keeps is therefore bounded in bytes as well as in count.
-//! Numerics are unaffected — recycled fabs are zero-filled exactly like
-//! freshly allocated ones, and a recycled buffer's stale contents are
+//! Numerics are unaffected: a recycled buffer's stale contents are
 //! overwritten before they are read.
 
 use std::cell::RefCell;
-use xlayer_amr::boxes::IBox;
-use xlayer_amr::fab::Fab;
 
 /// Buffers retained per thread. The Euler walk holds 2 at once (primitive
 /// cache, carved rows and planes); the fused advection walk holds 8 row,
@@ -79,31 +75,9 @@ pub fn recycle_buffer(buf: Vec<f64>) {
     });
 }
 
-/// A zero-initialized fab over `bx` backed by pooled storage. Pair with
-/// [`recycle_fab`] when done.
-pub fn take_fab(bx: IBox, ncomp: usize) -> Fab {
-    Fab::with_storage(bx, ncomp, take_buffer())
-}
-
-/// Retire a fab, returning its storage to this thread's pool.
-pub fn recycle_fab(fab: Fab) {
-    recycle_buffer(fab.into_storage());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pooled_fabs_reuse_capacity() {
-        let f = take_fab(IBox::cube(8), 2);
-        assert!(f.as_slice().iter().all(|&v| v == 0.0));
-        recycle_fab(f);
-        // The next (smaller) request on this thread must reuse the big
-        // buffer rather than allocating a fresh one.
-        let g = take_fab(IBox::cube(4), 2);
-        assert!(g.into_storage().capacity() >= 8 * 8 * 8 * 2);
-    }
 
     #[test]
     fn pool_is_bounded() {

@@ -196,11 +196,11 @@ impl StagingServer {
     /// rejected put costs no payload copy.
     ///
     /// A put is idempotent for a byte-identical object: when memory already
-    /// holds one with an equal descriptor *and* an equal payload (see
-    /// [`Self::holds`]) the put answers `Ok` and stores nothing, so a
-    /// client that re-sends a put whose reply it lost does not double the
-    /// object. Known limit: a first copy that has since been demoted to
-    /// the disk tier is not recognised.
+    /// holds one with an equal descriptor *and* an equal payload (checked
+    /// under the same write-lock hold as the insert) the put answers `Ok`
+    /// and stores nothing, so a client that re-sends a put whose reply it
+    /// lost does not double the object. Known limit: a first copy that has
+    /// since been demoted to the disk tier is not recognised.
     pub fn put(&self, obj: impl Into<Arc<DataObject>>) -> Result<(), StagingError> {
         let obj = obj.into();
         let mut s = self.inner.write();
@@ -248,14 +248,10 @@ impl StagingServer {
     /// payload. Descriptor equality alone is not enough — two AMR levels
     /// stage grids with the same index-space box and rank at different
     /// `dx` — and the payload is only compared once the descriptor matched.
-    pub(crate) fn holds(&self, obj: &DataObject) -> bool {
-        Self::resident_twin(&self.inner.read(), obj)
-    }
-
-    /// [`Self::holds`] under an already-held store lock. Candidates come
-    /// from the key's bucket index, asked only for the box's low corner: a
-    /// twin has the same box, so it covers that cell, and one cell touches
-    /// one bucket instead of every bucket the box spans.
+    /// Candidates come from the key's bucket index, asked only for the
+    /// box's low corner: a twin has the same box, so it covers that cell,
+    /// and one cell touches one bucket instead of every bucket the box
+    /// spans.
     fn resident_twin(s: &Store, obj: &DataObject) -> bool {
         let Some((objs, index)) = s.objects.get(&obj.desc.key) else {
             return false;

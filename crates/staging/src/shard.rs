@@ -52,9 +52,9 @@ impl ShardMap {
 
     /// FNV-1a over the three bucket coordinates, little-endian.
     ///
-    /// At `span == 1` this is byte-identical to the `Sharding::BboxHash`
-    /// placement the in-process `DataSpace` has always used, which keeps
-    /// in-process and networked placement mutually compatible.
+    /// At `span == 1` this is the placement of every in-process
+    /// `DataSpace` (which holds a `ShardMap::new(servers, 1)`), so
+    /// in-process and networked placement are one function.
     fn hash_bucket(bucket: IntVect) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for d in 0..3 {

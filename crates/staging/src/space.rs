@@ -11,14 +11,17 @@ use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 
-/// How objects map to servers.
+/// How objects map to servers: one rule, the hash of the object's bbox
+/// low corner ([`ShardMap`] at span 1) — spatially deterministic, so a
+/// reader can locate an object without a directory (DataSpaces' DHT).
+///
+/// A one-variant type, kept (with the parameter of [`DataSpace::new`] /
+/// [`DataSpace::new_tiered`] that ignores it) only because the frozen
+/// `benchmark/` package passes `Sharding::BboxHash`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sharding {
-    /// Hash of the object's bbox low corner — spatially deterministic, so a
-    /// reader can locate an object without a directory (DataSpaces' DHT).
+    /// Hash of the object's bbox low corner.
     BboxHash,
-    /// Cycle through servers in put order.
-    RoundRobin,
 }
 
 /// A sharded staging space.
@@ -39,20 +42,18 @@ pub enum Sharding {
 #[derive(Debug)]
 pub struct DataSpace {
     servers: Vec<StagingServer>,
-    sharding: Sharding,
-    rr_next: parking_lot::Mutex<usize>,
+    map: ShardMap,
 }
 
 impl DataSpace {
     /// A space of `nservers` servers, each with `memory_per_server` bytes.
-    pub fn new(nservers: usize, memory_per_server: u64, sharding: Sharding) -> Self {
+    pub fn new(nservers: usize, memory_per_server: u64, _: Sharding) -> Self {
         assert!(nservers > 0);
         DataSpace {
             servers: (0..nservers)
                 .map(|i| StagingServer::new(i, memory_per_server))
                 .collect(),
-            sharding,
-            rr_next: parking_lot::Mutex::new(0),
+            map: ShardMap::new(nservers, 1),
         }
     }
 
@@ -64,7 +65,7 @@ impl DataSpace {
     pub fn new_tiered(
         nservers: usize,
         memory_per_server: u64,
-        sharding: Sharding,
+        _: Sharding,
         tier: &TierConfig,
         pool: Arc<BufferPool>,
     ) -> Result<Self, TierError> {
@@ -84,8 +85,7 @@ impl DataSpace {
         }
         Ok(DataSpace {
             servers,
-            sharding,
-            rr_next: parking_lot::Mutex::new(0),
+            map: ShardMap::new(nservers, 1),
         })
     }
 
@@ -151,24 +151,7 @@ impl DataSpace {
         self.servers.iter().map(|s| s.memory_cap()).sum()
     }
 
-    /// Which server an object lands on.
-    fn shard(&self, obj: &DataObject) -> usize {
-        match self.sharding {
-            Sharding::BboxHash => {
-                // Span-1 ShardMap: the per-corner FNV placement this space
-                // has always used, now shared with the networked cluster.
-                ShardMap::new(self.servers.len(), 1).shard_of(&obj.desc.bbox)
-            }
-            Sharding::RoundRobin => {
-                let mut n = self.rr_next.lock();
-                let s = *n;
-                *n = (*n + 1) % self.servers.len();
-                s
-            }
-        }
-    }
-
-    /// Store an object; on `BboxHash` collision pressure (target full), the
+    /// Store an object; on collision pressure (target full), the
     /// put spills to the least-loaded server instead of failing, mirroring
     /// DataSpaces' overflow behaviour. With disk tiers attached, a server
     /// only reports `OutOfMemory` after its own disk is exhausted too, so
@@ -182,21 +165,14 @@ impl DataSpace {
     /// full servers copies no payload at all.
     ///
     /// Re-putting a byte-identical object is a no-op that answers with the
-    /// server already holding it (see [`StagingServer::put`]). The bbox
-    /// hash sends a repeat to the server that has the first copy;
-    /// round-robin sends it to the *next* one, so under `RoundRobin` the
-    /// other servers are asked first. Not covered: a first copy that was
-    /// demoted to disk or overflowed to a sibling server under `BboxHash`,
-    /// and a repeat that races its own first copy onto another server.
+    /// server already holding it (see [`StagingServer::put`]): placement
+    /// is a function of the box, so a repeat — even one racing its first
+    /// copy — goes to that copy's home server, which recognises it under
+    /// its store lock. Not covered: a first copy that was demoted to disk
+    /// or overflowed to a sibling server.
     pub fn put(&self, obj: impl Into<Arc<DataObject>>) -> Result<usize, StagingError> {
         let obj: Arc<DataObject> = obj.into();
-        let target = self.shard(&obj);
-        if self.sharding == Sharding::RoundRobin {
-            let elsewhere = |&i: &usize| i != target && self.servers[i].holds(&obj);
-            if let Some(holder) = (0..self.servers.len()).find(elsewhere) {
-                return Ok(holder);
-            }
-        }
+        let target = self.map.shard_of(&obj.desc.bbox);
         match self.servers[target].put(Arc::clone(&obj)) {
             Ok(()) => Ok(target),
             Err(reduce @ StagingError::NeedsReduction { .. }) => Err(reduce),
@@ -315,41 +291,29 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_spreads() {
-        let space = DataSpace::new(3, 1 << 20, Sharding::RoundRobin);
-        let shards: Vec<usize> = (0..6)
-            .map(|i| space.put(obj("rho", 1, i * 8, 4)).unwrap())
-            .collect();
-        assert_eq!(shards, vec![0, 1, 2, 0, 1, 2]);
-    }
+    fn byte_identical_reput_stores_nothing() {
+        let space = DataSpace::new(3, 1 << 20, Sharding::BboxHash);
+        let first = obj("rho", 1, 0, 4);
+        let home = space.put(first.clone()).unwrap();
+        let (used, descs) = (space.used(), space.describe("rho", 1));
 
-    #[test]
-    fn byte_identical_reput_stores_nothing_under_either_sharding() {
-        for sharding in [Sharding::BboxHash, Sharding::RoundRobin] {
-            let space = DataSpace::new(3, 1 << 20, sharding);
-            let first = obj("rho", 1, 0, 4);
-            let home = space.put(first.clone()).unwrap();
-            let (used, descs) = (space.used(), space.describe("rho", 1));
+        // The retry a lost reply causes: same descriptor, same bytes.
+        assert_eq!(space.put(first.clone()).unwrap(), home);
+        assert_eq!(space.used(), used);
+        assert_eq!(space.get("rho", 1, None).len(), 1);
+        assert_eq!(space.describe("rho", 1), descs);
 
-            // The retry a lost reply causes: same descriptor, same bytes.
-            // Round-robin would have placed it on the next server.
-            assert_eq!(space.put(first.clone()).unwrap(), home, "{sharding:?}");
-            assert_eq!(space.used(), used, "{sharding:?}");
-            assert_eq!(space.get("rho", 1, None).len(), 1, "{sharding:?}");
-            assert_eq!(space.describe("rho", 1), descs, "{sharding:?}");
-
-            // Same key, box and rank is not enough: another AMR level's
-            // grid at a different dx, or different bytes (here inside the
-            // same value range), is a new object.
-            space.put(first.clone().with_dx(0.5)).unwrap();
-            let mut fab = first.to_fab();
-            fab.set(first.desc.bbox.lo() + IntVect::UNIT, 0, 4.0);
-            let other_bytes = DataObject::from_fab("rho", 1, &fab, 0, &first.desc.bbox, 0);
-            assert_eq!(other_bytes.desc, first.desc);
-            space.put(other_bytes).unwrap();
-            assert_eq!(space.get("rho", 1, None).len(), 3, "{sharding:?}");
-            assert_eq!(space.used(), 3 * used, "{sharding:?}");
-        }
+        // Same key, box and rank is not enough: another AMR level's
+        // grid at a different dx, or different bytes (here inside the
+        // same value range), is a new object.
+        space.put(first.clone().with_dx(0.5)).unwrap();
+        let mut fab = first.to_fab();
+        fab.set(first.desc.bbox.lo() + IntVect::UNIT, 0, 4.0);
+        let other_bytes = DataObject::from_fab("rho", 1, &fab, 0, &first.desc.bbox, 0);
+        assert_eq!(other_bytes.desc, first.desc);
+        space.put(other_bytes).unwrap();
+        assert_eq!(space.get("rho", 1, None).len(), 3);
+        assert_eq!(space.used(), 3 * used);
     }
 
     fn slab(name: &str, version: u64, xlo: i64, xhi: i64) -> DataObject {
@@ -414,7 +378,7 @@ mod tests {
 
     #[test]
     fn out_of_memory_when_everything_full() {
-        let space = DataSpace::new(2, 600, Sharding::RoundRobin);
+        let space = DataSpace::new(2, 600, Sharding::BboxHash);
         space.put(obj("rho", 1, 0, 4)).unwrap();
         space.put(obj("rho", 2, 0, 4)).unwrap();
         let err = space.put(obj("rho", 3, 0, 4));
@@ -423,10 +387,13 @@ mod tests {
 
     #[test]
     fn eviction_across_servers() {
-        let space = DataSpace::new(3, 1 << 20, Sharding::RoundRobin);
+        // Each version at its own box, so the versions spread over servers.
+        let space = DataSpace::new(3, 1 << 20, Sharding::BboxHash);
         for v in 1..=4 {
-            space.put(obj("rho", v, 0, 4)).unwrap();
+            space.put(obj("rho", v, v as i64 * 8, 4)).unwrap();
         }
+        let holding = space.used_per_server().iter().filter(|&&u| u > 0).count();
+        assert!(holding > 1, "versions all on one server");
         let freed = space.evict_before("rho", 3);
         assert_eq!(freed, 2 * 512);
         assert!(space.get("rho", 1, None).is_empty());

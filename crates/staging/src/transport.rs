@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn put_returns_before_delivery_completes() {
         // With a deep queue and 1 worker, puts must not block.
-        let space = Arc::new(DataSpace::new(1, 1 << 30, Sharding::RoundRobin));
+        let space = Arc::new(DataSpace::new(1, 1 << 30, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 64);
         let t0 = std::time::Instant::now();
         for v in 0..32 {
@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn oom_counted_not_fatal() {
         // Space fits exactly one 512 B object.
-        let space = Arc::new(DataSpace::new(1, 600, Sharding::RoundRobin));
+        let space = Arc::new(DataSpace::new(1, 600, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 4);
         put(&stager, obj(1, 0)).unwrap();
         put(&stager, obj(2, 0)).unwrap();
@@ -456,7 +456,7 @@ mod tests {
     fn wait_processed_counts_rejected_puts() {
         // Space fits one object; the second put is rejected but must still
         // unblock the waiter.
-        let space = Arc::new(DataSpace::new(1, 600, Sharding::RoundRobin));
+        let space = Arc::new(DataSpace::new(1, 600, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 4);
         put(&stager, obj(5, 0)).unwrap();
         put(&stager, obj(5, 8)).unwrap();
@@ -528,7 +528,7 @@ mod tests {
 
     #[test]
     fn batch_put_after_drain_returns_every_task() {
-        let space = Arc::new(DataSpace::new(1, 1 << 20, Sharding::RoundRobin));
+        let space = Arc::new(DataSpace::new(1, 1 << 20, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 4);
         let stats = stager.stats();
         // Empty batches are a no-op even on a live transport.
@@ -619,7 +619,7 @@ mod tests {
 
     #[test]
     fn drop_also_prunes_and_releases_waiters() {
-        let space = Arc::new(DataSpace::new(1, 1 << 20, Sharding::RoundRobin));
+        let space = Arc::new(DataSpace::new(1, 1 << 20, Sharding::BboxHash));
         let stager = AsyncStager::new(Arc::clone(&space), 1, 4);
         let stats = stager.stats();
         put(&stager, obj(0, 0)).unwrap();

@@ -93,10 +93,8 @@ proptest! {
     #[test]
     fn sharding_preserves_every_object(
         boxes in proptest::collection::vec(arb_box(), 1..20),
-        sharding in prop_oneof![Just(Sharding::BboxHash), Just(Sharding::RoundRobin)],
     ) {
         let space = DataSpace::new(5, u64::MAX / 8, Sharding::BboxHash);
-        let _ = sharding;
         let mut total = 0u64;
         for (v, b) in boxes.iter().enumerate() {
             let fab = coord_fab(*b);
@@ -114,7 +112,7 @@ proptest! {
     fn eviction_is_exactly_by_version(
         cutoff in 0u64..12,
     ) {
-        let space = DataSpace::new(2, u64::MAX / 8, Sharding::RoundRobin);
+        let space = DataSpace::new(2, u64::MAX / 8, Sharding::BboxHash);
         let b = IBox::cube(4);
         for v in 0..12u64 {
             let fab = coord_fab(b);

@@ -47,21 +47,23 @@ binaries=$(cat <(names "$parent") <(names "$root") | sed 's/\.rs$//' | sort -u)
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
-run() { # <target-dir> <name> <out>: stdout of one run, from an empty cwd
-    local exe="$1/release/${2#bench/}" dir
-    [ "${2%%/*}" = examples ] && exe="$1/release/$2"
-    [ -x "$exe" ] || { echo "(no such binary on this side)" > "$3"; return; }
+run() { # <tree> <target-dir> <name> <out>: stdout of one run, from an empty cwd
+    # A binary counts only if its source is in <tree>: a target/ dir keeps
+    # the build of a binary the tree has since deleted.
+    local src="$1/crates/bench/src/bin/${3#bench/}.rs" exe="$2/release/${3#bench/}" dir
+    [ "${3%%/*}" = examples ] && src="$1/$3.rs" exe="$2/release/$3"
+    [ -f "$src" ] && [ -x "$exe" ] || { echo "(no such binary on this side)" > "$4"; return; }
     dir=$(mktemp -d "$scratch/cwd.XXXX")
-    (cd "$dir" && "$exe" > "$3" 2> /dev/null) || echo "(exit $?)" >> "$3"
+    (cd "$dir" && "$exe" > "$4" 2> /dev/null) || echo "(exit $?)" >> "$4"
 }
 mask() { sed -E 's/[0-9]+(\.[0-9]+)? ?(ms|us|µs|ns|s)\b/<t>/g' "$1"; }
 
 status=0
 for name in $binaries; do
     p="$scratch/p" c1="$scratch/c1" c2="$scratch/c2"
-    run "$parent/target" "$name" "$p"
-    run "${CARGO_TARGET_DIR:-$root/target}" "$name" "$c1"
-    run "${CARGO_TARGET_DIR:-$root/target}" "$name" "$c2"
+    run "$parent" "$parent/target" "$name" "$p"
+    run "$root" "${CARGO_TARGET_DIR:-$root/target}" "$name" "$c1"
+    run "$root" "${CARGO_TARGET_DIR:-$root/target}" "$name" "$c2"
     note=""
     if ! cmp -s "$c1" "$c2"; then
         lines=$({ diff "$c1" <(mask "$c1") || true; } |

@@ -18,7 +18,6 @@ use xlayer::net::service::{ServiceConfig, StagingService};
 use xlayer::solvers::{
     AdvectDiffuseSolver, AmrSimulation, DriverConfig, ScalarProblem, VelocityField,
 };
-use xlayer::staging::Sharding;
 use xlayer::workflow::native::{AnalysisOutcome, NativeConfig, NativeWorkflow};
 use xlayer::workflow::StepLog;
 
@@ -97,7 +96,6 @@ fn remote_workflow_is_bit_identical_to_local() {
     let service = StagingService::start(ServiceConfig {
         servers: 2,
         memory_per_server: 256 << 20,
-        sharding: Sharding::RoundRobin,
         ..ServiceConfig::default()
     })
     .expect("bind loopback service");
@@ -155,7 +153,6 @@ fn sharded_remote_workflow_is_bit_identical_to_local() {
         &ServiceConfig {
             servers: 1,
             memory_per_server: 256 << 20,
-            sharding: Sharding::RoundRobin,
             ..ServiceConfig::default()
         },
     )

@@ -70,7 +70,7 @@ fn coupled_producer_consumer_via_version_gate() {
 
 #[test]
 fn async_stager_with_consumer_drains_cleanly() {
-    let space = Arc::new(DataSpace::new(2, 32 << 20, Sharding::RoundRobin));
+    let space = Arc::new(DataSpace::new(2, 32 << 20, Sharding::BboxHash));
     let stager = AsyncStager::new(Arc::clone(&space), 2, 16);
     let b = IBox::cube(8);
     for v in 1..=20 {
@@ -97,7 +97,7 @@ fn eviction_under_memory_pressure_keeps_newest() {
     // Server memory fits only ~2 versions; the coupled pattern (evict after
     // consume) keeps the pipeline flowing.
     let b = IBox::cube(16); // 4096 cells = 32 KB
-    let space = DataSpace::new(1, 80 << 10, Sharding::RoundRobin);
+    let space = DataSpace::new(1, 80 << 10, Sharding::BboxHash);
     let fab = Fab::filled(b, 1, 1.0);
     assert!(space
         .put(DataObject::from_fab("u", 1, &fab, 0, &b, 0))
