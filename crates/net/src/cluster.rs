@@ -15,23 +15,20 @@
 //!   query box can intersect, merged deterministically. It implements
 //!   [`Staging`], so `AsyncStager` and `workflow::native` drive a cluster
 //!   through the same handle as an in-process `DataSpace`. One address is
-//!   a one-shard cluster: home is always shard 0, there are no siblings to
-//!   spill to, and scatter short-circuits its single target — there is no
-//!   separate single-service path above [`RemoteClient`].
+//!   a one-shard cluster: home is always shard 0, and scatter
+//!   short-circuits its single target — there is no separate
+//!   single-service path above [`RemoteClient`].
 //!
-//! Degradation contract: a full shard answers a put with the typed
-//! `OutOfMemory` policy signal. The client first *spills* the object to
-//! the sibling shards in ascending shard order (the in-process `DataSpace`
-//! orders its overflow differently: least-loaded server first); only when
-//! every shard is full does the error
-//! surface — tagged with the shard that owned the object — so the
-//! workflow can fall back per-object instead of failing the step. A
-//! transport-dead shard, by contrast, is never spilled around: its typed
-//! error surfaces immediately, and the other shards' pooled connections
-//! are untouched.
+//! One home per object: a put goes to the shard its box hashes to and
+//! nowhere else. The home's answer is the put's answer — stored (in
+//! memory or on that shard's disk tier), the typed `OutOfMemory` or
+//! `NeedsReduction` policy signal, or a transport error — tagged with the
+//! home shard, so the workflow can fall back per object instead of
+//! failing the step, and the other shards' pooled connections are
+//! untouched.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use xlayer_amr::boxes::IBox;
@@ -44,8 +41,8 @@ use crate::wire::{ErrorFrame, ServiceSnapshot};
 /// A remote operation failed on a specific shard.
 #[derive(Debug)]
 pub struct ShardedError {
-    /// The shard the failing operation was routed to (for a put that
-    /// exhausted every spill candidate: the shard that *owns* the object).
+    /// The shard the failing operation was routed to (for a put: the
+    /// object's home shard, the only one it was sent to).
     pub shard: usize,
     /// That shard's service address.
     pub addr: SocketAddr,
@@ -68,16 +65,10 @@ impl std::error::Error for ShardedError {
 struct ShardedInner {
     shards: Vec<RemoteClient>,
     map: ShardMap,
-    /// Set once any object leaves its home shard (spill) or exceeds the
-    /// placement span (oversized): region queries then broaden to every
-    /// shard, trading fan-out for guaranteed coverage.
+    /// Set once this client stages an object that exceeds the placement
+    /// span (oversized): its region queries then broaden to every shard,
+    /// trading fan-out for guaranteed coverage.
     broaden: AtomicBool,
-    /// Puts the whole cluster turned down for lack of memory, by the
-    /// object's *home* shard — where in space the pressure is.
-    rejected_by_home: Vec<AtomicU64>,
-    /// Puts that landed on a sibling because their *home* shard (memory
-    /// and disk tier both) had no room, by home shard.
-    spill_redirects_by_home: Vec<AtomicU64>,
 }
 
 /// A client of a sharded staging cluster. Cheap to clone (clones share
@@ -107,15 +98,11 @@ impl ShardedClient {
             .iter()
             .map(|a| RemoteClient::connect(a.as_ref(), cfg.clone()))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let zeros = || (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
-        let (rejected_by_home, spill_redirects_by_home) = (zeros(), zeros());
         Ok(ShardedClient {
             inner: Arc::new(ShardedInner {
                 map: ShardMap::new(shards.len(), span),
                 shards,
                 broaden: AtomicBool::new(false),
-                rejected_by_home,
-                spill_redirects_by_home,
             }),
         })
     }
@@ -150,13 +137,10 @@ impl ShardedClient {
         }
     }
 
-    /// Store one object on its home shard; returns the shard it landed
-    /// on. On `OutOfMemory` the put spills to the sibling shards in
-    /// ascending shard order — the client knows no shard's load, unlike
-    /// `DataSpace::put`, which tries its least-loaded server first — and
-    /// the typed error, tagged with the owning shard, surfaces only when
-    /// the whole cluster is full. Transport failures never spill: a dead
-    /// shard must be visible, not silently remapped.
+    /// Store one object on its home shard and return that shard. The
+    /// home's refusal (`OutOfMemory`, `NeedsReduction`) or transport error
+    /// is the put's error, tagged with the home: no sibling is tried, so a
+    /// full or dead shard is visible, never silently remapped.
     pub fn put(&self, obj: &DataObject) -> Result<usize, ShardedError> {
         let home = self.inner.map.shard_of(&obj.desc.bbox);
         if !self.inner.map.fits(&obj.desc.bbox) {
@@ -170,29 +154,10 @@ impl ShardedClient {
                 RemoteError::Protocol(format!("placement chose shard {home} out of range")),
             ));
         };
-        let first = match home_client.put(obj) {
-            Ok(_) => return Ok(home),
-            Err(e @ RemoteError::OutOfMemory { .. }) => e,
-            Err(e) => return Err(self.err_on(home, e)),
-        };
-        for (i, sibling) in self.inner.shards.iter().enumerate() {
-            if i == home {
-                continue;
-            }
-            match sibling.put(obj) {
-                Ok(_) => {
-                    self.inner.broaden.store(true, Ordering::Relaxed);
-                    bump(&self.inner.spill_redirects_by_home, home);
-                    return Ok(i);
-                }
-                Err(RemoteError::OutOfMemory { .. }) => continue,
-                // A sibling with transport trouble is no reason to fail
-                // the put: keep looking for room elsewhere.
-                Err(_) => continue,
-            }
-        }
-        bump(&self.inner.rejected_by_home, home);
-        Err(self.err_on(home, first))
+        home_client
+            .put(obj)
+            .map(|_| home)
+            .map_err(|e| self.err_on(home, e))
     }
 
     /// The shards a fetch must consult for `query`.
@@ -344,19 +309,6 @@ impl ShardedClient {
         self.headroom().0
     }
 
-    /// Cluster-wide memory rejections attributed to each object's *home*
-    /// shard, in shard order.
-    pub fn rejected_by_shard(&self) -> Vec<u64> {
-        load_all(&self.inner.rejected_by_home)
-    }
-
-    /// Deliveries that left each *home* shard for a sibling, in shard
-    /// order. Non-zero entries mean that shard exhausted both its memory
-    /// cap and its disk tier — the cluster-level relief valve engaged.
-    pub fn spill_redirects_by_shard(&self) -> Vec<u64> {
-        load_all(&self.inner.spill_redirects_by_home)
-    }
-
     /// Cluster-wide retry counters: every shard client's [`ClientStats`]
     /// summed field-wise.
     pub fn client_stats_total(&self) -> crate::client::ClientStats {
@@ -403,16 +355,6 @@ fn desc_order(a: &ObjectDesc, b: &ObjectDesc) -> std::cmp::Ordering {
             b.bbox.hi(),
             b.origin_rank,
         ))
-}
-
-fn bump(counters: &[AtomicU64], shard: usize) {
-    if let Some(n) = counters.get(shard) {
-        n.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn load_all(counters: &[AtomicU64]) -> Vec<u64> {
-    counters.iter().map(|n| n.load(Ordering::Relaxed)).collect()
 }
 
 impl Staging for ShardedClient {

@@ -1,7 +1,7 @@
 //! Loopback tests of the sharded staging cluster: scatter/gather parity
 //! with a single server, exactly-one-shard routing, typed per-shard
-//! failures that leave the other shards healthy, and spill-then-reject
-//! degradation when shards fill.
+//! failures that leave the other shards healthy, and a full home shard
+//! that refuses rather than spilling to a sibling.
 
 use std::time::Duration;
 
@@ -266,7 +266,7 @@ fn shard_down_is_typed_and_leaves_other_shards_healthy() {
 }
 
 #[test]
-fn full_cluster_spills_then_reports_owning_shard() {
+fn full_home_shard_refuses_naming_itself() {
     // Two shards, 2 KiB each; 512 B objects sharing one home bucket.
     let cluster = StagingCluster::start(2, &service_cfg(2048)).expect("start cluster");
     let client =
@@ -278,33 +278,21 @@ fn full_cluster_spills_then_reports_owning_shard() {
     for v in 1..=4 {
         assert_eq!(client.put(&obj_at("rho", v, lo, 4)).expect("fill"), home);
     }
-    // The fifth spills to the sibling instead of failing (graceful
-    // degradation: the workflow keeps its object).
-    let spilled_to = client.put(&obj_at("rho", 5, lo, 4)).expect("spill");
-    assert_ne!(spilled_to, home, "expected a spill off the full home shard");
-    // The spilled object is still found by a region query (the client
-    // broadens queries once placement stops being authoritative).
-    let got = client
-        .get("rho", 5, Some(IBox::cube(4)))
-        .expect("get spilled");
-    assert_eq!(got.len(), 1);
-
-    // Fill the sibling too, then the cluster is full: typed OutOfMemory
-    // naming the owning shard.
-    for v in 6..=8 {
-        client.put(&obj_at("rho", v, lo, 4)).expect("fill sibling");
-    }
-    let err = client
-        .put(&obj_at("rho", 9, lo, 4))
-        .expect_err("cluster full");
-    assert_eq!(err.shard, home, "error must name the owning shard");
+    // The fifth is refused by its home, though the sibling has room:
+    // typed OutOfMemory naming that home, so the workflow can fall back
+    // per object.
+    let err = client.put(&obj_at("rho", 5, lo, 4)).expect_err("home full");
+    assert_eq!(err.shard, home, "error must name the home shard");
     assert!(
         matches!(err.source, RemoteError::OutOfMemory { .. }),
         "expected OutOfMemory, got {:?}",
         err.source
     );
-    // Accounting: both shards full.
-    assert_eq!(cluster.used_per_shard(), vec![2048, 2048]);
+    assert!(client.get("rho", 5, None).expect("get").is_empty());
+    // Accounting: the home full, nothing on the sibling.
+    let mut want = vec![0, 0];
+    want[home] = 2048;
+    assert_eq!(cluster.used_per_shard(), want);
 
     client.shutdown_all().expect("shutdown");
     cluster.wait();
@@ -317,8 +305,8 @@ fn stager_over_a_cluster_counts_per_shard_rejections() {
         ShardedClient::connect(&cluster.addrs(), 8, ClientConfig::default()).expect("client");
     let stager = AsyncStager::new(std::sync::Arc::new(client.clone()), 1, 64);
 
-    // 10 × 512 B into 2 × 2 KiB: 8 delivered (4 + 4 via spill), 2
-    // rejected — all owned by the same home shard.
+    // 10 × 512 B, one home bucket, into 2 × 2 KiB: 4 delivered to the
+    // home shard, 6 rejected by it.
     let tasks: Vec<StageTask> = (1..=10)
         .map(|v| StageTask::Ready(obj_at("rho", v, IntVect::ZERO, 4)))
         .collect();
@@ -334,16 +322,20 @@ fn stager_over_a_cluster_counts_per_shard_rejections() {
         assert!(std::time::Instant::now() < deadline, "stager stalled");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let by_shard = client.rejected_by_shard();
+    let by_shard: Vec<u64> = client
+        .shard_stats()
+        .into_iter()
+        .map(|s| s.expect("shard stats").rejected_oom)
+        .collect();
     let home = client.map().shard_of(&IBox::cube(4));
     let (delivered, rejected) = stager.drain().expect("drain");
-    assert_eq!((delivered, rejected), (8, 2));
+    assert_eq!((delivered, rejected), (4, 6));
     assert_eq!(stats.failed.load(Relaxed), 0);
-    assert_eq!(by_shard.iter().sum::<u64>(), 2);
-    assert_eq!(by_shard[home], 2, "rejections attributed to the home shard");
-    // The four deliveries that did not fit the home shard went to its
-    // sibling, and the client says so.
-    assert_eq!(client.spill_redirects_by_shard()[home], 4);
+    assert_eq!(by_shard[home], 6, "the home shard counts its rejections");
+    assert_eq!(by_shard.iter().sum::<u64>(), 6);
+    let mut want = vec![0, 0];
+    want[home] = 2048;
+    assert_eq!(cluster.used_per_shard(), want);
 
     client.shutdown_all().expect("shutdown");
     cluster.wait();
@@ -371,7 +363,8 @@ fn headroom_reports_memory_and_disk_tier_from_one_snapshot_per_shard() {
             .put(&obj_at("rho", v, IntVect::ZERO, 4))
             .expect("tiered put");
     }
-    assert_eq!(client.spill_redirects_by_shard(), vec![0, 0]);
+    let home = client.map().shard_of(&IBox::cube(4));
+    assert_eq!(cluster.used_per_shard()[1 - home], 0);
     let (want_mem, want_disk) = client
         .shard_stats()
         .into_iter()

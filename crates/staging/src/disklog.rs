@@ -113,7 +113,7 @@ pub enum TierError {
         detail: String,
     },
     /// Appending would exceed the disk budget: the spill tier itself is
-    /// full, the cluster's signal to fall back to sibling shards.
+    /// full, and the server refuses the put.
     DiskFull {
         /// Configured budget for live payload bytes.
         budget: u64,
@@ -568,6 +568,27 @@ impl DiskLog {
             out.push(self.read_extent(ext)?);
         }
         Ok(out)
+    }
+
+    /// Whether a live extent under `obj`'s key is a byte-identical twin of
+    /// it: an equal descriptor, and a payload that reads back (sums
+    /// verified) equal to `obj`'s byte for byte — equal sums alone are not
+    /// trusted. Only extents whose descriptor matched are read; one that
+    /// cannot be read is no twin. A key with nothing on disk — every fresh
+    /// put — costs one index lookup and no I/O.
+    pub fn has_twin(&mut self, obj: &DataObject) -> bool {
+        let (index, segments, pool) = (&self.index, &mut self.segments, &self.pool);
+        index
+            .get(&obj.desc.key)
+            .into_iter()
+            .flatten()
+            .filter(|ext| ext.desc == obj.desc)
+            .any(|ext| {
+                segments.get_mut(&ext.seg).is_some_and(|seg| {
+                    read_payload(pool, &mut seg.file, ext)
+                        .is_ok_and(|buf| buf[..] == *obj.payload.as_ref())
+                })
+            })
     }
 
     /// Drop every live extent under `key` (the bytes become dead weight

@@ -191,20 +191,21 @@ impl StagingServer {
     /// itself to disk when the cap is smaller than the object. Only when
     /// the disk is exhausted too (or the policy says reject) does the put
     /// fail with `OutOfMemory`; a forced downsample fails fast with
-    /// [`StagingError::NeedsReduction`] instead. The shared handle the
-    /// caller kept — if any — stays usable for retrying elsewhere, so a
-    /// rejected put costs no payload copy.
+    /// [`StagingError::NeedsReduction`] instead. A refused put has copied
+    /// no payload: the shared handle the caller kept, if any, is what a
+    /// coarsened retry starts from.
     ///
-    /// A put is idempotent for a byte-identical object: when memory already
-    /// holds one with an equal descriptor *and* an equal payload (checked
-    /// under the same write-lock hold as the insert) the put answers `Ok`
-    /// and stores nothing, so a client that re-sends a put whose reply it
-    /// lost does not double the object. Known limit: a first copy that has
-    /// since been demoted to the disk tier is not recognised.
+    /// A put is idempotent for a byte-identical object: when the server
+    /// already holds one with an equal descriptor *and* an equal payload,
+    /// in memory or on its disk tier (checked under the same write-lock
+    /// hold as the insert), the put answers `Ok` and stores nothing, so a
+    /// client that re-sends a put whose reply it lost does not double the
+    /// object, wherever its first copy has moved since.
     pub fn put(&self, obj: impl Into<Arc<DataObject>>) -> Result<(), StagingError> {
         let obj = obj.into();
+        // xlint: allow(L) -- the disk-twin probe and any spill run under the write lock, so a re-sent put and its first copy's demotion, promote or drain resolve as one serial order
         let mut s = self.inner.write();
-        if Self::resident_twin(&s, &obj) {
+        if Self::resident_twin(&s, &obj) || s.tier.as_mut().is_some_and(|t| t.has_twin(&obj)) {
             return Ok(());
         }
         let bytes = obj.desc.bytes;
@@ -270,10 +271,12 @@ impl StagingServer {
     /// least-recently-touched, with `(name, version)` order breaking ties —
     /// so the coldest, oldest versions leave memory first (LRU-by-version).
     /// The incoming key is never demoted to make room for itself. Demotion
-    /// stops early when the disk budget cannot hold the next victim: a
-    /// victim is only removed from memory after every one of its objects is
-    /// safely on disk, and then its payload buffers go back to the tier's
-    /// pool.
+    /// stops early when the disk budget cannot hold the next victim. Each
+    /// object leaves memory once it is on disk, and its payload buffer
+    /// goes back to the tier's pool. An append that fails for I/O (room was
+    /// checked) ends the demotion: the objects of that key already
+    /// appended have left memory, the rest stay resident, so every object
+    /// is held once, in one tier, and `used` counts the resident ones.
     fn demote_victims(s: &mut Store, cap: u64, need: u64, incoming: &ObjectKey) {
         let Some(tier) = s.tier.as_mut() else {
             return;
@@ -297,21 +300,28 @@ impl StagingServer {
             if s.used.saturating_add(need) <= cap {
                 break;
             }
-            let Some((objs, _)) = s.objects.get(&key) else {
+            let Some((objs, index)) = s.objects.get_mut(&key) else {
                 continue;
             };
             let key_bytes: u64 = objs.iter().map(|o| o.desc.bytes).sum();
             if !tier.log().has_room(key_bytes) {
                 break;
             }
-            // Only real I/O failures fail a spill here (room was checked).
-            // Leave the key resident; gets deduplicate by geometry.
-            if !objs.iter().all(|o| tier.spill(o).is_ok()) {
-                break;
+            let on_disk = objs.iter().take_while(|o| tier.spill(o).is_ok()).count();
+            let moved: Vec<Arc<DataObject>> = objs.drain(..on_disk).collect();
+            let partial = !objs.is_empty();
+            if partial {
+                // Index ids are positions in `objs`: the first `on_disk` left.
+                index.retain(|id| id >= on_disk);
+            } else {
+                s.objects.remove(&key);
             }
-            if let Some((objs, _)) = s.objects.remove(&key) {
-                s.used = s.used.saturating_sub(key_bytes);
-                objs.into_iter().for_each(|o| recycle(tier.pool(), o));
+            s.used = s
+                .used
+                .saturating_sub(moved.iter().map(|o| o.desc.bytes).sum());
+            moved.into_iter().for_each(|o| recycle(tier.pool(), o));
+            if partial {
+                break;
             }
         }
     }
@@ -658,6 +668,47 @@ mod tests {
             s.put(vobj("rho", 2)).unwrap(); // v1 demoted, disk now full
             let err = s.put(vobj("rho", 3)).unwrap_err();
             assert!(matches!(err, StagingError::OutOfMemory { .. }));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_demotion_that_fails_partway_holds_each_object_once() {
+            // Two 9 MiB objects under one key: the second's append rolls to
+            // segment 1, which a directory squats, so demoting the key
+            // fails after its first object is on disk.
+            let dir = tmpdir("partial");
+            let s = server(&dir, 20 << 20, u64::MAX);
+            let big = |name: &str, x: i64| {
+                let b = IBox::new(IntVect::new(x, 0, 0), IntVect::new(x + 95, 95, 127));
+                DataObject::from_fab(name, 1, &Fab::filled(b, 1, x as f64), 0, &b, 0)
+            };
+            let rho = ObjectKey::new("rho", 1);
+            s.put(big("rho", 0)).unwrap();
+            s.put(big("rho", 96)).unwrap();
+            let squat = dir.join("srv.log.1");
+            std::fs::create_dir(&squat).unwrap();
+
+            // `p` demotes "rho": one object moves to disk, the other stays
+            // resident, and `p` fits beside it.
+            let put_p = s.put(big("p", 0));
+            assert_eq!(s.describe(&rho).len(), 2, "a rho object held twice");
+            assert_eq!(snap(&s).disk_used, 9 << 20);
+            assert_eq!(put_p, Ok(()));
+            assert_eq!(s.used(), 18 << 20, "resident: one rho object and p");
+            // Promotion cannot make room (p's demotion fails the same
+            // way): served from both tiers, each object once.
+            let got = s.get(&rho, None, None);
+            let mut los: Vec<IntVect> = got.iter().map(|o| o.desc.bbox.lo()).collect();
+            los.sort();
+            assert_eq!(los, vec![IntVect::ZERO, IntVect::new(96, 0, 0)]);
+
+            // With segment 1 free again, the promote goes through: p
+            // leaves, rho comes back whole and is charged once.
+            std::fs::remove_dir(&squat).unwrap();
+            assert_eq!(s.get(&rho, None, None).len(), 2);
+            assert!(!spilled(&s, &rho));
+            assert_eq!(s.used(), 18 << 20);
+            assert_eq!(snap(&s).disk_used, 9 << 20);
             let _ = std::fs::remove_dir_all(&dir);
         }
 

@@ -14,7 +14,10 @@
 //! [`ShardMap::fits`]) this set is exact — a scatter/gather over it sees
 //! every matching object. Oversized objects are still placed
 //! deterministically, but callers that stage them must broaden region
-//! queries to all shards (the networked client does this automatically).
+//! queries to all shards. The networked client does this for itself:
+//! staging an oversized object is the only thing that sets its `broaden`
+//! flag, and only in the client that staged it (and its clones) — another
+//! client of the same shards does not learn of it.
 
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::intvect::IntVect;

@@ -1,5 +1,7 @@
 //! The DataSpace: a sharded collection of staging servers presenting the
 //! DataSpaces-style `put`/`get`/`query` API over `(variable, version, bbox)`.
+//! Every object has one home, the server its box hashes to: it lives
+//! there, in memory or on that server's disk tier, and nowhere else.
 
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
 use crate::pool::BufferPool;
@@ -151,46 +153,21 @@ impl DataSpace {
         self.servers.iter().map(|s| s.memory_cap()).sum()
     }
 
-    /// Store an object; on collision pressure (target full), the
-    /// put spills to the least-loaded server instead of failing, mirroring
-    /// DataSpaces' overflow behaviour. With disk tiers attached, a server
-    /// only reports `OutOfMemory` after its own disk is exhausted too, so
-    /// sibling spill is the relief valve of last resort. Fails only when
-    /// every server is full; a `NeedsReduction` verdict propagates
-    /// immediately — it is an instruction to the producer, not a capacity
-    /// failure another server could absorb.
-    ///
-    /// The object is wrapped in an `Arc` once on entry; a rejected put hands
-    /// the same handle to the next candidate server, so spilling across N
-    /// full servers copies no payload at all.
+    /// Store an object on its home server — the one its box hashes to —
+    /// and return that server's index. The home is the only place the
+    /// object can live: a full home spills to its own disk tier or
+    /// refuses (`OutOfMemory`, or `NeedsReduction` under a forced
+    /// downsample), and the refusal is the answer; no other server is
+    /// tried.
     ///
     /// Re-putting a byte-identical object is a no-op that answers with the
-    /// server already holding it (see [`StagingServer::put`]): placement
-    /// is a function of the box, so a repeat — even one racing its first
-    /// copy — goes to that copy's home server, which recognises it under
-    /// its store lock. Not covered: a first copy that was demoted to disk
-    /// or overflowed to a sibling server.
+    /// same home (see [`StagingServer::put`]): a repeat — even one racing
+    /// its first copy — meets that copy, in memory or on the home's disk,
+    /// under the home's store lock.
     pub fn put(&self, obj: impl Into<Arc<DataObject>>) -> Result<usize, StagingError> {
         let obj: Arc<DataObject> = obj.into();
-        let target = self.map.shard_of(&obj.desc.bbox);
-        match self.servers[target].put(Arc::clone(&obj)) {
-            Ok(()) => Ok(target),
-            Err(reduce @ StagingError::NeedsReduction { .. }) => Err(reduce),
-            Err(first_err) => {
-                // Spill to the emptiest server that can take it.
-                let mut order: Vec<usize> = (0..self.servers.len()).collect();
-                order.sort_by_key(|&i| self.servers[i].used());
-                for i in order {
-                    if i == target {
-                        continue;
-                    }
-                    if self.servers[i].put(Arc::clone(&obj)).is_ok() {
-                        return Ok(i);
-                    }
-                }
-                Err(first_err)
-            }
-        }
+        let home = self.map.shard_of(&obj.desc.bbox);
+        self.servers[home].put(obj).map(|()| home)
     }
 
     /// All objects under `(name, version)` intersecting `query`
@@ -341,48 +318,33 @@ mod tests {
     }
 
     #[test]
-    fn spill_on_full_shard() {
-        // One tiny server and one large one: objects hashing to the tiny one
-        // must spill rather than fail.
+    fn full_home_refuses_while_sibling_has_room() {
+        // Two 600 B servers; 512 B objects at one box share one home. The
+        // second finds its home full and is refused, though the sibling
+        // is empty: an object lives at its home or nowhere.
         let space = DataSpace::new(2, 600, Sharding::BboxHash);
-        // each object is 512 B; two objects with identical lo hash to the
-        // same shard, second must spill.
-        space.put(obj("rho", 1, 0, 4)).unwrap();
-        space.put(obj("rho", 2, 0, 4)).unwrap();
-        assert_eq!(space.get("rho", 1, None).len(), 1);
-        assert_eq!(space.get("rho", 2, None).len(), 1);
-        let per = space.used_per_server();
-        assert_eq!(per.iter().filter(|&&u| u == 512).count(), 2);
-    }
-
-    #[test]
-    fn spill_retries_without_copying_the_object() {
-        // The spill path must hand the same shared object to each candidate
-        // server rather than deep-cloning it per retry: the stored payload
-        // is the very allocation the caller submitted.
-        let space = DataSpace::new(2, 600, Sharding::BboxHash);
-        let first = obj("rho", 1, 0, 4); // 512 B
-        let second = obj("rho", 2, 0, 4); // same lo => same shard; must spill
-        let second_payload = second.payload.as_ref().as_ptr();
-        let s1 = space.put(first).unwrap();
-        let s2 = space.put(second).unwrap();
-        assert_ne!(s1, s2, "second object must spill to the other server");
-        let got = space.get("rho", 2, None);
-        assert_eq!(got.len(), 1);
+        let first = obj("rho", 1, 0, 4);
+        let first_payload = first.payload.as_ref().as_ptr();
+        let home = space.put(first).unwrap();
+        let got = space.get("rho", 1, None);
         assert_eq!(
             got[0].payload.as_ref().as_ptr(),
-            second_payload,
-            "stored payload is not the caller's allocation (copied on spill)"
+            first_payload,
+            "stored payload is not the caller's allocation (copied on put)"
         );
-    }
-
-    #[test]
-    fn out_of_memory_when_everything_full() {
-        let space = DataSpace::new(2, 600, Sharding::BboxHash);
-        space.put(obj("rho", 1, 0, 4)).unwrap();
-        space.put(obj("rho", 2, 0, 4)).unwrap();
-        let err = space.put(obj("rho", 3, 0, 4));
-        assert!(err.is_err());
+        let err = space.put(obj("rho", 2, 0, 4)).unwrap_err();
+        assert_eq!(
+            err,
+            StagingError::OutOfMemory {
+                cap: 600,
+                used: 512,
+                requested: 512,
+            }
+        );
+        assert!(space.get("rho", 2, None).is_empty());
+        let per = space.used_per_server();
+        assert_eq!(per[home], 512);
+        assert_eq!(per[1 - home], 0, "the sibling took the refused object");
     }
 
     #[test]
@@ -430,6 +392,43 @@ mod tests {
         assert_eq!(got.len(), 1, "the resident piece still serves");
         assert_eq!(got[0].payload, resident.payload);
         assert_eq!(space.tier_stats().read_errors, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reput_meets_its_first_copy_on_disk() {
+        let dir = std::env::temp_dir().join(format!("xlayer-tier-disktwin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TierConfig::new(&dir).with_chunk_size(256);
+        // Memory for one 512 B object: the second version demotes the
+        // first to disk.
+        let space = DataSpace::new_tiered(
+            1,
+            600,
+            Sharding::BboxHash,
+            &cfg,
+            Arc::new(BufferPool::new()),
+        )
+        .unwrap();
+        let first = obj("rho", 1, 0, 4);
+        space.put(first.clone()).unwrap();
+        space.put(obj("rho", 2, 0, 4)).unwrap();
+        assert_eq!(space.tier_stats().spilled, 1, "the first copy is on disk");
+        let (used, disk_used) = (space.used(), space.tier_stats().disk_used);
+
+        // The retry a lost reply causes stores nothing, in either tier.
+        space.put(first.clone()).unwrap();
+        assert_eq!(space.describe("rho", 1), vec![first.desc.clone()]);
+        assert_eq!(space.used(), used);
+        assert_eq!(space.tier_stats().disk_used, disk_used);
+
+        // An equal descriptor over other bytes is a new object.
+        let mut fab = first.to_fab();
+        fab.set(first.desc.bbox.lo() + IntVect::UNIT, 0, 4.0);
+        let other_bytes = DataObject::from_fab("rho", 1, &fab, 0, &first.desc.bbox, 0);
+        assert_eq!(other_bytes.desc, first.desc);
+        space.put(other_bytes).unwrap();
+        assert_eq!(space.describe("rho", 1).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -234,15 +234,21 @@ impl DiskTier {
         }
     }
 
-    /// Demote `obj` to the log. [`TierError::DiskFull`] means the local
-    /// disk is exhausted too — the caller escalates to `OutOfMemory`, which
-    /// is what lets sibling-shard spill remain the relief valve of last
-    /// resort.
+    /// Demote `obj` to the log. [`TierError::DiskFull`] means the server's
+    /// disk is exhausted too — the caller escalates to `OutOfMemory`: an
+    /// object's home is the only server it can live on, so the put is
+    /// refused.
     pub fn spill(&mut self, obj: &DataObject) -> Result<(), TierError> {
         self.log.append(obj)?;
         self.counts.spilled += 1;
         self.counts.spilled_bytes += obj.desc.bytes;
         Ok(())
+    }
+
+    /// Whether the log holds a byte-identical twin of `obj` (see
+    /// [`DiskLog::has_twin`]): the disk half of an idempotent put.
+    pub(crate) fn has_twin(&mut self, obj: &DataObject) -> bool {
+        self.log.has_twin(obj)
     }
 
     /// Read `key`'s extents intersecting `query` and passing the

@@ -231,24 +231,26 @@ if grep -rnE 'FluxRegister|flux_register|LevelFluxes|advance_level_capture|advan
 if grep -rnE '\b(subcycle|reflux)[[:space:]]*:([^:]|$)' crates src tests examples; then gate=1; fi
 [ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one time-stepping algorithm)"; exit 1; }
 
-echo "==> one placement rule, no pooled fabs (grep gate)"
-# A staged object lands on the server its box hashes to (ShardMap), so a
-# re-sent put meets its first copy under that server's store lock. The
-# round-robin rule, its put counter, the cross-server twin probe and the
-# service's sharding knob were deleted and may not come back in non-test
-# code (each file up to its first #[cfg(test)]) of the staging, net and
-# workflow crates (amr's rank `Balancer::RoundRobin` is another thing).
+echo "==> one placement rule, one home, no pooled fabs (grep gate)"
+# A staged object lands on the server its box hashes to (ShardMap) and
+# lives there, in memory or on that server's disk, so a re-sent put meets
+# its first copy under that server's store lock. The round-robin rule, its
+# put counter, the cross-server twin probe and the service's sharding knob
+# were deleted, and so were sibling overflow and its per-home counters on
+# the sharded client; none may come back in non-test code (each file up
+# to its first #[cfg(test)]) of the staging, net and workflow crates
+# (amr's rank `Balancer::RoundRobin` is another thing).
 # Nor may the pooled-fab pair only the solver reference used, or the
 # per-grid result map beside `LevelData::par_for_each_mut`, in amr and
 # solvers.
 gate=0
 for f in $(find crates/{staging,net,workflow}/src -name '*.rs' | sort); do
-    if grep -E 'RoundRobin|rr_next|fn holds|sharding:' <<<"$(nontest "$f")"; then gate=1; fi
+    if grep -E 'RoundRobin|rr_next|fn holds|sharding:|spill_redirects|rejected_by_home|rejected_by_shard' <<<"$(nontest "$f")"; then gate=1; fi
 done
 for f in $(find crates/{amr,solvers}/src -name '*.rs' | sort); do
     if grep -E 'take_fab|recycle_fab|with_storage|into_storage|par_map_mut' <<<"$(nontest "$f")"; then gate=1; fi
 done
-[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one placement rule for staged objects)"; exit 1; }
+[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one placement rule and one home for staged objects)"; exit 1; }
 
 echo "==> xmark A/B arithmetic self-test (scripts/xmark_ab.sh --self-test)"
 ./scripts/xmark_ab.sh --self-test
