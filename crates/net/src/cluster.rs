@@ -10,13 +10,15 @@
 //!   sizes the cluster in *servers*, the deployable unit, instead of
 //!   modeled cores);
 //! * [`ShardedClient`] — one pooled [`RemoteClient`] per shard, routing
-//!   puts by the object's region through a [`ShardMap`] and serving
-//!   region queries by concurrent scatter/gather over the shards the
-//!   query box can intersect, merged deterministically. It implements
-//!   [`Staging`], so `AsyncStager` and `workflow::native` drive a cluster
-//!   through the same handle as an in-process `DataSpace`. One address is
-//!   a one-shard cluster: home is always shard 0, and scatter
-//!   short-circuits its single target — there is no separate
+//!   puts by the object's region through a [`ShardMap`]. Every read asks
+//!   every shard, one after another in shard order, and merges the
+//!   answers deterministically — the same read rule as an in-process
+//!   `DataSpace`, so any client sees every stored object its query
+//!   intersects, wherever it was placed and whoever staged it. It
+//!   implements [`Staging`], so `AsyncStager` and `workflow::native`
+//!   drive a cluster through the same handle as an in-process
+//!   `DataSpace`. One address is a one-shard cluster: home is always
+//!   shard 0, and a read is one call — there is no separate
 //!   single-service path above [`RemoteClient`].
 //!
 //! One home per object: a put goes to the shard its box hashes to and
@@ -28,7 +30,6 @@
 //! untouched.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use xlayer_amr::boxes::IBox;
@@ -65,10 +66,6 @@ impl std::error::Error for ShardedError {
 struct ShardedInner {
     shards: Vec<RemoteClient>,
     map: ShardMap,
-    /// Set once this client stages an object that exceeds the placement
-    /// span (oversized): its region queries then broaden to every shard,
-    /// trading fan-out for guaranteed coverage.
-    broaden: AtomicBool,
 }
 
 /// A client of a sharded staging cluster. Cheap to clone (clones share
@@ -102,7 +99,6 @@ impl ShardedClient {
             inner: Arc::new(ShardedInner {
                 map: ShardMap::new(shards.len(), span),
                 shards,
-                broaden: AtomicBool::new(false),
             }),
         })
     }
@@ -143,11 +139,6 @@ impl ShardedClient {
     /// full or dead shard is visible, never silently remapped.
     pub fn put(&self, obj: &DataObject) -> Result<usize, ShardedError> {
         let home = self.inner.map.shard_of(&obj.desc.bbox);
-        if !self.inner.map.fits(&obj.desc.bbox) {
-            // Oversized for the span: placement still lands it on exactly
-            // one shard, but region queries can no longer prove coverage.
-            self.inner.broaden.store(true, Ordering::Relaxed);
-        }
         let Some(home_client) = self.inner.shards.get(home) else {
             return Err(self.err_on(
                 home,
@@ -160,30 +151,12 @@ impl ShardedClient {
             .map_err(|e| self.err_on(home, e))
     }
 
-    /// The shards a fetch must consult for `query`.
-    fn fetch_targets(&self, query: &Option<IBox>) -> Vec<usize> {
-        match query {
-            None => self.inner.map.all_shards(),
-            Some(q) => {
-                if self.inner.broaden.load(Ordering::Relaxed) {
-                    if q.is_empty() {
-                        Vec::new()
-                    } else {
-                        self.inner.map.all_shards()
-                    }
-                } else {
-                    self.inner.map.query_shards(q)
-                }
-            }
-        }
-    }
-
     /// Fetch the objects under `(name, version)` intersecting `query`
-    /// (all objects of the version if `None`) by scatter/gather: a
-    /// concurrent fetch per intersecting shard, merged into one list
-    /// sorted by `(name, version, bbox.lo, bbox.hi, origin_rank)` — the
-    /// same total order no matter how objects were distributed, so the
-    /// sharded read path is bit-compatible with a single server's.
+    /// (all objects of the version if `None`) from every shard, merged
+    /// into one list sorted by `(name, version, bbox.lo, bbox.hi,
+    /// origin_rank)` — the same total order no matter how objects were
+    /// distributed, so the sharded read path is bit-compatible with a
+    /// single server's.
     ///
     /// The first failing shard (lowest shard id) surfaces as the typed
     /// error; healthy shards' pooled connections are unaffected.
@@ -206,8 +179,7 @@ impl ShardedClient {
         query: Option<IBox>,
         crossing: Option<f64>,
     ) -> Result<Vec<DataObject>, ShardedError> {
-        let targets = self.fetch_targets(&query);
-        let fetched = self.scatter(&targets, |c| c.get_crossing(name, version, query, crossing))?;
+        let fetched = self.scatter(|c| c.get_crossing(name, version, query, crossing))?;
         let mut out: Vec<DataObject> = fetched.into_iter().flatten().collect();
         sort_objects(&mut out);
         Ok(out)
@@ -217,74 +189,49 @@ impl ShardedClient {
     /// metadata only, merged in the same deterministic order as
     /// [`Self::get`].
     pub fn describe(&self, name: &str, version: u64) -> Result<Vec<ObjectDesc>, ShardedError> {
-        let targets = self.inner.map.all_shards();
-        let fetched = self.scatter(&targets, |c| c.describe(name, version))?;
+        let fetched = self.scatter(|c| c.describe(name, version))?;
         let mut out: Vec<ObjectDesc> = fetched.into_iter().flatten().collect();
         sort_descs(&mut out);
         Ok(out)
     }
 
-    /// Run `op` against each target shard concurrently; results come back
-    /// in target order, and the failure on the lowest shard id wins.
-    fn scatter<T: Send>(
+    /// Run `op` against every shard in shard order; results come back in
+    /// that order, and the failure on the lowest shard id wins.
+    fn scatter<T>(
         &self,
-        targets: &[usize],
-        op: impl Fn(&RemoteClient) -> Result<T, RemoteError> + Sync,
+        op: impl Fn(&RemoteClient) -> Result<T, RemoteError>,
     ) -> Result<Vec<T>, ShardedError> {
-        self.scatter_each(targets, op).into_iter().collect()
+        self.scatter_each(op).into_iter().collect()
     }
 
-    /// [`Self::scatter`] with every target's outcome kept in its own slot,
-    /// in target order: every target runs whether or not a sibling fails.
-    fn scatter_each<T: Send>(
+    /// [`Self::scatter`] with every shard's outcome kept in its own slot:
+    /// every shard is asked whether or not an earlier one failed.
+    fn scatter_each<T>(
         &self,
-        targets: &[usize],
-        op: impl Fn(&RemoteClient) -> Result<T, RemoteError> + Sync,
+        op: impl Fn(&RemoteClient) -> Result<T, RemoteError>,
     ) -> Vec<Result<T, ShardedError>> {
-        let shards = &self.inner.shards;
-        let live = targets.iter().filter_map(|&i| Some((i, shards.get(i)?)));
-        // One target: skip the thread machinery (the common case for
-        // span-local queries).
-        if targets.len() <= 1 {
-            return live
-                .map(|(i, client)| op(client).map_err(|e| self.err_on(i, e)))
-                .collect();
-        }
-        let op = &op;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = live
-                .map(|(i, client)| (i, s.spawn(move || op(client))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|(i, h)| {
-                    h.join()
-                        .unwrap_or_else(|_| {
-                            Err(RemoteError::Protocol(
-                                "shard fetch worker panicked".to_string(),
-                            ))
-                        })
-                        .map_err(|e| self.err_on(i, e))
-                })
-                .collect()
-        })
+        self.inner
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, client)| op(client).map_err(|e| self.err_on(i, e)))
+            .collect()
     }
 
     /// Evict versions of `name` older than `before_version` on every
     /// shard; returns total bytes freed. Visits every shard even when one
     /// fails, then reports the failure on the lowest shard id.
     pub fn evict_before(&self, name: &str, before_version: u64) -> Result<u64, ShardedError> {
-        let all = self.inner.map.all_shards();
-        let freed = self.scatter(&all, |c| c.evict_before(name, before_version))?;
+        let freed = self.scatter(|c| c.evict_before(name, before_version))?;
         Ok(freed.into_iter().sum())
     }
 
     /// Per-shard service snapshots, in shard order — the cluster's Eq. 10
     /// accounting view (per-shard `used`/`capacity`, op counters). One
-    /// concurrent `Stats` round trip per shard; a shard's failure stays in
-    /// its own slot.
+    /// `Stats` round trip per shard; a shard's failure stays in its own
+    /// slot.
     pub fn shard_stats(&self) -> Vec<Result<ServiceSnapshot, ShardedError>> {
-        self.scatter_each(&self.inner.map.all_shards(), |c| c.service_stats())
+        self.scatter_each(|c| c.service_stats())
     }
 
     /// Free bytes across reachable shards as `(memory, disk tier)`, both
@@ -322,8 +269,7 @@ impl ShardedClient {
     /// Ask every shard to shut down. Visits all shards; reports the first
     /// failure (lowest shard id).
     pub fn shutdown_all(&self) -> Result<(), ShardedError> {
-        let all = self.inner.map.all_shards();
-        self.scatter(&all, |c| c.shutdown()).map(drop)
+        self.scatter(|c| c.shutdown()).map(drop)
     }
 }
 

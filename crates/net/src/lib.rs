@@ -32,8 +32,8 @@
 //! - [`cluster`] — the sharded staging cluster: [`StagingCluster`] spawns
 //!   N services (one listener + `DataSpace` + memory cap each), and
 //!   [`ShardedClient`] routes puts by object region through a
-//!   `ShardMap` and serves region queries by concurrent scatter/gather
-//!   with a deterministic merge order, so aggregate staging capacity
+//!   `ShardMap` and serves every read by asking every shard in shard
+//!   order, with a deterministic merge order, so aggregate staging capacity
 //!   scales in servers (paper Eq. 9–10) with per-shard accounting. It is
 //!   the crate's `Staging` implementation — one address is a one-shard
 //!   cluster — so `workflow::native` runs in-transit analysis against a

@@ -1,7 +1,8 @@
-//! Loopback tests of the sharded staging cluster: scatter/gather parity
-//! with a single server, exactly-one-shard routing, typed per-shard
-//! failures that leave the other shards healthy, and a full home shard
-//! that refuses rather than spilling to a sibling.
+//! Loopback tests of the sharded staging cluster: gather parity with a
+//! single server, exactly-one-shard routing, reads that see every object
+//! whichever client staged it, typed per-shard failures that leave the
+//! other shards healthy, and a full home shard that refuses rather than
+//! spilling to a sibling.
 
 use std::time::Duration;
 
@@ -32,7 +33,10 @@ fn fast_cfg() -> ClientConfig {
 }
 
 fn obj_at(name: &str, version: u64, lo: IntVect, n: i64) -> DataObject {
-    let b = IBox::cube(n).shift(lo);
+    obj_on(name, version, IBox::cube(n).shift(lo))
+}
+
+fn obj_on(name: &str, version: u64, b: IBox) -> DataObject {
     let mut fab = Fab::new(b, 1);
     for iv in b.cells() {
         fab.set(
@@ -177,6 +181,30 @@ fn every_object_routes_to_exactly_one_shard() {
 }
 
 #[test]
+fn a_second_client_sees_an_oversized_object_it_did_not_stage() {
+    let cluster = StagingCluster::start(4, &service_cfg(64 << 20)).expect("start cluster");
+    let producer =
+        ShardedClient::connect(&cluster.addrs(), 8, ClientConfig::default()).expect("producer");
+    let analysis =
+        ShardedClient::connect(&cluster.addrs(), 8, ClientConfig::default()).expect("analysis");
+
+    // 32 cells long on a span of 8: placed by its low corner on shard 1,
+    // far from the buckets the query below starts in.
+    let slab = IBox::new(IntVect::new(0, 0, 0), IntVect::new(31, 3, 3));
+    assert_eq!(producer.put(&obj_on("rho", 1, slab)).expect("put"), 1);
+
+    let query = IBox::new(IntVect::new(24, 0, 0), IntVect::new(27, 3, 3));
+    for (who, client) in [("producer", &producer), ("analysis", &analysis)] {
+        let got = client.get("rho", 1, Some(query)).expect("region get");
+        assert_eq!(got.len(), 1, "{who} saw {} objects", got.len());
+        assert_eq!(got[0].desc.bbox, slab);
+    }
+
+    producer.shutdown_all().expect("shutdown");
+    cluster.wait();
+}
+
+#[test]
 fn shard_down_is_typed_and_leaves_other_shards_healthy() {
     let mut cluster = StagingCluster::start(3, &service_cfg(64 << 20)).expect("start cluster");
     let client = ShardedClient::connect(&cluster.addrs(), 8, fast_cfg()).expect("client");
@@ -191,32 +219,18 @@ fn shard_down_is_typed_and_leaves_other_shards_healthy() {
     };
     let on_dead = homed_on(1);
     let on_live = homed_on(0);
-    // A box whose whole query fan-out avoids shard 1 (pure function of
-    // the map, so the search is deterministic).
-    let live_query = (0..10_000i64)
-        .map(|i| IBox::cube(4).shift(IntVect::new((i % 100) * 8, (i / 100) * 8, 0)))
-        .find(|b| !map.query_shards(b).contains(&1))
-        .expect("some box routes around shard 1");
 
-    // Warm every shard before the fault.
-    let mut fab = Fab::new(live_query, 1);
-    for iv in live_query.cells() {
-        fab.set(iv, 0, 1.0);
+    // Warm the surviving shards before the fault.
+    for b in [on_live, homed_on(2)] {
+        client.put(&obj_on("rho", 1, b)).expect("pre-fault put");
     }
-    client
-        .put(&DataObject::from_fab("rho", 1, &fab, 0, &live_query, 0))
-        .expect("pre-fault put");
 
     assert!(cluster.stop_shard(1), "shard 1 was running");
 
     // Put routed to the dead shard: typed error naming it. Transport
     // faults must NOT spill — a dead shard stays visible.
-    let mut fab = Fab::new(on_dead, 1);
-    for iv in on_dead.cells() {
-        fab.set(iv, 0, 2.0);
-    }
     let err = client
-        .put(&DataObject::from_fab("rho", 2, &fab, 0, &on_dead, 0))
+        .put(&obj_on("rho", 2, on_dead))
         .expect_err("put to dead shard must fail");
     assert_eq!(err.shard, 1);
     assert!(
@@ -225,23 +239,18 @@ fn shard_down_is_typed_and_leaves_other_shards_healthy() {
         err.source
     );
 
-    // Full-version gather touches the dead shard: typed error again.
+    // Every read asks every shard: a full-version gather and a region get
+    // of a box homed on a live shard both fail typed, naming the dead one.
     let err = client
         .get("rho", 1, None)
         .expect_err("gather across dead shard must fail");
     assert_eq!(err.shard, 1);
+    let err = client
+        .get("rho", 1, Some(on_live))
+        .expect_err("region get across dead shard must fail");
+    assert_eq!(err.shard, 1);
 
-    // A query routed only to live shards still answers, and the live
-    // shards' pooled connections were not poisoned by the failures.
-    let targets = map.query_shards(&live_query);
-    assert!(
-        !targets.contains(&1),
-        "probe query unexpectedly routed to the dead shard: {targets:?}"
-    );
-    let got = client
-        .get("rho", 1, Some(live_query))
-        .expect("live-shard query after fault");
-    assert_eq!(got.len(), 1);
+    // The live shards' pooled connections were not poisoned.
     client
         .put(&obj_at("rho", 3, on_live.lo(), 4))
         .expect("put to live shard after fault");
@@ -251,6 +260,16 @@ fn shard_down_is_typed_and_leaves_other_shards_healthy() {
         .service_stats()
         .expect("live shard stats after fault");
     assert!(stats.puts >= 1);
+
+    // An eviction past the dead shard still reaches the shards after it,
+    // then reports the dead one.
+    let used = cluster.used_per_shard();
+    assert!(used[0] > 0 && used[2] > 0, "{used:?}");
+    let err = client
+        .evict_before("rho", 4)
+        .expect_err("eviction across dead shard must fail");
+    assert_eq!(err.shard, 1);
+    assert_eq!(cluster.used_per_shard(), vec![0, 0, 0]);
 
     client
         .shard_client(0)

@@ -1,6 +1,6 @@
 //! Property tests for the deterministic shard placement map: every object
-//! routes to exactly one shard, placement is stable across map instances,
-//! and region-query routing covers every fitting object that intersects.
+//! routes to exactly one shard, and placement is stable across map
+//! instances.
 
 use proptest::prelude::*;
 use xlayer_amr::boxes::IBox;
@@ -35,36 +35,5 @@ proptest! {
         prop_assert!(s < n);
         prop_assert_eq!(s, map.shard_of(&b));
         prop_assert_eq!(s, twin.shard_of(&b));
-    }
-
-    /// A fitting object intersecting a query is always reachable through
-    /// the query's routed shard set (scatter/gather completeness).
-    #[test]
-    fn query_routing_covers_intersecting_objects(
-        obj in boxes(),
-        q in boxes(),
-        n in 1usize..9,
-    ) {
-        let map = ShardMap::new(n, 16);
-        prop_assert!(map.fits(&obj));
-        if obj.intersects(&q) {
-            let routed = map.query_shards(&q);
-            prop_assert!(
-                routed.contains(&map.shard_of(&obj)),
-                "object {:?} not covered by query {:?} -> {:?}", obj, q, routed
-            );
-        }
-    }
-
-    /// Routed shard sets are ascending, deduped, and within range.
-    #[test]
-    fn query_shards_is_canonical(q in boxes(), n in 1usize..9, span in 1i64..33) {
-        let map = ShardMap::new(n, span);
-        let routed = map.query_shards(&q);
-        let mut canon = routed.clone();
-        canon.sort_unstable();
-        canon.dedup();
-        prop_assert_eq!(&routed, &canon);
-        prop_assert!(routed.iter().all(|&s| s < n));
     }
 }

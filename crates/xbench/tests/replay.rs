@@ -67,10 +67,9 @@ fn replay(spec: &WorkloadSpec, client: &ShardedClient, agent: u32, conn: u32) ->
             PlannedOp::Get => {
                 let want = last.as_ref().expect("a stream starts with a put");
                 let key = &want.desc.key;
-                // A region get through the cluster also asks the shards of
-                // the neighbouring buckets; asking the home shard alone
-                // makes the services' `gets` counter the op count, and
-                // proves the put landed at home.
+                // A get through the cluster asks every shard; asking the
+                // home shard alone makes the services' `gets` counter the
+                // op count, and proves the put landed at home.
                 let home = client.map().shard_of(&want.desc.bbox);
                 let got = client
                     .shard_client(home)

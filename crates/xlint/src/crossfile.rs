@@ -23,7 +23,9 @@
 //! - Call edges are by *name only*: same-named functions merge. A
 //!   stoplist drops ubiquitous std method names (`get`, `take`, ...)
 //!   that would otherwise conflate container calls with service
-//!   functions; the cost is false negatives through those names.
+//!   functions; the cost is false negatives through those names. A call
+//!   through a [`TYPED_RECEIVERS`] name (`tier.take(k)`,
+//!   `self.log.append(o)`) keeps its edge whatever the method's name.
 //!
 //! DESIGN.md §6 documents these limits.
 
@@ -204,6 +206,12 @@ const CALL_STOPLIST: &[&str] = &[
     "expect",
     "into_inner",
 ];
+
+/// Receiver names that always hold a workspace type — a staging store's
+/// disk `tier` and the tier's `log` — so a call through one is a call edge
+/// even when its method name is on [`CALL_STOPLIST`]: `tier.take(k)` is
+/// the disk tier's, not `Option::take`, and reaches its file I/O.
+const TYPED_RECEIVERS: &[&str] = &["tier", "log"];
 
 /// Guard adapters: chained onto an acquisition they still yield the
 /// guard (`.lock().unwrap()` on a poisoned-capable `std::sync` mutex),
@@ -858,7 +866,7 @@ fn extract_fn(
                     }
                 } else if next_is("(")
                     && !KEYWORDS.contains(&text)
-                    && !CALL_STOPLIST.contains(&text)
+                    && (!CALL_STOPLIST.contains(&text) || on_typed_receiver(a, j))
                 {
                     f.calls.push(CallSite {
                         callee: text.to_string(),
@@ -872,6 +880,15 @@ fn extract_fn(
         j += 1;
     }
     f
+}
+
+/// True when the call named at `j` is `recv.name(` with `recv` one of
+/// [`TYPED_RECEIVERS`].
+fn on_typed_receiver(a: &FileAnalysis, j: usize) -> bool {
+    let tok = |back: usize| j.checked_sub(back).and_then(|p| a.code.get(p));
+    tok(1).is_some_and(|t| t.kind == TokKind::Punct && t.text == ".")
+        && tok(2)
+            .is_some_and(|r| r.kind == TokKind::Ident && TYPED_RECEIVERS.contains(&r.text.as_str()))
 }
 
 /// True when the token stream at `from` (just past an acquisition's

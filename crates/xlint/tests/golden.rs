@@ -177,6 +177,27 @@ fn l_regression_pre_fix_get_shape_fails() {
     );
 }
 
+/// Disk-tier calls under the store guard are findings: `tier.spill`
+/// (which appends to the log), `tier.take` and `tier.clear`, one per
+/// guard; `Vec::clear`, `Vec::append` and `Option::take` under a guard
+/// are not.
+#[test]
+fn l_tier_calls_under_the_store_guard_are_findings() {
+    let r = cross_scan("l_tier_calls.rs", &cfg_for(Rule::LockDiscipline));
+    let found: Vec<(u32, &str)> = r
+        .violations
+        .iter()
+        .map(|v| (v.line, v.message.as_str()))
+        .collect();
+    assert_eq!(found.len(), 3, "{found:?}");
+    for (line, callee) in [(57, "`spill`"), (62, "`take`"), (67, "`clear`")] {
+        assert!(
+            found.iter().any(|(l, m)| *l == line && m.contains(callee)),
+            "no finding at line {line} for {callee}: {found:?}"
+        );
+    }
+}
+
 #[test]
 fn a_bad_flags_mixed_ordering_and_unfused_rmw() {
     let r = cross_scan("a_bad.rs", &cfg_for(Rule::Atomics));

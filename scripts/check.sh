@@ -252,6 +252,16 @@ for f in $(find crates/{amr,solvers}/src -name '*.rs' | sort); do
 done
 [ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one placement rule and one home for staged objects)"; exit 1; }
 
+echo "==> one read rule for the sharded client (grep gate)"
+# Every ShardedClient read asks every shard, in shard order, on the calling
+# thread, as DataSpace's reads ask every server. The predicted-shard region
+# routing, the oversized-object check that fed it, the per-client flag that
+# widened it and the per-call thread fan-out were deleted; none may come
+# back in non-test cluster.rs or shard.rs (each up to its first #[cfg(test)]).
+if grep -E 'query_shards|broaden|thread::scope|fn fits' <<<"$(nontest crates/net/src/cluster.rs crates/staging/src/shard.rs)"; then
+    echo "grep gate: the names above are retired (see CHANGES.md: one read rule for the staging cluster)"; exit 1
+fi
+
 echo "==> xmark A/B arithmetic self-test (scripts/xmark_ab.sh --self-test)"
 ./scripts/xmark_ab.sh --self-test
 
