@@ -1,32 +1,39 @@
 //! Staging-pressure policy: what to do when a step's (possibly already
 //! reduced) output exceeds the free staging memory.
 //!
-//! The staging tier offers three relief mechanisms — *spill* cold
-//! versions to the staging node's disk log, ask the producer to
-//! *downsample* before sending, or *reject* the put — and the engine
-//! selects among them the same way the paper's root–leaf policy selects
-//! among layers (§4.4): by pricing each option against the objective.
-//! Spilling costs a disk round trip (demote now, promote on first
-//! access, priced by [`DiskModel::spill_roundtrip`]); downsampling costs
-//! resolution but no time; rejecting costs the data.
+//! There are three relief mechanisms — *spill* cold versions to the
+//! staging node's disk log, *downsample* the step before it is sent, or
+//! *reject* the put — and the engine selects among them the same way the
+//! paper's root–leaf policy selects among layers (§4.4): by pricing each
+//! option against the objective. Spilling costs a disk round trip (demote
+//! now, promote on first access, priced by
+//! [`DiskModel::spill_roundtrip`]); downsampling costs resolution but no
+//! time; rejecting costs the data.
 //!
-//! The verdict maps one-to-one onto the staging layer's `SpillAction`:
-//! the workflow driver forwards it with `DataSpace::set_pressure_action`
-//! so the servers' spill-then-reject default gives way to the engine's
-//! cross-layer choice.
+//! Each verdict is carried out by the layer that owns its mechanism. A
+//! downsample is the producer's: the workflow driver multiplies the
+//! step's pack factor by it, as the engine multiplied the application
+//! layer's factor by it when it sized the step, so the whole step is
+//! staged at that resolution on every backend. Spill and reject are the
+//! staging tier's: the driver forwards them as the staging layer's
+//! `SpillAction` with `DataSpace::set_pressure_action`, so the servers'
+//! spill-then-reject default gives way to the engine's cross-layer
+//! choice.
 
 use super::app;
 use serde::{Deserialize, Serialize};
 use xlayer_platform::{DiskModel, SimTime};
 
-/// The relief mechanism chosen for staging memory pressure. Mirrors the
-/// staging layer's `SpillAction` (the crates are kept decoupled: policy
-/// here, mechanism there).
+/// The relief mechanism chosen for staging memory pressure. `Spill` and
+/// `Reject` mirror the staging layer's `SpillAction`; `Downsample` is the
+/// producer's pack factor (the crates are kept decoupled: policy here,
+/// mechanisms there).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum PressureAction {
     /// Demote cold versions to the staging node's disk log.
     Spill,
-    /// Ask the producer to re-send reduced by `factor` (volumetric).
+    /// The producer packs the step reduced by `factor` (volumetric), on
+    /// top of the application layer's factor, before anything is staged.
     Downsample {
         /// Volumetric reduction divisor, from the user-hinted set.
         factor: u32,

@@ -10,11 +10,10 @@
 //! Retry policy, in one sentence: transient transport faults (refused or
 //! reset connections, timeouts, short reads, corrupted frames, `Busy`
 //! refusals) are retried with bounded exponential backoff on a fresh
-//! connection; **`OutOfMemory` and `NeedsReduction` are never retried** —
-//! they are the paper's memory-pressure policy signals (Eq. 10 and the
-//! tier's downsample verdict), and hiding them behind retries would blind
-//! the adaptation engine that must react to them. Both arrive on a healthy,
-//! in-step connection, which goes back to the pool.
+//! connection; **`OutOfMemory` is never retried** — it is the paper's
+//! memory-pressure policy signal (Eq. 10), and hiding it behind retries
+//! would blind the adaptation engine that must react to it. It arrives on
+//! a healthy, in-step connection, which goes back to the pool.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -313,10 +312,10 @@ impl RemoteClient {
 
     /// Run one-attempt exchanges under the retry policy: transient
     /// transport failures retry with bounded exponential backoff on a
-    /// fresh connection; `OutOfMemory`, `NeedsReduction`, `BadRequest` and
-    /// `ShuttingDown` responses return immediately — only the transport
-    /// is retried, never policy. An attempt yields what the exchange was
-    /// for, or the typed refusal the service answered it with.
+    /// fresh connection; `OutOfMemory`, `BadRequest` and `ShuttingDown`
+    /// responses return immediately — only the transport is retried, never
+    /// policy. An attempt yields what the exchange was for, or the typed
+    /// refusal the service answered it with.
     fn call_with<T>(
         &self,
         attempt_once: impl Fn(&Self, &mut TcpStream) -> Result<Result<T, ErrorFrame>, RemoteError>,
@@ -356,11 +355,6 @@ impl RemoteClient {
                     // Transient service-side condition; retry with backoff.
                     self.inner.retries.busy.fetch_add(1, Ordering::Relaxed);
                     last_err = Some(RemoteError::Refused(busy));
-                }
-                Ok(Err(reduce @ ErrorFrame::NeedsReduction { .. })) => {
-                    // The other policy signal: same healthy connection.
-                    self.checkin(stream);
-                    return Err(RemoteError::Refused(reduce));
                 }
                 // `BadRequest` / `ShuttingDown`: the stream may be out of
                 // step, so the connection is dropped.

@@ -23,21 +23,22 @@
 //!
 //! One home per object: a put goes to the shard its box hashes to and
 //! nowhere else. The home's answer is the put's answer — stored (in
-//! memory or on that shard's disk tier), the typed `OutOfMemory` or
-//! `NeedsReduction` policy signal, or a transport error — tagged with the
-//! home shard, so the workflow can fall back per object instead of
-//! failing the step, and the other shards' pooled connections are
-//! untouched.
+//! memory or on that shard's disk tier), the typed `OutOfMemory` policy
+//! signal, or a transport error — tagged with the home shard, so the
+//! workflow can fall back per object instead of failing the step, and the
+//! other shards' pooled connections are untouched. A read or an eviction
+//! that a shard cannot answer fails, naming that shard, through the
+//! [`Staging`] trait too: a dead shard never reads as an empty one.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 use xlayer_amr::boxes::IBox;
-use xlayer_staging::{DataObject, ObjectDesc, PutVerdict, ShardMap, Staging};
+use xlayer_staging::{DataObject, ObjectDesc, PutVerdict, ShardMap, Staging, Unanswered};
 
 use crate::client::{ClientConfig, RemoteClient, RemoteError};
 use crate::service::{ServiceConfig, StagingService};
-use crate::wire::{ErrorFrame, ServiceSnapshot};
+use crate::wire::ServiceSnapshot;
 
 /// A remote operation failed on a specific shard.
 #[derive(Debug)]
@@ -134,7 +135,7 @@ impl ShardedClient {
     }
 
     /// Store one object on its home shard and return that shard. The
-    /// home's refusal (`OutOfMemory`, `NeedsReduction`) or transport error
+    /// home's refusal (`OutOfMemory`) or transport error
     /// is the put's error, tagged with the home: no sibling is tried, so a
     /// full or dead shard is visible, never silently remapped.
     pub fn put(&self, obj: &DataObject) -> Result<usize, ShardedError> {
@@ -309,9 +310,6 @@ impl Staging for ShardedClient {
             Ok(_) => PutVerdict::Stored,
             Err(e) => match e.source {
                 RemoteError::OutOfMemory { .. } => PutVerdict::Rejected,
-                RemoteError::Refused(ErrorFrame::NeedsReduction { factor }) => {
-                    PutVerdict::NeedsReduction { factor }
-                }
                 _ => PutVerdict::Failed,
             },
         }
@@ -323,14 +321,14 @@ impl Staging for ShardedClient {
         version: u64,
         query: Option<&IBox>,
         crossing: Option<f64>,
-    ) -> Vec<Arc<DataObject>> {
+    ) -> Result<Vec<Arc<DataObject>>, Unanswered> {
         ShardedClient::get_crossing(self, name, version, query.copied(), crossing)
             .map(|objs| objs.into_iter().map(Arc::new).collect())
-            .unwrap_or_default()
+            .map_err(|e| Unanswered(e.to_string()))
     }
 
-    fn evict_before(&self, name: &str, min_version: u64) -> u64 {
-        ShardedClient::evict_before(self, name, min_version).unwrap_or(0)
+    fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, Unanswered> {
+        ShardedClient::evict_before(self, name, min_version).map_err(|e| Unanswered(e.to_string()))
     }
 
     fn headroom(&self) -> (u64, u64) {

@@ -28,7 +28,7 @@
 //!   typed `OutOfMemory` error frames — the policy signal stays visible.
 //! - [`client`] — [`RemoteClient`], a pooled connection client for one
 //!   service with bounded exponential-backoff retry on transient I/O
-//!   errors (never on the `OutOfMemory` / `NeedsReduction` policy signals).
+//!   errors (never on the `OutOfMemory` policy signal).
 //! - [`cluster`] — the sharded staging cluster: [`StagingCluster`] spawns
 //!   N services (one listener + `DataSpace` + memory cap each), and
 //!   [`ShardedClient`] routes puts by object region through a

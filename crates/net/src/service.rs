@@ -640,7 +640,6 @@ fn commit_put(inner: &Inner, obj: Arc<DataObject>) -> Result<u32, ErrorFrame> {
             used,
             requested,
         },
-        StagingError::NeedsReduction { factor } => ErrorFrame::NeedsReduction { factor },
     })
 }
 

@@ -40,7 +40,8 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 /// Protocol version encoded in every header. Peers refuse any other
 /// version outright ([`WireError::BadVersion`]), so a body-layout change
 /// MUST bump this — version 2 widened the `StatsOk` body with the tier
-/// and cache counters and added error code 5 (`NeedsReduction`); version
+/// and cache counters and added error code 5 (a downsample request);
+/// version
 /// 3 appended the disk-budget pair (`tier_disk_budget`,
 /// `tier_disk_headroom`) to `StatsOk`; version 4 appended `busy_frames`
 /// (Busy refusals actually written) to `StatsOk` for load-generation
@@ -54,10 +55,14 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 /// frames would fail as `ChecksumMismatch` — and be retried — instead of
 /// being refused. Version 7 put the object's value range (two `f64`,
 /// after `dx`) in every descriptor and an optional isovalue predicate
-/// (`crossing`) at the end of the `GetChunked` body. The layout
+/// (`crossing`) at the end of the `GetChunked` body. Version 8 retired
+/// error code 5, the downsample request (the producer packs at the
+/// pressure verdict's factor, so no service asks for one): without the
+/// bump a v7 peer's code 5 would fail as `BadErrorCode` instead of the
+/// peer being refused as another version. The layout
 /// fingerprint is additionally pinned in `xlint.wire` (rule S):
 /// regenerate it with `xlint --write-wire-pin` alongside any bump.
-pub const VERSION: u16 = 7;
+pub const VERSION: u16 = 8;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = frame::HEADER_LEN;
@@ -683,13 +688,6 @@ pub enum ErrorFrame {
     },
     /// The service is shutting down and takes no new work.
     ShuttingDown,
-    /// The tier policy asks the producer to coarsen the object by `factor`
-    /// per axis and retry. Like `OutOfMemory`, this is a policy signal —
-    /// clients must NOT retry it unchanged.
-    NeedsReduction {
-        /// Per-axis coarsening factor to apply before retrying.
-        factor: u32,
-    },
 }
 
 impl ErrorFrame {
@@ -699,7 +697,6 @@ impl ErrorFrame {
             ErrorFrame::BadRequest { .. } => 2,
             ErrorFrame::Busy { .. } => 3,
             ErrorFrame::ShuttingDown => 4,
-            ErrorFrame::NeedsReduction { .. } => 5,
         }
     }
 }
@@ -720,10 +717,6 @@ impl std::fmt::Display for ErrorFrame {
                 write!(f, "service busy: {active}/{max} connections")
             }
             ErrorFrame::ShuttingDown => write!(f, "service shutting down"),
-            ErrorFrame::NeedsReduction { factor } => write!(
-                f,
-                "staging under pressure: downsample by {factor} per axis and retry"
-            ),
         }
     }
 }
@@ -842,7 +835,6 @@ impl Response {
                         w.u32(*max);
                     }
                     ErrorFrame::ShuttingDown => {}
-                    ErrorFrame::NeedsReduction { factor } => w.u32(*factor),
                 }
             }
         }
@@ -911,7 +903,6 @@ impl Response {
                         max: r.u32()?,
                     },
                     4 => ErrorFrame::ShuttingDown,
-                    5 => ErrorFrame::NeedsReduction { factor: r.u32()? },
                     c => return Err(WireError::BadErrorCode(c)),
                 };
                 Response::Error(e)
@@ -964,7 +955,7 @@ mod tests {
             buf,
             vec![
                 b'X', b'L', b'N', b'T', // magic
-                0x07, 0x00, // version 7 LE
+                0x08, 0x00, // version 8 LE
                 0x05, // opcode Stats
                 0x00, // flags
                 0x07, 0, 0, 0, 0, 0, 0, 0, // request id 7 LE
@@ -988,7 +979,7 @@ mod tests {
             9, 0, 0, 0, 0, 0, 0, 0, // before_version 9 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x07, 0x00, 0x04, 0x00, // magic, v7, Delete, flags
+            b'X', b'L', b'N', b'T', 0x08, 0x00, 0x04, 0x00, // magic, v8, Delete, flags
             0x01, 0, 0, 0, 0, 0, 0, 0, // request id 1
             15, 0, 0, 0, // payload length 15
         ];
@@ -1020,7 +1011,7 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&8u32.to_le_bytes());
         body.extend_from_slice(&3.0f64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x07, 0x00, 0x01, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x08, 0x00, 0x01, 0x00];
         expect.extend_from_slice(&3u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1054,8 +1045,8 @@ mod tests {
                 b'L',
                 b'N',
                 b'T', // magic
-                0x07,
-                0x00, // version 7 LE
+                0x08,
+                0x00, // version 8 LE
                 0x09, // opcode ChunkData
                 0x00, // flags
                 0x09,
@@ -1106,7 +1097,7 @@ mod tests {
             0x02, 0x01, 0, 0, 0, 0, 0, 0, // total_bytes 0x0102 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x07, 0x00, 0x0A, 0x00, // magic, v7, ChunkEnd, flags
+            b'X', b'L', b'N', b'T', 0x08, 0x00, 0x0A, 0x00, // magic, v8, ChunkEnd, flags
             0x04, 0, 0, 0, 0, 0, 0, 0, // request id 4
             12, 0, 0, 0, // payload length 12
         ];
@@ -1142,7 +1133,7 @@ mod tests {
         }
         body.extend_from_slice(&8u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x07, 0x00, 0x07, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x08, 0x00, 0x07, 0x00];
         expect.extend_from_slice(&6u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1215,7 +1206,7 @@ mod tests {
         body.push(0); // no query box
         body.push(1); // a crossing predicate ...
         body.extend_from_slice(&0.5f64.to_bits().to_le_bytes()); // ... at 0.5
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x07, 0x00, 0x08, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x08, 0x00, 0x08, 0x00];
         expect.extend_from_slice(&2u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1362,7 +1353,6 @@ mod tests {
             }),
             Response::Error(ErrorFrame::Busy { active: 4, max: 4 }),
             Response::Error(ErrorFrame::ShuttingDown),
-            Response::Error(ErrorFrame::NeedsReduction { factor: 2 }),
         ];
         for resp in cases {
             let frame = decode_whole(&resp.encode(77));
@@ -1402,8 +1392,9 @@ mod tests {
 
         // 5 summed its payloads with FNV-1a-32: refused here, or its frames
         // would fail as `ChecksumMismatch` and be retried. 6 had no range in
-        // its descriptors: its bodies would misparse.
-        for v in [9, 4, 5, 6] {
+        // its descriptors: its bodies would misparse. 7 could answer with
+        // error code 5, which no longer decodes.
+        for v in [9, 4, 5, 6, 7] {
             let mut bad = h;
             bad[4] = v;
             assert_eq!(decode_header(&bad), Err(WireError::BadVersion(v.into())));

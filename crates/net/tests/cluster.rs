@@ -12,7 +12,7 @@ use xlayer_amr::intvect::IntVect;
 use xlayer_net::client::{ClientConfig, RemoteError};
 use xlayer_net::cluster::{ShardedClient, StagingCluster};
 use xlayer_net::service::ServiceConfig;
-use xlayer_staging::{AsyncStager, DataObject, StageTask};
+use xlayer_staging::{AsyncStager, DataObject, StageTask, Staging};
 
 fn service_cfg(memory_per_server: u64) -> ServiceConfig {
     ServiceConfig {
@@ -282,6 +282,31 @@ fn shard_down_is_typed_and_leaves_other_shards_healthy() {
         .shutdown()
         .expect("shutdown 2");
     cluster.wait();
+}
+
+#[test]
+fn the_staging_trait_reports_a_dead_shard_instead_of_an_empty_read() {
+    // What the workflow's analysis workers call: a read or an eviction
+    // that one shard cannot answer is an error naming that shard, never a
+    // partial answer passed off as the whole version.
+    let mut cluster = StagingCluster::start(3, &service_cfg(64 << 20)).expect("start cluster");
+    let client = ShardedClient::connect(&cluster.addrs(), 8, fast_cfg()).expect("client");
+    let map = *client.map();
+    let on_live = (0..)
+        .map(|i| IBox::cube(4).shift(IntVect::splat(i * 8)))
+        .find(|b| map.shard_of(b) == 0)
+        .expect("some box homes on shard 0");
+    client.put(&obj_on("rho", 1, on_live)).expect("put");
+    assert!(cluster.used_per_shard()[0] > 0);
+    assert!(cluster.stop_shard(1), "shard 1 was running");
+
+    let err = Staging::get(&client, "rho", 1, None, None).expect_err("read across a dead shard");
+    assert!(err.0.contains("shard 1"), "{err}");
+    let err = Staging::evict_before(&client, "rho", 2).expect_err("evict across a dead shard");
+    assert!(err.0.contains("shard 1"), "{err}");
+    // The eviction still reached the live shards.
+    assert_eq!(cluster.used_per_shard()[0], 0);
+    cluster.shutdown();
 }
 
 #[test]

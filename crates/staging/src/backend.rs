@@ -14,9 +14,9 @@ use crate::space::DataSpace;
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 
-/// How a backend answered one put. The four outcomes every backend can
-/// produce, so accounting (delivered / rejected / failed) and the
-/// workflow's coarsen-and-retry are each written once against this enum.
+/// How a backend answered one put. The three outcomes every backend can
+/// produce, so accounting (delivered / rejected / failed) is written once
+/// against this enum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[must_use = "a put that was not `Stored` dropped the object"]
 pub enum PutVerdict {
@@ -25,16 +25,23 @@ pub enum PutVerdict {
     /// Staging memory — and the disk tier behind it, if any — is
     /// exhausted: the paper's memory-pressure policy signal (Eq. 10).
     Rejected,
-    /// The tier policy asks the producer to coarsen the object by `factor`
-    /// per axis and retry; nothing was stored.
-    NeedsReduction {
-        /// Per-axis coarsening factor to apply before retrying.
-        factor: u32,
-    },
     /// The backend could not be reached or answered unintelligibly after
     /// its own retries. Never produced by an in-process space.
     Failed,
 }
+
+/// A backend could not answer a read or an eviction. The text says where
+/// it failed: a cluster's names the failing shard and its address.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Unanswered(pub String);
+
+impl std::fmt::Display for Unanswered {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "staging did not answer: {}", self.0)
+    }
+}
+
+impl std::error::Error for Unanswered {}
 
 /// A staging area addressed by `(variable, version, box)`.
 ///
@@ -50,19 +57,20 @@ pub trait Staging: Send + Sync {
     /// predicate ([`crate::ObjectDesc::may_cross`]; every object if
     /// `None`). Every layer evaluates both filters on descriptors, before
     /// a payload byte is read, framed or sent. Part order within a version
-    /// is backend-defined. A backend that cannot answer yields an empty
-    /// read; its typed error stays on the concrete client.
+    /// is backend-defined. A backend that cannot reach part of the
+    /// staging area (a dead shard) says so, rather than answering with
+    /// what the rest holds.
     fn get(
         &self,
         name: &str,
         version: u64,
         query: Option<&IBox>,
         crossing: Option<f64>,
-    ) -> Vec<Arc<DataObject>>;
+    ) -> Result<Vec<Arc<DataObject>>, Unanswered>;
 
     /// Evict versions of `name` older than `min_version`; returns bytes
-    /// freed (zero from a backend that cannot answer).
-    fn evict_before(&self, name: &str, min_version: u64) -> u64;
+    /// freed, or the failure of a backend that could not evict everywhere.
+    fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, Unanswered>;
 
     /// Bytes the backend can still accept, as `(memory, disk tier)` — the
     /// engine's pressure inputs. A backend that cannot be asked reports
@@ -76,7 +84,6 @@ impl Staging for DataSpace {
         match DataSpace::put(self, obj) {
             Ok(_) => PutVerdict::Stored,
             Err(StagingError::OutOfMemory { .. }) => PutVerdict::Rejected,
-            Err(StagingError::NeedsReduction { factor }) => PutVerdict::NeedsReduction { factor },
         }
     }
 
@@ -86,12 +93,14 @@ impl Staging for DataSpace {
         version: u64,
         query: Option<&IBox>,
         crossing: Option<f64>,
-    ) -> Vec<Arc<DataObject>> {
-        DataSpace::get_crossing(self, name, version, query, crossing)
+    ) -> Result<Vec<Arc<DataObject>>, Unanswered> {
+        Ok(DataSpace::get_crossing(
+            self, name, version, query, crossing,
+        ))
     }
 
-    fn evict_before(&self, name: &str, min_version: u64) -> u64 {
-        DataSpace::evict_before(self, name, min_version)
+    fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, Unanswered> {
+        Ok(DataSpace::evict_before(self, name, min_version))
     }
 
     fn headroom(&self) -> (u64, u64) {

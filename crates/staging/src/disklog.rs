@@ -621,12 +621,6 @@ impl DiskLog {
         victims.iter().map(|k| self.remove(k)).sum()
     }
 
-    /// Drop everything. Returns payload bytes freed.
-    pub fn clear(&mut self) -> u64 {
-        let keys = self.keys();
-        keys.iter().map(|k| self.remove(k)).sum()
-    }
-
     /// Reclaim dead space. Every segment left with no live extent goes
     /// first: unlinked, or truncated to empty if it is the active one — no
     /// copy, no sync. Then, once at least `min_dead` payload bytes are dead
@@ -1347,7 +1341,7 @@ mod tests {
             vec![ObjectKey::new("rho", 2), ObjectKey::new("rho", 3)]
         );
         // The active segment is truncated, not unlinked, once it dies.
-        log.clear();
+        log.drop_before("rho", u64::MAX);
         assert!(!log.maybe_compact(u64::MAX).unwrap());
         assert_eq!(std::fs::metadata(seg_path(&dir, 1)).unwrap().len(), 0);
         assert_eq!(log.compactions(), 0);

@@ -43,7 +43,7 @@ pub mod sum;
 pub mod tier;
 pub mod transport;
 
-pub use backend::{PutVerdict, Staging};
+pub use backend::{PutVerdict, Staging, Unanswered};
 pub use disklog::{DiskLog, TierError};
 pub use index::BucketIndex;
 pub use object::{DataObject, ObjectDesc, ObjectKey, EMPTY_RANGE};

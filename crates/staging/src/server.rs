@@ -33,12 +33,6 @@ pub enum StagingError {
         /// Size of the rejected object.
         requested: u64,
     },
-    /// The tier policy asks the producer to coarsen the object by `factor`
-    /// per axis and retry — the "downsample" arm of spill/downsample/reject.
-    NeedsReduction {
-        /// Per-axis coarsening factor to apply before retrying.
-        factor: u32,
-    },
 }
 
 impl std::fmt::Display for StagingError {
@@ -51,10 +45,6 @@ impl std::fmt::Display for StagingError {
             } => write!(
                 f,
                 "staging server out of memory: cap {cap} B, used {used} B, requested {requested} B"
-            ),
-            StagingError::NeedsReduction { factor } => write!(
-                f,
-                "staging server under pressure: downsample by {factor} per axis and retry"
             ),
         }
     }
@@ -69,7 +59,7 @@ pub struct StagingServer {
     memory_cap: u64,
     /// The server's one lock, over both tiers: concurrent readers
     /// (`get`/`describe`) share it; mutations of either tier
-    /// (`put`/promotion/`evict_before`/`clear`) take it exclusively.
+    /// (`put`/promotion/`evict_before`) take it exclusively.
     inner: RwLock<Store>,
 }
 
@@ -125,8 +115,8 @@ impl StagingServer {
 
     /// A server with `memory_cap` bytes of staging memory backed by a disk
     /// spill tier: puts that exceed the cap demote cold versions to `tier`
-    /// (or are refused/downsampled, per its policy), and gets promote
-    /// spilled versions back on access.
+    /// (or are refused, per its policy), and gets promote spilled versions
+    /// back on access.
     pub fn with_tier(id: usize, memory_cap: u64, tier: DiskTier) -> Self {
         let store = Store {
             tier: Some(tier),
@@ -184,16 +174,13 @@ impl StagingServer {
     /// Store an object (a plain `DataObject` is wrapped on the way in).
     ///
     /// Under the memory cap this is the pre-tier fast path. Over it, the
-    /// attached tier (if any) decides spill / downsample / reject: spilling
-    /// demotes the coldest resident keys — expired-deadline keys first,
-    /// then least-recently-touched, version order breaking ties — to the
-    /// disk log until the object fits, falling back to writing the object
+    /// attached tier (if any) decides spill or reject: spilling demotes the
+    /// coldest resident keys — expired-deadline keys first, then
+    /// least-recently-touched, version order breaking ties — to the disk
+    /// log until the object fits, falling back to writing the object
     /// itself to disk when the cap is smaller than the object. Only when
     /// the disk is exhausted too (or the policy says reject) does the put
-    /// fail with `OutOfMemory`; a forced downsample fails fast with
-    /// [`StagingError::NeedsReduction`] instead. A refused put has copied
-    /// no payload: the shared handle the caller kept, if any, is what a
-    /// coarsened retry starts from.
+    /// fail with `OutOfMemory`. A refused put has copied no payload.
     ///
     /// A put is idempotent for a byte-identical object: when the server
     /// already holds one with an equal descriptor *and* an equal payload,
@@ -221,9 +208,6 @@ impl StagingServer {
                 .map_or(SpillAction::Reject, |t| t.decide(bytes));
             match verdict {
                 SpillAction::Reject => return Err(oom),
-                SpillAction::Downsample { factor } => {
-                    return Err(StagingError::NeedsReduction { factor })
-                }
                 SpillAction::Spill => {
                     Self::demote_victims(&mut s, self.memory_cap, bytes, &obj.desc.key)
                 }
@@ -469,23 +453,6 @@ impl StagingServer {
         freed
     }
 
-    /// Drop everything, in memory and on disk. Returns bytes freed.
-    pub fn clear(&self) -> u64 {
-        // xlint: allow(L) -- clearing must empty both tiers atomically with the resident map; the store lock serializes tier writers
-        let mut s = self.inner.write();
-        let mut freed = s.used;
-        let dropped: Vec<Arc<DataObject>> = s.objects.drain().flat_map(|(_, (v, _))| v).collect();
-        s.ticks.clear();
-        s.used = 0;
-        let pool = s.tier.as_mut().map(|tier| {
-            freed += tier.clear();
-            Arc::clone(tier.pool())
-        });
-        drop(s);
-        Self::recycle_all(pool, dropped);
-        freed
-    }
-
     /// Hand dropped objects' payload buffers to the disk tier's `pool`
     /// (see [`recycle`]) once the store lock is released; without a tier
     /// they are simply freed.
@@ -569,7 +536,7 @@ mod tests {
         let s = StagingServer::new(0, 1 << 20);
         s.put(obj("rho", 1, 0, 4)).unwrap();
         s.put(obj("rho", 2, 0, 4)).unwrap();
-        s.clear();
+        s.evict_before("rho", u64::MAX);
         assert_eq!(s.used(), 0);
         assert_eq!(s.peak(), 1024);
     }
@@ -714,17 +681,6 @@ mod tests {
         }
 
         #[test]
-        fn reducible_hint_asks_for_downsampling() {
-            let dir = tmpdir("reduce");
-            let s = server(&dir, 512, 1 << 20);
-            s.set_pressure_action(Some(SpillAction::Downsample { factor: 2 }));
-            s.put(vobj("rho", 1)).unwrap();
-            let err = s.put(vobj("rho", 2)).unwrap_err();
-            assert_eq!(err, StagingError::NeedsReduction { factor: 2 });
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        #[test]
         fn expired_deadlines_are_demoted_first() {
             let dir = tmpdir("deadline");
             let s = server(&dir, 1024, 1 << 20);
@@ -858,7 +814,7 @@ mod tests {
             for v in 6..6 + 3 * BufferPool::MAX_PER_CLASS as u64 {
                 s.put(mib(v)).unwrap();
             }
-            s.clear();
+            s.evict_before("rho", u64::MAX);
             assert_eq!(pool.parked(), BufferPool::MAX_PER_CLASS);
             let _ = std::fs::remove_dir_all(&dir);
         }

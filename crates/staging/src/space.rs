@@ -156,9 +156,8 @@ impl DataSpace {
     /// Store an object on its home server — the one its box hashes to —
     /// and return that server's index. The home is the only place the
     /// object can live: a full home spills to its own disk tier or
-    /// refuses (`OutOfMemory`, or `NeedsReduction` under a forced
-    /// downsample), and the refusal is the answer; no other server is
-    /// tried.
+    /// refuses (`OutOfMemory`), and the refusal is the answer; no other
+    /// server is tried.
     ///
     /// Re-putting a byte-identical object is a no-op that answers with the
     /// same home (see [`StagingServer::put`]): a repeat — even one racing

@@ -4,10 +4,11 @@
 //! The staging server owns DRAM; this module owns what happens when DRAM is
 //! full. A put that would exceed the memory budget asks [`DiskTier::decide`]
 //! for a [`SpillAction`] — **spill** cold versions to the on-disk object
-//! log, **downsample** (tell the producer to coarsen and retry), or
-//! **reject** (the old hard `OutOfMemory`). The verdict has one author, the
-//! adaptation engine: it forces an action via [`DiskTier::set_forced`], and
-//! without one the tier spills while the log has room and rejects after.
+//! log, or **reject** (the old hard `OutOfMemory`). The verdict has one
+//! author, the adaptation engine: it forces an action via
+//! [`DiskTier::set_forced`], and without one the tier spills while the log
+//! has room and rejects after. Down-sampling is not a tier verdict: the
+//! producer packs at the engine's factor before a byte reaches staging.
 //! Per-variable [`ObjectHints`] carry only a version deadline, which orders
 //! spill victims and never changes the verdict.
 //!
@@ -33,11 +34,6 @@ use xlayer_amr::boxes::IBox;
 pub enum SpillAction {
     /// Demote cold versions (or the incoming object) to the disk log.
     Spill,
-    /// Ask the producer to coarsen by `factor` per axis and retry.
-    Downsample {
-        /// Per-axis coarsening factor the producer should apply.
-        factor: u32,
-    },
     /// Refuse the put — the pre-tier `OutOfMemory` behaviour.
     Reject,
 }
@@ -305,15 +301,6 @@ impl DiskTier {
         freed
     }
 
-    /// Drop everything on disk. Returns payload bytes freed.
-    pub fn clear(&mut self) -> u64 {
-        let freed = self.log.clear();
-        if freed > 0 {
-            self.compact_best_effort();
-        }
-        freed
-    }
-
     /// The counters, with the gauges read off the log now: one consistent
     /// cut, since nothing changes the tier while `&self` is held.
     pub fn snapshot(&self) -> TierSnapshot {
@@ -387,8 +374,6 @@ mod tests {
         assert_eq!(t.decide(512), SpillAction::Reject);
         t.set_forced(Some(SpillAction::Spill));
         assert_eq!(t.decide(512), SpillAction::Spill);
-        t.set_forced(Some(SpillAction::Downsample { factor: 2 }));
-        assert_eq!(t.decide(512), SpillAction::Downsample { factor: 2 });
         // The engine's verdict trumps the default, either way.
         t.set_forced(Some(SpillAction::Reject));
         assert_eq!(t.decide(512), SpillAction::Reject);
@@ -418,14 +403,12 @@ mod tests {
         s.set_pressure_action(Some(SpillAction::Spill));
         assert!(oom(s.put(obj("rho", 3, 4))));
 
-        // Forced downsample answers every variable alike.
-        s.set_pressure_action(Some(SpillAction::Downsample { factor: 4 }));
-        for name in ["rho", "p", "unhinted"] {
-            assert_eq!(
-                s.put(obj(name, 7, 4)),
-                Err(StagingError::NeedsReduction { factor: 4 })
-            );
-        }
+        // Forced reject refuses although the log has room again.
+        s.evict_before("rho", 3);
+        s.put(obj("rho", 3, 4)).unwrap();
+        s.set_pressure_action(Some(SpillAction::Reject));
+        assert!(oom(s.put(obj("rho", 4, 4))));
+        assert_eq!(s.tier_snapshot().unwrap().spilled, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

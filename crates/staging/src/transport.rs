@@ -43,11 +43,8 @@ pub struct TransportStats {
     pub delivered: AtomicU64,
     /// Bytes successfully staged.
     pub bytes: AtomicU64,
-    /// Puts the backend turned down on policy: staging memory exhausted
-    /// ([`PutVerdict::Rejected`]) or a downsample verdict
-    /// ([`PutVerdict::NeedsReduction`]) — the stager itself never
-    /// coarsens; a backend that should (the native workflow's) wraps its
-    /// `Staging` handle, and then this counts refused retries.
+    /// Puts the backend turned down on policy: staging memory (and its
+    /// disk tier, if any) exhausted ([`PutVerdict::Rejected`]).
     pub rejected: AtomicU64,
     /// Objects lost to terminal transport failure ([`PutVerdict::Failed`]:
     /// e.g. a staging service unreachable after retries), so delivered +
@@ -257,7 +254,7 @@ impl AsyncStager {
                                     stats.delivered.fetch_add(1, Ordering::Relaxed);
                                     stats.bytes.fetch_add(bytes, Ordering::Relaxed);
                                 }
-                                PutVerdict::Rejected | PutVerdict::NeedsReduction { .. } => {
+                                PutVerdict::Rejected => {
                                     stats.rejected.fetch_add(1, Ordering::Relaxed);
                                 }
                                 PutVerdict::Failed => {
@@ -357,6 +354,7 @@ impl Drop for AsyncStager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Unanswered;
     use crate::space::{DataSpace, Sharding};
     use xlayer_amr::boxes::IBox;
     use xlayer_amr::fab::Fab;
@@ -575,18 +573,23 @@ mod tests {
 
     impl Staging for Scripted {
         fn put(&self, _obj: Arc<DataObject>) -> PutVerdict {
-            match self.0.fetch_add(1, Ordering::Relaxed) % 4 {
+            match self.0.fetch_add(1, Ordering::Relaxed) % 3 {
                 0 => PutVerdict::Stored,
                 1 => PutVerdict::Rejected,
-                2 => PutVerdict::NeedsReduction { factor: 2 },
                 _ => PutVerdict::Failed,
             }
         }
-        fn get(&self, _: &str, _: u64, _: Option<&IBox>, _: Option<f64>) -> Vec<Arc<DataObject>> {
-            Vec::new()
+        fn get(
+            &self,
+            _: &str,
+            _: u64,
+            _: Option<&IBox>,
+            _: Option<f64>,
+        ) -> Result<Vec<Arc<DataObject>>, Unanswered> {
+            Ok(Vec::new())
         }
-        fn evict_before(&self, _: &str, _: u64) -> u64 {
-            0
+        fn evict_before(&self, _: &str, _: u64) -> Result<u64, Unanswered> {
+            Ok(0)
         }
         fn headroom(&self) -> (u64, u64) {
             (0, 0)
@@ -596,23 +599,22 @@ mod tests {
     #[test]
     fn every_verdict_is_counted_once_and_answers_the_rendezvous() {
         // One transfer thread, so the verdicts land in enqueue order:
-        // version v gets verdict v % 4, twice over.
+        // version v gets verdict v % 3, twice over.
         let stager = AsyncStager::new(Arc::new(Scripted(AtomicU64::new(0))), 1, 4);
         let stats = stager.stats();
-        let enqueued = 8u64;
+        let enqueued = 6u64;
         stager
             .put_batch((0..enqueued).map(|v| StageTask::Ready(obj(v, 0))).collect())
             .unwrap();
-        // Stored, rejected, needs-reduction and failed puts all finish the
-        // transfer: a waiter on any version is released.
+        // Stored, rejected and failed puts all finish the transfer: a
+        // waiter on any version is released.
         for v in 0..enqueued {
             stats.wait_processed("rho", v, 1);
             assert_eq!(stats.processed("rho", v), 1, "version {v}");
         }
         let (delivered, rejected) = stager.drain().unwrap();
         let failed = stats.failed.load(Ordering::Relaxed);
-        // NeedsReduction is a policy refusal, not a transport failure.
-        assert_eq!((delivered, rejected, failed), (2, 4, 2));
+        assert_eq!((delivered, rejected, failed), (2, 2, 2));
         assert_eq!(delivered + rejected + failed, enqueued);
         assert_eq!(stats.bytes.load(Ordering::Relaxed), 2 * 512);
     }

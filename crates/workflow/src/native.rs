@@ -46,7 +46,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 use xlayer_amr::level_data::LevelData;
-use xlayer_amr::IBox;
 use xlayer_core::{
     AdaptationEngine, Calibrator, EngineConfig, Estimator, OperationalState, Placement,
     PressureAction, UserHints, UserPreferences,
@@ -56,8 +55,8 @@ use xlayer_net::cluster::ShardedClient;
 use xlayer_platform::{CostModel, MachineSpec};
 use xlayer_solvers::{AmrSimulation, LevelSolver};
 use xlayer_staging::{
-    AsyncStager, BatchClosed, BufferPool, DataObject, DataSpace, PutVerdict, Sharding, SpillAction,
-    StageTask, Staging, TierConfig, TransportStats,
+    AsyncStager, BatchClosed, BufferPool, DataObject, DataSpace, Sharding, SpillAction, StageTask,
+    Staging, TierConfig, TransportStats, Unanswered,
 };
 use xlayer_viz::{extract_level, extract_payload_into, merge_surfaces, TriMesh};
 
@@ -147,6 +146,12 @@ pub struct AnalysisOutcome {
     /// the halo a neighbour anchors, or the values either side of it never
     /// share a cube.
     pub empty_objects: usize,
+    /// Why staging could not answer this version's fetch or, that
+    /// answered, its eviction; a cluster's error names the shard. A failed
+    /// fetch means the version is lost: the analysis saw nothing and
+    /// `triangles` is 0. `None` when staging answered both (always, in
+    /// situ).
+    pub staging_error: Option<Unanswered>,
 }
 
 /// The versions whose analysis is queued or running, shared by the producer
@@ -304,66 +309,6 @@ fn local_space(cfg: &NativeConfig) -> DataSpace {
         })
 }
 
-/// Producer-side response to a `NeedsReduction` verdict: the same object
-/// down-sampled by the requested volumetric factor (per-dimension stride),
-/// at coarsened spacing. `None` when the factor cannot reduce (< 2).
-fn reduce_object(obj: &DataObject, factor: u32) -> Option<DataObject> {
-    if factor < 2 {
-        return None;
-    }
-    let fab = obj.to_fab();
-    let reduced = xlayer_viz::downsample_region(&fab, 0, &obj.desc.core, factor);
-    Some(
-        DataObject::from_fab(
-            &obj.desc.key.name,
-            obj.desc.key.version,
-            &reduced,
-            0,
-            &reduced.ibox(),
-            obj.desc.origin_rank,
-        )
-        .with_dx(obj.desc.dx * factor as f64),
-    )
-}
-
-/// The staging handle the workflow hands to the transport and the workers:
-/// forwards to the backend, and honours a `NeedsReduction` verdict where it
-/// arrives — coarsen by the requested factor, put once more, and answer
-/// with that second verdict. The retry runs on whichever thread called
-/// `put` (a transfer thread, in a running workflow), so the pressure
-/// policy's downsample action costs the producer nothing.
-struct CoarsenOnDemand(Arc<dyn Staging>);
-
-impl Staging for CoarsenOnDemand {
-    fn put(&self, obj: Arc<DataObject>) -> PutVerdict {
-        match self.0.put(Arc::clone(&obj)) {
-            PutVerdict::NeedsReduction { factor } => match reduce_object(&obj, factor) {
-                Some(reduced) => self.0.put(Arc::new(reduced)),
-                None => PutVerdict::NeedsReduction { factor },
-            },
-            verdict => verdict,
-        }
-    }
-
-    fn get(
-        &self,
-        name: &str,
-        version: u64,
-        query: Option<&IBox>,
-        crossing: Option<f64>,
-    ) -> Vec<Arc<DataObject>> {
-        self.0.get(name, version, query, crossing)
-    }
-
-    fn evict_before(&self, name: &str, min_version: u64) -> u64 {
-        self.0.evict_before(name, min_version)
-    }
-
-    fn headroom(&self) -> (u64, u64) {
-        self.0.headroom()
-    }
-}
-
 /// A fully-native coupled workflow: simulation + visualization + staging.
 pub struct NativeWorkflow<S: LevelSolver> {
     sim: AmrSimulation<S>,
@@ -402,15 +347,13 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         // With cfg.remote set the transfer threads speak the wire protocol
         // to the staging service or cluster; without it they stage in
         // process.
-        let cluster = connect_remote(&cfg);
-        let (backend, space): (Arc<dyn Staging>, _) = match &cluster {
-            Some(client) => (Arc::new(client.clone()), None),
+        match connect_remote(&cfg) {
+            Some(client) => Self::over(sim, cfg, Arc::new(client.clone()), None, Some(client)),
             None => {
                 let space = Arc::new(local_space(&cfg));
-                (space.clone(), Some(space))
+                Self::over(sim, cfg, Arc::clone(&space), Some(space), None)
             }
-        };
-        Self::over(sim, cfg, backend, space, cluster)
+        }
     }
 
     /// The workflow staging into `backend`, which `space` or `cluster` is
@@ -418,7 +361,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
     fn over(
         sim: AmrSimulation<S>,
         cfg: NativeConfig,
-        backend: Arc<dyn Staging>,
+        backend: Arc<impl Staging + 'static>,
         space: Option<Arc<DataSpace>>,
         cluster: Option<ShardedClient>,
     ) -> Self {
@@ -430,9 +373,8 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         // What bounds the lead over analysis — and with it the versions
         // resident in staging — is `InFlight::admit` in step().
         let threads = cfg.staging_servers.max(1);
-        let staging = Arc::new(CoarsenOnDemand(backend));
-        let stager = AsyncStager::new(Arc::clone(&staging), threads, 256);
-        let staging: Arc<dyn Staging> = staging;
+        let stager = AsyncStager::new(Arc::clone(&backend), threads, 256);
+        let staging: Arc<dyn Staging> = backend;
         let transport = stager.stats();
         // A rough local-machine model so the middleware policy has cost
         // estimates; decisions also use live measurements via the state.
@@ -472,9 +414,10 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         // time, not analysis time: the clock starts after.
                         transport.wait_processed("field", job.version, job.expected);
                         let t0 = Instant::now();
-                        // A fetch that fails (service gone mid-run) is an
-                        // empty read: the analysis reports a zero-triangle
-                        // outcome instead of crashing the worker.
+                        // A fetch that fails (a shard gone mid-run) loses
+                        // the version: the outcome carries the typed error
+                        // and zero triangles, and is still sent, so every
+                        // step reports exactly once.
                         // The fetch asks only for the objects whose value
                         // range the isovalue lies in: every staging layer
                         // drops the rest on descriptors, and they could
@@ -488,7 +431,12 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                         // left to extract, not a second whole copy.
                         let mut mesh = TriMesh::new();
                         let mut empty_objects = 0;
-                        for obj in staging.get("field", job.version, None, Some(job.iso)) {
+                        let (objects, lost) =
+                            match staging.get("field", job.version, None, Some(job.iso)) {
+                                Ok(objects) => (objects, None),
+                                Err(e) => (Vec::new(), Some(e)),
+                            };
+                        for obj in objects {
                             let before = mesh.num_triangles();
                             extract_payload_into(
                                 &obj.payload,
@@ -501,7 +449,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                             );
                             empty_objects += usize::from(mesh.num_triangles() == before);
                         }
-                        staging.evict_before("field", running.finish());
+                        let evicted = staging.evict_before("field", running.finish());
                         let secs = t0.elapsed().as_secs_f64();
                         let _ = result_tx.send(AnalysisOutcome {
                             version: job.version,
@@ -510,6 +458,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                             seconds: secs,
                             mesh_bytes: mesh.bytes(),
                             empty_objects,
+                            staging_error: lost.or(evicted.err()),
                         });
                     }
                 })
@@ -641,15 +590,17 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             disk_available_intransit,
         };
         let adaptations = self.engine.adapt(&state);
-        // Forward the pressure verdict to the local tier: the engine's
+        // Forward a spill or reject verdict to the local tier: the engine's
         // cross-layer choice overrides the servers' spill-then-reject
-        // default until the next sampling point (None restores it).
+        // default until the next sampling point. A downsample verdict is
+        // the producer's to carry out (the pack factor below), so it leaves
+        // the tier on its default, as no verdict does.
         if self.cfg.engine.enable_pressure {
             if let Some(space) = &self.space {
-                space.set_pressure_action(adaptations.pressure.map(|p| match p.action {
-                    PressureAction::Spill => SpillAction::Spill,
-                    PressureAction::Downsample { factor } => SpillAction::Downsample { factor },
-                    PressureAction::Reject => SpillAction::Reject,
+                space.set_pressure_action(adaptations.pressure.and_then(|p| match p.action {
+                    PressureAction::Spill => Some(SpillAction::Spill),
+                    PressureAction::Reject => Some(SpillAction::Reject),
+                    PressureAction::Downsample { .. } => None,
                 }));
             }
         }
@@ -659,10 +610,17 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                 .map(|p| p.placement)
                 .unwrap_or(Placement::InTransit)
         });
-        // In native mode the hinted factors are applied as per-dimension
-        // strides to the staged grids (the policy's volumetric arithmetic
-        // is then a conservative estimate of the actual X³ reduction).
-        let factor = adaptations.app.map(|a| a.factor).unwrap_or(1);
+        // The step's one pack factor: the application layer's times the
+        // pressure verdict's downsample factor, composed as the engine
+        // composed them when it sized the step. In native mode it is
+        // applied as per-dimension strides to the staged grids (the
+        // policies' volumetric arithmetic is then a conservative estimate
+        // of the actual X³ reduction).
+        let pressure_factor = match adaptations.pressure.map(|p| p.action) {
+            Some(PressureAction::Downsample { factor }) => factor,
+            _ => 1,
+        };
+        let factor = adaptations.app.map_or(1, |a| a.factor) * pressure_factor;
 
         let mut moved = 0;
         let mut analysis_secs = 0.0;
@@ -699,6 +657,7 @@ impl<S: LevelSolver> NativeWorkflow<S> {
                     seconds: analysis_secs,
                     mesh_bytes: total.bytes(),
                     empty_objects: 0,
+                    staging_error: None,
                 });
             }
             Placement::InTransit | Placement::Hybrid => {
@@ -814,6 +773,7 @@ mod tests {
     use xlayer_amr::hierarchy::HierarchyConfig;
     use xlayer_amr::{IBox, ProblemDomain};
     use xlayer_solvers::{AdvectDiffuseSolver, DriverConfig, ScalarProblem, VelocityField};
+    use xlayer_staging::PutVerdict;
 
     #[test]
     fn a_worker_finishing_early_does_not_evict_what_another_still_reads() {
@@ -971,11 +931,11 @@ mod tests {
             version: u64,
             query: Option<&IBox>,
             crossing: Option<f64>,
-        ) -> Vec<Arc<DataObject>> {
+        ) -> Result<Vec<Arc<DataObject>>, Unanswered> {
             Staging::get(&self.space, name, version, query, crossing)
         }
 
-        fn evict_before(&self, name: &str, min_version: u64) -> u64 {
+        fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, Unanswered> {
             Staging::evict_before(&self.space, name, min_version)
         }
 
@@ -1255,16 +1215,17 @@ mod tests {
     }
 
     #[test]
-    fn needs_reduction_coarsens_and_retries() {
+    fn a_downsample_verdict_packs_the_step_at_its_factor() {
         use std::sync::atomic::Ordering;
         use xlayer_net::service::{ServiceConfig, StagingService};
-        // A forced downsample verdict on a space far too small for one
-        // full-resolution object: the coarsened retry must land instead of
-        // the step's objects being dropped. Same contract in process and
-        // across the wire. The engine's pressure policy stays off (the
-        // default), so nothing overwrites the forced verdict.
-        let reducible = Some(SpillAction::Downsample { factor: 2 });
-        let memory = 4 << 10;
+        // ~430 KB a step against 128 KiB of staging memory, with no disk
+        // room for the overflow: the pressure policy answers
+        // Downsample { factor: 4 }, the smallest hinted factor that fits,
+        // and the producer packs the whole step at it — nothing is refused
+        // and every version is analysed. Memory only and with a disk tier
+        // too small for the overflow in process, and over a one-shard
+        // service.
+        let memory = 128 << 10;
         let run = |disk_dir: Option<std::path::PathBuf>, remote: Option<String>| {
             let cfg = NativeConfig {
                 iso_value: 0.4,
@@ -1272,42 +1233,95 @@ mod tests {
                 staging_memory: memory,
                 placement_override: Some(Placement::InTransit),
                 disk_dir,
+                disk_budget: 64 << 10,
                 remote,
+                engine: EngineConfig {
+                    enable_pressure: true,
+                    ..EngineConfig::middleware_only()
+                },
                 ..Default::default()
             };
             let mut wf = NativeWorkflow::new(blob_sim(16), cfg);
-            if let Some(space) = wf.space() {
-                space.set_pressure_action(reducible);
+            for _ in 0..4 {
+                wf.step();
             }
-            wf.step();
             let transport = wf.transport_stats().expect("transport running");
-            let (_, outcomes, _) = wf.finish();
-            assert!(
-                transport.delivered.load(Ordering::Relaxed) > 0,
-                "no coarsened retry was stored"
-            );
-            assert!(
-                outcomes.iter().any(|o| o.triangles > 0),
-                "coarsened objects produced no surface"
-            );
+            let (steps, outcomes, _) = wf.finish();
+            for log in &steps {
+                assert_eq!(log.factor, 4, "step {}", log.step);
+                assert!(
+                    log.moved_bytes < log.raw_bytes / 8,
+                    "step {}: {} of {} B staged",
+                    log.step,
+                    log.moved_bytes,
+                    log.raw_bytes
+                );
+            }
+            assert_eq!(transport.rejected.load(Ordering::Relaxed), 0);
+            assert_eq!(transport.failed.load(Ordering::Relaxed), 0);
+            assert_eq!(outcomes.len(), steps.len());
+            for o in &outcomes {
+                assert!(o.triangles > 0, "no surface at version {}", o.version);
+                assert_eq!(o.staging_error, None, "version {}", o.version);
+            }
         };
 
-        let dir = scratch_dir("reduce");
+        run(None, None);
+
+        let dir = scratch_dir("downsample");
         run(Some(dir.clone()), None);
         let _ = std::fs::remove_dir_all(&dir);
 
-        let dir = scratch_dir("reduce-remote");
         let svc = StagingService::start(ServiceConfig {
             servers: 1,
             memory_per_server: memory,
-            disk_dir: Some(dir.clone()),
             ..Default::default()
         })
-        .expect("tiered service starts");
-        svc.space().set_pressure_action(reducible);
+        .expect("service starts");
         run(None, Some(svc.local_addr().to_string()));
         svc.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_that_stops_mid_run_loses_the_next_version_typed() {
+        use xlayer_net::cluster::StagingCluster;
+        use xlayer_net::service::ServiceConfig;
+        // Every read asks every shard, so with shard 1 gone the version
+        // staged after it cannot be read whole: its outcome says so, naming
+        // the shard, instead of reading as an empty surface.
+        let mut cluster = StagingCluster::start(
+            2,
+            &ServiceConfig {
+                addr: "127.0.0.1:0".into(),
+                servers: 1,
+                ..Default::default()
+            },
+        )
+        .expect("cluster starts");
+        let cfg = NativeConfig {
+            iso_value: 0.4,
+            placement_override: Some(Placement::InTransit),
+            remote: Some(cluster.addrs().join(",")),
+            ..Default::default()
+        };
+        let mut wf = NativeWorkflow::new(blob_sim(16), cfg);
+        assert!(wf.sharded_client().is_some(), "staging is the cluster");
+        wf.step();
+        wf.wait_for_analyses();
+        assert!(cluster.stop_shard(1), "shard 1 was running");
+        wf.step();
+        let (_, outcomes, _) = wf.finish();
+        cluster.shutdown();
+        let versions: Vec<u64> = outcomes.iter().map(|o| o.version).collect();
+        assert_eq!(versions, [1, 2], "one outcome per step");
+        assert_eq!(outcomes[0].staging_error, None);
+        assert!(outcomes[0].triangles > 0);
+        let lost = outcomes[1]
+            .staging_error
+            .as_ref()
+            .expect("version 2 is reported lost");
+        assert!(lost.0.contains("shard 1"), "{lost}");
+        assert_eq!(outcomes[1].triangles, 0);
     }
 
     #[test]

@@ -104,13 +104,12 @@ echo "==> marching cubes classifies before it gathers, the worker reads the stag
 # marching-cubes kernel — cubes are classified a bit row at a time, and the
 # per-cube walk lives in viz/src/reference.rs — and no `to_fab()` or
 # `TriMesh::concat` in the native workflow, whose workers extract every
-# object's payload into one mesh. `reduce_object`, which down-samples a
-# refused object on the producer side, keeps its `to_fab()` by name.
+# object's payload into one mesh.
 code=$(nontest crates/viz/src/marching_cubes.rs)
 if grep -F '.any(|' <<<"$code"; then
     echo "grep gate: the per-cube quick reject is retired from marching_cubes.rs (see CHANGES.md: classify-first marching cubes)"; exit 1
 fi
-code=$(awk '/#\[cfg\(test\)\]/{exit} /^fn reduce_object\(/{inside=1} inside && /^}$/{inside=0; next} !inside {print FILENAME":"FNR": "$0}' crates/workflow/src/native.rs)
+code=$(nontest crates/workflow/src/native.rs)
 if grep -E 'to_fab\(\)|TriMesh::concat' <<<"$code"; then
     echo "grep gate: native.rs decodes payloads into fabs or concatenates per-object meshes (see CHANGES.md: classify-first marching cubes)"; exit 1
 fi
@@ -261,6 +260,20 @@ echo "==> one read rule for the sharded client (grep gate)"
 if grep -E 'query_shards|broaden|thread::scope|fn fits' <<<"$(nontest crates/net/src/cluster.rs crates/staging/src/shard.rs)"; then
     echo "grep gate: the names above are retired (see CHANGES.md: one read rule for the staging cluster)"; exit 1
 fi
+
+echo "==> one downsample mechanism: the producer's pack factor (grep gate)"
+# The pressure policy's downsample verdict is carried out by the producer,
+# which packs the step at app factor x pressure factor. The put-time
+# round trip — the tier's downsample verdict, the refusal that asked for
+# a coarsened re-send, its wire error code and the workflow's wrapper
+# that re-reduced refused objects — was deleted; none of its names may
+# come back in non-test code (each file up to its first #[cfg(test)]) of
+# the crates, the facade, the integration tests or the examples.
+gate=0
+for f in $(find crates/*/src src tests examples -name '*.rs' | sort); do
+    if grep -E 'NeedsReduction|CoarsenOnDemand|reduce_object|SpillAction::Downsample' <<<"$(nontest "$f")"; then gate=1; fi
+done
+[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one downsample mechanism)"; exit 1; }
 
 echo "==> xmark A/B arithmetic self-test (scripts/xmark_ab.sh --self-test)"
 ./scripts/xmark_ab.sh --self-test
