@@ -12,8 +12,10 @@
 //! refusals) are retried with bounded exponential backoff on a fresh
 //! connection; **`OutOfMemory` is never retried** — it is the paper's
 //! memory-pressure policy signal (Eq. 10), and hiding it behind retries
-//! would blind the adaptation engine that must react to it. It arrives on
-//! a healthy, in-step connection, which goes back to the pool.
+//! would blind the adaptation engine that must react to it. Nor is
+//! **`Unreadable`**, a service's answer to a read it cannot serve whole:
+//! the same read would meet the same unreadable extent. Both arrive on a
+//! healthy, in-step connection, which goes back to the pool.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +86,8 @@ pub enum RemoteError {
         requested: u64,
     },
     /// The service refused the request for a non-transient reason
-    /// (`BadRequest`, `ShuttingDown`), or `Busy` outlasted the retries.
+    /// (`BadRequest`, `ShuttingDown`, `Unreadable`), or `Busy` outlasted
+    /// the retries.
     Refused(ErrorFrame),
     /// The service answered with a response type that does not match the
     /// request (protocol violation).
@@ -312,10 +315,10 @@ impl RemoteClient {
 
     /// Run one-attempt exchanges under the retry policy: transient
     /// transport failures retry with bounded exponential backoff on a
-    /// fresh connection; `OutOfMemory`, `BadRequest` and `ShuttingDown`
-    /// responses return immediately — only the transport is retried, never
-    /// policy. An attempt yields what the exchange was for, or the typed
-    /// refusal the service answered it with.
+    /// fresh connection; `OutOfMemory`, `Unreadable`, `BadRequest` and
+    /// `ShuttingDown` responses return immediately — only the transport is
+    /// retried, never policy. An attempt yields what the exchange was for,
+    /// or the typed refusal the service answered it with.
     fn call_with<T>(
         &self,
         attempt_once: impl Fn(&Self, &mut TcpStream) -> Result<Result<T, ErrorFrame>, RemoteError>,
@@ -350,6 +353,12 @@ impl RemoteClient {
                         used,
                         requested,
                     });
+                }
+                Ok(Err(lost @ ErrorFrame::Unreadable { .. })) => {
+                    // The version is lost on the service's side, answered
+                    // before any descriptor: the connection is in step.
+                    self.checkin(stream);
+                    return Err(RemoteError::Refused(lost));
                 }
                 Ok(Err(busy @ ErrorFrame::Busy { .. })) => {
                     // Transient service-side condition; retry with backoff.

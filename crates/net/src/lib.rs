@@ -25,17 +25,21 @@
 //!   a `DataSpace`: one worker thread per connection under a bounded accept
 //!   pool, read/write timeouts, graceful shutdown, and per-op counters
 //!   surfaced through the `Stats` opcode. Memory-cap rejections travel as
-//!   typed `OutOfMemory` error frames — the policy signal stays visible.
+//!   typed `OutOfMemory` error frames — the policy signal stays visible —
+//!   and a read a server cannot answer whole as an `Unreadable` one.
 //! - [`client`] — [`RemoteClient`], a pooled connection client for one
 //!   service with bounded exponential-backoff retry on transient I/O
-//!   errors (never on the `OutOfMemory` policy signal).
+//!   errors (never on the `OutOfMemory` policy signal or an `Unreadable`
+//!   version).
 //! - [`cluster`] — the sharded staging cluster: [`StagingCluster`] spawns
 //!   N services (one listener + `DataSpace` + memory cap each), and
-//!   [`ShardedClient`] routes puts by object region through a
-//!   `ShardMap` and serves every read by asking every shard in shard
-//!   order, with a deterministic merge order, so aggregate staging capacity
-//!   scales in servers (paper Eq. 9–10) with per-shard accounting. It is
-//!   the crate's `Staging` implementation — one address is a one-shard
+//!   [`ShardedClient`] is an `xlayer_staging::Cluster` of
+//!   [`RemoteClient`] shards: puts go to the object region's home shard,
+//!   every read asks every shard in shard order and merges in the
+//!   cluster's canonical order — the rules an in-process `DataSpace` runs,
+//!   because it is the same cluster type — so aggregate staging capacity
+//!   scales in servers (paper Eq. 9–10) with per-shard accounting. Its
+//!   cluster is the `Staging` handle — one address is a one-shard
 //!   cluster — so `workflow::native` runs in-transit analysis against a
 //!   remote service or a shard list through the handle it uses in process.
 //! - [`pool`] — [`BufferPool`], a bounded size-classed buffer recycler

@@ -19,7 +19,9 @@
 //! Memory-cap rejections from the space ([`StagingError::OutOfMemory`])
 //! are answered with `OutOfMemory` error frames carrying cap/used/requested
 //! — the paper's Eq. 10 pressure signal crosses the wire intact instead of
-//! killing the connection.
+//! killing the connection. A read the space cannot serve whole
+//! ([`StagingError::Unreadable`]: a spilled extent failed its read) is
+//! answered with one `Unreadable` error frame, before any descriptor.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,7 +30,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use xlayer_staging::{DataObject, DataSpace, ObjectDesc, Sharding, StagingError};
+use xlayer_staging::{
+    DataObject, DataSpace, ObjectDesc, ShardError, Sharding, Staging, StagingError,
+};
 
 use crate::frame::RecvError;
 use crate::iovec::write_vectored_all;
@@ -525,7 +529,7 @@ fn serve_put_chunked(conn: &mut Conn, request_id: u64, desc: ObjectDesc) -> bool
         > inner
             .space
             .capacity()
-            .saturating_add(inner.space.disk_headroom())
+            .saturating_add(Staging::headroom(inner.space.as_ref()).1)
     {
         // With a disk tier attached, an object larger than RAM can still
         // land on the spill log, so the bound is memory capacity plus the
@@ -603,9 +607,16 @@ fn serve_get_chunked(
 ) -> bool {
     let inner = conn.inner;
     inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-    let objs = inner
+    let objs = match inner
         .space
-        .get_crossing(name, version, query.as_ref(), crossing);
+        .get_crossing(name, version, query.as_ref(), crossing)
+    {
+        Ok(objs) => objs,
+        Err(e) => {
+            let refusal = Response::Error(error_frame(e));
+            return send_response(conn, request_id, &refusal).is_ok();
+        }
+    };
     let head = Response::GetChunkedOk {
         descs: objs.iter().map(|o| o.desc.clone()).collect(),
     };
@@ -630,7 +641,12 @@ fn commit_put(inner: &Inner, obj: Arc<DataObject>) -> Result<u32, ErrorFrame> {
         Err(rejection) => rejection,
     };
     inner.stats.rejected_oom.fetch_add(1, Ordering::Relaxed);
-    Err(match rejection {
+    Err(error_frame(rejection))
+}
+
+/// The error frame a staging server's failure travels as.
+fn error_frame(e: ShardError<StagingError>) -> ErrorFrame {
+    match e.source {
         StagingError::OutOfMemory {
             cap,
             used,
@@ -640,7 +656,10 @@ fn commit_put(inner: &Inner, obj: Arc<DataObject>) -> Result<u32, ErrorFrame> {
             used,
             requested,
         },
-    })
+        StagingError::Unreadable { .. } => ErrorFrame::Unreadable {
+            detail: e.source.to_string(),
+        },
+    }
 }
 
 fn handle_request(inner: &Inner, req: Request) -> Response {
@@ -655,15 +674,19 @@ fn handle_request(inner: &Inner, req: Request) -> Response {
         }
         Request::Query { name, version } => {
             stats.queries.fetch_add(1, Ordering::Relaxed);
-            Response::QueryOk(inner.space.describe(&name, version))
+            match inner.space.describe(&name, version) {
+                Ok(descs) => Response::QueryOk(descs),
+                Err(e) => Response::Error(error_frame(e)),
+            }
         }
         Request::Delete {
             name,
             before_version,
         } => {
             stats.deletes.fetch_add(1, Ordering::Relaxed);
-            Response::DeleteOk {
-                bytes_freed: inner.space.evict_before(&name, before_version),
+            match inner.space.evict(&name, before_version) {
+                Ok(bytes_freed) => Response::DeleteOk { bytes_freed },
+                Err(e) => Response::Error(error_frame(e)),
             }
         }
         Request::Stats => {

@@ -59,10 +59,13 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 /// error code 5, the downsample request (the producer packs at the
 /// pressure verdict's factor, so no service asks for one): without the
 /// bump a v7 peer's code 5 would fail as `BadErrorCode` instead of the
-/// peer being refused as another version. The layout
+/// peer being refused as another version. Version 9 added error code 6,
+/// `Unreadable` (a server could not read back a spilled extent of the
+/// version asked for; code 5 stays unassigned): a v8 client would fail it
+/// as `BadErrorCode` and retry a read that cannot succeed. The layout
 /// fingerprint is additionally pinned in `xlint.wire` (rule S):
 /// regenerate it with `xlint --write-wire-pin` alongside any bump.
-pub const VERSION: u16 = 8;
+pub const VERSION: u16 = 9;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = frame::HEADER_LEN;
@@ -688,6 +691,14 @@ pub enum ErrorFrame {
     },
     /// The service is shutting down and takes no new work.
     ShuttingDown,
+    /// A read (`GetChunked` or `Query`) needed data the service holds but
+    /// could not read back — a spilled extent failed its checksum or its
+    /// read. Sent instead of any descriptor: the version is lost, not
+    /// partial. Not transient, so clients must NOT retry it.
+    Unreadable {
+        /// Which staging server, which key, and what its disk tier said.
+        detail: String,
+    },
 }
 
 impl ErrorFrame {
@@ -697,6 +708,7 @@ impl ErrorFrame {
             ErrorFrame::BadRequest { .. } => 2,
             ErrorFrame::Busy { .. } => 3,
             ErrorFrame::ShuttingDown => 4,
+            ErrorFrame::Unreadable { .. } => 6,
         }
     }
 }
@@ -717,6 +729,7 @@ impl std::fmt::Display for ErrorFrame {
                 write!(f, "service busy: {active}/{max} connections")
             }
             ErrorFrame::ShuttingDown => write!(f, "service shutting down"),
+            ErrorFrame::Unreadable { detail } => write!(f, "unreadable: {detail}"),
         }
     }
 }
@@ -829,7 +842,9 @@ impl Response {
                         w.u64(*used);
                         w.u64(*requested);
                     }
-                    ErrorFrame::BadRequest { detail } => w.string(detail),
+                    ErrorFrame::BadRequest { detail } | ErrorFrame::Unreadable { detail } => {
+                        w.string(detail)
+                    }
                     ErrorFrame::Busy { active, max } => {
                         w.u32(*active);
                         w.u32(*max);
@@ -903,6 +918,9 @@ impl Response {
                         max: r.u32()?,
                     },
                     4 => ErrorFrame::ShuttingDown,
+                    6 => ErrorFrame::Unreadable {
+                        detail: r.string()?,
+                    },
                     c => return Err(WireError::BadErrorCode(c)),
                 };
                 Response::Error(e)
@@ -955,7 +973,7 @@ mod tests {
             buf,
             vec![
                 b'X', b'L', b'N', b'T', // magic
-                0x08, 0x00, // version 8 LE
+                0x09, 0x00, // version 9 LE
                 0x05, // opcode Stats
                 0x00, // flags
                 0x07, 0, 0, 0, 0, 0, 0, 0, // request id 7 LE
@@ -979,7 +997,7 @@ mod tests {
             9, 0, 0, 0, 0, 0, 0, 0, // before_version 9 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x08, 0x00, 0x04, 0x00, // magic, v8, Delete, flags
+            b'X', b'L', b'N', b'T', 0x09, 0x00, 0x04, 0x00, // magic, v9, Delete, flags
             0x01, 0, 0, 0, 0, 0, 0, 0, // request id 1
             15, 0, 0, 0, // payload length 15
         ];
@@ -1011,7 +1029,7 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&8u32.to_le_bytes());
         body.extend_from_slice(&3.0f64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x08, 0x00, 0x01, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x09, 0x00, 0x01, 0x00];
         expect.extend_from_slice(&3u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1045,8 +1063,8 @@ mod tests {
                 b'L',
                 b'N',
                 b'T', // magic
-                0x08,
-                0x00, // version 8 LE
+                0x09,
+                0x00, // version 9 LE
                 0x09, // opcode ChunkData
                 0x00, // flags
                 0x09,
@@ -1097,7 +1115,7 @@ mod tests {
             0x02, 0x01, 0, 0, 0, 0, 0, 0, // total_bytes 0x0102 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x08, 0x00, 0x0A, 0x00, // magic, v8, ChunkEnd, flags
+            b'X', b'L', b'N', b'T', 0x09, 0x00, 0x0A, 0x00, // magic, v9, ChunkEnd, flags
             0x04, 0, 0, 0, 0, 0, 0, 0, // request id 4
             12, 0, 0, 0, // payload length 12
         ];
@@ -1133,7 +1151,7 @@ mod tests {
         }
         body.extend_from_slice(&8u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x08, 0x00, 0x07, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x09, 0x00, 0x07, 0x00];
         expect.extend_from_slice(&6u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1206,7 +1224,7 @@ mod tests {
         body.push(0); // no query box
         body.push(1); // a crossing predicate ...
         body.extend_from_slice(&0.5f64.to_bits().to_le_bytes()); // ... at 0.5
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x08, 0x00, 0x08, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x09, 0x00, 0x08, 0x00];
         expect.extend_from_slice(&2u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1353,6 +1371,9 @@ mod tests {
             }),
             Response::Error(ErrorFrame::Busy { active: 4, max: 4 }),
             Response::Error(ErrorFrame::ShuttingDown),
+            Response::Error(ErrorFrame::Unreadable {
+                detail: "server 0".into(),
+            }),
         ];
         for resp in cases {
             let frame = decode_whole(&resp.encode(77));
@@ -1393,8 +1414,9 @@ mod tests {
         // 5 summed its payloads with FNV-1a-32: refused here, or its frames
         // would fail as `ChecksumMismatch` and be retried. 6 had no range in
         // its descriptors: its bodies would misparse. 7 could answer with
-        // error code 5, which no longer decodes.
-        for v in [9, 4, 5, 6, 7] {
+        // error code 5, which no longer decodes. 8 cannot decode error
+        // code 6 and would retry an unreadable version.
+        for v in [10, 4, 5, 6, 7, 8] {
             let mut bad = h;
             bad[4] = v;
             assert_eq!(decode_header(&bad), Err(WireError::BadVersion(v.into())));

@@ -300,9 +300,10 @@ fn the_staging_trait_reports_a_dead_shard_instead_of_an_empty_read() {
     assert!(cluster.used_per_shard()[0] > 0);
     assert!(cluster.stop_shard(1), "shard 1 was running");
 
-    let err = Staging::get(&client, "rho", 1, None, None).expect_err("read across a dead shard");
+    let staging = client.cluster().as_ref();
+    let err = Staging::get(staging, "rho", 1, None, None).expect_err("read across a dead shard");
     assert!(err.0.contains("shard 1"), "{err}");
-    let err = Staging::evict_before(&client, "rho", 2).expect_err("evict across a dead shard");
+    let err = Staging::evict_before(staging, "rho", 2).expect_err("evict across a dead shard");
     assert!(err.0.contains("shard 1"), "{err}");
     // The eviction still reached the live shards.
     assert_eq!(cluster.used_per_shard()[0], 0);
@@ -347,7 +348,7 @@ fn stager_over_a_cluster_counts_per_shard_rejections() {
     let cluster = StagingCluster::start(2, &service_cfg(2048)).expect("start cluster");
     let client =
         ShardedClient::connect(&cluster.addrs(), 8, ClientConfig::default()).expect("client");
-    let stager = AsyncStager::new(std::sync::Arc::new(client.clone()), 1, 64);
+    let stager = AsyncStager::new(std::sync::Arc::clone(client.cluster()), 1, 64);
 
     // 10 × 512 B, one home bucket, into 2 × 2 KiB: 4 delivered to the
     // home shard, 6 rejected by it.
@@ -417,7 +418,7 @@ fn headroom_reports_memory_and_disk_tier_from_one_snapshot_per_shard() {
             (m + (s.capacity - s.used), d + s.tier_disk_headroom)
         });
     assert!(want_disk < 2 * BUDGET, "nothing spilled to the disk tier");
-    let (mem, disk) = Staging::headroom(&client);
+    let (mem, disk) = Staging::headroom(client.cluster().as_ref());
     assert_eq!((mem, disk), (want_mem, want_disk));
     assert_eq!(client.total_headroom(), want_mem);
 

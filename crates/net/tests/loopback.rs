@@ -16,7 +16,7 @@ use xlayer_net::wire::{
     decode_header, encode_chunk_end, encode_frame, verify_payload, ChunkEnd, ErrorFrame, Frame,
     Opcode, Request, Response, HEADER_LEN, MAGIC,
 };
-use xlayer_staging::{AsyncStager, DataObject, StageTask};
+use xlayer_staging::{AsyncStager, Cluster, DataObject, StageTask};
 
 fn obj(name: &str, version: u64, lo: i64, fill: f64) -> DataObject {
     let b = IBox::cube(4).shift(IntVect::splat(lo));
@@ -40,8 +40,9 @@ fn quick_client(addr: &str) -> RemoteClient {
 }
 
 /// The service at `addr` as the stager's backend: a one-shard cluster.
-fn one_shard(addr: &str) -> std::sync::Arc<ShardedClient> {
-    std::sync::Arc::new(ShardedClient::connect(&[addr], 64, quick_cfg()).unwrap())
+fn one_shard(addr: &str) -> std::sync::Arc<Cluster<RemoteClient>> {
+    let client = ShardedClient::connect(&[addr], 64, quick_cfg()).unwrap();
+    std::sync::Arc::clone(client.cluster())
 }
 
 fn start_service(memory_per_server: u64) -> StagingService {
@@ -138,6 +139,50 @@ fn oom_is_typed_and_never_retried() {
 }
 
 #[test]
+fn an_unreadable_spilled_extent_fails_the_read_naming_the_server() {
+    // One tiered staging server with memory for one 512 B piece: the
+    // second piece of the same version has no colder key to displace, so
+    // it goes to disk. One byte of it is then flipped at rest.
+    let dir = std::env::temp_dir().join(format!("xlayer-tier-wire-readerr-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = StagingService::start(ServiceConfig {
+        servers: 1,
+        memory_per_server: 600,
+        disk_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let client = quick_client(&service.local_addr().to_string());
+    client.put(&obj("rho", 1, 0, 1.0)).unwrap();
+    client.put(&obj("rho", 1, 8, 2.0)).unwrap();
+    let segment = dir
+        .join(format!("svc-{}", service.local_addr().port()))
+        .join("server-0.log");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let n = bytes.len();
+    bytes[n - 9] ^= 0xFF;
+    std::fs::write(&segment, &bytes).unwrap();
+
+    // The read fails, naming the server, rather than serving the
+    // resident piece as the version; the same read answers the same way.
+    for _ in 0..2 {
+        let err = match client.get("rho", 1, None) {
+            Ok(objs) => panic!("a partial version served: {} objects", objs.len()),
+            Err(e) => e,
+        };
+        assert!(matches!(err, RemoteError::Refused(_)), "{err:?}");
+        assert!(err.to_string().contains("server 0"), "{err}");
+    }
+    // Not retried, and the connection it came on went back to the pool.
+    assert_eq!(client.client_stats().total(), 0);
+    let snap = client.service_stats().unwrap();
+    assert_eq!(snap.gets, 2);
+    assert_eq!(snap.conns_accepted, 1, "the refusal dropped the connection");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn full_pool_refuses_with_busy() {
     // max_connections = 0: every connection is refused with a typed Busy
     // frame, and the client reports it once retries are exhausted.
@@ -231,14 +276,14 @@ fn read_response(stream: &mut TcpStream) -> Response {
 
 #[test]
 fn resent_put_frame_is_acknowledged_but_stored_once() {
-    // A default-config service: two round-robin staging servers.
+    // A default-config service: two staging servers, one home per box.
     let service = StagingService::start(ServiceConfig::default()).unwrap();
     let mut raw = TcpStream::connect(service.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
     // What `RemoteClient::call_with` does when a put's reply is lost: the
-    // same object goes out again. Round-robin routes the repeat to the
-    // *other* staging server.
+    // same object goes out again, to the same home server, which
+    // recognises its first copy.
     let a = obj("rho", 1, 0, 1.5);
     for id in [71, 72] {
         raw.write_all(&Request::Put(a.clone()).encode(id)).unwrap();
@@ -248,7 +293,7 @@ fn resent_put_frame_is_acknowledged_but_stored_once() {
         }
     }
     assert_eq!(service.space().get("rho", 1, None).len(), 1);
-    assert_eq!(service.space().describe("rho", 1), vec![a.desc.clone()]);
+    assert_eq!(service.space().describe("rho", 1), Ok(vec![a.desc.clone()]));
     assert_eq!(service.space().used(), a.desc.bytes);
 
     service.shutdown();

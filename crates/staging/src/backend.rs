@@ -1,16 +1,12 @@
 //! The one staging interface.
 //!
 //! The paper's middleware sees a single DataSpaces put/get/evict surface
-//! wherever the staging area physically sits. [`Staging`] is that surface:
-//! the in-process [`DataSpace`] implements it here, the networked
-//! `ShardedClient` (one shard or many) implements it in `xlayer-net`, and
-//! everything above — the asynchronous transport, the native workflow's
-//! producers and analysis workers — holds an `Arc<dyn Staging>` and never
-//! asks which one it got.
+//! wherever the staging area physically sits. [`Staging`] is that surface;
+//! its one implementation is [`crate::Cluster`], over in-process servers
+//! ([`crate::DataSpace`]) or `xlayer-net`'s remote clients. The transport
+//! and the native workflow hold an `Arc<dyn Staging>` and never ask which.
 
 use crate::object::DataObject;
-use crate::server::StagingError;
-use crate::space::DataSpace;
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 
@@ -31,7 +27,8 @@ pub enum PutVerdict {
 }
 
 /// A backend could not answer a read or an eviction. The text says where
-/// it failed: a cluster's names the failing shard and its address.
+/// it failed: the failing shard, and what it reported (a server names
+/// itself and the key it could not read back).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Unanswered(pub String);
 
@@ -56,10 +53,11 @@ pub trait Staging: Send + Sync {
     /// object of the version if `None`) that pass the `crossing` isovalue
     /// predicate ([`crate::ObjectDesc::may_cross`]; every object if
     /// `None`). Every layer evaluates both filters on descriptors, before
-    /// a payload byte is read, framed or sent. Part order within a version
-    /// is backend-defined. A backend that cannot reach part of the
-    /// staging area (a dead shard) says so, rather than answering with
-    /// what the rest holds.
+    /// a payload byte is read, framed or sent. Parts come back in the
+    /// cluster's canonical `(name, version, bbox, origin rank)` order. A
+    /// backend that cannot read part of the staging area (a dead shard, an
+    /// unreadable spilled extent) says so, rather than answering with what
+    /// the rest holds.
     fn get(
         &self,
         name: &str,
@@ -77,36 +75,4 @@ pub trait Staging: Send + Sync {
     /// zero, so the policy treats unreachable staging as full, never as
     /// infinite.
     fn headroom(&self) -> (u64, u64);
-}
-
-impl Staging for DataSpace {
-    fn put(&self, obj: Arc<DataObject>) -> PutVerdict {
-        match DataSpace::put(self, obj) {
-            Ok(_) => PutVerdict::Stored,
-            Err(StagingError::OutOfMemory { .. }) => PutVerdict::Rejected,
-        }
-    }
-
-    fn get(
-        &self,
-        name: &str,
-        version: u64,
-        query: Option<&IBox>,
-        crossing: Option<f64>,
-    ) -> Result<Vec<Arc<DataObject>>, Unanswered> {
-        Ok(DataSpace::get_crossing(
-            self, name, version, query, crossing,
-        ))
-    }
-
-    fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, Unanswered> {
-        Ok(DataSpace::evict_before(self, name, min_version))
-    }
-
-    fn headroom(&self) -> (u64, u64) {
-        (
-            self.capacity().saturating_sub(self.used()),
-            self.disk_headroom(),
-        )
-    }
 }

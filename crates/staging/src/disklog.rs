@@ -95,7 +95,7 @@ const PREFIX: usize = 8;
 pub const SEGMENT_BYTES: u64 = 16 << 20;
 
 /// Why a disk-tier operation failed.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TierError {
     /// An I/O operation on the log failed.
     Io {

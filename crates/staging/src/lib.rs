@@ -6,8 +6,11 @@
 //! DataSpaces [Docan et al., HPDC'10]).
 //!
 //! * [`backend`] — the one [`Staging`] put/get/evict/headroom interface
-//!   every backend (this crate's [`DataSpace`], `xlayer-net`'s sharded
-//!   client) implements,
+//!   the workflow drives,
+//! * [`cluster`] — the one [`Staging`] implementation: a [`Cluster`] over
+//!   any [`Shard`] owns placement, the ask-every-shard read, its canonical
+//!   merge order, eviction and headroom; this crate's [`StagingServer`] and
+//!   `xlayer-net`'s remote client are its two kinds of shard,
 //! * [`object`] — `(variable, version, bbox)`-addressed data objects whose
 //!   descriptors carry their value range, so every layer below can answer
 //!   an isovalue-filtered get on metadata alone,
@@ -16,7 +19,8 @@
 //!   (`xlayer-net`) and the spill log,
 //! * [`server`] — staging servers with memory caps (paper Eq. 10),
 //! * [`shard`] — deterministic box-hash placement of regions onto shards,
-//! * [`space`] — the sharded put/get/query space,
+//! * [`space`] — [`DataSpace`], the in-process cluster of staging
+//!   servers,
 //! * [`tier`] / [`disklog`] — the disk spill tier: policy-driven demotion
 //!   of cold versions to a checksummed on-disk object log, with
 //!   promote-on-access back into memory,
@@ -31,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod cluster;
 pub mod codec;
 pub mod disklog;
 pub mod index;
@@ -44,6 +49,7 @@ pub mod tier;
 pub mod transport;
 
 pub use backend::{PutVerdict, Staging, Unanswered};
+pub use cluster::{Cluster, Shard, ShardError};
 pub use disklog::{DiskLog, TierError};
 pub use index::BucketIndex;
 pub use object::{DataObject, ObjectDesc, ObjectKey, EMPTY_RANGE};

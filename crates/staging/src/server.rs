@@ -8,10 +8,12 @@
 //! nowhere else: the compiler, not a comment, keeps every "is it on disk?"
 //! probe inside the guard.
 
+use crate::cluster::Shard;
 use crate::index::BucketIndex;
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
 use crate::pool::BufferPool;
 use crate::tier::{recycle, DiskTier, ObjectHints, SpillAction, TierSnapshot};
+use crate::TierError;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -20,7 +22,7 @@ use xlayer_amr::boxes::IBox;
 /// Bucket width of the per-key spatial index (cells).
 const INDEX_BUCKET: i64 = 16;
 
-/// Why a put was rejected.
+/// Why a server could not do what it was asked.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StagingError {
     /// Accepting the object would exceed the server's memory cap (and the
@@ -32,6 +34,17 @@ pub enum StagingError {
         used: u64,
         /// Size of the rejected object.
         requested: u64,
+    },
+    /// A read needed spilled extents the disk tier could not read back: the
+    /// server cannot answer with the whole version, so it answers with
+    /// this instead of the part it holds in memory.
+    Unreadable {
+        /// The server's id.
+        server: usize,
+        /// The key whose extents failed.
+        key: ObjectKey,
+        /// What the disk tier reported.
+        source: TierError,
     },
 }
 
@@ -45,6 +58,15 @@ impl std::fmt::Display for StagingError {
             } => write!(
                 f,
                 "staging server out of memory: cap {cap} B, used {used} B, requested {requested} B"
+            ),
+            StagingError::Unreadable {
+                server,
+                key,
+                source,
+            } => write!(
+                f,
+                "staging server {server} cannot read {} v{}: {source}",
+                key.name, key.version
             ),
         }
     }
@@ -275,7 +297,7 @@ impl StagingServer {
             .filter(|k| *k != incoming)
             .map(|k| {
                 let fresh = !tier.past_deadline(k, now);
-                let tick = s.ticks.get(k).copied().unwrap_or(0);
+                let tick = s.ticks.get(k).copied().unwrap_or(0); // Option: an untouched key is coldest
                 (fresh, tick, k.clone())
             })
             .collect();
@@ -324,23 +346,34 @@ impl StagingServer {
     /// an idle tier keeps RAM-resident gets at parity. A spilled key is
     /// promoted whole whatever `crossing` says, and filtered after; served
     /// from disk, only its matching extents are read.
+    ///
+    /// A spilled extent the tier cannot read back fails the whole read
+    /// ([`StagingError::Unreadable`], counted in the tier's `read_errors`):
+    /// the resident part alone is never passed off as the version. Extents
+    /// a failed promotion could not read stay on disk.
     pub fn get(
         &self,
         key: &ObjectKey,
         query: Option<&IBox>,
         crossing: Option<f64>,
-    ) -> Vec<Arc<DataObject>> {
+    ) -> Result<Vec<Arc<DataObject>>, StagingError> {
         let s = self.inner.read();
         // The tier lives in the store, so this probe can only run under
         // the guard: a key observed un-spilled here cannot move to disk
         // before the resident match below.
         if !s.tier.as_ref().is_some_and(|t| t.log().contains(key)) {
-            return Self::match_resident(&s, key, query, crossing);
+            return Ok(Self::match_resident(&s, key, query, crossing));
         }
         drop(s);
         // xlint: allow(L) -- promote/serve-from-disk runs under the write lock so a promote racing a drain resolves as one serial order
         let mut s = self.inner.write();
-        Self::get_promoting(&mut s, self.memory_cap, key, query, crossing)
+        Self::get_promoting(&mut s, self.memory_cap, key, query, crossing).map_err(|source| {
+            StagingError::Unreadable {
+                server: self.id,
+                key: key.clone(),
+                source,
+            }
+        })
     }
 
     /// The in-memory matches for `key` under an already-held store lock.
@@ -379,34 +412,31 @@ impl StagingServer {
         key: &ObjectKey,
         query: Option<&IBox>,
         crossing: Option<f64>,
-    ) -> Vec<Arc<DataObject>> {
+    ) -> Result<Vec<Arc<DataObject>>, TierError> {
         let spilled_bytes: u64 = s.tier.as_ref().map_or(0, |t| {
             t.log().extents_for(key).iter().map(|d| d.bytes).sum()
         });
         if spilled_bytes == 0 {
             // A racing promote or drain got here first.
-            return Self::match_resident(s, key, query, crossing);
+            return Ok(Self::match_resident(s, key, query, crossing));
         }
         Self::demote_victims(s, cap, spilled_bytes, key);
         let Some(tier) = s.tier.as_mut() else {
-            return Self::match_resident(s, key, query, crossing);
+            return Ok(Self::match_resident(s, key, query, crossing));
         };
         if s.used.saturating_add(spilled_bytes) <= cap {
             // Promote: move the extents into memory, then serve from there.
-            if let Ok(objs) = tier.take(key) {
-                s.touch(key);
-                objs.into_iter().for_each(|o| s.admit(Arc::new(o)));
-            }
-            // On a tier read error the disk side is unreadable; serve what
-            // memory has rather than failing the whole get.
-            return Self::match_resident(s, key, query, crossing);
+            let objs = tier.take(key)?;
+            s.touch(key);
+            objs.into_iter().for_each(|o| s.admit(Arc::new(o)));
+            return Ok(Self::match_resident(s, key, query, crossing));
         }
         // Promotion cannot fit even after demotion: serve spilled extents
         // from disk alongside any resident ones, leaving residency alone.
-        let disk = tier.fetch(key, query, crossing).unwrap_or_default();
+        let disk = tier.fetch(key, query, crossing)?;
         let mut out = Self::match_resident(s, key, query, crossing);
         out.extend(disk.into_iter().map(Arc::new));
-        out
+        Ok(out)
     }
 
     /// Descriptors of everything under `key`, across both tiers, under one
@@ -419,7 +449,7 @@ impl StagingServer {
             .objects
             .get(key)
             .map(|(v, _)| v.iter().map(|o| o.desc.clone()).collect())
-            .unwrap_or_default();
+            .unwrap_or_default(); // Option: a key with nothing resident lists no resident part
         if let Some(tier) = &s.tier {
             out.extend(tier.log().extents_for(key));
         }
@@ -463,6 +493,43 @@ impl StagingServer {
     }
 }
 
+/// One shard of a [`crate::DataSpace`]. Only a read can fail.
+impl Shard for StagingServer {
+    type Error = StagingError;
+
+    fn put(&self, obj: Arc<DataObject>) -> Result<(), StagingError> {
+        StagingServer::put(self, obj)
+    }
+
+    fn get_crossing(
+        &self,
+        key: &ObjectKey,
+        query: Option<&IBox>,
+        crossing: Option<f64>,
+    ) -> Result<Vec<Arc<DataObject>>, StagingError> {
+        self.get(key, query, crossing)
+    }
+
+    fn describe(&self, key: &ObjectKey) -> Result<Vec<ObjectDesc>, StagingError> {
+        Ok(StagingServer::describe(self, key))
+    }
+
+    fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, StagingError> {
+        Ok(StagingServer::evict_before(self, name, min_version))
+    }
+
+    fn headroom(&self) -> Result<(u64, u64), StagingError> {
+        let disk = self
+            .tier_snapshot()
+            .map_or(0, |t| t.disk_budget.saturating_sub(t.disk_used));
+        Ok((self.memory_cap.saturating_sub(self.used()), disk))
+    }
+
+    fn refuses(err: &StagingError) -> bool {
+        matches!(err, StagingError::OutOfMemory { .. })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,9 +549,12 @@ mod tests {
         s.put(obj("rho", 1, 8, 4)).unwrap();
         s.put(obj("rho", 2, 0, 4)).unwrap();
         let key = ObjectKey::new("rho", 1);
-        assert_eq!(s.get(&key, None, None).len(), 2);
-        assert_eq!(s.get(&ObjectKey::new("rho", 2), None, None).len(), 1);
-        assert_eq!(s.get(&ObjectKey::new("p", 1), None, None).len(), 0);
+        assert_eq!(s.get(&key, None, None).unwrap().len(), 2);
+        assert_eq!(
+            s.get(&ObjectKey::new("rho", 2), None, None).unwrap().len(),
+            1
+        );
+        assert_eq!(s.get(&ObjectKey::new("p", 1), None, None).unwrap().len(), 0);
     }
 
     #[test]
@@ -494,7 +564,7 @@ mod tests {
         s.put(obj("rho", 1, 8, 4)).unwrap();
         let key = ObjectKey::new("rho", 1);
         let q = IBox::cube(4);
-        let hits = s.get(&key, Some(&q), None);
+        let hits = s.get(&key, Some(&q), None).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].desc.bbox, IBox::cube(4));
     }
@@ -527,8 +597,11 @@ mod tests {
         assert_eq!(freed, 512);
         assert_eq!(s.used(), used0 - 512);
         // rho v2 and p v1 survive
-        assert_eq!(s.get(&ObjectKey::new("rho", 2), None, None).len(), 1);
-        assert_eq!(s.get(&ObjectKey::new("p", 1), None, None).len(), 1);
+        assert_eq!(
+            s.get(&ObjectKey::new("rho", 2), None, None).unwrap().len(),
+            1
+        );
+        assert_eq!(s.get(&ObjectKey::new("p", 1), None, None).unwrap().len(), 1);
     }
 
     #[test]
@@ -601,7 +674,7 @@ mod tests {
             assert!(!spilled(&s, &ObjectKey::new("rho", 3)));
             // The spilled version is still fully readable (promotes back,
             // displacing the now-coldest v2).
-            let got = s.get(&ObjectKey::new("rho", 1), None, None);
+            let got = s.get(&ObjectKey::new("rho", 1), None, None).unwrap();
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, vobj("rho", 1).payload);
             assert!(!spilled(&s, &ObjectKey::new("rho", 1)));
@@ -620,7 +693,7 @@ mod tests {
             assert_eq!(s.used(), 0, "object must not be charged to memory");
             assert_eq!(snap(&s).disk_used, 512);
             // Served straight from disk (cannot promote), bit-identical.
-            let got = s.get(&ObjectKey::new("rho", 1), None, None);
+            let got = s.get(&ObjectKey::new("rho", 1), None, None).unwrap();
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, vobj("rho", 1).payload);
             assert!(spilled(&s, &ObjectKey::new("rho", 1)));
@@ -665,7 +738,7 @@ mod tests {
             assert_eq!(s.used(), 18 << 20, "resident: one rho object and p");
             // Promotion cannot make room (p's demotion fails the same
             // way): served from both tiers, each object once.
-            let got = s.get(&rho, None, None);
+            let got = s.get(&rho, None, None).unwrap();
             let mut los: Vec<IntVect> = got.iter().map(|o| o.desc.bbox.lo()).collect();
             los.sort();
             assert_eq!(los, vec![IntVect::ZERO, IntVect::new(96, 0, 0)]);
@@ -673,7 +746,7 @@ mod tests {
             // With segment 1 free again, the promote goes through: p
             // leaves, rho comes back whole and is charged once.
             std::fs::remove_dir(&squat).unwrap();
-            assert_eq!(s.get(&rho, None, None).len(), 2);
+            assert_eq!(s.get(&rho, None, None).unwrap().len(), 2);
             assert!(!spilled(&s, &rho));
             assert_eq!(s.used(), 18 << 20);
             assert_eq!(snap(&s).disk_used, 9 << 20);
@@ -710,8 +783,14 @@ mod tests {
             let freed = s.evict_before("rho", 3);
             assert_eq!(freed, 1024, "one RAM version + one disk version");
             assert!(!spilled(&s, &ObjectKey::new("rho", 1)));
-            assert!(s.get(&ObjectKey::new("rho", 1), None, None).is_empty());
-            assert_eq!(s.get(&ObjectKey::new("rho", 3), None, None).len(), 1);
+            assert!(s
+                .get(&ObjectKey::new("rho", 1), None, None)
+                .unwrap()
+                .is_empty());
+            assert_eq!(
+                s.get(&ObjectKey::new("rho", 3), None, None).unwrap().len(),
+                1
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
 
@@ -728,7 +807,9 @@ mod tests {
             s.put(DataObject::from_fab("rho", 1, &f2, 0, &b2, 0))
                 .unwrap();
             assert_eq!(snap(&s).spilled, 2);
-            let hits = s.get(&ObjectKey::new("rho", 1), Some(&IBox::cube(4)), None);
+            let hits = s
+                .get(&ObjectKey::new("rho", 1), Some(&IBox::cube(4)), None)
+                .unwrap();
             assert_eq!(hits.len(), 1);
             assert_eq!(hits[0].desc.bbox, b1);
             let _ = std::fs::remove_dir_all(&dir);
@@ -749,7 +830,9 @@ mod tests {
                 let s = Arc::new(s);
                 let getter = {
                     let s = Arc::clone(&s);
-                    std::thread::spawn(move || s.get(&ObjectKey::new("rho", 1), None, None))
+                    std::thread::spawn(move || {
+                        s.get(&ObjectKey::new("rho", 1), None, None).unwrap()
+                    })
                 };
                 let drainer = {
                     let s = Arc::clone(&s);
@@ -765,11 +848,20 @@ mod tests {
                     n => panic!("impossible interleaving: {n} objects"),
                 }
                 // Post-state is identical either way: v1 fully gone.
-                assert!(s.get(&ObjectKey::new("rho", 1), None, None).is_empty());
+                assert!(s
+                    .get(&ObjectKey::new("rho", 1), None, None)
+                    .unwrap()
+                    .is_empty());
                 assert!(!spilled(&s, &ObjectKey::new("rho", 1)));
                 // v2 and v3 survive with balanced accounting.
-                assert_eq!(s.get(&ObjectKey::new("rho", 2), None, None).len(), 1);
-                assert_eq!(s.get(&ObjectKey::new("rho", 3), None, None).len(), 1);
+                assert_eq!(
+                    s.get(&ObjectKey::new("rho", 2), None, None).unwrap().len(),
+                    1
+                );
+                assert_eq!(
+                    s.get(&ObjectKey::new("rho", 3), None, None).unwrap().len(),
+                    1
+                );
                 assert_eq!(s.used() + snap(&s).disk_used, 1024);
                 let _ = std::fs::remove_dir_all(&dir);
             }
@@ -801,12 +893,12 @@ mod tests {
             s.put(mib(5)).unwrap(); // demotes v3
             assert_eq!(pool.parked(), 3);
             // The promote of v3 demotes v4 and reads v3 into warm buffers.
-            let got = s.get(&ObjectKey::new("rho", 3), None, None);
+            let got = s.get(&ObjectKey::new("rho", 3), None, None).unwrap();
             assert_eq!(got[0].payload, mib(3).payload);
             assert_eq!((pool.hits(), pool.misses()), (1, 0));
             assert_eq!(pool.parked(), 3);
             // A handle a reader still holds is not taken from it.
-            let held = s.get(&ObjectKey::new("rho", 3), None, None);
+            let held = s.get(&ObjectKey::new("rho", 3), None, None).unwrap();
             s.evict_before("rho", 4);
             assert_eq!(pool.parked(), 3);
             assert_eq!(held[0].payload, mib(3).payload);
@@ -841,12 +933,12 @@ mod tests {
             };
             let want = vobj("rho", 1).payload;
             while !putter.is_finished() {
-                let got = s.get(&ObjectKey::new("rho", 1), None, None);
+                let got = s.get(&ObjectKey::new("rho", 1), None, None).unwrap();
                 assert_eq!(got.len(), 1, "a stored key must never read empty");
                 assert_eq!(got[0].payload, want);
             }
             putter.join().expect("putter");
-            let got = s.get(&ObjectKey::new("rho", 1), None, None);
+            let got = s.get(&ObjectKey::new("rho", 1), None, None).unwrap();
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, want);
             let _ = std::fs::remove_dir_all(&dir);

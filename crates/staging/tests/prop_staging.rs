@@ -134,7 +134,7 @@ proptest! {
             let fab = coord_fab(*b);
             space.put(DataObject::from_fab("u", 7, &fab, 0, b, 0)).unwrap();
         }
-        let descs = space.describe("u", 7);
+        let descs = space.describe("u", 7).unwrap();
         prop_assert_eq!(descs.len(), boxes.len());
         let total: u64 = descs.iter().map(|d| d.bytes).sum();
         prop_assert_eq!(total, boxes.iter().map(|b| b.num_cells() * 8).sum::<u64>());
@@ -189,7 +189,7 @@ mod tier_identity {
                 // First get may promote from disk; second reads the
                 // promoted copy. Both must match the original bytes.
                 for round in 0..2 {
-                    let got = server.get(&ObjectKey::new("u", v as u64), None, None);
+                    let got = server.get(&ObjectKey::new("u", v as u64), None, None).unwrap();
                     prop_assert_eq!(got.len(), 1, "v{} round {}", v, round);
                     prop_assert_eq!(&got[0].payload, payload, "v{} round {}", v, round);
                 }

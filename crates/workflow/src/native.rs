@@ -79,8 +79,9 @@ pub struct NativeConfig {
     /// Address of a remote staging service (e.g. `"127.0.0.1:7001"`), or a
     /// comma-separated shard list (e.g. `"127.0.0.1:7001,127.0.0.1:7002"`)
     /// naming a sharded staging cluster. When set, staging puts/gets go
-    /// over the wire, region-routed through a [`ShardedClient`] (one
-    /// address is a one-shard cluster), instead of an in-process
+    /// over the wire through a [`ShardedClient`] — puts to each object's
+    /// home shard, reads to every shard; one address is a one-shard
+    /// cluster — instead of an in-process
     /// [`DataSpace`]: the paper's dedicated-staging-nodes deployment. When
     /// the address (any shard of it) does not resolve at construction the
     /// workflow degrades to the in-process space rather than dying.
@@ -348,7 +349,10 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         // to the staging service or cluster; without it they stage in
         // process.
         match connect_remote(&cfg) {
-            Some(client) => Self::over(sim, cfg, Arc::new(client.clone()), None, Some(client)),
+            Some(client) => {
+                let backend = Arc::clone(client.cluster());
+                Self::over(sim, cfg, backend, None, Some(client))
+            }
             None => {
                 let space = Arc::new(local_space(&cfg));
                 Self::over(sim, cfg, Arc::clone(&space), Some(space), None)
@@ -1321,6 +1325,98 @@ mod tests {
             .as_ref()
             .expect("version 2 is reported lost");
         assert!(lost.0.contains("shard 1"), "{lost}");
+        assert_eq!(outcomes[1].triangles, 0);
+    }
+
+    /// A tiered space that meets a disk fault at rest when `version` is
+    /// read: first a put of another variable as large as memory pushes the
+    /// version whole to the disk log, then one byte of the extent written
+    /// last — that version's last object — is flipped, then the read runs.
+    struct CorruptsOnRead {
+        space: DataSpace,
+        log: std::path::PathBuf,
+        version: u64,
+    }
+
+    impl Staging for CorruptsOnRead {
+        fn put(&self, obj: Arc<DataObject>) -> PutVerdict {
+            Staging::put(&self.space, obj)
+        }
+
+        fn get(
+            &self,
+            name: &str,
+            version: u64,
+            query: Option<&IBox>,
+            crossing: Option<f64>,
+        ) -> Result<Vec<Arc<DataObject>>, Unanswered> {
+            if version == self.version {
+                let b = IBox::cube(64);
+                let fab = xlayer_amr::fab::Fab::filled(b, 1, 0.0);
+                let ballast = DataObject::from_fab("ballast", 1, &fab, 0, &b, 0);
+                assert_eq!(
+                    Staging::put(&self.space, Arc::new(ballast)),
+                    PutVerdict::Stored
+                );
+                let mut bytes = std::fs::read(&self.log).expect("spill log");
+                let n = bytes.len();
+                bytes[n - 9] ^= 0xFF;
+                std::fs::write(&self.log, &bytes).expect("spill log");
+            }
+            Staging::get(&self.space, name, version, query, crossing)
+        }
+
+        fn evict_before(&self, name: &str, min_version: u64) -> Result<u64, Unanswered> {
+            Staging::evict_before(&self.space, name, min_version)
+        }
+
+        fn headroom(&self) -> (u64, u64) {
+            Staging::headroom(&self.space)
+        }
+    }
+
+    #[test]
+    fn an_unreadable_spilled_extent_loses_its_version_typed() {
+        // Memory holds one version or the 64³ ballast, not both.
+        let dir = scratch_dir("unreadable");
+        let tier = TierConfig::new(dir.clone());
+        let pool = Arc::new(BufferPool::new());
+        let space = DataSpace::new_tiered(1, 64 * 64 * 64 * 8, Sharding::BboxHash, &tier, pool)
+            .expect("tiered space");
+        let backend = Arc::new(CorruptsOnRead {
+            space,
+            log: dir.join("server-0.log"),
+            version: 2,
+        });
+        let cfg = NativeConfig {
+            iso_value: 0.4,
+            staging_servers: 1,
+            placement_override: Some(Placement::InTransit),
+            ..Default::default()
+        };
+        let mut wf = NativeWorkflow::over(blob_sim(16), cfg, backend, None, None);
+        // One version in staging at a time, so the extent flipped is
+        // version 2's.
+        for _ in 0..3 {
+            wf.step();
+            wf.wait_for_analyses();
+        }
+        let (_, outcomes, _) = wf.finish();
+        let _ = std::fs::remove_dir_all(&dir);
+        let versions: Vec<u64> = outcomes.iter().map(|o| o.version).collect();
+        assert_eq!(versions, [1, 2, 3], "one outcome per step");
+        for o in [&outcomes[0], &outcomes[2]] {
+            assert_eq!(o.staging_error, None, "version {}", o.version);
+            assert!(o.triangles > 0, "version {}", o.version);
+        }
+        let lost = outcomes[1]
+            .staging_error
+            .as_ref()
+            .expect("version 2 is reported lost");
+        assert!(
+            lost.0.contains("server 0") && lost.0.contains("field v2"),
+            "{lost}"
+        );
         assert_eq!(outcomes[1].triangles, 0);
     }
 

@@ -261,6 +261,61 @@ if grep -E 'query_shards|broaden|thread::scope|fn fits' <<<"$(nontest crates/net
     echo "grep gate: the names above are retired (see CHANGES.md: one read rule for the staging cluster)"; exit 1
 fi
 
+echo "==> a staging read is whole or a typed error (grep gate)"
+# A server read that cannot read back a spilled extent fails, naming the
+# server and the key; the service answers it with one Unreadable frame and
+# every Staging backend reports the version lost. The swallowing forms that
+# once served the resident part alone may not come back in the non-test
+# code (each file up to its first #[cfg(test)]) of the staging server,
+# space, tier, backend and cluster modules, the networked cluster or the
+# service: no `unwrap_or_default()`, no `.unwrap_or(0)`, and no
+# `if let Ok(` whose block is not followed by `else`. An `Option`
+# fallback says so, with its reason, in an inline `// Option:` comment.
+swallowing() {
+    nontest "$@" | awk '
+        function close_block(rest) {
+            if (rest ~ /^[[:space:]]*else/) { open_at = ""; return }
+            if (rest ~ /[^[:space:]]/) { print open_at ": `if let Ok(` without else"; open_at = ""; return }
+            pending = 1
+        }
+        {
+            text = $0; sub(/^[^:]*:[0-9]+: /, "", text)
+            if (pending) {
+                if (text ~ /^[[:space:]]*$/) next
+                if (text !~ /^[[:space:]]*else/) print open_at ": `if let Ok(` without else"
+                pending = 0; open_at = ""
+            }
+            if ((text ~ /unwrap_or_default\(\)|\.unwrap_or\(0\)/) && text !~ /\/\/ Option: /) print $0
+            if (open_at == "" && (at = index(text, "if let Ok(")) > 0) {
+                open_at = $0; depth = 0; seen = 0; text = substr(text, at)
+            }
+            if (open_at == "") next
+            for (i = 1; i <= length(text); i++) {
+                c = substr(text, i, 1)
+                if (c == "{") { depth++; seen = 1 }
+                else if (c == "}" && --depth == 0 && seen) { close_block(substr(text, i + 1)); break }
+            }
+        }
+        END { if (pending) print open_at ": `if let Ok(` without else" }'
+}
+if swallowing crates/staging/src/{server,space,tier,backend,cluster}.rs crates/net/src/{cluster,service}.rs | grep .; then
+    echo "grep gate: a failed read must be an error, not a default (see CHANGES.md: a shard read is whole or a typed error)"; exit 1
+fi
+
+echo "==> one cluster over one Shard trait (grep gate)"
+# DataSpace and ShardedClient are both xlayer_staging::Cluster, the one
+# Staging implementation: exactly one non-test `impl ... Staging for`
+# under crates/*/src, and neither the in-process space nor the networked
+# cluster keeps a merge order, a scatter helper or a sort of its own.
+impls=$(nontest $(find crates/*/src -name '*.rs' | sort) | grep -cE 'impl(<[^>]*>)?[[:space:]]+([A-Za-z_:]+::)?Staging[[:space:]]+for' || true)
+if [ "$impls" -ne 1 ]; then
+    nontest $(find crates/*/src -name '*.rs' | sort) | grep -E 'impl(<[^>]*>)?[[:space:]]+([A-Za-z_:]+::)?Staging[[:space:]]+for' || true
+    echo "grep gate: $impls non-test Staging implementations, want 1 (see CHANGES.md: one cluster over one Shard trait)"; exit 1
+fi
+if grep -E 'desc_order|fn scatter|sort_by' <<<"$(nontest crates/net/src/cluster.rs crates/staging/src/space.rs)"; then
+    echo "grep gate: the cluster's read rules live in xlayer_staging::cluster alone (see CHANGES.md: one cluster over one Shard trait)"; exit 1
+fi
+
 echo "==> one downsample mechanism: the producer's pack factor (grep gate)"
 # The pressure policy's downsample verdict is carried out by the producer,
 # which packs the step at app factor x pressure factor. The put-time

@@ -164,7 +164,7 @@ proptest! {
             space.put(o.clone()).unwrap();
         }
         let all = space.get("field", 1, None);
-        let some = space.get_crossing("field", 1, None, Some(iso));
+        let some = space.get_crossing("field", 1, None, Some(iso)).expect("get");
         prop_assert_eq!(all.len(), objects.len());
         prop_assert!(some.iter().all(|o| o.desc.may_cross(Some(iso))));
         prop_assert!(same_mesh(&extract(&some, iso), &extract(&all, iso)));
@@ -180,7 +180,7 @@ proptest! {
                     space.put(o).unwrap();
                 }
             }
-            let got = space.get_crossing("field", 1, None, crossing);
+            let got = space.get_crossing("field", 1, None, crossing).expect("get");
             let tier = space.tier_stats();
             let _ = std::fs::remove_dir_all(dir);
             (got, tier.promoted)
@@ -197,7 +197,7 @@ proptest! {
             for o in &objects {
                 space.put(o.clone()).unwrap();
             }
-            let got = space.get_crossing("field", 1, None, crossing);
+            let got = space.get_crossing("field", 1, None, crossing).expect("get");
             let tier = space.tier_stats();
             let _ = std::fs::remove_dir_all(dir);
             (got, tier.promoted, tier.disk_hits)
