@@ -15,22 +15,26 @@
 //! step's pack factor by it, as the engine multiplied the application
 //! layer's factor by it when it sized the step, so the whole step is
 //! staged at that resolution on every backend. Spill and reject are the
-//! staging tier's: the driver forwards them as the staging layer's
-//! `SpillAction` with `DataSpace::set_pressure_action`, so the servers'
-//! spill-then-reject default gives way to the engine's cross-layer
-//! choice.
+//! staging servers', and nothing is forwarded for them: every server, in
+//! process or behind a service, spills an over-cap put while its disk log
+//! has room and refuses it after, reading that room fresh at each put.
+//! That is the predicate this policy applies to its sampled disk
+//! headroom, so a `Spill` or `Reject` verdict names what the servers will
+//! do with the step's overflow, and only they act on it.
 
 use super::app;
 use serde::{Deserialize, Serialize};
 use xlayer_platform::{DiskModel, SimTime};
 
 /// The relief mechanism chosen for staging memory pressure. `Spill` and
-/// `Reject` mirror the staging layer's `SpillAction`; `Downsample` is the
-/// producer's pack factor (the crates are kept decoupled: policy here,
-/// mechanisms there).
+/// `Reject` name what the staging servers' own rule — spill while the
+/// disk log has room, refuse after — will do with the overflow;
+/// `Downsample` is the producer's pack factor (the crates are kept
+/// decoupled: policy here, mechanisms there).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum PressureAction {
-    /// Demote cold versions to the staging node's disk log.
+    /// The staging servers demote cold versions to their disk logs: the
+    /// overflow fits the disk headroom.
     Spill,
     /// The producer packs the step reduced by `factor` (volumetric), on
     /// top of the application layer's factor, before anything is staged.
@@ -38,7 +42,8 @@ pub enum PressureAction {
         /// Volumetric reduction divisor, from the user-hinted set.
         factor: u32,
     },
-    /// Refuse the overflow: the put fails with the typed policy signal.
+    /// The staging servers refuse the puts neither memory nor disk can
+    /// hold (`OutOfMemory`).
     Reject,
 }
 
@@ -58,7 +63,7 @@ pub struct PressureDecision {
 /// Decide the relief mechanism for one step's staging pressure.
 ///
 /// Returns `None` when `incoming_bytes` fits in `mem_available` (no
-/// pressure — the tier stays on its spill-then-reject default). Otherwise:
+/// pressure). Otherwise:
 ///
 /// 1. **Spill** if the overflow fits the disk budget *and* the disk
 ///    round trip stays within `budget_frac` of the step's simulation

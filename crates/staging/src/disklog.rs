@@ -61,9 +61,8 @@
 //! Unlinking or truncating a segment needs no sync: it held dead records
 //! only. Deletes are not persisted either: a dead record in a segment that
 //! still holds live ones reappears on reopen, as it did when the log was
-//! one file; a reclaimed segment's records do not. A forced
-//! `SpillAction::Spill` verdict is a memory-pressure priority (never
-//! reject, always spill), not a power-loss guarantee. Nor does a log
+//! one file; a reclaimed segment's records do not. Spilling is relief
+//! for memory pressure, not a power-loss guarantee. Nor does a log
 //! survive a *format* change: the record magic names the format (`XTLG`
 //! records carried FNV-1a-32 sums, `XTL2` records no value range, `XTL3`
 //! records a hand-packed head of their own), there is no migration, and a

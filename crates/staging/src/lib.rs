@@ -57,5 +57,5 @@ pub use pool::{BufferPool, PooledBuf};
 pub use server::{StagingError, StagingServer};
 pub use shard::ShardMap;
 pub use space::{DataSpace, Sharding};
-pub use tier::{DiskTier, ObjectHints, SpillAction, TierConfig, TierSnapshot};
+pub use tier::{DiskTier, ObjectHints, TierConfig, TierSnapshot};
 pub use transport::{AsyncStager, BatchClosed, DrainError, StageTask, TransportStats};

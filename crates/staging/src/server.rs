@@ -12,7 +12,7 @@ use crate::cluster::Shard;
 use crate::index::BucketIndex;
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
 use crate::pool::BufferPool;
-use crate::tier::{recycle, DiskTier, ObjectHints, SpillAction, TierSnapshot};
+use crate::tier::{recycle, DiskTier, ObjectHints, TierSnapshot};
 use crate::TierError;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -137,8 +137,8 @@ impl StagingServer {
 
     /// A server with `memory_cap` bytes of staging memory backed by a disk
     /// spill tier: puts that exceed the cap demote cold versions to `tier`
-    /// (or are refused, per its policy), and gets promote spilled versions
-    /// back on access.
+    /// while its log has room (and are refused after), and gets promote
+    /// spilled versions back on access.
     pub fn with_tier(id: usize, memory_cap: u64, tier: DiskTier) -> Self {
         let store = Store {
             tier: Some(tier),
@@ -184,25 +184,18 @@ impl StagingServer {
         }
     }
 
-    /// Force the disk tier's pressure decision to `action`; `None`
-    /// restores the default, spill while the log has room and reject after
-    /// (a no-op without a tier).
-    pub fn set_pressure_action(&self, action: Option<SpillAction>) {
-        if let Some(tier) = &mut self.inner.write().tier {
-            tier.set_forced(action);
-        }
-    }
-
     /// Store an object (a plain `DataObject` is wrapped on the way in).
     ///
-    /// Under the memory cap this is the pre-tier fast path. Over it, the
-    /// attached tier (if any) decides spill or reject: spilling demotes the
-    /// coldest resident keys — expired-deadline keys first, then
+    /// Under the memory cap this is the pre-tier fast path. Over it, one
+    /// rule: the put spills while the attached tier's log has room for the
+    /// object, read now under the write guard, and fails with
+    /// `OutOfMemory` otherwise (always, without a tier). Spilling demotes
+    /// the coldest resident keys — expired-deadline keys first, then
     /// least-recently-touched, version order breaking ties — to the disk
     /// log until the object fits, falling back to writing the object
-    /// itself to disk when the cap is smaller than the object. Only when
-    /// the disk is exhausted too (or the policy says reject) does the put
-    /// fail with `OutOfMemory`. A refused put has copied no payload.
+    /// itself to disk when it is larger than the cap (which demotes
+    /// nothing) or demotion stopped short. A refused put has copied no
+    /// payload and demoted nothing.
     ///
     /// A put is idempotent for a byte-identical object: when the server
     /// already holds one with an equal descriptor *and* an equal payload,
@@ -224,20 +217,14 @@ impl StagingServer {
                 used: s.used,
                 requested: bytes,
             };
-            let verdict = s
-                .tier
-                .as_ref()
-                .map_or(SpillAction::Reject, |t| t.decide(bytes));
-            match verdict {
-                SpillAction::Reject => return Err(oom),
-                SpillAction::Spill => {
-                    Self::demote_victims(&mut s, self.memory_cap, bytes, &obj.desc.key)
-                }
+            if !s.tier.as_ref().is_some_and(|t| t.log().has_room(bytes)) {
+                return Err(oom);
             }
+            Self::demote_victims(&mut s, self.memory_cap, bytes, &obj.desc.key);
             if s.used + bytes > self.memory_cap {
-                // Demotion could not make room (the cap is smaller than the
-                // object, or the disk filled up): spill the incoming object
-                // itself.
+                // Demotion could not make room (the object is larger than
+                // the cap, or the disk filled up): spill the incoming
+                // object itself.
                 if s.tier.as_mut().is_none_or(|t| t.spill(&obj).is_err()) {
                     return Err(oom);
                 }
@@ -273,7 +260,8 @@ impl StagingServer {
 
     /// Demote whole resident keys to the disk tier until `need` more bytes
     /// fit under `cap` (or no demotable victim remains; a no-op without a
-    /// tier). Victim order: keys past their deadline hint first, then
+    /// tier, and when `need` exceeds `cap`, since no demotion could make it
+    /// fit). Victim order: keys past their deadline hint first, then
     /// least-recently-touched, with `(name, version)` order breaking ties —
     /// so the coldest, oldest versions leave memory first (LRU-by-version).
     /// The incoming key is never demoted to make room for itself. Demotion
@@ -287,7 +275,7 @@ impl StagingServer {
         let Some(tier) = s.tier.as_mut() else {
             return;
         };
-        if s.used.saturating_add(need) <= cap {
+        if need > cap || s.used.saturating_add(need) <= cap {
             return;
         }
         let now = incoming.version;
@@ -341,7 +329,8 @@ impl StagingServer {
     /// With a disk tier attached, a key with spilled versions is promoted
     /// back into memory on access (demoting colder keys if the cap is
     /// tight); when promotion cannot fit, the spilled extents are served
-    /// straight from disk without residency. While nothing of `key` is
+    /// straight from disk without residency, and an object larger than the
+    /// cap demotes nothing. While nothing of `key` is
     /// spilled the tier costs one index lookup under the read guard, so
     /// an idle tier keeps RAM-resident gets at parity. A spilled key is
     /// promoted whole whatever `crossing` says, and filtered after; served
@@ -349,8 +338,9 @@ impl StagingServer {
     ///
     /// A spilled extent the tier cannot read back fails the whole read
     /// ([`StagingError::Unreadable`], counted in the tier's `read_errors`):
-    /// the resident part alone is never passed off as the version. Extents
-    /// a failed promotion could not read stay on disk.
+    /// the resident part alone is never passed off as the version. The
+    /// extents are read before anything is demoted for them, so a failed
+    /// read leaves both tiers as they were.
     pub fn get(
         &self,
         key: &ObjectKey,
@@ -403,9 +393,10 @@ impl StagingServer {
 
     /// The get slow path: `key` has spilled extents. Promote them into
     /// memory when they fit under `cap` (after demoting colder keys), else
-    /// serve them from disk without promotion. Runs under the write lock,
-    /// so a promote racing a drain resolves as one of the two serial
-    /// orders — never a torn in-between state.
+    /// serve them from disk without promotion. Every extent is read, and
+    /// verified, before a colder key is demoted for it, and read once. Runs
+    /// under the write lock, so a promote racing a drain resolves as one of
+    /// the two serial orders — never a torn in-between state.
     fn get_promoting(
         s: &mut Store,
         cap: u64,
@@ -413,27 +404,39 @@ impl StagingServer {
         query: Option<&IBox>,
         crossing: Option<f64>,
     ) -> Result<Vec<Arc<DataObject>>, TierError> {
-        let spilled_bytes: u64 = s.tier.as_ref().map_or(0, |t| {
-            t.log().extents_for(key).iter().map(|d| d.bytes).sum()
-        });
+        let Some(tier) = s.tier.as_mut() else {
+            return Ok(Self::match_resident(s, key, query, crossing));
+        };
+        let spilled_bytes: u64 = tier.log().extents_for(key).iter().map(|d| d.bytes).sum();
         if spilled_bytes == 0 {
             // A racing promote or drain got here first.
             return Ok(Self::match_resident(s, key, query, crossing));
         }
-        Self::demote_victims(s, cap, spilled_bytes, key);
-        let Some(tier) = s.tier.as_mut() else {
-            return Ok(Self::match_resident(s, key, query, crossing));
+        let disk = if spilled_bytes > cap {
+            // Can never be promoted: read only what the get asks for.
+            tier.fetch(key, query, crossing)?
+        } else {
+            let objs = tier.fetch(key, None, None)?;
+            Self::demote_victims(s, cap, spilled_bytes, key);
+            match s.tier.as_mut() {
+                Some(tier) if s.used.saturating_add(spilled_bytes) <= cap => {
+                    // Promote: move the extents into memory, then serve
+                    // from there.
+                    tier.take(key, &objs);
+                    s.touch(key);
+                    objs.into_iter().for_each(|o| s.admit(Arc::new(o)));
+                    return Ok(Self::match_resident(s, key, query, crossing));
+                }
+                // Demotion could not make room: serve what was read.
+                _ => objs
+                    .into_iter()
+                    .filter(|o| query.is_none_or(|q| !o.desc.bbox.intersect(q).is_empty()))
+                    .filter(|o| o.desc.may_cross(crossing))
+                    .collect(),
+            }
         };
-        if s.used.saturating_add(spilled_bytes) <= cap {
-            // Promote: move the extents into memory, then serve from there.
-            let objs = tier.take(key)?;
-            s.touch(key);
-            objs.into_iter().for_each(|o| s.admit(Arc::new(o)));
-            return Ok(Self::match_resident(s, key, query, crossing));
-        }
-        // Promotion cannot fit even after demotion: serve spilled extents
-        // from disk alongside any resident ones, leaving residency alone.
-        let disk = tier.fetch(key, query, crossing)?;
+        // Served from disk alongside any resident objects, leaving
+        // residency alone.
         let mut out = Self::match_resident(s, key, query, crossing);
         out.extend(disk.into_iter().map(Arc::new));
         Ok(out)
@@ -688,16 +691,57 @@ mod tests {
         #[test]
         fn object_larger_than_cap_lives_on_disk() {
             let dir = tmpdir("bigobj");
-            let s = server(&dir, 100, 1 << 20); // cap < one object
+            let s = server(&dir, 1024, 1 << 20); // two 512 B objects fit
             s.put(vobj("rho", 1)).unwrap();
-            assert_eq!(s.used(), 0, "object must not be charged to memory");
-            assert_eq!(snap(&s).disk_used, 512);
+            s.put(vobj("rho", 2)).unwrap();
+            // 4096 B, four times the cap: no demotion could make it fit,
+            // so it goes to disk alone and the residents stay.
+            let b = IBox::cube(8);
+            let big = DataObject::from_fab("big", 1, &Fab::filled(b, 1, 7.0), 0, &b, 0);
+            s.put(big.clone()).unwrap();
+            assert_eq!(s.used(), 1024, "object must not be charged to memory");
+            assert_eq!(snap(&s).disk_used, 4096);
             // Served straight from disk (cannot promote), bit-identical.
-            let got = s.get(&ObjectKey::new("rho", 1), None, None).unwrap();
+            let got = s.get(&ObjectKey::new("big", 1), None, None).unwrap();
             assert_eq!(got.len(), 1);
-            assert_eq!(got[0].payload, vobj("rho", 1).payload);
-            assert!(spilled(&s, &ObjectKey::new("rho", 1)));
+            assert_eq!(got[0].payload, big.payload);
+            assert!(spilled(&s, &ObjectKey::new("big", 1)));
             assert_eq!(snap(&s).disk_hits, 1);
+            // Neither the put nor the get demoted a resident.
+            assert_eq!(s.used(), 1024);
+            assert_eq!(snap(&s).spilled, 1);
+            for v in 1..=2 {
+                assert!(!spilled(&s, &ObjectKey::new("rho", v)), "rho v{v}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_failed_promoting_read_demotes_nothing() {
+            let dir = tmpdir("badpromote");
+            let s = server(&dir, 1024, 1 << 20);
+            for v in 1..=3 {
+                s.put(vobj("rho", v)).unwrap(); // v3 demotes v1
+            }
+            let rho1 = ObjectKey::new("rho", 1);
+            assert!(spilled(&s, &rho1));
+            // One payload byte of the only record on disk, v1's, flipped.
+            let log = dir.join("srv.log");
+            let mut bytes = std::fs::read(&log).unwrap();
+            let n = bytes.len();
+            bytes[n - 9] ^= 0xFF;
+            std::fs::write(&log, &bytes).unwrap();
+
+            let err = s.get(&rho1, None, None).unwrap_err();
+            assert!(matches!(err, StagingError::Unreadable { .. }), "{err}");
+            // Memory is as it was: the read failed before a demotion.
+            assert_eq!(snap(&s).spilled, 1);
+            assert_eq!(s.used(), 1024);
+            for v in 2..=3 {
+                assert!(!spilled(&s, &ObjectKey::new("rho", v)), "rho v{v}");
+            }
+            assert_eq!(snap(&s).read_errors, 1);
+            assert!(spilled(&s, &rho1), "the unread extent stays on disk");
             let _ = std::fs::remove_dir_all(&dir);
         }
 

@@ -8,7 +8,7 @@ use crate::cluster::{Cluster, ShardError};
 use crate::object::DataObject;
 use crate::pool::BufferPool;
 use crate::server::{StagingError, StagingServer};
-use crate::tier::{DiskTier, ObjectHints, SpillAction, TierConfig, TierSnapshot};
+use crate::tier::{DiskTier, ObjectHints, TierConfig, TierSnapshot};
 use crate::TierError;
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
@@ -55,7 +55,8 @@ impl Cluster<StagingServer> {
 
     /// A space whose servers each carry a disk spill tier: puts beyond the
     /// memory budget demote cold versions to per-server object logs under
-    /// `tier.dir` (`server-<id>.log`) instead of failing, and spilled data
+    /// `tier.dir` (`server-<id>.log`) while the log has room for them,
+    /// instead of failing, and spilled data
     /// promotes back into memory on access. One buffer pool feeds every
     /// server's disk I/O; pass the service's pool to share further.
     pub fn new_tiered(
@@ -85,15 +86,6 @@ impl Cluster<StagingServer> {
     /// every server's tier (a no-op without tiers).
     pub fn set_hints(&self, name: &str, hints: ObjectHints) {
         self.shards().iter().for_each(|s| s.set_hints(name, hints));
-    }
-
-    /// Force every tier's pressure decision to `action` (the adaptation
-    /// engine's hook); `None` restores the default, spill while the log
-    /// has room and reject after. No-op without tiers.
-    pub fn set_pressure_action(&self, action: Option<SpillAction>) {
-        self.shards()
-            .iter()
-            .for_each(|s| s.set_pressure_action(action));
     }
 
     /// Aggregate tier counters across servers (zeros without tiers). Each

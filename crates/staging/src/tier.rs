@@ -1,16 +1,17 @@
-//! The policy layer of the disk spill tier: the pressure verdict, version
-//! deadlines, and counters over a [`DiskLog`].
+//! The policy layer of the disk spill tier: version deadlines and
+//! counters over a [`DiskLog`].
 //!
 //! The staging server owns DRAM; this module owns what happens when DRAM is
-//! full. A put that would exceed the memory budget asks [`DiskTier::decide`]
-//! for a [`SpillAction`] — **spill** cold versions to the on-disk object
-//! log, or **reject** (the old hard `OutOfMemory`). The verdict has one
-//! author, the adaptation engine: it forces an action via
-//! [`DiskTier::set_forced`], and without one the tier spills while the log
-//! has room and rejects after. Down-sampling is not a tier verdict: the
-//! producer packs at the engine's factor before a byte reaches staging.
-//! Per-variable [`ObjectHints`] carry only a version deadline, which orders
-//! spill victims and never changes the verdict.
+//! full. There is one rule, the same on every backend: a put that would
+//! exceed the memory budget spills cold versions to the on-disk object log
+//! while the server's log has room for it, and is refused (`OutOfMemory`)
+//! once it has not. The server reads that room off the log, fresh, at the
+//! put, under its store lock. The adaptation engine's pressure verdict
+//! decides nothing here: its `Spill` / `Reject` name what this rule will
+//! do, and down-sampling is the producer's, which packs at the engine's
+//! factor before a byte reaches staging. Per-variable [`ObjectHints`]
+//! carry only a version deadline, which orders spill victims and never
+//! changes whether a put spills.
 //!
 //! A [`DiskTier`] has no lock of its own. Each staging server keeps its
 //! tier inside its store, under the one store lock that already serialises
@@ -28,15 +29,6 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
-
-/// What to do with a put that does not fit in memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpillAction {
-    /// Demote cold versions (or the incoming object) to the disk log.
-    Spill,
-    /// Refuse the put — the pre-tier `OutOfMemory` behaviour.
-    Reject,
-}
 
 /// Per-variable placement hints, set once by the workflow layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,8 +117,8 @@ pub struct TierSnapshot {
     /// log keeps serving; dead bytes are retried on the next mutation).
     pub compact_errors: u64,
     /// Promotes and serve-from-disk reads that failed — a sum mismatch or
-    /// an I/O error — so the get answered with the resident objects only.
-    /// Not on the wire.
+    /// an I/O error — so the get answered `StagingError::Unreadable`
+    /// instead of the version. Not on the wire.
     pub read_errors: u64,
 }
 
@@ -138,9 +130,6 @@ pub struct TierSnapshot {
 pub struct DiskTier {
     log: DiskLog,
     hints: BTreeMap<String, ObjectHints>,
-    /// The adaptation engine's verdict: when set, every pressure decision
-    /// is this action.
-    forced: Option<SpillAction>,
     compact_min_dead: u64,
     /// The event counters. The gauges (`disk_used`, `spilled_keys`,
     /// `disk_budget`, `compactions`) stay zero here: [`Self::snapshot`]
@@ -163,7 +152,6 @@ impl DiskTier {
         Ok(DiskTier {
             log: DiskLog::open(path, cfg.disk_budget, cfg.chunk_size, Arc::clone(&pool))?,
             hints: BTreeMap::new(),
-            forced: None,
             compact_min_dead: cfg.compact_min_dead,
             counts: TierSnapshot::default(),
             pool,
@@ -189,23 +177,6 @@ impl DiskTier {
     /// Set (replace) the placement hints for variable `name`.
     pub fn set_hints(&mut self, name: impl Into<String>, hints: ObjectHints) {
         self.hints.insert(name.into(), hints);
-    }
-
-    /// Force every pressure decision to `action` (the adaptation engine's
-    /// root–leaf mechanism hook); `None` restores the default verdict.
-    pub fn set_forced(&mut self, action: Option<SpillAction>) {
-        self.forced = action;
-    }
-
-    /// Decide what to do with a `bytes`-sized put that does not fit in
-    /// memory: the forced action if one is set, else spill while the log
-    /// has room for `bytes` and reject once it has not.
-    pub fn decide(&self, bytes: u64) -> SpillAction {
-        match self.forced {
-            Some(forced) => forced,
-            None if self.log.has_room(bytes) => SpillAction::Spill,
-            None => SpillAction::Reject,
-        }
     }
 
     /// Whether `key`'s versions are past their deadline as of the put that
@@ -268,27 +239,17 @@ impl DiskTier {
         Ok(objs)
     }
 
-    /// Promote: read every extent under `key`, drop them from the log, and
-    /// hand the objects back for reinsertion into memory. Counts a disk hit
-    /// and the promote counters (a failed read counts in
-    /// [`TierSnapshot::read_errors`]); reclamation runs opportunistically. Once
-    /// the extents are read and unindexed, this cannot fail — the objects
-    /// are the only remaining copy, so a compaction error here must not
-    /// (and does not) discard them.
-    pub fn take(&mut self, key: &ObjectKey) -> Result<Vec<DataObject>, TierError> {
-        let objs = self
-            .log
-            .read(key, None)
-            .inspect_err(|_| self.counts.read_errors += 1)?;
-        if objs.is_empty() {
-            return Ok(objs);
-        }
+    /// Promote: drop `key`'s extents from the log now that `objs` — all of
+    /// them, as `fetch(key, None, None)` read and verified them under the
+    /// same store guard — go back into memory. Counts the promotion (the
+    /// fetch counted the disk hit); reclamation runs opportunistically.
+    /// This cannot fail: the objects are the only remaining copy, so a
+    /// compaction error here must not (and does not) discard them.
+    pub fn take(&mut self, key: &ObjectKey, objs: &[DataObject]) {
         self.log.remove(key);
-        self.counts.disk_hits += 1;
         self.counts.promoted += objs.len() as u64;
         self.counts.promoted_bytes += objs.iter().map(|o| o.desc.bytes).sum::<u64>();
         self.compact_best_effort();
-        Ok(objs)
     }
 
     /// Drop every extent of `name` older than `min_version` (drain path).
@@ -355,60 +316,64 @@ mod tests {
         DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap()
     }
 
+    /// A promote as the server runs one: read and verify every extent,
+    /// then take them off the log.
+    fn promote(t: &mut DiskTier, key: &ObjectKey) -> Vec<DataObject> {
+        let objs = t.fetch(key, None, None).unwrap();
+        t.take(key, &objs);
+        objs
+    }
+
     #[test]
     fn default_policy_spills_while_disk_has_room() {
         let dir = tmpdir("policy");
         let mut t = tier(&dir, 600);
-        assert_eq!(t.decide(512), SpillAction::Spill);
+        assert!(t.log().has_room(512));
         t.spill(&obj("rho", 1, 4)).unwrap(); // 512 B
                                              // Disk now holds 512 of 600: another 512 would not fit.
-        assert_eq!(t.decide(512), SpillAction::Reject);
+        assert!(!t.log().has_room(512));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn hints_steer_the_decision() {
+    fn a_deadline_hint_does_not_change_the_verdict() {
+        use crate::server::{StagingError, StagingServer};
         let dir = tmpdir("hints");
-        let mut t = tier(&dir, 0); // no disk room at all
-        t.set_hints("rho", ObjectHints { deadline: Some(1) });
-        assert_eq!(t.decide(512), SpillAction::Reject);
-        t.set_forced(Some(SpillAction::Spill));
-        assert_eq!(t.decide(512), SpillAction::Spill);
-        // The engine's verdict trumps the default, either way.
-        t.set_forced(Some(SpillAction::Reject));
-        assert_eq!(t.decide(512), SpillAction::Reject);
-        t.set_forced(None);
-        assert_eq!(t.decide(512), SpillAction::Reject);
+        // Memory holds one 512 B object, the disk none: an expired
+        // deadline orders spill victims, it makes no room.
+        let s = StagingServer::with_tier(0, 512, tier(&dir, 0));
+        s.set_hints("rho", ObjectHints { deadline: Some(1) });
+        s.put(obj("rho", 1, 4)).unwrap();
+        assert!(matches!(
+            s.put(obj("rho", 5, 4)),
+            Err(StagingError::OutOfMemory { .. })
+        ));
+        assert_eq!((s.used(), s.tier_snapshot().unwrap().spilled), (512, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The whole verdict table, as a put over the memory cap sees it.
+    /// The one rule, as a put over the memory cap sees it.
     #[test]
-    fn verdict_is_the_forced_action_or_spill_then_reject() {
+    fn an_over_cap_put_spills_while_the_log_has_room_then_is_refused() {
         use crate::server::{StagingError, StagingServer};
         let dir = tmpdir("verdict");
         // Memory holds one 512 B object, the disk one more.
         let s = StagingServer::with_tier(0, 512, tier(&dir, 600));
         s.put(obj("rho", 1, 4)).unwrap();
         let oom = |e: Result<(), StagingError>| matches!(e, Err(StagingError::OutOfMemory { .. }));
+        let spilled = || s.tier_snapshot().unwrap().spilled;
 
-        // No forced action: spill while the log has room, then reject.
+        // Spill while the log has room, then refuse, leaving memory alone.
         s.put(obj("rho", 2, 4)).unwrap();
-        assert_eq!(s.tier_snapshot().unwrap().spilled, 1);
+        assert_eq!(spilled(), 1);
         assert!(oom(s.put(obj("rho", 3, 4))));
-        assert_eq!(s.tier_snapshot().unwrap().spilled, 1);
+        assert_eq!((spilled(), s.used()), (1, 512));
 
-        // Forced spill goes past `has_room`: the append's own budget check
-        // refuses, and that surfaces as `OutOfMemory`.
-        s.set_pressure_action(Some(SpillAction::Spill));
-        assert!(oom(s.put(obj("rho", 3, 4))));
-
-        // Forced reject refuses although the log has room again.
+        // Once the drain has made room on disk, the next put spills again.
         s.evict_before("rho", 3);
         s.put(obj("rho", 3, 4)).unwrap();
-        s.set_pressure_action(Some(SpillAction::Reject));
-        assert!(oom(s.put(obj("rho", 4, 4))));
-        assert_eq!(s.tier_snapshot().unwrap().spilled, 1);
+        s.put(obj("rho", 4, 4)).unwrap();
+        assert_eq!((spilled(), s.used()), (2, 512));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -439,8 +404,8 @@ mod tests {
         assert_eq!(served.len(), 1);
         assert_eq!(served[0].payload, a.payload);
         assert_eq!(t.log().num_keys(), 2);
-        // Take promotes: removed from disk, counters move.
-        let promoted = t.take(&ObjectKey::new("rho", 1)).unwrap();
+        // A promote takes it off the disk; counters move.
+        let promoted = promote(&mut t, &ObjectKey::new("rho", 1));
         assert_eq!(promoted.len(), 1);
         assert_eq!(promoted[0].payload, a.payload);
         assert_eq!(t.log().num_keys(), 1);
@@ -475,7 +440,7 @@ mod tests {
         // The promote must still hand the objects back: once they are
         // read and unindexed they are the only copy, and compaction is
         // only opportunistic space reclamation.
-        let back = t.take(&ObjectKey::new("rho", 1)).unwrap();
+        let back = promote(&mut t, &ObjectKey::new("rho", 1));
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].payload, a.payload);
         assert!(!t.log().contains(&ObjectKey::new("rho", 1)));
@@ -497,7 +462,7 @@ mod tests {
         for v in 1..=24u64 {
             t.spill(&obj("rho", v, 64)).unwrap();
             if v > 2 {
-                let back = t.take(&ObjectKey::new("rho", v - 2)).unwrap();
+                let back = promote(&mut t, &ObjectKey::new("rho", v - 2));
                 assert_eq!(back[0].payload, obj("rho", v - 2, 64).payload);
             }
         }

@@ -55,8 +55,8 @@ use xlayer_net::cluster::ShardedClient;
 use xlayer_platform::{CostModel, MachineSpec};
 use xlayer_solvers::{AmrSimulation, LevelSolver};
 use xlayer_staging::{
-    AsyncStager, BatchClosed, BufferPool, DataObject, DataSpace, Sharding, SpillAction, StageTask,
-    Staging, TierConfig, TransportStats, Unanswered,
+    AsyncStager, BatchClosed, BufferPool, DataObject, DataSpace, Sharding, StageTask, Staging,
+    TierConfig, TransportStats, Unanswered,
 };
 use xlayer_viz::{extract_level, extract_payload_into, merge_surfaces, TriMesh};
 
@@ -92,9 +92,9 @@ pub struct NativeConfig {
     pub shard_span: i64,
     /// Directory for the local backend's disk spill tier. When set, puts
     /// beyond the staging memory cap demote cold versions to per-server
-    /// object logs there instead of being rejected, and hot gets promote
-    /// them back — the working set can exceed `staging_memory` without
-    /// dropping data. `None` (the default) keeps the memory-only
+    /// object logs there while `disk_budget` has room for them, instead of
+    /// being rejected, and hot gets promote them back — the working set
+    /// can exceed `staging_memory` without dropping data. `None` (the default) keeps the memory-only
     /// behaviour. Ignored with `remote` set (the service attaches its own
     /// tier via its `--disk-dir`).
     pub disk_dir: Option<std::path::PathBuf>,
@@ -315,14 +315,11 @@ pub struct NativeWorkflow<S: LevelSolver> {
     sim: AmrSimulation<S>,
     cfg: NativeConfig,
     /// Where staged data lives. Everything below talks to this handle;
-    /// `space` / `cluster` only keep the concrete type reachable for the
-    /// hooks that exist on one kind of backend alone.
+    /// `cluster` only keeps the concrete type reachable for the counters
+    /// that exist on a cluster client alone.
     staging: Arc<dyn Staging>,
     /// The asynchronous put pipeline into `staging`.
     stager: AsyncStager,
-    /// `staging` as the in-process space, when it is one (the engine's
-    /// forced pressure verdict).
-    space: Option<Arc<DataSpace>>,
     /// `staging` as the cluster client, when it is one (per-shard
     /// pressure and retry counters).
     cluster: Option<ShardedClient>,
@@ -351,22 +348,21 @@ impl<S: LevelSolver> NativeWorkflow<S> {
         match connect_remote(&cfg) {
             Some(client) => {
                 let backend = Arc::clone(client.cluster());
-                Self::over(sim, cfg, backend, None, Some(client))
+                Self::over(sim, cfg, backend, Some(client))
             }
             None => {
                 let space = Arc::new(local_space(&cfg));
-                Self::over(sim, cfg, Arc::clone(&space), Some(space), None)
+                Self::over(sim, cfg, space, None)
             }
         }
     }
 
-    /// The workflow staging into `backend`, which `space` or `cluster` is
-    /// when it is one of those.
+    /// The workflow staging into `backend`, which `cluster` is when it is
+    /// the cluster client.
     fn over(
         sim: AmrSimulation<S>,
         cfg: NativeConfig,
         backend: Arc<impl Staging + 'static>,
-        space: Option<Arc<DataSpace>>,
         cluster: Option<ShardedClient>,
     ) -> Self {
         // The asynchronous transport into the staging side: puts from
@@ -473,7 +469,6 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             cfg,
             staging,
             stager,
-            space,
             cluster,
             engine,
             job_tx: Some(job_tx),
@@ -488,12 +483,6 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             calibrator: Calibrator::default(),
             predictions: BTreeMap::new(),
         }
-    }
-
-    /// The in-process staging space, when there is one (None when staging
-    /// goes to a remote service).
-    pub fn space(&self) -> Option<&Arc<DataSpace>> {
-        self.space.as_ref()
     }
 
     /// The cluster client, when staging goes over the wire — to one
@@ -594,20 +583,6 @@ impl<S: LevelSolver> NativeWorkflow<S> {
             disk_available_intransit,
         };
         let adaptations = self.engine.adapt(&state);
-        // Forward a spill or reject verdict to the local tier: the engine's
-        // cross-layer choice overrides the servers' spill-then-reject
-        // default until the next sampling point. A downsample verdict is
-        // the producer's to carry out (the pack factor below), so it leaves
-        // the tier on its default, as no verdict does.
-        if self.cfg.engine.enable_pressure {
-            if let Some(space) = &self.space {
-                space.set_pressure_action(adaptations.pressure.and_then(|p| match p.action {
-                    PressureAction::Spill => Some(SpillAction::Spill),
-                    PressureAction::Reject => Some(SpillAction::Reject),
-                    PressureAction::Downsample { .. } => None,
-                }));
-            }
-        }
         let placement = self.cfg.placement_override.unwrap_or_else(|| {
             adaptations
                 .placement
@@ -959,8 +934,7 @@ mod tests {
             placement_override: Some(Placement::InTransit),
             ..Default::default()
         };
-        let mut wf =
-            NativeWorkflow::over(blob_sim_at(16, base_dx), cfg, recording.clone(), None, None);
+        let mut wf = NativeWorkflow::over(blob_sim_at(16, base_dx), cfg, recording.clone(), None);
         wf.step();
         let h = &wf.sim.hierarchy;
         assert!(h.num_levels() > 1, "the blob must refine");
@@ -1058,12 +1032,12 @@ mod tests {
 
     #[test]
     fn staged_versions_are_evicted_after_analysis() {
-        let sim = blob_sim(16);
-        let mut wf = NativeWorkflow::new(sim, NativeConfig::default());
+        let cfg = NativeConfig::default();
+        let space = Arc::new(local_space(&cfg));
+        let mut wf = NativeWorkflow::over(blob_sim(16), cfg, Arc::clone(&space), None);
         for _ in 0..3 {
             wf.step();
         }
-        let space = Arc::clone(wf.space().expect("local backend has a space"));
         let (_, outcomes, _) = wf.finish();
         // After finish, every analyzed version's objects were evicted.
         for o in outcomes {
@@ -1287,6 +1261,71 @@ mod tests {
     }
 
     #[test]
+    fn the_same_config_is_refused_the_same_puts_in_process_and_remote() {
+        use std::sync::atomic::Ordering;
+        use xlayer_core::FactorPhase;
+        use xlayer_net::service::{ServiceConfig, StagingService};
+        // One ~430 KB step against 128 KiB of memory and a 64 KiB disk: no
+        // hinted factor above 1, so the pressure verdict is Reject. Every
+        // server applies its own rule, spill while the log has room, so an
+        // in-process tiered space and a one-server tiered service deliver
+        // and refuse the same puts.
+        let (memory, disk) = (128 << 10, 64 << 10);
+        let run = |disk_dir: Option<std::path::PathBuf>, remote: Option<String>| {
+            let cfg = NativeConfig {
+                iso_value: 0.4,
+                staging_servers: 1,
+                staging_memory: memory,
+                workers: 1,
+                placement_override: Some(Placement::InTransit),
+                disk_dir,
+                disk_budget: disk,
+                remote,
+                engine: EngineConfig {
+                    enable_pressure: true,
+                    ..EngineConfig::middleware_only()
+                },
+                hints: UserHints {
+                    factor_schedule: vec![FactorPhase {
+                        from_step: 0,
+                        factors: vec![1],
+                    }],
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let mut wf = NativeWorkflow::new(blob_sim(16), cfg);
+            wf.step();
+            let transport = wf.transport_stats().expect("transport running");
+            wf.finish();
+            (
+                transport.delivered.load(Ordering::Relaxed),
+                transport.rejected.load(Ordering::Relaxed),
+            )
+        };
+
+        let dir = scratch_dir("same-refusals-local");
+        let local = run(Some(dir.clone()), None);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = scratch_dir("same-refusals-remote");
+        let svc = StagingService::start(ServiceConfig {
+            servers: 1,
+            memory_per_server: memory,
+            disk_dir: Some(dir.clone()),
+            disk_budget: disk,
+            ..Default::default()
+        })
+        .expect("tiered service starts");
+        let remote = run(None, Some(svc.local_addr().to_string()));
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert!(local.1 > 0, "the step must overflow both tiers: {local:?}");
+        assert_eq!(local, remote, "(delivered, rejected) in process vs remote");
+    }
+
+    #[test]
     fn a_shard_that_stops_mid_run_loses_the_next_version_typed() {
         use xlayer_net::cluster::StagingCluster;
         use xlayer_net::service::ServiceConfig;
@@ -1394,7 +1433,7 @@ mod tests {
             placement_override: Some(Placement::InTransit),
             ..Default::default()
         };
-        let mut wf = NativeWorkflow::over(blob_sim(16), cfg, backend, None, None);
+        let mut wf = NativeWorkflow::over(blob_sim(16), cfg, backend, None);
         // One version in staging at a time, so the extent flipped is
         // version 2's.
         for _ in 0..3 {

@@ -203,20 +203,24 @@ for f in $(find crates/*/src src tests examples -name '*.rs' | sort); do
 done
 [ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: xbench's load generator deleted)"; exit 1; }
 
-echo "==> one author for the pressure verdict, no product code only tests run (grep gate)"
-# A disk tier's spill/downsample/reject verdict is the adaptation engine's
-# forced action or the spill-then-reject default: there is no per-variable
-# persistence class beside it. The event engine and resource pool the
-# modeled mode never ran, the server's op counters and the Monitor's two
-# predictors are deleted, and none of their names may come back anywhere
-# (test code included) in the crates, the facade, the integration tests or
-# the examples. The viz operators no workflow called are deleted from
-# crates/viz (core::policy::app keeps its own `reduced_bytes` and
-# `reduction_memory`, the policy's volumetric model).
+echo "==> one spill-or-refuse rule, no product code only tests run (grep gate)"
+# Every staging server, in process or behind a service, has one rule for
+# a put over its memory cap: spill while its disk log has room for the
+# object, read fresh at the put, and refuse (OutOfMemory) after. Nothing
+# overrides it: the engine's forced spill/reject verdict, its staging-side
+# enum and the setters that handed it to an in-process space alone are
+# deleted, and so is the per-variable persistence class. The event engine
+# and resource pool the modeled mode never ran, the server's op counters
+# and the Monitor's two predictors are deleted too. None of these names
+# may come back anywhere (test code included) in the crates, the facade,
+# the integration tests or the examples. The viz operators no workflow
+# called are deleted from crates/viz (core::policy::app keeps its own
+# `reduced_bytes` and `reduction_memory`, the policy's volumetric model).
 gate=0
 if grep -rnE 'EventQueue|ResourcePool|Persistence|op_counts|smoothed_sim_time|data_growth_rate' crates src tests examples; then gate=1; fi
+if grep -rnE 'SpillAction|set_pressure_action|set_forced' crates src tests examples; then gate=1; fi
 if grep -rnE 'Histogram|SubsetCell|level_stats|downsample_level|reduced_bytes|reduction_memory' crates/viz; then gate=1; fi
-[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one author for the pressure verdict)"; exit 1; }
+[ "$gate" -eq 0 ] || { echo "grep gate: the names above are retired (see CHANGES.md: one author for the pressure verdict; one spill-or-refuse rule)"; exit 1; }
 
 echo "==> one time-stepping algorithm: lock-step, unrefluxed (grep gate)"
 # Every level advances with the global, finest-limited dt and is averaged
