@@ -18,13 +18,18 @@
 //! The open scan bounds what a prefix declares by the bytes the segment
 //! still holds before sizing any buffer from it.
 //!
-//! **Segments.** Records are appended to segment files of at most
-//! [`SEGMENT_BYTES`] (a record larger than that gets a segment of its own).
-//! Segment `n` is the file `<log path>.<n>`, except segment 0, which *is*
-//! the log path — so a log written as one file opens unchanged as
-//! segment 0. Appends go to the highest-numbered (active) segment; a record
-//! that would push it past the size starts the next number. Each record
-//! lies whole inside one segment, and its [`Extent`] names the segment.
+//! **Segments.** A segment holds the records of one `(name, version)`
+//! key — the unit the tier spills, promotes and evicts in. A record goes
+//! to the segment of its key's last extent while every byte of that
+//! segment is this key's and the record fits under [`SEGMENT_BYTES`];
+//! otherwise it starts a fresh segment, numbered one past the highest in
+//! use (0 in an empty log). Segment `n` is the file `<log path>.<n>`,
+//! except segment 0, which *is* the log path — so a log written as one
+//! file opens unchanged as segment 0, and the first spill into an empty
+//! log lands there. Each record lies whole inside one segment, and its
+//! [`Extent`] names the segment. A log holds one open file per spilled
+//! key (more only for a key over [`SEGMENT_BYTES`]): a staging server
+//! keeps as many descriptors as it has versions on disk.
 //!
 //! The in-memory extent index (`BTreeMap<ObjectKey, Vec<Extent>>`) is
 //! rebuilt on open by scanning the segments in number order; lookups never
@@ -41,34 +46,30 @@
 //! away with the rest of *its own* segment; the scan goes on with the next
 //! segment, and the log appends cleanly again.
 //!
-//! **Reclamation.** Deletes only mark extents dead in the index.
-//! [`DiskLog::maybe_compact`] unlinks every segment left with no live
-//! extent (the active one is truncated to empty instead): nothing in it is
-//! worth keeping, so there is nothing to copy and nothing to sync. Only
-//! once the dead payload in segments that still hold live extents crosses
-//! the caller's floor does it rewrite one of them — the one with the most
-//! dead bytes — keeping its live records. Versions that are spilled,
-//! promoted and evicted together die together, so their segments go whole.
+//! **Reclamation.** Every way an extent leaves the log is whole-key
+//! ([`DiskLog::remove`], [`DiskLog::drop_before`]), so a segment is either
+//! all live or all dead. [`DiskLog::reclaim`] unlinks every segment left
+//! with no live extent: nothing in it is worth keeping, so nothing is
+//! copied, rewritten or synced, and a removed key's bytes leave the disk in
+//! the sweep after its removal. A segment whose unlink fails stays listed
+//! and is tried again on the next sweep. A log written when segments were
+//! shared between keys opens unchanged: its shared segments are read as
+//! before, take no new records, and go when their last key dies.
 //!
-//! **Durability scope.** The log is a spill tier, not a database:
-//! appends are written but not fsynced, so records spilled shortly before
-//! a *power* failure may be lost (they reappear on reopen as a torn tail
-//! and are truncated away); everything already in the page cache survives
-//! a *process* crash. The segment rewrite is the one place that syncs —
-//! the rewritten file is `sync_all`'d before it atomically replaces the
-//! segment (and the directory entry is fsynced best-effort after), so a
-//! completed rewrite never loses previously-stable records to power loss.
-//! Unlinking or truncating a segment needs no sync: it held dead records
-//! only. Deletes are not persisted either: a dead record in a segment that
-//! still holds live ones reappears on reopen, as it did when the log was
-//! one file; a reclaimed segment's records do not. Spilling is relief
-//! for memory pressure, not a power-loss guarantee. Nor does a log
-//! survive a *format* change: the record magic names the format (`XTLG`
-//! records carried FNV-1a-32 sums, `XTL2` records no value range, `XTL3`
-//! records a hand-packed head of their own), there is no migration, and a
-//! log written under another magic is reported
-//! through [`DiskLog::recovery`] as "bad record magic" at offset 0 and
-//! truncated like any other unreadable tail.
+//! **Durability scope.** The log is a spill tier, not a database: nothing
+//! in it is fsynced. Records spilled shortly before a *power* failure may
+//! be lost (they reappear on reopen as a torn tail and are truncated
+//! away); everything already in the page cache survives a *process*
+//! crash. Deletes persist by unlink: once a sweep has unlinked a removed
+//! key's segments, the key does not reappear on reopen — only a segment
+//! whose unlink failed (counted by the tier) can bring one back. Spilling
+//! is relief for memory pressure, not a power-loss guarantee. Nor does a
+//! log survive a *format* change: the record magic names the format
+//! (`XTLG` records carried FNV-1a-32 sums, `XTL2` records no value range,
+//! `XTL3` records a hand-packed head of their own), there is no migration,
+//! and a log written under another magic is reported through
+//! [`DiskLog::recovery`] as "bad record magic" at offset 0 and truncated
+//! like any other unreadable tail.
 
 use crate::codec::{DecodeError, Rd, Wr};
 use crate::object::{DataObject, ObjectDesc, ObjectKey};
@@ -90,7 +91,8 @@ use xlayer_amr::boxes::IBox;
 const MAGIC: [u8; 4] = *b"XTL4";
 /// Bytes before a record's head: the magic and `head_len`.
 const PREFIX: usize = 8;
-/// Size a segment grows to before appends move on to the next one.
+/// Size a key's segment grows to before its next record starts a fresh
+/// one.
 pub const SEGMENT_BYTES: u64 = 16 << 20;
 
 /// Why a disk-tier operation failed.
@@ -219,8 +221,6 @@ struct Segment {
     len: u64,
     /// Extents the index still holds in this segment.
     live: usize,
-    /// Payload bytes of this segment's deleted extents.
-    dead: u64,
 }
 
 impl Segment {
@@ -236,7 +236,6 @@ impl Segment {
             file,
             len: 0,
             live: 0,
-            dead: 0,
         })
     }
 }
@@ -342,7 +341,7 @@ fn read_payload(
 pub struct DiskLog {
     /// Segment 0's path; segment `n` is `<path>.<n>`.
     path: PathBuf,
-    /// Segments by sequence number; the last is the active one.
+    /// Segments by sequence number.
     segments: BTreeMap<u64, Segment>,
     index: BTreeMap<ObjectKey, Vec<Extent>>,
     /// Payload bytes referenced by the index.
@@ -350,7 +349,6 @@ pub struct DiskLog {
     budget: u64,
     chunk: u32,
     recovery: Vec<TierError>,
-    compactions: u64,
     pool: Arc<BufferPool>,
 }
 
@@ -375,15 +373,10 @@ impl DiskLog {
             budget,
             chunk: chunk.max(1),
             recovery: Vec::new(),
-            compactions: 0,
             pool,
         };
         for seq in log.segment_seqs()? {
             log.scan(seq)?;
-        }
-        if log.segments.is_empty() {
-            log.segments
-                .insert(0, Segment::open(&log.path, true, "open")?);
         }
         Ok(log)
     }
@@ -399,11 +392,6 @@ impl DiskLog {
         self.live_payload
     }
 
-    /// Payload bytes of deleted extents not yet reclaimed.
-    pub fn dead_bytes(&self) -> u64 {
-        self.segments.values().map(|seg| seg.dead).sum()
-    }
-
     /// The live-payload budget.
     pub fn budget(&self) -> u64 {
         self.budget
@@ -417,12 +405,6 @@ impl DiskLog {
     /// Number of `(name, version)` keys with at least one live extent.
     pub fn num_keys(&self) -> usize {
         self.index.len()
-    }
-
-    /// Segment rewrites performed since open (unlinked segments are not
-    /// counted: they cost no copy).
-    pub fn compactions(&self) -> u64 {
-        self.compactions
     }
 
     /// Whether any live extent exists under `key`.
@@ -468,13 +450,20 @@ impl DiskLog {
         let head = encode_head(&obj.desc, self.chunk, &sums)?;
         let head_len = head.len() as u64;
         let record_len = head_len + bytes;
-        // The active segment, unless this record would push it past the
-        // size: then the next one. An empty segment takes any record.
-        let seq = match self.segments.last_key_value() {
-            Some((&seq, seg)) if seg.len == 0 || seg.len + record_len <= SEGMENT_BYTES => seq,
-            Some((&seq, _)) => seq + 1,
-            None => 0,
-        };
+        // The segment of this key's last extent while every byte of it is
+        // this key's and the record fits; else a fresh one past the
+        // highest in use.
+        let own = self.index.get(&obj.desc.key).and_then(|exts| {
+            let seq = exts.last()?.seg;
+            let mine: u64 = exts
+                .iter()
+                .filter(|e| e.seg == seq)
+                .map(|e| e.record_len)
+                .sum();
+            let seg = self.segments.get(&seq)?;
+            (seg.len == mine && mine + record_len <= SEGMENT_BYTES).then_some(seq)
+        });
+        let seq = own.unwrap_or_else(|| self.segments.last_key_value().map_or(0, |(&n, _)| n + 1));
         let path = self.segment_path(seq);
         let seg = match self.segments.entry(seq) {
             Entry::Occupied(e) => e.into_mut(),
@@ -590,8 +579,8 @@ impl DiskLog {
             })
     }
 
-    /// Drop every live extent under `key` (the bytes become dead weight
-    /// until [`DiskLog::maybe_compact`]). Returns payload bytes freed.
+    /// Drop every live extent under `key` (its segments are unlinked by
+    /// the next [`DiskLog::reclaim`]). Returns payload bytes freed.
     pub fn remove(&mut self, key: &ObjectKey) -> u64 {
         let Some(extents) = self.index.remove(key) else {
             return 0;
@@ -601,7 +590,6 @@ impl DiskLog {
             freed += ext.desc.bytes;
             if let Some(seg) = self.segments.get_mut(&ext.seg) {
                 seg.live = seg.live.saturating_sub(1);
-                seg.dead += ext.desc.bytes;
             }
         }
         self.live_payload = self.live_payload.saturating_sub(freed);
@@ -620,120 +608,30 @@ impl DiskLog {
         victims.iter().map(|k| self.remove(k)).sum()
     }
 
-    /// Reclaim dead space. Every segment left with no live extent goes
-    /// first: unlinked, or truncated to empty if it is the active one — no
-    /// copy, no sync. Then, once at least `min_dead` payload bytes are dead
-    /// in segments that still hold live extents, the one with the most
-    /// dead bytes is rewritten without them. Returns whether a rewrite ran.
-    pub fn maybe_compact(&mut self, min_dead: u64) -> Result<bool, TierError> {
-        self.drop_dead_segments()?;
-        // What is still dead now lies in partly-live segments.
-        if self.dead_bytes() < min_dead.max(1) {
-            return Ok(false);
-        }
-        let worst = self
-            .segments
-            .iter()
-            .max_by_key(|(_, seg)| seg.dead)
-            .map(|(&seq, _)| seq);
-        match worst {
-            Some(seq) => self.rewrite_segment(seq).map(|()| true),
-            None => Ok(false),
-        }
-    }
-
-    /// Unlink every segment without a live extent, and truncate the active
-    /// one if it has none. Nothing they hold is live, so nothing is copied
-    /// or synced.
-    fn drop_dead_segments(&mut self) -> Result<(), TierError> {
-        let active = self.segments.last_key_value().map(|(&seq, _)| seq);
+    /// Unlink every segment with no live extent. Nothing in one is live,
+    /// so nothing is copied or synced. Every dead segment is tried; one
+    /// whose unlink fails stays listed for the next sweep, and the first
+    /// such failure is returned.
+    pub fn reclaim(&mut self) -> Result<(), TierError> {
         let dead: Vec<u64> = self
             .segments
             .iter()
-            .filter(|&(&seq, seg)| seg.live == 0 && (seg.len > 0 || Some(seq) != active))
+            .filter(|(_, seg)| seg.live == 0)
             .map(|(&seq, _)| seq)
             .collect();
+        let mut failed = None;
         for seq in dead {
-            if Some(seq) != active {
-                if let Err(e) = std::fs::remove_file(self.segment_path(seq)) {
-                    // Already gone is what reclaiming it wanted.
-                    if e.kind() != std::io::ErrorKind::NotFound {
-                        return Err(io_err("reclaim", e));
-                    }
+            match std::fs::remove_file(self.segment_path(seq)) {
+                // Already gone is what reclaiming it wanted.
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    failed.get_or_insert(io_err("reclaim", e));
                 }
-                self.segments.remove(&seq);
-            } else if let Some(seg) = self.segments.get_mut(&seq) {
-                seg.file.set_len(0).map_err(|e| io_err("reclaim", e))?;
-                seg.len = 0;
-                seg.dead = 0;
+                _ => {
+                    self.segments.remove(&seq);
+                }
             }
         }
-        Ok(())
-    }
-
-    /// Rewrite segment `seq` with its live records only (raw byte copy in
-    /// file order, offsets patched), atomically replacing it.
-    fn rewrite_segment(&mut self, seq: u64) -> Result<(), TierError> {
-        let seg_path = self.segment_path(seq);
-        let tmp_path = self.path.with_extension("compact");
-        let Some(seg) = self.segments.get_mut(&seq) else {
-            return Ok(());
-        };
-        let mut tmp = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)
-            .map_err(|e| io_err("compact", e))?;
-        let mut moved: Vec<&mut Extent> = self
-            .index
-            .values_mut()
-            .flatten()
-            .filter(|e| e.seg == seq)
-            .collect();
-        moved.sort_unstable_by_key(|e| e.offset);
-        let mut fresh = Vec::with_capacity(moved.len());
-        let mut len = 0u64;
-        for ext in &moved {
-            seg.file
-                .seek(SeekFrom::Start(ext.offset))
-                .map_err(|e| io_err("compact", e))?;
-            let copied = std::io::copy(&mut Read::take(&mut seg.file, ext.record_len), &mut tmp)
-                .map_err(|e| io_err("compact", e))?;
-            if copied != ext.record_len {
-                return Err(TierError::Corrupt {
-                    offset: ext.offset,
-                    detail: format!("segment {seq} ends inside a live record"),
-                });
-            }
-            fresh.push(len);
-            len += ext.record_len;
-        }
-        // Flush the rewrite to stable storage BEFORE the rename makes it
-        // the segment: rename-over is only atomic for readers; on power
-        // loss a renamed-but-unsynced file can come back empty, losing
-        // every live record in it. A failure here leaves the old segment
-        // untouched.
-        tmp.sync_all().map_err(|e| io_err("compact", e))?;
-        std::fs::rename(&tmp_path, &seg_path).map_err(|e| io_err("compact", e))?;
-        // Persist the rename itself (the directory entry). Best-effort:
-        // the data is already safe under either name, and not every
-        // filesystem supports fsync on a directory handle.
-        if let Some(dir) = seg_path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        for (ext, offset) in moved.into_iter().zip(fresh) {
-            ext.payload_off = offset + (ext.payload_off - ext.offset);
-            ext.offset = offset;
-        }
-        seg.file = tmp;
-        seg.len = len;
-        seg.dead = 0;
-        self.compactions += 1;
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 
     /// Sequence numbers of the segment files on disk, ascending: 0 for the
@@ -905,10 +803,11 @@ mod tests {
     fn truncated_tail_detected_and_dropped() {
         let dir = tmpdir("torn");
         let path = dir.join("test.log");
+        // Two records of one key: one segment.
         let full_len = {
             let mut log = open(&dir, 1 << 20);
             log.append(&obj("rho", 1, 0, 4)).unwrap();
-            log.append(&obj("rho", 2, 0, 4)).unwrap();
+            log.append(&obj("rho", 1, 8, 4)).unwrap();
             std::fs::metadata(&path).unwrap().len()
         };
         // Tear the second record's payload: the crash-mid-write case.
@@ -922,10 +821,10 @@ mod tests {
             Some(TierError::Corrupt { .. })
         ));
         // First record survives, second is gone, file truncated clean.
-        assert!(log.contains(&ObjectKey::new("rho", 1)));
-        assert!(!log.contains(&ObjectKey::new("rho", 2)));
         let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
+        assert_eq!(back.len(), 1);
         assert_eq!(back[0].payload, obj("rho", 1, 0, 4).payload);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), full_len / 2);
         // The log appends cleanly after recovery.
         log.append(&obj("rho", 3, 0, 4)).unwrap();
         assert!(log.contains(&ObjectKey::new("rho", 3)));
@@ -1242,40 +1141,35 @@ mod tests {
                 requested: 512,
             }
         ));
-        // Removal frees budget; dead bytes await compaction.
+        // Removal frees budget; the removed key's segment is gone.
         assert_eq!(log.remove(&ObjectKey::new("rho", 1)), 512);
-        assert_eq!(log.dead_bytes(), 512);
+        log.reclaim().unwrap();
+        assert!(!dir.join("test.log").exists());
         log.append(&obj("rho", 2, 0, 4)).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn compaction_reclaims_dead_extents() {
-        let dir = tmpdir("compact");
+    fn a_removed_key_leaves_the_disk_and_never_reappears() {
+        let dir = tmpdir("removed");
         let path = dir.join("test.log");
         let mut log = open(&dir, 1 << 20);
-        for v in 1..=4 {
-            log.append(&obj("rho", v, 0, 4)).unwrap();
-        }
-        let before = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(log.drop_before("rho", 3), 2 * 512);
-        assert!(!log.maybe_compact(u64::MAX).unwrap(), "below threshold");
-        assert!(log.maybe_compact(512).unwrap());
-        assert_eq!(log.dead_bytes(), 0);
-        assert_eq!(log.compactions(), 1);
-        let after = std::fs::metadata(&path).unwrap().len();
-        assert!(after < before, "compaction must shrink the file");
-        // Survivors still read back bit-identically through patched offsets.
-        for v in [3u64, 4] {
-            let back = log.read(&ObjectKey::new("rho", v), None).unwrap();
-            assert_eq!(back.len(), 1);
-            assert_eq!(back[0].payload, obj("rho", v, 0, 4).payload);
-        }
-        // And the compacted file reopens cleanly.
+        log.append(&obj("rho", 1, 0, 4)).unwrap(); // 512 B each
+        log.append(&obj("rho", 2, 0, 4)).unwrap();
+        let v2_record = log.index[&ObjectKey::new("rho", 2)][0].record_len;
+        // v1 leaves as a promote takes it.
+        assert_eq!(log.remove(&ObjectKey::new("rho", 1)), 512);
+        log.reclaim().unwrap();
+        assert!(!path.exists(), "v1's segment is unlinked");
+        let on_disk: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .sum();
+        assert_eq!(on_disk, v2_record, "only v2's record is on disk");
         drop(log);
         let log = open(&dir, 1 << 20);
+        assert_eq!(log.keys(), vec![ObjectKey::new("rho", 2)]);
         assert!(log.recovery().is_empty());
-        assert_eq!(log.num_keys(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1299,7 +1193,7 @@ mod tests {
     }
 
     /// An object whose payload alone fills a segment (128³ cells × 8 B):
-    /// the record after it starts the next segment.
+    /// a record of its key after it starts the next segment.
     fn big(name: &str, version: u64) -> DataObject {
         let o = obj(name, version, 0, 128);
         assert_eq!(o.desc.bytes, SEGMENT_BYTES);
@@ -1315,17 +1209,14 @@ mod tests {
         let dir = tmpdir("deadseg");
         let path = dir.join("test.log");
         let mut log = open(&dir, u64::MAX);
-        log.append(&big("rho", 1)).unwrap(); // segment 0, full
+        log.append(&big("rho", 1)).unwrap(); // segment 0
         log.append(&obj("rho", 2, 0, 4)).unwrap(); // segment 1
-        log.append(&obj("rho", 3, 0, 4)).unwrap();
-        assert!(path.exists() && seg_path(&dir, 1).exists());
+        log.append(&obj("rho", 3, 0, 4)).unwrap(); // segment 2
+        assert!(path.exists() && seg_path(&dir, 2).exists());
         assert_eq!(log.drop_before("rho", 2), SEGMENT_BYTES);
-        // Far below any rewrite floor, the dead segment goes anyway: it
-        // holds nothing live, so reclaiming it copies nothing.
-        assert!(!log.maybe_compact(u64::MAX).unwrap(), "no rewrite");
+        // The dead segment holds nothing live: it is unlinked, not copied.
+        log.reclaim().unwrap();
         assert!(!path.exists(), "the dead segment is unlinked");
-        assert_eq!(log.compactions(), 0);
-        assert_eq!(log.dead_bytes(), 0);
         for v in [2u64, 3] {
             let back = log.read(&ObjectKey::new("rho", v), None).unwrap();
             assert_eq!(back.len(), 1);
@@ -1333,19 +1224,37 @@ mod tests {
         }
         // Without segment 0 the log still reopens complete.
         drop(log);
-        let mut log = open(&dir, u64::MAX);
+        let log = open(&dir, u64::MAX);
         assert!(log.recovery().is_empty());
         assert_eq!(
             log.keys(),
             vec![ObjectKey::new("rho", 2), ObjectKey::new("rho", 3)]
         );
-        // The active segment is truncated, not unlinked, once it dies.
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_key_fills_its_own_segments_and_no_other() {
+        let dir = tmpdir("ownseg");
+        let mut log = open(&dir, u64::MAX);
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+        // A key's records share its segment; another key starts a fresh one.
+        log.append(&obj("rho", 1, 0, 4)).unwrap();
+        log.append(&obj("rho", 1, 8, 4)).unwrap();
+        assert_eq!(files(), 1);
+        log.append(&obj("p", 1, 0, 4)).unwrap();
+        assert!(seg_path(&dir, 1).exists());
+        // Past the size a key rolls into a fresh segment of its own.
+        log.append(&big("rho", 1)).unwrap();
+        assert!(seg_path(&dir, 2).exists());
+        assert_eq!(log.extents_for(&ObjectKey::new("rho", 1)).len(), 3);
+        // An empty log starts over at segment 0, the log path.
         log.drop_before("rho", u64::MAX);
-        assert!(!log.maybe_compact(u64::MAX).unwrap());
-        assert_eq!(std::fs::metadata(seg_path(&dir, 1)).unwrap().len(), 0);
-        assert_eq!(log.compactions(), 0);
-        log.append(&obj("rho", 4, 0, 4)).unwrap();
-        assert_eq!(log.read(&ObjectKey::new("rho", 4), None).unwrap().len(), 1);
+        log.drop_before("p", u64::MAX);
+        log.reclaim().unwrap();
+        assert_eq!(files(), 0);
+        log.append(&obj("rho", 2, 0, 4)).unwrap();
+        assert!(dir.join("test.log").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1371,7 +1280,7 @@ mod tests {
             log.read(&ObjectKey::new("rho", 3), None).unwrap()[0].payload,
             big("rho", 3).payload
         );
-        // Segment 2 is full: the next append starts segment 3.
+        // A new key starts a fresh segment past the highest: 3.
         log.append(&obj("p", 4, 8, 4)).unwrap();
         assert!(seg_path(&dir, 3).exists());
         drop(log);
@@ -1391,17 +1300,17 @@ mod tests {
         {
             let mut log = open(&dir, u64::MAX);
             log.append(&obj("rho", 1, 0, 4)).unwrap(); // segment 0
-            log.append(&obj("rho", 2, 0, 4)).unwrap();
-            log.append(&big("rho", 3)).unwrap(); // segment 1
-            log.append(&obj("rho", 4, 0, 4)).unwrap(); // segment 2
+            log.append(&obj("rho", 2, 0, 4)).unwrap(); // segment 1
+            log.append(&big("rho", 3)).unwrap(); // segment 2
+            log.append(&obj("rho", 4, 0, 4)).unwrap(); // segment 3
         }
         // Flip a payload byte of the middle segment's only record.
-        let middle = seg_path(&dir, 1);
+        let middle = seg_path(&dir, 2);
         let mut bytes = std::fs::read(&middle).unwrap();
         let n = bytes.len();
         bytes[n - 9] ^= 0xFF;
         std::fs::write(&middle, &bytes).unwrap();
-        let last_len = std::fs::metadata(seg_path(&dir, 2)).unwrap().len();
+        let last_len = std::fs::metadata(seg_path(&dir, 3)).unwrap().len();
         let mut log = open(&dir, u64::MAX);
         match log.recovery() {
             [TierError::Corrupt { offset: 0, detail }] => {
@@ -1412,7 +1321,7 @@ mod tests {
         // Only the corrupt segment is cut; the ones around it stay whole.
         assert_eq!(std::fs::metadata(&middle).unwrap().len(), 0);
         assert_eq!(
-            std::fs::metadata(seg_path(&dir, 2)).unwrap().len(),
+            std::fs::metadata(seg_path(&dir, 3)).unwrap().len(),
             last_len
         );
         assert!(!log.contains(&ObjectKey::new("rho", 3)));
@@ -1421,10 +1330,10 @@ mod tests {
             assert_eq!(back[0].payload, obj("rho", v, 0, 4).payload, "v{v}");
         }
         // The emptied middle segment is reclaimed; appends go on at the end.
-        log.maybe_compact(u64::MAX).unwrap();
+        log.reclaim().unwrap();
         assert!(!middle.exists());
         log.append(&obj("rho", 5, 0, 4)).unwrap();
-        assert!(std::fs::metadata(seg_path(&dir, 2)).unwrap().len() > last_len);
+        assert!(seg_path(&dir, 4).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -107,7 +107,6 @@ impl Cluster<StagingServer> {
             // Budgets saturate: an unbounded tier reports `u64::MAX`, and
             // a sum across servers must stay "unbounded", not wrap.
             agg.disk_budget = agg.disk_budget.saturating_add(snap.disk_budget);
-            agg.compactions += snap.compactions;
             agg.compact_errors += snap.compact_errors;
             agg.read_errors += snap.read_errors;
         }

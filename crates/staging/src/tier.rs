@@ -40,34 +40,32 @@ pub struct ObjectHints {
     pub deadline: Option<u64>,
 }
 
-/// Configuration of a space's disk tier.
+/// Configuration of a space's disk tier. Each server's log keeps every
+/// spilled key in segment files of its own and unlinks them when the key
+/// leaves, so there is nothing to tune about reclamation.
 #[derive(Clone, Debug)]
 pub struct TierConfig {
     /// Directory the per-server log files live in (created if absent).
     pub dir: PathBuf,
-    /// Per-server cap on live spilled payload bytes.
+    /// Per-server cap on live spilled payload bytes. The log's files hold
+    /// exactly those plus one record head per extent (and, until it is
+    /// retried, a dead segment whose unlink failed), so this bounds the
+    /// files themselves.
     pub disk_budget: u64,
     /// Chunk size extents are checksummed at. The record stores it, so a
     /// log reads back at whatever size wrote it; only at the default,
     /// [`crate::sum::CHUNK`], do the sums an object carries from or to the
     /// wire save a spill its hash pass.
     pub chunk_size: u32,
-    /// Dead payload bytes, in log segments that still hold live extents,
-    /// at which one such segment is rewritten without them. Segments with
-    /// no live extent left are unlinked whatever this says: that costs no
-    /// copy, so it never waits for a floor.
-    pub compact_min_dead: u64,
 }
 
 impl TierConfig {
-    /// Defaults: unbounded budget, [`crate::sum::CHUNK`] chunks, a segment
-    /// rewrite once 64 MiB of dead extents sit in partly-live segments.
+    /// Defaults: unbounded budget, [`crate::sum::CHUNK`] chunks.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TierConfig {
             dir: dir.into(),
             disk_budget: u64::MAX,
             chunk_size: crate::sum::CHUNK as u32,
-            compact_min_dead: 64 << 20,
         }
     }
 
@@ -80,13 +78,6 @@ impl TierConfig {
     /// Checksum extents at `bytes`-sized chunks.
     pub fn with_chunk_size(mut self, bytes: u32) -> Self {
         self.chunk_size = bytes.max(1);
-        self
-    }
-
-    /// Rewrite a partly-live segment once `bytes` of dead extents sit in
-    /// such segments.
-    pub fn with_compact_min_dead(mut self, bytes: u64) -> Self {
-        self.compact_min_dead = bytes.max(1);
         self
     }
 }
@@ -110,11 +101,12 @@ pub struct TierSnapshot {
     pub spilled_keys: u64,
     /// Configured disk capacity in bytes (`u64::MAX` when unbounded).
     pub disk_budget: u64,
-    /// Partly-live segment rewrites performed (unlinked dead segments are
-    /// not counted: they cost no copy).
+    /// Always 0: the log unlinks dead segments and rewrites none. Kept
+    /// because the frozen benchmark reads it.
     pub compactions: u64,
-    /// Opportunistic reclamation sweeps that failed with an I/O error (the
-    /// log keeps serving; dead bytes are retried on the next mutation).
+    /// Failed segment unlinks: reclamation sweeps in which a dead
+    /// segment's unlink failed (the log keeps serving; the segment is
+    /// tried again on the next sweep).
     pub compact_errors: u64,
     /// Promotes and serve-from-disk reads that failed — a sum mismatch or
     /// an I/O error — so the get answered `StagingError::Unreadable`
@@ -130,10 +122,9 @@ pub struct TierSnapshot {
 pub struct DiskTier {
     log: DiskLog,
     hints: BTreeMap<String, ObjectHints>,
-    compact_min_dead: u64,
     /// The event counters. The gauges (`disk_used`, `spilled_keys`,
-    /// `disk_budget`, `compactions`) stay zero here: [`Self::snapshot`]
-    /// reads them off the log.
+    /// `disk_budget`) stay zero here: [`Self::snapshot`] reads them off
+    /// the log.
     counts: TierSnapshot,
     /// Where the payloads of objects the owning server drops go back to:
     /// the pool the log reads promoted extents into.
@@ -141,9 +132,9 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// Open the tier's log at `path` (budget, chunking and compaction
-    /// threshold from `cfg`). Records that fail validation on the open scan
-    /// are dropped and reported via [`DiskTier::recovery`].
+    /// Open the tier's log at `path` (budget and chunking from `cfg`).
+    /// Records that fail validation on the open scan are dropped and
+    /// reported via [`DiskTier::recovery`].
     pub fn open(
         path: impl Into<PathBuf>,
         cfg: &TierConfig,
@@ -152,7 +143,6 @@ impl DiskTier {
         Ok(DiskTier {
             log: DiskLog::open(path, cfg.disk_budget, cfg.chunk_size, Arc::clone(&pool))?,
             hints: BTreeMap::new(),
-            compact_min_dead: cfg.compact_min_dead,
             counts: TierSnapshot::default(),
             pool,
         })
@@ -188,15 +178,14 @@ impl DiskTier {
             .is_some_and(|d| key.version.saturating_add(d) <= now)
     }
 
-    /// Reclaim dead space opportunistically: unlink dead segments, and
-    /// rewrite a partly-live one past the floor. Reclamation is pure space
-    /// reclamation — a failed sweep leaves every live record intact and
-    /// the dead bytes are retried on the next mutation — so its I/O errors
+    /// Unlink the segments a removal left dead. Reclamation is pure space
+    /// reclamation — a failed unlink leaves every live record intact and
+    /// the segment is tried again on the next sweep — so its I/O errors
     /// are counted, never propagated: propagating one from a promote or
     /// delete would misreport (or, worse, discard) work that already
     /// succeeded.
-    fn compact_best_effort(&mut self) {
-        if self.log.maybe_compact(self.compact_min_dead).is_err() {
+    fn reclaim_best_effort(&mut self) {
+        if self.log.reclaim().is_err() {
             self.counts.compact_errors += 1;
         }
     }
@@ -242,14 +231,14 @@ impl DiskTier {
     /// Promote: drop `key`'s extents from the log now that `objs` — all of
     /// them, as `fetch(key, None, None)` read and verified them under the
     /// same store guard — go back into memory. Counts the promotion (the
-    /// fetch counted the disk hit); reclamation runs opportunistically.
-    /// This cannot fail: the objects are the only remaining copy, so a
-    /// compaction error here must not (and does not) discard them.
+    /// fetch counted the disk hit), and unlinks the key's segments. This
+    /// cannot fail: the objects are the only remaining copy, so an unlink
+    /// error here must not (and does not) discard them.
     pub fn take(&mut self, key: &ObjectKey, objs: &[DataObject]) {
         self.log.remove(key);
         self.counts.promoted += objs.len() as u64;
         self.counts.promoted_bytes += objs.iter().map(|o| o.desc.bytes).sum::<u64>();
-        self.compact_best_effort();
+        self.reclaim_best_effort();
     }
 
     /// Drop every extent of `name` older than `min_version` (drain path).
@@ -257,7 +246,7 @@ impl DiskTier {
     pub fn evict_before(&mut self, name: &str, min_version: u64) -> u64 {
         let freed = self.log.drop_before(name, min_version);
         if freed > 0 {
-            self.compact_best_effort();
+            self.reclaim_best_effort();
         }
         freed
     }
@@ -269,7 +258,6 @@ impl DiskTier {
             disk_used: self.log.live_bytes(),
             spilled_keys: self.log.num_keys() as u64,
             disk_budget: self.log.budget(),
-            compactions: self.log.compactions(),
             ..self.counts
         }
     }
@@ -423,29 +411,24 @@ mod tests {
     #[test]
     fn promote_survives_compaction_failure() {
         let dir = tmpdir("compactfail");
-        let cfg = TierConfig::new(&dir)
-            .with_budget(1 << 20)
-            .with_chunk_size(256)
-            .with_compact_min_dead(1);
-        let mut t =
-            DiskTier::open(dir.join("tier.log"), &cfg, Arc::new(BufferPool::new())).unwrap();
+        let mut t = tier(&dir, 1 << 20);
         let a = obj("rho", 1, 4);
-        t.spill(&a).unwrap();
-        // A second spilled object keeps the segment partly live, so the
-        // promote below leaves dead bytes only a rewrite can reclaim.
+        t.spill(&a).unwrap(); // segment 0: tier.log
         t.spill(&obj("rho", 2, 4)).unwrap();
-        // Squat the compaction scratch path with a directory so every
-        // compaction attempt fails with an I/O error.
-        std::fs::create_dir(dir.join("tier.compact")).unwrap();
+        // Squat v1's segment path with a directory, so unlinking it fails;
+        // the log's open file still reads the unlinked segment.
+        let seg = dir.join("tier.log");
+        std::fs::remove_file(&seg).unwrap();
+        std::fs::create_dir(&seg).unwrap();
         // The promote must still hand the objects back: once they are
-        // read and unindexed they are the only copy, and compaction is
-        // only opportunistic space reclamation.
+        // read and unindexed they are the only copy, and the unlink is
+        // only space reclamation.
         let back = promote(&mut t, &ObjectKey::new("rho", 1));
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].payload, a.payload);
         assert!(!t.log().contains(&ObjectKey::new("rho", 1)));
         let s = t.snapshot();
-        assert_eq!(s.compact_errors, 1, "the failed sweep is counted");
+        assert_eq!(s.compact_errors, 1, "the failed unlink is counted");
         assert_eq!(s.compactions, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -453,8 +436,8 @@ mod tests {
     #[test]
     fn version_churn_unlinks_whole_segments_and_never_rewrites() {
         // The staging pattern: spill every version, promote each two
-        // versions later. 2 MiB objects, seven to a segment, so every
-        // segment dies whole a few versions after it fills.
+        // versions later. 2 MiB objects, one version to a segment, so
+        // each promote unlinks its version's segment.
         let dir = tmpdir("churn");
         let cfg = TierConfig::new(&dir).with_chunk_size(256);
         let mut t =
@@ -469,10 +452,10 @@ mod tests {
         let s = t.snapshot();
         assert_eq!((s.compactions, s.compact_errors), (0, 0));
         assert_eq!(s.disk_used, 2 * (64 * 64 * 64 * 8));
-        // 24 versions went through four segments; what is left is the
-        // active one and at most the one before it.
+        // 24 versions went through the log; what is left is the two
+        // still spilled, one segment each.
         let files = std::fs::read_dir(&dir).unwrap().count();
-        assert!(files <= 2, "{files} segment files left");
+        assert_eq!(files, 2, "{files} segment files left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

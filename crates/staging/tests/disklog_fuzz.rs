@@ -58,15 +58,23 @@ fn obj(name: &str, version: u64, lo: i64, n: i64) -> DataObject {
     DataObject::from_fab(name, version, &fab, 0, &b, 3).with_dx(0.5)
 }
 
-/// Build a log with a handful of records and return its file path.
+/// Append eight records of one key, `rho` v1 at eight distinct boxes of
+/// two sizes: a key's records share its segment, so they land in one file
+/// for the fuzz to mangle.
+fn append_rho(log: &mut DiskLog) {
+    for k in 0..8i64 {
+        log.append(&obj("rho", 1, 8 * k, 4 - k % 2)).unwrap();
+    }
+}
+
+/// Build a one-segment log of eight records and return its file path.
 fn seeded_log(dir: &std::path::Path) -> PathBuf {
     let path = dir.join("fuzz.log");
     let mut log = DiskLog::open(&path, 1 << 22, 256, Arc::new(BufferPool::new())).unwrap();
-    for v in 1..=4u64 {
-        log.append(&obj("rho", v, 0, 4)).unwrap();
-        log.append(&obj("vel", v, 8, 3)).unwrap();
-    }
+    append_rho(&mut log);
     drop(log);
+    let files = std::fs::read_dir(dir).unwrap().count();
+    assert_eq!(files, 1, "the eight records must share one segment");
     path
 }
 
@@ -155,27 +163,25 @@ fn untouched_log_reopens_complete() {
     let path = seeded_log(&dir);
     let mut log = DiskLog::open(&path, 1 << 22, 256, Arc::new(BufferPool::new())).unwrap();
     assert!(log.recovery().is_empty());
-    assert_eq!(log.keys().len(), 8);
-    let back = log.read(&ObjectKey::new("rho", 2), None).unwrap();
-    assert_eq!(back.len(), 1);
+    assert_eq!(log.keys().len(), 1);
+    let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
+    assert_eq!(back.len(), 8);
 }
 
 /// A two-segment log: one record that fills segment 0 by itself (128³
-/// cells × 8 B is the segment size), then the same small records as
-/// [`seeded_log`] in segment 1. Returns both segment paths.
+/// cells × 8 B is the segment size), then the same eight records of one
+/// key as [`seeded_log`] in segment 1. Returns both segment paths.
 fn two_segment_log(dir: &std::path::Path) -> (PathBuf, PathBuf) {
     let path = dir.join("fuzz.log");
     let mut log = DiskLog::open(&path, u64::MAX, 256, Arc::new(BufferPool::new())).unwrap();
     let big = obj("big", 0, 0, 128);
     assert_eq!(big.desc.bytes, SEGMENT_BYTES);
     log.append(&big).unwrap();
-    for v in 1..=4u64 {
-        log.append(&obj("rho", v, 0, 4)).unwrap();
-        log.append(&obj("vel", v, 8, 3)).unwrap();
-    }
+    append_rho(&mut log);
     drop(log);
     let second = dir.join("fuzz.log.1");
-    assert!(second.exists(), "the small records must start segment 1");
+    let files = std::fs::read_dir(dir).unwrap().count();
+    assert_eq!(files, 2, "the small records must all be in segment 1");
     (path, second)
 }
 
@@ -199,10 +205,11 @@ fn fuzz_second_segment_truncation_plus_flips_never_panic() {
     std::fs::write(&second, &whole).unwrap();
     let mut log = DiskLog::open(&path, u64::MAX, 256, Arc::new(BufferPool::new())).unwrap();
     assert!(log.recovery().is_empty());
-    assert_eq!(log.keys().len(), 9);
+    assert_eq!(log.keys().len(), 2);
     let back = log.read(&ObjectKey::new("big", 0), None).unwrap();
     assert_eq!(back[0].payload, obj("big", 0, 0, 128).payload);
-    let back = log.read(&ObjectKey::new("vel", 4), None).unwrap();
-    assert_eq!(back[0].payload, obj("vel", 4, 8, 3).payload);
+    let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
+    assert_eq!(back.len(), 8);
+    assert_eq!(back[7].payload, obj("rho", 1, 56, 3).payload);
     let _ = std::fs::remove_dir_all(&dir);
 }

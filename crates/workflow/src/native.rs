@@ -1371,10 +1371,25 @@ mod tests {
     /// read: first a put of another variable as large as memory pushes the
     /// version whole to the disk log, then one byte of the extent written
     /// last — that version's last object — is flipped, then the read runs.
+    /// The version went to a fresh segment of its own, numbered past every
+    /// other: the highest-numbered file of the log at `log`.
     struct CorruptsOnRead {
         space: DataSpace,
         log: std::path::PathBuf,
         version: u64,
+    }
+
+    impl CorruptsOnRead {
+        /// The log's highest-numbered segment file: `<log>.<n>` is segment
+        /// `n`, the log path itself segment 0.
+        fn newest_segment(&self) -> std::path::PathBuf {
+            let seq = |p: &std::path::PathBuf| p.extension()?.to_str()?.parse::<u64>().ok();
+            std::fs::read_dir(self.log.parent().expect("a log directory"))
+                .expect("spill dir")
+                .map(|e| e.expect("spill dir entry").path())
+                .max_by_key(|p| seq(p).unwrap_or(0))
+                .expect("a spilled segment")
+        }
     }
 
     impl Staging for CorruptsOnRead {
@@ -1397,10 +1412,11 @@ mod tests {
                     Staging::put(&self.space, Arc::new(ballast)),
                     PutVerdict::Stored
                 );
-                let mut bytes = std::fs::read(&self.log).expect("spill log");
+                let segment = self.newest_segment();
+                let mut bytes = std::fs::read(&segment).expect("spill log");
                 let n = bytes.len();
                 bytes[n - 9] ^= 0xFF;
-                std::fs::write(&self.log, &bytes).expect("spill log");
+                std::fs::write(&segment, &bytes).expect("spill log");
             }
             Staging::get(&self.space, name, version, query, crossing)
         }

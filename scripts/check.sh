@@ -126,18 +126,19 @@ if grep -E 'get\("field", job\.version, None(, None)?\)' <<<"$code" \
     echo "grep gate: the analysis worker must fetch with Some(job.iso) as its crossing predicate (see CHANGES.md: value-range descriptors)"; exit 1
 fi
 
-echo "==> the spill log reclaims by unlinking, and syncs only in a segment rewrite (grep gate)"
-# What PR 25 deleted must not grow back in non-test code of disklog.rs: a
-# segment with no live extent is reclaimed with `remove_file` (no copy, no
-# sync), and `sync_all` appears only inside `rewrite_segment` — on the
-# rewritten file before its rename, and on the directory after it — never
-# on the append, promote or unlink path.
-f=crates/staging/src/disklog.rs
-code=$(nontest "$f")
-outside=$(awk '/#\[cfg\(test\)\]/{exit} /fn rewrite_segment\(/{inside=1} inside && /^    }$/{inside=0; next} !inside {print FILENAME":"FNR": "$0}' "$f")
-syncs=$(grep -cE 'sync_all\(' <<<"$code" || true)
-if ! grep -qE 'fs::remove_file\(' <<<"$code" || grep -E 'sync_all\(|sync_data\(' <<<"$outside" || [ "$syncs" -ne 2 ]; then
-    echo "grep gate: disklog.rs must reclaim dead segments with remove_file and sync_all only in rewrite_segment, twice (found $syncs; see CHANGES.md, PR 25)"; exit 1
+echo "==> the spill log has one reclamation rule: unlink a dead segment (grep gate)"
+# A segment holds one staged version's records and every removal is
+# whole-key, so a segment is all live or all dead: in non-test disklog.rs
+# a dead one is reclaimed with `remove_file`, nothing is synced
+# (`sync_all`, `sync_data`), and the partly-live segment rewrite, its
+# trigger, its dead-byte count and its floor (`rewrite_segment`,
+# `maybe_compact`, `dead_bytes`, `compact_min_dead`) stay deleted; nor does
+# non-test tier.rs carry the floor.
+code=$(nontest crates/staging/src/disklog.rs)
+if ! grep -qE 'fs::remove_file\(' <<<"$code" \
+    || grep -E 'sync_all\(|sync_data\(|rewrite_segment|maybe_compact|dead_bytes|compact_min_dead' <<<"$code" \
+    || grep -E 'compact_min_dead' <<<"$(nontest crates/staging/src/tier.rs)"; then
+    echo "grep gate: disklog.rs must reclaim dead segments with remove_file alone: no sync, no segment rewrite or its floor (see CHANGES.md: one staged version per log segment)"; exit 1
 fi
 
 echo "==> one encoding of a staged object: one codec, one descriptor layout (grep gate)"
