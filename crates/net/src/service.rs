@@ -64,7 +64,10 @@ pub struct ServiceConfig {
     /// disables the tier (puts beyond the memory cap are rejected, the
     /// pre-tier behaviour). Each service instance logs under its own
     /// `svc-<port>` subdirectory, so shards of a cluster can share one
-    /// template directory without colliding.
+    /// template directory without colliding. The tier starts empty: a
+    /// `svc-<port>` where a log segment is left (a crashed life's, on a
+    /// reused port) fails [`StagingService::start`], and a service that
+    /// stopped cleanly leaves no segment there.
     pub disk_dir: Option<std::path::PathBuf>,
     /// Per staging server, the cap on live spilled payload bytes (only
     /// meaningful with `disk_dir` set).
@@ -205,7 +208,8 @@ impl StagingService {
     /// logging under `disk_dir/svc-<port>` — the listener is bound first so
     /// the port disambiguates shards sharing one template directory — and
     /// the tier reads extents through the same buffer pool the wire path
-    /// recycles scratch from.
+    /// recycles scratch from. A `svc-<port>` where a log segment is left
+    /// fails the start with the tier's error, which names the file.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -227,7 +231,7 @@ impl StagingService {
                     &tier,
                     Arc::clone(&pool),
                 )
-                .map_err(|e| std::io::Error::other(format!("disk tier: {e}")))?;
+                .map_err(std::io::Error::other)?;
                 Arc::new(space)
             }
         };
@@ -271,7 +275,9 @@ impl StagingService {
     }
 
     /// Request a graceful stop and wait for the accept loop and every
-    /// worker to finish.
+    /// worker to finish. The space goes with the last handle to it — at
+    /// the end of this call, unless a caller still holds
+    /// [`Self::space`] — and its disk tier's segments with it.
     pub fn shutdown(mut self) {
         self.inner.stop.store(true, Ordering::Release);
         self.inner.poke();

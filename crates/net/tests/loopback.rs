@@ -183,6 +183,46 @@ fn an_unreadable_spilled_extent_fails_the_read_naming_the_server() {
 }
 
 #[test]
+fn a_tiered_service_leaves_no_segment_and_refuses_a_crashed_lifes() {
+    let dir = std::env::temp_dir().join(format!("xlayer-tier-wire-life-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = |addr: String| ServiceConfig {
+        addr,
+        servers: 1,
+        memory_per_server: 600,
+        disk_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    // One life: of two 512 B pieces, one is resident and one spilled.
+    let service = StagingService::start(cfg("127.0.0.1:0".to_string())).unwrap();
+    let port = service.local_addr().port();
+    let life = dir.join(format!("svc-{port}"));
+    let client = quick_client(&service.local_addr().to_string());
+    client.put(&obj("rho", 1, 0, 1.0)).unwrap();
+    client.put(&obj("rho", 1, 8, 2.0)).unwrap();
+    assert!(life.join("server-0.log").exists());
+    drop(client);
+    // A clean shutdown leaves no segment behind.
+    service.shutdown();
+    let left: Vec<_> = std::fs::read_dir(&life).unwrap().collect();
+    assert!(left.is_empty(), "{left:?}");
+    // A crashed life's segment on the same port: the restart fails,
+    // naming it, and leaves it as it was.
+    let segment = life.join("server-0.log");
+    std::fs::write(&segment, b"a crashed life's bytes").unwrap();
+    let err = match StagingService::start(cfg(format!("127.0.0.1:{port}"))) {
+        Ok(_) => panic!("a service started over a crashed life's segment"),
+        Err(e) => e,
+    };
+    assert!(
+        err.to_string().contains(&segment.display().to_string()),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&segment).unwrap(), b"a crashed life's bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn full_pool_refuses_with_busy() {
     // max_connections = 0: every connection is refused with a typed Busy
     // frame, and the client reports it once retries are exhausted.

@@ -65,9 +65,9 @@ impl ObjectDesc {
     /// Whether the descriptor is internally consistent: the byte count
     /// matches the bbox's cell count (8 bytes per `f64` cell), the core
     /// region lies within the bbox, and the range is ordered (no NaN bound;
-    /// `min > max` only as [`EMPTY_RANGE`] exactly). Wire decoders and the
-    /// disk log's open scan call this before trusting a descriptor they did
-    /// not build — the in-process constructors uphold it by construction.
+    /// `min > max` only as [`EMPTY_RANGE`] exactly). Wire decoders call
+    /// this before trusting a descriptor they did not build — the
+    /// in-process constructors uphold it by construction.
     pub fn is_consistent(&self) -> bool {
         let [lo, hi] = self.range;
         self.bytes == self.bbox.num_cells() * 8

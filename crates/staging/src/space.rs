@@ -59,6 +59,11 @@ impl Cluster<StagingServer> {
     /// instead of failing, and spilled data
     /// promotes back into memory on access. One buffer pool feeds every
     /// server's disk I/O; pass the service's pool to share further.
+    ///
+    /// The tiers start empty and live as long as the space: a directory
+    /// where a server's log already has a segment file — a live space's,
+    /// or one a crashed run left — is [`TierError::InUse`], and dropping
+    /// the space unlinks every segment its logs wrote.
     pub fn new_tiered(
         nservers: usize,
         memory_per_server: u64,
@@ -419,5 +424,91 @@ mod tests {
         let descs = space.describe("rho", 1).unwrap();
         assert_eq!(descs.len(), 1);
         assert_eq!(descs[0].bytes, 512);
+    }
+
+    /// A second space over a live space's tier directory is refused. Were
+    /// it opened, it would serve the part of a version that reached disk
+    /// as the version: the resident part lives only in the first space.
+    #[test]
+    fn a_space_over_a_live_tier_is_refused_not_served_partly() {
+        let dir = std::env::temp_dir().join(format!("xlayer-tier-inuse-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TierConfig::new(&dir).with_chunk_size(256);
+        let tiered = || {
+            DataSpace::new_tiered(
+                1,
+                600,
+                Sharding::BboxHash,
+                &cfg,
+                Arc::new(BufferPool::new()),
+            )
+        };
+        // rho v1 as two 512 B pieces: one resident, one spilled.
+        let space = tiered().unwrap();
+        space.put(obj("rho", 1, 0, 4)).unwrap();
+        space.put(obj("rho", 1, 8, 4)).unwrap();
+        assert_eq!(space.tier_stats().spilled, 1);
+        match tiered() {
+            Ok(second) => panic!(
+                "a used tier directory opened, and its get returns {} of 2 objects",
+                second.get("rho", 1, None).len()
+            ),
+            Err(e) => assert_eq!(
+                e,
+                TierError::InUse {
+                    path: dir.join("server-0.log")
+                }
+            ),
+        }
+        assert_eq!(space.get("rho", 1, None).len(), 2);
+        drop(space);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment a crashed run left is refused, typed, and left byte for
+    /// byte. Were it opened, its object would be served beside this run's
+    /// own under the same key.
+    #[test]
+    fn a_crashed_runs_segment_is_refused_and_left_as_it_was() {
+        let dir = std::env::temp_dir().join(format!("xlayer-tier-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let earlier = dir.join("earlier");
+        std::fs::create_dir_all(&earlier).unwrap();
+        // The earlier run's rho v1, as its log wrote it.
+        let segment = dir.join("server-0.log");
+        let planted = {
+            let log_path = earlier.join("server-0.log");
+            let mut log =
+                crate::DiskLog::open(&log_path, u64::MAX, 256, Arc::new(BufferPool::new()))
+                    .unwrap();
+            log.append(&obj("rho", 1, 0, 4)).unwrap();
+            std::fs::read(&log_path).unwrap()
+        };
+        std::fs::write(&segment, &planted).unwrap();
+        let cfg = TierConfig::new(&dir).with_chunk_size(256);
+        match DataSpace::new_tiered(
+            1,
+            1 << 20,
+            Sharding::BboxHash,
+            &cfg,
+            Arc::new(BufferPool::new()),
+        ) {
+            Ok(space) => {
+                // This run's rho v1 is one piece, at another box.
+                space.put(obj("rho", 1, 8, 4)).unwrap();
+                panic!(
+                    "a crashed run's segment opened, and rho v1 reads back as {} objects for this run's 1",
+                    space.get("rho", 1, None).len()
+                );
+            }
+            Err(e) => assert_eq!(
+                e,
+                TierError::InUse {
+                    path: segment.clone()
+                }
+            ),
+        }
+        assert_eq!(std::fs::read(&segment).unwrap(), planted);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -45,15 +45,16 @@ pub struct ObjectHints {
 /// leaves, so there is nothing to tune about reclamation.
 #[derive(Clone, Debug)]
 pub struct TierConfig {
-    /// Directory the per-server log files live in (created if absent).
+    /// Directory the per-server log files live in (created if absent). A
+    /// space opens its tiers only where no log's segment file is left
+    /// (see [`DiskTier::open`]).
     pub dir: PathBuf,
     /// Per-server cap on live spilled payload bytes. The log's files hold
     /// exactly those plus one record head per extent (and, until it is
     /// retried, a dead segment whose unlink failed), so this bounds the
     /// files themselves.
     pub disk_budget: u64,
-    /// Chunk size extents are checksummed at. The record stores it, so a
-    /// log reads back at whatever size wrote it; only at the default,
+    /// Chunk size extents are checksummed at. Only at the default,
     /// [`crate::sum::CHUNK`], do the sums an object carries from or to the
     /// wire save a spill its hash pass.
     pub chunk_size: u32,
@@ -132,9 +133,10 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// Open the tier's log at `path` (budget and chunking from `cfg`).
-    /// Records that fail validation on the open scan are dropped and
-    /// reported via [`DiskTier::recovery`].
+    /// Open an empty tier whose log lives at `path` (budget and chunking
+    /// from `cfg`). A path where a log segment already exists — another
+    /// live log's, or a crashed run's — is [`TierError::InUse`]: the tier
+    /// starts empty or not at all, and dropping it unlinks its segments.
     pub fn open(
         path: impl Into<PathBuf>,
         cfg: &TierConfig,
@@ -146,12 +148,6 @@ impl DiskTier {
             counts: TierSnapshot::default(),
             pool,
         })
-    }
-
-    /// Records dropped during open-time recovery (empty after a clean
-    /// shutdown).
-    pub fn recovery(&self) -> &[TierError] {
-        self.log.recovery()
     }
 
     /// The log: what is on disk, under which key, against which budget.
@@ -456,27 +452,6 @@ mod tests {
         // still spilled, one segment each.
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, 2, "{files} segment files left");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_restores_gauges_and_reports_recovery() {
-        let dir = tmpdir("reopen");
-        let cfg = TierConfig::new(&dir)
-            .with_budget(1 << 20)
-            .with_chunk_size(256);
-        let path = dir.join("tier.log");
-        {
-            let mut t = DiskTier::open(&path, &cfg, Arc::new(BufferPool::new())).unwrap();
-            t.spill(&obj("rho", 1, 4)).unwrap();
-            assert!(t.recovery().is_empty());
-        }
-        let mut t = DiskTier::open(&path, &cfg, Arc::new(BufferPool::new())).unwrap();
-        assert!(t.recovery().is_empty());
-        assert_eq!(t.log().num_keys(), 1);
-        assert_eq!(t.snapshot().disk_used, 512);
-        let back = t.fetch(&ObjectKey::new("rho", 1), None, None).unwrap();
-        assert_eq!(back[0].payload, obj("rho", 1, 4).payload);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

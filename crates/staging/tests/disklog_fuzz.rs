@@ -1,19 +1,20 @@
-//! Dependency-free fuzz tests for the disk log's open-time scan.
+//! Dependency-free fuzz tests for the disk log's read-time check.
 //!
-//! The log is the only durable artifact the staging tier owns, so the
-//! scan that rebuilds its index after a crash must treat the file as
-//! hostile: random truncation (torn tail writes) and random bit flips
-//! (corruption at rest) must surface as recovery entries or typed
-//! [`TierError`]s — never a panic, never an abort. A deterministic LCG
-//! drives the mutations so any failure replays from the printed seed.
+//! A log's index lives in memory, and every read re-verifies the payload
+//! it reads through the segment's open file against the chunk sums kept
+//! there. So a live log's segment file is treated as hostile: random
+//! truncation and random bit flips of the file between `append` and
+//! `read` must surface as typed [`TierError`]s or byte-identical data —
+//! never a panic, never wrong bytes. A deterministic LCG drives the
+//! mutations so any failure replays from its seed and round.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::fab::Fab;
 use xlayer_amr::intvect::IntVect;
 use xlayer_staging::disklog::SEGMENT_BYTES;
-use xlayer_staging::{BufferPool, DataObject, DiskLog, ObjectKey};
+use xlayer_staging::{BufferPool, DataObject, DiskLog, ObjectKey, TierError};
 
 /// A 64-bit linear congruential generator (Knuth's MMIX constants) —
 /// deterministic, seedable, and free of any RNG dependency.
@@ -58,69 +59,83 @@ fn obj(name: &str, version: u64, lo: i64, n: i64) -> DataObject {
     DataObject::from_fab(name, version, &fab, 0, &b, 3).with_dx(0.5)
 }
 
-/// Append eight records of one key, `rho` v1 at eight distinct boxes of
-/// two sizes: a key's records share its segment, so they land in one file
-/// for the fuzz to mangle.
+/// The eight records of one key that [`append_rho`] writes: `rho` v1 at
+/// eight distinct boxes of two sizes.
+fn rho_records() -> Vec<DataObject> {
+    (0..8i64).map(|k| obj("rho", 1, 8 * k, 4 - k % 2)).collect()
+}
+
+/// Append [`rho_records`]: a key's records share its segment, so they
+/// land in one file for the fuzz to mangle.
 fn append_rho(log: &mut DiskLog) {
-    for k in 0..8i64 {
-        log.append(&obj("rho", 1, 8 * k, 4 - k % 2)).unwrap();
+    for o in rho_records() {
+        log.append(&o).unwrap();
     }
 }
 
-/// Build a one-segment log of eight records and return its file path.
-fn seeded_log(dir: &std::path::Path) -> PathBuf {
+/// A live one-segment log of eight records, and its file's path.
+fn seeded_log(dir: &Path) -> (DiskLog, PathBuf) {
     let path = dir.join("fuzz.log");
     let mut log = DiskLog::open(&path, 1 << 22, 256, Arc::new(BufferPool::new())).unwrap();
     append_rho(&mut log);
-    drop(log);
     let files = std::fs::read_dir(dir).unwrap().count();
     assert_eq!(files, 1, "the eight records must share one segment");
-    path
+    (log, path)
 }
 
-/// Reopen the (possibly mangled) log and exercise every read path. The
-/// contract under test: no panic, and errors are typed. Any object the
-/// scan did index must still read back or fail with a typed error.
-fn reopen_and_probe(path: &std::path::Path) {
-    let mut log = match DiskLog::open(path, 1 << 22, 256, Arc::new(BufferPool::new())) {
-        Ok(log) => log,
-        Err(e) => {
-            // Typed failure is an acceptable outcome — render it to make
-            // sure the Display path can't panic either.
-            let _ = e.to_string();
-            return;
+/// Overwrite the segment file at `path` in place with `bytes`: the same
+/// file the live log reads through, cut or flipped.
+fn mangle(path: &Path, bytes: &[u8], round: usize) {
+    std::fs::write(path, bytes).unwrap_or_else(|e| panic!("round {round}: rewrite: {e}"));
+}
+
+/// Read every record of `want` back from the live log — all at once, and
+/// each alone through its box. The contract under test: no panic, and
+/// every answer is either the appended objects byte for byte or a typed
+/// read error.
+fn probe(log: &mut DiskLog, want: &[DataObject], round: usize) {
+    let check = |got: Result<Vec<DataObject>, TierError>, want: &[DataObject]| match got {
+        Ok(back) => {
+            assert_eq!(back.len(), want.len(), "round {round}");
+            for (b, w) in back.iter().zip(want) {
+                assert_eq!(b.desc, w.desc, "round {round}");
+                assert_eq!(b.payload, w.payload, "round {round}: wrong bytes served");
+            }
         }
+        Err(e @ (TierError::Corrupt { .. } | TierError::Io { op: "read", .. })) => {
+            let _ = e.to_string();
+        }
+        Err(e) => panic!("round {round}: a read failed with {e:?}"),
     };
-    for e in log.recovery() {
-        let _ = e.to_string();
+    let key = &want[0].desc.key;
+    assert_eq!(log.extents_for(key).len(), want.len(), "round {round}");
+    check(log.read(key, None), want);
+    for w in want {
+        check(log.read(key, Some(&w.desc.bbox)), std::slice::from_ref(w));
     }
-    for key in log.keys() {
-        let _ = log.extents_for(&key);
-        if let Err(e) = log.read(&key, None) {
-            let _ = e.to_string();
-        }
-    }
-    let _ = log.read(&ObjectKey::new("rho", 1), None);
 }
 
 #[test]
 fn fuzz_truncation_never_panics() {
     let dir = tmpdir("trunc");
-    let path = seeded_log(&dir);
+    let (mut log, path) = seeded_log(&dir);
+    let want = rho_records();
     let whole = std::fs::read(&path).unwrap();
     let mut rng = Lcg(0x5eed_0001);
     for round in 0..64 {
         let cut = rng.below(whole.len() as u64 + 1) as usize;
-        std::fs::write(&path, &whole[..cut])
-            .unwrap_or_else(|e| panic!("round {round}: rewrite: {e}"));
-        reopen_and_probe(&path);
+        mangle(&path, &whole[..cut], round);
+        probe(&mut log, &want, round);
     }
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn fuzz_bit_flips_never_panic() {
     let dir = tmpdir("flip");
-    let path = seeded_log(&dir);
+    let (mut log, path) = seeded_log(&dir);
+    let want = rho_records();
     let whole = std::fs::read(&path).unwrap();
     let mut rng = Lcg(0x5eed_0002);
     for round in 0..64 {
@@ -131,15 +146,18 @@ fn fuzz_bit_flips_never_panic() {
             let at = rng.below(mangled.len() as u64) as usize;
             mangled[at] ^= 1 << rng.below(8);
         }
-        std::fs::write(&path, &mangled).unwrap_or_else(|e| panic!("round {round}: rewrite: {e}"));
-        reopen_and_probe(&path);
+        mangle(&path, &mangled, round);
+        probe(&mut log, &want, round);
     }
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn fuzz_truncation_plus_flips_never_panic() {
     let dir = tmpdir("both");
-    let path = seeded_log(&dir);
+    let (mut log, path) = seeded_log(&dir);
+    let want = rho_records();
     let whole = std::fs::read(&path).unwrap();
     let mut rng = Lcg(0x5eed_0003);
     for round in 0..64 {
@@ -149,46 +167,51 @@ fn fuzz_truncation_plus_flips_never_panic() {
             let at = rng.below(mangled.len() as u64) as usize;
             mangled[at] ^= 1 << rng.below(8);
         }
-        std::fs::write(&path, &mangled).unwrap_or_else(|e| panic!("round {round}: rewrite: {e}"));
-        reopen_and_probe(&path);
+        mangle(&path, &mangled, round);
+        probe(&mut log, &want, round);
     }
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An untouched log must reopen with a full index and no recovery
-/// entries — the fuzz baseline, so a scan regression can't hide behind
-/// "errors are acceptable".
+/// An untouched live log must read back complete — the fuzz baseline, so
+/// a read-path regression can't hide behind "errors are acceptable".
 #[test]
-fn untouched_log_reopens_complete() {
+fn untouched_live_log_reads_back_complete() {
     let dir = tmpdir("clean");
-    let path = seeded_log(&dir);
-    let mut log = DiskLog::open(&path, 1 << 22, 256, Arc::new(BufferPool::new())).unwrap();
-    assert!(log.recovery().is_empty());
-    assert_eq!(log.keys().len(), 1);
+    let (mut log, _) = seeded_log(&dir);
+    assert_eq!(log.keys(), vec![ObjectKey::new("rho", 1)]);
     let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
     assert_eq!(back.len(), 8);
+    for (b, w) in back.iter().zip(rho_records()) {
+        assert_eq!((&b.desc, &b.payload), (&w.desc, &w.payload));
+    }
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A two-segment log: one record that fills segment 0 by itself (128³
-/// cells × 8 B is the segment size), then the same eight records of one
-/// key as [`seeded_log`] in segment 1. Returns both segment paths.
-fn two_segment_log(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+/// A live two-segment log: one record that fills segment 0 by itself
+/// (128³ cells × 8 B is the segment size), then the same eight records of
+/// one key as [`seeded_log`] in segment 1. Returns the log and segment
+/// 1's path.
+fn two_segment_log(dir: &Path) -> (DiskLog, PathBuf) {
     let path = dir.join("fuzz.log");
     let mut log = DiskLog::open(&path, u64::MAX, 256, Arc::new(BufferPool::new())).unwrap();
     let big = obj("big", 0, 0, 128);
     assert_eq!(big.desc.bytes, SEGMENT_BYTES);
     log.append(&big).unwrap();
     append_rho(&mut log);
-    drop(log);
-    let second = dir.join("fuzz.log.1");
     let files = std::fs::read_dir(dir).unwrap().count();
     assert_eq!(files, 2, "the small records must all be in segment 1");
-    (path, second)
+    (log, dir.join("fuzz.log.1"))
 }
 
 #[test]
 fn fuzz_second_segment_truncation_plus_flips_never_panic() {
     let dir = tmpdir("segments");
-    let (path, second) = two_segment_log(&dir);
+    let (mut log, second) = two_segment_log(&dir);
+    let want = rho_records();
+    let big = [obj("big", 0, 0, 128)];
     let whole = std::fs::read(&second).unwrap();
     let mut rng = Lcg(0x5eed_0004);
     for round in 0..32 {
@@ -198,18 +221,18 @@ fn fuzz_second_segment_truncation_plus_flips_never_panic() {
             let at = rng.below(mangled.len() as u64) as usize;
             mangled[at] ^= 1 << rng.below(8);
         }
-        std::fs::write(&second, &mangled).unwrap_or_else(|e| panic!("round {round}: rewrite: {e}"));
-        reopen_and_probe(&path);
+        mangle(&second, &mangled, round);
+        probe(&mut log, &want, round);
+        // The segment nobody touched reads back whole every round.
+        let back = log.read(&ObjectKey::new("big", 0), None).unwrap();
+        assert_eq!(back[0].payload, big[0].payload, "round {round}");
     }
-    // The untouched copy reopens complete, across both segments.
+    // The untouched copy reads back complete, across both segments.
     std::fs::write(&second, &whole).unwrap();
-    let mut log = DiskLog::open(&path, u64::MAX, 256, Arc::new(BufferPool::new())).unwrap();
-    assert!(log.recovery().is_empty());
     assert_eq!(log.keys().len(), 2);
-    let back = log.read(&ObjectKey::new("big", 0), None).unwrap();
-    assert_eq!(back[0].payload, obj("big", 0, 0, 128).payload);
     let back = log.read(&ObjectKey::new("rho", 1), None).unwrap();
     assert_eq!(back.len(), 8);
     assert_eq!(back[7].payload, obj("rho", 1, 56, 3).payload);
+    drop(log);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -96,7 +96,10 @@ pub struct NativeConfig {
     /// being rejected, and hot gets promote them back — the working set
     /// can exceed `staging_memory` without dropping data. `None` (the default) keeps the memory-only
     /// behaviour. Ignored with `remote` set (the service attaches its own
-    /// tier via its `--disk-dir`).
+    /// tier via its `--disk-dir`). The tier lives as long as the
+    /// workflow's staging space, which unlinks its log segments when it
+    /// goes; a directory where a segment is left (a live run's, or a
+    /// crashed one's) makes [`NativeWorkflow::new`] panic.
     pub disk_dir: Option<std::path::PathBuf>,
     /// Cap on live spilled bytes per staging server (only meaningful with
     /// `disk_dir` set; unbounded by default).
@@ -287,27 +290,28 @@ fn connect_remote(cfg: &NativeConfig) -> Option<ShardedClient> {
     ShardedClient::connect(&addrs, cfg.shard_span, ClientConfig::default()).ok()
 }
 
-/// The in-process staging space `cfg` describes. With a `disk_dir` the
-/// space gets a spill tier; a tier that fails to open (unwritable
-/// directory, corrupt log beyond recovery) degrades to the memory-only
-/// space, mirroring the unresolvable-remote fallback.
+/// The in-process staging space `cfg` describes: with a `disk_dir`, a
+/// space whose servers spill to a tier there.
+///
+/// # Panics
+///
+/// With `disk_dir` set, when the tier refuses it — a directory where a
+/// log segment is left ([`xlayer_staging::TierError::InUse`]), or one that
+/// cannot be created — with the tier error's text.
 fn local_space(cfg: &NativeConfig) -> DataSpace {
-    cfg.disk_dir
-        .as_ref()
-        .and_then(|dir| {
-            let tier = TierConfig::new(dir.clone()).with_budget(cfg.disk_budget);
-            DataSpace::new_tiered(
-                cfg.staging_servers,
-                cfg.staging_memory,
-                Sharding::BboxHash,
-                &tier,
-                Arc::new(BufferPool::new()),
-            )
-            .ok()
-        })
-        .unwrap_or_else(|| {
-            DataSpace::new(cfg.staging_servers, cfg.staging_memory, Sharding::BboxHash)
-        })
+    let Some(dir) = &cfg.disk_dir else {
+        return DataSpace::new(cfg.staging_servers, cfg.staging_memory, Sharding::BboxHash);
+    };
+    let tier = TierConfig::new(dir.clone()).with_budget(cfg.disk_budget);
+    DataSpace::new_tiered(
+        cfg.staging_servers,
+        cfg.staging_memory,
+        Sharding::BboxHash,
+        &tier,
+        Arc::new(BufferPool::new()),
+    )
+    // xlint: allow(P) -- `new` returns Self for the frozen benchmark; a tier that cannot start must stop the run, not turn it into a memory-only one
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A fully-native coupled workflow: simulation + visualization + staging.
@@ -341,6 +345,12 @@ pub struct NativeWorkflow<S: LevelSolver> {
 
 impl<S: LevelSolver> NativeWorkflow<S> {
     /// Build the workflow around an initialized simulation.
+    ///
+    /// # Panics
+    ///
+    /// Staging in process with `cfg.disk_dir` set, when the disk tier
+    /// refuses that directory: a log segment is already there (another
+    /// live run's, or a crashed one's), or it cannot be created.
     pub fn new(sim: AmrSimulation<S>, cfg: NativeConfig) -> Self {
         // With cfg.remote set the transfer threads speak the wire protocol
         // to the staging service or cluster; without it they stage in
@@ -1190,6 +1200,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(rejected, 0, "tiered remote staging must not reject");
         assert_eq!(tiered, reference, "remote tier must be bit-identical");
+    }
+
+    #[test]
+    #[should_panic(expected = "disk tier log is in use: segment file")]
+    fn a_disk_dir_holding_a_segment_is_refused_at_new() {
+        /// Removes the directory however the test ends.
+        struct Cleanup(std::path::PathBuf);
+        impl Drop for Cleanup {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = Cleanup(scratch_dir("inuse"));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        std::fs::write(dir.0.join("server-0.log"), b"a crashed run's segment").unwrap();
+        let cfg = NativeConfig {
+            staging_servers: 1,
+            disk_dir: Some(dir.0.clone()),
+            ..Default::default()
+        };
+        NativeWorkflow::new(blob_sim(16), cfg);
     }
 
     #[test]

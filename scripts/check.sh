@@ -141,6 +141,20 @@ if ! grep -qE 'fs::remove_file\(' <<<"$code" \
     echo "grep gate: disklog.rs must reclaim dead segments with remove_file alone: no sync, no segment rewrite or its floor (see CHANGES.md: one staged version per log segment)"; exit 1
 fi
 
+echo "==> a disk log is read only by the process that wrote it (grep gate)"
+# A log starts empty: `DiskLog::open` refuses a path where a segment file
+# exists, and a dropped log unlinks the segments it created. The open
+# scan, segment discovery and recovery list that rebuilt an index from an
+# earlier process's files (`read_head`, `decode_head`, `parse_seq`,
+# `segment_seqs`, `fn scan`, `recovery`) stay deleted from non-test
+# disklog.rs and tier.rs, and non-test disklog.rs opens no file with
+# `truncate(true)`: it creates every segment with `create_new`.
+if grep -E 'read_head|decode_head|parse_seq|segment_seqs|fn scan|recovery' \
+        <<<"$(nontest crates/staging/src/disklog.rs crates/staging/src/tier.rs)" \
+    || grep -F 'truncate(true)' <<<"$(nontest crates/staging/src/disklog.rs)"; then
+    echo "grep gate: a disk log never reopens an earlier log's files (see CHANGES.md: staging is transient)"; exit 1
+fi
+
 echo "==> one encoding of a staged object: one codec, one descriptor layout (grep gate)"
 # The wire and the spill log share staging::codec. In non-test code of
 # crates/{staging,net}/src: the little-endian cursors (`struct Rd`,
